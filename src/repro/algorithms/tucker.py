@@ -16,13 +16,13 @@ algorithm and provides the fit metric used by its tests and example.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.algorithms.cp import RecoveryRecord
 from repro.backends import get_backend
-from repro.context import UNSET, ExecContext, resolve_context
+from repro.context import DEFAULT_CONTEXT, ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
 from repro.gpusim.cluster import MultiNodeClusterSpec, NodeFailure, resolve_cluster
@@ -123,10 +123,6 @@ def tucker_hooi(
     seed: SeedLike = 0,
     block_size: int = 128,
     threadlen: int = 8,
-    cluster: Any = UNSET,
-    devices: Any = UNSET,
-    preproc_cache: Any = UNSET,
-    chaos: Any = UNSET,
     ctx: Optional[ExecContext] = None,
 ) -> TuckerResult:
     """Tucker decomposition of a sparse tensor via HOOI on the unified kernels.
@@ -144,45 +140,34 @@ def tucker_hooi(
         HOOI sweep limit and fit-improvement stopping threshold.
     seed:
         Seed for the random orthonormal initial factors.
-    cluster / devices:
-        Multi-GPU controls forwarded to every SpTTMc (see
-        :func:`repro.kernels.unified.spttmc.unified_spttmc`); the result
-        then reports per-device timelines and scaling efficiency.
-    preproc_cache:
-        Optional :class:`~repro.serve.cache.PreprocCache` (any object with
-        its ``encoding(tensor, operation, mode)`` protocol).  When given,
-        each sweep's SpTTMc obtains its per-mode F-COO encoding through the
-        cache instead of re-encoding the tensor inside the kernel — within
-        one decomposition every sweep past the first hits, and across
-        serving jobs repeat tenants share the entries.
-    chaos:
-        Optional :class:`~repro.gpusim.cluster.NodeFailure` events to
-        survive, with the same semantics as :func:`~repro.algorithms.cp.cp_als`:
-        a failure fires at the first TTMc boundary whose modeled time
-        reaches it while the run shards across a multi-node cluster
-        containing the node; the interrupted sweep's partial work is
-        discarded as wasted time, the lost shards re-stage onto the
-        survivors, and the sweep replays from its sweep-boundary
-        checkpoint.  HOOI draws randomness only at initialisation, and the
-        sharded kernels are bit-identical across topologies, so the
-        recovered core and factors equal the failure-free run's exactly.
     ctx:
-        A :class:`~repro.context.ExecContext` supplying ``cluster`` /
-        ``devices`` / ``preproc_cache`` / ``chaos`` in one bundle; the
-        direct kwargs above are deprecated aliases that override it and
-        warn once each.
+        A :class:`~repro.context.ExecContext` supplying:
+
+        * ``cluster`` / ``devices`` — multi-GPU controls forwarded to every
+          SpTTMc (see :func:`repro.kernels.unified.spttmc.unified_spttmc`);
+          the result then reports per-device timelines and scaling
+          efficiency.
+        * ``preproc_cache`` — an optional
+          :class:`~repro.serve.cache.PreprocCache` (any object with its
+          ``encoding(tensor, operation, mode)`` protocol).  Each sweep's
+          SpTTMc then obtains its per-mode F-COO encoding through the cache
+          instead of re-encoding the tensor inside the kernel — within one
+          decomposition every sweep past the first hits, and across serving
+          jobs repeat tenants share the entries.
+        * ``chaos`` — optional :class:`~repro.gpusim.cluster.NodeFailure`
+          events to survive, with the same semantics as
+          :func:`~repro.algorithms.cp.cp_als`: a failure fires at the first
+          TTMc boundary whose modeled time reaches it while the run shards
+          across a multi-node cluster containing the node; the interrupted
+          sweep's partial work is discarded as wasted time, the lost shards
+          re-stage onto the survivors, and the sweep replays from its
+          sweep-boundary checkpoint.  HOOI draws randomness only at
+          initialisation, and the sharded kernels are bit-identical across
+          topologies, so the recovered core and factors equal the
+          failure-free run's exactly.
     """
-    resolved = resolve_context(
-        "tucker_hooi",
-        ctx,
-        cluster=cluster,
-        devices=devices,
-        preproc_cache=preproc_cache,
-        chaos=chaos,
-    )
-    cluster, devices = resolved.cluster, resolved.devices
-    preproc_cache, chaos = resolved.preproc_cache, resolved.chaos
-    backend_impl = get_backend(resolved.backend)
+    ctx = ctx if ctx is not None else DEFAULT_CONTEXT
+    backend_impl = get_backend(ctx.backend)
     if tensor.nnz == 0:
         raise ValueError("cannot decompose an all-zero tensor")
     order = tensor.order
@@ -210,7 +195,7 @@ def tucker_hooi(
     iterations_run = 0
     core_unfolded = np.zeros((ranks[0], int(np.prod(ranks[1:]))), dtype=np.float64)
 
-    device, multi = resolve_cluster(device, cluster, devices)
+    device, multi = resolve_cluster(device, ctx.cluster, ctx.devices)
     timeline = ShardedTimeline(multi.num_devices if multi is not None else 1)
     # The decomposition's unified timeline: per-device compute engines plus
     # the link/NIC resources the sharded all-reduces book.  HOOI is
@@ -225,7 +210,7 @@ def tucker_hooi(
     ]
 
     preproc_time = 0.0
-    pending_failures = sorted(chaos or (), key=lambda f: (f.time_s, f.node_index))
+    pending_failures = sorted(ctx.chaos or (), key=lambda f: (f.time_s, f.node_index))
     recoveries: List[RecoveryRecord] = []
     recovery_overhead_s = 0.0
     # survivor-local slot -> original physical slot; None while intact.
@@ -234,8 +219,8 @@ def tucker_hooi(
     def run_ttmc(ttmc_mode: int):
         nonlocal preproc_time
         source = tensor
-        if preproc_cache is not None:
-            source, _hit, cost_s = preproc_cache.encoding(
+        if ctx.preproc_cache is not None:
+            source, _hit, cost_s = ctx.preproc_cache.encoding(
                 tensor, OperationKind.SPTTMC, ttmc_mode
             )
             preproc_time += cost_s
@@ -246,7 +231,7 @@ def tucker_hooi(
             device=device,
             block_size=block_size,
             threadlen=threadlen,
-            ctx=ExecContext(cluster=multi, backend=resolved.backend),
+            ctx=ExecContext(cluster=multi, backend=ctx.backend),
         )
         timeline.observe(result.profile, slot_map=slot_map)
         execution = getattr(result.profile, "sharded", None)
@@ -386,9 +371,9 @@ def tucker_hooi(
         recoveries=recoveries,
         recovery_overhead_s=recovery_overhead_s,
     )
-    if resolved.metrics is not None:
+    if ctx.metrics is not None:
         observe_decomposition(
-            resolved.metrics,
+            ctx.metrics,
             algorithm="tucker_hooi",
             iterations=iterations_run,
             makespan_s=result.makespan_s or 0.0,

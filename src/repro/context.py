@@ -11,10 +11,7 @@ them into one frozen :class:`ExecContext` that every entry point accepts as
 >>> ctx = ExecContext(streamed=True, num_streams=4)
 >>> result = unified_spmttkrp(tensor, factors, mode=0, ctx=ctx)  # doctest: +SKIP
 
-The legacy kwargs remain as *deprecated aliases*: passing one still works
-(it overrides the corresponding ``ctx`` field), but emits a
-:class:`DeprecationWarning` once per call site/parameter pair.  Equivalence
-between the two spellings is covered by ``tests/test_slo.py``.
+``ctx=`` is the only spelling of these controls.
 
 The module also defines:
 
@@ -31,16 +28,13 @@ The module also defines:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Any,
-    Dict,
     Optional,
     Protocol,
     Sequence,
-    Set,
     Tuple,
     runtime_checkable,
 )
@@ -55,14 +49,7 @@ __all__ = [
     "ExecContext",
     "DEFAULT_CONTEXT",
     "TimedResult",
-    "resolve_context",
-    "reset_deprecation_registry",
-    "UNSET",
 ]
-
-#: Sentinel distinguishing "legacy kwarg not passed" from an explicit value
-#: (``None`` and falsy values are all meaningful for these parameters).
-UNSET: Any = object()
 
 
 # ---------------------------------------------------------------------- #
@@ -230,50 +217,6 @@ class ExecContext:
 
 #: The all-defaults context; what a call without ``ctx=`` resolves to.
 DEFAULT_CONTEXT = ExecContext()
-
-
-# ---------------------------------------------------------------------- #
-# Deprecated-alias plumbing
-# ---------------------------------------------------------------------- #
-_WARNED: Set[Tuple[str, str]] = set()
-
-
-def reset_deprecation_registry() -> None:
-    """Forget which deprecated aliases already warned (test hook)."""
-    _WARNED.clear()
-
-
-def _warn_legacy(func: str, param: str) -> None:
-    if (func, param) in _WARNED:
-        return
-    _WARNED.add((func, param))
-    warnings.warn(
-        f"{func}({param}=...) is deprecated; pass ctx=ExecContext({param}=...) "
-        f"instead (the legacy kwarg still works and overrides the context)",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def resolve_context(
-    func: str, ctx: Optional[ExecContext], **legacy: Any
-) -> ExecContext:
-    """Fold deprecated legacy kwargs into an effective :class:`ExecContext`.
-
-    ``legacy`` maps field names to the value the caller passed, or
-    :data:`UNSET` when the parameter was left at its default.  Explicitly
-    passed legacy values override the matching ``ctx`` field and warn once
-    per ``(func, field)`` pair; with no legacy values and no ``ctx`` the
-    result is :data:`DEFAULT_CONTEXT`.
-    """
-    base = ctx if ctx is not None else DEFAULT_CONTEXT
-    overrides: Dict[str, Any] = {}
-    for name, value in legacy.items():
-        if value is UNSET:
-            continue
-        _warn_legacy(func, name)
-        overrides[name] = value
-    return replace(base, **overrides) if overrides else base
 
 
 # ---------------------------------------------------------------------- #

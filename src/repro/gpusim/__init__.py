@@ -31,9 +31,6 @@ effects is modelled explicitly:
   booking, per-resource utilisation and a Chrome-trace-exportable event
   trace.  The stream pipeline, the cluster collectives and the serving
   scheduler all book time on it.
-* :mod:`~repro.gpusim.streams` — compatibility shim re-exporting the
-  multi-stream transfer/compute overlap pipeline, which now lives in
-  :mod:`~repro.gpusim.timeline`.
 * :mod:`~repro.gpusim.timing` — conversion of a counter ledger into
   estimated kernel time on a device.
 """

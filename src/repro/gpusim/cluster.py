@@ -1121,7 +1121,7 @@ def resolve_cluster(
     cluster: Optional[ClusterLike],
     devices: Optional[int],
 ) -> Tuple[DeviceSpec, Optional[ClusterLike]]:
-    """Normalise the ``cluster=`` / ``devices=`` kernel parameters.
+    """Normalise the ``cluster`` / ``devices`` fields of an execution context.
 
     The kernels accept a full :class:`ClusterSpec`, a two-tier
     :class:`MultiNodeClusterSpec`, or a bare device count (which builds a

@@ -28,8 +28,7 @@ The out-of-core stream pipeline of Section IV-D lives here too
 it *is* two resources of one timeline — the copy engine and the compute
 engine of one device — with the ``num_streams`` buffer bound expressed as a
 dependency on the kernel completion of the chunk ``num_streams`` positions
-earlier.  ``repro.gpusim.streams`` remains as a thin compatibility shim
-re-exporting these names.
+earlier.
 
 Booking arithmetic is deliberately bit-stable: ``start = max(ready, free)``
 and ``end = start + duration`` are exactly the operations the pre-refactor

@@ -16,19 +16,25 @@ All three kernels share the same skeleton:
 4. the product, scan and accumulation stages are fused into a single kernel
    launch so intermediate data never travels through global memory.
 
-The kernels return numerically exact results (vectorised NumPy) together
-with a :class:`repro.gpusim.KernelProfile` describing the simulated cost.
+The kernels differ only in that product, so one driver runs all three
+(:mod:`repro.kernels.unified.driver`), configured by a small per-operation
+spec.  It returns numerically exact results (vectorised NumPy) together
+with a :class:`repro.gpusim.KernelProfile` describing the simulated cost,
+in two independent halves: the cost model, from the index streams alone,
+then one canonical numeric pass over the whole encoding.
 
-Tensors larger than device memory execute out-of-core
-(:mod:`repro.kernels.unified.streaming`): the non-zero stream is chunked on
-``threadlen``-aligned boundaries and pipelined through PCIe on multiple CUDA
-streams, overlapping each chunk's copy with the previous chunk's kernel.
+The execution paths below therefore model time and memory only; their
+outputs are bit-identical to one-shot.  Tensors larger than device memory
+are modeled out-of-core (:mod:`repro.kernels.unified.streaming`): the
+non-zero stream is chunked on ``threadlen``-aligned boundaries and
+pipelined through PCIe on multiple CUDA streams, overlapping each chunk's
+copy with the previous chunk's kernel.
 
-With a :class:`~repro.gpusim.cluster.ClusterSpec` (or ``devices=N``) the
-same stream shards across a simulated multi-GPU node
-(:mod:`repro.kernels.unified.sharded`): each shard runs on its own device —
-streaming per-device when it still does not fit — and the partial outputs
-merge through a modeled collective.
+With ``ctx=ExecContext(cluster=...)`` (or ``devices=N``) the same stream
+shards across a simulated multi-GPU node
+(:mod:`repro.kernels.unified.sharded`): each shard is priced on its own
+device — streaming per-device when it still does not fit — and the partial
+outputs merge through a modeled collective.
 """
 
 from repro.kernels.unified.spttm import unified_spttm

@@ -5,9 +5,9 @@ module breaks the single-device *throughput* ceiling: the F-COO non-zero
 stream is partitioned across the members of a
 :class:`~repro.gpusim.cluster.ClusterSpec` on the same segment-safe,
 ``threadlen``-aligned boundaries the out-of-core path uses
-(:meth:`~repro.formats.fcoo.FCOOTensor.chunk`), each shard executes the
+(:meth:`~repro.formats.fcoo.FCOOTensor.chunk`), each shard is priced as the
 unchanged one-shot kernel on its own device — falling back to the
-per-device streamed path when the shard still exceeds that device's memory
+per-device streamed model when the shard still exceeds that device's memory
 — and the per-device partial outputs merge through a modeled collective:
 
 * a **ring all-reduce** of the dense output for SpMTTKRP / SpTTMc (every
@@ -25,13 +25,14 @@ ledger but not charged to the kernel makespan.  A shard that falls back to
 streaming re-ships its chunks every execution and is charged exactly as the
 single-device streamed path would be.
 
-Numeric outputs are *bit-identical* to the one-shot kernels for every
-cluster shape: the per-segment sums are computed once from the full stream
-in the canonical in-order reduction, and the shards model only time and
-memory.  ``tests/test_sharded.py`` is the property harness proving it
-across 1/2/4 devices, and mid-run fault recovery (checkpoint/replay on the
-survivor topology) relies on it for recovered-run == failure-free-run
-factor identity.
+The driver models time and memory only.  The numbers come from one
+canonical pass over the whole stream
+(:func:`repro.kernels.unified.driver.compute`), so outputs are
+*bit-identical* to the one-shot kernels for every cluster shape.
+``tests/test_sharded.py`` is the property harness proving it across 1/2/4
+devices, and mid-run fault recovery (checkpoint/replay on the survivor
+topology) relies on it for recovered-run == failure-free-run factor
+identity.
 """
 
 from __future__ import annotations
@@ -45,19 +46,7 @@ from repro.formats.fcoo import FCOOChunk, FCOOTensor
 from repro.gpusim.cluster import ClusterLike, MultiNodeClusterSpec
 from repro.gpusim.counters import KernelCounters, KernelProfile
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.launch import LaunchConfig
 from repro.gpusim.timeline import Timeline, device_compute_key, device_copy_key
-from repro.gpusim.timing import profile_from_counters
-from repro.kernels.unified._model import (
-    unified_device_footprint,
-    unified_kernel_counters,
-)
-from repro.kernels.unified.streaming import (
-    NumericCore,
-    coerce_segment_sums,
-    should_stream,
-    streamed_unified_kernel,
-)
 from repro.util.validation import check_positive_int
 
 __all__ = [
@@ -70,13 +59,11 @@ __all__ = [
     "partition_for_cluster",
     "plan_node_recovery",
     "execute_sharded",
-    "sharded_unified_kernel",
 ]
 
-#: A per-shard kernel: maps one shard's F-COO encoding and its device to the
-#: shard's local per-segment sums ``(shard.num_segments, width)`` plus the
+#: Prices one shard: maps the shard's F-COO encoding and its device to the
 #: profile of executing it on that device (one-shot or streamed).
-ShardKernel = Callable[[FCOOTensor, DeviceSpec], Tuple[np.ndarray, KernelProfile]]
+ShardModel = Callable[[FCOOTensor, DeviceSpec], KernelProfile]
 
 
 def partition_shards(
@@ -565,30 +552,32 @@ class ShardedTimeline:
 
 def execute_sharded(
     fcoo: FCOOTensor,
-    shard_kernel: ShardKernel,
+    shard_model: ShardModel,
     *,
     cluster: ClusterLike,
     threadlen: int,
     output_bytes: float,
+    output_width: int,
     reduction: str = "allreduce",
     name: str = "unified-sharded",
-    output_width: Optional[int] = None,
-    canonical_sums: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, KernelProfile]:
-    """Run a unified kernel shard-by-shard across a cluster and merge.
+) -> KernelProfile:
+    """Model a unified kernel run shard-by-shard across a cluster.
 
     Parameters
     ----------
     fcoo:
         The full (host-resident) F-COO encoding.
-    shard_kernel:
-        Kernel-specific callable; see :data:`ShardKernel`.
+    shard_model:
+        Kernel-specific callable; see :data:`ShardModel`.
     cluster / threadlen:
         The cluster and the chunk alignment.
     output_bytes:
         Size of the dense output a ring all-reduce would move (ignored for
         the other reduction kinds, which size payloads from the per-shard
         segment bookkeeping).
+    output_width:
+        Column count of each reduced segment (sizes the boundary and
+        gather payloads).
     reduction:
         ``"allreduce"`` (dense factor outputs that every device needs),
         ``"boundary"`` (outputs that stay partitioned across the devices —
@@ -597,27 +586,12 @@ def execute_sharded(
         partitioned output onto the root device).
     name:
         Profile name; ``-sharded`` is appended.
-    output_width:
-        Column count of the per-segment sums when the stream is empty.
-    canonical_sums:
-        Optional pre-computed per-segment sums of the *full* stream in the
-        canonical (single-device, in-order) reduction order.  When given,
-        they are returned as the numeric result instead of the shard-merged
-        partials, making the numbers bit-identical regardless of the shard
-        topology — shard-straddling segments otherwise regroup the
-        floating-point summation at the boundary.  This is the invariant
-        mid-run fault recovery relies on: replaying an iteration on the
-        survivor topology reproduces the failure-free numbers exactly.
-        The per-shard executions still run and supply the timing ledgers.
 
     Returns
     -------
-    (segment_sums, profile)
-        ``segment_sums`` has shape ``(fcoo.num_segments, width)`` with the
-        per-segment reductions (``canonical_sums`` verbatim when given,
-        otherwise the shard-merged partials with shard-straddling segments
-        summed); ``profile.sharded`` carries the :class:`ShardedExecution`
-        ledger.
+    KernelProfile
+        The makespan profile; ``profile.sharded`` carries the
+        :class:`ShardedExecution` ledger.
     """
     threadlen = check_positive_int(threadlen, "threadlen")
     if reduction not in ("allreduce", "boundary", "gather"):
@@ -631,7 +605,6 @@ def execute_sharded(
 
     ledgers: List[ShardLedger] = []
     merged = KernelCounters()
-    segment_sums: Optional[np.ndarray] = None
     peak_device_bytes = 0.0
 
     for i, shard in enumerate(shards):
@@ -640,16 +613,7 @@ def execute_sharded(
             # (or a stream shorter than the device count): the slot idles.
             continue
         device = cluster.devices[i]
-        local_sums, profile = shard_kernel(shard.tensor, device)
-        local_sums = coerce_segment_sums(local_sums, shard.num_segments)
-        if segment_sums is None:
-            segment_sums = np.zeros(
-                (fcoo.num_segments, local_sums.shape[1]), dtype=np.float64
-            )
-        segment_sums[
-            shard.segment_offset : shard.segment_offset + shard.num_segments
-        ] += local_sums
-
+        profile = shard_model(shard.tensor, device)
         staged = (
             0.0
             if profile.streaming is not None  # streamed shards re-ship chunks
@@ -673,13 +637,6 @@ def execute_sharded(
         merged = merged.merge(profile.counters)
         peak_device_bytes = max(peak_device_bytes, profile.device_memory_bytes)
 
-    if canonical_sums is not None:
-        segment_sums = coerce_segment_sums(canonical_sums, fcoo.num_segments)
-    elif segment_sums is None:
-        segment_sums = np.zeros(
-            (fcoo.num_segments, output_width if output_width else 1), dtype=np.float64
-        )
-
     multinode = isinstance(cluster, MultiNodeClusterSpec)
     if len(ledgers) <= 1:
         reduction_bytes, reduction_time = 0.0, 0.0
@@ -687,7 +644,6 @@ def execute_sharded(
         reduction_bytes = float(output_bytes)
         reduction_time = cluster.allreduce_time(reduction_bytes)
     elif reduction == "boundary":
-        width = segment_sums.shape[1]
         # A carried segment's partial sum moves from the previous *executed*
         # shard — with empty placeholder shards in between, that can be a
         # lower slot than index - 1, possibly in another node.
@@ -696,7 +652,7 @@ def execute_sharded(
             for prev, cur in zip(ledgers, ledgers[1:])
             if cur.carries_in
         ]
-        payloads = [float(width * fcoo.value_dtype.itemsize) for _ in pairs]
+        payloads = [float(output_width * fcoo.value_dtype.itemsize) for _ in pairs]
         reduction_bytes = float(sum(payloads))
         if multinode:
             # A boundary between two nodes' spans crosses the NIC; one
@@ -709,18 +665,17 @@ def execute_sharded(
         else:
             reduction_time = cluster.neighbor_exchange_time(payloads)
     else:
-        width = segment_sums.shape[1]
         if multinode:
             # The hierarchical gather prices per tier, so it needs the
             # full slot-aligned payload vector (idle slots ship nothing).
             payloads = [0.0] * cluster.num_devices
             for ledger in ledgers:
                 payloads[ledger.index] = (
-                    ledger.num_segments * width * fcoo.value_dtype.itemsize
+                    ledger.num_segments * output_width * fcoo.value_dtype.itemsize
                 )  # slot-aligned; idle slots keep 0.0
         else:
             payloads = [
-                ledger.num_segments * width * fcoo.value_dtype.itemsize
+                ledger.num_segments * output_width * fcoo.value_dtype.itemsize
                 for ledger in ledgers
             ]
         reduction_bytes = float(sum(payloads[1:]))
@@ -734,7 +689,7 @@ def execute_sharded(
         reduction_bytes=reduction_bytes,
         reduction_time_s=reduction_time,
     )
-    profile = KernelProfile(
+    return KernelProfile(
         name=f"{name}-sharded",
         counters=merged,
         estimated_time_s=execution.total_time_s,
@@ -746,91 +701,4 @@ def execute_sharded(
             "shards": float(len(ledgers)),
         },
         sharded=execution,
-    )
-    return segment_sums, profile
-
-
-def sharded_unified_kernel(
-    fcoo: FCOOTensor,
-    numeric_core: NumericCore,
-    *,
-    rank: int,
-    output_width: int,
-    flops_per_nnz_per_column: float,
-    block_size: int,
-    threadlen: int,
-    fused: bool,
-    cluster: ClusterLike,
-    streamed: Optional[bool],
-    num_streams: int,
-    chunk_nnz: Optional[int],
-    resident_bytes: float,
-    output_bytes: float,
-    name: str,
-    reduction: str = "allreduce",
-) -> Tuple[np.ndarray, KernelProfile]:
-    """Sharded execution of a unified kernel given its numeric core.
-
-    The per-shard shape is exactly the single-device kernel: a shard whose
-    one-shot footprint fits its device runs the one-shot model; one that
-    does not falls back to the PR 1 streamed path *on that device* (with
-    the caller's ``streamed`` / ``num_streams`` / ``chunk_nnz`` controls
-    forwarded unchanged).  All three unified kernels share this driver and
-    differ only in the numeric core, widths and reduction kind.
-
-    The numeric result is computed *once* from the full stream in the
-    canonical in-order reduction (exactly what the single-device one-shot
-    kernel produces), so it is bit-identical for every cluster shape — the
-    shards model time and memory, never the numbers.
-    """
-    canonical = numeric_core(fcoo)[0] if fcoo.nnz else None
-
-    def shard_kernel(shard: FCOOTensor, device: DeviceSpec):
-        launch = LaunchConfig.for_nnz(
-            max(shard.nnz, 1), rank, block_size=block_size, threadlen=threadlen
-        )
-        footprint = unified_device_footprint(shard, launch, resident_bytes, 0.0)
-        if should_stream(shard, footprint, device, streamed):
-            return streamed_unified_kernel(
-                shard,
-                numeric_core,
-                rank=rank,
-                output_width=output_width,
-                flops_per_nnz_per_column=flops_per_nnz_per_column,
-                block_size=block_size,
-                threadlen=threadlen,
-                fused=fused,
-                device=device,
-                num_streams=num_streams,
-                chunk_nnz=chunk_nnz,
-                resident_bytes=resident_bytes,
-                name=name,
-            )
-        sums, row_streams = numeric_core(shard)
-        counters = unified_kernel_counters(
-            shard,
-            row_streams,
-            rank,
-            output_rows=shard.num_segments,
-            output_width=output_width,
-            launch=launch,
-            device=device,
-            flops_per_nnz_per_column=flops_per_nnz_per_column,
-            fused=fused,
-        )
-        profile = profile_from_counters(
-            name, counters, launch, device, device_memory_bytes=footprint
-        )
-        return sums, profile
-
-    return execute_sharded(
-        fcoo,
-        shard_kernel,
-        cluster=cluster,
-        threadlen=threadlen,
-        output_bytes=output_bytes,
-        reduction=reduction,
-        name=name,
-        output_width=output_width,
-        canonical_sums=canonical,
     )

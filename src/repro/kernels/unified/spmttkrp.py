@@ -12,39 +12,48 @@ updates.  The implementation generalises to any order (the Hadamard product
 simply runs over all product modes) and any target mode.
 
 When the operands exceed device memory the kernel falls back to (or is
-forced onto, via ``streamed=True``) the out-of-core path of
-:mod:`repro.kernels.unified.streaming`: the non-zero stream is chunked on
-``threadlen``-aligned boundaries, chunks are pipelined through PCIe on
-``num_streams`` CUDA streams, and the per-chunk slice sums merge into the
-same output the one-shot kernel produces.
+forced onto, via ``ctx=ExecContext(streamed=True)``) the out-of-core model
+of :mod:`repro.kernels.unified.streaming`: the non-zero stream is chunked on
+``threadlen``-aligned boundaries and the chunks are pipelined through PCIe
+on ``num_streams`` CUDA streams.  The output is the one-shot kernel's on
+every path (:mod:`repro.kernels.unified.driver`).
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.backends import Backend, get_backend
-from repro.context import UNSET, ExecContext, resolve_context
+from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
-from repro.gpusim.cluster import resolve_cluster
 from repro.gpusim.device import DeviceSpec, TITAN_X
-from repro.gpusim.launch import LaunchConfig
-from repro.gpusim.timing import profile_from_counters
 from repro.kernels.common import MTTKRPResult, validate_factor
-from repro.kernels.unified._model import (
-    unified_device_footprint,
-    unified_kernel_counters,
-)
-from repro.kernels.unified.sharded import sharded_unified_kernel
-from repro.kernels.unified.streaming import should_stream, streamed_unified_kernel
-from repro.obs.metrics import observe_kernel_profile
+from repro.kernels.unified.driver import OperationSpec, run_unified, scatter_rows
 from repro.tensor.sparse import SparseTensor
 from repro.util.validation import check_mode
 
 __all__ = ["unified_spmttkrp", "spmttkrp_footprint"]
+
+
+def _spec(fcoo: FCOOTensor, rank: int) -> OperationSpec:
+    """The SpMTTKRP operation: a Hadamard product of ``rank``-wide rows."""
+    shape = fcoo.shape
+    product_modes = fcoo.roles.product_modes
+    return OperationSpec(
+        kernel="spmttkrp",
+        product="hadamard_segment_sums",
+        rank=rank,
+        output_width=rank,
+        # Hadamard across P product modes costs P multiplies per column plus
+        # the segmented add: charge 2 + (P - 1) FLOPs per non-zero per column.
+        flops_per_nnz_per_column=2.0 + (len(product_modes) - 1),
+        factor_bytes=sum(shape[m] * rank * 4.0 for m in product_modes),
+        output_bytes=shape[fcoo.mode] * rank * 4.0,
+        reduction="allreduce",
+        assemble=scatter_rows,
+    )
 
 
 def spmttkrp_footprint(
@@ -62,27 +71,9 @@ def spmttkrp_footprint(
     so the engine's transfer accounting uses the exact numbers the kernel's
     streamed/one-shot decision uses.
     """
-    shape = fcoo.shape
-    factor_bytes = sum(shape[m] * rank * 4.0 for m in fcoo.roles.product_modes)
-    output_bytes = shape[fcoo.mode] * rank * 4.0
-    launch = LaunchConfig.for_nnz(
-        max(fcoo.nnz, 1), rank, block_size=block_size, threadlen=threadlen
-    )
-    footprint = unified_device_footprint(fcoo, launch, factor_bytes, output_bytes)
-    return footprint, factor_bytes + output_bytes
-
-
-def _slice_sums(
-    fcoo: FCOOTensor, mats: Sequence[np.ndarray], backend: Backend
-) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Numeric core: per-slice Hadamard sums plus the factor row streams."""
-    row_streams: List[np.ndarray] = [
-        fcoo.product_mode_indices(pos).astype(np.int64) for pos in range(len(mats))
-    ]
-    sums = backend.hadamard_segment_sums(
-        fcoo.values, mats, row_streams, fcoo.segment_ids, fcoo.num_segments
-    )
-    return sums, row_streams
+    op = _spec(fcoo, rank)
+    launch = op.launch(fcoo.nnz, block_size=block_size, threadlen=threadlen)
+    return op.footprint(fcoo, launch), op.resident_bytes
 
 
 def unified_spmttkrp(
@@ -94,11 +85,6 @@ def unified_spmttkrp(
     block_size: int = 128,
     threadlen: int = 8,
     fused: bool = True,
-    streamed: Any = UNSET,
-    num_streams: Any = UNSET,
-    chunk_nnz: Any = UNSET,
-    cluster: Any = UNSET,
-    devices: Any = UNSET,
     ctx: Optional[ExecContext] = None,
 ) -> MTTKRPResult:
     """Compute MTTKRP with the unified F-COO algorithm.
@@ -119,10 +105,8 @@ def unified_spmttkrp(
     ctx:
         The :class:`~repro.context.ExecContext` carrying the out-of-core
         (``streamed`` / ``num_streams`` / ``chunk_nnz``) and multi-GPU
-        (``cluster`` / ``devices``) controls.
-    streamed, num_streams, chunk_nnz, cluster, devices:
-        Deprecated aliases for the matching ``ctx`` fields; still honored
-        (they override ``ctx``) but warn once per parameter.
+        (``cluster`` / ``devices``) controls; sharded partial outputs merge
+        through a modeled ring all-reduce.
 
     Returns
     -------
@@ -131,18 +115,6 @@ def unified_spmttkrp(
         (``profile.streaming`` holds the per-chunk ledger on the streamed
         path).
     """
-    ctx = resolve_context(
-        "unified_spmttkrp",
-        ctx,
-        streamed=streamed,
-        num_streams=num_streams,
-        chunk_nnz=chunk_nnz,
-        cluster=cluster,
-        devices=devices,
-    )
-    streamed, num_streams, chunk_nnz = ctx.streamed, ctx.num_streams, ctx.chunk_nnz
-    cluster, devices = ctx.cluster, ctx.devices
-    backend_impl = get_backend(ctx.backend)
     if isinstance(tensor, FCOOTensor):
         fcoo = tensor
         if (
@@ -161,118 +133,21 @@ def unified_spmttkrp(
     order = fcoo.order
     if len(factors) != order:
         raise ValueError(f"need one factor per mode ({order}), got {len(factors)}")
-    product_modes = fcoo.roles.product_modes
     mats = [
-        validate_factor(factors[m], shape[m], f"factors[{m}]") for m in product_modes
+        validate_factor(factors[m], shape[m], f"factors[{m}]")
+        for m in fcoo.roles.product_modes
     ]
     ranks = {m.shape[1] for m in mats}
     if len(ranks) != 1:
         raise ValueError(f"product-mode factors must share one rank, got {sorted(ranks)}")
-    rank = ranks.pop()
-
-    output = np.zeros((shape[fcoo.mode], rank), dtype=np.float64)
-    launch = LaunchConfig.for_nnz(
-        max(fcoo.nnz, 1), rank, block_size=block_size, threadlen=threadlen
-    )
-    # Hadamard across P product modes costs P multiplies per column plus the
-    # segmented add: charge 2 + (P - 1) FLOPs per non-zero per column.
-    flops_per_col = 2.0 + (len(product_modes) - 1)
-    footprint, resident_bytes = spmttkrp_footprint(
-        fcoo, rank, block_size=block_size, threadlen=threadlen
-    )
-
-    device, multi = resolve_cluster(device, cluster, devices)
-    if multi is not None and fcoo.nnz:
-        # -------------------------------------------------------------- #
-        # Multi-GPU path: the non-zero stream shards across the cluster,
-        # each device reduces its slices, and the dense output all-reduces.
-        # -------------------------------------------------------------- #
-        slice_sums, profile = sharded_unified_kernel(
-            fcoo,
-            lambda chunk: _slice_sums(chunk, mats, backend_impl),
-            rank=rank,
-            output_width=rank,
-            flops_per_nnz_per_column=flops_per_col,
-            block_size=block_size,
-            threadlen=threadlen,
-            fused=fused,
-            cluster=multi,
-            streamed=streamed,
-            num_streams=num_streams,
-            chunk_nnz=chunk_nnz,
-            resident_bytes=resident_bytes,
-            output_bytes=shape[fcoo.mode] * rank * 4.0,
-            name=f"unified-spmttkrp-mode{fcoo.mode}",
-            reduction="allreduce",
-        )
-        np.add.at(output, fcoo.segment_index_coords[:, 0], slice_sums)
-        if ctx.metrics is not None:
-            observe_kernel_profile(
-                ctx.metrics, kernel="spmttkrp", nnz=fcoo.nnz, profile=profile
-            )
-        return MTTKRPResult(output=output, profile=profile)
-
-    if should_stream(fcoo, footprint, device, streamed):
-        # -------------------------------------------------------------- #
-        # Out-of-core path: the same numeric core runs chunk-by-chunk and
-        # the per-chunk slice sums merge by global segment id.
-        # -------------------------------------------------------------- #
-        slice_sums, profile = streamed_unified_kernel(
-            fcoo,
-            lambda chunk: _slice_sums(chunk, mats, backend_impl),
-            rank=rank,
-            output_width=rank,
-            flops_per_nnz_per_column=flops_per_col,
-            block_size=block_size,
-            threadlen=threadlen,
-            fused=fused,
-            device=device,
-            num_streams=num_streams,
-            chunk_nnz=chunk_nnz,
-            resident_bytes=resident_bytes,
-            name=f"unified-spmttkrp-mode{fcoo.mode}",
-        )
-        np.add.at(output, fcoo.segment_index_coords[:, 0], slice_sums)
-        if ctx.metrics is not None:
-            observe_kernel_profile(
-                ctx.metrics, kernel="spmttkrp", nnz=fcoo.nnz, profile=profile
-            )
-        return MTTKRPResult(output=output, profile=profile)
-
-    row_streams: List[np.ndarray] = []
-    if fcoo.nnz:
-        # ------------------------------------------------------------------ #
-        # Numerical result.
-        # ------------------------------------------------------------------ #
-        slice_sums, row_streams = _slice_sums(fcoo, mats, backend_impl)
-        # Scatter the per-slice sums to the output rows (the segment table
-        # stores the index-mode coordinate of each slice).
-        out_rows = fcoo.segment_index_coords[:, 0]
-        np.add.at(output, out_rows, slice_sums)
-
-    # ------------------------------------------------------------------ #
-    # Simulated cost.
-    # ------------------------------------------------------------------ #
-    counters = unified_kernel_counters(
+    output, profile = run_unified(
         fcoo,
-        row_streams,
-        rank,
-        output_rows=fcoo.num_segments,
-        output_width=rank,
-        launch=launch,
+        _spec(fcoo, ranks.pop()),
+        mats,
         device=device,
-        flops_per_nnz_per_column=flops_per_col,
+        block_size=block_size,
+        threadlen=threadlen,
         fused=fused,
+        ctx=ctx,
     )
-    profile = profile_from_counters(
-        f"unified-spmttkrp-mode{fcoo.mode}",
-        counters,
-        launch,
-        device,
-        device_memory_bytes=footprint,
-    )
-    if ctx.metrics is not None:
-        observe_kernel_profile(
-            ctx.metrics, kernel="spmttkrp", nnz=fcoo.nnz, profile=profile
-        )
     return MTTKRPResult(output=output, profile=profile)

@@ -14,49 +14,43 @@ Algorithm (paper Section IV-D, Figure 4):
   per-fiber results are written out coalesced;
 * everything runs in one fused kernel launch — no intermediate data.
 
-Tensors whose F-COO footprint exceeds device memory execute out-of-core via
-:mod:`repro.kernels.unified.streaming` (automatically, or on request with
-``streamed=True``): the non-zero stream is chunked on ``threadlen``-aligned
-boundaries, the per-chunk fiber partials merge by global segment id, and the
-cost model overlaps each chunk's PCIe copy with the previous chunk's kernel.
+Tensors whose F-COO footprint exceeds device memory are modeled out-of-core
+via :mod:`repro.kernels.unified.streaming` (automatically, or on request with
+``ctx=ExecContext(streamed=True)``): the non-zero stream is chunked on
+``threadlen``-aligned boundaries and the cost model overlaps each chunk's
+PCIe copy with the previous chunk's kernel.  The fibers themselves always
+come from one canonical pass (:mod:`repro.kernels.unified.driver`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from repro.backends import Backend, get_backend
-from repro.context import UNSET, ExecContext, resolve_context
+from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
 from repro.formats.semisparse import SemiSparseTensor
-from repro.gpusim.cluster import resolve_cluster
 from repro.gpusim.device import DeviceSpec, TITAN_X
-from repro.gpusim.launch import LaunchConfig
-from repro.gpusim.timing import profile_from_counters
 from repro.kernels.common import SpTTMResult, validate_factor
-from repro.kernels.unified._model import (
-    unified_device_footprint,
-    unified_kernel_counters,
-)
-from repro.kernels.unified.sharded import sharded_unified_kernel
-from repro.kernels.unified.streaming import should_stream, streamed_unified_kernel
-from repro.obs.metrics import observe_kernel_profile
+from repro.kernels.unified.driver import OperationSpec, run_unified
 from repro.tensor.sparse import SparseTensor
 from repro.util.validation import check_mode
 
 __all__ = ["unified_spttm"]
 
 
-def _fiber_values(fcoo: FCOOTensor, matrix: np.ndarray, backend: Backend):
-    """Numeric core: per-fiber sums of ``value * U[k, :]`` plus the row stream."""
-    product_idx = fcoo.product_mode_indices(0).astype(np.int64)
-    sums = backend.hadamard_segment_sums(
-        fcoo.values, [matrix], [product_idx], fcoo.segment_ids, fcoo.num_segments
+def _fibers(fcoo: FCOOTensor, sums: np.ndarray) -> SemiSparseTensor:
+    """Semi-sparse output: one dense fiber of the reduced sums per segment."""
+    out_shape = list(fcoo.shape)
+    out_shape[fcoo.mode] = sums.shape[1]
+    return SemiSparseTensor(
+        shape=tuple(out_shape),
+        dense_mode=fcoo.mode,
+        fiber_coords=fcoo.segment_index_coords,
+        fiber_values=sums,
     )
-    return sums, product_idx
 
 
 def unified_spttm(
@@ -68,11 +62,6 @@ def unified_spttm(
     block_size: int = 128,
     threadlen: int = 8,
     fused: bool = True,
-    streamed: Any = UNSET,
-    num_streams: Any = UNSET,
-    chunk_nnz: Any = UNSET,
-    cluster: Any = UNSET,
-    devices: Any = UNSET,
     ctx: Optional[ExecContext] = None,
 ) -> SpTTMResult:
     """Compute SpTTM with the unified F-COO algorithm on the simulated GPU.
@@ -97,37 +86,28 @@ def unified_spttm(
         benchmark.
     ctx:
         The :class:`~repro.context.ExecContext` carrying the execution
-        controls described below.
-    streamed:
-        ``None`` (default) auto-selects: one-shot when the operands fit in
-        device memory, out-of-core streaming otherwise.  ``True`` forces
-        streaming, ``False`` forces one-shot (raising
-        :class:`~repro.gpusim.timing.OutOfDeviceMemory` when it does not
-        fit).  An empty tensor always takes the one-shot path.
-    num_streams:
-        CUDA streams (in-flight chunk buffers) for the streamed path; 1
-        disables the transfer/compute overlap.
-    chunk_nnz:
-        Non-zeros per streamed chunk (must be at least ``threadlen``;
-        rounded down to a ``threadlen`` multiple); ``None`` sizes chunks to
-        fill the device memory budget.
-    cluster:
-        Optional :class:`~repro.gpusim.cluster.ClusterSpec` or
-        :class:`~repro.gpusim.cluster.MultiNodeClusterSpec`: the non-zero
-        stream shards across its devices on ``threadlen``-aligned
-        boundaries, each shard runs on its own device (falling back to the
-        streamed path per-device when it does not fit); the semi-sparse
-        output stays partitioned across the devices and only the fibers
-        straddling a shard boundary exchange with a neighbour
-        (``profile.sharded`` carries the per-device ledger).
-    devices:
-        Shorthand for ``cluster``: a device count > 1 builds a homogeneous
-        cluster of ``device``.  Mutually consistent with ``cluster``.
+        controls:
 
-    ``streamed`` / ``num_streams`` / ``chunk_nnz`` / ``cluster`` /
-    ``devices`` as direct kwargs are deprecated aliases for the matching
-    ``ctx`` fields: still honored (they override ``ctx``) but each warns
-    once.
+        * ``streamed`` — ``None`` (default) auto-selects: one-shot when the
+          operands fit in device memory, out-of-core streaming otherwise.
+          ``True`` forces streaming, ``False`` forces one-shot (raising
+          :class:`~repro.gpusim.timing.OutOfDeviceMemory` when it does not
+          fit).  An empty tensor always takes the one-shot path.
+        * ``num_streams`` — CUDA streams (in-flight chunk buffers) for the
+          streamed path; 1 disables the transfer/compute overlap.
+        * ``chunk_nnz`` — non-zeros per streamed chunk (at least
+          ``threadlen``; rounded down to a ``threadlen`` multiple); ``None``
+          sizes chunks to fill the device memory budget.
+        * ``cluster`` — a :class:`~repro.gpusim.cluster.ClusterSpec` or
+          :class:`~repro.gpusim.cluster.MultiNodeClusterSpec`: the non-zero
+          stream shards across its devices on ``threadlen``-aligned
+          boundaries, each shard runs on its own device (falling back to
+          the streamed path per-device when it does not fit); the
+          semi-sparse output stays partitioned across the devices and only
+          the fibers straddling a shard boundary exchange with a neighbour
+          (``profile.sharded`` carries the per-device ledger).
+        * ``devices`` — shorthand for ``cluster``: a device count > 1 builds
+          a homogeneous cluster of ``device``.
 
     Returns
     -------
@@ -136,18 +116,6 @@ def unified_spttm(
         (``profile.streaming`` holds the per-chunk ledger on the streamed
         path).
     """
-    ctx = resolve_context(
-        "unified_spttm",
-        ctx,
-        streamed=streamed,
-        num_streams=num_streams,
-        chunk_nnz=chunk_nnz,
-        cluster=cluster,
-        devices=devices,
-    )
-    streamed, num_streams, chunk_nnz = ctx.streamed, ctx.num_streams, ctx.chunk_nnz
-    cluster, devices = ctx.cluster, ctx.devices
-    backend_impl = get_backend(ctx.backend)
     if isinstance(tensor, FCOOTensor):
         fcoo = tensor
         if fcoo.operation is not OperationKind.SPTTM or fcoo.mode != check_mode(mode, fcoo.order):
@@ -159,120 +127,31 @@ def unified_spttm(
         mode = check_mode(mode, tensor.order)
         fcoo = FCOOTensor.from_sparse(tensor, OperationKind.SPTTM, mode)
 
-    shape = fcoo.shape
-    matrix = validate_factor(matrix, shape[fcoo.mode], "matrix")
+    matrix = validate_factor(matrix, fcoo.shape[fcoo.mode], "matrix")
     rank = matrix.shape[1]
-
-    out_shape = list(shape)
-    out_shape[fcoo.mode] = rank
-
-    # ------------------------------------------------------------------ #
-    # Numerical result (what the GPU kernel would produce).
-    # ------------------------------------------------------------------ #
-    if fcoo.nnz == 0:
-        output = SemiSparseTensor(
-            shape=tuple(out_shape),
-            dense_mode=fcoo.mode,
-            fiber_coords=np.empty((0, fcoo.order - 1), dtype=np.int64),
-            fiber_values=np.empty((0, rank), dtype=np.float64),
-        )
-        launch = LaunchConfig(block_size=block_size, grid_x=1, grid_y=rank, threadlen=threadlen)
-        profile = profile_from_counters(
-            f"unified-spttm-mode{fcoo.mode}",
-            unified_kernel_counters(fcoo, [], rank, 0, rank, launch, device, fused=fused),
-            launch,
-            device,
-        )
-        if ctx.metrics is not None:
-            observe_kernel_profile(ctx.metrics, kernel="spttm", nnz=0, profile=profile)
-        return SpTTMResult(output=output, profile=profile)
-
-    launch = LaunchConfig.for_nnz(fcoo.nnz, rank, block_size=block_size, threadlen=threadlen)
-    factor_bytes = matrix.shape[0] * rank * 4.0
-    output_bytes = fcoo.num_segments * rank * 4.0 + fcoo.num_segments * (fcoo.order - 1) * 4.0
-    footprint = unified_device_footprint(fcoo, launch, factor_bytes, output_bytes)
-
-    device, multi = resolve_cluster(device, cluster, devices)
-
-    def numeric_core(chunk: FCOOTensor):
-        sums, product_idx = _fiber_values(chunk, matrix, backend_impl)
-        return sums, [product_idx]
-
-    if multi is not None:
-        # -------------------------------------------------------------- #
-        # Multi-GPU path: shards reduce their own fibers in parallel; the
-        # semi-sparse output stays partitioned across the devices (the
-        # next pipeline stage consumes it in place) and only the fibers
+    segments = fcoo.num_segments
+    op = OperationSpec(
+        kernel="spttm",
+        product="hadamard_segment_sums",
+        rank=rank,
+        output_width=rank,
+        flops_per_nnz_per_column=2.0,
+        factor_bytes=matrix.shape[0] * rank * 4.0,
+        output_bytes=segments * rank * 4.0 + segments * (fcoo.order - 1) * 4.0,
+        # The semi-sparse output stays partitioned across the devices (the
+        # next pipeline stage consumes it in place); only the fibers
         # straddling a shard boundary exchange with a neighbour.
-        # -------------------------------------------------------------- #
-        fiber_values, profile = sharded_unified_kernel(
-            fcoo,
-            numeric_core,
-            rank=rank,
-            output_width=rank,
-            flops_per_nnz_per_column=2.0,
-            block_size=block_size,
-            threadlen=threadlen,
-            fused=fused,
-            cluster=multi,
-            streamed=streamed,
-            num_streams=num_streams,
-            chunk_nnz=chunk_nnz,
-            resident_bytes=factor_bytes + output_bytes,
-            output_bytes=output_bytes,
-            name=f"unified-spttm-mode{fcoo.mode}",
-            reduction="boundary",
-        )
-    elif should_stream(fcoo, footprint, device, streamed):
-        # -------------------------------------------------------------- #
-        # Out-of-core path: each chunk produces partial fiber sums for its
-        # local segments; boundary-straddling fibers merge by segment id.
-        # -------------------------------------------------------------- #
-        fiber_values, profile = streamed_unified_kernel(
-            fcoo,
-            numeric_core,
-            rank=rank,
-            output_width=rank,
-            flops_per_nnz_per_column=2.0,
-            block_size=block_size,
-            threadlen=threadlen,
-            fused=fused,
-            device=device,
-            num_streams=num_streams,
-            chunk_nnz=chunk_nnz,
-            resident_bytes=factor_bytes + output_bytes,
-            name=f"unified-spttm-mode{fcoo.mode}",
-        )
-    else:
-        fiber_values, product_idx = _fiber_values(fcoo, matrix, backend_impl)
-        # ------------------------------------------------------------------ #
-        # Simulated cost.
-        # ------------------------------------------------------------------ #
-        counters = unified_kernel_counters(
-            fcoo,
-            [product_idx],
-            rank,
-            output_rows=fcoo.num_segments,
-            output_width=rank,
-            launch=launch,
-            device=device,
-            flops_per_nnz_per_column=2.0,
-            fused=fused,
-        )
-        profile = profile_from_counters(
-            f"unified-spttm-mode{fcoo.mode}",
-            counters,
-            launch,
-            device,
-            device_memory_bytes=footprint,
-        )
-
-    output = SemiSparseTensor(
-        shape=tuple(out_shape),
-        dense_mode=fcoo.mode,
-        fiber_coords=fcoo.segment_index_coords,
-        fiber_values=fiber_values,
+        reduction="boundary",
+        assemble=_fibers,
     )
-    if ctx.metrics is not None:
-        observe_kernel_profile(ctx.metrics, kernel="spttm", nnz=fcoo.nnz, profile=profile)
+    output, profile = run_unified(
+        fcoo,
+        op,
+        [matrix],
+        device=device,
+        block_size=block_size,
+        threadlen=threadlen,
+        fused=fused,
+        ctx=ctx,
+    )
     return SpTTMResult(output=output, profile=profile)

@@ -17,47 +17,20 @@ claims.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.backends import Backend, get_backend
-from repro.context import UNSET, ExecContext, resolve_context
+from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
-from repro.gpusim.cluster import resolve_cluster
 from repro.gpusim.device import DeviceSpec, TITAN_X
-from repro.gpusim.launch import LaunchConfig
-from repro.gpusim.timing import profile_from_counters
 from repro.kernels.common import TTMcResult, validate_factor
-from repro.kernels.unified._model import (
-    unified_device_footprint,
-    unified_kernel_counters,
-)
-from repro.kernels.unified.sharded import sharded_unified_kernel
-from repro.kernels.unified.streaming import should_stream, streamed_unified_kernel
-from repro.obs.metrics import observe_kernel_profile
+from repro.kernels.unified.driver import OperationSpec, run_unified, scatter_rows
 from repro.tensor.sparse import SparseTensor
 from repro.util.validation import check_mode
 
 __all__ = ["unified_spttmc"]
-
-
-def _kron_slice_sums(
-    fcoo: FCOOTensor, mats: Sequence[np.ndarray], backend: Backend
-) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Numeric core: per-slice sums of the per-non-zero Kronecker products.
-
-    Built from the last product mode outward so earlier modes vary fastest
-    (matching the Kolda unfolding convention of the oracles).
-    """
-    row_streams: List[np.ndarray] = [
-        fcoo.product_mode_indices(pos).astype(np.int64) for pos in range(len(mats))
-    ]
-    sums = backend.kron_segment_sums(
-        fcoo.values, mats, row_streams, fcoo.segment_ids, fcoo.num_segments
-    )
-    return sums, row_streams
 
 
 def unified_spttmc(
@@ -69,11 +42,6 @@ def unified_spttmc(
     block_size: int = 128,
     threadlen: int = 8,
     fused: bool = True,
-    streamed: Any = UNSET,
-    num_streams: Any = UNSET,
-    chunk_nnz: Any = UNSET,
-    cluster: Any = UNSET,
-    devices: Any = UNSET,
     ctx: Optional[ExecContext] = None,
 ) -> TTMcResult:
     """Compute TTMc with the unified F-COO algorithm on the simulated GPU.
@@ -94,9 +62,6 @@ def unified_spttmc(
         (``cluster`` / ``devices``) controls, as in
         :func:`repro.kernels.unified.spttm.unified_spttm` (the partial
         unfoldings merge through a modeled ring all-reduce).
-    streamed, num_streams, chunk_nnz, cluster, devices:
-        Deprecated aliases for the matching ``ctx`` fields; still honored
-        (they override ``ctx``) but warn once per parameter.
 
     Returns
     -------
@@ -105,18 +70,6 @@ def unified_spttmc(
         (``profile.streaming`` holds the per-chunk ledger on the streamed
         path).
     """
-    ctx = resolve_context(
-        "unified_spttmc",
-        ctx,
-        streamed=streamed,
-        num_streams=num_streams,
-        chunk_nnz=chunk_nnz,
-        cluster=cluster,
-        devices=devices,
-    )
-    streamed, num_streams, chunk_nnz = ctx.streamed, ctx.num_streams, ctx.chunk_nnz
-    cluster, devices = ctx.cluster, ctx.devices
-    backend_impl = get_backend(ctx.backend)
     if isinstance(tensor, FCOOTensor):
         fcoo = tensor
         if fcoo.operation not in (OperationKind.SPTTMC, OperationKind.SPMTTKRP) or (
@@ -140,106 +93,27 @@ def unified_spttmc(
     out_width = 1
     for r in ranks:
         out_width *= r
-
-    output = np.zeros((shape[fcoo.mode], out_width), dtype=np.float64)
-    launch = LaunchConfig.for_nnz(
-        max(fcoo.nnz, 1), max(ranks), block_size=block_size, threadlen=threadlen
-    )
-    factor_bytes = sum(shape[m] * r * 4.0 for m, r in zip(product_modes, ranks))
-    output_bytes = shape[fcoo.mode] * out_width * 4.0
-    footprint = unified_device_footprint(fcoo, launch, factor_bytes, output_bytes)
-
-    device, multi = resolve_cluster(device, cluster, devices)
-    if multi is not None and fcoo.nnz:
-        # -------------------------------------------------------------- #
-        # Multi-GPU path: shards form their Kronecker slice sums in
-        # parallel and the dense unfolding all-reduces across the cluster.
-        # -------------------------------------------------------------- #
-        slice_sums, profile = sharded_unified_kernel(
-            fcoo,
-            lambda chunk: _kron_slice_sums(chunk, mats, backend_impl),
-            rank=max(ranks),
-            output_width=out_width,
-            flops_per_nnz_per_column=3.0,
-            block_size=block_size,
-            threadlen=threadlen,
-            fused=fused,
-            cluster=multi,
-            streamed=streamed,
-            num_streams=num_streams,
-            chunk_nnz=chunk_nnz,
-            resident_bytes=factor_bytes + output_bytes,
-            output_bytes=output_bytes,
-            name=f"unified-spttmc-mode{fcoo.mode}",
-            reduction="allreduce",
-        )
-        np.add.at(output, fcoo.segment_index_coords[:, 0], slice_sums)
-        if ctx.metrics is not None:
-            observe_kernel_profile(
-                ctx.metrics, kernel="spttmc", nnz=fcoo.nnz, profile=profile
-            )
-        return TTMcResult(output=output, profile=profile)
-
-    if should_stream(fcoo, footprint, device, streamed):
-        # -------------------------------------------------------------- #
-        # Out-of-core path: the Kronecker core runs chunk-by-chunk and the
-        # per-chunk slice sums merge by global segment id.
-        # -------------------------------------------------------------- #
-        slice_sums, profile = streamed_unified_kernel(
-            fcoo,
-            lambda chunk: _kron_slice_sums(chunk, mats, backend_impl),
-            rank=max(ranks),
-            output_width=out_width,
-            flops_per_nnz_per_column=3.0,
-            block_size=block_size,
-            threadlen=threadlen,
-            fused=fused,
-            device=device,
-            num_streams=num_streams,
-            chunk_nnz=chunk_nnz,
-            resident_bytes=factor_bytes + output_bytes,
-            name=f"unified-spttmc-mode{fcoo.mode}",
-        )
-        np.add.at(output, fcoo.segment_index_coords[:, 0], slice_sums)
-        if ctx.metrics is not None:
-            observe_kernel_profile(
-                ctx.metrics, kernel="spttmc", nnz=fcoo.nnz, profile=profile
-            )
-        return TTMcResult(output=output, profile=profile)
-
-    row_streams: List[np.ndarray] = []
-    if fcoo.nnz:
-        # ------------------------------------------------------------------ #
-        # Numerical result: per-non-zero Kronecker of the selected rows.
-        # ------------------------------------------------------------------ #
-        slice_sums, row_streams = _kron_slice_sums(fcoo, mats, backend_impl)
-        out_rows = fcoo.segment_index_coords[:, 0]
-        np.add.at(output, out_rows, slice_sums)
-
-    # ------------------------------------------------------------------ #
-    # Simulated cost: the Kronecker product performs one multiply per output
-    # column plus the segmented add.
-    # ------------------------------------------------------------------ #
-    counters = unified_kernel_counters(
-        fcoo,
-        row_streams,
-        max(ranks),
-        output_rows=fcoo.num_segments,
+    op = OperationSpec(
+        kernel="spttmc",
+        product="kron_segment_sums",
+        rank=max(ranks),
         output_width=out_width,
-        launch=launch,
-        device=device,
+        # The Kronecker product performs one multiply per output column
+        # plus the segmented add.
         flops_per_nnz_per_column=3.0,
+        factor_bytes=sum(shape[m] * r * 4.0 for m, r in zip(product_modes, ranks)),
+        output_bytes=shape[fcoo.mode] * out_width * 4.0,
+        reduction="allreduce",
+        assemble=scatter_rows,
+    )
+    output, profile = run_unified(
+        fcoo,
+        op,
+        mats,
+        device=device,
+        block_size=block_size,
+        threadlen=threadlen,
         fused=fused,
+        ctx=ctx,
     )
-    profile = profile_from_counters(
-        f"unified-spttmc-mode{fcoo.mode}",
-        counters,
-        launch,
-        device,
-        device_memory_bytes=footprint,
-    )
-    if ctx.metrics is not None:
-        observe_kernel_profile(
-            ctx.metrics, kernel="spttmc", nnz=fcoo.nnz, profile=profile
-        )
     return TTMcResult(output=output, profile=profile)

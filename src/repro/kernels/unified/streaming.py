@@ -9,26 +9,25 @@ overlaps each partition's copy with the previous partition's kernel
 * :func:`choose_chunk_nnz` sizes the partitions so that ``num_streams``
   in-flight chunk buffers plus the resident operands (factor matrices and
   the output) fit in device memory;
-* :func:`execute_streamed` runs a kernel-specific per-chunk callable over
-  the :meth:`~repro.formats.fcoo.FCOOTensor.chunk` partitioning, merges the
-  per-chunk per-segment partial sums (cross-chunk segments merge by the
-  global-segment-id mapping), resolves the transfer/compute pipeline by
-  booking the chunks onto the device's copy/compute resources with
-  :func:`repro.gpusim.timeline.schedule_chunks`, and assembles a
+* :func:`execute_streamed` models a kernel over the
+  :meth:`~repro.formats.fcoo.FCOOTensor.chunk` partitioning: it prices each
+  chunk with a kernel-specific callable, resolves the transfer/compute
+  pipeline by booking the chunks onto the device's copy/compute resources
+  with :func:`repro.gpusim.timeline.schedule_chunks`, and assembles a
   :class:`~repro.gpusim.counters.KernelProfile` whose estimated time charges
   ``max(transfer, compute)`` per pipelined chunk instead of their sum.
 
-The numeric outputs are identical (up to floating-point summation order) to
-the one-shot kernels — ``tests/test_streaming.py`` is the property harness
-proving it.
+The driver models time and memory only.  The numbers come from one
+canonical pass over the whole encoding
+(:func:`repro.kernels.unified.driver.compute`), so a streamed call is
+bit-identical to the one-shot kernel — ``tests/test_streaming.py`` is the
+property harness proving it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, List, Optional, Tuple
 
 from repro.formats.fcoo import FCOOTensor
 from repro.gpusim.counters import KernelCounters, KernelProfile
@@ -36,50 +35,20 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.launch import LaunchConfig
 from repro.gpusim.timeline import ChunkTiming, StreamSchedule, Timeline, schedule_chunks
 from repro.gpusim.timing import OutOfDeviceMemory, estimate_kernel_time
-from repro.kernels.unified._model import unified_kernel_counters
 from repro.util.validation import check_positive_int
 
 __all__ = [
     "ChunkLedger",
     "StreamedExecution",
     "choose_chunk_nnz",
-    "coerce_segment_sums",
     "execute_streamed",
     "should_stream",
-    "streamed_unified_kernel",
 ]
 
 
-def coerce_segment_sums(local_sums: np.ndarray, num_segments: int) -> np.ndarray:
-    """Normalise a kernel's per-segment sums to a ``(num_segments, width)`` array.
-
-    Width-1 results may arrive as a plain ``(num_segments,)`` vector; the
-    segment axis is made explicit so callers merge rows, not columns.
-    Shared by the streamed and sharded drivers.
-    """
-    local_sums = np.asarray(local_sums, dtype=np.float64)
-    if local_sums.ndim == 1:
-        local_sums = local_sums[:, None]
-    elif local_sums.ndim != 2:
-        raise ValueError(
-            f"kernel must return (num_segments,) or (num_segments, width) "
-            f"sums, got shape {local_sums.shape}"
-        )
-    if local_sums.shape[0] != num_segments:
-        raise ValueError(
-            f"kernel returned {local_sums.shape[0]} segment rows for "
-            f"{num_segments} segments"
-        )
-    return local_sums
-
-#: A per-chunk kernel: maps the chunk's own F-COO encoding to its local
-#: per-segment partial sums ``(chunk.num_segments, width)``, the work ledger
-#: of executing it, and the launch it would be issued with.
-ChunkKernel = Callable[[FCOOTensor], Tuple[np.ndarray, KernelCounters, LaunchConfig]]
-
-#: A kernel's numeric core: maps an F-COO encoding (the whole tensor or one
-#: chunk) to its per-segment partial sums and the factor row-index streams.
-NumericCore = Callable[[FCOOTensor], Tuple[np.ndarray, Sequence[np.ndarray]]]
+#: Prices one chunk: maps the chunk's own F-COO encoding to the work ledger
+#: of executing it and the launch it would be issued with.
+ChunkModel = Callable[[FCOOTensor], Tuple[KernelCounters, LaunchConfig]]
 
 
 def should_stream(
@@ -232,7 +201,7 @@ def choose_chunk_nnz(
 
 def execute_streamed(
     fcoo: FCOOTensor,
-    chunk_kernel: ChunkKernel,
+    chunk_model: ChunkModel,
     *,
     device: DeviceSpec,
     threadlen: int,
@@ -240,16 +209,15 @@ def execute_streamed(
     chunk_nnz: Optional[int] = None,
     resident_bytes: float = 0.0,
     name: str = "unified-streamed",
-    output_width: Optional[int] = None,
-) -> Tuple[np.ndarray, KernelProfile]:
-    """Run a unified kernel chunk-by-chunk and merge the per-segment sums.
+) -> KernelProfile:
+    """Model a unified kernel executed chunk-by-chunk through PCIe.
 
     Parameters
     ----------
     fcoo:
         The full (host-resident) F-COO encoding.
-    chunk_kernel:
-        Kernel-specific callable; see :data:`ChunkKernel`.
+    chunk_model:
+        Kernel-specific callable; see :data:`ChunkModel`.
     device / threadlen / num_streams / chunk_nnz:
         Streaming configuration.  ``chunk_nnz=None`` sizes chunks
         automatically with :func:`choose_chunk_nnz`; an explicit value must
@@ -259,17 +227,12 @@ def execute_streamed(
         Device bytes held for the whole execution (factors + output).
     name:
         Profile name; ``-streamed`` is appended.
-    output_width:
-        Column count of the per-segment sums; normally inferred from the
-        first chunk's result, only needed to shape the output when the
-        non-zero stream is empty (defaults to 1 then).
 
     Returns
     -------
-    (segment_sums, profile)
-        ``segment_sums`` has shape ``(fcoo.num_segments, width)`` with the
-        merged per-segment reductions (cross-chunk partial segments summed);
-        ``profile.streaming`` carries the :class:`StreamedExecution` ledger.
+    KernelProfile
+        The pipelined profile; ``profile.streaming`` carries the
+        :class:`StreamedExecution` ledger.
     """
     num_streams = check_positive_int(num_streams, "num_streams")
     if chunk_nnz is None:
@@ -293,7 +256,7 @@ def execute_streamed(
 
     # Validate the device budget up front (the chunk byte sizes are pure
     # arithmetic) so an explicit over-sized chunk_nnz fails before any chunk
-    # work is done rather than after the whole stream has executed.
+    # is priced.
     chunk_bytes = [float(c.tensor.storage_bytes(threadlen)) for c in chunks]
     peak_chunk_bytes = max(chunk_bytes, default=0.0)
     footprint = resident_bytes + num_streams * peak_chunk_bytes
@@ -303,19 +266,9 @@ def execute_streamed(
     ledgers: List[ChunkLedger] = []
     timings: List[ChunkTiming] = []
     merged = KernelCounters()
-    segment_sums: Optional[np.ndarray] = None
 
     for i, chunk in enumerate(chunks):
-        local_sums, counters, launch = chunk_kernel(chunk.tensor)
-        local_sums = coerce_segment_sums(local_sums, chunk.num_segments)
-        if segment_sums is None:
-            segment_sums = np.zeros(
-                (fcoo.num_segments, local_sums.shape[1]), dtype=np.float64
-            )
-        segment_sums[
-            chunk.segment_offset : chunk.segment_offset + chunk.num_segments
-        ] += local_sums
-
+        counters, launch = chunk_model(chunk.tensor)
         transfer_bytes = chunk_bytes[i]
         counters.host_to_device_bytes += transfer_bytes
         compute_s, _ = estimate_kernel_time(
@@ -339,11 +292,6 @@ def execute_streamed(
         timings.append(ChunkTiming(transfer_s=transfer_s, compute_s=compute_s))
         merged = merged.merge(counters)
 
-    if segment_sums is None:
-        segment_sums = np.zeros(
-            (fcoo.num_segments, output_width if output_width else 1), dtype=np.float64
-        )
-
     schedule = schedule_chunks(timings, num_streams)
     execution = StreamedExecution(
         num_streams=num_streams,
@@ -352,7 +300,7 @@ def execute_streamed(
         chunks=ledgers,
         schedule=schedule,
     )
-    profile = KernelProfile(
+    return KernelProfile(
         name=f"{name}-streamed",
         counters=merged,
         estimated_time_s=schedule.total_time_s,
@@ -364,61 +312,4 @@ def execute_streamed(
             "chunks": float(len(ledgers)),
         },
         streaming=execution,
-    )
-    return segment_sums, profile
-
-
-def streamed_unified_kernel(
-    fcoo: FCOOTensor,
-    numeric_core: NumericCore,
-    *,
-    rank: int,
-    output_width: int,
-    flops_per_nnz_per_column: float,
-    block_size: int,
-    threadlen: int,
-    fused: bool,
-    device: DeviceSpec,
-    num_streams: int,
-    chunk_nnz: Optional[int],
-    resident_bytes: float,
-    name: str,
-) -> Tuple[np.ndarray, KernelProfile]:
-    """Streamed execution of a unified kernel given its numeric core.
-
-    All three unified kernels share the same per-chunk shape — run the
-    numeric core, build the launch, assemble the counter ledger — and differ
-    only in the core itself, the gathered rank, the output width and the
-    per-column FLOP charge.  This wrapper owns the shared part so the
-    kernels stay single-sourced.
-    """
-
-    def chunk_kernel(chunk: FCOOTensor):
-        sums, row_streams = numeric_core(chunk)
-        chunk_launch = LaunchConfig.for_nnz(
-            chunk.nnz, rank, block_size=block_size, threadlen=threadlen
-        )
-        counters = unified_kernel_counters(
-            chunk,
-            row_streams,
-            rank,
-            output_rows=chunk.num_segments,
-            output_width=output_width,
-            launch=chunk_launch,
-            device=device,
-            flops_per_nnz_per_column=flops_per_nnz_per_column,
-            fused=fused,
-        )
-        return sums, counters, chunk_launch
-
-    return execute_streamed(
-        fcoo,
-        chunk_kernel,
-        device=device,
-        threadlen=threadlen,
-        num_streams=num_streams,
-        chunk_nnz=chunk_nnz,
-        resident_bytes=resident_bytes,
-        name=name,
-        output_width=output_width,
     )

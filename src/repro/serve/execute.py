@@ -152,6 +152,7 @@ def execute_job(
             max_iterations=job.iterations,
             seed=job.factor_seed,
             compute_fit=False,
+            ctx=ctx,
         )
         return ExecutionOutcome(
             output=result,

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms.cp import RecoveryRecord, UnifiedGPUEngine, cp_als
 from repro.algorithms.tucker import tucker_hooi
+from repro.context import ExecContext
 from repro.gpusim.cluster import (
     ETHERNET_10G,
     ClusterSpec,
@@ -52,10 +53,12 @@ def run_cp(chaos=None, *, max_iterations=3, cluster=None):
     return cp_als(
         TENSOR,
         6,
-        engine=UnifiedGPUEngine(cluster=cluster if cluster is not None else two_nodes()),
+        engine=UnifiedGPUEngine(
+            ctx=ExecContext(cluster=cluster if cluster is not None else two_nodes())
+        ),
         max_iterations=max_iterations,
         compute_fit=True,
-        chaos=chaos,
+        ctx=ExecContext(chaos=chaos),
     )
 
 
@@ -175,7 +178,7 @@ class TestCPRecovery:
             assert np.array_equal(a, b)
 
     def test_evict_node_requires_multinode(self):
-        engine = UnifiedGPUEngine(cluster=ClusterSpec.homogeneous(TITAN_X, 2))
+        engine = UnifiedGPUEngine(ctx=ExecContext(cluster=ClusterSpec.homogeneous(TITAN_X, 2)))
         engine.prepare(TENSOR, 4)
         with pytest.raises(RuntimeError):
             engine.evict_node(0)
@@ -198,10 +201,15 @@ class TestCPRecovery:
 
 class TestTuckerRecovery:
     def test_bit_identical_after_node_loss(self):
-        clean = tucker_hooi(TENSOR, (5, 5, 5), cluster=two_nodes(), max_iterations=2)
+        clean = tucker_hooi(
+            TENSOR, (5, 5, 5), ctx=ExecContext(cluster=two_nodes()), max_iterations=2
+        )
         failure = NodeFailure(time_s=clean.makespan_s * 0.4, node_index=0)
         faulty = tucker_hooi(
-            TENSOR, (5, 5, 5), cluster=two_nodes(), max_iterations=2, chaos=[failure]
+            TENSOR,
+            (5, 5, 5),
+            ctx=ExecContext(cluster=two_nodes(), chaos=[failure]),
+            max_iterations=2,
         )
         for a, b in zip(clean.factors, faulty.factors):
             assert np.array_equal(a, b)
@@ -217,15 +225,15 @@ class TestTuckerRecovery:
             return tucker_hooi(
                 TENSOR,
                 (5, 5, 5),
-                cluster=two_nodes(),
+                ctx=ExecContext(cluster=two_nodes(), preproc_cache=cache, chaos=chaos),
                 max_iterations=2,
-                preproc_cache=cache,
-                chaos=chaos,
             )
 
         clean_cache = PreprocCache()
         run(None, clean_cache)
-        clean = tucker_hooi(TENSOR, (5, 5, 5), cluster=two_nodes(), max_iterations=2)
+        clean = tucker_hooi(
+            TENSOR, (5, 5, 5), ctx=ExecContext(cluster=two_nodes()), max_iterations=2
+        )
         chaos_cache = PreprocCache()
         run(
             [NodeFailure(time_s=clean.makespan_s * 0.4, node_index=0)],

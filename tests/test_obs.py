@@ -518,6 +518,17 @@ class TestServingTelemetry:
         iters = registry.get("repro_decomposition_iterations_total")
         assert iters.value(algorithm="cp_als") == 2
 
+    def test_serving_publishes_one_run_per_decomposition_job(self, instrumented_report):
+        from collections import Counter
+
+        from repro.serve.job import JobKind
+
+        completed = Counter(r.job.kind for r in instrumented_report.completed)
+        assert completed[JobKind.CP_ALS] > 0
+        runs = instrumented_report.metrics.get("repro_decomposition_runs_total")
+        assert runs.value(algorithm="cp_als") == completed[JobKind.CP_ALS]
+        assert runs.value(algorithm="tucker_hooi") == completed[JobKind.TUCKER]
+
 
 # ---------------------------------------------------------------------- #
 # ServingReport.render tables (PR 8 satellite)

@@ -21,6 +21,7 @@ from repro.algorithms.cp import UnifiedGPUEngine, cp_als
 from repro.algorithms.tucker import tucker_hooi
 from repro.autotune import tune_unified
 from repro.bench.scaling import analog_interconnect, run_scaling, run_weak_scaling
+from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.gpusim.cluster import (
     ClusterSpec,
@@ -156,8 +157,8 @@ class TestShardedEqualsOneShot:
         factors = [np.asarray(f) for f in random_factors(tensor.shape, RANK, seed=5)]
         mode = tensor.order - 1 if kernel is unified_spttm else 0
 
-        one_shot = run_kernel(kernel, tensor, factors, mode, streamed=False)
-        sharded = run_kernel(kernel, tensor, factors, mode, devices=num_devices)
+        one_shot = run_kernel(kernel, tensor, factors, mode, ctx=ExecContext(streamed=False))
+        sharded = run_kernel(kernel, tensor, factors, mode, ctx=ExecContext(devices=num_devices))
         reference = run_reference(kernel, tensor, factors, mode)
 
         if kernel is unified_spttm:
@@ -175,8 +176,8 @@ class TestShardedEqualsOneShot:
         factors = [np.asarray(f) for f in random_factors(tensor.shape, RANK, seed=5)]
         mode = tensor.order - 1 if kernel is unified_spttm else 0
 
-        one_shot = run_kernel(kernel, tensor, factors, mode, streamed=False)
-        sharded = run_kernel(kernel, tensor, factors, mode, devices=4)
+        one_shot = run_kernel(kernel, tensor, factors, mode, ctx=ExecContext(streamed=False))
+        sharded = run_kernel(kernel, tensor, factors, mode, ctx=ExecContext(devices=4))
         execution = sharded.profile.sharded
         assert execution is not None
         assert 2 <= execution.num_shards <= 4
@@ -196,7 +197,7 @@ class TestShardedEqualsOneShot:
         tensor = CASES["order3-power"]()
         factors = [np.asarray(f) for f in random_factors(tensor.shape, RANK, seed=5)]
         plain = run_kernel(unified_spmttkrp, tensor, factors, 0)
-        via_devices = run_kernel(unified_spmttkrp, tensor, factors, 0, devices=1)
+        via_devices = run_kernel(unified_spmttkrp, tensor, factors, 0, ctx=ExecContext(devices=1))
         assert via_devices.profile.sharded is None
         assert via_devices.estimated_time_s == plain.estimated_time_s
         np.testing.assert_array_equal(via_devices.output, plain.output)
@@ -204,10 +205,10 @@ class TestShardedEqualsOneShot:
     def test_reduction_kinds(self):
         tensor = CASES["order3-power"]()
         factors = [np.asarray(f) for f in random_factors(tensor.shape, RANK, seed=5)]
-        mttkrp = run_kernel(unified_spmttkrp, tensor, factors, 0, devices=4)
+        mttkrp = run_kernel(unified_spmttkrp, tensor, factors, 0, ctx=ExecContext(devices=4))
         assert mttkrp.profile.sharded.reduction_kind == "allreduce"
         assert mttkrp.profile.sharded.reduction_time_s > 0.0
-        spttm = run_kernel(unified_spttm, tensor, factors, 2, devices=4)
+        spttm = run_kernel(unified_spttm, tensor, factors, 2, ctx=ExecContext(devices=4))
         assert spttm.profile.sharded.reduction_kind == "boundary"
 
 
@@ -235,7 +236,7 @@ class TestStreamedFallbackShard:
             0,
             block_size=BLOCK_SIZE,
             threadlen=THREADLEN,
-            cluster=cluster,
+            ctx=ExecContext(cluster=cluster),
         )
         execution = sharded.profile.sharded
         assert execution is not None
@@ -255,9 +256,7 @@ class TestStreamedFallbackShard:
             factors,
             0,
             threadlen=THREADLEN,
-            devices=2,
-            streamed=True,
-            chunk_nnz=THREADLEN * 2,
+            ctx=ExecContext(devices=2, streamed=True, chunk_nnz=THREADLEN * 2),
         )
         execution = sharded.profile.sharded
         assert execution is not None
@@ -286,7 +285,7 @@ class TestDecompositionsOnClusters:
         multi = cp_als(
             tensor,
             4,
-            engine=UnifiedGPUEngine(cluster=cluster),
+            engine=UnifiedGPUEngine(ctx=ExecContext(cluster=cluster)),
             max_iterations=2,
             seed=0,
             compute_fit=False,
@@ -302,13 +301,13 @@ class TestDecompositionsOnClusters:
         assert single.parallel_efficiency is None
 
     def test_engine_devices_shorthand(self, tensor):
-        engine = UnifiedGPUEngine(devices=2)
+        engine = UnifiedGPUEngine(ctx=ExecContext(devices=2))
         result = cp_als(tensor, 3, engine=engine, max_iterations=1, seed=1, compute_fit=False)
         assert set(result.device_time_by_device) == {0, 1}
         assert 0.0 < result.parallel_efficiency <= 1.0
 
     def test_engine_reuse_does_not_leak_timelines(self, tensor):
-        engine = UnifiedGPUEngine(devices=2)
+        engine = UnifiedGPUEngine(ctx=ExecContext(devices=2))
         first = cp_als(tensor, 3, engine=engine, max_iterations=1, seed=1, compute_fit=False)
         second = cp_als(tensor, 3, engine=engine, max_iterations=1, seed=1, compute_fit=False)
         # Identical runs must report identical (not accumulated) timelines.
@@ -318,7 +317,7 @@ class TestDecompositionsOnClusters:
 
     def test_tucker_on_cluster_matches_single_gpu(self, tensor):
         single = tucker_hooi(tensor, (3, 3, 3), max_iterations=1, seed=0)
-        multi = tucker_hooi(tensor, (3, 3, 3), max_iterations=1, seed=0, devices=4)
+        multi = tucker_hooi(tensor, (3, 3, 3), max_iterations=1, seed=0, ctx=ExecContext(devices=4))
         np.testing.assert_allclose(multi.core, single.core, rtol=1e-8, atol=1e-10)
         for single_f, multi_f in zip(single.factors, multi.factors):
             np.testing.assert_allclose(
@@ -430,9 +429,9 @@ class TestShardedHypothesis:
     def test_sharded_equals_one_shot(self, dims, nnz, seed, num_devices):
         tensor = random_sparse_tensor(dims, nnz, seed=seed)
         factors = [np.asarray(f) for f in random_factors(dims, RANK, seed=seed)]
-        one_shot = run_kernel(unified_spmttkrp, tensor, factors, 0, streamed=False)
+        one_shot = run_kernel(unified_spmttkrp, tensor, factors, 0, ctx=ExecContext(streamed=False))
         sharded = run_kernel(
-            unified_spmttkrp, tensor, factors, 0, devices=num_devices
+            unified_spmttkrp, tensor, factors, 0, ctx=ExecContext(devices=num_devices)
         )
         np.testing.assert_allclose(
             sharded.output, one_shot.output, rtol=1e-10, atol=1e-12

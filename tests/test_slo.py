@@ -13,15 +13,12 @@ Four pillars:
     exceeds FIFO's on the same workload, and with no SLOs in play it
     degenerates bit-identically to the ``"priority"`` policy (zero extra
     RNG draws, zero preemptions);
-(d) **one context API** — every kernel/driver accepts
-    ``ctx=ExecContext(...)``, the legacy kwargs are equivalent deprecated
-    aliases that warn exactly once per call site, and every run result
-    speaks the :class:`~repro.context.TimedResult` protocol.
+(d) **one context API** — every kernel/driver takes its execution
+    controls as ``ctx=ExecContext(...)``, and every run result speaks the
+    :class:`~repro.context.TimedResult` protocol.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -33,13 +30,9 @@ from repro.context import (
     SLO,
     ExecContext,
     TimedResult,
-    reset_deprecation_registry,
 )
 from repro.gpusim.cluster import ETHERNET_10G, MultiNodeClusterSpec, NodeFailure
 from repro.gpusim.timeline import Timeline, device_copy_key
-from repro.kernels.unified.spmttkrp import unified_spmttkrp
-from repro.kernels.unified.spttm import unified_spttm
-from repro.kernels.unified.spttmc import unified_spttmc
 from repro.serve import (
     Autoscaler,
     AutoscalerSpec,
@@ -50,7 +43,7 @@ from repro.serve import (
     execute_job,
 )
 from repro.serve.workload import WorkloadSpec, generate_workload
-from repro.tensor.random import random_factors, random_sparse_tensor
+from repro.tensor.random import random_sparse_tensor
 from test_serving import assert_same_output, one_device_cluster
 from test_streaming import BLOCK_SIZE, CASES, RANK, THREADLEN
 
@@ -444,99 +437,9 @@ class TestOverlapStaging:
 
 
 # ---------------------------------------------------------------------- #
-# (d) ExecContext equivalence and the TimedResult protocol
+# (d) ExecContext validation and the TimedResult protocol
 # ---------------------------------------------------------------------- #
-KERNELS = {
-    "spttm": unified_spttm,
-    "spmttkrp": unified_spmttkrp,
-    "spttmc": unified_spttmc,
-}
-
-
-class TestExecContextEquivalence:
-    def setup_method(self):
-        reset_deprecation_registry()
-
-    def teardown_method(self):
-        reset_deprecation_registry()
-
-    def _call(self, name, tensor, factors, **kwargs):
-        kernel = KERNELS[name]
-        if name == "spttm":
-            return kernel(tensor, factors[1], 1, **kwargs)
-        return kernel(tensor, factors, 1, **kwargs)
-
-    @pytest.mark.parametrize("name", sorted(KERNELS))
-    def test_kernel_ctx_equals_legacy_kwargs(self, name):
-        tensor = random_sparse_tensor((30, 25, 20), nnz=600, seed=4)
-        factors = [np.asarray(f) for f in random_factors(tensor.shape, 6, seed=0)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = self._call(
-                name, tensor, factors, streamed=True, num_streams=3
-            )
-        via_ctx = self._call(
-            name, tensor, factors, ctx=ExecContext(streamed=True, num_streams=3)
-        )
-        assert_same_output(via_ctx.output, legacy.output)
-        assert via_ctx.estimated_time_s == legacy.estimated_time_s
-
-    def test_legacy_kwarg_warns_once_per_parameter(self):
-        tensor = random_sparse_tensor((20, 15, 10), nnz=200, seed=2)
-        factors = [np.asarray(f) for f in random_factors(tensor.shape, 4, seed=0)]
-        with pytest.warns(DeprecationWarning) as record:
-            unified_spmttkrp(tensor, factors, 0, streamed=True, num_streams=3)
-        messages = [str(w.message) for w in record]
-        assert any("streamed" in m for m in messages)
-        assert any("num_streams" in m for m in messages)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            # Second use of the same (function, parameter) pair: silent.
-            unified_spmttkrp(tensor, factors, 0, streamed=True, num_streams=3)
-
-    def test_legacy_kwarg_overrides_ctx_field(self):
-        tensor = random_sparse_tensor((20, 15, 10), nnz=200, seed=2)
-        factors = [np.asarray(f) for f in random_factors(tensor.shape, 4, seed=0)]
-        ctx = ExecContext(streamed=True, num_streams=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            overridden = unified_spmttkrp(
-                tensor, factors, 0, ctx=ctx, num_streams=4
-            )
-        explicit = unified_spmttkrp(
-            tensor, factors, 0, ctx=ExecContext(streamed=True, num_streams=4)
-        )
-        assert overridden.estimated_time_s == explicit.estimated_time_s
-
-    def test_cp_and_tucker_ctx_equals_legacy(self):
-        tensor = random_sparse_tensor((40, 30, 20), nnz=800, seed=6)
-        cluster = MultiNodeClusterSpec.homogeneous(
-            num_nodes=2, devices_per_node=2, nic=ETHERNET_10G
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy_cp = cp_als(
-                tensor, 6,
-                engine=UnifiedGPUEngine(cluster=cluster),
-                max_iterations=2, compute_fit=False,
-            )
-            legacy_tk = tucker_hooi(tensor, (4, 4, 4), cluster=cluster, max_iterations=2)
-        ctx_cp = cp_als(
-            tensor, 6,
-            engine=UnifiedGPUEngine(ctx=ExecContext(cluster=cluster)),
-            max_iterations=2, compute_fit=False,
-        )
-        ctx_tk = tucker_hooi(
-            tensor, (4, 4, 4), ctx=ExecContext(cluster=cluster), max_iterations=2
-        )
-        for a, b in zip(legacy_cp.factors, ctx_cp.factors):
-            assert np.array_equal(a, b)
-        assert legacy_cp.makespan_s == ctx_cp.makespan_s
-        for a, b in zip(legacy_tk.factors, ctx_tk.factors):
-            assert np.array_equal(a, b)
-        assert np.array_equal(legacy_tk.core, ctx_tk.core)
-        assert legacy_tk.makespan_s == ctx_tk.makespan_s
-
+class TestExecContextValidation:
     def test_context_validation_and_evolve(self):
         with pytest.raises(ValueError):
             ExecContext(num_streams=0)

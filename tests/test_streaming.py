@@ -1,9 +1,9 @@
 """Property harness for the out-of-core streamed execution engine.
 
 The central claim: for every unified kernel, **chunked streamed execution
-computes the same result as one-shot execution** — including when a
-reduction segment straddles a chunk boundary — and its per-chunk counter
-ledgers add up to the one-shot work.  The harness drives all three kernels
+computes the one-shot result bit for bit** — including when a reduction
+segment straddles a chunk boundary — and its per-chunk counter ledgers add
+up to the one-shot work.  The harness drives all three kernels
 over seeded random tensors (orders 3 and 4) plus the adversarial edge cases
 (fewer non-zeros than one thread partition, a single segment, an empty
 tensor, a segment deliberately spanning a chunk boundary), comparing
@@ -18,10 +18,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.algorithms.cp import UnifiedGPUEngine, cp_als
+from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
 from repro.gpusim.device import TITAN_X, scaled_device
-from repro.gpusim.streams import ChunkTiming, pipeline_time, schedule_chunks
+from repro.gpusim.timeline import ChunkTiming, pipeline_time, schedule_chunks
 from repro.gpusim.timing import OutOfDeviceMemory
 from repro.kernels.reference import reference_mttkrp, reference_spttm, reference_ttmc
 from repro.kernels.unified import (
@@ -203,21 +204,22 @@ class TestChunkedEqualsOneShot:
         factors = [np.asarray(f) for f in random_factors(tensor.shape, RANK, seed=5)]
         mode = tensor.order - 1 if kernel is unified_spttm else 0
 
-        one_shot = run_kernel(kernel, tensor, factors, mode, streamed=False)
+        one_shot = run_kernel(kernel, tensor, factors, mode, ctx=ExecContext(streamed=False))
         streamed = run_kernel(
-            kernel, tensor, factors, mode, streamed=True, chunk_nnz=CHUNK_NNZ
+            kernel, tensor, factors, mode, ctx=ExecContext(streamed=True, chunk_nnz=CHUNK_NNZ)
         )
         reference = run_reference(kernel, tensor, factors, mode)
 
+        # Streaming models time only: the numbers are the one-shot kernel's,
+        # bit for bit.
         if kernel is unified_spttm:
-            assert streamed.output.allclose(one_shot.output)
+            assert np.array_equal(streamed.output.fiber_coords, one_shot.output.fiber_coords)
+            assert np.array_equal(streamed.output.fiber_values, one_shot.output.fiber_values)
             # The F-COO arrays store single-precision values (the paper's
             # cost model), so reference comparisons get float32 tolerances.
             assert streamed.output.allclose(reference, rtol=1e-5, atol=1e-6)
         else:
-            np.testing.assert_allclose(
-                streamed.output, one_shot.output, rtol=1e-10, atol=1e-12
-            )
+            assert np.array_equal(streamed.output, one_shot.output)
             np.testing.assert_allclose(streamed.output, reference, rtol=1e-5, atol=1e-6)
 
     @pytest.mark.parametrize("kernel", [unified_spttm, unified_spmttkrp, unified_spttmc])
@@ -229,9 +231,9 @@ class TestChunkedEqualsOneShot:
         factors = [np.asarray(f) for f in random_factors(tensor.shape, RANK, seed=5)]
         mode = tensor.order - 1 if kernel is unified_spttm else 0
 
-        one_shot = run_kernel(kernel, tensor, factors, mode, streamed=False)
+        one_shot = run_kernel(kernel, tensor, factors, mode, ctx=ExecContext(streamed=False))
         streamed = run_kernel(
-            kernel, tensor, factors, mode, streamed=True, chunk_nnz=CHUNK_NNZ
+            kernel, tensor, factors, mode, ctx=ExecContext(streamed=True, chunk_nnz=CHUNK_NNZ)
         )
         execution = streamed.profile.streaming
         assert execution is not None
@@ -260,68 +262,44 @@ class TestChunkedEqualsOneShot:
             sum(c.compute_s for c in execution.chunks)
         )
 
-    def test_execute_streamed_accepts_one_dimensional_chunk_sums(self):
-        # Public-API contract: a width-1 chunk kernel may return its sums as
-        # a plain (num_segments,) vector.
+    def test_execute_streamed_prices_each_chunk_once(self):
+        # The streamed driver is model-only: it prices every chunk exactly
+        # once and returns just the pipelined profile.
         from repro.gpusim.counters import KernelCounters
         from repro.gpusim.launch import LaunchConfig
         from repro.kernels.unified import execute_streamed
 
-        tensor = CASES["order3-uniform"]()
-        fcoo = FCOOTensor.from_sparse(tensor, OperationKind.SPMTTKRP, 0)
+        fcoo = FCOOTensor.from_sparse(CASES["order3-uniform"](), OperationKind.SPMTTKRP, 0)
+        priced = []
 
-        def chunk_kernel(chunk):
-            sums = np.bincount(
-                chunk.segment_ids, weights=np.asarray(chunk.values, dtype=np.float64),
-                minlength=chunk.num_segments,
-            )
+        def chunk_model(chunk):
+            priced.append(chunk.nnz)
             launch = LaunchConfig.for_nnz(chunk.nnz, 1, threadlen=THREADLEN)
-            return sums, KernelCounters(active_threads=1.0), launch
+            return KernelCounters(flops=float(chunk.nnz), active_threads=1.0), launch
 
-        sums, profile = execute_streamed(
-            fcoo, chunk_kernel, device=TITAN_X, threadlen=THREADLEN,
+        profile = execute_streamed(
+            fcoo, chunk_model, device=TITAN_X, threadlen=THREADLEN,
             chunk_nnz=CHUNK_NNZ, name="segment-value-sums",
         )
-        assert sums.shape == (fcoo.num_segments, 1)
-        expected = np.bincount(
-            fcoo.segment_ids, weights=np.asarray(fcoo.values, dtype=np.float64),
-            minlength=fcoo.num_segments,
-        )
-        np.testing.assert_allclose(sums[:, 0], expected)
+        assert profile.name == "segment-value-sums-streamed"
+        assert priced == [c.nnz for c in profile.streaming.chunks]
+        assert sum(priced) == fcoo.nnz
+        assert profile.counters.flops == fcoo.nnz
 
-        def bad_kernel(chunk):
-            sums, counters, launch = chunk_kernel(chunk)
-            return sums[:-1], counters, launch
-
-        with pytest.raises(ValueError):
-            execute_streamed(
-                fcoo, bad_kernel, device=TITAN_X, threadlen=THREADLEN,
-                chunk_nnz=CHUNK_NNZ, name="bad",
-            )
-
-    def test_execute_streamed_on_empty_stream_honours_output_width(self):
-        from repro.gpusim.counters import KernelCounters
-        from repro.gpusim.launch import LaunchConfig
+    def test_execute_streamed_on_empty_stream(self):
         from repro.kernels.unified import execute_streamed
 
         empty = FCOOTensor.from_sparse(
             SparseTensor.empty((5, 6, 7)), OperationKind.SPMTTKRP, 0
         )
 
-        def chunk_kernel(chunk):  # pragma: no cover - zero chunks to run
-            return (
-                np.zeros((chunk.num_segments, 4)),
-                KernelCounters(),
-                LaunchConfig.for_nnz(max(chunk.nnz, 1), 4),
-            )
+        def chunk_model(chunk):  # pragma: no cover - zero chunks to price
+            raise AssertionError("an empty stream has no chunks")
 
-        # Auto chunk sizing must not choke on the empty stream, and the
-        # returned sums keep the caller's width.
-        sums, profile = execute_streamed(
-            empty, chunk_kernel, device=TITAN_X, threadlen=THREADLEN,
-            name="empty", output_width=4,
+        # Auto chunk sizing must not choke on the empty stream.
+        profile = execute_streamed(
+            empty, chunk_model, device=TITAN_X, threadlen=THREADLEN, name="empty"
         )
-        assert sums.shape == (0, 4)
         assert profile.streaming.num_chunks == 0
         assert profile.estimated_time_s == 0.0
 
@@ -331,19 +309,21 @@ class TestChunkedEqualsOneShot:
         with pytest.raises(ValueError, match="at least threadlen"):
             unified_spmttkrp(
                 tensor, factors, 0, threadlen=THREADLEN,
-                streamed=True, chunk_nnz=THREADLEN - 1,
+                ctx=ExecContext(streamed=True, chunk_nnz=THREADLEN - 1),
             )
         # At or above threadlen it rounds down to a threadlen multiple.
         result = unified_spmttkrp(
             tensor, factors, 0, threadlen=THREADLEN,
-            streamed=True, chunk_nnz=THREADLEN + 3,
+            ctx=ExecContext(streamed=True, chunk_nnz=THREADLEN + 3),
         )
         assert result.profile.streaming.chunk_nnz == THREADLEN
 
     def test_forced_streaming_on_empty_tensor_degrades_to_one_shot(self):
         tensor = SparseTensor.empty((5, 6, 7))
         factors = [np.asarray(f) for f in random_factors(tensor.shape, RANK, seed=5)]
-        result = unified_spmttkrp(tensor, factors, 0, streamed=True, chunk_nnz=CHUNK_NNZ)
+        result = unified_spmttkrp(
+            tensor, factors, 0, ctx=ExecContext(streamed=True, chunk_nnz=CHUNK_NNZ)
+        )
         assert result.profile.streaming is None
         np.testing.assert_array_equal(result.output, np.zeros((5, RANK)))
 
@@ -366,7 +346,9 @@ class TestOverCapacityExecution:
     def test_one_shot_raises_out_of_device_memory(self, tensor, tiny_device):
         factors = [np.asarray(f) for f in random_factors(tensor.shape, 4, seed=7)]
         with pytest.raises(OutOfDeviceMemory):
-            unified_spmttkrp(tensor, factors, 0, device=tiny_device, streamed=False)
+            unified_spmttkrp(
+                tensor, factors, 0, device=tiny_device, ctx=ExecContext(streamed=False)
+            )
 
     def test_auto_fallback_streams_and_matches_reference(self, tensor, tiny_device):
         factors = [np.asarray(f) for f in random_factors(tensor.shape, 4, seed=7)]
@@ -381,7 +363,9 @@ class TestOverCapacityExecution:
 
     def test_streamed_time_strictly_between_overlap_bounds(self, tensor, tiny_device):
         factors = [np.asarray(f) for f in random_factors(tensor.shape, 4, seed=7)]
-        result = unified_spmttkrp(tensor, factors, 0, device=tiny_device, num_streams=2)
+        result = unified_spmttkrp(
+            tensor, factors, 0, device=tiny_device, ctx=ExecContext(num_streams=2)
+        )
         schedule = result.profile.streaming.schedule
         assert schedule.ideal_time_s < schedule.total_time_s < schedule.serial_time_s
 
@@ -417,13 +401,15 @@ class TestOverCapacityExecution:
             compute_fit=False,
         )
         for streamed_f, full_f in zip(result.factors, full.factors):
-            np.testing.assert_allclose(streamed_f, full_f, rtol=1e-8, atol=1e-12)
+            assert np.array_equal(streamed_f, full_f)
 
 
 class TestEngineAndTunerIntegration:
     def test_engine_forwards_streaming_parameters(self):
         tensor = random_sparse_tensor((10, 12, 14), 300, seed=2)
-        engine = UnifiedGPUEngine(streamed=True, chunk_nnz=64, num_streams=3)
+        engine = UnifiedGPUEngine(
+            ctx=ExecContext(streamed=True, chunk_nnz=64, num_streams=3)
+        )
         engine.prepare(tensor, 4)
         factors = [np.asarray(f) for f in random_factors(tensor.shape, 4, seed=1)]
         result = engine.mttkrp(factors, 0)
@@ -455,15 +441,14 @@ class TestStreamedHypothesis:
     def test_chunked_equals_one_shot(self, dims, nnz, seed, chunk_parts):
         tensor = random_sparse_tensor(dims, nnz, seed=seed)
         factors = [np.asarray(f) for f in random_factors(dims, RANK, seed=seed)]
-        one_shot = run_kernel(unified_spmttkrp, tensor, factors, 0, streamed=False)
+        one_shot = run_kernel(
+            unified_spmttkrp, tensor, factors, 0, ctx=ExecContext(streamed=False)
+        )
         streamed = run_kernel(
             unified_spmttkrp,
             tensor,
             factors,
             0,
-            streamed=True,
-            chunk_nnz=chunk_parts * THREADLEN,
+            ctx=ExecContext(streamed=True, chunk_nnz=chunk_parts * THREADLEN),
         )
-        np.testing.assert_allclose(
-            streamed.output, one_shot.output, rtol=1e-10, atol=1e-12
-        )
+        assert np.array_equal(streamed.output, one_shot.output)

@@ -9,8 +9,8 @@ The three pillars the refactor must hold (ISSUE 5):
 (b) **NIC congestion** — concurrent cross-node collectives on a shared
     timeline never finish earlier than the idle-NIC model and degenerate to
     it exactly with a single job;
-(c) **intra-kernel overlap** — ``cp_als(..., overlap_modes=True)`` never
-    exceeds the sequential modeled makespan and leaves every factor
+(c) **intra-kernel overlap** — ``cp_als(..., ctx=ExecContext(overlap_modes=True))``
+    never exceeds the sequential modeled makespan and leaves every factor
     bit-identical.
 """
 
@@ -24,6 +24,7 @@ from hypothesis import given, strategies as st
 
 from repro.algorithms.cp import CPResult, UnifiedGPUEngine, cp_als
 from repro.algorithms.tucker import tucker_hooi
+from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
 from repro.gpusim.cluster import (
@@ -190,47 +191,9 @@ class TestEngine:
 
 
 # ---------------------------------------------------------------------- #
-# Satellite: thin-shim import compatibility
+# Import surface
 # ---------------------------------------------------------------------- #
 class TestImportCompat:
-    def test_streams_shim_reexports_engine_objects(self):
-        import repro.gpusim.streams as streams
-        import repro.gpusim.timeline as timeline_mod
-
-        assert set(streams.__all__) == {
-            "ChunkTiming",
-            "StreamSchedule",
-            "schedule_chunks",
-            "pipeline_time",
-        }
-        for name in streams.__all__:
-            assert getattr(streams, name) is getattr(timeline_mod, name)
-        assert "deprecated" in (streams.__doc__ or "").lower()
-
-    def test_streams_shim_warns_once_per_import(self):
-        import sys
-        import warnings
-
-        # A fresh import of the shim fires the DeprecationWarning exactly
-        # once (it is module-level, so it runs when the module executes)...
-        sys.modules.pop("repro.gpusim.streams", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            import repro.gpusim.streams  # noqa: F401
-
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.gpusim.timeline" in str(deprecations[0].message)
-
-        # ...while re-imports hit the module cache and stay silent.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            import repro.gpusim.streams  # noqa: F401,F811
-
-        assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
-
     def test_scheduler_surface_unchanged(self):
         from repro.serve.scheduler import DeviceTimeline, ScheduleOutcome, Scheduler
 
@@ -313,7 +276,7 @@ class TestStreamingClosedForm:
         factors = [np.asarray(f) for f in random_factors(tensor.shape, 4, seed=1)]
         fcoo = FCOOTensor.from_sparse(tensor, OperationKind.SPMTTKRP, 0)
         result = unified_spmttkrp(
-            fcoo, factors, 0, streamed=True, num_streams=2, chunk_nnz=512
+            fcoo, factors, 0, ctx=ExecContext(streamed=True, num_streams=2, chunk_nnz=512)
         )
         streaming = result.profile.streaming
         assert streaming is not None
@@ -333,7 +296,7 @@ class TestShardedAndServingClosedForm:
         factors = [np.asarray(f) for f in random_factors(tensor.shape, 4, seed=seed)]
         fcoo = FCOOTensor.from_sparse(tensor, OperationKind.SPMTTKRP, 0)
         cluster = ClusterSpec.homogeneous(TITAN_X, num_devices)
-        result = unified_spmttkrp(fcoo, factors, 0, cluster=cluster)
+        result = unified_spmttkrp(fcoo, factors, 0, ctx=ExecContext(cluster=cluster))
         execution = result.profile.sharded
         timeline = Timeline()
         start, end = execution.book(timeline)
@@ -510,13 +473,16 @@ class TestOverlapModes:
         tensor = random_sparse_tensor((600, 24, 20), 2_000, seed=seed)
         kwargs = dict(max_iterations=iterations, compute_fit=False, seed=seed)
         sequential = cp_als(
-            tensor, rank, engine=UnifiedGPUEngine(cluster=_overlap_cluster(num_nodes)), **kwargs
+            tensor,
+            rank,
+            engine=UnifiedGPUEngine(ctx=ExecContext(cluster=_overlap_cluster(num_nodes))),
+            **kwargs,
         )
         overlapped = cp_als(
             tensor,
             rank,
-            engine=UnifiedGPUEngine(cluster=_overlap_cluster(num_nodes)),
-            overlap_modes=True,
+            engine=UnifiedGPUEngine(ctx=ExecContext(cluster=_overlap_cluster(num_nodes))),
+            ctx=ExecContext(overlap_modes=True),
             **kwargs,
         )
         assert overlapped.makespan_s <= sequential.makespan_s
@@ -531,7 +497,7 @@ class TestOverlapModes:
         result = cp_als(
             tensor,
             4,
-            engine=UnifiedGPUEngine(cluster=_overlap_cluster()),
+            engine=UnifiedGPUEngine(ctx=ExecContext(cluster=_overlap_cluster())),
             max_iterations=2,
             compute_fit=False,
         )
@@ -543,13 +509,16 @@ class TestOverlapModes:
         tensor = random_sparse_tensor((60_000, 60, 50), 12_000, seed=3)
         kwargs = dict(max_iterations=1, compute_fit=False)
         sequential = cp_als(
-            tensor, 16, engine=UnifiedGPUEngine(cluster=_overlap_cluster()), **kwargs
+            tensor,
+            16,
+            engine=UnifiedGPUEngine(ctx=ExecContext(cluster=_overlap_cluster())),
+            **kwargs,
         )
         overlapped = cp_als(
             tensor,
             16,
-            engine=UnifiedGPUEngine(cluster=_overlap_cluster()),
-            overlap_modes=True,
+            engine=UnifiedGPUEngine(ctx=ExecContext(cluster=_overlap_cluster())),
+            ctx=ExecContext(overlap_modes=True),
             **kwargs,
         )
         assert overlapped.makespan_s < sequential.makespan_s
@@ -559,7 +528,7 @@ class TestOverlapModes:
         tensor = random_sparse_tensor((32, 24, 20), 1_500, seed=2)
         kwargs = dict(max_iterations=2, compute_fit=False)
         plain = cp_als(tensor, 4, **kwargs)
-        overlapped = cp_als(tensor, 4, overlap_modes=True, **kwargs)
+        overlapped = cp_als(tensor, 4, ctx=ExecContext(overlap_modes=True), **kwargs)
         assert overlapped.makespan_s == plain.makespan_s
         assert plain.makespan_s == pytest.approx(plain.total_time_s, rel=1e-12)
         for a, b in zip(plain.factors, overlapped.factors):
@@ -575,7 +544,7 @@ class TestOverlapModes:
     def test_tucker_books_unified_timeline(self):
         tensor = random_sparse_tensor((30, 24, 20), 1_500, seed=4)
         cluster = ClusterSpec.homogeneous(scaled_device(TITAN_X, 1.0), 2)
-        result = tucker_hooi(tensor, (3, 3, 3), max_iterations=1, cluster=cluster)
+        result = tucker_hooi(tensor, (3, 3, 3), max_iterations=1, ctx=ExecContext(cluster=cluster))
         assert result.timeline is not None
         assert result.makespan_s == pytest.approx(result.total_time_s, rel=1e-12)
         busy = sum(
