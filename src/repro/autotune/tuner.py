@@ -19,16 +19,16 @@ from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
 from repro.gpusim.cluster import ClusterSpec, InterconnectSpec, PCIE3_P2P
+from repro.gpusim.counters import KernelProfile
 from repro.gpusim.device import DeviceSpec, TITAN_X
 from repro.gpusim.timing import OutOfDeviceMemory
-from repro.kernels.unified.spmttkrp import unified_spmttkrp
-from repro.kernels.unified.spttm import unified_spttm
-from repro.kernels.unified.spttmc import unified_spttmc
-from repro.tensor.random import random_factors
+from repro.kernels.unified.driver import OperationSpec, model, resolve_encoding
+from repro.kernels.unified.spmttkrp import spmttkrp_spec
+from repro.kernels.unified.spttm import spttm_spec
+from repro.kernels.unified.spttmc import spttmc_spec
 from repro.tensor.sparse import SparseTensor
 from repro.util.formatting import format_table
-from repro.util.rng import SeedLike
-from repro.util.validation import check_mode, check_rank
+from repro.util.validation import check_rank
 
 __all__ = [
     "TuningResult",
@@ -161,8 +161,17 @@ class TuningResult:
         return text
 
 
+def _spec(fcoo: FCOOTensor, operation: OperationKind, rank: int) -> OperationSpec:
+    """The operation the kernel runs when every factor is ``rank`` wide."""
+    if operation is OperationKind.SPTTM:
+        return spttm_spec(fcoo, rank)
+    if operation is OperationKind.SPMTTKRP:
+        return spmttkrp_spec(fcoo, rank)
+    return spttmc_spec(fcoo, [rank] * len(fcoo.roles.product_modes))
+
+
 def tune_unified(
-    tensor: SparseTensor,
+    tensor: Union[SparseTensor, FCOOTensor],
     operation: Union[OperationKind, str],
     mode: int,
     *,
@@ -175,26 +184,28 @@ def tune_unified(
     device_counts: Sequence[int] = DEFAULT_DEVICE_COUNTS,
     interconnect: InterconnectSpec = PCIE3_P2P,
     streamed: Optional[bool] = None,
-    seed: SeedLike = 0,
 ) -> TuningResult:
     """Sweep the unified-kernel tuning parameters on one tensor.
 
-    Covers all three unified kernels (SpTTM, SpMTTKRP, SpTTMc).  The F-COO
-    encoding is reused across the sweep (it does not depend on the launch
-    parameters) so the sweep cost is dominated by the kernel model itself.
+    Covers all three unified kernels (SpTTM, SpMTTKRP, SpTTMc).  Each cell
+    is priced by the kernel's cost model
+    (:func:`repro.kernels.unified.driver.model`) alone, so the sweep runs
+    no numerics.  ``tensor`` may be an :class:`FCOOTensor` already encoded
+    for ``operation`` on ``mode`` (checked as the kernels check it);
+    otherwise it is encoded once, since the encoding does not depend on
+    the launch parameters.
 
     ``num_streams`` / ``chunk_sizes`` extend the sweep with the streamed
     execution axes; they only influence the result when the kernel actually
     streams (``streamed=True``, or auto-fallback on an over-capacity
     tensor).  ``device_counts`` extends it with the multi-GPU axis: a count
     above one shards the kernel across a homogeneous cluster of ``device``
-    joined by ``interconnect``.  ``streamed`` is forwarded to the kernels
-    unchanged.  A configuration that does not fit on the device (its chunk
-    buffers exceed capacity) is recorded as ``inf`` rather than aborting
-    the sweep.
+    joined by ``interconnect``.  ``streamed`` is forwarded to the cost
+    model unchanged, as the kernels forward it.  A configuration that does
+    not fit on the device (its chunk buffers exceed capacity) is recorded
+    as ``inf`` rather than aborting the sweep.
     """
     operation = OperationKind.coerce(operation)
-    mode = check_mode(mode, tensor.order)
     rank = check_rank(rank)
     if not num_streams:
         raise ValueError("num_streams must contain at least one entry")
@@ -202,8 +213,8 @@ def tune_unified(
         raise ValueError("chunk_sizes must contain at least one entry")
     if not device_counts:
         raise ValueError("device_counts must contain at least one entry")
-    factors = random_factors(tensor.shape, rank, seed=seed)
-    fcoo = FCOOTensor.from_sparse(tensor, operation, mode)
+    fcoo = resolve_encoding(tensor, operation, mode)
+    op = _spec(fcoo, operation, rank)
 
     clusters = {
         int(d): (
@@ -224,8 +235,10 @@ def tune_unified(
         dtype=np.float64,
     )
 
-    def run_cell(block_size, threadlen, n_streams, chunk_nnz, n_devices):
-        kwargs = dict(
+    def price(block_size, threadlen, n_streams, chunk_nnz, n_devices) -> KernelProfile:
+        return model(
+            fcoo,
+            op,
             device=device,
             block_size=int(block_size),
             threadlen=int(threadlen),
@@ -236,27 +249,19 @@ def tune_unified(
                 cluster=clusters[int(n_devices)],
             ),
         )
-        if operation is OperationKind.SPTTM:
-            return unified_spttm(fcoo, factors[mode], mode, **kwargs)
-        if operation is OperationKind.SPMTTKRP:
-            return unified_spmttkrp(fcoo, factors, mode, **kwargs)
-        return unified_spttmc(fcoo, factors, mode, **kwargs)
 
-    def streaming_axes_matter(result) -> bool:
+    def streaming_axes_matter(profile: KernelProfile) -> bool:
         """Whether num_streams / chunk_nnz can influence this cell's time."""
-        if streamed is True:
+        if streamed is True or profile.streaming is not None:
             return True
-        if result.profile.streaming is not None:
-            return True
-        execution = getattr(result.profile, "sharded", None)
-        return execution is not None and execution.has_streaming_shards
+        return profile.sharded is not None and profile.sharded.has_streaming_shards
 
     for i, block_size in enumerate(block_sizes):
         for j, threadlen in enumerate(threadlens):
             for d, n_devices in enumerate(device_counts):
                 first = None
                 try:
-                    first = run_cell(
+                    first = price(
                         block_size, threadlen, num_streams[0], chunk_sizes[0], n_devices
                     )
                     times[i, j, 0, 0, d] = first.estimated_time_s
@@ -266,8 +271,7 @@ def tune_unified(
                     times[i, j, 0, 0, d] = np.inf
                 if first is not None and not streaming_axes_matter(first):
                     # The kernel never streamed, so the streaming axes
-                    # cannot change the outcome — broadcast instead of
-                    # re-running the full kernel numerics per cell.
+                    # cannot change the outcome.
                     times[i, j, :, :, d] = first.estimated_time_s
                     continue
                 for s, n_streams in enumerate(num_streams):
@@ -275,7 +279,7 @@ def tune_unified(
                         if (s, c) == (0, 0):
                             continue
                         try:
-                            times[i, j, s, c, d] = run_cell(
+                            times[i, j, s, c, d] = price(
                                 block_size, threadlen, n_streams, chunk_nnz, n_devices
                             ).estimated_time_s
                         except OutOfDeviceMemory:
@@ -283,7 +287,7 @@ def tune_unified(
 
     return TuningResult(
         operation=operation,
-        mode=mode,
+        mode=fcoo.mode,
         rank=rank,
         block_sizes=tuple(int(b) for b in block_sizes),
         threadlens=tuple(int(t) for t in threadlens),

@@ -20,13 +20,14 @@ executes any spec in two independent halves:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.backends import Backend, get_backend
 from repro.context import DEFAULT_CONTEXT, ExecContext
 from repro.formats.fcoo import FCOOTensor
+from repro.formats.mode_encoding import OperationKind
 from repro.gpusim.cluster import resolve_cluster
 from repro.gpusim.counters import KernelCounters, KernelProfile
 from repro.gpusim.device import DeviceSpec
@@ -36,11 +37,14 @@ from repro.kernels.unified._model import unified_device_footprint, unified_kerne
 from repro.kernels.unified.sharded import execute_sharded
 from repro.kernels.unified.streaming import execute_streamed, should_stream
 from repro.obs.metrics import observe_kernel_profile
+from repro.tensor.sparse import SparseTensor
+from repro.util.validation import check_mode
 
 __all__ = [
     "OperationSpec",
     "compute",
     "model",
+    "resolve_encoding",
     "run_unified",
     "scatter_rows",
 ]
@@ -103,6 +107,29 @@ class OperationSpec:
         return unified_device_footprint(
             encoding, launch, self.factor_bytes, self.output_bytes
         )
+
+
+def resolve_encoding(
+    tensor: Union[SparseTensor, FCOOTensor], operation: OperationKind, mode: int
+) -> FCOOTensor:
+    """``tensor`` F-COO encoded for ``operation`` on ``mode``.
+
+    A pre-built :class:`FCOOTensor` is checked, not rebuilt, and raises
+    ``ValueError`` when it was encoded for another operation or mode.
+    SpTTMc also accepts an SpMTTKRP encoding: the two share their mode
+    roles (Table I).
+    """
+    if not isinstance(tensor, FCOOTensor):
+        return FCOOTensor.from_sparse(tensor, operation, check_mode(mode, tensor.order))
+    accepted = {operation}
+    if operation is OperationKind.SPTTMC:
+        accepted.add(OperationKind.SPMTTKRP)
+    if tensor.operation not in accepted or tensor.mode != check_mode(mode, tensor.order):
+        raise ValueError(
+            f"the provided FCOOTensor is encoded for {tensor.operation.value} on mode "
+            f"{tensor.mode}, not {operation.value} on mode {mode}"
+        )
+    return tensor
 
 
 def _row_streams(encoding: FCOOTensor) -> List[np.ndarray]:

@@ -30,14 +30,13 @@ from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
 from repro.gpusim.device import DeviceSpec, TITAN_X
 from repro.kernels.common import MTTKRPResult, validate_factor
-from repro.kernels.unified.driver import OperationSpec, run_unified, scatter_rows
+from repro.kernels.unified.driver import OperationSpec, resolve_encoding, run_unified, scatter_rows
 from repro.tensor.sparse import SparseTensor
-from repro.util.validation import check_mode
 
-__all__ = ["unified_spmttkrp", "spmttkrp_footprint"]
+__all__ = ["unified_spmttkrp", "spmttkrp_footprint", "spmttkrp_spec"]
 
 
-def _spec(fcoo: FCOOTensor, rank: int) -> OperationSpec:
+def spmttkrp_spec(fcoo: FCOOTensor, rank: int) -> OperationSpec:
     """The SpMTTKRP operation: a Hadamard product of ``rank``-wide rows."""
     shape = fcoo.shape
     product_modes = fcoo.roles.product_modes
@@ -71,7 +70,7 @@ def spmttkrp_footprint(
     so the engine's transfer accounting uses the exact numbers the kernel's
     streamed/one-shot decision uses.
     """
-    op = _spec(fcoo, rank)
+    op = spmttkrp_spec(fcoo, rank)
     launch = op.launch(fcoo.nnz, block_size=block_size, threadlen=threadlen)
     return op.footprint(fcoo, launch), op.resident_bytes
 
@@ -115,20 +114,7 @@ def unified_spmttkrp(
         (``profile.streaming`` holds the per-chunk ledger on the streamed
         path).
     """
-    if isinstance(tensor, FCOOTensor):
-        fcoo = tensor
-        if (
-            fcoo.operation is not OperationKind.SPMTTKRP
-            or fcoo.mode != check_mode(mode, fcoo.order)
-        ):
-            raise ValueError(
-                f"the provided FCOOTensor is encoded for {fcoo.operation.value} on mode "
-                f"{fcoo.mode}, not SpMTTKRP on mode {mode}"
-            )
-    else:
-        mode = check_mode(mode, tensor.order)
-        fcoo = FCOOTensor.from_sparse(tensor, OperationKind.SPMTTKRP, mode)
-
+    fcoo = resolve_encoding(tensor, OperationKind.SPMTTKRP, mode)
     shape = fcoo.shape
     order = fcoo.order
     if len(factors) != order:
@@ -142,7 +128,7 @@ def unified_spmttkrp(
         raise ValueError(f"product-mode factors must share one rank, got {sorted(ranks)}")
     output, profile = run_unified(
         fcoo,
-        _spec(fcoo, ranks.pop()),
+        spmttkrp_spec(fcoo, ranks.pop()),
         mats,
         device=device,
         block_size=block_size,

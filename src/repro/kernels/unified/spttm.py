@@ -34,11 +34,10 @@ from repro.formats.mode_encoding import OperationKind
 from repro.formats.semisparse import SemiSparseTensor
 from repro.gpusim.device import DeviceSpec, TITAN_X
 from repro.kernels.common import SpTTMResult, validate_factor
-from repro.kernels.unified.driver import OperationSpec, run_unified
+from repro.kernels.unified.driver import OperationSpec, resolve_encoding, run_unified
 from repro.tensor.sparse import SparseTensor
-from repro.util.validation import check_mode
 
-__all__ = ["unified_spttm"]
+__all__ = ["unified_spttm", "spttm_spec"]
 
 
 def _fibers(fcoo: FCOOTensor, sums: np.ndarray) -> SemiSparseTensor:
@@ -50,6 +49,26 @@ def _fibers(fcoo: FCOOTensor, sums: np.ndarray) -> SemiSparseTensor:
         dense_mode=fcoo.mode,
         fiber_coords=fcoo.segment_index_coords,
         fiber_values=sums,
+    )
+
+
+def spttm_spec(fcoo: FCOOTensor, rank: int) -> OperationSpec:
+    """The SpTTM operation: each non-zero scales one ``rank``-wide row of
+    the ``(I_mode, rank)`` factor."""
+    segments = fcoo.num_segments
+    return OperationSpec(
+        kernel="spttm",
+        product="hadamard_segment_sums",
+        rank=rank,
+        output_width=rank,
+        flops_per_nnz_per_column=2.0,
+        factor_bytes=fcoo.shape[fcoo.mode] * rank * 4.0,
+        output_bytes=segments * rank * 4.0 + segments * (fcoo.order - 1) * 4.0,
+        # The semi-sparse output stays partitioned across the devices (the
+        # next pipeline stage consumes it in place); only the fibers
+        # straddling a shard boundary exchange with a neighbour.
+        reduction="boundary",
+        assemble=_fibers,
     )
 
 
@@ -116,37 +135,11 @@ def unified_spttm(
         (``profile.streaming`` holds the per-chunk ledger on the streamed
         path).
     """
-    if isinstance(tensor, FCOOTensor):
-        fcoo = tensor
-        if fcoo.operation is not OperationKind.SPTTM or fcoo.mode != check_mode(mode, fcoo.order):
-            raise ValueError(
-                f"the provided FCOOTensor is encoded for {fcoo.operation.value} on mode "
-                f"{fcoo.mode}, not SpTTM on mode {mode}"
-            )
-    else:
-        mode = check_mode(mode, tensor.order)
-        fcoo = FCOOTensor.from_sparse(tensor, OperationKind.SPTTM, mode)
-
+    fcoo = resolve_encoding(tensor, OperationKind.SPTTM, mode)
     matrix = validate_factor(matrix, fcoo.shape[fcoo.mode], "matrix")
-    rank = matrix.shape[1]
-    segments = fcoo.num_segments
-    op = OperationSpec(
-        kernel="spttm",
-        product="hadamard_segment_sums",
-        rank=rank,
-        output_width=rank,
-        flops_per_nnz_per_column=2.0,
-        factor_bytes=matrix.shape[0] * rank * 4.0,
-        output_bytes=segments * rank * 4.0 + segments * (fcoo.order - 1) * 4.0,
-        # The semi-sparse output stays partitioned across the devices (the
-        # next pipeline stage consumes it in place); only the fibers
-        # straddling a shard boundary exchange with a neighbour.
-        reduction="boundary",
-        assemble=_fibers,
-    )
     output, profile = run_unified(
         fcoo,
-        op,
+        spttm_spec(fcoo, matrix.shape[1]),
         [matrix],
         device=device,
         block_size=block_size,

@@ -17,6 +17,7 @@ claims.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -26,11 +27,30 @@ from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
 from repro.gpusim.device import DeviceSpec, TITAN_X
 from repro.kernels.common import TTMcResult, validate_factor
-from repro.kernels.unified.driver import OperationSpec, run_unified, scatter_rows
+from repro.kernels.unified.driver import OperationSpec, resolve_encoding, run_unified, scatter_rows
 from repro.tensor.sparse import SparseTensor
-from repro.util.validation import check_mode
 
-__all__ = ["unified_spttmc"]
+__all__ = ["unified_spttmc", "spttmc_spec"]
+
+
+def spttmc_spec(fcoo: FCOOTensor, ranks: Sequence[int]) -> OperationSpec:
+    """The SpTTMc operation: a Kronecker product of one row per product
+    mode, ``ranks[i]`` wide for the ``i``-th product mode."""
+    shape = fcoo.shape
+    out_width = math.prod(ranks)
+    return OperationSpec(
+        kernel="spttmc",
+        product="kron_segment_sums",
+        rank=max(ranks),
+        output_width=out_width,
+        # The Kronecker product performs one multiply per output column
+        # plus the segmented add.
+        flops_per_nnz_per_column=3.0,
+        factor_bytes=sum(shape[m] * r * 4.0 for m, r in zip(fcoo.roles.product_modes, ranks)),
+        output_bytes=shape[fcoo.mode] * out_width * 4.0,
+        reduction="allreduce",
+        assemble=scatter_rows,
+    )
 
 
 def unified_spttmc(
@@ -70,45 +90,16 @@ def unified_spttmc(
         (``profile.streaming`` holds the per-chunk ledger on the streamed
         path).
     """
-    if isinstance(tensor, FCOOTensor):
-        fcoo = tensor
-        if fcoo.operation not in (OperationKind.SPTTMC, OperationKind.SPMTTKRP) or (
-            fcoo.mode != check_mode(mode, fcoo.order)
-        ):
-            raise ValueError(
-                f"the provided FCOOTensor is encoded for {fcoo.operation.value} on mode "
-                f"{fcoo.mode}, not SpTTMc on mode {mode}"
-            )
-    else:
-        mode = check_mode(mode, tensor.order)
-        fcoo = FCOOTensor.from_sparse(tensor, OperationKind.SPTTMC, mode)
-
+    fcoo = resolve_encoding(tensor, OperationKind.SPTTMC, mode)
     shape = fcoo.shape
     order = fcoo.order
     if len(factors) != order:
         raise ValueError(f"need one factor per mode ({order}), got {len(factors)}")
     product_modes = fcoo.roles.product_modes
     mats = [validate_factor(factors[m], shape[m], f"factors[{m}]") for m in product_modes]
-    ranks = [m.shape[1] for m in mats]
-    out_width = 1
-    for r in ranks:
-        out_width *= r
-    op = OperationSpec(
-        kernel="spttmc",
-        product="kron_segment_sums",
-        rank=max(ranks),
-        output_width=out_width,
-        # The Kronecker product performs one multiply per output column
-        # plus the segmented add.
-        flops_per_nnz_per_column=3.0,
-        factor_bytes=sum(shape[m] * r * 4.0 for m, r in zip(product_modes, ranks)),
-        output_bytes=shape[fcoo.mode] * out_width * 4.0,
-        reduction="allreduce",
-        assemble=scatter_rows,
-    )
     output, profile = run_unified(
         fcoo,
-        op,
+        spttmc_spec(fcoo, [m.shape[1] for m in mats]),
         mats,
         device=device,
         block_size=block_size,

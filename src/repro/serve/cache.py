@@ -15,9 +15,10 @@ optional host-memory budget; tuner entries are a few integers each and are
 kept unconditionally.
 
 Cache *misses* are charged simulated host seconds (the encode is a sort
-plus flag construction over the non-zeros; a tuner miss charges the swept
-kernel times), cache *hits* are free — this is exactly the latency the
-serving report attributes to preprocessing.
+plus flag construction over the non-zeros; a tuner miss charges
+:data:`TUNER_SECONDS_PER_CONFIG` per feasible configuration swept), cache
+*hits* are free — this is exactly the latency the serving report
+attributes to preprocessing.
 """
 
 from __future__ import annotations
@@ -199,6 +200,7 @@ class PreprocCache:
         mode: int,
         rank: int,
         *,
+        encoding: FCOOTensor,
         device: DeviceSpec = TITAN_X,
         block_sizes: Sequence[int] = SERVING_BLOCK_SIZES,
         threadlens: Sequence[int] = SERVING_THREADLENS,
@@ -210,7 +212,9 @@ class PreprocCache:
         :data:`TUNER_SECONDS_PER_CONFIG` per configuration evaluated (the
         serving tuner ranks candidates with the cost model rather than
         executing them); a hit is free — this is the "repeat tenants skip
-        preprocessing" half of the cache that covers the tuner.
+        preprocessing" half of the cache that covers the tuner.  A miss
+        sweeps ``encoding``, the caller's F-COO encoding of ``tensor`` for
+        ``(operation, mode)``, so the tuner never encodes again.
         """
         from repro.autotune import tune_unified
 
@@ -223,7 +227,7 @@ class PreprocCache:
 
         self.stats.tuner_misses += 1
         result = tune_unified(
-            tensor,
+            encoding,
             operation,
             mode,
             rank=rank,

@@ -463,6 +463,7 @@ class Scheduler:
                     job.mode,
                     job.rank,
                     device=self._tuner_device,
+                    encoding=encoding,
                 )
                 preproc_s += tune_s
                 tuner_key = (

@@ -260,7 +260,8 @@ class TestTunerRerank:
 
         cache = PreprocCache()
         tensor = random_sparse_tensor((20, 20, 20), 300, seed=5)
-        config, hit, _ = cache.tuner_config(tensor, "spttm", 0, 8)
+        encoding = cache.encoding(tensor, "spttm", 0)[0]
+        config, hit, _ = cache.tuner_config(tensor, "spttm", 0, 8, encoding=encoding)
         assert not hit
         # An in-tolerance observation keeps the cached config untouched.
         kept, changed = cache.rerank_tuner_config(

@@ -51,7 +51,51 @@ class TestCoalescing:
             coalesced_traffic_bytes(10, 4, AccessPattern.STRIDED, TITAN_X, stride_elements=0.5)
 
 
+def unique_rows_traffic(rows, row_bytes, device):
+    """The cache model with distinct rows counted by ``np.unique``."""
+    accesses = float(rows.size)
+    distinct = float(np.unique(rows).size)
+    working_set = distinct * row_bytes
+    capacity = float(device.readonly_cache_bytes_total)
+    misses = distinct
+    if working_set > capacity:
+        misses += (accesses - distinct) * (1.0 - capacity / working_set)
+    sector = min(float(device.memory_transaction_bytes), 32.0)
+    return accesses - misses, misses, misses * np.ceil(row_bytes / sector) * sector
+
+
 class TestReadOnlyCache:
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.array([7]),
+            np.full(1000, 41),
+            np.random.default_rng(2).integers(0, 1_000_000, 200_000),
+            np.random.default_rng(3).integers(0, 300, 50_000),
+            np.array([0, 999_999, 0, 999_999, 12]),
+            np.random.default_rng(4).integers(0, 255_000, 64),
+            np.append(np.random.default_rng(5).integers(0, 511_999, 999), 511_999),
+        ],
+        ids=[
+            "one-element",
+            "all-equal",
+            "spread-1e6",
+            "dense-300",
+            "extremes",
+            "short-wide",
+            "512-rows-per-access",
+        ],
+    )
+    def test_matches_unique_count(self, rows, dtype):
+        # The spread stream overflows the cache and the others fit, so both
+        # branches of the capacity-miss model are exercised; the extremes and
+        # short-wide streams span over 512 rows per access, the others do not.
+        rows = rows.astype(dtype)
+        traffic = readonly_cache_traffic(rows, 48.0, TITAN_X)
+        hits, misses, dram_bytes = unique_rows_traffic(rows, 48.0, TITAN_X)
+        assert (traffic.hits, traffic.misses, traffic.dram_bytes) == (hits, misses, dram_bytes)
+
     def test_small_working_set_hits(self):
         # 10 distinct rows of 64 B each reused 1000x: only compulsory misses.
         rows = np.tile(np.arange(10), 1000)

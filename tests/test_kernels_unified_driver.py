@@ -20,7 +20,7 @@ from repro.gpusim.device import TITAN_X, scaled_device
 from repro.gpusim.timing import OutOfDeviceMemory
 from repro.kernels.unified import unified_spmttkrp, unified_spttm, unified_spttmc
 from repro.kernels.unified.driver import model
-from repro.kernels.unified.spmttkrp import _spec as spmttkrp_spec
+from repro.kernels.unified.spmttkrp import spmttkrp_spec
 from repro.tensor.random import random_factors
 from test_streaming import BLOCK_SIZE, CASES, CHUNK_NNZ, RANK, THREADLEN, run_kernel
 

@@ -305,8 +305,9 @@ class TestPreprocCache:
     def test_tuner_config_reuse(self):
         cache = PreprocCache()
         tensor = CASES["order3-uniform"]()
-        cfg1, hit1, cost1 = cache.tuner_config(tensor, "spmttkrp", 0, RANK)
-        cfg2, hit2, cost2 = cache.tuner_config(tensor, "spmttkrp", 0, RANK)
+        encoding = cache.encoding(tensor, "spmttkrp", 0)[0]
+        cfg1, hit1, cost1 = cache.tuner_config(tensor, "spmttkrp", 0, RANK, encoding=encoding)
+        cfg2, hit2, cost2 = cache.tuner_config(tensor, "spmttkrp", 0, RANK, encoding=encoding)
         assert (hit1, hit2) == (False, True)
         assert cost1 > 0.0 and cost2 == 0.0
         assert cfg1 == cfg2
@@ -527,6 +528,36 @@ class TestScheduler:
         # Job 0's preproc is the encode + sweep; job 1 cannot stage earlier
         # than that build completes.
         assert by_id[1].stage_start_s >= by_id[0].job.arrival_s + by_id[0].preproc_s - 1e-12
+
+    def test_tuner_miss_sweeps_the_cached_encoding(self, monkeypatch):
+        # A tuner miss prices the encoding the cache already built, so a
+        # cold run encodes once per encode miss and never for the tuner.
+        encode = FCOOTensor.from_sparse.__func__
+        encoded = []
+
+        def counting(cls, *args, **kwargs):
+            encoded.append(args[1:3])
+            return encode(cls, *args, **kwargs)
+
+        monkeypatch.setattr(FCOOTensor, "from_sparse", classmethod(counting))
+        names = ["order3-uniform", "order3-power", "order4-uniform", "order4-power"]
+        cases = [(name, kind) for name in names for kind in KERNEL_KINDS]
+        jobs = [
+            Job(
+                job_id=i,
+                tenant=f"t{i}",
+                kind=kind,
+                tensor=CASES[name](),
+                mode=i % 3,
+                rank=RANK,
+                arrival_s=1e-3 * i,
+            )
+            for i, (name, kind) in enumerate(cases)
+        ]
+        report = ServingEngine(one_device_cluster(1 << 30), autotune=True).run(jobs)
+        assert all(r.completed for r in report.results)
+        assert report.cache_stats.tuner_misses == len(jobs)
+        assert len(encoded) == report.cache_stats.encode_misses
 
     def test_batching_disabled_with_max_batch_one(self):
         tensor = CASES["order3-uniform"]()
