@@ -74,7 +74,6 @@ from repro.gpusim import (
     ClusterSpec,
     DeviceSpec,
     InterconnectSpec,
-    MultiNodeClusterSpec,
     NodeSpec,
     SimClock,
     TITAN_X,
@@ -162,7 +161,6 @@ __all__ = [
     "TITAN_X",
     "ClusterSpec",
     "InterconnectSpec",
-    "MultiNodeClusterSpec",
     "NodeSpec",
     "Timeline",
     "SimClock",

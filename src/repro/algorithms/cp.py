@@ -35,7 +35,7 @@ from repro.cpusim.cpu import CPU_I7_5820K, CpuSpec
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.csf import CSFTensor
 from repro.formats.mode_encoding import OperationKind
-from repro.gpusim.cluster import ClusterLike, MultiNodeClusterSpec, NodeFailure, resolve_cluster
+from repro.gpusim.cluster import ClusterSpec, NodeFailure, resolve_cluster
 from repro.gpusim.device import DeviceSpec, TITAN_X
 from repro.gpusim.timeline import Timeline, device_compute_key, device_copy_key
 from repro.kernels.baselines.splatt import splatt_csf_mode_order, splatt_mttkrp
@@ -106,13 +106,13 @@ class UnifiedGPUEngine:
           instead of raising
           :class:`~repro.gpusim.timing.OutOfDeviceMemory`.
         * ``cluster`` / ``devices`` — a
-          :class:`~repro.gpusim.cluster.ClusterSpec` /
-          :class:`~repro.gpusim.cluster.MultiNodeClusterSpec` (or a bare
-          device count building a homogeneous cluster of ``device``) shards
-          every MTTKRP across the cluster and all-reduces the partial
-          factor updates.  The engine accumulates the per-device busy
-          seconds of the whole decomposition in :attr:`device_timelines`
-          and its scaling efficiency in :attr:`parallel_efficiency`.
+          :class:`~repro.gpusim.cluster.ClusterSpec` of one or several
+          nodes (or a bare device count building a homogeneous cluster of
+          ``device``) shards every MTTKRP across the cluster and
+          all-reduces the partial factor updates.  The engine accumulates
+          the per-device busy seconds of the whole decomposition in
+          :attr:`device_timelines` and its scaling efficiency in
+          :attr:`parallel_efficiency`.
         * ``preproc_cache`` — an optional
           :class:`~repro.serve.cache.PreprocCache` (any object with its
           ``encoding(tensor, operation, mode)`` protocol).  :meth:`prepare`
@@ -282,11 +282,8 @@ class UnifiedGPUEngine:
         survivor cluster.
         """
         cluster = self._cluster
-        if not isinstance(cluster, MultiNodeClusterSpec):
-            raise RuntimeError(
-                "evict_node() requires a multi-node cluster engine; "
-                f"current cluster is {type(cluster).__name__}"
-            )
+        if cluster is None or cluster.num_nodes < 2:
+            raise RuntimeError("evict_node() requires an engine on a multi-node cluster")
         plans = [
             plan_node_recovery(
                 self._encodings[mode],
@@ -318,7 +315,7 @@ class UnifiedGPUEngine:
         return self._slot_map
 
     @property
-    def resolved_cluster(self) -> Optional[ClusterLike]:
+    def resolved_cluster(self) -> Optional[ClusterSpec]:
         """The cluster MTTKRPs shard across (``None`` in single-GPU mode).
 
         This is the normalised form of ``ctx.cluster`` / ``ctx.devices``
@@ -750,7 +747,8 @@ def cp_als(
             while pending_failures and pending_failures[0].time_s <= reduce_end:
                 candidate = pending_failures.pop(0)
                 if (
-                    isinstance(cluster, MultiNodeClusterSpec)
+                    cluster is not None
+                    and cluster.num_nodes > 1
                     and hasattr(engine, "evict_node")
                     and 0 <= candidate.node_index < cluster.num_nodes
                 ):

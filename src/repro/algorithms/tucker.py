@@ -25,7 +25,7 @@ from repro.backends import get_backend
 from repro.context import DEFAULT_CONTEXT, ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
-from repro.gpusim.cluster import MultiNodeClusterSpec, NodeFailure, resolve_cluster
+from repro.gpusim.cluster import NodeFailure, resolve_cluster
 from repro.gpusim.device import DeviceSpec, TITAN_X
 from repro.gpusim.timeline import Timeline, device_compute_key
 from repro.kernels.unified.sharded import ShardedTimeline, plan_node_recovery
@@ -256,7 +256,8 @@ def tucker_hooi(
         while pending_failures and pending_failures[0].time_s <= now:
             candidate = pending_failures.pop(0)
             if (
-                isinstance(multi, MultiNodeClusterSpec)
+                multi is not None
+                and multi.num_nodes > 1
                 and 0 <= candidate.node_index < multi.num_nodes
             ):
                 return candidate
@@ -268,7 +269,6 @@ def tucker_hooi(
         The caller restores the sweep-boundary checkpoint and replays.
         """
         nonlocal multi, slot_map, recovery_overhead_s
-        assert isinstance(multi, MultiNodeClusterSpec)
         # Plan per-mode: each mode's SpTTMc encoding is a distinct
         # device-resident stream whose lost shards must re-stage.  The
         # plans are computed from fresh encodings (pure host math) so the

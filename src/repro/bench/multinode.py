@@ -2,12 +2,11 @@
 
 The multi-GPU scaling runner (:mod:`repro.bench.scaling`) stops at one
 node; this runner grows the *node count* of a two-tier
-:class:`~repro.gpusim.cluster.MultiNodeClusterSpec` — intra-node P2P vs an
+:class:`~repro.gpusim.cluster.ClusterSpec` — intra-node P2P vs an
 inter-node NIC — and reports, per unified kernel and dataset analog:
 
 * the strong-scaling curve over 1/2/4 nodes (the one-node point is the
-  exact single-node sharded path — a one-node cluster collapses to its
-  :class:`~repro.gpusim.cluster.ClusterSpec` inside ``resolve_cluster``);
+  single-node sharded path, whose collectives never touch the NIC);
 * the modeled reduction under hierarchical collectives next to what the
   topology-oblivious **flat ring** would have charged, and which algorithm
   the cost model selected — making the tentpole claim ("hierarchical is
@@ -29,12 +28,7 @@ import numpy as np
 
 from repro.data.registry import DATASETS, load_dataset
 from repro.formats.fcoo import FCOOTensor
-from repro.gpusim.cluster import (
-    ETHERNET_10G,
-    InterconnectSpec,
-    MultiNodeClusterSpec,
-    PCIE3_P2P,
-)
+from repro.gpusim.cluster import ETHERNET_10G, ClusterSpec, InterconnectSpec, PCIE3_P2P
 from repro.gpusim.device import DeviceSpec, TITAN_X
 from repro.bench.scaling import (
     SCALING_OPERATIONS,
@@ -215,11 +209,11 @@ def run_multinode_scaling(
             baseline_s: Optional[float] = None
             for m in node_counts:
                 m = int(m)
-                cluster = MultiNodeClusterSpec.homogeneous(
+                cluster = ClusterSpec.homogeneous(
                     device,
-                    m,
                     devices_per_node,
-                    intra=scaled_intra,
+                    num_nodes=m,
+                    interconnect=scaled_intra,
                     nic=scaled_nic,
                 )
                 result = _run_operation(

@@ -200,16 +200,14 @@ def _timeline_metrics() -> Dict[str, float]:
     """
     from repro.algorithms.cp import UnifiedGPUEngine, cp_als
     from repro.context import ExecContext
-    from repro.gpusim.cluster import ETHERNET_10G, MultiNodeClusterSpec
+    from repro.gpusim.cluster import ETHERNET_10G, ClusterSpec
     from repro.tensor.random import random_sparse_tensor
 
     metrics: Dict[str, float] = {}
     contended_violations = 0
 
     def contended_ends(num_nodes: int, nbytes: float) -> Tuple[float, float]:
-        cluster = MultiNodeClusterSpec.homogeneous(
-            num_nodes=num_nodes, devices_per_node=2, nic=ETHERNET_10G
-        )
+        cluster = ClusterSpec.homogeneous(num_nodes=num_nodes, devices_per_node=2, nic=ETHERNET_10G)
         idle = cluster.allreduce_time(nbytes)
         timeline = Timeline()
         first = cluster.book_allreduce(timeline, nbytes)
@@ -225,9 +223,7 @@ def _timeline_metrics() -> Dict[str, float]:
     metrics["timeline/congestion_slowdown_ratio"] = contended / idle
     metrics["timeline/contended_lt_idle_count"] = float(contended_violations)
 
-    cluster = MultiNodeClusterSpec.homogeneous(
-        num_nodes=2, devices_per_node=2, nic=ETHERNET_10G
-    )
+    cluster = ClusterSpec.homogeneous(num_nodes=2, devices_per_node=2, nic=ETHERNET_10G)
     # A tall mode-0 makes the dense update big enough to hide a visible
     # fraction of the collective behind, so a lost overlap moves the ratio.
     tensor = random_sparse_tensor((60_000, 60, 50), 12_000, seed=3)
@@ -284,13 +280,11 @@ def _faults_metrics() -> Dict[str, float]:
     from repro.algorithms.cp import UnifiedGPUEngine, cp_als
     from repro.algorithms.tucker import tucker_hooi
     from repro.context import ExecContext
-    from repro.gpusim.cluster import ETHERNET_10G, MultiNodeClusterSpec, NodeFailure
+    from repro.gpusim.cluster import ETHERNET_10G, ClusterSpec, NodeFailure
     from repro.tensor.random import random_sparse_tensor
 
-    def two_nodes() -> MultiNodeClusterSpec:
-        return MultiNodeClusterSpec.homogeneous(
-            num_nodes=2, devices_per_node=2, nic=ETHERNET_10G
-        )
+    def two_nodes() -> ClusterSpec:
+        return ClusterSpec.homogeneous(num_nodes=2, devices_per_node=2, nic=ETHERNET_10G)
 
     metrics: Dict[str, float] = {}
     identity_violations = 0

@@ -35,13 +35,7 @@ from repro.context import ExecContext
 from repro.data.registry import DATASETS, load_dataset
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
-from repro.gpusim.cluster import (
-    ETHERNET_10G,
-    ClusterSpec,
-    InterconnectSpec,
-    MultiNodeClusterSpec,
-    PCIE3_P2P,
-)
+from repro.gpusim.cluster import ETHERNET_10G, ClusterSpec, InterconnectSpec, PCIE3_P2P
 from repro.gpusim.device import DeviceSpec, TITAN_X
 from repro.gpusim.timeline import Timeline, device_compute_key
 from repro.kernels.unified.spmttkrp import unified_spmttkrp
@@ -405,7 +399,7 @@ def collect_scaling_trace(
     collective onto one :class:`~repro.gpusim.timeline.Timeline` through
     :meth:`~repro.kernels.unified.sharded.ShardedExecution.book`.  With
     ``num_nodes > 1`` the cluster is a two-tier
-    :class:`~repro.gpusim.cluster.MultiNodeClusterSpec` of
+    :class:`~repro.gpusim.cluster.ClusterSpec` of
     ``num_nodes x num_devices`` GPUs (matching the topology of ``scaling
     --nodes``), so the trace additionally shows the per-node ``nic:*``
     lanes.  Backs ``python -m repro scaling --trace out.json``:
@@ -430,22 +424,18 @@ def collect_scaling_trace(
             payload_scale=payload_scale,
             name_suffix=f"analog {dataset}",
         )
-        if num_nodes > 1:
-            cluster = MultiNodeClusterSpec.homogeneous(
+        if num_nodes * num_devices > 1:
+            cluster = ClusterSpec.homogeneous(
                 device,
-                num_nodes,
                 num_devices,
-                intra=scaled_link,
+                num_nodes=num_nodes,
+                interconnect=scaled_link,
                 nic=analog_interconnect(
                     nic,
                     time_scale=time_scale,
                     payload_scale=payload_scale,
                     name_suffix=f"analog {dataset}",
                 ),
-            )
-        elif num_devices > 1:
-            cluster = ClusterSpec.homogeneous(
-                device, num_devices, interconnect=scaled_link
             )
         else:
             cluster = None

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.gpusim.cluster import ClusterLike
+from repro.gpusim.cluster import ClusterSpec
 from repro.serve.autoscale import AutoscalerSpec
 from repro.serve.cache import PreprocCache
 from repro.serve.engine import ServingEngine, ServingReport
@@ -39,7 +39,7 @@ def run_serving(
     num_jobs: int = 100,
     seed: int = 0,
     policy: str = "priority",
-    cluster: Optional[ClusterLike] = None,
+    cluster: Optional[ClusterSpec] = None,
     nodes: Optional[int] = None,
     autotune: bool = True,
     max_batch: int = 4,

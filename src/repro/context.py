@@ -40,7 +40,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only
-    from repro.gpusim.cluster import ClusterLike, NodeFailure
+    from repro.gpusim.cluster import ClusterSpec, NodeFailure
     from repro.gpusim.timeline import Timeline
     from repro.obs.metrics import MetricsRegistry
 
@@ -129,10 +129,11 @@ class ExecContext:
     chunk_nnz:
         Override the streamed path's chunk size (non-zeros per chunk).
     cluster:
-        Multi-GPU topology (:class:`~repro.gpusim.cluster.ClusterSpec` or
-        :class:`~repro.gpusim.cluster.MultiNodeClusterSpec`).
+        Multi-GPU topology: a :class:`~repro.gpusim.cluster.ClusterSpec`
+        of one node (GPUs joined by one link) or of several nodes over a
+        NIC.
     devices:
-        Shorthand for a flat homogeneous cluster of this many devices.
+        Shorthand for a homogeneous one-node cluster of this many devices.
     chaos:
         Scripted :class:`~repro.gpusim.cluster.NodeFailure` events for the
         decomposition drivers' checkpoint/replay path.
@@ -175,7 +176,7 @@ class ExecContext:
     streamed: Optional[bool] = None
     num_streams: int = 2
     chunk_nnz: Optional[int] = None
-    cluster: Optional["ClusterLike"] = None
+    cluster: Optional["ClusterSpec"] = None
     devices: Optional[int] = None
     chaos: Optional[Tuple["NodeFailure", ...]] = None
     preproc_cache: Optional[Any] = None

@@ -13,9 +13,9 @@ effects is modelled explicitly:
 
 * :mod:`~repro.gpusim.device` — device specifications (default: the Titan X
   of Table III) and occupancy limits.
-* :mod:`~repro.gpusim.cluster` — multi-GPU cluster specifications (devices
-  joined by an interconnect) and the collective cost models used by the
-  sharded execution path.
+* :mod:`~repro.gpusim.cluster` — multi-GPU cluster specifications (nodes
+  of devices joined by a two-tier interconnect) and the collective cost
+  models used by the sharded execution path.
 * :mod:`~repro.gpusim.launch` — launch configurations (grid/block/threadlen)
   and occupancy/utilisation computation.
 * :mod:`~repro.gpusim.counters` — the ledger of work a kernel performs
@@ -37,12 +37,10 @@ effects is modelled explicitly:
 
 from repro.gpusim.device import DeviceSpec, TITAN_X, scaled_device
 from repro.gpusim.cluster import (
-    ClusterLike,
     ClusterSpec,
     ETHERNET_10G,
     INFINIBAND_EDR,
     InterconnectSpec,
-    MultiNodeClusterSpec,
     NVLINK1,
     NodeSpec,
     PCIE3_P2P,
@@ -76,12 +74,10 @@ __all__ = [
     "DeviceSpec",
     "TITAN_X",
     "scaled_device",
-    "ClusterLike",
     "ClusterSpec",
     "ETHERNET_10G",
     "INFINIBAND_EDR",
     "InterconnectSpec",
-    "MultiNodeClusterSpec",
     "NVLINK1",
     "NodeSpec",
     "PCIE3_P2P",

@@ -1,77 +1,64 @@
-"""Multi-GPU cluster model: devices joined by an interconnect.
+"""GPU cluster model: nodes of GPUs joined by a two-tier interconnect.
 
 The paper evaluates on a single Titan X; production sparse tensor
-factorisation distributes the non-zeros across several GPUs of one node
-(the DFacTo / SPLATT distributed-memory line of related work).  This module
-models the *node*: a :class:`ClusterSpec` is an ordered set of
-:class:`~repro.gpusim.device.DeviceSpec` s joined by an
-:class:`InterconnectSpec` with a bandwidth and a per-message latency.
+factorisation distributes the non-zeros across several GPUs (the DFacTo /
+SPLATT distributed-memory line of related work).  A :class:`ClusterSpec` is
+an ordered set of :class:`NodeSpec` s.  Each node holds
+:class:`~repro.gpusim.device.DeviceSpec` s joined by an intra-node
+:class:`InterconnectSpec` (PCIe P2P or NVLink), and the nodes are joined by
+a NIC, the slower inter-node tier.  One GPU node is simply a one-node
+cluster (:meth:`NodeSpec.as_cluster`): its collectives ride the node's link
+alone and the NIC is never priced.
 
-Three collective cost models are provided, all first-order but shaped like
+Two collective cost models are provided, both first-order but shaped like
 the real algorithms:
 
-* :meth:`ClusterSpec.allreduce_time` — ring all-reduce (reduce-scatter +
-  all-gather): each device sends ``2 (N - 1) / N`` of the payload over its
-  link, in ``2 (N - 1)`` latency-bound steps.  This is what merging the
-  per-device partial MTTKRP/TTMc outputs costs, since every device needs
-  the updated dense factor for the next iteration.
+* :meth:`ClusterSpec.allreduce_time` — all-reduce under algorithm
+  selection between the **flat ring** (``2 (N - 1)`` synchronised steps,
+  each paying the slowest link) and the **hierarchical** schedule
+  (reduce-scatter inside each node, a ring across the nodes over the NIC,
+  an intra-node all-gather).  The cheaper one is charged, so the modeled
+  collective is never costlier than the flat ring, and strictly cheaper
+  whenever the NIC is the slower tier.  On one node both schedules are the
+  classic bandwidth-optimal ring.  This is what merging the per-device
+  partial MTTKRP/TTMc outputs costs, since every device needs the updated
+  dense factor for the next iteration.
 * :meth:`ClusterSpec.neighbor_exchange_time` — pairwise exchange of the
   partial segments straddling shard boundaries, for outputs that stay
-  partitioned across the devices (the semi-sparse SpTTM fibers).
-* :meth:`ClusterSpec.gather_time` — root-ingest gather: the root device
-  receives every peer's payload over its single link (the payloads
-  serialise there), one latency per peer — for callers that need a
-  partitioned output collected on one device.
+  partitioned across the devices (the semi-sparse SpTTM fibers).  Each
+  boundary rides its node's link, or the NIC when its two devices sit in
+  different nodes.
 
-The models are deliberately symmetric in the devices (a ring does not care
-which member is slowest as long as the link is shared); heterogeneous
-*compute* is supported by :class:`ClusterSpec` holding arbitrary device
-specs, and the sharded execution driver charges each shard on its own
-device.
+The models are symmetric in the devices of a node; heterogeneous *compute*
+is supported by nodes holding arbitrary device specs, and
+:func:`~repro.kernels.unified.sharded.execute_sharded` charges each shard on
+its own device.
 
-Beyond the single node, :class:`NodeSpec` / :class:`MultiNodeClusterSpec`
-model a *cluster of nodes* with two interconnect tiers — intra-node
-P2P/NVLink and an inter-node NIC — and hierarchical collectives
-(reduce-scatter inside each node, a ring across the nodes, an intra-node
-all-gather) whose modeled cost is never worse than the topology-oblivious
-flat ring, and strictly better whenever the NIC is the slower tier.
-
-Each collective exists in two forms: the closed-form ``*_time`` scalar
-(the cost on idle links) and a ``book_*`` variant that *books* that cost
-onto the shared :class:`~repro.gpusim.timeline.Timeline` — the intra-node
-links and the per-node NICs are explicit serial resources there, so two
-concurrent cross-node collectives queue on the shared NIC instead of each
-pricing it as idle.  On an idle timeline the booked end time equals the
-closed form exactly; contention can only push it later.
+Each collective also has a ``book_*`` form that *books* its cost onto the
+shared :class:`~repro.gpusim.timeline.Timeline`.  The intra-node links and
+the per-node NICs are explicit serial resources there, so two concurrent
+cross-node collectives queue on the shared NIC instead of each pricing it
+as idle.  On an idle timeline the booked end time equals the closed form
+exactly; contention can only push it later.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import ceil, log2
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.gpusim.device import DeviceSpec, TITAN_X
-from repro.gpusim.timeline import (
-    CollectiveRequest,
-    GangBooking,
-    NicDiscipline,
-    Resource,
-    Timeline,
-)
+from repro.gpusim.timeline import GangBooking, Resource, Timeline
 
 __all__ = [
     "InterconnectSpec",
     "ClusterSpec",
     "NodeSpec",
-    "MultiNodeClusterSpec",
     "NodeFailure",
-    "ClusterLike",
     "PCIE3_P2P",
     "NVLINK1",
     "ETHERNET_10G",
     "INFINIBAND_EDR",
-    "collapse_cluster",
     "resolve_cluster",
 ]
 
@@ -132,11 +119,13 @@ class NodeFailure:
     """A timeline-scheduled loss (and optional return) of one node.
 
     The failure-domain event of the fault-tolerance layer: at simulated
-    time ``time_s`` node ``node_index`` of a
-    :class:`MultiNodeClusterSpec` drops out, taking its device slots, its
+    time ``time_s`` node ``node_index`` of a multi-node
+    :class:`ClusterSpec` drops out, taking its device slots, its
     intra-node link and its NIC lane with it.  When ``recover_s`` is set
     the node returns to service at that time (already-recovered work is
-    not migrated back; the node simply becomes placeable again).
+    not migrated back; the node simply becomes placeable again).  On a
+    one-node cluster the serving scheduler reads ``node_index`` as a
+    device slot, and ``cp_als`` / ``tucker_hooi`` ignore the event.
 
     Lives in the cluster model — not the serving layer — because the
     decomposition drivers (``cp_als`` / ``tucker_hooi``) consume these
@@ -162,337 +151,35 @@ class NodeFailure:
             )
 
 
-@dataclass(frozen=True)
-class ClusterSpec:
-    """An ordered set of GPUs joined by one interconnect.
+def _check_device_ids(devices: Sequence[DeviceSpec], owner: str) -> None:
+    """Reject one device id naming two different specifications.
 
-    Attributes
-    ----------
-    devices:
-        The member :class:`DeviceSpec` s; ``devices[i]`` executes shard ``i``
-        of a sharded kernel.
-    interconnect:
-        The link used by the collective cost models.
-    name:
-        Human-readable cluster name.
+    The serving cache and the ledgers key on device names, so distinct
+    devices need distinct names; identical repeated specs are fine.
     """
-
-    devices: Tuple[DeviceSpec, ...]
-    interconnect: InterconnectSpec = PCIE3_P2P
-    name: str = "cluster"
-
-    def __post_init__(self) -> None:
-        if not self.devices:
-            raise ValueError("ClusterSpec needs at least one device")
-        object.__setattr__(self, "devices", tuple(self.devices))
-        # Validate eagerly: a zero-throughput member or an inconsistent link
-        # would otherwise only surface as a division failure deep inside the
-        # sharded execution driver or the capability-weighted partitioner.
-        try:
-            self.interconnect.validate()
-        except ValueError as exc:
-            raise ValueError(f"ClusterSpec interconnect is invalid: {exc}") from exc
-        seen: dict = {}
-        for i, device in enumerate(self.devices):
-            try:
-                device.validate()
-            except ValueError as exc:
-                raise ValueError(f"ClusterSpec devices[{i}] is invalid: {exc}") from exc
-            previous = seen.get(device.name)
-            if previous is not None and previous != device:
-                raise ValueError(
-                    f"ClusterSpec devices[{i}] reuses the device id {device.name!r} "
-                    "with a different specification; give distinct devices distinct "
-                    "names (identical repeated specs — a homogeneous cluster — are fine)"
-                )
-            seen[device.name] = device
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def homogeneous(
-        cls,
-        device: DeviceSpec = TITAN_X,
-        num_devices: int = 4,
-        *,
-        interconnect: InterconnectSpec = PCIE3_P2P,
-        name: Optional[str] = None,
-    ) -> "ClusterSpec":
-        """A cluster of ``num_devices`` identical ``device`` s."""
-        if num_devices <= 0:
-            raise ValueError(f"num_devices must be positive, got {num_devices}")
-        return cls(
-            devices=(device,) * num_devices,
-            interconnect=interconnect,
-            name=name or f"{num_devices}x {device.name}",
-        )
-
-    # ------------------------------------------------------------------ #
-    @property
-    def num_devices(self) -> int:
-        """Number of member GPUs."""
-        return len(self.devices)
-
-    @property
-    def min_device_memory_bytes(self) -> int:
-        """Capacity of the smallest member (bounds an evenly-sharded tensor)."""
-        return min(d.global_mem_bytes for d in self.devices)
-
-    @property
-    def total_memory_bytes(self) -> int:
-        """Aggregate device memory across the cluster."""
-        return sum(d.global_mem_bytes for d in self.devices)
-
-    @property
-    def max_device_memory_bytes(self) -> int:
-        """Capacity of the largest member (bounds a single-device placement)."""
-        return max(d.global_mem_bytes for d in self.devices)
-
-    @property
-    def is_homogeneous(self) -> bool:
-        """Whether every member device has the identical specification."""
-        return all(d == self.devices[0] for d in self.devices[1:])
-
-    def capability_scores(self, *, flops_per_byte: float = 0.5) -> Tuple[float, ...]:
-        """Per-device roofline throughput scores (bytes/s), unnormalised.
-
-        Each device's score is its roofline throughput at the nominal
-        arithmetic intensity of the unified kernels,
-        ``min(achievable_bandwidth, peak_flops / flops_per_byte)`` — the
-        kernels stream the non-zeros once and gather cached factor rows, so
-        at the default intensity of 0.5 FLOP/byte every realistic GPU is
-        bandwidth-bound and the score reduces to achievable DRAM bandwidth.
-        Single-sourced here so the shard partitioner's weights and the
-        serving placer's completion-time estimates cannot diverge.
-        """
-        if flops_per_byte <= 0:
-            raise ValueError(f"flops_per_byte must be positive, got {flops_per_byte}")
-        return tuple(
-            min(d.achievable_bandwidth_bytes_per_s, d.peak_flops / flops_per_byte)
-            for d in self.devices
-        )
-
-    def capability_weights(self, *, flops_per_byte: float = 0.5) -> Tuple[float, ...]:
-        """Per-device throughput weights, normalised to sum to 1.
-
-        The :meth:`capability_scores` roofline scores, normalised.  A
-        homogeneous cluster yields exactly uniform weights.  The
-        capability-weighted shard partitioner
-        (:func:`repro.kernels.unified.sharded.partition_shards`) sizes each
-        device's shard proportional to these weights, and the serving
-        placer uses them to rank devices for job placement.
-        """
-        scores = self.capability_scores(flops_per_byte=flops_per_byte)
-        total = sum(scores)
-        return tuple(score / total for score in scores)
-
-    def validate(self) -> None:
-        """Validate every member device and the interconnect.
-
-        Construction already performs this validation; the method is kept so
-        callers holding a spec from any source can re-assert consistency.
-        """
-        self.interconnect.validate()
-        for device in self.devices:
-            device.validate()
-
-    # ------------------------------------------------------------------ #
-    # Collective cost models
-    # ------------------------------------------------------------------ #
-    def allreduce_time(self, nbytes: float) -> float:
-        """Ring all-reduce of an ``nbytes`` payload resident on every device.
-
-        Reduce-scatter plus all-gather: ``2 (N - 1)`` steps, each moving
-        ``nbytes / N`` over every device's link simultaneously, so the
-        bandwidth term is ``2 (N - 1) / N * nbytes / bandwidth`` — the
-        classic bandwidth-optimal ring.  Zero for a single device.
-        """
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-        n = self.num_devices
-        if n == 1 or nbytes == 0:
-            return 0.0
-        steps = 2 * (n - 1)
-        bandwidth_term = (2.0 * (n - 1) / n) * nbytes / self.interconnect.bandwidth_bytes_per_s
-        return bandwidth_term + steps * self.interconnect.latency_s
-
-    def gather_time(self, nbytes_per_device: Sequence[float]) -> float:
-        """Gather per-device payloads onto device 0 (the root).
-
-        The root's ingest link is the serial resource: every peer's payload
-        crosses it once, paying one latency per peer.  The root's own
-        payload does not move.  Zero for a single device.
-        """
-        payloads = [float(b) for b in nbytes_per_device]
-        if any(b < 0 for b in payloads):
-            raise ValueError("per-device payloads must be non-negative")
-        if len(payloads) > self.num_devices:
+    seen: Dict[str, DeviceSpec] = {}
+    for i, device in enumerate(devices):
+        if seen.setdefault(device.name, device) != device:
             raise ValueError(
-                f"got {len(payloads)} payloads for {self.num_devices} devices"
+                f"{owner} devices[{i}] reuses the device id {device.name!r} "
+                "with a different specification; give distinct devices distinct "
+                "names (identical repeated specs — a homogeneous node — are fine)"
             )
-        if len(payloads) <= 1:
-            return 0.0
-        incoming = sum(payloads[1:])
-        steps = len(payloads) - 1
-        bandwidth_term = incoming / self.interconnect.bandwidth_bytes_per_s
-        return bandwidth_term + steps * self.interconnect.latency_s
-
-    def neighbor_exchange_time(self, nbytes_per_boundary: Sequence[float]) -> float:
-        """Pairwise exchange of boundary payloads between adjacent devices.
-
-        Used when the output stays *partitioned* across the devices (the
-        semi-sparse SpTTM result feeding the next pipeline stage in place)
-        and only the partial segments straddling a shard boundary must
-        merge: payload ``i`` moves point-to-point from device ``i`` to
-        device ``i + 1``.  The links are full duplex and the pairs are
-        disjoint per direction, so the exchanges overlap: one latency plus
-        the largest payload's wire time.  Zero with no straddling
-        boundaries.
-        """
-        payloads = [float(b) for b in nbytes_per_boundary]
-        if any(b < 0 for b in payloads):
-            raise ValueError("per-boundary payloads must be non-negative")
-        if not payloads:
-            return 0.0
-        return (
-            max(payloads) / self.interconnect.bandwidth_bytes_per_s
-            + self.interconnect.latency_s
-        )
-
-    def broadcast_time(self, nbytes: float) -> float:
-        """Binomial-tree broadcast of ``nbytes`` from device 0 to every peer.
-
-        ``ceil(log2 N)`` stages, each shipping the full payload over the
-        sender links active in that stage.  Used for staging dense factor
-        matrices that every device needs.
-        """
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-        n = self.num_devices
-        if n == 1 or nbytes == 0:
-            return 0.0
-        stages = ceil(log2(n))
-        return stages * (
-            nbytes / self.interconnect.bandwidth_bytes_per_s + self.interconnect.latency_s
-        )
-
-    # ------------------------------------------------------------------ #
-    # Timeline bookings: collectives as occupancy of the shared link
-    # ------------------------------------------------------------------ #
-    def link_resource_key(self) -> str:
-        """Resource key of this cluster's shared device-to-device link.
-
-        Keyed by the cluster *name*, so a node viewed through
-        :meth:`NodeSpec.as_cluster` books the same link resource as the
-        enclosing :class:`MultiNodeClusterSpec` does for that node — a
-        node-local collective and a cluster-wide one contend correctly on
-        a shared timeline.
-        """
-        return f"link:{self.name}"
-
-    def collective_resources(self, timeline: Timeline) -> Tuple[Resource, ...]:
-        """The timeline resources a collective of this cluster occupies."""
-        return (timeline.resource(self.link_resource_key(), category="link"),)
-
-    def book_collective(
-        self,
-        timeline: Timeline,
-        duration_s: float,
-        *,
-        ready_s: float = 0.0,
-        label: str = "collective",
-        discipline: Optional[NicDiscipline] = None,
-        request: Optional[CollectiveRequest] = None,
-    ) -> GangBooking:
-        """Book a pre-priced collective of ``duration_s`` onto the link.
-
-        The booking starts at ``max(ready_s, link free)``: on an idle
-        timeline it ends exactly ``duration_s`` after ``ready_s`` — the
-        closed-form cost — and a busy link delays it, which is how
-        link/NIC *contention* between concurrent jobs falls out of the
-        shared timeline instead of each job pricing the link as idle.
-
-        A caller serving several jobs under a NIC queue ``discipline``
-        passes it (with the job's :class:`CollectiveRequest`) so the
-        discipline's per-job service ledger stays accurate; the booking
-        arithmetic itself is discipline-free — reordering is the
-        *scheduler's* move (it releases and re-books queued gangs), never
-        this primitive's.
-        """
-        gang = timeline.book_together(
-            self.collective_resources(timeline),
-            duration_s,
-            ready_s=ready_s,
-            label=label,
-        )
-        if discipline is not None and request is not None:
-            discipline.note_dispatch(request)
-        return gang
-
-    def book_allreduce(
-        self, timeline: Timeline, nbytes: float, *, ready_s: float = 0.0, label: str = "allreduce"
-    ) -> GangBooking:
-        """Book a ring all-reduce (:meth:`allreduce_time`) onto the link."""
-        return self.book_collective(
-            timeline, self.allreduce_time(nbytes), ready_s=ready_s, label=label
-        )
-
-    def book_gather(
-        self,
-        timeline: Timeline,
-        nbytes_per_device: Sequence[float],
-        *,
-        ready_s: float = 0.0,
-        label: str = "gather",
-    ) -> GangBooking:
-        """Book a root gather (:meth:`gather_time`) onto the link."""
-        return self.book_collective(
-            timeline, self.gather_time(nbytes_per_device), ready_s=ready_s, label=label
-        )
-
-    def book_neighbor_exchange(
-        self,
-        timeline: Timeline,
-        nbytes_per_boundary: Sequence[float],
-        *,
-        ready_s: float = 0.0,
-        label: str = "boundary-exchange",
-    ) -> GangBooking:
-        """Book a boundary exchange (:meth:`neighbor_exchange_time`)."""
-        return self.book_collective(
-            timeline,
-            self.neighbor_exchange_time(nbytes_per_boundary),
-            ready_s=ready_s,
-            label=label,
-        )
-
-    def book_broadcast(
-        self, timeline: Timeline, nbytes: float, *, ready_s: float = 0.0, label: str = "broadcast"
-    ) -> GangBooking:
-        """Book a broadcast (:meth:`broadcast_time`) onto the link."""
-        return self.book_collective(
-            timeline, self.broadcast_time(nbytes), ready_s=ready_s, label=label
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ClusterSpec(name={self.name!r}, num_devices={self.num_devices}, "
-            f"interconnect={self.interconnect.name!r})"
-        )
 
 
 @dataclass(frozen=True)
 class NodeSpec:
-    """One node of a multi-node cluster: GPUs joined by the intra-node tier.
+    """One node: GPUs joined by the intra-node link.
 
     Attributes
     ----------
     devices:
         The node's member :class:`DeviceSpec` s.
     interconnect:
-        The intra-node device-to-device link (P2P/NVLink) — the *fast*
-        tier of a :class:`MultiNodeClusterSpec`.
+        The intra-node device-to-device link (P2P/NVLink), the fast tier.
     name:
-        Human-readable node name.
+        Node name.  It keys the node's ``link:`` and ``nic:`` lanes on a
+        shared timeline, so the nodes of one cluster need distinct names.
     """
 
     devices: Tuple[DeviceSpec, ...]
@@ -501,9 +188,21 @@ class NodeSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "devices", tuple(self.devices))
-        # Construction-time validation with ClusterSpec's exact rules: a
-        # node *is* a single-interconnect cluster, viewed in isolation.
-        self.as_cluster()
+        if not self.devices:
+            raise ValueError("NodeSpec needs at least one device")
+        # Validate eagerly: a zero-throughput member or an inconsistent link
+        # would otherwise only surface as a division failure deep inside the
+        # sharded execution driver or the capability-weighted partitioner.
+        try:
+            self.interconnect.validate()
+        except ValueError as exc:
+            raise ValueError(f"NodeSpec interconnect is invalid: {exc}") from exc
+        for i, device in enumerate(self.devices):
+            try:
+                device.validate()
+            except ValueError as exc:
+                raise ValueError(f"NodeSpec devices[{i}] is invalid: {exc}") from exc
+        _check_device_ids(self.devices, "NodeSpec")
 
     @classmethod
     def homogeneous(
@@ -528,29 +227,27 @@ class NodeSpec:
         """Number of member GPUs."""
         return len(self.devices)
 
-    def as_cluster(self) -> ClusterSpec:
-        """This node viewed as a standalone single-interconnect cluster.
+    def as_cluster(self) -> "ClusterSpec":
+        """This node as a one-node cluster of the same name.
 
-        The returned :class:`ClusterSpec` is what a node-local sharded
-        placement executes on — its collectives never touch the NIC — and
-        what every degenerate one-node :class:`MultiNodeClusterSpec`
-        reduces to.
+        What a node-local sharded placement executes on: its collectives
+        book this node's link, the same lane the enclosing cluster books
+        for the node, and never the NIC.
         """
-        return ClusterSpec(
-            devices=self.devices, interconnect=self.interconnect, name=self.name
-        )
+        return ClusterSpec(nodes=(self,), name=self.name)
 
 
 @dataclass(frozen=True)
-class MultiNodeClusterSpec:
-    """Nodes joined by a NIC: the two-tier interconnect hierarchy.
+class ClusterSpec:
+    """Nodes of GPUs joined by a NIC: the two-tier interconnect hierarchy.
 
-    ``devices`` flattens node-by-node, so flat device slot ``i`` is
-    comparable to a :class:`ClusterSpec` slot; the sharded execution
-    driver and the serving scheduler index the flat order throughout.
+    ``devices`` flattens node-by-node: flat slot ``i`` executes shard ``i``
+    of a sharded kernel, and the serving scheduler indexes the flat order
+    throughout.  A one-node cluster is a single GPU node; its NIC is never
+    priced.
 
-    The collective cost models come in two algorithms, mirroring what real
-    collective libraries (NCCL & friends) choose between:
+    The all-reduce comes in two algorithms, mirroring what real collective
+    libraries (NCCL & friends) choose between:
 
     * **flat ring** — one ring over all ``N`` devices laid out
       node-by-node.  Every step is synchronised, so the per-step cost is
@@ -566,42 +263,50 @@ class MultiNodeClusterSpec:
       soon as the P2P tier has bandwidth to spare.
 
     :meth:`allreduce_time` models the library's algorithm selection: it
-    charges whichever schedule is cheaper, so the modeled collective is
-    *never* costlier than the flat ring.
+    charges whichever schedule is cheaper.
+
+    Attributes
+    ----------
+    nodes:
+        The member :class:`NodeSpec` s, with distinct names.
+    nic:
+        The inter-node link; each node has one lane of it.
+    name:
+        Human-readable cluster name.
+    devices / device_node:
+        Derived at construction: every member GPU in flat slot order, and
+        the index of the node holding each slot.
     """
 
     nodes: Tuple[NodeSpec, ...]
     nic: InterconnectSpec = INFINIBAND_EDR
-    name: str = "multi-node cluster"
-    #: Flat node index of every flat device slot (derived, not an input).
+    name: str = "cluster"
+    devices: Tuple[DeviceSpec, ...] = field(init=False, repr=False)
     device_node: Tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.nodes:
-            raise ValueError("MultiNodeClusterSpec needs at least one node")
         object.__setattr__(self, "nodes", tuple(self.nodes))
+        if not self.nodes:
+            raise ValueError("ClusterSpec needs at least one node")
         try:
             self.nic.validate()
         except ValueError as exc:
-            raise ValueError(f"MultiNodeClusterSpec NIC is invalid: {exc}") from exc
+            raise ValueError(f"ClusterSpec NIC is invalid: {exc}") from exc
         for i, node in enumerate(self.nodes):
             if not isinstance(node, NodeSpec):
                 raise ValueError(
-                    f"MultiNodeClusterSpec nodes[{i}] must be a NodeSpec, "
-                    f"got {type(node).__name__}"
+                    f"ClusterSpec nodes[{i}] must be a NodeSpec, got {type(node).__name__}"
                 )
-        # Device ids must be consistent across nodes too, not just within
-        # one: the serving cache and the ledgers key on device names.
-        seen: dict = {}
-        for i, node in enumerate(self.nodes):
-            for device in node.devices:
-                previous = seen.get(device.name)
-                if previous is not None and previous != device:
-                    raise ValueError(
-                        f"MultiNodeClusterSpec nodes[{i}] reuses the device id "
-                        f"{device.name!r} with a different specification"
-                    )
-                seen[device.name] = device
+        names = [node.name for node in self.nodes]
+        if len(set(names)) != len(names):
+            raise ValueError(
+                f"ClusterSpec node names must be distinct (they key the link and "
+                f"NIC lanes), got {names}"
+            )
+        devices = tuple(d for node in self.nodes for d in node.devices)
+        # Device ids must be consistent across nodes too, not just within one.
+        _check_device_ids(devices, "ClusterSpec")
+        object.__setattr__(self, "devices", devices)
         object.__setattr__(
             self,
             "device_node",
@@ -613,30 +318,29 @@ class MultiNodeClusterSpec:
     def homogeneous(
         cls,
         device: DeviceSpec = TITAN_X,
-        num_nodes: int = 2,
         devices_per_node: int = 4,
         *,
-        intra: InterconnectSpec = PCIE3_P2P,
+        num_nodes: int = 1,
+        interconnect: InterconnectSpec = PCIE3_P2P,
         nic: InterconnectSpec = INFINIBAND_EDR,
         name: Optional[str] = None,
-    ) -> "MultiNodeClusterSpec":
-        """``num_nodes`` identical nodes of ``devices_per_node`` GPUs."""
+    ) -> "ClusterSpec":
+        """``num_nodes`` identical nodes of ``devices_per_node`` ``device`` s.
+
+        The node of a one-node cluster carries the cluster's name
+        (``"4x <device>"`` by default); several nodes are named
+        ``"node0: 4x <device>"``, ``"node1: ..."`` and so on.
+        """
         if num_nodes <= 0:
             raise ValueError(f"num_nodes must be positive, got {num_nodes}")
-        node = NodeSpec.homogeneous(device, devices_per_node, interconnect=intra)
-        return cls(
-            nodes=tuple(
-                NodeSpec(
-                    devices=node.devices,
-                    interconnect=intra,
-                    name=f"node{i}: {node.name}",
-                )
-                for i in range(num_nodes)
-            ),
-            nic=nic,
-            name=name
-            or f"{num_nodes} nodes x {devices_per_node}x {device.name} over {nic.name}",
-        )
+        node = NodeSpec.homogeneous(device, devices_per_node, interconnect=interconnect)
+        if num_nodes == 1:
+            name = name or node.name
+            node_names = [name]
+        else:
+            name = name or f"{num_nodes} nodes x {node.name} over {nic.name}"
+            node_names = [f"node{i}: {node.name}" for i in range(num_nodes)]
+        return cls(nodes=tuple(replace(node, name=n) for n in node_names), nic=nic, name=name)
 
     # ------------------------------------------------------------------ #
     @property
@@ -645,14 +349,9 @@ class MultiNodeClusterSpec:
         return len(self.nodes)
 
     @property
-    def devices(self) -> Tuple[DeviceSpec, ...]:
-        """Every member GPU, flattened node-by-node."""
-        return tuple(d for node in self.nodes for d in node.devices)
-
-    @property
     def num_devices(self) -> int:
         """Total GPUs across all nodes."""
-        return sum(node.num_devices for node in self.nodes)
+        return len(self.devices)
 
     def node_slots(self, node_index: int) -> Tuple[int, ...]:
         """The flat device slots belonging to node ``node_index``."""
@@ -665,12 +364,12 @@ class MultiNodeClusterSpec:
 
     @property
     def min_device_memory_bytes(self) -> int:
-        """Capacity of the smallest member across all nodes."""
+        """Capacity of the smallest member (bounds an evenly-sharded tensor)."""
         return min(d.global_mem_bytes for d in self.devices)
 
     @property
     def max_device_memory_bytes(self) -> int:
-        """Capacity of the largest member across all nodes."""
+        """Capacity of the largest member (bounds a single-device placement)."""
         return max(d.global_mem_bytes for d in self.devices)
 
     @property
@@ -681,15 +380,19 @@ class MultiNodeClusterSpec:
     @property
     def is_homogeneous(self) -> bool:
         """Whether every member device (across all nodes) is identical."""
-        devices = self.devices
-        return all(d == devices[0] for d in devices[1:])
+        return all(d == self.devices[0] for d in self.devices[1:])
 
     def capability_scores(self, *, flops_per_byte: float = 0.5) -> Tuple[float, ...]:
-        """Per-device roofline scores in flat slot order (bytes/s).
+        """Per-device roofline throughput scores (bytes/s) in flat slot order.
 
-        The same formula as :meth:`ClusterSpec.capability_scores`, so
-        node-local and cluster-wide placement decisions rank devices
-        identically.
+        Each device's score is its roofline throughput at the nominal
+        arithmetic intensity of the unified kernels,
+        ``min(achievable_bandwidth, peak_flops / flops_per_byte)`` — the
+        kernels stream the non-zeros once and gather cached factor rows, so
+        at the default intensity of 0.5 FLOP/byte every realistic GPU is
+        bandwidth-bound and the score reduces to achievable DRAM bandwidth.
+        Single-sourced here so the shard partitioner's weights and the
+        serving placer's completion-time estimates cannot diverge.
         """
         if flops_per_byte <= 0:
             raise ValueError(f"flops_per_byte must be positive, got {flops_per_byte}")
@@ -699,7 +402,15 @@ class MultiNodeClusterSpec:
         )
 
     def capability_weights(self, *, flops_per_byte: float = 0.5) -> Tuple[float, ...]:
-        """Per-device throughput weights in flat slot order, summing to 1."""
+        """Per-device throughput weights in flat slot order, summing to 1.
+
+        The :meth:`capability_scores` roofline scores, normalised.  A
+        homogeneous cluster yields exactly uniform weights.  The
+        capability-weighted shard partitioner
+        (:func:`repro.kernels.unified.sharded.partition_shards`) sizes each
+        device's shard proportional to these weights, and the serving
+        placer uses them to rank devices for job placement.
+        """
         scores = self.capability_scores(flops_per_byte=flops_per_byte)
         total = sum(scores)
         return tuple(score / total for score in scores)
@@ -720,14 +431,12 @@ class MultiNodeClusterSpec:
         total = sum(node_scores)
         return tuple(score / total for score in node_scores)
 
-    def without_node(self, node_index: int) -> "ClusterLike":
+    def without_node(self, node_index: int) -> "ClusterSpec":
         """The survivor topology after losing node ``node_index``.
 
-        Drops the node (its devices, intra-node link and NIC lane) and
-        returns the remaining cluster; with exactly one node left the
-        result collapses to that node's plain :class:`ClusterSpec` — the
-        survivor has no NIC tier to model, matching
-        :func:`collapse_cluster` semantics everywhere else.
+        Drops the node (its devices, intra-node link and NIC lane); the
+        remaining nodes keep their names, so they keep booking the same
+        timeline lanes.
         """
         if not 0 <= node_index < self.num_nodes:
             raise ValueError(
@@ -735,15 +444,10 @@ class MultiNodeClusterSpec:
             )
         if self.num_nodes == 1:
             raise ValueError("cannot drop the only node of a cluster")
-        survivors = tuple(
-            node for i, node in enumerate(self.nodes) if i != node_index
-        )
-        return collapse_cluster(
-            MultiNodeClusterSpec(
-                nodes=survivors,
-                nic=self.nic,
-                name=f"{self.name} [-node{node_index}]",
-            )
+        return ClusterSpec(
+            nodes=tuple(node for i, node in enumerate(self.nodes) if i != node_index),
+            nic=self.nic,
+            name=f"{self.name} [-node{node_index}]",
         )
 
     def surviving_slots(self, node_index: int) -> Tuple[int, ...]:
@@ -758,45 +462,43 @@ class MultiNodeClusterSpec:
         return tuple(s for s in range(self.num_devices) if s not in failed)
 
     def validate(self) -> None:
-        """Re-assert consistency of every node and the NIC."""
+        """Re-assert consistency of every device and link.
+
+        Construction already performs this validation; the method is kept so
+        callers holding a spec from any source can re-assert consistency.
+        """
         self.nic.validate()
         for node in self.nodes:
-            node.as_cluster().validate()
+            node.interconnect.validate()
+        for device in self.devices:
+            device.validate()
 
     # ------------------------------------------------------------------ #
-    # Two-tier collective cost models
+    # Collective cost models
     # ------------------------------------------------------------------ #
-    def _slowest_link(self) -> InterconnectSpec:
-        """The bottleneck link of a flat ring laid out node-by-node: the
-        NIC when the ring crosses nodes, the slowest P2P tier otherwise."""
-        links = [node.interconnect for node in self.nodes]
-        if self.num_nodes > 1:
-            links.append(self.nic)
-        return min(links, key=lambda link: (link.bandwidth_bytes_per_s, -link.latency_s))
-
     def flat_allreduce_time(self, nbytes: float) -> float:
         """Topology-oblivious ring all-reduce over all ``N`` devices.
 
-        The classic ``2 (N - 1)`` step ring, with every synchronised step
-        paying the *slowest* link's wire time and latency — for a ring
-        laid out node-by-node, the inter-node NIC hop whenever there is
-        more than one node.  This is the cost a single-tier
-        :class:`ClusterSpec` model would charge, kept as the comparison
-        baseline (and as a real algorithm choice for NVLink-style nodes
-        whose NIC is *not* the slower tier).
+        The classic ``2 (N - 1)`` step ring, each step moving ``nbytes / N``
+        over every device's link simultaneously, so the bandwidth term is
+        ``2 (N - 1) / N * nbytes / bandwidth``.  Every synchronised step
+        pays the *slowest* link's wire time and latency — for a ring laid
+        out node-by-node, the inter-node NIC hop whenever there is more
+        than one node.  Zero for a single device.
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be non-negative, got {nbytes}")
         n = self.num_devices
         if n == 1 or nbytes == 0:
             return 0.0
-        slowest = self._slowest_link()
-        latency = max(
-            [node.interconnect.latency_s for node in self.nodes]
-            + ([self.nic.latency_s] if self.num_nodes > 1 else [])
-        )
+        # The ring crosses every node's link, and the NIC when it spans nodes.
+        links = [node.interconnect for node in self.nodes]
+        if self.num_nodes > 1:
+            links.append(self.nic)
+        bandwidth = min(link.bandwidth_bytes_per_s for link in links)
+        latency = max(link.latency_s for link in links)
         steps = 2 * (n - 1)
-        bandwidth_term = (2.0 * (n - 1) / n) * nbytes / slowest.bandwidth_bytes_per_s
+        bandwidth_term = (2.0 * (n - 1) / n) * nbytes / bandwidth
         return bandwidth_term + steps * latency
 
     def hierarchical_allreduce_time(self, nbytes: float) -> float:
@@ -813,9 +515,8 @@ class MultiNodeClusterSpec:
            ``2 (M - 1) / M`` of its ``nbytes / n_min`` chunk.
         3. **Intra-node all-gather** over the P2P tier, mirroring phase 1.
 
-        A one-node cluster degenerates to exactly
-        :meth:`ClusterSpec.allreduce_time` of that node (the inter phase
-        vanishes and reduce-scatter + all-gather *is* the ring).
+        On one node the inter phase vanishes and reduce-scatter plus
+        all-gather *is* the flat ring, to the bit.
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be non-negative, got {nbytes}")
@@ -852,87 +553,34 @@ class MultiNodeClusterSpec:
         hier = self.hierarchical_allreduce_time(nbytes)
         return "hierarchical" if hier <= self.flat_allreduce_time(nbytes) else "flat-ring"
 
-    def gather_time(self, nbytes_per_slot: Sequence[float]) -> float:
-        """Hierarchical gather onto flat device slot 0.
-
-        Within each node the peers' payloads serialise into the node
-        leader over the P2P tier (nodes run concurrently); the non-root
-        leaders' node aggregates then serialise into the root's NIC.  A
-        one-node cluster degenerates to exactly
-        :meth:`ClusterSpec.gather_time`.
-        """
-        payloads = [float(b) for b in nbytes_per_slot]
-        if any(b < 0 for b in payloads):
-            raise ValueError("per-slot payloads must be non-negative")
-        if len(payloads) != self.num_devices:
-            raise ValueError(
-                f"got {len(payloads)} payloads for {self.num_devices} devices"
-            )
-        if self.num_devices <= 1:
-            return 0.0
-        intra = 0.0
-        node_totals = []
-        start = 0
-        for node in self.nodes:
-            n = node.num_devices
-            slot_payloads = payloads[start : start + n]
-            start += n
-            node_totals.append(sum(slot_payloads))
-            incoming = sum(slot_payloads[1:])
-            if n > 1:
-                link = node.interconnect
-                intra = max(
-                    intra,
-                    incoming / link.bandwidth_bytes_per_s + (n - 1) * link.latency_s,
-                )
-        if self.num_nodes == 1:
-            return intra
-        crossing = sum(node_totals[1:])
-        inter = (
-            crossing / self.nic.bandwidth_bytes_per_s
-            + (self.num_nodes - 1) * self.nic.latency_s
-        )
-        return intra + inter
-
     def neighbor_exchange_time(
         self,
         nbytes_per_boundary: Sequence[float],
         *,
-        slots: Optional[Sequence[int]] = None,
-        sources: Optional[Sequence[int]] = None,
+        slots: Sequence[int],
+        sources: Sequence[int],
     ) -> float:
         """Pairwise boundary exchange, priced per tier.
 
-        ``slots[i]`` is the flat device slot *receiving* boundary payload
-        ``i``, and ``sources[i]`` the slot sending it — by default the
-        adjacent ``slots[i] - 1``, but the sharded execution driver passes
-        the previous *executed* shard's slot, which can sit further left
+        Used when the output stays *partitioned* across the devices (the
+        semi-sparse SpTTM result feeding the next pipeline stage in place)
+        and only the partial segments straddling a shard boundary merge.
+        Payload ``i`` moves point-to-point from flat slot ``sources[i]`` to
+        flat slot ``slots[i]``.  ``execute_sharded`` passes the previous
+        *executed* shard's slot as the source, which can sit further left
         (or in another node) when empty placeholder shards lie between
         them.  A boundary between devices of different nodes crosses the
         NIC, one within a node rides that node's P2P tier.  The pairs are
         disjoint and full duplex, so the exchanges overlap and the worst
-        boundary gates the phase.  Without ``slots`` every boundary
-        conservatively pays the slowest tier.
+        boundary gates the phase.  Zero with no straddling boundaries.
         """
         payloads = [float(b) for b in nbytes_per_boundary]
         if any(b < 0 for b in payloads):
             raise ValueError("per-boundary payloads must be non-negative")
-        if not payloads:
-            return 0.0
-        if slots is None:
-            if sources is not None:
-                raise ValueError("sources requires slots")
-            slowest = self._slowest_link()
-            return max(payloads) / slowest.bandwidth_bytes_per_s + slowest.latency_s
-        if len(slots) != len(payloads):
+        if not len(slots) == len(sources) == len(payloads):
             raise ValueError(
-                f"got {len(slots)} slots for {len(payloads)} boundary payloads"
-            )
-        if sources is None:
-            sources = [slot - 1 for slot in slots]
-        if len(sources) != len(slots):
-            raise ValueError(
-                f"got {len(sources)} sources for {len(slots)} boundary slots"
+                f"got {len(slots)} slots and {len(sources)} sources for "
+                f"{len(payloads)} boundary payloads"
             )
         worst = 0.0
         for payload, slot, source in zip(payloads, slots, sources):
@@ -951,38 +599,19 @@ class MultiNodeClusterSpec:
             worst = max(worst, payload / link.bandwidth_bytes_per_s + link.latency_s)
         return worst
 
-    def broadcast_time(self, nbytes: float) -> float:
-        """Two-tier broadcast from flat slot 0 to every device.
-
-        A binomial tree over the node leaders on the NIC, then concurrent
-        intra-node binomial trees on the P2P tier.  A one-node cluster
-        degenerates to exactly :meth:`ClusterSpec.broadcast_time`.
-        """
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-        if self.num_devices == 1 or nbytes == 0:
-            return 0.0
-        m = self.num_nodes
-        inter = 0.0
-        if m > 1:
-            inter = ceil(log2(m)) * (
-                nbytes / self.nic.bandwidth_bytes_per_s + self.nic.latency_s
-            )
-        intra = 0.0
-        for node in self.nodes:
-            n = node.num_devices
-            if n == 1:
-                continue
-            link = node.interconnect
-            intra = max(
-                intra,
-                ceil(log2(n)) * (nbytes / link.bandwidth_bytes_per_s + link.latency_s),
-            )
-        return inter + intra
-
     # ------------------------------------------------------------------ #
     # Timeline bookings: collectives occupy every participating tier
     # ------------------------------------------------------------------ #
+    def link_resource_key(self, node_index: int) -> str:
+        """Resource key of one node's device-to-device link.
+
+        Keyed by the node *name*, so a node viewed through
+        :meth:`NodeSpec.as_cluster` books the same link resource as the
+        enclosing cluster does for that node — a node-local collective and
+        a cluster-wide one contend correctly on a shared timeline.
+        """
+        return f"link:{self.nodes[node_index].name}"
+
     def nic_resource_key(self, node_index: int) -> str:
         """Resource key of one node's NIC (the inter-node serial resource)."""
         return f"nic:{self.nodes[node_index].name}"
@@ -990,17 +619,15 @@ class MultiNodeClusterSpec:
     def collective_resources(self, timeline: Timeline) -> Tuple[Resource, ...]:
         """The timeline resources a cluster-wide collective occupies.
 
-        Every multi-device node's intra-node link (keyed exactly as that
-        node's standalone :meth:`ClusterSpec.link_resource_key`, so
-        node-local jobs contend with cluster-wide ones) plus — whenever
-        the cluster spans nodes — every node's NIC.  A collective holds
-        all of them for its window: the intra phases ride the links, the
+        Every multi-device node's intra-node link plus — whenever the
+        cluster spans nodes — every node's NIC.  A collective holds all of
+        them for its window: the intra phases ride the links, the
         inter-node ring rides the NIC lanes, and no second collective can
         slot into either tier meanwhile.
         """
         resources: List[Resource] = [
-            timeline.resource(node.as_cluster().link_resource_key(), category="link")
-            for node in self.nodes
+            timeline.resource(self.link_resource_key(i), category="link")
+            for i, node in enumerate(self.nodes)
             if node.num_devices > 1
         ]
         if self.num_nodes > 1:
@@ -1017,31 +644,23 @@ class MultiNodeClusterSpec:
         *,
         ready_s: float = 0.0,
         label: str = "collective",
-        discipline: Optional[NicDiscipline] = None,
-        request: Optional[CollectiveRequest] = None,
     ) -> GangBooking:
         """Book a pre-priced collective onto every participating tier.
 
-        On an idle timeline the booking ends exactly ``duration_s`` after
-        ``ready_s`` — the closed-form cost.  When another job's collective
-        already holds a shared NIC, this one waits for it: shared-NIC
-        *congestion* under concurrent cross-node jobs, with the idle model
-        as the exact lower bound (and the degenerate single-job case).
-
-        ``discipline``/``request`` mirror
-        :meth:`ClusterSpec.book_collective`: the NIC queue discipline's
-        per-job service ledger is updated, while any reordering stays the
-        scheduler's move.
+        The booking starts at ``max(ready_s, every lane free)``: on an idle
+        timeline it ends exactly ``duration_s`` after ``ready_s`` — the
+        closed-form cost.  When another job's collective already holds a
+        shared link or NIC, this one waits for it: contention between
+        concurrent jobs falls out of the shared timeline instead of each
+        job pricing the link as idle.  Reordering queued collectives under
+        a NIC discipline is the scheduler's move, never this primitive's.
         """
-        gang = timeline.book_together(
+        return timeline.book_together(
             self.collective_resources(timeline),
             duration_s,
             ready_s=ready_s,
             label=label,
         )
-        if discipline is not None and request is not None:
-            discipline.note_dispatch(request)
-        return gang
 
     def book_allreduce(
         self, timeline: Timeline, nbytes: float, *, ready_s: float = 0.0, label: str = "allreduce"
@@ -1051,89 +670,28 @@ class MultiNodeClusterSpec:
             timeline, self.allreduce_time(nbytes), ready_s=ready_s, label=label
         )
 
-    def book_gather(
-        self,
-        timeline: Timeline,
-        nbytes_per_slot: Sequence[float],
-        *,
-        ready_s: float = 0.0,
-        label: str = "gather",
-    ) -> GangBooking:
-        """Book a hierarchical gather (:meth:`gather_time`)."""
-        return self.book_collective(
-            timeline, self.gather_time(nbytes_per_slot), ready_s=ready_s, label=label
-        )
-
-    def book_neighbor_exchange(
-        self,
-        timeline: Timeline,
-        nbytes_per_boundary: Sequence[float],
-        *,
-        ready_s: float = 0.0,
-        label: str = "boundary-exchange",
-        slots: Optional[Sequence[int]] = None,
-        sources: Optional[Sequence[int]] = None,
-    ) -> GangBooking:
-        """Book a boundary exchange (:meth:`neighbor_exchange_time`)."""
-        return self.book_collective(
-            timeline,
-            self.neighbor_exchange_time(nbytes_per_boundary, slots=slots, sources=sources),
-            ready_s=ready_s,
-            label=label,
-        )
-
-    def book_broadcast(
-        self, timeline: Timeline, nbytes: float, *, ready_s: float = 0.0, label: str = "broadcast"
-    ) -> GangBooking:
-        """Book a two-tier broadcast (:meth:`broadcast_time`)."""
-        return self.book_collective(
-            timeline, self.broadcast_time(nbytes), ready_s=ready_s, label=label
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"MultiNodeClusterSpec(name={self.name!r}, num_nodes={self.num_nodes}, "
+            f"ClusterSpec(name={self.name!r}, num_nodes={self.num_nodes}, "
             f"num_devices={self.num_devices}, nic={self.nic.name!r})"
         )
 
 
-#: Anything the sharded execution driver and the serving placer accept as
-#: "the cluster": one node's GPUs, or several nodes over a NIC.
-ClusterLike = Union[ClusterSpec, MultiNodeClusterSpec]
-
-
-def collapse_cluster(cluster: ClusterLike) -> ClusterLike:
-    """Collapse a one-*node* multi-node spec to its node's :class:`ClusterSpec`.
-
-    There is no NIC tier to model in a one-node cluster, and the
-    single-node cost path is bit-identical by construction; collapsing
-    eagerly keeps every consumer (kernels, placer, scheduler, reports) on
-    the exact single-tier code path.  Idempotent; anything else passes
-    through unchanged.
-    """
-    if isinstance(cluster, MultiNodeClusterSpec) and cluster.num_nodes == 1:
-        return cluster.nodes[0].as_cluster()
-    return cluster
-
-
 def resolve_cluster(
     device: DeviceSpec,
-    cluster: Optional[ClusterLike],
+    cluster: Optional[ClusterSpec],
     devices: Optional[int],
-) -> Tuple[DeviceSpec, Optional[ClusterLike]]:
+) -> Tuple[DeviceSpec, Optional[ClusterSpec]]:
     """Normalise the ``cluster`` / ``devices`` fields of an execution context.
 
-    The kernels accept a full :class:`ClusterSpec`, a two-tier
-    :class:`MultiNodeClusterSpec`, or a bare device count (which builds a
-    homogeneous single-node cluster of the kernel's ``device``).  Returns
-    ``(single_device, multi_cluster)`` where exactly one execution mode is
-    active: the cluster is ``None`` when execution is effectively
-    single-device — no cluster requested, or a cluster/count of one — so
-    callers keep the exact single-GPU code path (and its numerics and
-    profile shape) in that case, running on the cluster's sole member when
-    one was given.  A one-*node* multi-node cluster likewise collapses to
-    its node's plain :class:`ClusterSpec` — there is no NIC tier to model,
-    and the single-node cost path is bit-identical by construction.
+    The kernels accept a full :class:`ClusterSpec` or a bare device count
+    (which builds a homogeneous one-node cluster of the kernel's
+    ``device``).  Returns ``(single_device, multi_cluster)`` where exactly
+    one execution mode is active: the cluster is ``None`` when execution is
+    effectively single-device — no cluster requested, or a cluster/count
+    of one — so callers keep the exact single-GPU code path (and its
+    numerics and profile shape) in that case, running on the cluster's
+    sole member when one was given.
     """
     if cluster is not None and devices is not None and devices != cluster.num_devices:
         raise ValueError(
@@ -1148,7 +706,6 @@ def resolve_cluster(
         if devices == 1:
             return device, None
         cluster = ClusterSpec.homogeneous(device, devices)
-    cluster = collapse_cluster(cluster)
     if cluster.num_devices == 1:
         return cluster.devices[0], None
     return device, cluster

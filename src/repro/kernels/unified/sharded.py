@@ -1,22 +1,22 @@
 """Multi-GPU sharded execution of the unified kernels.
 
-The streamed path (PR 1) broke the single-device *memory* ceiling; this
+The streamed path broke the single-device *memory* ceiling; this
 module breaks the single-device *throughput* ceiling: the F-COO non-zero
-stream is partitioned across the members of a
-:class:`~repro.gpusim.cluster.ClusterSpec` on the same segment-safe,
-``threadlen``-aligned boundaries the out-of-core path uses
-(:meth:`~repro.formats.fcoo.FCOOTensor.chunk`), each shard is priced as the
-unchanged one-shot kernel on its own device — falling back to the
-per-device streamed model when the shard still exceeds that device's memory
-— and the per-device partial outputs merge through a modeled collective:
+stream is partitioned across the devices of a
+:class:`~repro.gpusim.cluster.ClusterSpec` (one node, or several nodes
+over a NIC) on the same segment-safe, ``threadlen``-aligned boundaries the
+out-of-core path uses (:meth:`~repro.formats.fcoo.FCOOTensor.chunk`), each
+shard is priced as the unchanged one-shot kernel on its own device —
+falling back to the per-device streamed model when the shard still exceeds
+that device's memory — and the per-device partial outputs merge through a
+modeled collective:
 
-* a **ring all-reduce** of the dense output for SpMTTKRP / SpTTMc (every
+* an **all-reduce** of the dense output for SpMTTKRP / SpTTMc (every
   device needs the updated factor for the next ALS/HOOI sweep), or
 * a **boundary exchange** for SpTTM (the semi-sparse output stays
   partitioned across the devices for the next pipeline stage to consume in
   place; only the partial fibers straddling a shard boundary move to a
-  neighbour), with a **gather** onto the root available for callers that
-  need the whole output on one device.
+  neighbour, over the NIC when the neighbour is in another node).
 
 Shards are treated as *staged*: like the single-device one-shot kernels
 (whose profiles exclude the initial tensor transfer — the CP engine charges
@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.formats.fcoo import FCOOChunk, FCOOTensor
-from repro.gpusim.cluster import ClusterLike, MultiNodeClusterSpec
+from repro.gpusim.cluster import ClusterSpec
 from repro.gpusim.counters import KernelCounters, KernelProfile
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.timeline import Timeline, device_compute_key, device_copy_key
@@ -152,7 +152,7 @@ def _chunks_from_allocation(
 
 def partition_shards_hierarchical(
     fcoo: FCOOTensor,
-    cluster: MultiNodeClusterSpec,
+    cluster: ClusterSpec,
     *,
     threadlen: int = 1,
 ) -> List[FCOOChunk]:
@@ -160,7 +160,7 @@ def partition_shards_hierarchical(
 
     The ``threadlen``-aligned partitions of the non-zero stream are first
     allocated to *nodes* proportionally to each node's aggregate
-    capability (:meth:`~repro.gpusim.cluster.MultiNodeClusterSpec.node_capability_weights`),
+    capability (:meth:`~repro.gpusim.cluster.ClusterSpec.node_capability_weights`),
     so every node owns one contiguous span; each node's span is then
     subdivided across its member devices proportionally to their
     individual capabilities.  Exactly ``cluster.num_devices`` chunks come
@@ -190,21 +190,20 @@ def partition_shards_hierarchical(
 
 def partition_for_cluster(
     fcoo: FCOOTensor,
-    cluster: ClusterLike,
+    cluster: ClusterSpec,
     *,
     threadlen: int = 1,
 ) -> List[FCOOChunk]:
     """The shard partition ``execute_sharded`` uses for ``cluster``.
 
-    Topology-aware (:func:`partition_shards_hierarchical`) for a
-    :class:`~repro.gpusim.cluster.MultiNodeClusterSpec`,
-    capability-weighted for a heterogeneous single-node cluster, and the
-    exact even-split fast path for a homogeneous one.  Single-sourced so
-    the recovery planner reasons about precisely the shards a re-executed
-    kernel will use — the partition for a given ``(fcoo, cluster,
-    threadlen)`` is a pure function of its arguments.
+    Topology-aware (:func:`partition_shards_hierarchical`) for a cluster
+    of several nodes, capability-weighted for a heterogeneous one-node
+    cluster, and the exact even-split fast path for a homogeneous one.
+    Single-sourced so the recovery planner reasons about precisely the
+    shards a re-executed kernel will use — the partition for a given
+    ``(fcoo, cluster, threadlen)`` is a pure function of its arguments.
     """
-    if isinstance(cluster, MultiNodeClusterSpec):
+    if cluster.num_nodes > 1:
         return partition_shards_hierarchical(fcoo, cluster, threadlen=threadlen)
     weights = None if cluster.is_homogeneous else cluster.capability_weights()
     return partition_shards(
@@ -220,10 +219,10 @@ class RecoveryPlan:
     ----------
     failed_node:
         Index of the lost node in the original
-        :class:`~repro.gpusim.cluster.MultiNodeClusterSpec`.
+        :class:`~repro.gpusim.cluster.ClusterSpec`.
     survivor_cluster:
         The topology the re-executed kernels run on
-        (:meth:`~repro.gpusim.cluster.MultiNodeClusterSpec.without_node`).
+        (:meth:`~repro.gpusim.cluster.ClusterSpec.without_node`).
     slot_map:
         Survivor-local device slot ``i`` is original flat slot
         ``slot_map[i]`` — how recovery bookings land on the correct
@@ -240,7 +239,7 @@ class RecoveryPlan:
     """
 
     failed_node: int
-    survivor_cluster: ClusterLike
+    survivor_cluster: ClusterSpec
     slot_map: Tuple[int, ...]
     restaged_bytes: Tuple[float, ...]
     restage_time_s: float
@@ -281,7 +280,7 @@ class RecoveryPlan:
 
 def plan_node_recovery(
     fcoo: FCOOTensor,
-    cluster: MultiNodeClusterSpec,
+    cluster: ClusterSpec,
     failed_node: int,
     *,
     threadlen: int = 1,
@@ -384,11 +383,11 @@ class ShardedExecution:
         One :class:`ShardLedger` per executed shard, in device order.
     reduction_kind / reduction_bytes / reduction_time_s:
         The modeled collective merging the per-device partial outputs
-        (``"allreduce"`` or ``"gather"``; zero-cost when a single shard
+        (``"allreduce"`` or ``"boundary"``; zero-cost when a single shard
         executed).
     """
 
-    cluster: ClusterLike
+    cluster: ClusterSpec
     threadlen: int
     shards: List[ShardLedger]
     reduction_kind: str
@@ -554,7 +553,7 @@ def execute_sharded(
     fcoo: FCOOTensor,
     shard_model: ShardModel,
     *,
-    cluster: ClusterLike,
+    cluster: ClusterSpec,
     threadlen: int,
     output_bytes: float,
     output_width: int,
@@ -572,18 +571,17 @@ def execute_sharded(
     cluster / threadlen:
         The cluster and the chunk alignment.
     output_bytes:
-        Size of the dense output a ring all-reduce would move (ignored for
-        the other reduction kinds, which size payloads from the per-shard
-        segment bookkeeping).
+        Size of the dense output an all-reduce moves (ignored by the
+        boundary exchange, which sizes payloads from the per-shard segment
+        bookkeeping).
     output_width:
-        Column count of each reduced segment (sizes the boundary and
-        gather payloads).
+        Column count of each reduced segment (sizes the boundary
+        payloads).
     reduction:
-        ``"allreduce"`` (dense factor outputs that every device needs),
+        ``"allreduce"`` (dense factor outputs that every device needs) or
         ``"boundary"`` (outputs that stay partitioned across the devices —
         the semi-sparse SpTTM fibers — where only shard-straddling
-        segments exchange with a neighbour), or ``"gather"`` (collect the
-        partitioned output onto the root device).
+        segments exchange with a neighbour).
     name:
         Profile name; ``-sharded`` is appended.
 
@@ -594,10 +592,8 @@ def execute_sharded(
         :class:`ShardedExecution` ledger.
     """
     threadlen = check_positive_int(threadlen, "threadlen")
-    if reduction not in ("allreduce", "boundary", "gather"):
-        raise ValueError(
-            f"reduction must be 'allreduce', 'boundary' or 'gather', got {reduction!r}"
-        )
+    if reduction not in ("allreduce", "boundary"):
+        raise ValueError(f"reduction must be 'allreduce' or 'boundary', got {reduction!r}")
     # Topology-aware for a multi-node cluster (nodes own capability-weighted
     # contiguous spans, devices subdivide within their node), capability-
     # weighted for a heterogeneous single node, even-split otherwise.
@@ -637,16 +633,16 @@ def execute_sharded(
         merged = merged.merge(profile.counters)
         peak_device_bytes = max(peak_device_bytes, profile.device_memory_bytes)
 
-    multinode = isinstance(cluster, MultiNodeClusterSpec)
     if len(ledgers) <= 1:
         reduction_bytes, reduction_time = 0.0, 0.0
     elif reduction == "allreduce":
         reduction_bytes = float(output_bytes)
         reduction_time = cluster.allreduce_time(reduction_bytes)
-    elif reduction == "boundary":
+    else:
         # A carried segment's partial sum moves from the previous *executed*
         # shard — with empty placeholder shards in between, that can be a
-        # lower slot than index - 1, possibly in another node.
+        # lower slot than index - 1, possibly in another node (then the
+        # exchange crosses the NIC).
         pairs = [
             (prev.index, cur.index)
             for prev, cur in zip(ledgers, ledgers[1:])
@@ -654,32 +650,11 @@ def execute_sharded(
         ]
         payloads = [float(output_width * fcoo.value_dtype.itemsize) for _ in pairs]
         reduction_bytes = float(sum(payloads))
-        if multinode:
-            # A boundary between two nodes' spans crosses the NIC; one
-            # inside a node rides that node's P2P tier.
-            reduction_time = cluster.neighbor_exchange_time(
-                payloads,
-                slots=[dst for _, dst in pairs],
-                sources=[src for src, _ in pairs],
-            )
-        else:
-            reduction_time = cluster.neighbor_exchange_time(payloads)
-    else:
-        if multinode:
-            # The hierarchical gather prices per tier, so it needs the
-            # full slot-aligned payload vector (idle slots ship nothing).
-            payloads = [0.0] * cluster.num_devices
-            for ledger in ledgers:
-                payloads[ledger.index] = (
-                    ledger.num_segments * output_width * fcoo.value_dtype.itemsize
-                )  # slot-aligned; idle slots keep 0.0
-        else:
-            payloads = [
-                ledger.num_segments * output_width * fcoo.value_dtype.itemsize
-                for ledger in ledgers
-            ]
-        reduction_bytes = float(sum(payloads[1:]))
-        reduction_time = cluster.gather_time(payloads)
+        reduction_time = cluster.neighbor_exchange_time(
+            payloads,
+            slots=[dst for _, dst in pairs],
+            sources=[src for src, _ in pairs],
+        )
 
     execution = ShardedExecution(
         cluster=cluster,

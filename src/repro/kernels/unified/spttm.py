@@ -117,14 +117,14 @@ def unified_spttm(
         * ``chunk_nnz`` — non-zeros per streamed chunk (at least
           ``threadlen``; rounded down to a ``threadlen`` multiple); ``None``
           sizes chunks to fill the device memory budget.
-        * ``cluster`` — a :class:`~repro.gpusim.cluster.ClusterSpec` or
-          :class:`~repro.gpusim.cluster.MultiNodeClusterSpec`: the non-zero
-          stream shards across its devices on ``threadlen``-aligned
-          boundaries, each shard runs on its own device (falling back to
-          the streamed path per-device when it does not fit); the
-          semi-sparse output stays partitioned across the devices and only
-          the fibers straddling a shard boundary exchange with a neighbour
-          (``profile.sharded`` carries the per-device ledger).
+        * ``cluster`` — a :class:`~repro.gpusim.cluster.ClusterSpec` of
+          one or several nodes: the non-zero stream shards across its
+          devices on ``threadlen``-aligned boundaries, each shard runs on
+          its own device (falling back to the streamed path per-device
+          when it does not fit); the semi-sparse output stays partitioned
+          across the devices and only the fibers straddling a shard
+          boundary exchange with a neighbour (``profile.sharded`` carries
+          the per-device ledger).
         * ``devices`` — shorthand for ``cluster``: a device count > 1 builds
           a homogeneous cluster of ``device``.
 

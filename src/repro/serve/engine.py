@@ -16,12 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.gpusim.cluster import (
-    ClusterLike,
-    MultiNodeClusterSpec,
-    NodeFailure,
-    collapse_cluster,
-)
+from repro.gpusim.cluster import ClusterSpec, NodeFailure
 from repro.gpusim.timeline import Timeline, device_compute_key
 from repro.obs.attribution import Attribution
 from repro.obs.events import EventLog
@@ -46,7 +41,7 @@ __all__ = ["ServingEngine", "ServingReport", "publish_serving_metrics"]
 class ServingReport:
     """Everything one serving run produced, plus the derived metrics."""
 
-    cluster: ClusterLike
+    cluster: ClusterSpec
     policy: str
     results: List[JobResult]
     timelines: List[DeviceTimeline]
@@ -259,7 +254,7 @@ class ServingReport:
             f"({path_summary}), {len(self.rejected)} rejected, "
             f"{self.batched_jobs} batched"
         )
-        if isinstance(self.cluster, MultiNodeClusterSpec):
+        if self.cluster.num_nodes > 1:
             lines.append(
                 f"topology: {self.cluster.num_nodes} nodes over "
                 f"{self.cluster.nic.name}; sharded jobs: "
@@ -387,7 +382,7 @@ class ServingEngine:
 
     def __init__(
         self,
-        cluster: Optional[ClusterLike] = None,
+        cluster: Optional[ClusterSpec] = None,
         *,
         cache: Optional[PreprocCache] = None,
         policy: str = "priority",
@@ -401,9 +396,7 @@ class ServingEngine:
         adaptive: bool = False,
         nic_policy: str = "fifo",
     ) -> None:
-        self.cluster = collapse_cluster(
-            cluster if cluster is not None else default_serving_cluster()
-        )
+        self.cluster = cluster if cluster is not None else default_serving_cluster()
         self.cache = cache if cache is not None else PreprocCache()
         self.policy = policy
         self.adaptive = adaptive

@@ -20,7 +20,7 @@ statistics (no encoding is built before admission passes):
   partitioner sizes each device's shard proportional to its modeled
   throughput.
 
-On a two-tier :class:`~repro.gpusim.cluster.MultiNodeClusterSpec` the
+On a :class:`~repro.gpusim.cluster.ClusterSpec` of several nodes the
 placer is additionally **node-aware**: an oversize job that fits inside a
 single node's aggregate memory shards across *that node only* — its
 collectives stay on the fast intra-node P2P tier and never cross the NIC —
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.formats.fcoo import FCOOTensor
-from repro.gpusim.cluster import ClusterLike, MultiNodeClusterSpec, collapse_cluster
+from repro.gpusim.cluster import ClusterSpec
 from repro.gpusim.device import DeviceSpec
 from repro.serve.feedback import ObservationStore
 from repro.serve.job import Job, JobKind
@@ -169,15 +169,16 @@ class Placement:
     ``cluster`` is ``None`` for a single-device placement (``device_slots``
     then has one entry and ``device`` is that slot's spec).  For a sharded
     placement ``cluster`` is what the kernel executes on: the serving
-    cluster itself when the job spans every member, or — on a multi-node
-    serving cluster — one node's single-tier
-    :class:`~repro.gpusim.cluster.ClusterSpec` for a node-local shard
-    (``node_index`` then names the node and ``device_slots`` are the
+    cluster itself when the job spans every member, its survivor topology
+    after a node loss, or — on a multi-node serving cluster — one node as
+    a one-node :class:`~repro.gpusim.cluster.ClusterSpec`
+    (:meth:`~repro.gpusim.cluster.NodeSpec.as_cluster`) for a node-local
+    shard (``node_index`` then names the node and ``device_slots`` are the
     node's *flat* serving slots).  ``device`` is ``None`` either way.
     """
 
     device_slots: Tuple[int, ...]
-    cluster: Optional[ClusterLike]
+    cluster: Optional[ClusterSpec]
     block_size: int
     threadlen: int
     device: Optional[DeviceSpec] = None
@@ -192,11 +193,11 @@ class Placement:
     def crosses_nic(self) -> bool:
         """Whether this placement's execution touches the inter-node NIC.
 
-        Only a sharded placement whose execution cluster is itself a
-        multi-node spec reduces over the NIC; single-device and node-local
-        placements stay inside one node by construction.
+        Only a sharded placement whose execution cluster spans several
+        nodes reduces over the NIC; single-device and node-local placements
+        stay inside one node by construction.
         """
-        return isinstance(self.cluster, MultiNodeClusterSpec)
+        return self.cluster is not None and self.cluster.num_nodes > 1
 
     @property
     def primary_device(self) -> DeviceSpec:
@@ -225,7 +226,7 @@ class Placer:
 
     def __init__(
         self,
-        cluster: ClusterLike,
+        cluster: ClusterSpec,
         *,
         block_size: int = 128,
         threadlen: int = 8,
@@ -233,10 +234,7 @@ class Placer:
         adaptive: bool = False,
         observations: Optional[ObservationStore] = None,
     ) -> None:
-        # A one-node "multi-node" cluster has no NIC tier to reason about;
-        # collapse it so every decision (and every recorded placement)
-        # uses the exact single-node code path.
-        cluster = self.cluster = collapse_cluster(cluster)
+        self.cluster = cluster
         self.block_size = block_size
         self.threadlen = threadlen
         self.num_streams = max(1, int(num_streams))
@@ -262,7 +260,7 @@ class Placer:
     @property
     def multinode(self) -> bool:
         """Whether the serving cluster has an inter-node NIC tier."""
-        return isinstance(self.cluster, MultiNodeClusterSpec)
+        return self.cluster.num_nodes > 1
 
     # ------------------------------------------------------------------ #
     def admit(self, job: Job, geometry: Optional[JobGeometry] = None) -> Optional[str]:
@@ -408,16 +406,12 @@ class Placer:
                 if local is not None:
                     return local
             if resident_everywhere:
-                exec_cluster: ClusterLike = cluster
+                exec_cluster = cluster
                 flat = list(range(cluster.num_devices))
                 # Drop failed nodes highest-index first so the remaining
                 # node indices stay valid while shrinking.
                 for node in sorted(excluded_nodes, reverse=True):
-                    if (
-                        isinstance(exec_cluster, MultiNodeClusterSpec)
-                        and node < exec_cluster.num_nodes
-                        and exec_cluster.num_nodes > 1
-                    ):
+                    if exec_cluster.num_nodes > 1 and node < exec_cluster.num_nodes:
                         survivors = exec_cluster.surviving_slots(node)
                         flat = [flat[s] for s in survivors]
                         exec_cluster = exec_cluster.without_node(node)

@@ -81,12 +81,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.formats.fcoo import FCOOTensor
-from repro.gpusim.cluster import (
-    ClusterLike,
-    MultiNodeClusterSpec,
-    NodeFailure,
-    collapse_cluster,
-)
+from repro.gpusim.cluster import ClusterSpec, NodeFailure
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.timeline import (
     NIC_POLICIES,
@@ -362,7 +357,7 @@ class Scheduler:
 
     def __init__(
         self,
-        cluster: ClusterLike,
+        cluster: ClusterSpec,
         cache: Optional[PreprocCache] = None,
         *,
         policy: str = "priority",
@@ -391,9 +386,7 @@ class Scheduler:
             raise ValueError(
                 f"nic_policy must be one of {NIC_POLICIES}, got {nic_policy!r}"
             )
-        # Collapse a one-node multi-node spec (mirroring the placer), so
-        # timelines, placements and reports speak the same cluster.
-        self.cluster = cluster = collapse_cluster(cluster)
+        self.cluster = cluster
         self.cache = cache if cache is not None else PreprocCache()
         self.policy = policy
         self.max_batch = max_batch
@@ -628,12 +621,12 @@ class Scheduler:
         """Flat serving-cluster slots a chaos event on ``node_index`` kills.
 
         On a multi-node cluster the event takes out a whole node; on a
-        flat cluster the "node" index is read as a single device slot.
+        one-node cluster the "node" index is read as a single device slot.
         Out-of-range indices map to no slots — the event is inapplicable
         and ignored, mirroring the decomposition drivers.
         """
         cluster = self.cluster
-        if isinstance(cluster, MultiNodeClusterSpec):
+        if cluster.num_nodes > 1:
             if 0 <= node_index < cluster.num_nodes:
                 return cluster.node_slots(node_index)
             return ()
@@ -876,7 +869,7 @@ class Scheduler:
             # and per-resource waits into the cross-run observation store.
             # Recording happens regardless of ``adaptive`` (which only
             # gates consumption), so a static run still warms the store.
-            device_node = getattr(self.cluster, "device_node", None)
+            device_node = self.cluster.device_node
             for result in ordered:
                 if not result.completed:
                     continue
@@ -886,11 +879,7 @@ class Scheduler:
                     content_key=result.job.tensor.content_key,
                     device_names=[self.cluster.devices[s].name for s in slots],
                     slots=slots,
-                    nodes=(
-                        sorted({device_node[s] for s in slots})
-                        if device_node is not None
-                        else [0]
-                    ),
+                    nodes=sorted({device_node[s] for s in slots}),
                     exec_s=result.exec_s,
                     device_wait_s=max(
                         0.0,

@@ -27,13 +27,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.context import SLO
-from repro.gpusim.cluster import (
-    ClusterSpec,
-    InterconnectSpec,
-    MultiNodeClusterSpec,
-    NodeFailure,
-    NodeSpec,
-)
+from repro.gpusim.cluster import ClusterSpec, InterconnectSpec, NodeFailure, NodeSpec
 from repro.gpusim.device import TITAN_X, scaled_device
 from repro.serve.job import Job, JobKind
 from repro.tensor.random import random_sparse_tensor
@@ -67,6 +61,9 @@ SERVE_NIC = InterconnectSpec("10 GbE NIC [serving analog]", 1.25e9, 2.5e-6)
 def default_serving_cluster() -> ClusterSpec:
     """The default heterogeneous serving node: 2 full-rate + 2 half-rate GPUs.
 
+    A one-node cluster; the node carries the cluster's name, which keys
+    its ``link:`` lane on the serving timeline.
+
     The half-rate members have half the DRAM/PCIe bandwidth (so their
     capability weight — and therefore their shard share and placement rank —
     is half the full-rate members') and half the memory.  Memory is scaled
@@ -77,14 +74,14 @@ def default_serving_cluster() -> ClusterSpec:
     small = scaled_device(
         TITAN_X, 1.0e-5, bandwidth_scale=0.5, name_suffix="serve small"
     )
-    return ClusterSpec(
+    return NodeSpec(
         devices=(big, big, small, small),
         interconnect=SERVE_INTERCONNECT,
         name="serving node (2x full-rate + 2x half-rate)",
-    )
+    ).as_cluster()
 
 
-def default_multinode_serving_cluster(num_nodes: int = 2) -> MultiNodeClusterSpec:
+def default_multinode_serving_cluster(num_nodes: int = 2) -> ClusterSpec:
     """The default multi-node serving cluster: big and small nodes over a NIC.
 
     Even-indexed nodes hold two full-rate devices, odd-indexed nodes two
@@ -109,7 +106,7 @@ def default_multinode_serving_cluster(num_nodes: int = 2) -> MultiNodeClusterSpe
         )
         for i in range(num_nodes)
     )
-    return MultiNodeClusterSpec(
+    return ClusterSpec(
         nodes=nodes,
         nic=SERVE_NIC,
         name=f"serving cluster ({num_nodes} nodes over {SERVE_NIC.name})",

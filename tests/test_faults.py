@@ -24,7 +24,6 @@ from repro.context import ExecContext
 from repro.gpusim.cluster import (
     ETHERNET_10G,
     ClusterSpec,
-    MultiNodeClusterSpec,
     NodeFailure,
 )
 from repro.gpusim.device import TITAN_X
@@ -40,10 +39,8 @@ from repro.serve.workload import (
 from repro.tensor.random import random_sparse_tensor
 
 
-def two_nodes(devices_per_node: int = 2) -> MultiNodeClusterSpec:
-    return MultiNodeClusterSpec.homogeneous(
-        num_nodes=2, devices_per_node=devices_per_node, nic=ETHERNET_10G
-    )
+def two_nodes(devices_per_node: int = 2) -> ClusterSpec:
+    return ClusterSpec.homogeneous(num_nodes=2, devices_per_node=devices_per_node, nic=ETHERNET_10G)
 
 
 TENSOR = random_sparse_tensor((120, 40, 30), 3_000, seed=11)

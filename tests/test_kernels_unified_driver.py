@@ -15,7 +15,7 @@ import pytest
 from repro.backends import available_backends, get_backend
 from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
-from repro.gpusim.cluster import ETHERNET_10G, MultiNodeClusterSpec
+from repro.gpusim.cluster import ETHERNET_10G, ClusterSpec
 from repro.gpusim.device import TITAN_X, scaled_device
 from repro.gpusim.timing import OutOfDeviceMemory
 from repro.kernels.unified import unified_spmttkrp, unified_spttm, unified_spttmc
@@ -41,13 +41,8 @@ PATHS = {
         lambda p: p.sharded is not None and p.sharded.num_shards == 3,
     ),
     "multi-node": (
-        dict(
-            cluster=MultiNodeClusterSpec.homogeneous(
-                num_nodes=2, devices_per_node=2, nic=ETHERNET_10G
-            )
-        ),
-        lambda p: p.sharded is not None
-        and isinstance(p.sharded.cluster, MultiNodeClusterSpec),
+        dict(cluster=ClusterSpec.homogeneous(num_nodes=2, devices_per_node=2, nic=ETHERNET_10G)),
+        lambda p: p.sharded is not None and p.sharded.cluster.num_nodes == 2,
     ),
     "sharded-streamed-shards": (
         dict(devices=2, streamed=True, chunk_nnz=CHUNK_NNZ),

@@ -3,13 +3,13 @@
 The central claims:
 
 * **bit identity** — for every unified kernel and for CP-ALS/Tucker,
-  execution across a two-tier :class:`MultiNodeClusterSpec` (1/2/4 nodes,
+  execution across a two-tier :class:`ClusterSpec` (1/2/4 nodes,
   node-boundary-straddling segments included) computes the same result as
   one-shot single-GPU execution;
 * **the collective cost model** — the hierarchical all-reduce is never
   costlier than the topology-oblivious flat ring whenever the NIC is the
-  slower (lower-bandwidth, higher-latency) tier, and a degenerate one-node
-  cluster reduces *exactly* to the existing :class:`ClusterSpec` costs;
+  slower (lower-bandwidth, higher-latency) tier, and a one-node cluster
+  charges *exactly* the ring all-reduce and pairwise exchange formulas;
 * **placer locality** — a sharded job that fits inside one node never
   crosses the NIC; only jobs too large for every node spill cluster-wide.
 """
@@ -32,14 +32,16 @@ from repro.gpusim.cluster import (
     ClusterSpec,
     ETHERNET_10G,
     InterconnectSpec,
-    MultiNodeClusterSpec,
     NVLINK1,
+    NodeFailure,
     NodeSpec,
     PCIE3_P2P,
     resolve_cluster,
 )
 from repro.gpusim.device import TITAN_X, scaled_device
-from repro.kernels.unified import partition_shards_hierarchical
+from repro.gpusim.timeline import Timeline
+from repro.kernels.unified import partition_shards, partition_shards_hierarchical
+from repro.kernels.unified.sharded import partition_for_cluster
 from repro.kernels.unified.spmttkrp import unified_spmttkrp
 from repro.kernels.unified.spttm import unified_spttm
 from repro.kernels.unified.spttmc import unified_spttmc
@@ -51,6 +53,7 @@ from repro.serve.workload import (
     default_serving_cluster,
 )
 from repro.tensor.random import random_factors, random_sparse_tensor
+from repro.tensor.sparse import SparseTensor
 from test_streaming import CASE_PARAMS, CASES, run_kernel, run_reference
 
 THREADLEN = 4
@@ -64,9 +67,9 @@ def two_tier(
     *,
     intra: InterconnectSpec = NVLINK1,
     nic: InterconnectSpec = ETHERNET_10G,
-) -> MultiNodeClusterSpec:
-    return MultiNodeClusterSpec.homogeneous(
-        TITAN_X, num_nodes, devices_per_node, intra=intra, nic=nic
+) -> ClusterSpec:
+    return ClusterSpec.homogeneous(
+        TITAN_X, devices_per_node, num_nodes=num_nodes, interconnect=intra, nic=nic
     )
 
 
@@ -89,59 +92,79 @@ class TestMultiNodeModel:
 
     def test_empty_and_invalid_rejected(self):
         with pytest.raises(ValueError):
-            MultiNodeClusterSpec(nodes=())
+            ClusterSpec(nodes=())
         with pytest.raises(ValueError):
-            MultiNodeClusterSpec.homogeneous(TITAN_X, 0, 2)
+            ClusterSpec.homogeneous(TITAN_X, 2, num_nodes=0)
         with pytest.raises(ValueError):
             NodeSpec.homogeneous(TITAN_X, 0)
         with pytest.raises(ValueError):
-            MultiNodeClusterSpec(
+            ClusterSpec(
                 nodes=(NodeSpec.homogeneous(TITAN_X, 2),),
                 nic=InterconnectSpec("bad", 0.0, 1e-6),
             )
-        # A bare ClusterSpec is not a node.
+        # A cluster is not a node.
         with pytest.raises(ValueError):
-            MultiNodeClusterSpec(nodes=(ClusterSpec.homogeneous(TITAN_X, 2),))
+            ClusterSpec(nodes=(ClusterSpec.homogeneous(TITAN_X, 2),))
 
     def test_duplicate_device_id_across_nodes_rejected(self):
         from dataclasses import replace
 
         fast = TITAN_X
         slow = replace(TITAN_X, num_sms=TITAN_X.num_sms // 2)  # same id
-        with pytest.raises(ValueError):
-            MultiNodeClusterSpec(
+        with pytest.raises(ValueError, match="device id"):
+            ClusterSpec(
                 nodes=(
-                    NodeSpec(devices=(fast,)),
-                    NodeSpec(devices=(slow,)),
+                    NodeSpec(devices=(fast,), name="fast"),
+                    NodeSpec(devices=(slow,), name="slow"),
                 )
             )
 
-    def test_node_as_cluster_round_trip(self):
+    def test_duplicate_node_name_rejected(self):
+        """Node names key the link and NIC lanes: two nodes sharing a name
+        would book one lane twice per collective."""
+        node = NodeSpec.homogeneous(TITAN_X, 2, name="node")
+        with pytest.raises(ValueError, match="node name"):
+            ClusterSpec(nodes=(node, node), nic=ETHERNET_10G)
+        with pytest.raises(ValueError, match="node name"):
+            ClusterSpec(nodes=(NodeSpec(devices=(TITAN_X,) * 2), NodeSpec(devices=(TITAN_X,) * 2)))
+
+    def test_node_as_cluster_is_one_node_without_nic(self):
         node = NodeSpec.homogeneous(TITAN_X, 3, interconnect=NVLINK1, name="n0")
         cluster = node.as_cluster()
-        assert isinstance(cluster, ClusterSpec)
+        assert cluster.num_nodes == 1 and cluster.nodes == (node,)
         assert cluster.devices == node.devices
-        assert cluster.interconnect is NVLINK1
+        assert cluster.name == "n0"
+        assert cluster.nodes[0].interconnect is NVLINK1
+        timeline = Timeline()
+        booking = cluster.book_allreduce(timeline, 1 << 20)
+        assert {b.resource for b in booking.bookings} == {cluster.link_resource_key(0)}
+        assert not any(e.category == "nic" for e in timeline.events)
 
-    def test_resolve_cluster_collapses_degenerates(self):
-        # One node -> the node's plain ClusterSpec (no NIC tier to model).
+    def test_resolve_cluster_keeps_one_node_cluster(self):
+        # One node stays a one-node cluster, and its collectives book no NIC.
         device, multi = resolve_cluster(TITAN_X, two_tier(1, 4), None)
-        assert isinstance(multi, ClusterSpec)
+        assert multi.num_nodes == 1
         assert multi.num_devices == 4
+        timeline = Timeline()
+        multi.book_allreduce(timeline, 1 << 20)
+        assert not any(e.category == "nic" for e in timeline.events)
         # One node of one device -> plain single-device execution.
         device, multi = resolve_cluster(TITAN_X, two_tier(1, 1), None)
         assert multi is None and device == TITAN_X
         # Several nodes stay multi-node.
         device, multi = resolve_cluster(TITAN_X, two_tier(2, 2), None)
-        assert isinstance(multi, MultiNodeClusterSpec)
+        assert multi.num_nodes == 2
         with pytest.raises(ValueError):
             resolve_cluster(TITAN_X, two_tier(2, 2), 3)
 
     def test_capability_weights_sum_and_node_grouping(self):
         big = scaled_device(TITAN_X, 1.0, name_suffix="mn-big")
         small = scaled_device(TITAN_X, 1.0, bandwidth_scale=0.5, name_suffix="mn-small")
-        cluster = MultiNodeClusterSpec(
-            nodes=(NodeSpec(devices=(big, big)), NodeSpec(devices=(small, small)))
+        cluster = ClusterSpec(
+            nodes=(
+                NodeSpec(devices=(big, big), name="big"),
+                NodeSpec(devices=(small, small), name="small"),
+            )
         )
         weights = cluster.capability_weights()
         node_weights = cluster.node_capability_weights()
@@ -158,20 +181,46 @@ class TestMultiNodeModel:
 
 
 class TestHierarchicalCollectives:
-    def test_one_node_degenerates_to_cluster_spec_exactly(self):
-        """A 1-node MultiNodeClusterSpec charges exactly ClusterSpec costs."""
-        node = NodeSpec.homogeneous(TITAN_X, 4, interconnect=NVLINK1)
-        multi = MultiNodeClusterSpec(nodes=(node,), nic=ETHERNET_10G)
-        flat = node.as_cluster()
-        for nbytes in (0.0, 8.0, 4096.0, 1e6, 64e6):
-            assert multi.hierarchical_allreduce_time(nbytes) == flat.allreduce_time(nbytes)
-            assert multi.allreduce_time(nbytes) == flat.allreduce_time(nbytes)
-            assert multi.broadcast_time(nbytes) == flat.broadcast_time(nbytes)
-        payloads = [1e6, 2e6, 0.0, 3e6]
-        assert multi.gather_time(payloads) == flat.gather_time(payloads)
-        assert multi.neighbor_exchange_time(
-            [4096.0], slots=[2]
-        ) == flat.neighbor_exchange_time([4096.0])
+    @given(
+        devices=st.lists(
+            st.sampled_from(
+                [
+                    TITAN_X,
+                    scaled_device(TITAN_X, 1.0, bandwidth_scale=0.5, name_suffix="half"),
+                ]
+            ),
+            min_size=2,
+            max_size=8,
+        ),
+        bandwidth=st.floats(min_value=1e8, max_value=1e12),
+        latency=st.floats(min_value=0.0, max_value=1e-4, allow_subnormal=False),
+        nbytes=st.one_of(st.just(0.0), st.floats(min_value=1.0, max_value=1e12)),
+        payloads=st.lists(st.floats(min_value=0.0, max_value=1e9), min_size=1, max_size=7),
+    )
+    def test_one_node_charges_ring_and_pairwise_exactly(
+        self, devices, bandwidth, latency, nbytes, payloads
+    ):
+        """A one-node cluster charges the ring all-reduce and the pairwise
+        boundary exchange to the bit, whatever its NIC."""
+        link = InterconnectSpec("p2p", bandwidth, latency)
+        cluster = ClusterSpec(nodes=(NodeSpec(devices, link, "n0"),), nic=ETHERNET_10G)
+        n = len(devices)
+        ring = (
+            0.0
+            if nbytes == 0.0
+            else (2.0 * (n - 1) / n) * nbytes / bandwidth + 2 * (n - 1) * latency
+        )
+        assert cluster.allreduce_time(nbytes) == ring
+        assert cluster.hierarchical_allreduce_time(nbytes) == ring
+        payloads = payloads[: n - 1]
+        slots = list(range(1, len(payloads) + 1))
+        pairwise = max(payloads) / bandwidth + latency
+        assert (
+            cluster.neighbor_exchange_time(
+                payloads, slots=slots, sources=[slot - 1 for slot in slots]
+            )
+            == pairwise
+        )
 
     @pytest.mark.parametrize("num_nodes", [2, 3, 4])
     @pytest.mark.parametrize("devices_per_node", [1, 2, 4])
@@ -227,33 +276,17 @@ class TestHierarchicalCollectives:
         flat = cluster.flat_allreduce_time(nbytes)
         assert hier <= flat * (1.0 + 1e-12) + 1e-18
 
-    def test_broadcast_and_gather_price_both_tiers(self):
-        one = two_tier(1, 4)
-        two = two_tier(2, 4)
-        four = two_tier(4, 4)
-        # More nodes -> more NIC stages for the same payload.
-        assert two.broadcast_time(1e6) > one.broadcast_time(1e6)
-        assert four.broadcast_time(1e6) > two.broadcast_time(1e6)
-        # Gather: payloads on remote nodes cross the NIC, the root node's
-        # own payloads do not.
-        local = [1e6] * 4 + [0.0] * 4
-        remote = [0.0] * 4 + [1e6] * 4
-        assert two.gather_time(local) < two.gather_time(remote)
-        with pytest.raises(ValueError):
-            two.gather_time([1.0] * 3)  # must be slot-aligned
-
     def test_neighbor_exchange_tiers(self):
         cluster = two_tier(2, 2, intra=NVLINK1, nic=ETHERNET_10G)
         payload = [65536.0]
-        intra_cost = cluster.neighbor_exchange_time(payload, slots=[1])  # inside node 0
-        nic_cost = cluster.neighbor_exchange_time(payload, slots=[2])  # node 0 -> 1
+        # inside node 0, then node 0 -> 1
+        intra_cost = cluster.neighbor_exchange_time(payload, slots=[1], sources=[0])
+        nic_cost = cluster.neighbor_exchange_time(payload, slots=[2], sources=[1])
         assert nic_cost > intra_cost
-        # Without slots the conservative bound prices the slowest tier.
-        assert cluster.neighbor_exchange_time(payload) == nic_cost
         with pytest.raises(ValueError):
-            cluster.neighbor_exchange_time(payload, slots=[0])
+            cluster.neighbor_exchange_time(payload, slots=[0], sources=[0])
         with pytest.raises(ValueError):
-            cluster.neighbor_exchange_time(payload, slots=[1, 2])
+            cluster.neighbor_exchange_time(payload, slots=[1, 2], sources=[0, 1])
 
     def test_neighbor_exchange_respects_explicit_source(self):
         """An empty placeholder shard can put the physical sender in
@@ -261,14 +294,14 @@ class TestHierarchicalCollectives:
         but a source in node 0 must be priced over the NIC."""
         cluster = two_tier(2, 2, intra=NVLINK1, nic=ETHERNET_10G)
         payload = [65536.0]
-        adjacent = cluster.neighbor_exchange_time(payload, slots=[3])
+        adjacent = cluster.neighbor_exchange_time(payload, slots=[3], sources=[2])
         crossing = cluster.neighbor_exchange_time(payload, slots=[3], sources=[1])
         assert crossing > adjacent  # NIC, not node 1's P2P tier
-        assert crossing == cluster.neighbor_exchange_time(payload, slots=[2])
+        assert crossing == cluster.neighbor_exchange_time(payload, slots=[2], sources=[1])
         with pytest.raises(ValueError):
             cluster.neighbor_exchange_time(payload, slots=[2], sources=[2])
         with pytest.raises(ValueError):
-            cluster.neighbor_exchange_time(payload, sources=[0])
+            cluster.neighbor_exchange_time(payload, slots=[3], sources=[0, 1])
 
     def test_boundary_reduction_prices_nic_past_empty_placeholder(self):
         """SpTTM on a cluster where one device is allocated no partitions:
@@ -278,8 +311,11 @@ class TestHierarchicalCollectives:
         feeble = scaled_device(
             TITAN_X, 1.0, bandwidth_scale=1e-6, name_suffix="mn-feeble"
         )
-        cluster = MultiNodeClusterSpec(
-            nodes=(NodeSpec(devices=(big,)), NodeSpec(devices=(feeble, big))),
+        cluster = ClusterSpec(
+            nodes=(
+                NodeSpec(devices=(big,), name="solo"),
+                NodeSpec(devices=(feeble, big), name="mixed"),
+            ),
             nic=ETHERNET_10G,
         )
         tensor = CASES["single-segment"]()  # one fiber: every boundary carries
@@ -322,8 +358,11 @@ class TestHierarchicalPartition:
     def test_node_spans_follow_node_weights(self):
         big = scaled_device(TITAN_X, 1.0, name_suffix="mn-big")
         small = scaled_device(TITAN_X, 1.0, bandwidth_scale=0.5, name_suffix="mn-small")
-        cluster = MultiNodeClusterSpec(
-            nodes=(NodeSpec(devices=(big, big)), NodeSpec(devices=(small, small)))
+        cluster = ClusterSpec(
+            nodes=(
+                NodeSpec(devices=(big, big), name="big"),
+                NodeSpec(devices=(small, small), name="small"),
+            )
         )
         tensor = random_sparse_tensor((40, 60, 50), 3000, seed=0)
         fcoo = FCOOTensor.from_sparse(tensor, "spmttkrp", 0)
@@ -334,6 +373,27 @@ class TestHierarchicalPartition:
         assert node0 == pytest.approx(2.0 * node1, rel=0.05)
         # Devices inside one node split evenly (identical capabilities).
         assert abs(shards[0].nnz - shards[1].nnz) <= THREADLEN
+
+    def test_one_node_cluster_keeps_single_node_split(self):
+        """Only several nodes shard topology-aware: one homogeneous node
+        keeps the even split, one heterogeneous node the capability
+        weights."""
+        indices = np.array([[i, i % 3, i % 2] for i in range(10)])
+        fcoo = FCOOTensor.from_sparse(
+            SparseTensor(indices, np.arange(1.0, 11.0), (10, 3, 2)), "spmttkrp", 0
+        )
+        cluster = ClusterSpec.homogeneous(TITAN_X, 4)
+        even = partition_for_cluster(fcoo, cluster, threadlen=1)
+        assert [s.stop for s in even] == [3, 6, 9, 10]
+        assert [s.stop for s in partition_shards(fcoo, 4, threadlen=1)] == [3, 6, 9, 10]
+        # The hierarchical rule would split the same stream differently.
+        hier = partition_shards_hierarchical(fcoo, cluster, threadlen=1)
+        assert [s.stop for s in hier] == [3, 6, 8, 10]
+        half = scaled_device(TITAN_X, 1.0, bandwidth_scale=0.5, name_suffix="half")
+        mixed = NodeSpec(devices=(TITAN_X, half), name="mixed").as_cluster()
+        weighted = partition_for_cluster(fcoo, mixed, threadlen=1)
+        expected = partition_shards(fcoo, 2, threadlen=1, weights=mixed.capability_weights())
+        assert [s.stop for s in weighted] == [s.stop for s in expected] == [7, 10]
 
     def test_empty_and_short_streams(self):
         cluster = two_tier(2, 2)
@@ -410,13 +470,7 @@ class TestMultiNodeEqualsOneShot:
         tensor = CASES["order3-power"]()
         factors = [np.asarray(f) for f in random_factors(tensor.shape, RANK, seed=7)]
         tiny = scaled_device(TITAN_X, 3.2e-7, name_suffix="tiny")
-        cluster = MultiNodeClusterSpec(
-            nodes=(
-                NodeSpec.homogeneous(tiny, 1),
-                NodeSpec.homogeneous(tiny, 1),
-            ),
-            nic=ETHERNET_10G,
-        )
+        cluster = ClusterSpec.homogeneous(tiny, 1, num_nodes=2, nic=ETHERNET_10G)
         one_shot = unified_spmttkrp(
             tensor, factors, 0, block_size=BLOCK_SIZE, threadlen=THREADLEN
         )
@@ -539,15 +593,12 @@ class TestNodeAwarePlacement:
         assert not placement.crosses_nic
         assert placement.node_index == 0  # the big node
         assert placement.device_slots == cluster.node_slots(0)
-        assert isinstance(placement.cluster, ClusterSpec)
+        assert placement.cluster.nodes == (cluster.nodes[0],)
 
     def test_locality_prefers_less_loaded_qualifying_node(self):
         """With two equally capable nodes, load breaks the locality tie."""
         big = scaled_device(TITAN_X, 2.0e-5, name_suffix="serve big")
-        cluster = MultiNodeClusterSpec(
-            nodes=(NodeSpec(devices=(big, big)), NodeSpec(devices=(big, big))),
-            nic=SERVE_NIC,
-        )
+        cluster = ClusterSpec.homogeneous(big, 2, num_nodes=2, nic=SERVE_NIC)
         placer = Placer(cluster)
         rng = np.random.default_rng(1)
         from repro.serve.workload import _whale_tensor
@@ -576,10 +627,19 @@ class TestNodeAwarePlacement:
         assert placement.node_index is None
         assert placement.device_slots == tuple(range(cluster.num_devices))
 
-    def test_one_node_multinode_collapses(self):
+    def test_one_node_cluster_places_off_the_nic(self):
         placer = Placer(default_multinode_serving_cluster(1))
+        assert placer.cluster.num_nodes == 1
         assert not placer.multinode
-        assert isinstance(placer.cluster, ClusterSpec)
+        # The whale exceeds every device: it shards across the one node,
+        # and neither the placement nor its collective touches a NIC.
+        from repro.serve.workload import _whale_tensor
+
+        placement = self._place(placer, _kernel_job(_whale_tensor(np.random.default_rng(1))))
+        assert placement.sharded and not placement.crosses_nic
+        timeline = Timeline()
+        placement.cluster.book_allreduce(timeline, 1 << 20)
+        assert not any(e.category == "nic" for e in timeline.events)
 
 
 # ---------------------------------------------------------------------- #
@@ -631,6 +691,23 @@ class TestMultiNodeServing:
             r.finish_s for r in second.results
         ]
         assert first.makespan_s == second.makespan_s
+
+    def test_one_node_chaos_takes_out_one_device_slot(self):
+        """On a one-node serving cluster a chaos event's node index names a
+        device slot: exactly that slot dies, and an index past the last
+        slot is ignored."""
+        jobs = generate_workload(WorkloadSpec(num_jobs=40, seed=0))
+        clean = ServingEngine(default_serving_cluster()).run(jobs)
+        for node_index, requeued in ((0, 1), (2, 3), (3, 1), (4, 0)):
+            failure = NodeFailure(time_s=0.3 * clean.makespan_s, node_index=node_index)
+            report = ServingEngine(default_serving_cluster()).run(jobs, chaos=[failure])
+            assert report.requeued_jobs == requeued, node_index
+            fired = [e for e in report.events.events if e.kind == "node_failure"]
+            if node_index < 4:
+                assert report.failures == [failure]
+                assert [dict(e.fields)["slots"] for e in fired] == [[node_index]]
+            else:
+                assert report.failures == [] and fired == []
 
     def test_single_node_serving_unchanged(self):
         """The default workload/cluster keep their exact pre-multi-node

@@ -31,7 +31,7 @@ from repro.cli import main as cli_main
 from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.semisparse import SemiSparseTensor
-from repro.gpusim.cluster import ClusterSpec, InterconnectSpec, PCIE3_P2P
+from repro.gpusim.cluster import ClusterSpec, InterconnectSpec, NodeSpec, PCIE3_P2P
 from repro.gpusim.device import TITAN_X, scaled_device
 from repro.kernels.unified import partition_shards
 from repro.kernels.unified.spmttkrp import spmttkrp_footprint, unified_spmttkrp
@@ -80,14 +80,15 @@ def hetero_cluster(big_mem: float, small_mem: float) -> ClusterSpec:
         bandwidth_scale=0.5,
         name_suffix="t-small",
     )
-    return ClusterSpec(devices=(big, big, small), interconnect=PCIE3_P2P, name="test-hetero")
+    node = NodeSpec(devices=(big, big, small), interconnect=PCIE3_P2P, name="test-hetero")
+    return node.as_cluster()
 
 
 def one_device_cluster(mem_bytes: float) -> ClusterSpec:
     device = scaled_device(
         TITAN_X, mem_bytes / TITAN_X.global_mem_bytes, name_suffix="t-solo"
     )
-    return ClusterSpec(devices=(device,), name="test-solo")
+    return NodeSpec(devices=(device,), name="test-solo").as_cluster()
 
 
 def assert_same_output(actual, expected) -> None:
@@ -149,19 +150,19 @@ class TestClusterValidation:
     def test_zero_throughput_device_rejected_at_construction(self):
         dead = replace(TITAN_X, clock_ghz=0.0)
         with pytest.raises(ValueError, match=r"devices\[1\]"):
-            ClusterSpec(devices=(TITAN_X, dead))
+            NodeSpec(devices=(TITAN_X, dead))
 
     def test_invalid_interconnect_rejected_at_construction(self):
         with pytest.raises(ValueError, match="interconnect"):
-            ClusterSpec(devices=(TITAN_X,), interconnect=InterconnectSpec("bad", 0.0, 1e-6))
+            NodeSpec(devices=(TITAN_X,), interconnect=InterconnectSpec("bad", 0.0, 1e-6))
 
     def test_duplicate_id_with_different_spec_rejected(self):
         impostor = replace(TITAN_X, num_sms=12)  # same name, different silicon
         with pytest.raises(ValueError, match="device id"):
-            ClusterSpec(devices=(TITAN_X, impostor))
+            NodeSpec(devices=(TITAN_X, impostor))
 
     def test_identical_repeated_devices_allowed(self):
-        cluster = ClusterSpec(devices=(TITAN_X, TITAN_X, TITAN_X))
+        cluster = NodeSpec(devices=(TITAN_X, TITAN_X, TITAN_X)).as_cluster()
         assert cluster.is_homogeneous
         assert cluster.max_device_memory_bytes == TITAN_X.global_mem_bytes
 
@@ -171,7 +172,7 @@ class TestClusterValidation:
 
     def test_capability_weights_follow_bandwidth(self):
         half = scaled_device(TITAN_X, 1.0, bandwidth_scale=0.5, name_suffix="half")
-        cluster = ClusterSpec(devices=(TITAN_X, half))
+        cluster = NodeSpec(devices=(TITAN_X, half)).as_cluster()
         w_full, w_half = cluster.capability_weights()
         assert w_full == pytest.approx(2.0 * w_half)
         assert w_full + w_half == pytest.approx(1.0)

@@ -27,6 +27,7 @@ from repro.gpusim.cluster import (
     ClusterSpec,
     InterconnectSpec,
     NVLINK1,
+    NodeSpec,
     PCIE3_P2P,
     resolve_cluster,
 )
@@ -53,7 +54,9 @@ class TestClusterModel:
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
-            ClusterSpec(devices=())
+            NodeSpec(devices=())
+        with pytest.raises(ValueError):
+            ClusterSpec(nodes=())
         with pytest.raises(ValueError):
             ClusterSpec.homogeneous(TITAN_X, 0)
 
@@ -77,31 +80,18 @@ class TestClusterModel:
         assert c8.allreduce_time(8.0) > c2.allreduce_time(8.0)
         # The bandwidth term approaches 2 * bytes / bw from below.
         big = 1e9
-        bound = 2.0 * big / c8.interconnect.bandwidth_bytes_per_s
-        assert c8.allreduce_time(big) < bound + 2 * 7 * c8.interconnect.latency_s + 1e-9
-
-    def test_gather_root_keeps_its_payload(self):
-        cluster = ClusterSpec.homogeneous(TITAN_X, 4)
-        only_root = cluster.gather_time([1e9, 0.0, 0.0, 0.0])
-        spread = cluster.gather_time([0.0, 1e9, 0.0, 0.0])
-        assert only_root < spread  # the root's own bytes never cross the link
-        with pytest.raises(ValueError):
-            cluster.gather_time([1.0] * 5)
-        with pytest.raises(ValueError):
-            cluster.gather_time([-1.0])
+        link = c8.nodes[0].interconnect
+        bound = 2.0 * big / link.bandwidth_bytes_per_s
+        assert c8.allreduce_time(big) < bound + 2 * 7 * link.latency_s + 1e-9
 
     def test_neighbor_exchange_overlaps_pairs(self):
         cluster = ClusterSpec.homogeneous(TITAN_X, 4)
-        assert cluster.neighbor_exchange_time([]) == 0.0
-        one = cluster.neighbor_exchange_time([4096.0])
-        three = cluster.neighbor_exchange_time([4096.0, 4096.0, 4096.0])
+        assert cluster.neighbor_exchange_time([], slots=[], sources=[]) == 0.0
+        one = cluster.neighbor_exchange_time([4096.0], slots=[1], sources=[0])
+        three = cluster.neighbor_exchange_time(
+            [4096.0, 4096.0, 4096.0], slots=[1, 2, 3], sources=[0, 1, 2]
+        )
         assert one == pytest.approx(three)  # disjoint pairs exchange concurrently
-
-    def test_broadcast_log_stages(self):
-        c2 = ClusterSpec.homogeneous(TITAN_X, 2)
-        c8 = ClusterSpec.homogeneous(TITAN_X, 8)
-        assert c8.broadcast_time(1e6) == pytest.approx(3 * c2.broadcast_time(1e6))
-        assert c2.broadcast_time(0.0) == 0.0
 
     def test_resolve_cluster_shorthand(self):
         device, multi = resolve_cluster(TITAN_X, None, None)

@@ -31,7 +31,7 @@ from repro.context import (
     ExecContext,
     TimedResult,
 )
-from repro.gpusim.cluster import ETHERNET_10G, MultiNodeClusterSpec, NodeFailure
+from repro.gpusim.cluster import ETHERNET_10G, ClusterSpec, NodeFailure
 from repro.gpusim.timeline import Timeline, device_copy_key
 from repro.serve import (
     Autoscaler,
@@ -395,9 +395,7 @@ class TestAutoscaler:
 # ---------------------------------------------------------------------- #
 class TestOverlapStaging:
     def test_sharded_staging_overlap_saves_wall_time_bit_identically(self):
-        cluster = MultiNodeClusterSpec.homogeneous(
-            num_nodes=2, devices_per_node=2, nic=ETHERNET_10G
-        )
+        cluster = ClusterSpec.homogeneous(num_nodes=2, devices_per_node=2, nic=ETHERNET_10G)
         tensor = random_sparse_tensor((60_000, 60, 50), 12_000, seed=3)
         serial = cp_als(
             tensor, 16,

@@ -30,7 +30,6 @@ from repro.formats.mode_encoding import OperationKind
 from repro.gpusim.cluster import (
     ETHERNET_10G,
     ClusterSpec,
-    MultiNodeClusterSpec,
     NodeSpec,
     PCIE3_P2P,
 )
@@ -304,7 +303,7 @@ class TestShardedAndServingClosedForm:
         assert end == pytest.approx(execution.total_time_s, rel=1e-12)
         # the collective rode the cluster's link resource
         if execution.reduction_time_s > 0.0:
-            assert timeline.busy_s(cluster.link_resource_key()) == pytest.approx(
+            assert timeline.busy_s(cluster.link_resource_key(0)) == pytest.approx(
                 execution.reduction_time_s
             )
 
@@ -379,9 +378,7 @@ _payloads = st.floats(min_value=1.0, max_value=1e9, allow_nan=False, allow_infin
 class TestNicCongestion:
     @given(nbytes=_payloads, num_nodes=st.integers(2, 4))
     def test_single_collective_degenerates_to_idle_model(self, nbytes, num_nodes):
-        cluster = MultiNodeClusterSpec.homogeneous(
-            num_nodes=num_nodes, devices_per_node=2, nic=ETHERNET_10G
-        )
+        cluster = ClusterSpec.homogeneous(num_nodes=num_nodes, devices_per_node=2, nic=ETHERNET_10G)
         timeline = Timeline()
         booking = cluster.book_allreduce(timeline, nbytes, ready_s=1.0)
         assert booking.start_s == 1.0
@@ -392,9 +389,7 @@ class TestNicCongestion:
         num_nodes=st.integers(2, 3),
     )
     def test_concurrent_collectives_never_beat_idle_model(self, payload_list, num_nodes):
-        cluster = MultiNodeClusterSpec.homogeneous(
-            num_nodes=num_nodes, devices_per_node=2, nic=ETHERNET_10G
-        )
+        cluster = ClusterSpec.homogeneous(num_nodes=num_nodes, devices_per_node=2, nic=ETHERNET_10G)
         timeline = Timeline()
         clock = 0.0
         for i, nbytes in enumerate(payload_list):
@@ -408,7 +403,7 @@ class TestNicCongestion:
             clock = booking.end_s
 
     def test_node_local_and_cluster_wide_collectives_share_link_resources(self):
-        cluster = MultiNodeClusterSpec.homogeneous(num_nodes=2, devices_per_node=2)
+        cluster = ClusterSpec.homogeneous(num_nodes=2, devices_per_node=2)
         timeline = Timeline()
         node0 = cluster.nodes[0].as_cluster()
         local = node0.book_allreduce(timeline, 1 << 20)
@@ -416,12 +411,13 @@ class TestNicCongestion:
         # the cluster-wide collective had to wait for node 0's link
         assert wide.start_s == local.end_s
         keys = {b.resource for b in wide.bookings}
-        assert node0.link_resource_key() in keys
+        assert node0.link_resource_key(0) == cluster.link_resource_key(0)
+        assert cluster.link_resource_key(0) in keys
         assert cluster.nic_resource_key(0) in keys and cluster.nic_resource_key(1) in keys
 
     def test_single_node_cluster_books_no_nic(self):
         node = NodeSpec.homogeneous(TITAN_X, 2, interconnect=PCIE3_P2P)
-        cluster = MultiNodeClusterSpec(nodes=(node,))
+        cluster = ClusterSpec(nodes=(node,))
         timeline = Timeline()
         cluster.book_allreduce(timeline, 1 << 20)
         assert not any(e.category == "nic" for e in timeline.events)
@@ -429,35 +425,17 @@ class TestNicCongestion:
     def test_other_collective_bookings(self):
         cluster = ClusterSpec.homogeneous(TITAN_X, 3)
         timeline = Timeline()
-        g = cluster.book_gather(timeline, [0.0, 1e6, 1e6])
-        assert g.end_s == cluster.gather_time([0.0, 1e6, 1e6])
-        n = cluster.book_neighbor_exchange(timeline, [1e6], ready_s=g.end_s)
-        assert n.end_s == g.end_s + cluster.neighbor_exchange_time([1e6])
-        b = cluster.book_broadcast(timeline, 1e6)
-        assert b.start_s == n.end_s  # serialised on the shared link
-        multi = MultiNodeClusterSpec.homogeneous(num_nodes=2, devices_per_node=2)
-        assert (
-            multi.book_broadcast(Timeline(), 1e6).end_s == multi.broadcast_time(1e6)
-        )
-        assert (
-            multi.book_gather(Timeline(), [1e6] * 4).end_s
-            == multi.gather_time([1e6] * 4)
-        )
-        assert (
-            multi.book_neighbor_exchange(
-                Timeline(), [1e6], slots=[2], sources=[1]
-            ).end_s
-            == multi.neighbor_exchange_time([1e6], slots=[2], sources=[1])
-        )
+        a = cluster.book_allreduce(timeline, 1e6)
+        assert a.end_s == cluster.allreduce_time(1e6)
+        b = cluster.book_allreduce(timeline, 1e6)
+        assert b.start_s == a.end_s  # serialised on the shared link
 
 
 # ---------------------------------------------------------------------- #
 # (c) intra-kernel overlap for CP-ALS
 # ---------------------------------------------------------------------- #
 def _overlap_cluster(num_nodes=2, devices_per_node=2):
-    return MultiNodeClusterSpec.homogeneous(
-        num_nodes=num_nodes, devices_per_node=2, nic=ETHERNET_10G
-    )
+    return ClusterSpec.homogeneous(num_nodes=num_nodes, devices_per_node=2, nic=ETHERNET_10G)
 
 
 class TestOverlapModes:
