@@ -6,6 +6,8 @@
 * :mod:`repro.algorithms.tucker` — Tucker decomposition via HOOI built on
   the unified SpTTMc kernel (the extension the paper sketches at the end of
   Section IV-D).
+* :mod:`repro.algorithms.decomposition` — the run core both drivers share:
+  one timeline, per-device ledger and node-loss recovery path per run.
 * :mod:`repro.algorithms.fit` — sparse-aware decomposition-quality metrics.
 * :mod:`repro.algorithms.normalization` — factor column normalisation.
 """

@@ -10,27 +10,33 @@ end as ``G = X ×_0 U_0ᵀ ×_1 U_1ᵀ ···``.
 
 This module is the "extension" deliverable: it exercises
 :func:`repro.kernels.unified.spttmc.unified_spttmc` inside a complete
-algorithm and provides the fit metric used by its tests and example.
+algorithm and provides the fit metric used by its tests and example.  The
+run's timeline, per-device ledger and node-loss recovery are the
+:class:`~repro.algorithms.decomposition.DecompositionTimeline` that
+:func:`~repro.algorithms.cp.cp_als` uses too; this module keeps HOOI's own
+parts: the SVD, the core and the fit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.algorithms.cp import RecoveryRecord
+from repro.algorithms.decomposition import (
+    DecompositionTimeline,
+    RecoveryRecord,
+    kernel_context,
+)
 from repro.backends import get_backend
 from repro.context import DEFAULT_CONTEXT, ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
-from repro.gpusim.cluster import NodeFailure, resolve_cluster
+from repro.gpusim.cluster import resolve_cluster
 from repro.gpusim.device import DeviceSpec, TITAN_X
-from repro.gpusim.timeline import Timeline, device_compute_key
-from repro.kernels.unified.sharded import ShardedTimeline, plan_node_recovery
+from repro.gpusim.timeline import Timeline
 from repro.kernels.unified.spttmc import unified_spttmc
-from repro.obs.metrics import observe_decomposition
 from repro.tensor.sparse import SparseTensor
 from repro.util.rng import SeedLike, as_rng
 from repro.util.validation import check_positive_int
@@ -77,8 +83,8 @@ class TuckerResult:
         The :class:`~repro.gpusim.timeline.Timeline` those bookings landed
         on (queryable; Chrome-trace exportable).
     recoveries:
-        One :class:`~repro.algorithms.cp.RecoveryRecord` per node loss
-        survived mid-run (empty for failure-free runs).
+        One :class:`~repro.algorithms.decomposition.RecoveryRecord` per
+        node loss survived mid-run (empty for failure-free runs).
     recovery_overhead_s:
         Total modeled re-staging seconds across all recoveries; the
         replayed sweeps' kernel cost lands in the ordinary ledgers.
@@ -143,17 +149,20 @@ def tucker_hooi(
     ctx:
         A :class:`~repro.context.ExecContext` supplying:
 
-        * ``cluster`` / ``devices`` — multi-GPU controls forwarded to every
-          SpTTMc (see :func:`repro.kernels.unified.spttmc.unified_spttmc`);
-          the result then reports per-device timelines and scaling
-          efficiency.
+        * ``cluster`` / ``devices`` — multi-GPU controls: every SpTTMc
+          shards across the cluster (see
+          :func:`repro.kernels.unified.spttmc.unified_spttmc`), and the
+          result reports per-device busy seconds and scaling efficiency.
+        * ``streamed`` / ``num_streams`` / ``chunk_nnz`` and ``backend`` —
+          forwarded to every SpTTMc, as :class:`~repro.algorithms.cp.UnifiedGPUEngine`
+          forwards them to every MTTKRP.
         * ``preproc_cache`` — an optional
           :class:`~repro.serve.cache.PreprocCache` (any object with its
-          ``encoding(tensor, operation, mode)`` protocol).  Each sweep's
-          SpTTMc then obtains its per-mode F-COO encoding through the cache
-          instead of re-encoding the tensor inside the kernel — within one
-          decomposition every sweep past the first hits, and across serving
-          jobs repeat tenants share the entries.
+          ``encoding(tensor, operation, mode)`` protocol).  Without one,
+          each mode is F-COO encoded once per run.  With one, every SpTTMc
+          obtains its encoding through the cache — within one
+          decomposition every lookup past a mode's first hits, and across
+          serving jobs repeat tenants share the entries.
         * ``chaos`` — optional :class:`~repro.gpusim.cluster.NodeFailure`
           events to survive, with the same semantics as
           :func:`~repro.algorithms.cp.cp_als`: a failure fires at the first
@@ -192,122 +201,16 @@ def tucker_hooi(
     ttmc_time_by_mode: Dict[int, float] = {m: 0.0 for m in range(order)}
     fits: List[float] = []
     previous_fit = -np.inf
-    iterations_run = 0
     core_unfolded = np.zeros((ranks[0], int(np.prod(ranks[1:]))), dtype=np.float64)
 
-    device, multi = resolve_cluster(device, ctx.cluster, ctx.devices)
-    timeline = ShardedTimeline(multi.num_devices if multi is not None else 1)
-    # The decomposition's unified timeline: per-device compute engines plus
-    # the link/NIC resources the sharded all-reduces book.  HOOI is
-    # strictly sequential on it — every SVD needs the fully reduced
-    # unfolding — so the makespan equals the serial ledger sum; keeping
-    # the bookings anyway gives Tucker the same queryable/exportable trace
-    # as CP-ALS and the serving scheduler.
-    unified_timeline = Timeline()
-    compute_lanes = [
-        unified_timeline.resource(device_compute_key(slot), category="compute")
-        for slot in range(multi.num_devices if multi is not None else 1)
-    ]
-
+    device, cluster = resolve_cluster(device, ctx.cluster, ctx.devices)
+    # The run's timeline, busy ledger and node-loss recovery.  HOOI is
+    # strictly sequential on the timeline — every SVD needs the fully
+    # reduced unfolding — so the makespan equals the serial ledger sum.
+    run = DecompositionTimeline(cluster, ctx.chaos)
+    cache = ctx.preproc_cache
+    encodings: Dict[int, FCOOTensor] = {}
     preproc_time = 0.0
-    pending_failures = sorted(ctx.chaos or (), key=lambda f: (f.time_s, f.node_index))
-    recoveries: List[RecoveryRecord] = []
-    recovery_overhead_s = 0.0
-    # survivor-local slot -> original physical slot; None while intact.
-    slot_map: Optional[Tuple[int, ...]] = None
-
-    def run_ttmc(ttmc_mode: int):
-        nonlocal preproc_time
-        source = tensor
-        if ctx.preproc_cache is not None:
-            source, _hit, cost_s = ctx.preproc_cache.encoding(
-                tensor, OperationKind.SPTTMC, ttmc_mode
-            )
-            preproc_time += cost_s
-        result = unified_spttmc(
-            source,
-            factors,
-            ttmc_mode,
-            device=device,
-            block_size=block_size,
-            threadlen=threadlen,
-            ctx=ExecContext(cluster=multi, backend=ctx.backend),
-        )
-        timeline.observe(result.profile, slot_map=slot_map)
-        execution = getattr(result.profile, "sharded", None)
-        if execution is not None:
-            execution.book(
-                unified_timeline,
-                ready_s=unified_timeline.makespan_s,
-                label=f"spttmc:mode{ttmc_mode}",
-                slot_map=slot_map,
-            )
-        else:
-            compute_lanes[0].book(
-                result.estimated_time_s, label=f"spttmc:mode{ttmc_mode}"
-            )
-        return result
-
-    def pop_applicable_failure() -> Optional[NodeFailure]:
-        """Consume chaos events the modeled clock has passed; return the
-        first one that applies to the current topology (others are
-        ignored, as in :func:`~repro.algorithms.cp.cp_als`)."""
-        now = unified_timeline.makespan_s
-        while pending_failures and pending_failures[0].time_s <= now:
-            candidate = pending_failures.pop(0)
-            if (
-                multi is not None
-                and multi.num_nodes > 1
-                and 0 <= candidate.node_index < multi.num_nodes
-            ):
-                return candidate
-        return None
-
-    def recover(failure: NodeFailure, iteration: int, mode: int) -> None:
-        """Evict the failed node, book the re-staging, record the ledger.
-
-        The caller restores the sweep-boundary checkpoint and replays.
-        """
-        nonlocal multi, slot_map, recovery_overhead_s
-        # Plan per-mode: each mode's SpTTMc encoding is a distinct
-        # device-resident stream whose lost shards must re-stage.  The
-        # plans are computed from fresh encodings (pure host math) so the
-        # preprocessing cache's hit/miss ledger is not perturbed.
-        plans = [
-            plan_node_recovery(
-                FCOOTensor.from_sparse(tensor, OperationKind.SPTTMC, m),
-                multi,
-                failure.node_index,
-                threadlen=threadlen,
-            )
-            for m in range(order)
-        ]
-        local_to_current = multi.surviving_slots(failure.node_index)
-        previous = slot_map
-        slot_map = tuple(
-            previous[slot] if previous is not None else slot for slot in local_to_current
-        )
-        multi = multi.without_node(failure.node_index)
-        restage_ready = max(unified_timeline.makespan_s, failure.time_s)
-        restage_end = restage_ready
-        for plan in plans:
-            restage_end = plan.book(
-                unified_timeline,
-                ready_s=restage_end,
-                label=f"restage:node{failure.node_index}",
-            )
-        restage_s = restage_end - restage_ready
-        recovery_overhead_s += restage_s
-        recoveries.append(
-            RecoveryRecord(
-                failure=failure,
-                iteration=iteration,
-                mode=mode,
-                restage_s=restage_s,
-                restaged_bytes=sum(p.total_restaged_bytes for p in plans),
-                survivor_devices=multi.num_devices,
-            )
-        )
 
     iteration = 0
     while iteration < max_iterations:
@@ -315,72 +218,66 @@ def tucker_hooi(
         # numeric state (HOOI draws randomness only at initialisation), so
         # replaying from here on any topology reproduces the sweep exactly.
         checkpoint_factors = [f.copy() for f in factors]
-        replay = False
-        for mode in range(order):
-            result = run_ttmc(mode)
+        # One SpTTMc per mode updates the factors; a final mode-0 SpTTMc
+        # projects onto the mode-0 factor for the core.
+        for step, mode in enumerate([*range(order), 0]):
+            if cache is not None:
+                encodings[mode], _hit, cost_s = cache.encoding(
+                    tensor, OperationKind.SPTTMC, mode
+                )
+                preproc_time += cost_s
+            elif mode not in encodings:
+                encodings[mode] = FCOOTensor.from_sparse(tensor, OperationKind.SPTTMC, mode)
+            result = unified_spttmc(
+                encodings[mode],
+                factors,
+                mode,
+                device=device,
+                block_size=block_size,
+                threadlen=threadlen,
+                ctx=kernel_context(ctx, run.cluster),
+            )
             ttmc_time_by_mode[mode] += result.estimated_time_s
-            failure = pop_applicable_failure()
+            run.book(result.profile, f"spttmc:mode{mode}")
+            failure = run.due_failure()
             if failure is not None:
-                # The interrupted TTMc's bookings stay as wasted work.
-                recover(failure, iteration, mode)
+                # The interrupted SpTTMc's bookings stay as wasted work.
+                # Modes not encoded yet are encoded here, outside any
+                # cache: recovery makes no cache lookups.
+                for m in set(range(order)) - set(encodings):
+                    encodings[m] = FCOOTensor.from_sparse(tensor, OperationKind.SPTTMC, m)
+                resident = [(encodings[m], threadlen) for m in range(order)]
+                run.recover(failure, resident, iteration=iteration, mode=mode)
                 factors = [f.copy() for f in checkpoint_factors]
-                replay = True
                 break
-            y = result.output  # (I_mode, prod_{m != mode} R_m)
-            # New factor: leading left singular vectors of Y.
-            u, _s, _vt = np.linalg.svd(y, full_matrices=False)
-            factors[mode] = u[:, : ranks[mode]]
-        if replay:
-            continue  # same sweep again, from the checkpoint
+            if step < order:
+                # New factor: leading left singular vectors of
+                # Y = (I_mode, prod_{m != mode} R_m).
+                u, _s, _vt = np.linalg.svd(result.output, full_matrices=False)
+                factors[mode] = u[:, : ranks[mode]]
+            else:
+                # Core in mode-0 unfolded form.
+                core_unfolded = backend_impl.matmul(factors[0].T, result.output)
+        else:  # the sweep completed; a node loss breaks out to replay it
+            core_norm = float(np.linalg.norm(core_unfolded))
+            # For orthonormal factors ||X - X̂||² = ||X||² - ||G||².
+            residual_sq = max(x_norm**2 - core_norm**2, 0.0)
+            fit = 1.0 - float(np.sqrt(residual_sq)) / x_norm
+            fits.append(fit)
+            iteration += 1
+            if abs(fit - previous_fit) < tolerance:
+                break
+            previous_fit = fit
 
-        # Core (in mode-0 unfolded form) from the final mode-0 TTMc of the
-        # sweep projected onto the mode-0 factor.
-        final = run_ttmc(0)
-        ttmc_time_by_mode[0] += final.estimated_time_s
-        failure = pop_applicable_failure()
-        if failure is not None:
-            recover(failure, iteration, 0)
-            factors = [f.copy() for f in checkpoint_factors]
-            continue
-        core_unfolded = backend_impl.matmul(factors[0].T, final.output)
-        core_norm = float(np.linalg.norm(core_unfolded))
-        # For orthonormal factors ||X - X̂||² = ||X||² - ||G||².
-        residual_sq = max(x_norm**2 - core_norm**2, 0.0)
-        fit = 1.0 - float(np.sqrt(residual_sq)) / x_norm
-        fits.append(fit)
-        iterations_run += 1
-        iteration += 1
-        if abs(fit - previous_fit) < tolerance:
-            break
-        previous_fit = fit
-
-    core = _fold_core(core_unfolded, ranks)
-    result = TuckerResult(
-        core=core,
+    return TuckerResult(
+        core=_fold_core(core_unfolded, ranks),
         factors=factors,
         fits=fits,
-        iterations=iterations_run,
+        iterations=iteration,
         ttmc_time_by_mode=ttmc_time_by_mode,
-        device_time_by_device=(
-            dict(timeline.device_busy_s) if multi is not None else None
-        ),
-        parallel_efficiency=timeline.parallel_efficiency if multi is not None else None,
         preproc_time_s=preproc_time,
-        makespan_s=unified_timeline.makespan_s,
-        timeline=unified_timeline,
-        recoveries=recoveries,
-        recovery_overhead_s=recovery_overhead_s,
+        **run.finish(ctx.metrics, "tucker_hooi", iteration),
     )
-    if ctx.metrics is not None:
-        observe_decomposition(
-            ctx.metrics,
-            algorithm="tucker_hooi",
-            iterations=iterations_run,
-            makespan_s=result.makespan_s or 0.0,
-            recoveries=len(recoveries),
-            recovery_overhead_s=recovery_overhead_s,
-        )
-    return result
 
 
 def _fold_core(core_unfolded: np.ndarray, ranks: Sequence[int]) -> np.ndarray:

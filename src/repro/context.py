@@ -116,8 +116,9 @@ class SLO:
 class ExecContext:
     """Bundled execution knobs for the unified kernels and decompositions.
 
-    Every field mirrors a formerly loose keyword argument (see the module
-    docstring); ``slo`` and ``overlap_staging`` are new in PR 7.
+    Every field is read by a kernel, a decomposition driver or the
+    :class:`~repro.algorithms.cp.UnifiedGPUEngine`; serving-level policy
+    (SLOs, the NIC queue discipline) lives on the job and the scheduler.
 
     Attributes
     ----------
@@ -140,14 +141,12 @@ class ExecContext:
     preproc_cache:
         A :class:`~repro.serve.PreprocCache` shared across calls.
     overlap_modes:
-        CP-ALS: overlap each mode's all-reduce with the next mode's
-        kernels (PR 5).
+        CP-ALS: overlap each mode's all-reduce with its dense update.
     overlap_staging:
         CP-ALS on a sharded cluster: stage each mode's shards on the
         per-device copy engines during the first sweep, overlapped with
         the previous mode's reduction, instead of charging all staging
-        serially in engine setup (closes the ROADMAP carried item; off by
-        default so modeled seconds of existing runs are unchanged).
+        serially in engine setup (off by default).
     backend:
         The numeric-execution backend (:mod:`repro.backends`): a registry
         name (``"reference"`` / ``"vectorized"``), a
@@ -155,8 +154,6 @@ class ExecContext:
         consult the ``REPRO_BACKEND`` environment variable (default
         ``"reference"``).  Backends are bit-identical by contract, so this
         changes wall-clock speed only — never results or modeled seconds.
-    slo:
-        The job-level :class:`SLO`, carried for serving-layer consumers.
     metrics:
         The run's :class:`~repro.obs.metrics.MetricsRegistry`.  When set,
         the unified kernels, streamed/sharded drivers, and decomposition
@@ -164,13 +161,6 @@ class ExecContext:
         into it (observation-only: modeled seconds never change).  The
         serving engine threads its per-run registry through here so every
         layer a job touches reports into one place.
-    nic_policy:
-        NIC queue discipline for collectives under contention (one of
-        :data:`~repro.gpusim.timeline.NIC_POLICIES`): ``"fifo"`` — the
-        default, bookings serve in arrival order — or ``"fair"`` /
-        ``"priority"``, which let the serving scheduler reorder queued
-        (never in-flight) collectives.  Disciplines only move modeled
-        time; numerics are policy-independent by construction.
     """
 
     streamed: Optional[bool] = None
@@ -183,9 +173,7 @@ class ExecContext:
     overlap_modes: bool = False
     overlap_staging: bool = False
     backend: Optional[Any] = None
-    slo: Optional[SLO] = None
     metrics: Optional["MetricsRegistry"] = None
-    nic_policy: str = "fifo"
 
     def __post_init__(self) -> None:
         if self.backend is not None:
@@ -204,12 +192,6 @@ class ExecContext:
             # Normalise any sequence of failures to a tuple so the context
             # stays hashable/frozen-safe.
             object.__setattr__(self, "chaos", tuple(self.chaos))
-        from repro.gpusim.timeline import NIC_POLICIES
-
-        if self.nic_policy not in NIC_POLICIES:
-            raise ValueError(
-                f"nic_policy must be one of {NIC_POLICIES}, got {self.nic_policy!r}"
-            )
 
     def evolve(self, **changes: Any) -> "ExecContext":
         """A copy with ``changes`` applied (``dataclasses.replace`` sugar)."""

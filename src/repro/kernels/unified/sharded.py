@@ -32,7 +32,10 @@ canonical pass over the whole stream
 ``tests/test_sharded.py`` is the property harness proving it across 1/2/4
 devices, and mid-run fault recovery (checkpoint/replay on the survivor
 topology) relies on it for recovered-run == failure-free-run factor
-identity.
+identity.  :func:`plan_node_recovery` prices that recovery's re-staging;
+the decompositions' run core
+(:class:`~repro.algorithms.decomposition.DecompositionTimeline`) books
+the plans and each :class:`ShardedExecution` on one timeline.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from repro.util.validation import check_positive_int
 __all__ = [
     "ShardLedger",
     "ShardedExecution",
-    "ShardedTimeline",
     "RecoveryPlan",
     "partition_shards",
     "partition_shards_hierarchical",
@@ -217,9 +219,6 @@ class RecoveryPlan:
 
     Attributes
     ----------
-    failed_node:
-        Index of the lost node in the original
-        :class:`~repro.gpusim.cluster.ClusterSpec`.
     survivor_cluster:
         The topology the re-executed kernels run on
         (:meth:`~repro.gpusim.cluster.ClusterSpec.without_node`).
@@ -233,16 +232,11 @@ class RecoveryPlan:
         already resident from its old span (the failed node's non-zeros
         redistributed across the survivors, plus any span drift from the
         re-balanced weights).
-    restage_time_s:
-        Modeled re-staging seconds: the survivors stage concurrently over
-        their own host links, so the slowest transfer gates the phase.
     """
 
-    failed_node: int
     survivor_cluster: ClusterSpec
     slot_map: Tuple[int, ...]
     restaged_bytes: Tuple[float, ...]
-    restage_time_s: float
 
     @property
     def total_restaged_bytes(self) -> float:
@@ -292,9 +286,7 @@ def plan_node_recovery(
     so they are exactly what ``execute_sharded`` used and will use): each
     survivor re-stages the part of its new contiguous span that its old
     span did not already hold.  Bytes are priced at the encoding's mean
-    storage bytes per non-zero; the survivors' host links transfer
-    concurrently, so the slowest survivor gates
-    :attr:`RecoveryPlan.restage_time_s`.
+    storage bytes per non-zero.
     """
     survivor = cluster.without_node(failed_node)
     slot_map = cluster.surviving_slots(failed_node)
@@ -304,7 +296,6 @@ def plan_node_recovery(
         float(fcoo.storage_bytes(threadlen)) / fcoo.nnz if fcoo.nnz else 0.0
     )
     restaged: List[float] = [0.0] * survivor.num_devices
-    restage_time = 0.0
     for local, chunk in enumerate(new_shards):
         if chunk.nnz == 0:
             continue
@@ -316,16 +307,11 @@ def plan_node_recovery(
             )
         else:
             overlap = 0
-        nbytes = (chunk.nnz - overlap) * bytes_per_nnz
-        restaged[local] = nbytes
-        device = survivor.devices[local]
-        restage_time = max(restage_time, nbytes / device.pcie_bandwidth_bytes_per_s)
+        restaged[local] = (chunk.nnz - overlap) * bytes_per_nnz
     return RecoveryPlan(
-        failed_node=failed_node,
         survivor_cluster=survivor,
         slot_map=slot_map,
         restaged_bytes=tuple(restaged),
-        restage_time_s=restage_time,
     )
 
 
@@ -499,54 +485,6 @@ class ShardedExecution:
             )
             end = gang.end_s
         return start, end
-
-
-class ShardedTimeline:
-    """Per-device timeline accumulated over many sharded kernel executions.
-
-    The decomposition drivers (CP-ALS engine, Tucker/HOOI) feed every
-    kernel profile through :meth:`observe` and report the aggregate
-    per-device busy seconds and scaling efficiency; keeping the
-    bookkeeping here keeps the efficiency definition single-sourced.
-    """
-
-    def __init__(self, num_devices: int) -> None:
-        self.num_devices = check_positive_int(num_devices, "num_devices")
-        self.device_busy_s: Dict[int, float] = {}
-        self.reduction_time_s = 0.0
-        self.makespan_s = 0.0
-
-    def observe(
-        self, profile: KernelProfile, *, slot_map: Optional[Sequence[int]] = None
-    ) -> None:
-        """Accumulate one kernel profile (single-device profiles are ignored).
-
-        ``slot_map`` translates the execution's local device slots to
-        physical ones — after a node loss the survivor cluster's slot
-        ``i`` is physical slot ``slot_map[i]``, and the accumulated
-        per-device ledger stays keyed by physical slot throughout.
-        """
-        execution = getattr(profile, "sharded", None)
-        if execution is None:
-            return
-        for slot, busy in execution.device_times.items():
-            if slot_map is not None and slot < len(slot_map):
-                slot = slot_map[slot]
-            self.device_busy_s[slot] = self.device_busy_s.get(slot, 0.0) + busy
-        self.reduction_time_s += execution.reduction_time_s
-        self.makespan_s += execution.total_time_s
-
-    @property
-    def parallel_efficiency(self) -> Optional[float]:
-        """Cluster busy fraction over all observed makespans, in ``(0, 1]``.
-
-        ``sum(per-device busy) / (N * sum(makespans))``; ``None`` before
-        any sharded execution was observed.
-        """
-        if self.makespan_s <= 0.0:
-            return None
-        busy = sum(self.device_busy_s.values())
-        return min(1.0, busy / (self.num_devices * self.makespan_s))
 
 
 def execute_sharded(

@@ -59,12 +59,7 @@ from repro.serve.execute import ExecutionOutcome, execute_job
 from repro.serve.feedback import ObservationStore
 from repro.serve.job import Job, JobKind, JobResult, JobStatus
 from repro.serve.placement import JobGeometry, Placement, Placer, job_geometry
-from repro.serve.scheduler import (
-    DeviceTimeline,
-    PreemptionRecord,
-    ScheduleOutcome,
-    Scheduler,
-)
+from repro.serve.scheduler import PreemptionRecord, ScheduleOutcome, Scheduler
 from repro.serve.workload import (
     ChaosSpec,
     WorkloadSpec,
@@ -86,7 +81,6 @@ __all__ = [
     "job_geometry",
     "Scheduler",
     "ScheduleOutcome",
-    "DeviceTimeline",
     "PreemptionRecord",
     "SLO",
     "ExecContext",

@@ -25,12 +25,7 @@ from repro.serve.autoscale import AutoscalerSpec, ScaleEvent
 from repro.serve.cache import CacheStats, PreprocCache
 from repro.serve.feedback import ObservationStore
 from repro.serve.job import Job, JobResult
-from repro.serve.scheduler import (
-    DeviceTimeline,
-    PreemptionRecord,
-    ScheduleOutcome,
-    Scheduler,
-)
+from repro.serve.scheduler import PreemptionRecord, ScheduleOutcome, Scheduler
 from repro.serve.workload import WorkloadSpec, default_serving_cluster, generate_workload
 from repro.util.formatting import format_seconds, format_table
 
@@ -44,12 +39,12 @@ class ServingReport:
     cluster: ClusterSpec
     policy: str
     results: List[JobResult]
-    timelines: List[DeviceTimeline]
+    #: Dispatches per device slot (see :attr:`ScheduleOutcome.dispatches`).
+    dispatches: List[int]
     cache_stats: CacheStats
     #: The run's shared simulated-time timeline (per-device copy/compute
     #: engines plus the link/NIC resources booked by sharded collectives).
-    #: ``None`` only for reports constructed without a scheduler run.
-    timeline: Optional[Timeline] = field(default=None, repr=False)
+    timeline: Timeline = field(repr=False)
     #: Chaos node-loss events that fired during the run, in firing order.
     failures: List[NodeFailure] = field(default_factory=list)
     #: Total job re-queues caused by node losses (a job torn down twice
@@ -163,13 +158,9 @@ class ServingReport:
         busy time — the sum of the busy-marked bookings on the device's
         compute engine — rather than a scheduler-side accumulator, so the
         report cannot drift from the timeline (the pre-timeline
-        accumulators could, e.g. under batching).  The
-        :class:`~repro.serve.scheduler.DeviceTimeline` views carry the
-        same numbers as a fallback for reports built without a timeline.
+        accumulators could, e.g. under batching).
         """
-        if self.timeline is not None:
-            return self.timeline.busy_s(device_compute_key(slot))
-        return next(t.busy_s for t in self.timelines if t.slot == slot)
+        return self.timeline.busy_s(device_compute_key(slot))
 
     @property
     def device_utilization(self) -> Dict[int, float]:
@@ -179,33 +170,25 @@ class ServingReport:
         shared timeline (see :meth:`_device_busy_s`).
         """
         makespan = self.makespan_s
+        slots = range(self.cluster.num_devices)
         if makespan <= 0:
-            return {t.slot: 0.0 for t in self.timelines}
-        return {
-            t.slot: min(1.0, self._device_busy_s(t.slot) / makespan)
-            for t in self.timelines
-        }
+            return {slot: 0.0 for slot in slots}
+        return {slot: min(1.0, self._device_busy_s(slot) / makespan) for slot in slots}
 
     @property
     def overall_utilization(self) -> float:
         """Cluster busy fraction: total busy over ``N x makespan``.
 
         ``N`` and the busy totals come from the shared timeline's
-        *registered* compute-engine resources rather than the per-device
-        view list, so the figure stays honest if the two ever disagree
-        (e.g. a report rebuilt with trimmed views); reports without a
-        timeline fall back to the views.
+        *registered* compute-engine resources (the scheduler registers one
+        per device slot).
         """
         makespan = self.makespan_s
         if makespan <= 0:
             return 0.0
-        if self.timeline is not None:
-            engines = [r for r in self.timeline.resources if r.category == "compute"]
-            if engines:
-                busy = sum(r.busy_s for r in engines)
-                return min(1.0, busy / (len(engines) * makespan))
-        busy = sum(self._device_busy_s(t.slot) for t in self.timelines)
-        return min(1.0, busy / (len(self.timelines) * makespan))
+        engines = [r for r in self.timeline.resources if r.category == "compute"]
+        busy = sum(r.busy_s for r in engines)
+        return min(1.0, busy / (len(engines) * makespan))
 
     def execution_counts(self) -> Dict[str, int]:
         """Completed jobs per execution path (one-shot/streamed/sharded/...)."""
@@ -321,13 +304,13 @@ class ServingReport:
         utilization = self.device_utilization
         body = [
             [
-                t.slot,
-                t.device.name,
-                t.jobs,
-                format_seconds(self._device_busy_s(t.slot)),
-                f"{utilization[t.slot] * 100.0:.0f}%",
+                slot,
+                device.name,
+                self.dispatches[slot],
+                format_seconds(self._device_busy_s(slot)),
+                f"{utilization[slot] * 100.0:.0f}%",
             ]
-            for t in self.timelines
+            for slot, device in enumerate(self.cluster.devices)
         ]
         lines.append(
             format_table(
@@ -476,7 +459,7 @@ class ServingEngine:
             cluster=self.cluster,
             policy=self.policy,
             results=outcome.results,
-            timelines=outcome.timelines,
+            dispatches=outcome.dispatches,
             cache_stats=self.cache.stats.since(before),
             timeline=outcome.timeline,
             failures=outcome.failures,

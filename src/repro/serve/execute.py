@@ -71,7 +71,6 @@ def execute_job(
     cache: Optional[object] = None,
     num_streams: int = 2,
     metrics: Optional["MetricsRegistry"] = None,
-    nic_policy: str = "fifo",
 ) -> ExecutionOutcome:
     """Execute one placed job; deterministic in ``(job, placement)``.
 
@@ -95,18 +94,12 @@ def execute_job(
         decomposition drivers publish launch/timing telemetry.  Purely
         observational — outputs and modeled seconds are bit-identical with
         or without it (the replay property holds either way).
-    nic_policy:
-        The serving run's NIC queue discipline, carried on the
-        :class:`~repro.context.ExecContext` for downstream consumers.
-        Record-only here: the kernels and drivers never reorder their own
-        collectives, so outputs and modeled seconds are unchanged.
     """
     ctx = ExecContext(
         num_streams=num_streams,
         cluster=placement.cluster,
         preproc_cache=cache,
         metrics=metrics,
-        nic_policy=nic_policy,
     )
     if job.kind.is_kernel:
         if encoding is None:

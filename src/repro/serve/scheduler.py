@@ -82,7 +82,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.formats.fcoo import FCOOTensor
 from repro.gpusim.cluster import ClusterSpec, NodeFailure
-from repro.gpusim.device import DeviceSpec
 from repro.gpusim.timeline import (
     NIC_POLICIES,
     Booking,
@@ -108,35 +107,10 @@ from repro.serve.job import Job, JobKind, JobResult, JobStatus
 from repro.serve.placement import JobGeometry, Placement, Placer, job_geometry
 
 __all__ = [
-    "DeviceTimeline",
     "PreemptionRecord",
     "ScheduleOutcome",
     "Scheduler",
 ]
-
-
-@dataclass
-class DeviceTimeline:
-    """Per-device serving summary — a *view* over the shared timeline.
-
-    .. deprecated::
-        The scheduler no longer accumulates per-device horizons here; the
-        shared :class:`~repro.gpusim.timeline.Timeline` (see
-        :attr:`ScheduleOutcome.timeline`) is the source of truth, and one
-        :class:`DeviceTimeline` per device is derived from it after the
-        run for backward compatibility.  ``copy_free_s`` /
-        ``compute_free_s`` are the final horizons of the device's copy and
-        compute engine resources, and ``busy_s`` is the compute engine's
-        accumulated busy time (the sum of its busy-marked bookings — what
-        the utilisation report divides by the makespan).
-    """
-
-    slot: int
-    device: DeviceSpec
-    copy_free_s: float = 0.0
-    compute_free_s: float = 0.0
-    busy_s: float = 0.0
-    jobs: int = 0
 
 
 @dataclass(frozen=True)
@@ -252,7 +226,7 @@ class _RunState:
     timeline: Timeline
     copy: List[Resource]
     compute: List[Resource]
-    jobs: List[int]
+    dispatches: List[int]
     #: Flat slots / node indices currently down (chaos); new placements
     #: exclude them until the node's recovery event (if any) fires.
     failed_slots: set = field(default_factory=set)
@@ -277,11 +251,13 @@ class ScheduleOutcome:
     """Everything one scheduler run produced."""
 
     results: List[JobResult]
-    timelines: List[DeviceTimeline]
+    #: Dispatches per device slot, re-commits after a preemption or a node
+    #: loss included.
+    dispatches: List[int]
     #: The shared simulated-time timeline of the run: per-device copy and
     #: compute engines plus the link/NIC resources the sharded jobs'
     #: collectives booked.  Export with ``timeline.write_chrome_trace``.
-    timeline: Optional[Timeline] = field(default=None, repr=False)
+    timeline: Timeline = field(repr=False)
     #: Chaos events that fired during the run, in firing order.
     failures: List[NodeFailure] = field(default_factory=list)
     #: Total job re-queues: every time a node loss tore an in-flight job
@@ -680,7 +656,7 @@ class Scheduler:
                 timeline.resource(device_compute_key(i), category="compute")
                 for i in range(self.cluster.num_devices)
             ],
-            jobs=[0] * self.cluster.num_devices,
+            dispatches=[0] * self.cluster.num_devices,
             metrics=metrics,
             events=events,
             # FIFO keeps the legacy path: no discipline object at all, so
@@ -912,20 +888,9 @@ class Scheduler:
                 "discipline.",
                 ("policy",),
             ).inc(float(len(gangs)), policy=self.nic_policy)
-        timelines = [
-            DeviceTimeline(
-                slot=i,
-                device=d,
-                copy_free_s=state.copy[i].free_s,
-                compute_free_s=state.compute[i].free_s,
-                busy_s=state.compute[i].busy_s,
-                jobs=state.jobs[i],
-            )
-            for i, d in enumerate(self.cluster.devices)
-        ]
         return ScheduleOutcome(
             results=ordered,
-            timelines=timelines,
+            dispatches=state.dispatches,
             timeline=timeline,
             failures=fired,
             requeued_jobs=sum(requeue_counts.values()),
@@ -977,7 +942,6 @@ class Scheduler:
                 cache=self.cache,
                 num_streams=self.num_streams,
                 metrics=state.metrics,
-                nic_policy=self.nic_policy,
             )
         except OutOfDeviceMemory as exc:
             # The admission estimate is first-order (autotune can raise the
@@ -1041,7 +1005,6 @@ class Scheduler:
                 cache=self.cache,
                 num_streams=self.num_streams,
                 metrics=state.metrics,
-                nic_policy=self.nic_policy,
             )
             results[mate.job.job_id] = self._commit(
                 mate,
@@ -1280,7 +1243,7 @@ class Scheduler:
                     )
                 )
         for slot in slots:
-            state.jobs[slot] += 1
+            state.dispatches[slot] += 1
 
         start_event = complete_event = None
         if state.events is not None:
@@ -1831,7 +1794,7 @@ class Scheduler:
             complete_event=complete_event,
         )
         for slot in slots:
-            state.jobs[slot] += 1
+            state.dispatches[slot] += 1
         results[job.job_id] = JobResult(
             job=job,
             status=JobStatus.COMPLETED,

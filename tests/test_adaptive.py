@@ -239,12 +239,6 @@ class TestNicPolicyValidation:
                 default_serving_cluster(), nic_policy="weighted"
             ).run(generate_workload(WorkloadSpec(num_jobs=1, seed=0)))
 
-    def test_exec_context_rejects_unknown_policy(self):
-        from repro.context import ExecContext
-
-        with pytest.raises(ValueError, match="nic_policy"):
-            ExecContext(nic_policy="weighted")
-
     def test_make_nic_discipline(self):
         from repro.gpusim.timeline import NIC_POLICIES, make_nic_discipline
 

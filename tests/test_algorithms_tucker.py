@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.algorithms.cp import cp_als
 from repro.algorithms.tucker import tucker_hooi
+from repro.context import ExecContext
+from repro.formats.fcoo import FCOOTensor
+from repro.gpusim.cluster import ClusterSpec, NodeFailure
+from repro.serve.cache import PreprocCache
+from repro.tensor.random import random_sparse_tensor
 from repro.tensor.sparse import SparseTensor
 from repro.tensor.ops import ttm_dense
 
@@ -71,3 +77,54 @@ class TestTuckerHOOI:
     def test_zero_tensor_rejected(self):
         with pytest.raises(ValueError):
             tucker_hooi(SparseTensor.empty((4, 4, 4)), (2, 2, 2))
+
+
+STREAMED = ExecContext(streamed=True, num_streams=4, chunk_nnz=512)
+
+
+class TestTuckerKernelContext:
+    """Tucker's SpTTMcs get the context CP's MTTKRPs get."""
+
+    def test_makespan_moves_with_streaming_fields(self, skewed_tensor):
+        runs = (
+            lambda ctx: cp_als(skewed_tensor, 8, max_iterations=2, ctx=ctx),
+            lambda ctx: tucker_hooi(skewed_tensor, (5, 5, 5), max_iterations=2, ctx=ctx),
+        )
+        for run in runs:
+            default, streamed = run(ExecContext()), run(STREAMED)
+            assert streamed.makespan_s != default.makespan_s
+            # streaming moves modeled time only
+            for a, b in zip(default.factors, streamed.factors):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("order", [3, 4])
+    @pytest.mark.parametrize("lose_node", [False, True])
+    def test_each_mode_encoded_once_without_cache(self, monkeypatch, order, lose_node):
+        tensor = random_sparse_tensor((30, 40, 20, 10)[:order], 800, seed=5)
+        cluster = ClusterSpec.homogeneous(num_nodes=2, devices_per_node=2)
+
+        def run(chaos=None):
+            ctx = ExecContext(cluster=cluster, chaos=chaos)
+            return tucker_hooi(tensor, (3,) * order, max_iterations=2, ctx=ctx)
+
+        clean = run()
+        chaos = [NodeFailure(time_s=clean.makespan_s * 0.4, node_index=0)] if lose_node else None
+        calls = []
+        encode = FCOOTensor.from_sparse.__func__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(args[1:])
+            return encode(cls, *args, **kwargs)
+
+        monkeypatch.setattr(FCOOTensor, "from_sparse", classmethod(counted))
+        result = run(chaos)
+        assert len(result.recoveries) == int(lose_node)
+        assert len(calls) == order
+        assert sorted(mode for _op, mode in calls) == list(range(order))
+
+    def test_cached_run_looks_up_every_spttmc(self, skewed_tensor):
+        cache = PreprocCache()
+        ctx = ExecContext(preproc_cache=cache)
+        tucker_hooi(skewed_tensor, (5, 5, 5), max_iterations=2, tolerance=0.0, ctx=ctx)
+        # (order + 1) SpTTMcs per sweep: a miss per mode, hits after
+        assert (cache.stats.encode_misses, cache.stats.encode_hits) == (3, 5)

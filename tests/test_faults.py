@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.cp import RecoveryRecord, UnifiedGPUEngine, cp_als
+from repro.algorithms.cp import UnifiedGPUEngine, cp_als
+from repro.algorithms.decomposition import RecoveryRecord
 from repro.algorithms.tucker import tucker_hooi
 from repro.context import ExecContext
 from repro.gpusim.cluster import (
@@ -56,6 +57,17 @@ def run_cp(chaos=None, *, max_iterations=3, cluster=None):
         max_iterations=max_iterations,
         compute_fit=True,
         ctx=ExecContext(chaos=chaos),
+    )
+
+
+def run_tucker(chaos=None, *, cluster=None):
+    return tucker_hooi(
+        TENSOR,
+        (5, 5, 5),
+        ctx=ExecContext(
+            cluster=cluster if cluster is not None else two_nodes(), chaos=chaos
+        ),
+        max_iterations=2,
     )
 
 
@@ -174,12 +186,6 @@ class TestCPRecovery:
         for a, b in zip(clean.factors, faulty.factors):
             assert np.array_equal(a, b)
 
-    def test_evict_node_requires_multinode(self):
-        engine = UnifiedGPUEngine(ctx=ExecContext(cluster=ClusterSpec.homogeneous(TITAN_X, 2)))
-        engine.prepare(TENSOR, 4)
-        with pytest.raises(RuntimeError):
-            engine.evict_node(0)
-
     @settings(deadline=None, max_examples=8)
     @given(
         frac=st.floats(min_value=0.05, max_value=0.95),
@@ -236,12 +242,82 @@ class TestTuckerRecovery:
             [NodeFailure(time_s=clean.makespan_s * 0.4, node_index=0)],
             chaos_cache,
         )
-        # Recovery plans re-encode from scratch *outside* the cache, so no
-        # phantom misses appear; the replayed sweep's per-mode lookups are
-        # real work and surface as extra hits.
+        # Recovery plans read the encodings the run holds (or encode
+        # outside the cache), so no phantom misses appear; the replayed
+        # sweep's per-mode lookups are real work and surface as extra hits.
         assert clean_cache.stats.encode_misses == chaos_cache.stats.encode_misses
         assert chaos_cache.stats.encode_hits >= clean_cache.stats.encode_hits
         assert chaos_cache.stats.evictions == clean_cache.stats.evictions
+
+    @settings(deadline=None, max_examples=8)
+    @given(
+        frac=st.floats(min_value=0.05, max_value=0.95),
+        node=st.integers(min_value=0, max_value=1),
+    )
+    def test_identity_over_failure_instants(self, frac, node):
+        clean = run_tucker()
+        faulty = run_tucker(
+            chaos=[NodeFailure(time_s=clean.makespan_s * frac, node_index=node)]
+        )
+        for a, b in zip(clean.factors, faulty.factors):
+            assert np.array_equal(a, b)
+        assert np.array_equal(clean.core, faulty.core)
+        assert clean.fits == faulty.fits
+        assert len(faulty.recoveries) == 1
+
+
+class TestSharedRecoveryPath:
+    """Both drivers recover through one run core."""
+
+    def test_reused_engine_starts_on_its_configured_topology(self):
+        tensor = random_sparse_tensor((300, 40, 30), 6_000, seed=11)
+
+        def run(engine, chaos=None):
+            return cp_als(
+                tensor, 8, engine=engine, max_iterations=3, ctx=ExecContext(chaos=chaos)
+            )
+
+        def engine():
+            return UnifiedGPUEngine(ctx=ExecContext(cluster=two_nodes()))
+
+        clean = run(engine())
+        reused = engine()
+        recovered = run(
+            reused, [NodeFailure(time_s=clean.makespan_s * 0.4, node_index=0)]
+        )
+        assert len(recovered.recoveries) == 1
+        again, fresh = run(reused), run(engine())
+        for a, b in zip(again.factors, fresh.factors):
+            assert np.array_equal(a, b)
+        assert again.makespan_s == fresh.makespan_s
+        assert again.device_time_by_device == fresh.device_time_by_device
+        assert set(again.device_time_by_device) == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("algorithm", ["cp", "tucker"])
+    def test_replay_books_the_survivor_after_restaging(self, algorithm):
+        # Losing node 0 of two one-GPU nodes leaves a single device, whose
+        # kernels run unsharded: they must book the survivor's compute
+        # engine (slot 1), after the re-staging, never the lost slot 0.
+        cluster = two_nodes(devices_per_node=1)
+
+        def run(chaos=None):
+            if algorithm == "cp":
+                return run_cp(chaos, cluster=cluster)
+            return run_tucker(chaos, cluster=cluster)
+
+        clean = run()
+        faulty = run([NodeFailure(time_s=clean.makespan_s * 0.4, node_index=0)])
+        assert len(faulty.recoveries) == 1
+        events = faulty.timeline.events
+        restage_start = min(e.start_s for e in events if e.label.startswith("restage:"))
+        lost = [e for e in events if e.resource == "dev0.compute"]
+        assert all(e.start_s < restage_start for e in lost)
+        replayed = [
+            e for e in events if e.resource == "dev1.compute" and e.start_s >= restage_start
+        ]
+        assert replayed
+        for a, b in zip(clean.factors, faulty.factors):
+            assert np.array_equal(a, b)
 
 
 class TestServingChaos:

@@ -194,13 +194,10 @@ class TestEngine:
 # ---------------------------------------------------------------------- #
 class TestImportCompat:
     def test_scheduler_surface_unchanged(self):
-        from repro.serve.scheduler import DeviceTimeline, ScheduleOutcome, Scheduler
+        from repro.serve.scheduler import ScheduleOutcome, Scheduler
 
-        assert {"slot", "device", "copy_free_s", "compute_free_s", "busy_s", "jobs"} <= {
-            f for f in DeviceTimeline.__dataclass_fields__
-        }
         assert hasattr(Scheduler, "run")
-        assert "timeline" in ScheduleOutcome.__dataclass_fields__
+        assert {"timeline", "dispatches"} <= set(ScheduleOutcome.__dataclass_fields__)
 
     def test_package_level_exports(self):
         import repro.gpusim as gpusim
@@ -363,10 +360,10 @@ class TestShardedAndServingClosedForm:
             busy = timeline.busy_s(device_compute_key(slot))
             assert utilization == pytest.approx(min(1.0, busy / makespan))
             assert 0.0 <= utilization <= 1.0
-        # the DeviceTimeline views carry the same per-resource busy numbers
-        for view in report.timelines:
-            assert view.busy_s == timeline.busy_s(device_compute_key(view.slot))
-            assert view.copy_free_s == timeline.free_s(device_copy_key(view.slot))
+        # one utilisation and one dispatch count per device slot
+        assert sorted(report.device_utilization) == list(range(report.cluster.num_devices))
+        assert len(report.dispatches) == report.cluster.num_devices
+        assert sum(report.dispatches) >= len(report.completed)
 
 
 # ---------------------------------------------------------------------- #
