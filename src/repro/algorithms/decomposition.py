@@ -18,7 +18,7 @@ bit-identical to the failure-free run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.context import ExecContext
@@ -161,16 +161,22 @@ class DecompositionTimeline:
 
         ``resident`` holds each mode's device-resident encoding with its
         threadlen.  Each one's re-staging is planned against the current
-        topology, the topology shrinks to the survivors, and the plans
-        book the copy engines one after another from the later of the
-        makespan and the failure instant.  The interrupted kernel's
-        bookings stay on the timeline as wasted work; restoring the
-        checkpoint is the caller's job.
+        topology and mapped onto physical slots, the topology shrinks to
+        the survivors, and the plans book the copy engines one after another
+        from the later of the makespan and the failure instant.  The
+        interrupted kernel's bookings stay on the timeline as wasted work;
+        restoring the checkpoint is the caller's job.
         """
         cluster = self.cluster
         plans = [
             plan_node_recovery(encoding, cluster, failure.node_index, threadlen=threadlen)
             for encoding, threadlen in resident
+        ]
+        # A plan's slot map is relative to the current topology; compose it
+        # with the run's so a second loss books the survivors' own lanes.
+        plans = [
+            replace(plan, slot_map=tuple(self._slot_map[slot] for slot in plan.slot_map))
+            for plan in plans
         ]
         survivors = cluster.surviving_slots(failure.node_index)
         self._slot_map = tuple(self._slot_map[slot] for slot in survivors)

@@ -7,9 +7,12 @@ products, dense CP/Tucker updates).  Two implementations ship:
 * ``"reference"`` — the original strictly-sequential numpy path
   (``np.add.at`` + per-mode product loops).  This *defines* the
   repository's canonical numeric order.
-* ``"vectorized"`` — batched position-stepped reductions with fused
-  products; bit-identical to the reference by construction, ≥2× faster on
-  realistic workloads (see ``repro.bench.wallclock``).
+* ``"vectorized"`` — the reference's products, summed by a SciPy CSR
+  product in blocks of whole segments.  SciPy adds each row's entries in
+  column order starting from ``0.0``, which is ``np.add.at``'s order, so
+  it is bit-identical to the reference by construction (signed zeros
+  included), and ≥2× faster on uniform and power-law SpMTTKRP (see
+  ``repro.bench.wallclock``).
 
 Selection, in precedence order:
 

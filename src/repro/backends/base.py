@@ -17,7 +17,8 @@ small set of primitives:
   CP-ALS / Tucker drivers.
 
 The contract every backend must honour is **bit-identity**: for any input,
-a backend's result must be ``np.array_equal`` to the reference backend's
+a backend's result must be bit-identical (equal shape, dtype and bit
+patterns, signed zeros included) to the reference backend's
 (:mod:`repro.backends.reference`, the strictly sequential ``np.add.at``
 path).  All the repository's correctness claims are bit-identity properties
 (chunked == sharded == multi-node == scheduled == recovered == one-shot),
@@ -159,11 +160,6 @@ class Backend:
     ) -> tuple:
         """The shared input contract of :meth:`segment_reduce`."""
         return validate_segment_inputs(values, segment_ids, num_segments)
-
-    @staticmethod
-    def _empty_product(values: np.ndarray) -> np.ndarray:
-        """Partials for a product over zero modes: the values themselves."""
-        return np.asarray(values, dtype=np.float64)[:, None].copy()
 
     @staticmethod
     def _as_streams(rows: Sequence[np.ndarray]) -> List[np.ndarray]:

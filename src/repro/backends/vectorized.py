@@ -1,166 +1,51 @@
-"""The vectorized backend: batched strict-order reductions, fused products.
+"""The vectorized backend: the reference's products, summed by a CSR product.
 
-``np.add.at`` is semantically perfect for the F-COO segment reduction — a
-strictly sequential scatter-add — but notoriously slow (~10 ns per scalar
-element: it is implemented as a per-index interpreter loop).  The obvious
-replacement, ``np.add.reduceat``, is *not* an option under this
-repository's bit-identity regime: reduceat uses pairwise summation, which
-diverges from the sequential order from segment length 4 onward.
-
-This backend instead performs the reduction as a **position-stepped
-batch**: sort the segments by length (descending, stable), then for
-within-segment position ``k = 0, 1, 2, …`` add the ``k``-th element of
-every still-active segment into its accumulator row with one vectorized
-``+=``.  Each segment's elements are accumulated strictly in stream order
-— exactly ``np.add.at``'s association — but the interpreter loop runs once
-per *position* (bounded by the longest segment), not once per *non-zero*.
-When only a few long segments remain active (the skewed-tail regime where
-position stepping degenerates), the survivors finish with a seeded
-``np.add.accumulate`` — numpy's cumulative sum is strictly sequential, so
-the association is again unchanged.
-
-The product stage fuses into the same loop: each position's partial
-products are computed directly into the accumulator batch (value row ×
-gathered factor rows, left-to-right), so the full ``(nnz, R)`` partial
-array is never materialised.  Per element the scalar operations and their
-order are identical to the reference path — only the batching changes —
-which is why the outputs are bit-identical, not merely close.
+``np.add.at``, the reference's segment sum, runs an interpreter loop per
+element, and ``np.add.reduceat`` sums pairwise, which changes the bits from
+segment length 4 on.  This backend keeps the reference's per-non-zero
+products and sums them with a SciPy CSR matrix of ones whose row ``s``
+lists the stream positions of segment ``s``; for F-COO ids its row pointer
+is the bit-flag array compressed to its set positions.  SciPy's
+CSR-times-dense product starts each row at ``0.0`` and adds ``1.0 * x`` per
+entry in column order.  ``1.0 * x`` is ``x``, so each sum is ``0.0 + x0 +
+x1 + ...`` in stream order: ``np.add.at``'s association, hence its bits,
+signed zeros included.  The stream is summed in blocks of whole segments of
+about :data:`BLOCK_BYTES` of partials, so the ``(nnz, width)`` partials are
+never all formed at once.  Unsorted ids (F-COO never produces them) take
+one block over the whole stream.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+import math
+from typing import Callable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from repro.backends.base import Backend
-from repro.gpusim.scan import segment_reduce as _canonical_segment_reduce
+from repro.backends.reference import ReferenceBackend
 
 __all__ = ["VectorizedBackend"]
 
-
-def _segment_table(segment_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Start offsets and lengths of the runs in non-decreasing segment ids."""
-    n = segment_ids.shape[0]
-    starts = np.flatnonzero(np.r_[True, segment_ids[1:] != segment_ids[:-1]])
-    lengths = np.diff(np.r_[starts, n])
-    return starts, lengths
+#: Bytes of float64 partials formed and summed per block of segments.
+BLOCK_BYTES = 4 << 20
 
 
-class VectorizedBackend(Backend):
-    """Batched strict-order execution; bit-identical to the reference."""
+class VectorizedBackend(ReferenceBackend):
+    """The reference's products, summed block by block with a CSR product."""
 
     name = "vectorized"
 
-    # ------------------------------------------------------------------ #
-    # Segment reduction
-    # ------------------------------------------------------------------ #
     def segment_reduce(
-        self,
-        values: np.ndarray,
-        segment_ids: np.ndarray,
-        num_segments: int,
+        self, values: np.ndarray, segment_ids: np.ndarray, num_segments: int
     ) -> np.ndarray:
-        values, segment_ids, num_segments = self._validated(
-            values, segment_ids, num_segments
+        values = np.asarray(values, dtype=np.float64)
+        matrix = values[:, None] if values.ndim == 1 else values
+        sums = self._blocked_sums(
+            lambda block, *_: block, matrix.shape[-1], matrix, (), (), segment_ids, num_segments
         )
-        squeeze = values.ndim == 1
-        if values.shape[0] == 0:
-            shape = (num_segments,) if squeeze else (num_segments, values.shape[1])
-            return np.zeros(shape, dtype=np.float64)
-        if np.any(segment_ids[1:] < segment_ids[:-1]):
-            # Unsorted ids (never produced by F-COO encodings): the batched
-            # stepping needs contiguous runs, so take the canonical
-            # scatter-add — identical by definition.
-            return _canonical_segment_reduce(values, segment_ids, num_segments)
-        values2d = values[:, None] if squeeze else values
-        out = self._strict_sorted_reduce(values2d, segment_ids, num_segments)
-        return out[:, 0] if squeeze else out
+        return sums[:, 0] if values.ndim == 1 else sums
 
-    def _strict_sorted_reduce(
-        self,
-        values: np.ndarray,
-        segment_ids: np.ndarray,
-        num_segments: int,
-    ) -> np.ndarray:
-        """Position-stepped reduction of pre-computed ``(n, w)`` partials."""
-        starts, lengths = _segment_table(segment_ids)
-        order = np.argsort(-lengths, kind="stable")
-        s_starts, s_len = starts[order], lengths[order]
-        acc = values[s_starts].copy()  # every segment's position-0 element
-        max_len = int(s_len[0])
-        k = 1
-        while k < max_len:
-            m = int(np.searchsorted(-s_len, -k))  # segments with length > k
-            if m <= 0:
-                break
-            if m <= max_len - k:
-                # Few long segments left: finish each with a seeded
-                # cumulative sum (np.add.accumulate is strictly sequential).
-                for i in range(m):
-                    lo = int(s_starts[i]) + k
-                    hi = int(s_starts[i]) + int(s_len[i])
-                    seeded = np.concatenate([acc[i][None, :], values[lo:hi]], axis=0)
-                    acc[i] = np.add.accumulate(seeded, axis=0)[-1]
-                break
-            acc[:m] += values[s_starts[:m] + k]
-            k += 1
-        out = np.zeros((num_segments, values.shape[1]), dtype=np.float64)
-        out[segment_ids[s_starts]] = acc
-        return out
-
-    # ------------------------------------------------------------------ #
-    # Per-non-zero products
-    # ------------------------------------------------------------------ #
-    def slice_products(
-        self,
-        values: np.ndarray,
-        mats: Sequence[np.ndarray],
-        rows: Sequence[np.ndarray],
-    ) -> np.ndarray:
-        if not mats:
-            return self._empty_product(values)
-        rows = self._as_streams(rows)
-        # In-place chain: per element the same left-to-right pairing as the
-        # reference's `partial = partial * mat[rows]`, one temporary fewer.
-        partial = np.asarray(values, dtype=np.float64)[:, None] * mats[0][rows[0], :]
-        for mat, row_idx in zip(mats[1:], rows[1:]):
-            partial *= mat[row_idx, :]
-        return partial
-
-    def kron_products(
-        self,
-        values: np.ndarray,
-        mats: Sequence[np.ndarray],
-        rows: Sequence[np.ndarray],
-    ) -> np.ndarray:
-        vals = np.asarray(values, dtype=np.float64)
-        if not mats:
-            return vals[:, None].copy()
-        rows = self._as_streams(rows)
-        nnz = vals.shape[0]
-        if nnz == 0:
-            width = 1
-            for mat in mats:
-                width *= mat.shape[1]
-            return np.zeros((0, width), dtype=np.float64)
-        if len(mats) == 2:
-            # One fused pass; operands multiply left-to-right — the same
-            # (value · last-mode row) · first-mode row pairing as the loop.
-            # (einsum's `optimize=` must stay off: path optimisation
-            # re-associates the products and breaks bit-identity.)
-            a = mats[0][rows[0], :]
-            b = mats[1][rows[1], :]
-            return np.einsum("i,ib,ia->iba", vals, b, a).reshape(nnz, -1)
-        partial = vals[:, None]
-        for pos in range(len(mats) - 1, -1, -1):
-            picked = mats[pos][rows[pos], :]
-            partial = (partial[:, :, None] * picked[:, None, :]).reshape(nnz, -1)
-        return partial
-
-    # ------------------------------------------------------------------ #
-    # Fused product + reduction
-    # ------------------------------------------------------------------ #
     def hadamard_segment_sums(
         self,
         values: np.ndarray,
@@ -169,77 +54,56 @@ class VectorizedBackend(Backend):
         segment_ids: np.ndarray,
         num_segments: int,
     ) -> np.ndarray:
-        vals = np.asarray(values, dtype=np.float64)
-        segment_ids = np.asarray(segment_ids)
-        if (
-            not mats
-            or vals.shape[0] == 0
-            or np.any(segment_ids[1:] < segment_ids[:-1])
-        ):
-            return super().hadamard_segment_sums(
-                vals, mats, rows, segment_ids, num_segments
-            )
-        _, segment_ids, num_segments = self._validated(
-            vals, segment_ids, num_segments
+        width = mats[0].shape[1] if mats else 1
+        return self._blocked_sums(
+            self.slice_products, width, values, mats, rows, segment_ids, num_segments
         )
+
+    def kron_segment_sums(
+        self,
+        values: np.ndarray,
+        mats: Sequence[np.ndarray],
+        rows: Sequence[np.ndarray],
+        segment_ids: np.ndarray,
+        num_segments: int,
+    ) -> np.ndarray:
+        width = math.prod(mat.shape[1] for mat in mats)
+        return self._blocked_sums(
+            self.kron_products, width, values, mats, rows, segment_ids, num_segments
+        )
+
+    def _blocked_sums(
+        self,
+        products: Callable[..., np.ndarray],
+        width: int,
+        values: np.ndarray,
+        mats: Sequence[np.ndarray],
+        rows: Sequence[np.ndarray],
+        segment_ids: np.ndarray,
+        num_segments: int,
+    ) -> np.ndarray:
+        """Per-segment sums of the ``width``-column partials
+        ``products(values, mats, rows)``, formed one block at a time."""
+        values, segment_ids, num_segments = self._validated(values, segment_ids, num_segments)
         rows = self._as_streams(rows)
-        starts, lengths = _segment_table(segment_ids)
-        order = np.argsort(-lengths, kind="stable")
-        s_starts, s_len = starts[order], lengths[order]
-
-        def step(indexer) -> np.ndarray:
-            """One position's partial products, gathered and multiplied
-            in the reference's left-to-right order."""
-            partial = vals[indexer, None] * mats[0][rows[0][indexer], :]
-            for mat, row_idx in zip(mats[1:], rows[1:]):
-                partial *= mat[row_idx[indexer], :]
-            return partial
-
-        acc = step(s_starts)
-        max_len = int(s_len[0])
-        k = 1
-        while k < max_len:
-            m = int(np.searchsorted(-s_len, -k))
-            if m <= 0:
-                break
-            if m <= max_len - k:
-                for i in range(m):
-                    lo = int(s_starts[i]) + k
-                    hi = int(s_starts[i]) + int(s_len[i])
-                    seeded = np.concatenate(
-                        [acc[i][None, :], step(slice(lo, hi))], axis=0
-                    )
-                    acc[i] = np.add.accumulate(seeded, axis=0)[-1]
-                break
-            acc[:m] += step(s_starts[:m] + k)
-            k += 1
-        out = np.zeros((num_segments, acc.shape[1]), dtype=np.float64)
-        out[segment_ids[s_starts]] = acc
+        out = np.zeros((num_segments, width), dtype=np.float64)
+        n = segment_ids.shape[0]
+        if np.any(segment_ids[1:] < segment_ids[:-1]):
+            order = np.argsort(segment_ids, kind="stable")
+            segment_ids, starts, per_block = segment_ids[order], np.array([n]), n
+        else:
+            order = np.arange(n)
+            starts = np.append(np.flatnonzero(np.diff(segment_ids)) + 1, n)
+            per_block = max(1, BLOCK_BYTES // (8 * max(width, 1)))
+        lo = 0
+        while lo < n:
+            # The block ends at the first segment start `per_block` or more
+            # positions on, so it holds whole segments.
+            hi = int(starts[np.searchsorted(starts, min(lo + per_block, n))])
+            ids = segment_ids[lo:hi]
+            first, last = int(ids[0]), int(ids[-1])
+            indptr = np.searchsorted(ids, np.arange(first, last + 2))
+            ones = csr_matrix((np.ones(hi - lo), order[lo:hi] - lo, indptr))
+            out[first : last + 1] = ones @ products(values[lo:hi], mats, [r[lo:hi] for r in rows])
+            lo = hi
         return out
-
-    # ------------------------------------------------------------------ #
-    # Dense updates
-    # ------------------------------------------------------------------ #
-    def dense_hadamard(self, grams: Sequence[np.ndarray], rank: int) -> np.ndarray:
-        if not grams:
-            return np.ones((rank, rank), dtype=np.float64)
-        # 1.0 * x == x exactly in IEEE-754, so dropping the reference's
-        # np.ones seed and chaining from the first Gram is bit-identical.
-        out = np.array(grams[0], dtype=np.float64, copy=True)
-        for gram in grams[1:]:
-            out *= gram
-        return out
-
-
-def _self_check(seed: int = 0, n: int = 512, width: int = 4) -> Optional[str]:
-    """Quick import-safe sanity probe used by tests; None when healthy."""
-    rng = np.random.default_rng(seed)
-    seg = np.sort(rng.integers(0, 40, size=n))
-    vals = rng.standard_normal((n, width))
-    from repro.backends.reference import ReferenceBackend
-
-    ref = ReferenceBackend().segment_reduce(vals, seg, 41)
-    vec = VectorizedBackend().segment_reduce(vals, seg, 41)
-    if not np.array_equal(ref, vec):
-        return "vectorized segment_reduce diverged from the reference order"
-    return None

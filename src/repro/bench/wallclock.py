@@ -7,8 +7,10 @@ sizes and seeds, once per numeric-execution backend
 (:mod:`repro.backends`), and pairs the timings with a backend **identity
 sweep**: the vectorized backend re-runs the repository's topology harnesses
 (one-shot, chunked, sharded, multi-node, decompositions, the serving
-scheduler) and every output is compared ``np.array_equal`` against the
-reference backend's.
+scheduler) and every output is compared byte for byte (shape, dtype and
+bits, so signed zeros count) against the reference backend's.  The tensors
+are uniform, except for SpMTTKRP's power-law twin (``spmttkrp_power``),
+whose skewed slices are those of the paper's datasets.
 
 Wall time is noisy where simulated time is not, so the regression gate
 (:mod:`repro.bench.regression`, suite ``wallclock``) treats the two metric
@@ -18,14 +20,17 @@ families differently:
   kernel; gated with a *wide* ratio band (the suite tolerance is 50 %).
 * ``.../speedup_below_2x_count`` and ``backend_identity_violation_count``
   — zero-tolerance counts: the quick-mode SpMTTKRP speedup must stay ≥ 2×
-  and the backends must stay bit-identical, on every run.
+  on both the uniform and the power-law tensor, and the backends must stay
+  bit-identical, on every run.
 * ``.../{ref,vec}_median_s_info`` — absolute medians; recorded in the
   artifact for trend plots (the nightly ``wallclock-trend`` job) but never
   gated — absolute wall time on a shared runner is not a signal.
 
-Timing protocol: every measurement runs ``warmup`` throwaway iterations and
-reports the median of ``repeat`` timed iterations (``time.perf_counter``),
-with inputs pre-generated and pre-encoded outside the timed region.
+Timing protocol: every case runs ``warmup`` throwaway iterations per backend
+and reports each backend's median of ``repeat`` timed iterations
+(``time.perf_counter``), with inputs pre-generated and pre-encoded outside
+the timed region.  The two backends take turns within every round, so a
+drift in host speed during a case reaches both medians alike.
 
 Usage::
 
@@ -80,6 +85,12 @@ class _KernelCase:
     nnz: int
     rank: int
     seed: int
+    distribution: str = "uniform"
+
+    @property
+    def name(self) -> str:
+        """The metric prefix: the kernel, suffixed for power-law tensors."""
+        return self.kernel if self.distribution == "uniform" else f"{self.kernel}_power"
 
 
 def _cases(quick: bool) -> List[_KernelCase]:
@@ -90,29 +101,38 @@ def _cases(quick: bool) -> List[_KernelCase]:
         # *through the full kernel entry point*, whose cost-model stage is
         # backend-independent overhead — a wider factor keeps the numeric
         # core dominant so the measured margin stays comfortably above 2×.
+        # Its power-law twin has the skewed slices of the paper's datasets.
         return [
             _KernelCase("spmttkrp", (30_000, 2_000, 1_500), 400_000, 32, 101),
+            _KernelCase("spmttkrp", (30_000, 2_000, 1_500), 400_000, 32, 101, "power"),
             _KernelCase("spttm", (20_000, 1_500, 1_200), 250_000, 16, 102),
             _KernelCase("spttmc", (8_000, 600, 500), 120_000, 8, 103),
             _KernelCase("cp_als", (5_000, 600, 500), 150_000, 16, 104),
         ]
     return [
         _KernelCase("spmttkrp", (80_000, 4_000, 3_000), 1_200_000, 32, 101),
+        _KernelCase("spmttkrp", (80_000, 4_000, 3_000), 1_200_000, 32, 101, "power"),
         _KernelCase("spttm", (50_000, 3_000, 2_500), 800_000, 16, 102),
         _KernelCase("spttmc", (16_000, 1_000, 800), 400_000, 8, 103),
         _KernelCase("cp_als", (12_000, 1_200, 1_000), 500_000, 16, 104),
     ]
 
 
-def _median_time(fn: Callable[[], object], *, repeat: int, warmup: int) -> float:
+def _interleaved_medians(
+    runners: Dict[str, Callable[[], object]], *, repeat: int, warmup: int
+) -> Dict[str, float]:
+    """Median seconds of each runner, the runners taking turns in every
+    round so a drift in host speed reaches all of them alike."""
     for _ in range(warmup):
-        fn()
-    samples = []
+        for fn in runners.values():
+            fn()
+    samples: Dict[str, List[float]] = {name: [] for name in runners}
     for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return float(np.median(samples))
+        for name, fn in runners.items():
+            start = time.perf_counter()
+            fn()
+            samples[name].append(time.perf_counter() - start)
+    return {name: float(np.median(times)) for name, times in samples.items()}
 
 
 def _timed_runner(case: _KernelCase, backend: str) -> Callable[[], object]:
@@ -123,7 +143,9 @@ def _timed_runner(case: _KernelCase, backend: str) -> Callable[[], object]:
     from repro.kernels.unified.spttm import unified_spttm
     from repro.kernels.unified.spttmc import unified_spttmc
 
-    tensor = random_sparse_tensor(case.shape, case.nnz, seed=case.seed)
+    tensor = random_sparse_tensor(
+        case.shape, case.nnz, seed=case.seed, distribution=case.distribution
+    )
     ctx = ExecContext(backend=backend)
     if case.kernel == "spmttkrp":
         fcoo = FCOOTensor.from_sparse(tensor, OperationKind.SPMTTKRP, 0)
@@ -215,18 +237,23 @@ def _outputs_under(backend: str, tensor: SparseTensor) -> List[np.ndarray]:
     return arrays
 
 
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape, dtype and bytes: ``-0.0`` and ``+0.0`` differ here,
+    where ``np.array_equal`` calls them equal."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def _identity_violations() -> int:
-    """Arrays on which the vectorized backend diverges from the reference."""
+    """Arrays on which the vectorized backend's bytes differ from the
+    reference's."""
     tensor = random_sparse_tensor((400, 60, 50), 8_000, seed=21)
     reference = _outputs_under("reference", tensor)
     vectorized = _outputs_under("vectorized", tensor)
-    if len(reference) != len(vectorized):
-        # Structural divergence (different job/array counts) is itself a
-        # violation per missing/extra array.
-        return abs(len(reference) - len(vectorized)) + sum(
-            not np.array_equal(a, b) for a, b in zip(reference, vectorized)
-        )
-    return sum(not np.array_equal(a, b) for a, b in zip(reference, vectorized))
+    # Structural divergence (different job/array counts) is itself a
+    # violation per missing/extra array.
+    return abs(len(reference) - len(vectorized)) + sum(
+        not _same_bytes(a, b) for a, b in zip(reference, vectorized)
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -249,12 +276,13 @@ def run_wallclock(
 
     metrics: Dict[str, float] = {}
     for case in _cases(quick):
-        medians: Dict[str, float] = {}
-        for backend in ("reference", "vectorized"):
-            runner = _timed_runner(case, backend)
-            medians[backend] = _median_time(runner, repeat=repeat, warmup=warmup)
+        medians = _interleaved_medians(
+            {b: _timed_runner(case, b) for b in ("reference", "vectorized")},
+            repeat=repeat,
+            warmup=warmup,
+        )
         ratio = medians["vectorized"] / medians["reference"]
-        prefix = f"wallclock/{case.kernel}"
+        prefix = f"wallclock/{case.name}"
         metrics[f"{prefix}/vec_over_ref_ratio"] = ratio
         metrics[f"{prefix}/ref_median_s_info"] = medians["reference"]
         metrics[f"{prefix}/vec_median_s_info"] = medians["vectorized"]

@@ -1,15 +1,18 @@
 """The backend bit-identity harness (ISSUE 9 tentpole property).
 
-Every numeric-execution backend must be ``np.array_equal`` — not merely
-close — to the reference backend on every input.  The Hypothesis sweeps
-here drive the three unified kernels through the one-shot, chunked
-(streamed) and sharded topologies under both backends and compare bits,
-plus the primitive-level reductions (1-D/2-D, empty segments, single
-non-zero, unsorted-id fallback) and the ``ExecContext(backend=...)`` /
-``REPRO_BACKEND`` selection plumbing.
+Every numeric-execution backend must be bit-identical — not merely
+``np.array_equal``, which calls ``-0.0`` and ``+0.0`` equal — to the
+reference backend on every input.  The Hypothesis sweeps here drive the
+three unified kernels through the one-shot, chunked (streamed) and sharded
+topologies under both backends and compare outputs, plus the
+primitive-level reductions (1-D/2-D, signed zeros, empty segments, single
+non-zero, unsorted ids, streams that span several blocks) and the
+``ExecContext(backend=...)`` / ``REPRO_BACKEND`` selection plumbing.
 """
 
+import contextlib
 from typing import Tuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,8 +27,8 @@ from repro.backends import (
     VectorizedBackend,
     available_backends,
     get_backend,
+    vectorized,
 )
-from repro.backends.vectorized import _self_check
 from repro.context import ExecContext
 from repro.gpusim.scan import segment_reduce
 from repro.kernels.unified import unified_spmttkrp, unified_spttm, unified_spttmc
@@ -35,6 +38,27 @@ SETTINGS = settings()
 
 REF = ReferenceBackend()
 VEC = VectorizedBackend()
+
+#: Block budgets the primitive properties run under: the module's own
+#: (``None``), and budgets of one and twelve float64 partials, so that the
+#: drawn streams cross many blocks and segments outgrow a block.
+BLOCK_BUDGETS = pytest.mark.parametrize(
+    "block_bytes", [None, 8, 96], ids=["module-budget", "8-bytes", "96-bytes"]
+)
+
+
+def block_budget(block_bytes):
+    """Run the vectorized backend with ``block_bytes`` of partials a block."""
+    if block_bytes is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(vectorized, "BLOCK_BYTES", block_bytes)
+
+
+def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Equal shape, dtype and bit pattern (so ``-0.0`` differs from ``+0.0``)."""
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype == np.float64
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
 
 
 # ---------------------------------------------------------------------- #
@@ -62,7 +86,8 @@ def tensors_with_mode(draw) -> Tuple[SparseTensor, int]:
 
 @st.composite
 def segmented_values(draw):
-    """(values, sorted segment_ids, num_segments) with empty segments."""
+    """(values, sorted segment_ids, num_segments) with empty segments,
+    ``-0.0`` entries and whole segments of ``-0.0``."""
     n = draw(st.integers(min_value=0, max_value=80))
     num_segments = draw(st.integers(min_value=1, max_value=20))
     width = draw(st.integers(min_value=0, max_value=6))  # 0 -> 1-D values
@@ -71,6 +96,9 @@ def segmented_values(draw):
     values = (
         rng.standard_normal(n) if width == 0 else rng.standard_normal((n, width))
     )
+    values[rng.random(values.shape) < draw(st.sampled_from([0.0, 0.3]))] = -0.0
+    negative_zero_segments = draw(st.lists(st.integers(0, num_segments - 1), max_size=3))
+    values[np.isin(segment_ids, negative_zero_segments)] = -0.0
     return values, segment_ids, num_segments
 
 
@@ -79,93 +107,119 @@ def make_factors(tensor: SparseTensor, rank: int, seed: int = 0):
     return [rng.uniform(0.1, 1.0, size=(s, rank)) for s in tensor.shape]
 
 
+def product_inputs(case, num_mats, rank, seed):
+    """A 1-D value stream with its segments and ``num_mats`` factor
+    matrices (``rank`` columns, some ``-0.0`` entries) plus row streams."""
+    values, segment_ids, num_segments = case
+    if values.ndim != 1:
+        values = values[:, 0] if values.shape[1] else np.zeros(len(segment_ids))
+    rng = np.random.default_rng(seed)
+    mats = [rng.standard_normal((10, rank)) for _ in range(num_mats)]
+    for mat in mats:
+        mat[rng.random(mat.shape) < 0.2] = -0.0
+    rows = [rng.integers(0, 10, size=values.shape[0]) for _ in range(num_mats)]
+    return values, mats, rows, segment_ids, num_segments
+
+
 # ---------------------------------------------------------------------- #
 # Primitive-level identity
 # ---------------------------------------------------------------------- #
 class TestSegmentReduceIdentity:
+    @BLOCK_BUDGETS
     @SETTINGS
     @given(segmented_values())
-    def test_bit_identity_with_canonical_reduce(self, case):
+    def test_bit_identity_with_canonical_reduce(self, block_bytes, case):
         values, segment_ids, num_segments = case
         expected = segment_reduce(values, segment_ids, num_segments)
-        np.testing.assert_array_equal(
-            VEC.segment_reduce(values, segment_ids, num_segments), expected
-        )
-        np.testing.assert_array_equal(
-            REF.segment_reduce(values, segment_ids, num_segments), expected
-        )
+        with block_budget(block_bytes):
+            actual = VEC.segment_reduce(values, segment_ids, num_segments)
+        assert_same_bits(actual, expected)
+        assert_same_bits(REF.segment_reduce(values, segment_ids, num_segments), expected)
+
+    def test_negative_zero_segment_sums_to_positive_zero(self):
+        values = np.array([[-0.0, 1.0], [-0.0, -0.0], [2.0, -0.0]])
+        segment_ids = np.array([0, 0, 1])
+        out = VEC.segment_reduce(values, segment_ids, 2)
+        assert_same_bits(out, segment_reduce(values, segment_ids, 2))
+        assert not np.signbit(out[0, 0])
 
     def test_single_nnz(self):
         values = np.array([[3.5, -1.25]])
         out = VEC.segment_reduce(values, np.array([2]), 5)
         expected = np.zeros((5, 2))
         expected[2] = values[0]
-        np.testing.assert_array_equal(out, expected)
+        assert_same_bits(out, expected)
 
     def test_all_segments_empty(self):
         out = VEC.segment_reduce(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 4)
-        np.testing.assert_array_equal(out, np.zeros((4, 3)))
+        assert_same_bits(out, np.zeros((4, 3)))
 
-    def test_unsorted_ids_fall_back_to_scatter_add(self):
+    @BLOCK_BUDGETS
+    def test_unsorted_ids(self, block_bytes):
+        # F-COO never produces unsorted ids; each segment still sums its
+        # elements in stream order.
         rng = np.random.default_rng(0)
         values = rng.standard_normal((50, 4))
+        values[::7] = -0.0
         segment_ids = rng.integers(0, 7, size=50)  # deliberately unsorted
-        np.testing.assert_array_equal(
-            VEC.segment_reduce(values, segment_ids, 7),
-            segment_reduce(values, segment_ids, 7),
-        )
+        with block_budget(block_bytes):
+            actual = VEC.segment_reduce(values, segment_ids, 7)
+        assert_same_bits(actual, segment_reduce(values, segment_ids, 7))
 
-    def test_skewed_segments_hit_the_seeded_finish(self):
-        # One giant segment next to many singletons forces the batched
-        # stepping into its np.add.accumulate tail path.
+    @BLOCK_BUDGETS
+    def test_one_long_segment_among_singletons(self, block_bytes):
+        # One 500-element segment next to 39 single-element segments.
         rng = np.random.default_rng(1)
         segment_ids = np.sort(np.r_[np.zeros(500, dtype=np.int64), np.arange(1, 40)])
         values = rng.standard_normal((segment_ids.size, 3))
-        np.testing.assert_array_equal(
-            VEC.segment_reduce(values, segment_ids, 40),
-            segment_reduce(values, segment_ids, 40),
+        with block_budget(block_bytes):
+            actual = VEC.segment_reduce(values, segment_ids, 40)
+        assert_same_bits(actual, segment_reduce(values, segment_ids, 40))
+
+    def test_stream_over_several_blocks(self):
+        # 60k non-zeros at rank 32 span several blocks of the module's own
+        # budget, and the 20k-element segment is longer than a block.
+        rng = np.random.default_rng(2)
+        segment_ids = np.sort(np.r_[np.full(20_000, 700), rng.integers(0, 1_500, size=40_000)])
+        assert 20_000 > vectorized.BLOCK_BYTES // (8 * 32)
+        values = rng.standard_normal(segment_ids.size)
+        values[segment_ids == 3] = -0.0
+        mats = [rng.standard_normal((50, 32)) for _ in range(2)]
+        rows = [rng.integers(0, 50, size=segment_ids.size) for _ in mats]
+        args = (values, mats, rows, segment_ids, 1_500)
+        assert_same_bits(VEC.hadamard_segment_sums(*args), REF.hadamard_segment_sums(*args))
+        assert_same_bits(
+            VEC.kron_segment_sums(values, mats[:1], rows[:1], segment_ids, 1_500),
+            REF.kron_segment_sums(values, mats[:1], rows[:1], segment_ids, 1_500),
+        )
+        assert_same_bits(
+            VEC.segment_reduce(values, segment_ids, 1_500),
+            segment_reduce(values, segment_ids, 1_500),
         )
 
-    def test_self_check_probe(self):
-        assert _self_check() is None
-
+    @BLOCK_BUDGETS
     @SETTINGS
-    @given(segmented_values(), st.integers(min_value=1, max_value=3))
-    def test_fused_hadamard_identity(self, case, num_mats):
-        values, segment_ids, num_segments = case
-        if values.ndim != 1:
-            values = values[:, 0] if values.shape[1] else np.zeros(len(segment_ids))
-        rng = np.random.default_rng(7)
-        mats = [rng.standard_normal((10, 4)) for _ in range(num_mats)]
-        rows = [rng.integers(0, 10, size=values.shape[0]) for _ in range(num_mats)]
-        np.testing.assert_array_equal(
-            VEC.hadamard_segment_sums(values, mats, rows, segment_ids, num_segments),
-            REF.hadamard_segment_sums(values, mats, rows, segment_ids, num_segments),
-        )
+    @given(segmented_values(), st.integers(min_value=0, max_value=3))
+    def test_fused_hadamard_identity(self, block_bytes, case, num_mats):
+        args = product_inputs(case, num_mats, 4, seed=7)
+        with block_budget(block_bytes):
+            actual = VEC.hadamard_segment_sums(*args)
+        assert_same_bits(actual, REF.hadamard_segment_sums(*args))
 
+    @BLOCK_BUDGETS
     @SETTINGS
-    @given(segmented_values(), st.integers(min_value=1, max_value=3))
-    def test_kron_identity(self, case, num_mats):
-        values, segment_ids, num_segments = case
-        if values.ndim != 1:
-            values = values[:, 0] if values.shape[1] else np.zeros(len(segment_ids))
-        rng = np.random.default_rng(9)
-        mats = [rng.standard_normal((8, 3)) for _ in range(num_mats)]
-        rows = [rng.integers(0, 8, size=values.shape[0]) for _ in range(num_mats)]
-        np.testing.assert_array_equal(
-            VEC.kron_segment_sums(values, mats, rows, segment_ids, num_segments),
-            REF.kron_segment_sums(values, mats, rows, segment_ids, num_segments),
-        )
+    @given(segmented_values(), st.integers(min_value=0, max_value=3))
+    def test_kron_identity(self, block_bytes, case, num_mats):
+        args = product_inputs(case, num_mats, 3, seed=9)
+        with block_budget(block_bytes):
+            actual = VEC.kron_segment_sums(*args)
+        assert_same_bits(actual, REF.kron_segment_sums(*args))
 
     def test_dense_hadamard_identity(self):
         rng = np.random.default_rng(3)
         grams = [rng.standard_normal((6, 6)) for _ in range(4)]
-        np.testing.assert_array_equal(
-            VEC.dense_hadamard(grams, 6), REF.dense_hadamard(grams, 6)
-        )
-        np.testing.assert_array_equal(
-            VEC.dense_hadamard([], 6), REF.dense_hadamard([], 6)
-        )
+        assert_same_bits(VEC.dense_hadamard(grams, 6), REF.dense_hadamard(grams, 6))
+        assert_same_bits(VEC.dense_hadamard([], 6), REF.dense_hadamard([], 6))
 
 
 # ---------------------------------------------------------------------- #

@@ -319,6 +319,32 @@ class TestSharedRecoveryPath:
         for a, b in zip(clean.factors, faulty.factors):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("algorithm", ["cp", "tucker"])
+    def test_second_restaging_books_survivor_lanes_only(self, algorithm):
+        # Three two-GPU nodes lose node 0 (GPUs 0-1), then the survivors'
+        # node 0 (GPUs 2-3): the second re-staging may book only the copy
+        # lanes of GPUs 4-5, never those of the GPUs just lost.
+        tensor = random_sparse_tensor((300, 40, 30), 6_000, seed=11)
+        cluster = ClusterSpec.homogeneous(num_nodes=3, devices_per_node=2, nic=ETHERNET_10G)
+
+        def run(chaos=None):
+            ctx = ExecContext(cluster=cluster, chaos=chaos)
+            if algorithm == "cp":
+                return cp_als(tensor, 8, max_iterations=3, ctx=ctx)
+            return tucker_hooi(tensor, (5, 5, 5), max_iterations=3, ctx=ctx)
+
+        clean = run()
+        second = NodeFailure(time_s=0.5 * clean.makespan_s, node_index=0)
+        faulty = run([NodeFailure(time_s=0.2 * clean.makespan_s, node_index=0), second])
+        assert [r.survivor_devices for r in faulty.recoveries] == [4, 2]
+        restage = [e for e in faulty.timeline.events if e.label.startswith("restage:")]
+        first = {e.resource for e in restage if e.start_s < second.time_s}
+        later = {e.resource for e in restage if e.start_s >= second.time_s}
+        assert first == {f"dev{slot}.copy" for slot in (2, 3, 4, 5)}
+        assert later == {"dev4.copy", "dev5.copy"}
+        for a, b in zip(clean.factors, faulty.factors):
+            assert np.array_equal(a, b)
+
 
 class TestServingChaos:
     CLUSTER_NODES = 2
