@@ -14,23 +14,25 @@ algorithm is parameterised by an *engine* that supplies it:
   fiber tree across modes, which makes the per-mode times uneven (Figure
   10's SPLATT bars).
 
-Both engines return simulated kernel times; the dense linear algebra
-(Gram matrices, the pseudo-inverse solve, column normalisation) is charged
-to a simple dense-kernel model and reported as the "other" category, again
-matching Figure 10's breakdown.
+Both engines give each MTTKRP's numbers and, apart, its model-only
+profile; the dense linear algebra (Gram matrices, the pseudo-inverse solve,
+column normalisation) is charged to a simple dense-kernel model and
+reported as the "other" category, again matching Figure 10's breakdown.
 
-The run's timeline, per-device ledger and node-loss recovery are the
-:class:`~repro.algorithms.decomposition.DecompositionTimeline` that
-:func:`~repro.algorithms.tucker.tucker_hooi` uses too; this module keeps
-CP's own parts: the dense update (and its overlap with the all-reduce),
-the deferred shard staging, and the checkpoint of factors, Gram matrices
-and weights.
+:func:`cp_als` runs in two passes.  :func:`cp_numeric_pass` is the plain
+ALS loop: the numbers, with no timeline.  :func:`cp_modeled_pass` then books
+the same sweeps on a
+:class:`~repro.algorithms.decomposition.DecompositionTimeline` from each
+mode's profile, node-loss recovery included; this module keeps CP's own
+modeled parts: the dense update (and its overlap with the all-reduce) and
+the deferred shard staging.  The serving layer runs the two passes apart,
+so a job's numbers are computed once however often it is priced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,19 +43,26 @@ from repro.algorithms.decomposition import (
 )
 from repro.algorithms.fit import cp_fit
 from repro.algorithms.normalization import normalize_columns
-from repro.backends import get_backend
+from repro.backends import Backend, get_backend
 from repro.context import DEFAULT_CONTEXT, ExecContext
-from repro.cpusim.cpu import CPU_I7_5820K, CpuSpec
+from repro.cpusim.cpu import CPU_I7_5820K, CpuProfile, CpuSpec
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.csf import CSFTensor
 from repro.formats.mode_encoding import OperationKind
 from repro.gpusim.cluster import ClusterSpec, resolve_cluster
+from repro.gpusim.counters import KernelProfile
 from repro.gpusim.device import DeviceSpec, TITAN_X
 from repro.gpusim.timeline import Timeline, device_copy_key
-from repro.kernels.baselines.splatt import splatt_csf_mode_order, splatt_mttkrp
-from repro.kernels.common import MTTKRPResult
+from repro.kernels.baselines.splatt import splatt_csf_mode_order, splatt_profile
+from repro.kernels.common import Profile
+from repro.kernels.reference.coo_reference import reference_mttkrp
+from repro.kernels.unified.driver import compute, model
 from repro.kernels.unified.sharded import partition_for_cluster
-from repro.kernels.unified.spmttkrp import spmttkrp_footprint, unified_spmttkrp
+from repro.kernels.unified.spmttkrp import (
+    spmttkrp_footprint,
+    spmttkrp_operands,
+    spmttkrp_spec,
+)
 from repro.kernels.unified.streaming import should_stream
 from repro.tensor.random import random_factors
 from repro.tensor.sparse import SparseTensor
@@ -61,8 +70,11 @@ from repro.util.rng import SeedLike
 from repro.util.validation import check_positive_int, check_rank
 
 __all__ = [
+    "CPNumbers",
     "CPResult",
     "cp_als",
+    "cp_modeled_pass",
+    "cp_numeric_pass",
     "CPEngine",
     "UnifiedGPUEngine",
     "SplattCPUEngine",
@@ -78,13 +90,14 @@ class CPEngine(Protocol):
         """Preprocess/transfer the tensor; returns the setup time in seconds."""
         ...
 
-    def mttkrp(
-        self,
-        factors: Sequence[np.ndarray],
-        mode: int,
-        cluster: Optional[ClusterSpec] = None,
-    ) -> MTTKRPResult:
-        """Run the MTTKRP for ``mode`` using the prepared tensor.
+    def mttkrp(self, factors: Sequence[np.ndarray], mode: int) -> np.ndarray:
+        """The MTTKRP for ``mode`` on the prepared tensor: numbers only."""
+        ...
+
+    def profile(
+        self, mode: int, rank: int, cluster: Optional[ClusterSpec] = None
+    ) -> Profile:
+        """The model-only profile of a rank-``rank`` MTTKRP for ``mode``.
 
         ``cluster`` is the run's current topology when a node loss shrank
         it; ``None`` keeps the engine's own.
@@ -234,19 +247,27 @@ class UnifiedGPUEngine:
             return self.per_mode_params[mode]
         return self.block_size, self.threadlen
 
-    def mttkrp(
-        self,
-        factors: Sequence[np.ndarray],
-        mode: int,
-        cluster: Optional[ClusterSpec] = None,
-    ) -> MTTKRPResult:
+    def _encoding(self, mode: int) -> FCOOTensor:
         if not self._encodings:
             raise RuntimeError("prepare() must be called before mttkrp()")
+        return self._encodings[mode]
+
+    def mttkrp(self, factors: Sequence[np.ndarray], mode: int) -> np.ndarray:
+        """The unified SpMTTKRP's numbers: one canonical backend pass, the
+        same on every topology and path."""
+        operands = spmttkrp_operands(self._encoding(mode), factors, mode)
+        return compute(*operands, get_backend(self.ctx.backend))
+
+    def profile(
+        self, mode: int, rank: int, cluster: Optional[ClusterSpec] = None
+    ) -> KernelProfile:
+        """The unified SpMTTKRP's cost model for ``mode`` (one-shot,
+        streamed or sharded across ``cluster`` or the engine's own)."""
+        encoding = self._encoding(mode)
         block_size, threadlen = self._params_for(mode)
-        return unified_spmttkrp(
-            self._encodings[mode],
-            factors,
-            mode,
+        return model(
+            encoding,
+            spmttkrp_spec(encoding, rank),
             device=self.device,
             block_size=block_size,
             threadlen=threadlen,
@@ -313,22 +334,23 @@ class SplattCPUEngine:
         # iteration time, as in the paper's measurements).
         return tensor.nnz * 40e-9
 
-    def mttkrp(
-        self,
-        factors: Sequence[np.ndarray],
-        mode: int,
-        cluster: Optional[ClusterSpec] = None,
-    ) -> MTTKRPResult:
-        """SPLATT's MTTKRP on the CPU (a CPU run has no cluster)."""
+    def _prepared(self) -> Tuple[SparseTensor, CSFTensor]:
         if self._csf is None or self._tensor is None:
             raise RuntimeError("prepare() must be called before mttkrp()")
-        return splatt_mttkrp(
-            self._tensor,
-            factors,
-            mode,
-            cpu=self.cpu,
-            num_threads=self.num_threads,
-            csf=self._csf,
+        return self._tensor, self._csf
+
+    def mttkrp(self, factors: Sequence[np.ndarray], mode: int) -> np.ndarray:
+        """SPLATT's MTTKRP numbers (the tree walk never changes them)."""
+        tensor, _csf = self._prepared()
+        return reference_mttkrp(tensor, factors, mode)
+
+    def profile(
+        self, mode: int, rank: int, cluster: Optional[ClusterSpec] = None
+    ) -> CpuProfile:
+        """SPLATT's modeled MTTKRP on the CPU (a CPU run has no cluster)."""
+        tensor, csf = self._prepared()
+        return splatt_profile(
+            tensor, mode, rank, cpu=self.cpu, num_threads=self.num_threads, csf=csf
         )
 
     def dense_update_time(self, mode_size: int, rank: int, order: int) -> float:
@@ -387,10 +409,10 @@ class CPResult:
         One :class:`~repro.algorithms.decomposition.RecoveryRecord` per
         node loss survived mid-run (empty for failure-free runs).
     recovery_overhead_s:
-        Total modeled re-staging seconds across all recoveries.  The
-        replayed sweeps' compute cost is *not* in here — it lands in the
-        ordinary per-mode ledgers and :attr:`makespan_s` like any other
-        executed work.
+        Total modeled re-staging seconds across all recoveries.  The cost
+        of the sweeps booked again on the survivors is *not* in here — it
+        lands in the ordinary per-mode ledgers and :attr:`makespan_s` like
+        any other executed work.
     preemptions:
         Scheduler-level preemptions this run suffered.  A standalone
         decomposition is never preempted (the list stays empty); the
@@ -488,25 +510,25 @@ def cp_als(
           ``max(collective, dense)`` instead of their sum.  A single-GPU
           engine has no collective, so the flag is a modeled no-op there.
         * ``chaos`` — optional :class:`~repro.gpusim.cluster.NodeFailure`
-          events to survive.  A failure *fires* at the first mode boundary
-          whose modeled completion time reaches ``failure.time_s`` while
-          the run shards across a multi-node cluster containing
-          ``failure.node_index`` (indices read against the topology at
-          that moment).  The interrupted sweep's partial work is discarded
-          as wasted time (its bookings stay on the timeline), the failed
-          node's shards are re-staged onto the survivors (modeled on the
-          copy lanes), and the sweep replays in full from its
-          iteration-boundary checkpoint on the survivor topology.  Because
-          the sharded kernels are bit-identical across topologies and
-          CP-ALS draws randomness only at initialisation, the returned
-          factors are bit-identical to the failure-free run's.  Failures
-          that cannot apply (single-GPU engine, out-of-range node) are
-          ignored; ``recover_s`` is ignored here — a decomposition never
-          rebalances back onto a returned node mid-run (the serving layer
-          does reuse recovered nodes for *new* jobs).  The engine keeps
-          its configured topology: its next run starts on all of it.
-          :func:`~repro.algorithms.tucker.tucker_hooi` recovers through
-          the same :class:`~repro.algorithms.decomposition.DecompositionTimeline`.
+          events to survive, in the modeled pass.  A failure *fires* at the
+          first mode boundary whose modeled completion time reaches
+          ``failure.time_s`` while the run shards across a multi-node
+          cluster containing ``failure.node_index`` (indices read against
+          the topology at that moment).  The interrupted sweep's partial
+          work is wasted time (its bookings stay on the timeline), the
+          failed node's shards are re-staged onto the survivors (modeled on
+          the copy lanes), and the whole sweep is booked again on the
+          survivor topology.  The numbers are computed once, by the
+          numeric pass: the sharded kernels are bit-identical across
+          topologies, so the factors are the failure-free run's by
+          construction.  Failures that cannot apply (single-GPU engine,
+          out-of-range node) are ignored; ``recover_s`` is ignored here — a
+          decomposition never rebalances back onto a returned node mid-run
+          (the serving layer does reuse recovered nodes for *new* jobs).
+          The engine keeps its configured topology: its next run starts on
+          all of it.  :func:`~repro.algorithms.tucker.tucker_hooi` recovers
+          through the same
+          :class:`~repro.algorithms.decomposition.DecompositionTimeline`.
         * ``overlap_staging`` — book each mode's resident shard staging on
           the per-device copy engines during the first sweep, overlapped
           with the previous mode's reduction, instead of charging it
@@ -520,7 +542,6 @@ def cp_als(
     CPResult
     """
     ctx = ctx if ctx is not None else DEFAULT_CONTEXT
-    backend_impl = get_backend(ctx.backend)
     rank = check_rank(rank)
     max_iterations = check_positive_int(max_iterations, "max_iterations")
     if tensor.nnz == 0:
@@ -542,16 +563,97 @@ def cp_als(
         factors = [np.array(f) for f in random_factors(tensor.shape, rank, seed=seed)]
 
     setup_time = engine.prepare(tensor, rank)
-    mttkrp_time_by_mode: Dict[int, float] = {m: 0.0 for m in range(order)}
-    other_time = 0.0
+    numbers = cp_numeric_pass(
+        tensor,
+        engine,
+        factors,
+        max_iterations=max_iterations,
+        tolerance=tolerance,
+        compute_fit=compute_fit,
+        backend=ctx.backend,
+    )
+    return cp_modeled_pass(
+        engine, tensor.shape, numbers, setup_time_s=setup_time, ctx=ctx
+    )
+
+
+class CPNumbers(NamedTuple):
+    """What CP-ALS's numeric pass produces: the :class:`CPResult` fields
+    that do not depend on where or how the run executes."""
+
+    factors: List[np.ndarray]
+    weights: np.ndarray
+    fits: List[float]
+    iterations: int
+
+
+def cp_numeric_pass(
+    tensor: SparseTensor,
+    engine: CPEngine,
+    factors: List[np.ndarray],
+    *,
+    max_iterations: int,
+    tolerance: float = 1e-5,
+    compute_fit: bool = True,
+    backend: Union[str, Backend, None] = None,
+) -> CPNumbers:
+    """The plain ALS loop of :func:`cp_als`: numbers only, no timeline.
+
+    ``engine`` is prepared for ``tensor``; ``factors`` holds the initial
+    factors and is updated in place, one normalised factor per mode.  The
+    loop stops after ``max_iterations`` sweeps, or earlier when
+    ``compute_fit`` is on and the fit improves by less than ``tolerance``.
+    ``backend`` runs the dense updates.
+    """
+    backend_impl = get_backend(backend)
+    order = tensor.order
+    rank = factors[0].shape[1]
     weights = np.ones(rank, dtype=np.float64)
+    grams = [backend_impl.gram(f) for f in factors]
     fits: List[float] = []
     previous_fit = -np.inf
+    iterations = 0
+    while iterations < max_iterations:
+        for mode in range(order):
+            output = engine.mttkrp(factors, mode)
+            v = backend_impl.dense_hadamard(
+                [grams[m] for m in range(order) if m != mode], rank
+            )
+            updated = backend_impl.matmul(output, np.linalg.pinv(v))
+            normalized, weights = normalize_columns(updated)
+            factors[mode] = normalized
+            grams[mode] = backend_impl.gram(normalized)
+        iterations += 1
+        if compute_fit:
+            fit = cp_fit(tensor, factors, weights)
+            fits.append(fit)
+            if abs(fit - previous_fit) < tolerance:
+                break
+            previous_fit = fit
+    return CPNumbers(factors=factors, weights=weights, fits=fits, iterations=iterations)
 
-    # The run's timeline, busy ledger and node-loss recovery.  Booking is
-    # pure modeled time; the numeric iteration below never consults it,
-    # which is what keeps the factors bit-identical whether or not the
-    # modes overlap.
+
+def cp_modeled_pass(
+    engine: CPEngine,
+    shape: Sequence[int],
+    numbers: CPNumbers,
+    *,
+    setup_time_s: float,
+    ctx: ExecContext = DEFAULT_CONTEXT,
+) -> CPResult:
+    """Book ``numbers.iterations`` CP-ALS sweeps on a fresh timeline.
+
+    Every MTTKRP books its mode's model-only profile, priced once per
+    topology; each dense update books the current topology's compute
+    engines after it.  ``engine`` is prepared for a tensor of ``shape``;
+    ``setup_time_s`` is what its ``prepare`` returned.  ``ctx`` supplies
+    ``chaos``, ``overlap_modes`` and ``metrics`` (see :func:`cp_als`).
+    Returns the full :class:`CPResult`: ``numbers`` plus the modeled fields.
+    """
+    order = len(shape)
+    rank = numbers.weights.shape[0]
+    mttkrp_time_by_mode: Dict[int, float] = {m: 0.0 for m in range(order)}
+    other_time = 0.0
     run = DecompositionTimeline(getattr(engine, "resolved_cluster", None), ctx.chaos)
     # Shard staging the engine deferred out of prepare() (ctx.overlap_staging):
     # each mode's per-device transfers book the copy engines during the first
@@ -566,44 +668,27 @@ def cp_als(
         if deferred_staging
         else []
     )
-
-    grams = [backend_impl.gram(f) for f in factors]
+    # Each mode's profile on the current topology; a node loss clears it.
+    profiles: Dict[int, Profile] = {}
     iteration = 0
-    while iteration < max_iterations:
-        # Iteration-boundary checkpoint: everything the sweep mutates.
-        # Together with the (seed, iteration) pair — CP-ALS draws
-        # randomness only at initialisation — this is the complete state
-        # needed to replay the sweep bit-for-bit on any topology.
-        checkpoint_factors = [f.copy() for f in factors]
-        checkpoint_grams = [g.copy() for g in grams]
-        checkpoint_weights = weights.copy()
+    while iteration < numbers.iterations:
         for mode in range(order):
             for slot, stage_s in sorted(deferred_staging.pop(mode, {}).items()):
                 copy_lanes[slot].book(stage_s, label=f"stage:mode{mode}")
-
-            result = engine.mttkrp(factors, mode, run.cluster)
-            mttkrp_time_by_mode[mode] += result.estimated_time_s
-            kernel_end, reduce_end = run.book(result.profile, f"mttkrp:mode{mode}")
+            if mode not in profiles:
+                profiles[mode] = engine.profile(mode, rank, run.cluster)
+            profile = profiles[mode]
+            mttkrp_time_by_mode[mode] += profile.estimated_time_s
+            kernel_end, reduce_end = run.book(profile, f"mttkrp:mode{mode}")
             failure = run.due_failure()
             if failure is not None:
                 # This mode's kernel and collective never delivered: their
                 # bookings stay on the timeline as wasted work.  Re-stage
-                # the lost shards on the survivors and replay the sweep
-                # from the checkpoint.
+                # the lost shards on the survivors and book the sweep again.
                 run.recover(failure, engine.resident(), iteration=iteration, mode=mode)
-                factors = [f.copy() for f in checkpoint_factors]
-                grams = [g.copy() for g in checkpoint_grams]
-                weights = checkpoint_weights.copy()
+                profiles.clear()
                 break
-
-            v = backend_impl.dense_hadamard(
-                [grams[m] for m in range(order) if m != mode], rank
-            )
-            updated = backend_impl.matmul(result.output, np.linalg.pinv(v))
-            normalized, weights = normalize_columns(updated)
-            factors[mode] = normalized
-            grams[mode] = backend_impl.gram(normalized)
-            dense_s = engine.dense_update_time(tensor.shape[mode], rank, order)
+            dense_s = engine.dense_update_time(shape[mode], rank, order)
             other_time += dense_s
             # Sequential: the dense update waits for the all-reduce.  With
             # overlap_modes the solve proceeds on each device's reduce-
@@ -616,24 +701,18 @@ def cp_als(
                 ready_s=kernel_end if ctx.overlap_modes else reduce_end,
                 label=f"dense:mode{mode}",
             )
-        else:  # the sweep completed; a node loss breaks out to replay it
+        else:  # the sweep completed; a node loss breaks out to book it again
             iteration += 1
-            if compute_fit:
-                fit = cp_fit(tensor, factors, weights)
-                fits.append(fit)
-                if abs(fit - previous_fit) < tolerance:
-                    break
-                previous_fit = fit
 
     return CPResult(
-        factors=factors,
-        weights=weights,
-        fits=fits,
-        iterations=iteration,
+        factors=numbers.factors,
+        weights=numbers.weights,
+        fits=numbers.fits,
+        iterations=numbers.iterations,
         mttkrp_time_by_mode=mttkrp_time_by_mode,
         other_time_s=other_time,
-        setup_time_s=setup_time,
+        setup_time_s=setup_time_s,
         engine_name=engine.name,
         overlap_modes=ctx.overlap_modes,
-        **run.finish(ctx.metrics, "cp_als", iteration),
+        **run.finish(ctx.metrics, "cp_als", numbers.iterations),
     )

@@ -2,18 +2,19 @@
 
 :func:`~repro.algorithms.cp.cp_als` and
 :func:`~repro.algorithms.tucker.tucker_hooi` run one unified kernel per
-step of a sweep.  One :class:`DecompositionTimeline` per run owns what is
-not the algorithm's numerics: the run's
+step of a sweep, in two passes: a numeric pass computes the numbers with no
+timeline, then a modeled pass books the same sweeps from each kernel's
+model-only profile.  One :class:`DecompositionTimeline` per modeled pass
+owns what is not the algorithm's numerics: the run's
 :class:`~repro.gpusim.timeline.Timeline` (each kernel books at the makespan
 before it), the per-device busy ledger, and node-loss recovery (current
 topology, slot map, pending chaos events, :class:`RecoveryRecord` ledger).
 
-A driver checkpoints its numeric state at each sweep boundary.  When
-:meth:`DecompositionTimeline.due_failure` reports a node lost during a
-kernel, the driver calls :meth:`DecompositionTimeline.recover`, restores
-the checkpoint and replays the sweep on the survivors.  The sharded kernels
-compute their numbers once, in canonical order, so the replay is
-bit-identical to the failure-free run.
+When :meth:`DecompositionTimeline.due_failure` reports a node lost during
+a kernel, the modeled pass calls :meth:`DecompositionTimeline.recover` and
+books the interrupted sweep again on the survivors.  No numbers are
+recomputed: a kernel's numbers do not depend on the topology, so the
+numeric pass's are the failure-free run's.
 """
 
 from __future__ import annotations
@@ -34,15 +35,15 @@ __all__ = ["DecompositionTimeline", "RecoveryRecord", "kernel_context"]
 
 @dataclass(frozen=True)
 class RecoveryRecord:
-    """Ledger entry for one mid-run node loss survived by checkpoint/replay.
+    """Ledger entry for one mid-run node loss the run survived.
 
     Attributes
     ----------
     failure:
         The :class:`~repro.gpusim.cluster.NodeFailure` that fired.
     iteration:
-        0-based sweep that was interrupted (and then replayed in full from
-        its sweep-boundary checkpoint).
+        0-based sweep that was interrupted (and then booked again in full
+        on the survivors).
     mode:
         Mode of the kernel after which the loss was detected; the partial
         sweep up to and including it is discarded as wasted work.
@@ -165,7 +166,7 @@ class DecompositionTimeline:
         the survivors, and the plans book the copy engines one after another
         from the later of the makespan and the failure instant.  The
         interrupted kernel's bookings stay on the timeline as wasted work;
-        restoring the checkpoint is the caller's job.
+        booking the sweep again is the caller's job.
         """
         cluster = self.cluster
         plans = [

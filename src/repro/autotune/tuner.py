@@ -22,10 +22,8 @@ from repro.gpusim.cluster import ClusterSpec, InterconnectSpec, PCIE3_P2P
 from repro.gpusim.counters import KernelProfile
 from repro.gpusim.device import DeviceSpec, TITAN_X
 from repro.gpusim.timing import OutOfDeviceMemory
-from repro.kernels.unified.driver import OperationSpec, model, resolve_encoding
-from repro.kernels.unified.spmttkrp import spmttkrp_spec
-from repro.kernels.unified.spttm import spttm_spec
-from repro.kernels.unified.spttmc import spttmc_spec
+from repro.kernels.unified import operation_spec
+from repro.kernels.unified.driver import model, resolve_encoding
 from repro.tensor.sparse import SparseTensor
 from repro.util.formatting import format_table
 from repro.util.validation import check_rank
@@ -161,15 +159,6 @@ class TuningResult:
         return text
 
 
-def _spec(fcoo: FCOOTensor, operation: OperationKind, rank: int) -> OperationSpec:
-    """The operation the kernel runs when every factor is ``rank`` wide."""
-    if operation is OperationKind.SPTTM:
-        return spttm_spec(fcoo, rank)
-    if operation is OperationKind.SPMTTKRP:
-        return spmttkrp_spec(fcoo, rank)
-    return spttmc_spec(fcoo, [rank] * len(fcoo.roles.product_modes))
-
-
 def tune_unified(
     tensor: Union[SparseTensor, FCOOTensor],
     operation: Union[OperationKind, str],
@@ -214,7 +203,7 @@ def tune_unified(
     if not device_counts:
         raise ValueError("device_counts must contain at least one entry")
     fcoo = resolve_encoding(tensor, operation, mode)
-    op = _spec(fcoo, operation, rank)
+    op = operation_spec(fcoo, operation, rank)
 
     clusters = {
         int(d): (

@@ -170,9 +170,15 @@ class FCOOTensor:
         sort_order = list(roles.index_modes) + list(roles.product_modes)
         sorted_tensor = tensor.sort_by_modes(sort_order)
         idx = np.asarray(sorted_tensor.indices)
-        values = np.ascontiguousarray(
-            np.asarray(sorted_tensor.values).astype(value_dtype)
-        )
+        with np.errstate(over="ignore"):
+            values = np.ascontiguousarray(
+                np.asarray(sorted_tensor.values).astype(value_dtype)
+            )
+        if not np.isfinite(values).all():
+            raise ValueError(
+                f"{int(np.count_nonzero(~np.isfinite(values)))} value(s) are not "
+                f"finite as {value_dtype} (NaN, inf, or beyond its range)"
+            )
         nnz = sorted_tensor.nnz
 
         if nnz == 0:

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.cpusim.cpu import CPU_I7_5820K, CpuCounters, CpuSpec, cpu_profile
+from repro.cpusim.cpu import CPU_I7_5820K, CpuCounters, CpuProfile, CpuSpec, cpu_profile
 from repro.formats.csf import CSFTensor
 from repro.gpusim.device import TITAN_X
 from repro.gpusim.memory import readonly_cache_traffic
@@ -34,7 +34,7 @@ from repro.kernels.reference.coo_reference import reference_mttkrp
 from repro.tensor.sparse import SparseTensor
 from repro.util.validation import check_mode
 
-__all__ = ["splatt_mttkrp", "splatt_csf_mode_order"]
+__all__ = ["splatt_mttkrp", "splatt_profile", "splatt_csf_mode_order"]
 
 
 def splatt_csf_mode_order(tensor: SparseTensor, root_mode: int) -> tuple:
@@ -86,19 +86,43 @@ def splatt_mttkrp(
     order = tensor.order
     if len(factors) != order:
         raise ValueError(f"need one factor per mode ({order}), got {len(factors)}")
-    product_modes = [m for m in range(order) if m != mode]
-    mats = {
-        m: validate_factor(factors[m], tensor.shape[m], f"factors[{m}]") for m in product_modes
-    }
-    rank = next(iter(mats.values())).shape[1]
+    mats = [
+        validate_factor(factors[m], tensor.shape[m], f"factors[{m}]")
+        for m in range(order)
+        if m != mode
+    ]
+    profile = splatt_profile(
+        tensor,
+        mode,
+        mats[0].shape[1],
+        cpu=cpu,
+        num_threads=num_threads,
+        csf=csf,
+        csf_root_mode=csf_root_mode,
+    )
+    # Numerical result (independent of the traversal order).
+    return MTTKRPResult(output=reference_mttkrp(tensor, factors, mode), profile=profile)
 
+
+def splatt_profile(
+    tensor: SparseTensor,
+    mode: int,
+    rank: int,
+    *,
+    cpu: CpuSpec = CPU_I7_5820K,
+    num_threads: Optional[int] = None,
+    csf: Optional[CSFTensor] = None,
+    csf_root_mode: Optional[int] = None,
+) -> CpuProfile:
+    """The modeled half of :func:`splatt_mttkrp`: SPLATT's counters and
+    seconds for a rank-``rank`` MTTKRP on ``mode``, with no numeric work."""
+    mode = check_mode(mode, tensor.order)
+    order = tensor.order
+    product_modes = [m for m in range(order) if m != mode]
     if csf is None:
         root = check_mode(csf_root_mode if csf_root_mode is not None else mode, order)
         csf = CSFTensor.from_sparse(tensor, splatt_csf_mode_order(tensor, root))
     root_mode = csf.mode_order[0]
-
-    # Numerical result (independent of the traversal order).
-    output = reference_mttkrp(tensor, factors, mode)
 
     nnz = tensor.nnz
     threads = num_threads if num_threads is not None else cpu.threads
@@ -147,10 +171,7 @@ def splatt_mttkrp(
         chunked_imbalance(root_slice_nnz, threads) if num_root_slices else 1.0
     )
 
-    profile = cpu_profile(
-        f"splatt-mttkrp-mode{mode}", counters, cpu, num_threads=threads
-    )
-    return MTTKRPResult(output=output, profile=profile)
+    return cpu_profile(f"splatt-mttkrp-mode{mode}", counters, cpu, num_threads=threads)
 
 
 def _llc_factor_bytes(row_indices: np.ndarray, rank: int, cpu: CpuSpec) -> float:

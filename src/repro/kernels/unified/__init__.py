@@ -37,9 +37,12 @@ device — streaming per-device when it still does not fit — and the partial
 outputs merge through a modeled collective.
 """
 
-from repro.kernels.unified.spttm import unified_spttm
-from repro.kernels.unified.spmttkrp import unified_spmttkrp
-from repro.kernels.unified.spttmc import unified_spttmc
+from repro.formats.fcoo import FCOOTensor
+from repro.formats.mode_encoding import OperationKind
+from repro.kernels.unified.driver import OperationSpec
+from repro.kernels.unified.spttm import spttm_spec, unified_spttm
+from repro.kernels.unified.spmttkrp import spmttkrp_spec, unified_spmttkrp
+from repro.kernels.unified.spttmc import spttmc_spec, unified_spttmc
 from repro.kernels.unified.streaming import (
     ChunkLedger,
     StreamedExecution,
@@ -55,6 +58,7 @@ from repro.kernels.unified.sharded import (
 )
 
 __all__ = [
+    "operation_spec",
     "unified_spttm",
     "unified_spmttkrp",
     "unified_spttmc",
@@ -68,3 +72,14 @@ __all__ = [
     "partition_shards",
     "partition_shards_hierarchical",
 ]
+
+
+def operation_spec(fcoo: FCOOTensor, operation: OperationKind, rank: int) -> OperationSpec:
+    """The operation the kernel for ``operation`` runs on ``fcoo`` when every
+    factor is ``rank`` wide: what the tuner and serving price, without
+    factors."""
+    if operation is OperationKind.SPTTM:
+        return spttm_spec(fcoo, rank)
+    if operation is OperationKind.SPMTTKRP:
+        return spmttkrp_spec(fcoo, rank)
+    return spttmc_spec(fcoo, [rank] * len(fcoo.roles.product_modes))

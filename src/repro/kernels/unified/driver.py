@@ -12,9 +12,12 @@ executes any spec in two independent halves:
   first, so a configuration that raises
   :class:`~repro.gpusim.timing.OutOfDeviceMemory` does no numeric work.
 * :func:`compute` runs the backend's product stage once over the whole
-  encoding, in the canonical in-order reduction.  The numbers therefore do
-  not depend on the execution path: streamed, sharded and multi-node calls
-  are bit-identical to one-shot.
+  encoding, in the canonical in-order reduction, and assembles the output.
+  The numbers therefore do not depend on the execution path: streamed,
+  sharded and multi-node calls are bit-identical to one-shot.
+
+Callers that price and compute apart (the decomposition drivers' modeled
+and numeric passes, serving) call the two halves themselves.
 """
 
 from __future__ import annotations
@@ -227,16 +230,18 @@ def compute(
     op: OperationSpec,
     mats: Sequence[np.ndarray],
     backend: Backend,
-) -> np.ndarray:
-    """Per-segment sums ``(num_segments, output_width)`` of one kernel call.
+) -> Any:
+    """The output of one kernel call; no modeled time.
 
     One backend product-stage call over every non-zero, in the canonical
-    in-order reduction: the answer of the one-shot kernel on any path.
+    in-order reduction, then ``op.assemble``: the answer of the one-shot
+    kernel on any path.
     """
     product = getattr(backend, op.product)
-    return product(
+    sums = product(
         fcoo.values, mats, _row_streams(fcoo), fcoo.segment_ids, fcoo.num_segments
     )
+    return op.assemble(fcoo, sums)
 
 
 def run_unified(
@@ -261,7 +266,7 @@ def run_unified(
         fused=fused,
         ctx=ctx,
     )
-    output = op.assemble(fcoo, compute(fcoo, op, mats, get_backend(ctx.backend)))
+    output = compute(fcoo, op, mats, get_backend(ctx.backend))
     if ctx.metrics is not None:
         observe_kernel_profile(ctx.metrics, kernel=op.kernel, nnz=fcoo.nnz, profile=profile)
     return output, profile

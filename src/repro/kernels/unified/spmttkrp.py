@@ -21,7 +21,7 @@ every path (:mod:`repro.kernels.unified.driver`).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from repro.kernels.common import MTTKRPResult, validate_factor
 from repro.kernels.unified.driver import OperationSpec, resolve_encoding, run_unified, scatter_rows
 from repro.tensor.sparse import SparseTensor
 
-__all__ = ["unified_spmttkrp", "spmttkrp_footprint", "spmttkrp_spec"]
+__all__ = ["unified_spmttkrp", "spmttkrp_footprint", "spmttkrp_operands", "spmttkrp_spec"]
 
 
 def spmttkrp_spec(fcoo: FCOOTensor, rank: int) -> OperationSpec:
@@ -75,6 +75,28 @@ def spmttkrp_footprint(
     return op.footprint(fcoo, launch), op.resident_bytes
 
 
+def spmttkrp_operands(
+    tensor: Union[SparseTensor, FCOOTensor],
+    factors: Sequence[np.ndarray],
+    mode: int,
+) -> Tuple[FCOOTensor, OperationSpec, List[np.ndarray]]:
+    """One SpMTTKRP call's encoding, operation and validated product-mode
+    factors: the arguments of :func:`~repro.kernels.unified.driver.compute`."""
+    fcoo = resolve_encoding(tensor, OperationKind.SPMTTKRP, mode)
+    shape = fcoo.shape
+    order = fcoo.order
+    if len(factors) != order:
+        raise ValueError(f"need one factor per mode ({order}), got {len(factors)}")
+    mats = [
+        validate_factor(factors[m], shape[m], f"factors[{m}]")
+        for m in fcoo.roles.product_modes
+    ]
+    ranks = {m.shape[1] for m in mats}
+    if len(ranks) != 1:
+        raise ValueError(f"product-mode factors must share one rank, got {sorted(ranks)}")
+    return fcoo, spmttkrp_spec(fcoo, ranks.pop()), mats
+
+
 def unified_spmttkrp(
     tensor: Union[SparseTensor, FCOOTensor],
     factors: Sequence[np.ndarray],
@@ -114,22 +136,8 @@ def unified_spmttkrp(
         (``profile.streaming`` holds the per-chunk ledger on the streamed
         path).
     """
-    fcoo = resolve_encoding(tensor, OperationKind.SPMTTKRP, mode)
-    shape = fcoo.shape
-    order = fcoo.order
-    if len(factors) != order:
-        raise ValueError(f"need one factor per mode ({order}), got {len(factors)}")
-    mats = [
-        validate_factor(factors[m], shape[m], f"factors[{m}]")
-        for m in fcoo.roles.product_modes
-    ]
-    ranks = {m.shape[1] for m in mats}
-    if len(ranks) != 1:
-        raise ValueError(f"product-mode factors must share one rank, got {sorted(ranks)}")
     output, profile = run_unified(
-        fcoo,
-        spmttkrp_spec(fcoo, ranks.pop()),
-        mats,
+        *spmttkrp_operands(tensor, factors, mode),
         device=device,
         block_size=block_size,
         threadlen=threadlen,

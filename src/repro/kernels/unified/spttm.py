@@ -24,7 +24,7 @@ come from one canonical pass (:mod:`repro.kernels.unified.driver`).
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from repro.kernels.common import SpTTMResult, validate_factor
 from repro.kernels.unified.driver import OperationSpec, resolve_encoding, run_unified
 from repro.tensor.sparse import SparseTensor
 
-__all__ = ["unified_spttm", "spttm_spec"]
+__all__ = ["unified_spttm", "spttm_operands", "spttm_spec"]
 
 
 def _fibers(fcoo: FCOOTensor, sums: np.ndarray) -> SemiSparseTensor:
@@ -70,6 +70,18 @@ def spttm_spec(fcoo: FCOOTensor, rank: int) -> OperationSpec:
         reduction="boundary",
         assemble=_fibers,
     )
+
+
+def spttm_operands(
+    tensor: Union[SparseTensor, FCOOTensor],
+    matrix: np.ndarray,
+    mode: int,
+) -> Tuple[FCOOTensor, OperationSpec, List[np.ndarray]]:
+    """One SpTTM call's encoding, operation and validated factor: the
+    arguments of :func:`~repro.kernels.unified.driver.compute`."""
+    fcoo = resolve_encoding(tensor, OperationKind.SPTTM, mode)
+    matrix = validate_factor(matrix, fcoo.shape[fcoo.mode], "matrix")
+    return fcoo, spttm_spec(fcoo, matrix.shape[1]), [matrix]
 
 
 def unified_spttm(
@@ -135,12 +147,8 @@ def unified_spttm(
         (``profile.streaming`` holds the per-chunk ledger on the streamed
         path).
     """
-    fcoo = resolve_encoding(tensor, OperationKind.SPTTM, mode)
-    matrix = validate_factor(matrix, fcoo.shape[fcoo.mode], "matrix")
     output, profile = run_unified(
-        fcoo,
-        spttm_spec(fcoo, matrix.shape[1]),
-        [matrix],
+        *spttm_operands(tensor, matrix, mode),
         device=device,
         block_size=block_size,
         threadlen=threadlen,

@@ -18,7 +18,7 @@ claims.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from repro.kernels.common import TTMcResult, validate_factor
 from repro.kernels.unified.driver import OperationSpec, resolve_encoding, run_unified, scatter_rows
 from repro.tensor.sparse import SparseTensor
 
-__all__ = ["unified_spttmc", "spttmc_spec"]
+__all__ = ["unified_spttmc", "spttmc_operands", "spttmc_spec"]
 
 
 def spttmc_spec(fcoo: FCOOTensor, ranks: Sequence[int]) -> OperationSpec:
@@ -51,6 +51,23 @@ def spttmc_spec(fcoo: FCOOTensor, ranks: Sequence[int]) -> OperationSpec:
         reduction="allreduce",
         assemble=scatter_rows,
     )
+
+
+def spttmc_operands(
+    tensor: Union[SparseTensor, FCOOTensor],
+    factors: Sequence[np.ndarray],
+    mode: int,
+) -> Tuple[FCOOTensor, OperationSpec, List[np.ndarray]]:
+    """One SpTTMc call's encoding, operation and validated product-mode
+    factors: the arguments of :func:`~repro.kernels.unified.driver.compute`."""
+    fcoo = resolve_encoding(tensor, OperationKind.SPTTMC, mode)
+    shape = fcoo.shape
+    order = fcoo.order
+    if len(factors) != order:
+        raise ValueError(f"need one factor per mode ({order}), got {len(factors)}")
+    product_modes = fcoo.roles.product_modes
+    mats = [validate_factor(factors[m], shape[m], f"factors[{m}]") for m in product_modes]
+    return fcoo, spttmc_spec(fcoo, [m.shape[1] for m in mats]), mats
 
 
 def unified_spttmc(
@@ -90,17 +107,8 @@ def unified_spttmc(
         (``profile.streaming`` holds the per-chunk ledger on the streamed
         path).
     """
-    fcoo = resolve_encoding(tensor, OperationKind.SPTTMC, mode)
-    shape = fcoo.shape
-    order = fcoo.order
-    if len(factors) != order:
-        raise ValueError(f"need one factor per mode ({order}), got {len(factors)}")
-    product_modes = fcoo.roles.product_modes
-    mats = [validate_factor(factors[m], shape[m], f"factors[{m}]") for m in product_modes]
     output, profile = run_unified(
-        fcoo,
-        spttmc_spec(fcoo, [m.shape[1] for m in mats]),
-        mats,
+        *spttmc_operands(tensor, factors, mode),
         device=device,
         block_size=block_size,
         threadlen=threadlen,

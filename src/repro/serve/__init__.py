@@ -20,8 +20,9 @@ existing kernels, cluster model and decomposition drivers:
   (the PR 1 stream model, lifted to whole jobs), and sharded jobs'
   collectives book the link/NIC resources, so concurrent cross-node jobs
   contend for a shared NIC instead of pricing it as idle;
-* :mod:`~repro.serve.execute` — the pure (job, placement) -> output
-  mapping, shared by the scheduler and the bit-identity property harness;
+* :mod:`~repro.serve.execute` — the pure job -> numbers and
+  (job, placement) -> modeled seconds mappings, shared by the scheduler and
+  the bit-identity property harness;
 * :mod:`~repro.serve.feedback` — the closed-loop observation store:
   completed jobs' attributed costs fold into decayed per-(kernel, tensor,
   device) execution estimates and per-node congestion scores, consumed by
@@ -55,7 +56,7 @@ from repro.serve.engine import (
     ServingReport,
     publish_serving_metrics,
 )
-from repro.serve.execute import ExecutionOutcome, execute_job
+from repro.serve.execute import ExecutionOutcome, execute_job, price_job
 from repro.serve.feedback import ObservationStore
 from repro.serve.job import Job, JobKind, JobResult, JobStatus
 from repro.serve.placement import JobGeometry, Placement, Placer, job_geometry
@@ -90,6 +91,7 @@ __all__ = [
     "ScaleEvent",
     "ExecutionOutcome",
     "execute_job",
+    "price_job",
     "ObservationStore",
     "WorkloadSpec",
     "generate_workload",

@@ -12,7 +12,7 @@ the same plain-text tables the rest of the benchmark harness emits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -448,13 +448,20 @@ class ServingEngine:
         static one under FIFO) reproduces the static run event for
         event.  The winner is then re-run on the real cache with the real
         sinks; observations are recorded into :attr:`observations` either
-        way, closing the loop for the next run.
+        way, closing the loop for the next run.  The trials only price:
+        the three scheduler runs share one memo of the jobs' numbers, so
+        each job's numbers are computed once per :meth:`run`.
         """
         before = replace(self.cache.stats)
         registry = metrics if metrics is not None else MetricsRegistry()
         log = events if events is not None else EventLog()
-        scheduler = self._hedge(jobs, chaos) if self.adaptive else self.scheduler
-        outcome = scheduler.run(jobs, chaos=chaos, metrics=registry, events=log)
+        numerics: Dict[int, Any] = {}
+        scheduler = (
+            self._hedge(jobs, chaos, numerics) if self.adaptive else self.scheduler
+        )
+        outcome = scheduler.run(
+            jobs, chaos=chaos, metrics=registry, events=log, numerics=numerics
+        )
         report = ServingReport(
             cluster=self.cluster,
             policy=self.policy,
@@ -480,7 +487,10 @@ class ServingEngine:
         return max((r.finish_s for r in outcome.results if r.completed), default=0.0)
 
     def _hedge(
-        self, jobs: Sequence[Job], chaos: Optional[Sequence[NodeFailure]]
+        self,
+        jobs: Sequence[Job],
+        chaos: Optional[Sequence[NodeFailure]],
+        numerics: Dict[int, Any],
     ) -> Scheduler:
         """Trial-run ``jobs`` static and adaptive; return the winner.
 
@@ -493,13 +503,15 @@ class ServingEngine:
         schedule and the cold-start run is indistinguishable from a
         non-adaptive engine.  The returned scheduler targets the *real*
         cache and observation store, ready for the final instrumented run.
+        Both trials fill and reuse ``numerics``, the run's memo of the
+        jobs' numbers.
         """
         static_trial = Scheduler(
             self.cluster,
             self.cache.clone(),
             observations=None,
             **self._scheduler_kwargs,
-        ).run(jobs, chaos=chaos)
+        ).run(jobs, chaos=chaos, numerics=numerics)
         adaptive_trial = Scheduler(
             self.cluster,
             self.cache.clone(),
@@ -507,7 +519,7 @@ class ServingEngine:
             observations=self.observations.clone(),
             nic_policy=self.nic_policy,
             **self._scheduler_kwargs,
-        ).run(jobs, chaos=chaos)
+        ).run(jobs, chaos=chaos, numerics=numerics)
         won = bool(
             self._trial_makespan(adaptive_trial) < self._trial_makespan(static_trial)
         )

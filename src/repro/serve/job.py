@@ -223,9 +223,11 @@ class JobResult:
         completion.
     placement:
         The :class:`~repro.serve.placement.Placement` the job executed
-        with — replaying it through
+        with — pricing it through :func:`~repro.serve.execute.price_job`
+        reproduces ``exec_s`` and ``execution``, and
         :func:`~repro.serve.execute.execute_job` reproduces ``output`` bit
-        for bit (the property ``tests/test_serving.py`` asserts).
+        for bit on any placement (the properties ``tests/test_serving.py``
+        asserts).
     requeues:
         How many times the job was torn down by a node failure and
         re-admitted before this (final) run; 0 for an undisturbed job.

@@ -35,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.formats.fcoo import FCOOTensor
 from repro.gpusim.cluster import ClusterSpec
 from repro.gpusim.device import DeviceSpec
@@ -45,6 +47,9 @@ __all__ = ["JobGeometry", "job_geometry", "Placement", "Placer", "ADAPTIVE_BLEND
 
 #: Bytes per stored factor/output element (the kernels' single precision).
 _VALUE_BYTES = 4.0
+
+#: Largest tensor value magnitude F-COO's float32 values can hold.
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 #: Weight of the *observed* execution estimate when the adaptive placer
 #: blends it with the static roofline cost (0 = pure static, 1 = pure
@@ -272,6 +277,11 @@ class Placer:
         (Sharding does not relax this bound: every shard stages the full
         factor matrices.)  Callers that already sized the job pass its
         ``geometry`` to avoid recomputing it.
+
+        Every tensor value must also be finite and within the float32
+        range F-COO stores values in: a value outside it would become
+        ``inf`` in the encoding and poison the job's output (or hang the
+        SVD of a Tucker job).
         """
         if geometry is None:
             geometry = job_geometry(job, threadlen=self.threadlen)
@@ -280,6 +290,13 @@ class Placer:
             return (
                 f"resident operands need {needed:.0f} B but the largest device "
                 f"holds {self.cluster.max_device_memory_bytes} B"
+            )
+        # ``<=`` is False for NaN, so one pass catches NaN, inf and overflow.
+        bad = int(np.count_nonzero(~(np.abs(job.tensor.values) <= FLOAT32_MAX)))
+        if bad:
+            return (
+                f"{bad} tensor value(s) are not finite or exceed the float32 "
+                f"range of F-COO values"
             )
         return None
 

@@ -34,7 +34,7 @@ deterministic simulated-time schedule:
   count, and the remaining pipeline re-booked later under
   ``resume:jobN`` labels (plus a factor re-stage).  Outputs are
   bit-identical with or without preemption — the numeric result was
-  computed once at dispatch and only *time* is replayed.
+  computed once and only *time* is replayed.
 
 * **autoscaling** — an optional :class:`~repro.serve.autoscale.Autoscaler`
   grows and shrinks the active slot pool against queue depth and engine
@@ -52,6 +52,13 @@ deterministic simulated-time schedule:
   geometry) ride one dispatch: the encoding is staged once for the whole
   batch and the members execute back to back on the batch's device.
   Batching changes *when* work runs, never *what* it computes.
+
+* **pricing and numerics** — every dispatch prices the job on its
+  placement with the cost model alone
+  (:func:`~repro.serve.execute.price_job`).  A job's numbers do not depend
+  on its placement, so :func:`~repro.serve.execute.execute_job` computes
+  them at most once per run: re-dispatches after a preemption or a node
+  loss, and the hedged engine's trial runs, reuse them.
 
 All time bookkeeping lives on one shared
 :class:`~repro.gpusim.timeline.Timeline`: every device contributes a copy
@@ -78,7 +85,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.formats.fcoo import FCOOTensor
 from repro.gpusim.cluster import ClusterSpec, NodeFailure
@@ -101,7 +108,7 @@ from repro.obs.events import Event, EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.autoscale import Autoscaler, AutoscalerSpec, ScaleEvent
 from repro.serve.cache import PreprocCache
-from repro.serve.execute import ExecutionOutcome, execute_job
+from repro.serve.execute import ExecutionOutcome, execute_job, price_job
 from repro.serve.feedback import ObservationStore
 from repro.serve.job import Job, JobKind, JobResult, JobStatus
 from repro.serve.placement import JobGeometry, Placement, Placer, job_geometry
@@ -137,10 +144,9 @@ class PreemptionRecord:
 class _ResumeState:
     """A preempted streamed job's resume ledger.
 
-    The output was already computed at the original dispatch (execution
-    is pure in ``(job, placement)``), so resuming re-books only *time*:
-    the remaining chunks' pipeline on the original placement, plus a
-    factor re-stage.
+    The output was already computed (numbers do not depend on the
+    placement), so resuming re-books only *time*: the remaining chunks'
+    pipeline on the original placement, plus a factor re-stage.
     """
 
     placement: Placement
@@ -157,7 +163,9 @@ class _ReadyEntry:
 
     job: Job
     geometry: JobGeometry
-    encoding: Optional[FCOOTensor]
+    #: The F-COO encodings preprocessing looked up, by mode: the job's mode
+    #: for a kernel job, every mode for a decomposition.
+    encodings: Dict[int, FCOOTensor]
     ready_s: float  # earliest staging start: preprocessing done AND the
     #                 encodings it reuses finished building
     preproc_s: float
@@ -244,6 +252,9 @@ class _RunState:
     #: The run's NIC queue discipline (``None`` under the default FIFO,
     #: which keeps the legacy booking path byte-identical).
     discipline: Optional[NicDiscipline] = None
+    #: Job id -> the job's numbers (:func:`~repro.serve.execute.execute_job`),
+    #: computed at most once per run.
+    numerics: Dict[int, Any] = field(default_factory=dict)
 
 
 @dataclass
@@ -411,7 +422,7 @@ class Scheduler:
         reuses physically exists, so a job arriving just behind the miss
         that builds it waits for that build, not zero.
         """
-        encoding = None
+        encodings: Dict[int, FCOOTensor] = {}
         launch = None
         tuner_hit: Optional[bool] = None
         ready_s = job.arrival_s
@@ -420,6 +431,7 @@ class Scheduler:
             encoding, encode_hit, preproc_s = self.cache.encoding(
                 job.tensor, job.operation, job.mode
             )
+            encodings[job.mode] = encoding
             if encode_hit:
                 ready_s = max(ready_s, availability.get(key, job.arrival_s))
             else:
@@ -467,13 +479,14 @@ class Scheduler:
                             observed_s=observed,
                         )
         else:
-            # Prime the cache for every mode the decomposition will sweep,
-            # so the driver's per-mode lookups hit; the misses are this
+            # Every mode the decomposition will sweep; the misses are this
             # job's preprocessing bill.
             encode_hit, preproc_s = True, 0.0
             for mode in range(job.tensor.order):
                 key = (job.tensor.content_key, job.operation.value, mode)
-                _, hit, cost_s = self.cache.encoding(job.tensor, job.operation, mode)
+                encodings[mode], hit, cost_s = self.cache.encoding(
+                    job.tensor, job.operation, mode
+                )
                 encode_hit = encode_hit and hit
                 preproc_s += cost_s
                 if hit:
@@ -484,7 +497,7 @@ class Scheduler:
         return _ReadyEntry(
             job=job,
             geometry=geometry,
-            encoding=encoding,
+            encodings=encodings,
             ready_s=ready_s,
             preproc_s=preproc_s,
             encode_hit=encode_hit,
@@ -617,6 +630,7 @@ class Scheduler:
         *,
         metrics: Optional[MetricsRegistry] = None,
         events: Optional[EventLog] = None,
+        numerics: Optional[Dict[int, Any]] = None,
     ) -> ScheduleOutcome:
         """Schedule and execute ``jobs``; returns the full ledger.
 
@@ -636,11 +650,18 @@ class Scheduler:
         ``metrics`` and ``events`` are the run's optional telemetry sinks
         (see :mod:`repro.obs`): with ``metrics``, every layer a job
         touches publishes into the registry (kernels included — it is
-        threaded through :func:`~repro.serve.execute.execute_job` onto
+        threaded through :func:`~repro.serve.execute.price_job` onto
         the :class:`~repro.context.ExecContext`); with ``events``, the
         event loop appends one structured record per scheduling decision.
         Both are observation-only: bookings and results are bit-identical
         with or without them.
+
+        ``numerics`` maps job ids to their numbers
+        (:func:`~repro.serve.execute.execute_job`), filled on first use:
+        every dispatch of a job, a re-queued or preempted one's included,
+        reuses them.  Pass one dict to several runs of the same jobs to
+        compute each job's numbers once across them; a fresh one is used
+        when it is ``None``.
         """
         ids = [job.job_id for job in jobs]
         if len(set(ids)) != len(ids):
@@ -666,6 +687,7 @@ class Scheduler:
                 if self.nic_policy != "fifo"
                 else None
             ),
+            numerics=numerics if numerics is not None else {},
         )
         pending = deque(sorted(jobs, key=lambda j: (j.arrival_s, j.job_id)))
         ready: List[Tuple[Tuple, _ReadyEntry]] = []
@@ -935,14 +957,7 @@ class Scheduler:
             batch_seq += 1
 
         try:
-            outcome = execute_job(
-                job,
-                placement,
-                encoding=entry.encoding,
-                cache=self.cache,
-                num_streams=self.num_streams,
-                metrics=state.metrics,
-            )
+            outcome = self._execute(entry, placement, state)
         except OutOfDeviceMemory as exc:
             # The admission estimate is first-order (autotune can raise the
             # threadlen after sizing, and geometry is host arithmetic); a
@@ -998,20 +1013,12 @@ class Scheduler:
         for mate in mates:
             # The batch shares the leader's encoding (already staged) and
             # device; only the mate's dense operands still move.
-            mate_outcome = execute_job(
-                mate.job,
-                placement,
-                encoding=entry.encoding,
-                cache=self.cache,
-                num_streams=self.num_streams,
-                metrics=state.metrics,
-            )
             results[mate.job.job_id] = self._commit(
                 mate,
                 t0,
                 placement,
                 geometry,
-                mate_outcome,
+                self._execute(mate, placement, state),
                 state,
                 batch_id=batch_id,
                 batch_leader=False,
@@ -1019,6 +1026,35 @@ class Scheduler:
                 results=results,
             )
         return batch_seq
+
+    def _execute(
+        self, entry: _ReadyEntry, placement: Placement, state: _RunState
+    ) -> ExecutionOutcome:
+        """``entry``'s job priced on ``placement``, with its numbers.
+
+        A kernel job is priced first, so a placement that does not fit
+        raises :class:`~repro.gpusim.timing.OutOfDeviceMemory` before any
+        numeric work.  A decomposition's numbers come first: its modeled
+        pass books as many sweeps as its numeric pass ran.  The numbers
+        are computed at most once per run (``state.numerics``).
+        """
+        job = entry.job
+
+        def numbers() -> Any:
+            if job.job_id not in state.numerics:
+                state.numerics[job.job_id] = execute_job(job, encodings=entry.encodings)
+            return state.numerics[job.job_id]
+
+        kwargs = dict(
+            encodings=entry.encodings,
+            num_streams=self.num_streams,
+            metrics=state.metrics,
+        )
+        if job.kind.is_kernel:
+            outcome = price_job(job, placement, **kwargs)
+            outcome.output = numbers()
+            return outcome
+        return price_job(job, placement, numbers(), **kwargs)
 
     # ------------------------------------------------------------------ #
     def _staging_seconds(

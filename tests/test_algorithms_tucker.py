@@ -122,9 +122,18 @@ class TestTuckerKernelContext:
         assert len(calls) == order
         assert sorted(mode for _op, mode in calls) == list(range(order))
 
-    def test_cached_run_looks_up_every_spttmc(self, skewed_tensor):
+    def test_cached_run_looks_up_each_mode_once(self, skewed_tensor):
         cache = PreprocCache()
         ctx = ExecContext(preproc_cache=cache)
         tucker_hooi(skewed_tensor, (5, 5, 5), max_iterations=2, tolerance=0.0, ctx=ctx)
-        # (order + 1) SpTTMcs per sweep: a miss per mode, hits after
-        assert (cache.stats.encode_misses, cache.stats.encode_hits) == (3, 5)
+        # One lookup (a miss) per mode; both passes reuse the encodings.
+        assert (cache.stats.encode_misses, cache.stats.encode_hits) == (3, 0)
+
+    def test_value_beyond_float32_raises(self):
+        # The float32 cast would make it inf, on which the SVD never returns.
+        tensor = random_sparse_tensor((30, 20, 10), 500, seed=1)
+        values = np.array(tensor.values)
+        values[7] = 1e308
+        bad = SparseTensor(tensor.indices, values, tensor.shape)
+        with pytest.raises(ValueError, match="not finite as float32"):
+            tucker_hooi(bad, (3, 3, 3), max_iterations=2)

@@ -119,6 +119,16 @@ class TestInvariants:
         with pytest.raises(ValueError, match="does not fit"):
             FCOOTensor.from_sparse(tensor, "spttm", 0, index_dtype=np.uint8)
 
+    @pytest.mark.parametrize("poison", [1e308, np.inf, np.nan])
+    def test_value_not_finite_as_float32_raises(self, poison):
+        # 1e308 overflows the float32 cast to inf; NaN and inf stay so.
+        tensor = random_sparse_tensor((30, 20, 10), 500, seed=1)
+        values = np.array(tensor.values)
+        values[7] = poison
+        bad = SparseTensor(tensor.indices, values, tensor.shape)
+        with pytest.raises(ValueError, match="not finite as float32"):
+            FCOOTensor.from_sparse(bad, "spmttkrp", 0)
+
     def test_wrong_product_position(self, small_tensor):
         fcoo = FCOOTensor.from_sparse(small_tensor, "spttm", 0)
         with pytest.raises(ValueError):

@@ -3,8 +3,9 @@
 The central claim: **scheduling, batching, caching and placement move work
 in time, never in value** — every job served by the
 :class:`~repro.serve.ServingEngine` produces output bit-identical to
-executing it alone (replaying its recorded placement through the pure
-:func:`~repro.serve.execute.execute_job`), and — for single-device
+computing it alone (the pure :func:`~repro.serve.execute.execute_job`),
+with the modeled seconds of pricing its recorded placement alone
+(:func:`~repro.serve.execute.price_job`), and — for single-device
 one-shot placements — bit-identical to calling the unified kernel
 directly, since the kernels' numerics are device-independent.  The harness
 drives all three kernels over the streaming test corpus through a
@@ -47,6 +48,7 @@ from repro.serve import (
     execute_job,
     generate_workload,
     job_geometry,
+    price_job,
 )
 from repro.serve.workload import default_serving_cluster
 from repro.tensor.random import random_sparse_tensor
@@ -99,6 +101,27 @@ def assert_same_output(actual, expected) -> None:
         np.testing.assert_array_equal(actual.fiber_values, expected.fiber_values)
     else:
         np.testing.assert_array_equal(actual, expected)
+
+
+def assert_replays(result) -> None:
+    """A completed job's numbers replay bit for bit through ``execute_job``,
+    and pricing its recorded placement reproduces its modeled seconds."""
+    numbers = execute_job(result.job)
+    if result.job.kind.is_kernel:
+        assert_same_output(result.output, numbers)
+    else:
+        for name in numbers._fields:
+            served, replayed = getattr(result.output, name), getattr(numbers, name)
+            if not isinstance(served, list):
+                served, replayed = [served], [replayed]
+            assert len(served) == len(replayed), name
+            for a, b in zip(served, replayed):
+                a, b = np.asarray(a), np.asarray(b)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+                assert a.tobytes() == b.tobytes(), name
+    priced = price_job(result.job, result.placement, numbers)
+    assert priced.exec_s == result.exec_s
+    assert priced.execution == result.execution
 
 
 def reference_output(job: Job):
@@ -586,14 +609,14 @@ class TestScheduler:
 
         tensor = CASES["order3-uniform"]()
         jobs = self._identical_jobs(3, tensor)
-        real_execute = scheduler_module.execute_job
+        real_price = scheduler_module.price_job
 
-        def flaky_execute(job, placement, **kwargs):
+        def flaky_price(job, placement, *args, **kwargs):
             if job.job_id == 1:
                 raise OutOfDeviceMemory(1e9, 1e6, what="test kernel")
-            return real_execute(job, placement, **kwargs)
+            return real_price(job, placement, *args, **kwargs)
 
-        monkeypatch.setattr(scheduler_module, "execute_job", flaky_execute)
+        monkeypatch.setattr(scheduler_module, "price_job", flaky_price)
         report = ServingEngine(one_device_cluster(1 << 30), max_batch=1).run(jobs)
         by_id = {r.job.job_id: r for r in report.results}
         assert not by_id[1].completed
@@ -667,11 +690,11 @@ class TestServingBitIdentity:
         outputs = {}
         for result in report.results:
             job = result.job
-            # 1. Replaying the recorded placement alone reproduces the
-            #    scheduled output bit for bit (cache, batching and queueing
-            #    never touched the numerics).
-            replay = execute_job(job, result.placement)
-            assert_same_output(result.output, replay.output)
+            # 1. Computing the job alone reproduces the scheduled output bit
+            #    for bit (cache, batching and queueing never touched the
+            #    numerics), and pricing its recorded placement alone its
+            #    modeled seconds.
+            assert_replays(result)
             # 2. Single-device one-shot numerics are device-independent:
             #    the plain kernel on the default device must agree exactly.
             if result.execution == "one-shot":
@@ -699,8 +722,7 @@ class TestServingBitIdentity:
         )
         (result,) = engine.run([job]).results
         assert result.execution == "sharded"
-        replay = execute_job(job, result.placement)
-        assert_same_output(result.output, replay.output)
+        assert_replays(result)
         # The recorded placement is the whole cluster, so the direct
         # cluster call reproduces it exactly too.
         direct = run_kernel(
@@ -718,10 +740,9 @@ class TestServingBitIdentity:
         )
         (result,) = engine.run([job]).results
         assert result.execution == "sharded"
-        profile = execute_job(job, result.placement).profile
+        profile = price_job(job, result.placement).profile
         assert profile.sharded.has_streaming_shards
-        replay = execute_job(job, result.placement)
-        assert_same_output(result.output, replay.output)
+        assert_replays(result)
         assert_close_to_reference(result.output, job)
 
     def test_streamed_single_device_bit_identity(self):
@@ -733,8 +754,7 @@ class TestServingBitIdentity:
         )
         (result,) = engine.run([job]).results
         assert result.execution == "streamed"
-        replay = execute_job(job, result.placement)
-        assert_same_output(result.output, replay.output)
+        assert_replays(result)
         direct = run_kernel(
             unified_spmttkrp,
             tensor,
@@ -835,7 +855,7 @@ class TestDecompositionJobs:
         for cached_f, plain_f in zip(second.factors, plain.factors):
             np.testing.assert_array_equal(cached_f, plain_f)
 
-    def test_tucker_cache_hits_across_sweeps(self):
+    def test_tucker_cache_looked_up_once_per_mode(self):
         tensor = CASES["order3-uniform"]()
         cache = PreprocCache()
         cached = tucker_hooi(
@@ -847,9 +867,8 @@ class TestDecompositionJobs:
             threadlen=THREADLEN,
             ctx=ExecContext(preproc_cache=cache),
         )
-        # One miss per mode, then every later sweep hits.
-        assert cache.stats.encode_misses == tensor.order
-        assert cache.stats.encode_hits > 0
+        # One lookup (a miss) per mode; no sweep looks an encoding up again.
+        assert (cache.stats.encode_misses, cache.stats.encode_hits) == (tensor.order, 0)
         plain = tucker_hooi(
             tensor,
             (3, 3, 3),
@@ -859,6 +878,84 @@ class TestDecompositionJobs:
             threadlen=THREADLEN,
         )
         np.testing.assert_array_equal(cached.core, plain.core)
+
+
+# ---------------------------------------------------------------------- #
+# Numerics once per job, however often it is priced
+# ---------------------------------------------------------------------- #
+class TestNumericsOncePerJob:
+    def test_hedged_chaos_run_computes_each_job_once(self, monkeypatch):
+        # Spy on every module attribute bound to execute_job, the way a
+        # tracer wraps it.
+        import sys
+
+        import repro.serve.execute as execute_module
+
+        real = execute_module.execute_job
+        calls = []
+
+        def spy(job, **kwargs):
+            calls.append(job.job_id)
+            return real(job, **kwargs)
+
+        for module in list(sys.modules.values()):
+            for attr, value in list(getattr(module, "__dict__", {}).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, spy)
+        # Two hedge trials plus the real run, deadline re-commits and a
+        # node loss that re-queues jobs: each job is still computed once.
+        report = run_serving(
+            num_jobs=36,
+            nodes=2,
+            policy="deadline",
+            slo_fraction=0.3,
+            deadline_slack=200.0,
+            adaptive=True,
+            chaos_seed=0,
+            fail_node=0,
+        )
+        assert report.requeued_jobs >= 1 and report.preemptions
+        assert any(r.execution == "decomposition" for r in report.completed)
+        assert sorted(calls) == sorted(r.job.job_id for r in report.completed)
+        # What was served replays: re-queued, preempted and 2-node sharded
+        # decompositions included.
+        for result in report.completed:
+            assert_replays(result)
+
+
+# ---------------------------------------------------------------------- #
+# Admission: one bad tensor value cannot take the server down
+# ---------------------------------------------------------------------- #
+class TestPoisonAdmission:
+    @pytest.mark.parametrize(
+        "kind, value",
+        [(JobKind.CP_ALS, np.nan), (JobKind.SPMTTKRP, 1e308), (JobKind.TUCKER, np.inf)],
+        ids=["nan-cp", "overflow-spmttkrp", "inf-tucker"],
+    )
+    def test_bad_value_rejected_and_good_job_completes(self, kind, value):
+        tensor = random_sparse_tensor((30, 20, 10), 500, seed=1)
+        values = np.array(tensor.values)
+        values[7] = value
+        poisoned = SparseTensor(tensor.indices, values, tensor.shape)
+        good = Job(
+            job_id=0,
+            tenant="good",
+            kind=JobKind.SPMTTKRP,
+            tensor=random_sparse_tensor((30, 20, 10), 500, seed=2),
+            rank=4,
+        )
+        bad = Job(
+            job_id=1, tenant="bad", kind=kind, tensor=poisoned, rank=4, arrival_s=1e-6
+        )
+        report = ServingEngine(default_serving_cluster()).run([good, bad])
+        by_id = {r.job.job_id: r for r in report.results}
+        assert by_id[0].completed
+        assert_same_output(by_id[0].output, execute_job(good))
+        assert by_id[1].status is JobStatus.REJECTED
+        assert "1 tensor value(s) are not finite" in by_id[1].reject_reason
+        (reject,) = [e for e in report.events.events if e.kind == "reject"]
+        assert reject.job_id == "job1"
+        assert dict(reject.fields)["reason"] == "admission_control"
 
 
 # ---------------------------------------------------------------------- #
@@ -972,8 +1069,9 @@ class TestServingHypothesis:
 
     For any seeded workload, a serving run is (a) reproducible — a fresh
     engine on the same jobs yields the identical schedule — and (b) honest
-    about numerics — replaying every completed job's recorded placement
-    through the pure ``execute_job`` reproduces its output bit for bit.
+    about numerics — every completed job, decompositions included, replays
+    bit for bit through the pure ``execute_job``, and ``price_job`` on its
+    recorded placement reproduces its modeled seconds and path.
     """
 
     @given(
@@ -992,5 +1090,5 @@ class TestServingHypothesis:
             assert a.device_slots == b.device_slots
             if a.completed and a.job.kind.is_kernel:
                 assert_same_output(a.output, b.output)
-                replay = execute_job(a.job, a.placement)
-                assert_same_output(a.output, replay.output)
+            if a.completed:
+                assert_replays(a)

@@ -214,7 +214,7 @@ class TestPreemption:
         # The tentpole: preempted-and-resumed output is bit-identical to
         # the unpreempted run and to a fresh pure replay.
         assert_same_output(victim.output, alone.output)
-        assert_same_output(victim.output, execute_job(batch, victim.placement).output)
+        assert_same_output(victim.output, execute_job(batch))
         labels = [e.label for e in report.timeline.events]
         assert "resume-stage:job0" in labels and "resume:job0" in labels
 

@@ -411,9 +411,7 @@ class TestEngineAndTunerIntegration:
             ctx=ExecContext(streamed=True, chunk_nnz=64, num_streams=3)
         )
         engine.prepare(tensor, 4)
-        factors = [np.asarray(f) for f in random_factors(tensor.shape, 4, seed=1)]
-        result = engine.mttkrp(factors, 0)
-        execution = result.profile.streaming
+        execution = engine.profile(0, 4).streaming
         assert execution is not None
         assert execution.num_streams == 3
         assert execution.chunk_nnz == 64
