@@ -186,6 +186,10 @@ def tucker_hooi(
     ctx = ctx if ctx is not None else DEFAULT_CONTEXT
     if tensor.nnz == 0:
         raise ValueError("cannot decompose an all-zero tensor")
+    # A norm that overflows is left to the F-COO encoding, which rejects it.
+    with np.errstate(over="ignore"):
+        if tensor.norm() == 0.0:
+            raise ValueError("cannot compute the fit of an all-zero tensor")
     order = tensor.order
     ranks = [check_positive_int(r, f"ranks[{i}]") for i, r in enumerate(ranks)]
     if len(ranks) != order:

@@ -253,11 +253,13 @@ def _timeline_metrics() -> Dict[str, float]:
 
 
 def _faults_metrics() -> Dict[str, float]:
-    """Fault-tolerance suite: checkpoint/replay under seeded node loss.
+    """Fault-tolerance suite: seeded node loss, recovered by re-booking.
 
-    Three scenarios pin the tentpole property — a run that loses a node
-    mid-flight must produce *bit-identical* numerics to its failure-free
-    twin, at a modeled recovery cost:
+    A decomposition computes its numbers in one numeric pass; its modeled
+    pass re-books the lost sweep on the survivors.  Three scenarios pin the
+    property that a run that loses a node mid-flight produces
+    *bit-identical* numerics to its failure-free twin, at a modeled
+    recovery cost:
 
     * **CP-ALS / Tucker-HOOI** — a two-node sharded decomposition with one
       node killed mid-sweep.  ``faults/identity_violation_count`` counts
@@ -489,12 +491,12 @@ def _obs_metrics() -> Dict[str, float]:
 def _adaptive_metrics() -> Dict[str, float]:
     """Closed-loop scheduling suite: adaptive must never lose to static.
 
-    Each scenario serves the same 40-job workload twice through one
-    engine — the first run warms the preprocessing cache *and* the
+    Two scenarios, the heterogeneous single node and two nodes with
+    cross-node tenants, each serve a 40-job workload twice through one
+    engine: the first run warms the preprocessing cache *and* the
     observation store, the second run is measured with the feedback loop
-    closed — once static (FIFO NIC, feedback never consumed) and once
-    adaptive (hedged run, plus a non-FIFO NIC discipline on the
-    multi-node scenarios).  Three zero-tolerance counts pin the tentpole
+    closed.  Each is run once static (feedback never consumed) and once
+    adaptive (hedged run).  Three zero-tolerance counts pin the
     properties:
 
     * ``adaptive/regression_count`` — a measured adaptive makespan
@@ -504,10 +506,11 @@ def _adaptive_metrics() -> Dict[str, float]:
     * ``adaptive/identity_violation_count`` — a job completed by both
       twins whose outputs are not ``np.array_equal``.  Feedback moves
       work in *time*, never in *value*.
-    * ``adaptive/gang_feasibility_violation_count`` — the adaptive runs'
-      timelines reported booking violations (a displaced collective gang
-      torn apart or double-booked); must stay empty under every NIC
-      discipline.
+    * ``adaptive/gang_feasibility_violation_count`` — resources of the
+      adaptive runs' timelines that are busy for longer than the run
+      (:meth:`~repro.gpusim.timeline.Timeline.violations`: double-counted
+      busy time).  Preemption and chaos re-booking release and re-book
+      committed work, and this check guards them; it must stay empty.
 
     The per-scenario improvement ratios (adaptive over static makespan,
     at most 1.0 when the hedge holds) ride along as ungated ``_info``
@@ -523,13 +526,8 @@ def _adaptive_metrics() -> Dict[str, float]:
         generate_workload,
     )
 
-    def measure(make_cluster, jobs, *, adaptive: bool, nic_policy: str = "fifo"):
-        engine = ServingEngine(
-            make_cluster(),
-            autotune=True,
-            adaptive=adaptive,
-            nic_policy=nic_policy,
-        )
+    def measure(make_cluster, jobs, *, adaptive: bool):
+        engine = ServingEngine(make_cluster(), autotune=True, adaptive=adaptive)
         engine.run(jobs)  # warm-up: fills the cache and observation store
         return engine.run(jobs)
 
@@ -547,13 +545,9 @@ def _adaptive_metrics() -> Dict[str, float]:
             measure(single, single_jobs, adaptive=False),
             measure(single, single_jobs, adaptive=True),
         ),
-        "multinode_fair": (
+        "multinode": (
             measure(multi, multi_jobs, adaptive=False),
-            measure(multi, multi_jobs, adaptive=True, nic_policy="fair"),
-        ),
-        "multinode_priority": (
-            measure(multi, multi_jobs, adaptive=False),
-            measure(multi, multi_jobs, adaptive=True, nic_policy="priority"),
+            measure(multi, multi_jobs, adaptive=True),
         ),
     }
 

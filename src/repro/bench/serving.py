@@ -52,7 +52,6 @@ def run_serving(
     deadline_slack: Optional[float] = None,
     autoscale: Optional[AutoscalerSpec] = None,
     adaptive: bool = False,
-    nic_policy: str = "fifo",
 ) -> ServingReport:
     """Serve a seeded synthetic workload and return the full report.
 
@@ -98,13 +97,11 @@ def run_serving(
     autoscale:
         Optional :class:`~repro.serve.autoscale.AutoscalerSpec` enabling
         the device-pool autoscaler.
-    adaptive / nic_policy:
-        Closed-loop feedback scheduling: ``adaptive`` turns on the hedged
-        adaptive run (observed times feed the placer and tuner; static
-        wins ties, so adaptive never loses the makespan), ``nic_policy``
-        selects the NIC queue discipline (``"fifo"``, ``"fair"``,
-        ``"priority"``).  Both default off, keeping earlier baselines
-        byte-identical.
+    adaptive:
+        Closed-loop feedback scheduling: the hedged adaptive run (observed
+        times feed the placer and tuner; static wins ties, so adaptive
+        never loses the makespan).  Off by default, keeping earlier
+        baselines byte-identical.
     """
     cross_node_every = 0
     if nodes is not None and nodes >= 2:
@@ -120,7 +117,6 @@ def run_serving(
         autotune=autotune,
         autoscale=autoscale,
         adaptive=adaptive,
-        nic_policy=nic_policy,
     )
     spec_kwargs = dict(
         num_jobs=num_jobs,

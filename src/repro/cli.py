@@ -140,7 +140,6 @@ def _render_serve(args: argparse.Namespace) -> str:
         deadline_slack=args.slo_slack,
         autoscale=autoscale,
         adaptive=args.adaptive,
-        nic_policy=args.nic_policy,
     )
     parts = [report.render()]
     if args.trace:
@@ -269,17 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "adaptive schedule is kept only when its trial makespan "
             "strictly beats the static one (adaptive never loses; outputs "
             "are bit-identical either way)"
-        ),
-    )
-    parser.add_argument(
-        "--nic-policy",
-        choices=["fifo", "fair", "priority"],
-        default="fifo",
-        help=(
-            "for the serve experiment: NIC queue discipline for cross-node "
-            "collectives — 'fifo' (arrival order, the default), 'fair' "
-            "(round-robin by consumed NIC seconds per job), or 'priority' "
-            "(deadline jobs first, then by queue priority)"
         ),
     )
     parser.add_argument(
@@ -433,8 +421,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--autoscale only applies to the 'serve' experiment")
     if args.adaptive and "serve" not in requested:
         parser.error("--adaptive only applies to the 'serve' experiment")
-    if args.nic_policy != "fifo" and "serve" not in requested:
-        parser.error("--nic-policy only applies to the 'serve' experiment")
 
     if args.trace:
         # --trace belongs to exactly one timeline-producing experiment per

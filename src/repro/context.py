@@ -118,7 +118,7 @@ class ExecContext:
 
     Every field is read by a kernel, a decomposition driver or the
     :class:`~repro.algorithms.cp.UnifiedGPUEngine`; serving-level policy
-    (SLOs, the NIC queue discipline) lives on the job and the scheduler.
+    (SLOs, the queue policy) lives on the job and the scheduler.
 
     Attributes
     ----------
@@ -137,7 +137,9 @@ class ExecContext:
         Shorthand for a homogeneous one-node cluster of this many devices.
     chaos:
         Scripted :class:`~repro.gpusim.cluster.NodeFailure` events for the
-        decomposition drivers' checkpoint/replay path.
+        decomposition drivers.  After the numeric pass, the modeled pass
+        re-stages the lost shards and re-books the lost sweep on the
+        survivors; the numbers do not change.
     preproc_cache:
         A :class:`~repro.serve.PreprocCache` shared across calls.
     overlap_modes:

@@ -652,8 +652,7 @@ class ClusterSpec:
         closed-form cost.  When another job's collective already holds a
         shared link or NIC, this one waits for it: contention between
         concurrent jobs falls out of the shared timeline instead of each
-        job pricing the link as idle.  Reordering queued collectives under
-        a NIC discipline is the scheduler's move, never this primitive's.
+        job pricing the link as idle.
         """
         return timeline.book_together(
             self.collective_resources(timeline),

@@ -55,12 +55,6 @@ __all__ = [
     "GangBooking",
     "Resource",
     "Timeline",
-    "NIC_POLICIES",
-    "CollectiveRequest",
-    "NicDiscipline",
-    "FairDiscipline",
-    "PriorityDiscipline",
-    "make_nic_discipline",
     "device_copy_key",
     "device_compute_key",
     "ChunkTiming",
@@ -639,123 +633,6 @@ class Timeline:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(self.chrome_trace(), handle, indent=1)
             handle.write("\n")
-
-
-# ---------------------------------------------------------------------- #
-# NIC queue disciplines (pluggable collective ordering)
-# ---------------------------------------------------------------------- #
-#: The NIC queue disciplines a scheduler may select.  ``fifo`` is the
-#: booking engine's native order (bookings serve in arrival order) and the
-#: default everywhere; ``fair`` and ``priority`` let a *not-yet-started*
-#: queued collective be overtaken.
-NIC_POLICIES: Tuple[str, ...] = ("fifo", "fair", "priority")
-
-
-@dataclass(frozen=True)
-class CollectiveRequest:
-    """One job's pending collective, as a discipline sees it.
-
-    ``duration_s`` is the modeled transfer time, ``priority`` the job's
-    class (lower is more urgent), ``has_deadline`` whether it carries a
-    latency SLO.  Disciplines rank requests; they never price them.
-    """
-
-    job_id: int
-    duration_s: float
-    priority: int = 1
-    has_deadline: bool = False
-
-
-class NicDiscipline:
-    """Base (FIFO) NIC queue discipline: never reorders anything.
-
-    A discipline answers one question — should a newly-arriving queued
-    collective overtake an already-queued (but not yet started) one? —
-    and keeps whatever per-job state the answer needs.  Reordering
-    semantics (and the feasibility guards that keep gang bookings sound)
-    live with the caller; the discipline is pure policy.
-    """
-
-    policy = "fifo"
-
-    def precedes(
-        self, newcomer: CollectiveRequest, incumbent: CollectiveRequest
-    ) -> bool:
-        """Whether ``newcomer`` should be served before ``incumbent``.
-
-        FIFO: never.  Subclasses return ``True`` only on a *strict* win,
-        so ties always keep arrival order and the schedule stays
-        deterministic.
-        """
-        return False
-
-    def note_dispatch(self, request: CollectiveRequest) -> None:
-        """Record that ``request`` was dispatched (service accounting)."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(policy={self.policy!r})"
-
-
-class FairDiscipline(NicDiscipline):
-    """Deficit-style fair sharing: jobs that have consumed the least NIC
-    time go first.
-
-    Ranking key is ``(consumed NIC seconds so far, pending duration,
-    job id)``: a job that has already moved a lot of collective traffic
-    yields to one that has barely used the NIC, with the shorter pending
-    transfer (then the smaller job id) breaking ties — round-robin-by-job
-    in effect, shortest-job-first among equals, and fully deterministic.
-    """
-
-    policy = "fair"
-
-    def __init__(self) -> None:
-        self._consumed: Dict[int, float] = {}
-
-    def precedes(
-        self, newcomer: CollectiveRequest, incumbent: CollectiveRequest
-    ) -> bool:
-        def key(request: CollectiveRequest) -> Tuple[float, float, int]:
-            return (
-                self._consumed.get(request.job_id, 0.0),
-                request.duration_s,
-                request.job_id,
-            )
-
-        return key(newcomer) < key(incumbent)
-
-    def note_dispatch(self, request: CollectiveRequest) -> None:
-        self._consumed[request.job_id] = (
-            self._consumed.get(request.job_id, 0.0) + request.duration_s
-        )
-
-
-class PriorityDiscipline(NicDiscipline):
-    """SLO-class priority: deadline-carrying jobs first, then the lower
-    priority class; ties keep arrival order."""
-
-    policy = "priority"
-
-    def precedes(
-        self, newcomer: CollectiveRequest, incumbent: CollectiveRequest
-    ) -> bool:
-        def key(request: CollectiveRequest) -> Tuple[int, int]:
-            return (0 if request.has_deadline else 1, request.priority)
-
-        return key(newcomer) < key(incumbent)
-
-
-def make_nic_discipline(policy: str) -> NicDiscipline:
-    """Instantiate the discipline named ``policy`` (fresh state)."""
-    if policy == "fifo":
-        return NicDiscipline()
-    if policy == "fair":
-        return FairDiscipline()
-    if policy == "priority":
-        return PriorityDiscipline()
-    raise ValueError(
-        f"unknown NIC policy {policy!r}; choose from {NIC_POLICIES}"
-    )
 
 
 # ---------------------------------------------------------------------- #

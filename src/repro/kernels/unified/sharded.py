@@ -30,9 +30,10 @@ canonical pass over the whole stream
 (:func:`repro.kernels.unified.driver.compute`), so outputs are
 *bit-identical* to the one-shot kernels for every cluster shape.
 ``tests/test_sharded.py`` is the property harness proving it across 1/2/4
-devices, and mid-run fault recovery (checkpoint/replay on the survivor
-topology) relies on it for recovered-run == failure-free-run factor
-identity.  :func:`plan_node_recovery` prices that recovery's re-staging;
+devices.  Mid-run fault recovery never recomputes: a decomposition runs
+its numeric pass once, and its modeled pass re-books the lost sweep on the
+survivor topology, so a recovered run's factors equal the failure-free
+run's.  :func:`plan_node_recovery` prices that recovery's re-staging;
 the decompositions' run core
 (:class:`~repro.algorithms.decomposition.DecompositionTimeline`) books
 the plans and each :class:`ShardedExecution` on one timeline.
@@ -254,7 +255,7 @@ class RecoveryPlan:
 
         Each survivor's transfer books its *original* slot's copy lane
         (via :attr:`slot_map`) from a common start; returns the time the
-        last transfer lands — when replay may begin.
+        last transfer lands — when the lost sweep may be booked again.
         """
         end = ready_s
         for local, nbytes in enumerate(self.restaged_bytes):

@@ -43,7 +43,6 @@ EVENT_KINDS = (
     "node_recovery",  # cluster re-formed on the survivors
     "requeue",  # in-flight victim of a failure re-admitted
     "scale",  # autoscaler parked or unparked devices
-    "nic_reorder",  # NIC discipline let a queued collective overtake another
 )
 
 

@@ -358,9 +358,11 @@ class ServingEngine:
         observations into :attr:`observations` either way, it just never
         consumes them.
     nic_policy:
-        NIC queue discipline for the run's collectives (``"fifo"``,
-        ``"fair"`` or ``"priority"``); only consulted by the winning
-        schedule when ``adaptive`` is on, applied directly otherwise.
+        Ignored: every cross-node collective is served in arrival order.
+        ``"fifo"``, ``"fair"`` and ``"priority"`` are accepted (anything
+        else raises ``ValueError``) only because perfbench's
+        ``serve-hedged`` workload still passes ``"fair"``; once a
+        benchmark change drops that argument, this parameter goes.
     """
 
     def __init__(
@@ -379,11 +381,14 @@ class ServingEngine:
         adaptive: bool = False,
         nic_policy: str = "fifo",
     ) -> None:
+        if nic_policy not in ("fifo", "fair", "priority"):
+            raise ValueError(
+                f"nic_policy must be 'fifo', 'fair' or 'priority', got {nic_policy!r}"
+            )
         self.cluster = cluster if cluster is not None else default_serving_cluster()
         self.cache = cache if cache is not None else PreprocCache()
         self.policy = policy
         self.adaptive = adaptive
-        self.nic_policy = nic_policy
         #: Cross-run execution/congestion observations; every run records
         #: into this store (the closed loop warms across runs), adaptive
         #: runs additionally consume it.
@@ -406,7 +411,6 @@ class ServingEngine:
             self.cluster,
             self.cache,
             observations=self.observations,
-            nic_policy=nic_policy,
             **self._scheduler_kwargs,
         )
 
@@ -439,18 +443,18 @@ class ServingEngine:
 
         With ``adaptive`` on, the run is *hedged*: the jobs are first
         trial-scheduled twice on throwaway cache clones — once static
-        (FIFO NIC, no observations consumed) and once adaptive (blended
-        placement, tuner re-ranking, the engine's NIC policy, a clone of
-        the observation store) — with no telemetry sinks.  The adaptive
-        configuration is kept only if its trial makespan is *strictly*
-        shorter; ties and regressions fall back to the static schedule,
-        so a cold store (which makes the adaptive trial collapse to the
-        static one under FIFO) reproduces the static run event for
-        event.  The winner is then re-run on the real cache with the real
-        sinks; observations are recorded into :attr:`observations` either
-        way, closing the loop for the next run.  The trials only price:
-        the three scheduler runs share one memo of the jobs' numbers, so
-        each job's numbers are computed once per :meth:`run`.
+        (no observations consumed) and once adaptive (blended placement,
+        tuner re-ranking, a clone of the observation store) — with no
+        telemetry sinks.  The adaptive configuration is kept only if its
+        trial makespan is *strictly* shorter; ties and regressions fall
+        back to the static schedule, so a cold store (which makes the
+        adaptive trial collapse to the static one) reproduces the static
+        run event for event.  The winner is then re-run on the real cache
+        with the real sinks; observations are recorded into
+        :attr:`observations` either way, closing the loop for the next
+        run.  The trials only price: the three scheduler runs share one
+        memo of the jobs' numbers, so each job's numbers are computed once
+        per :meth:`run`.
         """
         before = replace(self.cache.stats)
         registry = metrics if metrics is not None else MetricsRegistry()
@@ -498,13 +502,12 @@ class ServingEngine:
         copies of the shared cache (and a clone of the observation store)
         with no telemetry sinks, so they leave the engine's real state
         byte-for-byte untouched.  The adaptive configuration wins only on
-        a strictly shorter makespan — with no observations and a FIFO NIC
-        the two trials are identical, so the tie-break keeps the static
-        schedule and the cold-start run is indistinguishable from a
-        non-adaptive engine.  The returned scheduler targets the *real*
-        cache and observation store, ready for the final instrumented run.
-        Both trials fill and reuse ``numerics``, the run's memo of the
-        jobs' numbers.
+        a strictly shorter makespan — with no observations the two trials
+        are identical, so the tie-break keeps the static schedule and the
+        cold-start run is indistinguishable from a non-adaptive engine.
+        The returned scheduler targets the *real* cache and observation
+        store, ready for the final instrumented run.  Both trials fill and
+        reuse ``numerics``, the run's memo of the jobs' numbers.
         """
         static_trial = Scheduler(
             self.cluster,
@@ -517,7 +520,6 @@ class ServingEngine:
             self.cache.clone(),
             adaptive=True,
             observations=self.observations.clone(),
-            nic_policy=self.nic_policy,
             **self._scheduler_kwargs,
         ).run(jobs, chaos=chaos, numerics=numerics)
         won = bool(
@@ -530,7 +532,6 @@ class ServingEngine:
                 self.cache,
                 adaptive=True,
                 observations=self.observations,
-                nic_policy=self.nic_policy,
                 **self._scheduler_kwargs,
             )
         return Scheduler(

@@ -281,7 +281,9 @@ class Placer:
         Every tensor value must also be finite and within the float32
         range F-COO stores values in: a value outside it would become
         ``inf`` in the encoding and poison the job's output (or hang the
-        SVD of a Tucker job).
+        SVD of a Tucker job).  A decomposition's tensor must have a
+        non-zero norm: the fit of an all-zero tensor is undefined (Tucker
+        divides by the norm, and CP would report all-zero factors).
         """
         if geometry is None:
             geometry = job_geometry(job, threadlen=self.threadlen)
@@ -298,6 +300,8 @@ class Placer:
                 f"{bad} tensor value(s) are not finite or exceed the float32 "
                 f"range of F-COO values"
             )
+        if not job.kind.is_kernel and job.tensor.norm() == 0.0:
+            return "every tensor value is zero; a decomposition's fit is undefined"
         return None
 
     def _min_chunk_bytes(self, geometry: JobGeometry) -> float:

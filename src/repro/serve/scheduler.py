@@ -90,16 +90,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.formats.fcoo import FCOOTensor
 from repro.gpusim.cluster import ClusterSpec, NodeFailure
 from repro.gpusim.timeline import (
-    NIC_POLICIES,
     Booking,
-    CollectiveRequest,
-    NicDiscipline,
     Resource,
     Span,
     Timeline,
     device_compute_key,
     device_copy_key,
-    make_nic_discipline,
     schedule_chunks,
 )
 from repro.gpusim.timing import OutOfDeviceMemory
@@ -210,24 +206,6 @@ class _CommittedJob:
 
 
 @dataclass
-class _DisplacedCollective:
-    """A queued collective pulled off the timeline by the NIC discipline.
-
-    The incumbent's gang (and the barrier reservations pinned to it) have
-    been released; after the overtaking job books its own collective, the
-    incumbent is re-booked from this record — same label, span and
-    duration, same ``queued_from_s`` (its compute drain instant), so the
-    extra delay lands in its ``nic_wait_s`` attribution.
-    """
-
-    committed: _CommittedJob
-    label: str
-    span: Optional[Span]
-    duration_s: float
-    queued_from_s: float
-
-
-@dataclass
 class _RunState:
     """The shared timeline of one scheduler run plus its device resources."""
 
@@ -249,9 +227,6 @@ class _RunState:
     #: Telemetry sinks of the run (both optional; observation-only).
     metrics: Optional[MetricsRegistry] = None
     events: Optional[EventLog] = None
-    #: The run's NIC queue discipline (``None`` under the default FIFO,
-    #: which keeps the legacy booking path byte-identical).
-    discipline: Optional[NicDiscipline] = None
     #: Job id -> the job's numbers (:func:`~repro.serve.execute.execute_job`),
     #: computed at most once per run.
     numerics: Dict[int, Any] = field(default_factory=dict)
@@ -333,13 +308,6 @@ class Scheduler:
         The cross-run :class:`~repro.serve.feedback.ObservationStore`.
         When set, every run folds its completed jobs' attributed costs in
         (recording is independent of ``adaptive``, which only *consumes*).
-    nic_policy:
-        NIC queue discipline for queued collectives (one of
-        :data:`~repro.gpusim.timeline.NIC_POLICIES`).  ``"fifo"`` (the
-        default) keeps arrival order and the legacy booking path;
-        ``"fair"`` / ``"priority"`` may let a queued collective overtake
-        another *queued* (never in-flight) one, when the swap is feasible
-        without disturbing any third job's bookings.
     """
 
     def __init__(
@@ -357,7 +325,6 @@ class Scheduler:
         autoscale: Optional[AutoscalerSpec] = None,
         adaptive: bool = False,
         observations: Optional[ObservationStore] = None,
-        nic_policy: str = "fifo",
     ) -> None:
         if policy not in ("priority", "fifo", "deadline"):
             raise ValueError(
@@ -369,10 +336,6 @@ class Scheduler:
             raise ValueError(
                 f"max_queue_depth must be at least 1, got {max_queue_depth}"
             )
-        if nic_policy not in NIC_POLICIES:
-            raise ValueError(
-                f"nic_policy must be one of {NIC_POLICIES}, got {nic_policy!r}"
-            )
         self.cluster = cluster
         self.cache = cache if cache is not None else PreprocCache()
         self.policy = policy
@@ -383,7 +346,6 @@ class Scheduler:
         self.autoscale = autoscale
         self.adaptive = adaptive
         self.observations = observations
-        self.nic_policy = nic_policy
         self.placer = Placer(
             cluster,
             block_size=block_size,
@@ -680,13 +642,6 @@ class Scheduler:
             dispatches=[0] * self.cluster.num_devices,
             metrics=metrics,
             events=events,
-            # FIFO keeps the legacy path: no discipline object at all, so
-            # the collective booking arithmetic is untouched line for line.
-            discipline=(
-                make_nic_discipline(self.nic_policy)
-                if self.nic_policy != "fifo"
-                else None
-            ),
             numerics=numerics if numerics is not None else {},
         )
         pending = deque(sorted(jobs, key=lambda j: (j.arrival_s, j.job_id)))
@@ -896,20 +851,6 @@ class Scheduler:
             for result in ordered:
                 if result.completed:
                     queue_wait.observe(result.queue_wait_s)
-            gangs = {
-                e.label
-                for e in timeline.events
-                if e.busy
-                and e.category in ("link", "nic")
-                and e.span is not None
-                and e.span.phase == "collective"
-            }
-            metrics.counter(
-                "repro_nic_discipline_dispatch_total",
-                "Collective gang dispatches through the NIC queue, by "
-                "discipline.",
-                ("policy",),
-            ).inc(float(len(gangs)), policy=self.nic_policy)
         return ScheduleOutcome(
             results=ordered,
             dispatches=state.dispatches,
@@ -986,7 +927,6 @@ class Scheduler:
             batch_id=batch_id,
             batch_leader=bool(mates),
             encoding_staged=True,
-            results=results,
         )
         if (
             self.policy == "deadline"
@@ -1023,7 +963,6 @@ class Scheduler:
                 batch_id=batch_id,
                 batch_leader=False,
                 encoding_staged=False,
-                results=results,
             )
         return batch_seq
 
@@ -1119,7 +1058,6 @@ class Scheduler:
         batch_id: Optional[int],
         batch_leader: bool,
         encoding_staged: bool,
-        results: Optional[Dict[int, JobResult]] = None,
     ) -> JobResult:
         """Book one executed job onto the shared timeline.
 
@@ -1230,18 +1168,6 @@ class Scheduler:
         if reduction_s > 0.0 and placement.cluster is not None:
             compute_end = exec_start + compute_span
             resources = placement.cluster.collective_resources(state.timeline)
-            displaced: Optional[_DisplacedCollective] = None
-            request: Optional[CollectiveRequest] = None
-            if state.discipline is not None:
-                request = CollectiveRequest(
-                    job_id=job.job_id,
-                    duration_s=reduction_s,
-                    priority=job.priority,
-                    has_deadline=math.isfinite(job.deadline_s),
-                )
-                displaced = self._displace_collective(
-                    state, resources, compute_end, request
-                )
             red_start = compute_end
             for resource in resources:
                 red_start = max(red_start, resource.free_s)
@@ -1261,11 +1187,6 @@ class Scheduler:
                 queued_from_s=compute_end,
             )
             tracked.extend(collective.bookings)
-            if state.discipline is not None and request is not None:
-                state.discipline.note_dispatch(request)
-            if displaced is not None:
-                # Put the overtaken collective back, now behind ours.
-                self._rebook_displaced(state, results, displaced)
         # Hold every participating compute engine to the job's completion
         # (the devices take part in the collective; nothing else may slot in).
         for lane in compute_lanes:
@@ -1351,164 +1272,6 @@ class Scheduler:
         )
 
     # ------------------------------------------------------------------ #
-    # NIC queue disciplines (nic_policy="fair" / "priority")
-    # ------------------------------------------------------------------ #
-    def _displace_collective(
-        self,
-        state: _RunState,
-        resources: Sequence[Resource],
-        compute_end: float,
-        request: CollectiveRequest,
-    ) -> Optional[_DisplacedCollective]:
-        """Pull the queued collective ahead of ours off the NIC, if the
-        discipline says we overtake it and the surgery is feasible.
-
-        Strictly best-effort, with every guard erring toward "do nothing"
-        (which keeps the FIFO order and is always sound):
-
-        * the newest booking on *every* contended link/NIC resource must
-          belong to one gang — one committed job's collective — that has
-          not started by the time our compute drains (a collective in
-          flight is never reordered);
-        * the discipline must rank our request *strictly* ahead of the
-          incumbent's (ties keep arrival order, so the schedule stays
-          deterministic);
-        * the incumbent's gang bookings and the ``barrier:`` reservations
-          pinned to its finish must all be tail bookings of their lanes —
-          releasing them must not strand any third job's bookings.
-
-        On success the incumbent's gang and barriers are *released* (its
-        result/ledger updated by :meth:`_rebook_displaced` after the caller
-        books its own collective into the freed window) and the released
-        ledger is returned; any failed guard returns ``None``.
-        """
-        discipline = state.discipline
-        if discipline is None:
-            return None
-        tails = [r.last_booking for r in resources]
-        if not tails or any(b is None for b in tails):
-            return None
-        first = tails[0]
-        if (
-            first.span is None
-            or first.span.phase != "collective"
-            or any(b.label != first.label for b in tails)
-            or len({(b.start_s, b.end_s) for b in tails}) != 1
-        ):
-            return None
-        if first.start_s < compute_end:
-            return None  # already in flight when our collective is ready
-        inc_tag = first.span.job_id
-        if not inc_tag.startswith("job"):
-            return None
-        try:
-            inc_id = int(inc_tag[3:])
-        except ValueError:
-            return None
-        if inc_id == request.job_id:
-            return None
-        inc = state.committed.get(inc_id)
-        if inc is None:
-            return None
-        inc_job = inc.entry.job
-        incumbent = CollectiveRequest(
-            job_id=inc_id,
-            duration_s=first.end_s - first.start_s,
-            priority=inc_job.priority,
-            has_deadline=math.isfinite(inc_job.deadline_s),
-        )
-        if not discipline.precedes(request, incumbent):
-            return None
-        gang = [b for b in inc.bookings if b.label == first.label]
-        if {id(b) for b in gang} != {id(b) for b in tails}:
-            return None  # the tails are not exactly the incumbent's gang
-        barriers = [
-            b for b in inc.bookings if b.label == f"barrier:{inc_tag}"
-        ]
-        lanes: Dict[str, Resource] = {r.key: r for r in resources}
-        for slot in inc.placement.device_slots:
-            lane = state.compute[slot]
-            lanes[lane.key] = lane
-        to_release = gang + barriers
-        by_lane: Dict[str, List[Booking]] = {}
-        for booking in to_release:
-            by_lane.setdefault(booking.resource, []).append(booking)
-        for key, group in by_lane.items():
-            lane = lanes.get(key)
-            if lane is None or not lane.is_tail(group):
-                return None
-        state.timeline.release(to_release)
-        removed = {id(b) for b in to_release}
-        inc.bookings = [b for b in inc.bookings if id(b) not in removed]
-        if state.events is not None:
-            state.events.emit(
-                "nic_reorder",
-                time_s=compute_end,
-                job_id=f"job{request.job_id}",
-                displaced=inc_tag,
-                policy=discipline.policy,
-            )
-        return _DisplacedCollective(
-            committed=inc,
-            label=first.label,
-            span=first.span,
-            duration_s=incumbent.duration_s,
-            queued_from_s=first.ready_s,
-        )
-
-    def _rebook_displaced(
-        self,
-        state: _RunState,
-        results: Optional[Dict[int, JobResult]],
-        disp: _DisplacedCollective,
-    ) -> None:
-        """Re-book a displaced incumbent's collective behind the overtaker.
-
-        Same label, span, duration and ``queued_from_s`` as the released
-        gang — only the start moves (to the overtaking collective's end),
-        so the added delay lands in the incumbent's ``nic_wait_s``.  The
-        barrier reservations holding its compute lanes are re-extended to
-        the new finish, and its ledger, result and provisional ``complete``
-        event are updated in place.
-        """
-        inc = disp.committed
-        gang = state.timeline.book_together(
-            inc.placement.cluster.collective_resources(state.timeline),
-            disp.duration_s,
-            ready_s=disp.queued_from_s,
-            label=disp.label,
-            span=disp.span,
-            queued_from_s=disp.queued_from_s,
-        )
-        inc.bookings.extend(gang.bookings)
-        finish = gang.end_s
-        inc_tag = f"job{inc.entry.job.job_id}"
-        for slot in inc.placement.device_slots:
-            lane = state.compute[slot]
-            if finish > lane.free_s:
-                inc.bookings.append(
-                    lane.book(
-                        finish - lane.free_s,
-                        ready_s=lane.free_s,
-                        label=f"barrier:{inc_tag}",
-                        busy=False,
-                    )
-                )
-        inc.finish_s = finish
-        jid = inc.entry.job.job_id
-        if results is not None and jid in results:
-            results[jid] = replace(results[jid], finish_s=finish)
-        if state.events is not None and inc.complete_event is not None:
-            state.events.retract(inc.complete_event)
-            inc.complete_event = state.events.emit(
-                "complete",
-                time_s=finish,
-                job_id=inc_tag,
-                execution=inc.outcome.execution,
-                exec_s=inc.outcome.exec_s,
-            )
-
-    # ------------------------------------------------------------------ #
     @staticmethod
     def _revoke_events(
         state: _RunState, committed: _CommittedJob, *, work_started: bool
@@ -1572,16 +1335,7 @@ class Scheduler:
             key=lambda c: (-c.finish_s, c.entry.job.job_id),
         )
         if candidates:
-            try:
-                state.timeline.release(own.bookings)
-            except ValueError:
-                # A non-FIFO NIC discipline may have re-booked a displaced
-                # incumbent *behind* this job's collective, so the trial
-                # booking is no longer the tail of its lanes.  Release
-                # verifies before mutating, so nothing moved — keep the
-                # first booking instead of attempting the rescue.
-                state.committed[job.job_id] = own
-                return first_result
+            state.timeline.release(own.bookings)
             # The trial booking is fully revoked (nothing ran yet — this
             # all happens at dispatch time); the re-commit re-emits.
             self._revoke_events(state, own, work_started=False)
@@ -1598,7 +1352,6 @@ class Scheduler:
                 batch_id=batch_id,
                 batch_leader=batch_leader,
                 encoding_staged=True,
-                results=results,
             )
         state.committed[job.job_id] = own
         return first_result

@@ -137,3 +137,11 @@ class TestTuckerKernelContext:
         bad = SparseTensor(tensor.indices, values, tensor.shape)
         with pytest.raises(ValueError, match="not finite as float32"):
             tucker_hooi(bad, (3, 3, 3), max_iterations=2)
+
+    def test_all_zero_values_raise(self):
+        # Explicit zeros keep nnz > 0, but the fit divides by the norm.
+        tensor = random_sparse_tensor((30, 20, 10), 500, seed=1)
+        zero = SparseTensor(tensor.indices, np.zeros_like(tensor.values), tensor.shape)
+        assert zero.nnz > 0
+        with pytest.raises(ValueError, match="fit of an all-zero tensor"):
+            tucker_hooi(zero, (3, 3, 3), max_iterations=2)

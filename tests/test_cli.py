@@ -60,13 +60,8 @@ class TestCli:
         ) == 0
         assert "node losses" in capsys.readouterr().out
 
-    def test_serve_nic_policy_smoke(self, capsys):
-        assert main(
-            [
-                "serve", "--jobs", "10", "--nodes", "2",
-                "--adaptive", "--nic-policy", "fair",
-            ]
-        ) == 0
+    def test_serve_adaptive_multinode_smoke(self, capsys):
+        assert main(["serve", "--jobs", "10", "--nodes", "2", "--adaptive"]) == 0
         assert "Serving report" in capsys.readouterr().out
 
     def test_adaptive_requires_serve(self, capsys):
@@ -74,18 +69,6 @@ class TestCli:
             main(["table2", "--adaptive"])
         assert exc.value.code != 0
         assert "serve" in capsys.readouterr().err
-
-    def test_nic_policy_requires_serve(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["table2", "--nic-policy", "fair"])
-        assert exc.value.code != 0
-        assert "serve" in capsys.readouterr().err
-
-    def test_unknown_nic_policy_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["serve", "--nic-policy", "weighted"])
-        assert exc.value.code != 0
-        assert "invalid choice" in capsys.readouterr().err
 
     def test_chaos_seed_requires_multinode(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -926,16 +926,35 @@ class TestNumericsOncePerJob:
 # ---------------------------------------------------------------------- #
 # Admission: one bad tensor value cannot take the server down
 # ---------------------------------------------------------------------- #
+def _one_value(value):
+    """A poison that sets one tensor value to ``value``."""
+
+    def poison(values):
+        values[7] = value
+        return values
+
+    return poison
+
+
+NOT_FINITE = "1 tensor value(s) are not finite"
+ALL_ZERO = "every tensor value is zero"
+
+
 class TestPoisonAdmission:
     @pytest.mark.parametrize(
-        "kind, value",
-        [(JobKind.CP_ALS, np.nan), (JobKind.SPMTTKRP, 1e308), (JobKind.TUCKER, np.inf)],
-        ids=["nan-cp", "overflow-spmttkrp", "inf-tucker"],
+        "kind, poison, reason",
+        [
+            (JobKind.CP_ALS, _one_value(np.nan), NOT_FINITE),
+            (JobKind.SPMTTKRP, _one_value(1e308), NOT_FINITE),
+            (JobKind.TUCKER, _one_value(np.inf), NOT_FINITE),
+            (JobKind.CP_ALS, np.zeros_like, ALL_ZERO),
+            (JobKind.TUCKER, np.zeros_like, ALL_ZERO),
+        ],
+        ids=["nan-cp", "overflow-spmttkrp", "inf-tucker", "zero-cp", "zero-tucker"],
     )
-    def test_bad_value_rejected_and_good_job_completes(self, kind, value):
+    def test_bad_value_rejected_and_good_job_completes(self, kind, poison, reason):
         tensor = random_sparse_tensor((30, 20, 10), 500, seed=1)
-        values = np.array(tensor.values)
-        values[7] = value
+        values = poison(np.array(tensor.values))
         poisoned = SparseTensor(tensor.indices, values, tensor.shape)
         good = Job(
             job_id=0,
@@ -952,10 +971,21 @@ class TestPoisonAdmission:
         assert by_id[0].completed
         assert_same_output(by_id[0].output, execute_job(good))
         assert by_id[1].status is JobStatus.REJECTED
-        assert "1 tensor value(s) are not finite" in by_id[1].reject_reason
+        assert reason in by_id[1].reject_reason
         (reject,) = [e for e in report.events.events if e.kind == "reject"]
         assert reject.job_id == "job1"
         assert dict(reject.fields)["reason"] == "admission_control"
+
+    def test_all_zero_kernel_job_is_admitted(self):
+        # Only a decomposition's fit needs a non-zero norm: a kernel job on
+        # an all-zero tensor is served and its output is all zero.
+        tensor = random_sparse_tensor((30, 20, 10), 500, seed=1)
+        zero = SparseTensor(tensor.indices, np.zeros_like(tensor.values), tensor.shape)
+        job = Job(job_id=0, tenant="zero", kind=JobKind.SPMTTKRP, tensor=zero, rank=4)
+        (result,) = ServingEngine(default_serving_cluster()).run([job]).results
+        assert result.completed
+        assert_same_output(result.output, execute_job(job))
+        assert not np.any(result.output)
 
 
 # ---------------------------------------------------------------------- #
