@@ -55,9 +55,11 @@ def cp_inner_product(
     if tensor.nnz == 0:
         return 0.0
     idx = np.asarray(tensor.indices)
-    model_rows = np.ones((tensor.nnz, rank), dtype=np.float64)
-    for m, mat in enumerate(mats):
-        model_rows *= mat[idx[:, m], :]
+    # Seeded with the first factor's rows rather than ones: 1.0 * x is x,
+    # so the bits are those of the full product.
+    model_rows = np.take(mats[0], idx[:, 0], axis=0)
+    for m in range(1, len(mats)):
+        model_rows *= np.take(mats[m], idx[:, m], axis=0)
     model_at_nnz = model_rows @ weights
     return float(np.dot(np.asarray(tensor.values), model_at_nnz))
 

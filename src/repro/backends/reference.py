@@ -41,7 +41,7 @@ class ReferenceBackend(Backend):
     ) -> np.ndarray:
         partial = np.asarray(values, dtype=np.float64)[:, None]
         for mat, row_idx in zip(mats, rows):
-            partial = partial * mat[np.asarray(row_idx), :]
+            partial = partial * np.take(mat, row_idx, axis=0)
         return partial
 
     def kron_products(

@@ -12,7 +12,10 @@ x1 + ...`` in stream order: ``np.add.at``'s association, hence its bits,
 signed zeros included.  The stream is summed in blocks of whole segments of
 about :data:`BLOCK_BYTES` of partials, so the ``(nnz, width)`` partials are
 never all formed at once.  Unsorted ids (F-COO never produces them) take
-one block over the whole stream.
+one block over the whole stream.  The Kronecker partials are the
+reference's elements in product-mode-major column order (see
+:func:`_mode_major_kron_products`); the reduced result is put back in the
+canonical column order once.
 """
 
 from __future__ import annotations
@@ -67,10 +70,15 @@ class VectorizedBackend(ReferenceBackend):
         segment_ids: np.ndarray,
         num_segments: int,
     ) -> np.ndarray:
-        width = math.prod(mat.shape[1] for mat in mats)
-        return self._blocked_sums(
-            self.kron_products, width, values, mats, rows, segment_ids, num_segments
+        ranks = [mat.shape[1] for mat in mats]
+        width = math.prod(ranks)
+        sums = self._blocked_sums(
+            _mode_major_kron_products, width, values, mats, rows, segment_ids, num_segments
         )
+        # Reorder the columns once, to the canonical earlier-modes-fastest
+        # (a view, not a copy, for fewer than two product modes).
+        axes = (0, *range(len(ranks), 0, -1))
+        return sums.reshape(sums.shape[0], *ranks).transpose(axes).reshape(sums.shape)
 
     def _blocked_sums(
         self,
@@ -107,3 +115,24 @@ class VectorizedBackend(ReferenceBackend):
             out[first : last + 1] = ones @ products(values[lo:hi], mats, [r[lo:hi] for r in rows])
             lo = hi
         return out
+
+
+def _mode_major_kron_products(
+    values: np.ndarray, mats: Sequence[np.ndarray], rows: Sequence[np.ndarray]
+) -> np.ndarray:
+    """:meth:`ReferenceBackend.kron_products` with its columns in
+    product-mode-major order (later modes vary fastest).
+
+    The stages are the reference's, value first and then the last product
+    mode to the first, and each element multiplies the same two operands,
+    so it has the same bits.  Only the layout differs: the new factor's
+    column is the slow axis, so the inner loop runs over the running
+    partial's width instead of over one factor's few columns.
+    """
+    partial = np.asarray(values, dtype=np.float64)[:, None]
+    for mat, row_idx in zip(reversed(mats), reversed(rows)):
+        picked = np.take(mat, row_idx, axis=0)
+        nnz, width = partial.shape
+        # An explicit width: reshape(0, -1) is ill-defined on an empty stream.
+        partial = (partial[:, None, :] * picked[:, :, None]).reshape(nnz, picked.shape[1] * width)
+    return partial

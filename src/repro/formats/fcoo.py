@@ -26,8 +26,11 @@ the same information ParTI's sCOO output format stores and it is not charged
 to the per-non-zero storage cost of Table II.
 
 The encoding requires the non-zeros to be sorted with the index modes as the
-primary sort keys, so that every fiber/slice occupies one contiguous run —
-:meth:`FCOOTensor.from_sparse` performs that sort.
+primary sort keys, so that every fiber/slice occupies one contiguous run.
+:meth:`FCOOTensor.from_sparse` computes that order as one permutation (a
+single ``np.lexsort`` over the modes packed into as few int64 keys as fit)
+and gathers the stored arrays straight from it, without a sorted copy of
+the tensor.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from repro.formats.mode_encoding import ModeRoles, OperationKind, mode_roles
-from repro.tensor.sparse import SparseTensor
+from repro.tensor.sparse import SparseTensor, _lexsort_rows
 from repro.util.validation import check_positive_int
 
 __all__ = ["FCOOTensor", "FCOOChunk"]
@@ -153,10 +156,14 @@ class FCOOTensor:
     ) -> "FCOOTensor":
         """Encode ``tensor`` in F-COO for ``operation`` on ``mode``.
 
-        The non-zeros are sorted so index modes are the primary keys (in
+        The non-zeros are ordered so index modes are the primary keys (in
         increasing mode order) and product modes the secondary keys; this
         makes each fiber/slice a contiguous segment, which is what the
-        bit-flag encoding requires.
+        bit-flag encoding requires.  The order is one packed-key sort
+        permutation, and the values (cast to ``value_dtype``), the
+        product-mode columns (cast to ``index_dtype``) and the index-mode
+        columns (for the flags) are gathered through it, with no sorted
+        copy of the tensor.
         """
         roles = mode_roles(operation, mode, tensor.order)
         index_dtype = np.dtype(index_dtype)
@@ -167,19 +174,16 @@ class FCOOTensor:
                     f"product mode {m} of size {tensor.shape[m]} does not fit in {index_dtype}"
                 )
 
-        sort_order = list(roles.index_modes) + list(roles.product_modes)
-        sorted_tensor = tensor.sort_by_modes(sort_order)
-        idx = np.asarray(sorted_tensor.indices)
+        idx = np.asarray(tensor.indices)
+        perm = _lexsort_rows(idx, tensor.shape, roles.index_modes + roles.product_modes)
         with np.errstate(over="ignore"):
-            values = np.ascontiguousarray(
-                np.asarray(sorted_tensor.values).astype(value_dtype)
-            )
+            values = np.asarray(tensor.values)[perm].astype(value_dtype)
         if not np.isfinite(values).all():
             raise ValueError(
                 f"{int(np.count_nonzero(~np.isfinite(values)))} value(s) are not "
                 f"finite as {value_dtype} (NaN, inf, or beyond its range)"
             )
-        nnz = sorted_tensor.nnz
+        nnz = tensor.nnz
 
         if nnz == 0:
             product_indices = np.empty((0, len(roles.product_modes)), dtype=index_dtype)
@@ -187,6 +191,7 @@ class FCOOTensor:
             segment_ids = np.empty(0, dtype=np.int64)
             segment_index_coords = np.empty((0, len(roles.index_modes)), dtype=np.int64)
         else:
+            idx = np.take(idx, perm, axis=0)
             product_indices = np.ascontiguousarray(
                 idx[:, list(roles.product_modes)].astype(index_dtype)
             )
@@ -194,7 +199,7 @@ class FCOOTensor:
             changed = np.any(index_coords[1:] != index_coords[:-1], axis=1)
             bf = np.concatenate(([True], changed))
             segment_ids = np.cumsum(bf, dtype=np.int64) - 1
-            segment_index_coords = index_coords[bf].astype(np.int64)
+            segment_index_coords = index_coords[bf]
 
         return cls(
             roles=roles,

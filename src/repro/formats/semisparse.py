@@ -22,7 +22,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.tensor.sparse import SparseTensor
+from repro.tensor.sparse import SparseTensor, _lexsort_rows
 from repro.util.validation import check_mode, check_shape
 
 __all__ = ["SemiSparseTensor"]
@@ -165,7 +165,8 @@ class SemiSparseTensor:
         """Return a copy with fibers sorted lexicographically by coordinate."""
         if self.num_fibers == 0:
             return self
-        perm = np.lexsort(self.fiber_coords.T[::-1])
+        sparse_sizes = [self.shape[m] for m in self.sparse_modes]
+        perm = _lexsort_rows(self.fiber_coords, sparse_sizes)
         return SemiSparseTensor(
             shape=self.shape,
             dense_mode=self.dense_mode,

@@ -23,7 +23,7 @@ Design notes
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sps
@@ -104,7 +104,7 @@ class SparseTensor:
             indices, values = _sum_duplicates(indices, values, shape)
             # _sum_duplicates returns data already sorted lexicographically.
         elif sort and indices.shape[0]:
-            order = np.lexsort(indices.T[::-1])
+            order = _lexsort_rows(indices, shape)
             indices = indices[order]
             values = values[order]
 
@@ -291,9 +291,7 @@ class SparseTensor:
             )
         if self.nnz == 0:
             return self
-        # np.lexsort sorts by the LAST key as primary, so reverse.
-        keys = tuple(self._indices[:, m] for m in reversed(mode_order))
-        perm = np.lexsort(keys)
+        perm = _lexsort_rows(self._indices, self._shape, mode_order)
         return SparseTensor(
             self._indices[perm],
             self._values[perm],
@@ -406,6 +404,44 @@ class SparseTensor:
 # ---------------------------------------------------------------------- #
 # Module-private helpers
 # ---------------------------------------------------------------------- #
+#: Largest span one packed sort key covers, so every key fits in int64.
+_KEY_SPAN = 1 << 62
+
+
+def _lexsort_rows(
+    indices: np.ndarray, sizes: Sequence[int], order: Optional[Sequence[int]] = None
+) -> np.ndarray:
+    """The stable permutation sorting the rows of ``indices``
+    lexicographically by the columns ``order`` (default: all, first column
+    primary), column ``m`` holding values in ``[0, sizes[m])``.
+
+    Consecutive columns of ``order`` are packed into one int64 key while
+    their span stays within 2**62, and ``np.lexsort`` runs once over the
+    packed keys.  Packing keeps every comparison, so the permutation is the
+    one ``np.lexsort`` gives over the raw columns, for any sizes: a span
+    beyond 2**62 just starts another key.
+    """
+    if order is None:
+        order = range(indices.shape[1])
+    keys = []  # primary first
+    key, span = None, 0
+    for m in order:
+        size = int(sizes[m])
+        if key is not None and span * size <= _KEY_SPAN:
+            key = key * size
+            key += indices[:, m]
+            span *= size
+        else:
+            if key is not None:
+                keys.append(key)
+            key, span = indices[:, m], size
+    if key is None:
+        return np.arange(indices.shape[0])
+    keys.append(key)
+    # np.lexsort sorts by the LAST key as primary, so reverse.
+    return np.lexsort(keys[::-1])
+
+
 def _composite_key(indices: np.ndarray, modes: Iterable[int], shape: Sequence[int]) -> np.ndarray:
     """Collapse the given modes of each coordinate into a single int64 key.
 
@@ -437,7 +473,7 @@ def _sum_duplicates(
 
     Returns arrays sorted lexicographically by coordinate.
     """
-    order = np.lexsort(indices.T[::-1])
+    order = _lexsort_rows(indices, shape)
     indices = indices[order]
     values = values[order]
     if indices.shape[0] == 0:
@@ -455,11 +491,12 @@ def _canonical(t: SparseTensor) -> SparseTensor:
     """Return ``t`` with its non-zeros in canonical lexicographic order."""
     if t.nnz == 0:
         return t
-    idx = np.asarray(t.indices)
-    order = np.lexsort(idx.T[::-1])
-    if np.array_equal(order, np.arange(idx.shape[0])):
+    perm = _lexsort_rows(t._indices, t.shape)
+    if np.array_equal(perm, np.arange(t.nnz)):
         return t
-    return t.sort_by_modes(list(range(t.order)))
+    return SparseTensor(
+        t._indices[perm], t._values[perm], t.shape, sum_duplicates=False, sort=False
+    )
 
 
 def _drop_zeros(t: SparseTensor) -> SparseTensor:

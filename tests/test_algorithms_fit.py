@@ -35,6 +35,28 @@ class TestCpInnerProduct:
         expected = float(np.sum(small_tensor.to_dense() * dense_model))
         assert cp_inner_product(small_tensor, factors, weights) == pytest.approx(expected)
 
+    def test_negative_zero_factor_matches_scalar_loop(self):
+        # Half-integer data keeps every product and sum exact, so any
+        # summation order gives the scalar loop's bits.
+        rng = np.random.default_rng(4)
+        shape, rank = (4, 5, 3), 3
+        indices = np.stack([rng.integers(0, s, size=30) for s in shape], axis=1)
+        tensor = SparseTensor(indices, rng.integers(-4, 5, size=30) * 0.5, shape)
+        factors = [rng.integers(-4, 5, size=(s, rank)) * 0.5 for s in shape]
+        factors[0][np.asarray(tensor.indices)[0, 0], 1] = -0.0
+        weights = np.array([1.5, -0.5, 2.0])
+        expected = 0.0
+        for coords, value in tensor.to_coords_dict().items():
+            model = 0.0
+            for r in range(rank):
+                row = float(factors[0][coords[0], r])
+                for m in range(1, len(shape)):
+                    row = row * float(factors[m][coords[m], r])
+                model = model + row * float(weights[r])
+            expected = expected + value * model
+        actual = cp_inner_product(tensor, factors, weights)
+        assert np.float64(actual).view(np.uint64) == np.float64(expected).view(np.uint64)
+
     def test_empty_tensor(self):
         factors, weights = rank2_model((3, 4, 5))
         assert cp_inner_product(SparseTensor.empty((3, 4, 5)), factors, weights) == 0.0

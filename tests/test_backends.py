@@ -6,11 +6,13 @@ reference backend on every input.  The Hypothesis sweeps here drive the
 three unified kernels through the one-shot, chunked (streamed) and sharded
 topologies under both backends and compare outputs, plus the
 primitive-level reductions (1-D/2-D, signed zeros, empty segments, single
-non-zero, unsorted ids, streams that span several blocks) and the
+non-zero, unsorted ids, streams that span several blocks), a scalar-loop
+oracle that pins the canonical product association, and the
 ``ExecContext(backend=...)`` / ``REPRO_BACKEND`` selection plumbing.
 """
 
 import contextlib
+import math
 from typing import Tuple
 from unittest import mock
 
@@ -102,23 +104,56 @@ def segmented_values(draw):
     return values, segment_ids, num_segments
 
 
+#: One rank of 1-4 per product mode, for 0-3 product modes.
+PRODUCT_RANKS = st.lists(st.integers(min_value=1, max_value=4), max_size=3)
+
+
 def make_factors(tensor: SparseTensor, rank: int, seed: int = 0):
     rng = np.random.default_rng(seed)
     return [rng.uniform(0.1, 1.0, size=(s, rank)) for s in tensor.shape]
 
 
-def product_inputs(case, num_mats, rank, seed):
-    """A 1-D value stream with its segments and ``num_mats`` factor
-    matrices (``rank`` columns, some ``-0.0`` entries) plus row streams."""
+def product_inputs(case, ranks, seed):
+    """A 1-D value stream with its segments and one factor matrix per entry
+    of ``ranks`` (that many columns, some ``-0.0`` entries) plus row
+    streams."""
     values, segment_ids, num_segments = case
     if values.ndim != 1:
         values = values[:, 0] if values.shape[1] else np.zeros(len(segment_ids))
     rng = np.random.default_rng(seed)
-    mats = [rng.standard_normal((10, rank)) for _ in range(num_mats)]
+    mats = [rng.standard_normal((10, rank)) for rank in ranks]
     for mat in mats:
         mat[rng.random(mat.shape) < 0.2] = -0.0
-    rows = [rng.integers(0, 10, size=values.shape[0]) for _ in range(num_mats)]
+    rows = [rng.integers(0, 10, size=values.shape[0]) for _ in ranks]
     return values, mats, rows, segment_ids, num_segments
+
+
+def oracle_segment_sums(values, mats, rows, segment_ids, num_segments, kron):
+    """The canonical per-segment sums, one Python float at a time.
+
+    Each partial is the value times one factor entry per product mode:
+    first to last for the Hadamard product; last to first for the
+    Kronecker product, whose columns number earlier modes fastest.  Each
+    segment starts at ``0.0`` and adds its partials in stream order.
+    """
+    ranks = [mat.shape[1] for mat in mats]
+    if kron:
+        width = math.prod(ranks)
+        # Column `col` takes column `col // strides[p] % ranks[p]` of factor p.
+        strides = [math.prod(ranks[:p]) for p in range(len(ranks))]
+        order = range(len(mats) - 1, -1, -1)
+    else:
+        width = ranks[0] if ranks else 1
+        order = range(len(mats))
+    sums = [[0.0] * width for _ in range(num_segments)]
+    for z, segment in enumerate(segment_ids.tolist()):
+        for col in range(width):
+            partial = float(values[z])
+            for p in order:
+                column = col // strides[p] % ranks[p] if kron else col
+                partial = partial * float(mats[p][rows[p][z], column])
+            sums[segment][col] = sums[segment][col] + partial
+    return np.array(sums, dtype=np.float64).reshape(num_segments, width)
 
 
 # ---------------------------------------------------------------------- #
@@ -201,19 +236,35 @@ class TestSegmentReduceIdentity:
     @SETTINGS
     @given(segmented_values(), st.integers(min_value=0, max_value=3))
     def test_fused_hadamard_identity(self, block_bytes, case, num_mats):
-        args = product_inputs(case, num_mats, 4, seed=7)
+        args = product_inputs(case, [4] * num_mats, seed=7)
         with block_budget(block_bytes):
             actual = VEC.hadamard_segment_sums(*args)
         assert_same_bits(actual, REF.hadamard_segment_sums(*args))
 
     @BLOCK_BUDGETS
     @SETTINGS
-    @given(segmented_values(), st.integers(min_value=0, max_value=3))
-    def test_kron_identity(self, block_bytes, case, num_mats):
-        args = product_inputs(case, num_mats, 3, seed=9)
+    @given(segmented_values(), PRODUCT_RANKS)
+    def test_kron_identity(self, block_bytes, case, ranks):
+        args = product_inputs(case, ranks, seed=9)
         with block_budget(block_bytes):
             actual = VEC.kron_segment_sums(*args)
         assert_same_bits(actual, REF.kron_segment_sums(*args))
+
+    @pytest.mark.parametrize("backend", [REF, VEC], ids=["reference", "vectorized"])
+    @BLOCK_BUDGETS
+    @SETTINGS
+    @given(segmented_values(), PRODUCT_RANKS)
+    def test_canonical_association_matches_scalar_oracle(self, backend, block_bytes, case, ranks):
+        """Each backend against a scalar loop rather than the other backend,
+        so an association or column order the two share still has to be
+        the canonical one."""
+        hadamard = product_inputs(case, ranks[:1] * len(ranks), seed=5)
+        kron = product_inputs(case, ranks, seed=11)
+        with block_budget(block_bytes):
+            hadamard_sums = backend.hadamard_segment_sums(*hadamard)
+            kron_sums = backend.kron_segment_sums(*kron)
+        assert_same_bits(hadamard_sums, oracle_segment_sums(*hadamard, kron=False))
+        assert_same_bits(kron_sums, oracle_segment_sums(*kron, kron=True))
 
     def test_dense_hadamard_identity(self):
         rng = np.random.default_rng(3)

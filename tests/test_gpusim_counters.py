@@ -1,5 +1,7 @@
 """Tests for repro.gpusim.counters."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.gpusim.counters import KernelCounters, KernelProfile
@@ -15,9 +17,22 @@ class TestKernelCounters:
         with pytest.raises(ValueError):
             KernelCounters(flops=-1.0)
 
+    @pytest.mark.parametrize(
+        "name",
+        [f.name for f in fields(KernelCounters) if f.name != "imbalance_factor"],
+    )
+    def test_each_field_rejects_a_negative_value(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -1$"):
+            KernelCounters(**{name: -1})
+
     def test_imbalance_below_one_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^imbalance_factor must be >= 1, got 0.5$"):
             KernelCounters(imbalance_factor=0.5)
+
+    def test_as_dict_lists_every_field_in_order(self):
+        counters = KernelCounters(flops=2.0, kernel_launches=3)
+        assert list(counters.as_dict()) == [f.name for f in fields(KernelCounters)]
+        assert counters.as_dict()["kernel_launches"] == 3
 
     def test_merge_adds_traffic(self):
         a = KernelCounters(gmem_read_bytes=100, flops=10, kernel_launches=1)

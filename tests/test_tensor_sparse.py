@@ -1,9 +1,15 @@
 """Tests for repro.tensor.sparse.SparseTensor."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.tensor.sparse import SparseTensor
+from repro.formats.fcoo import FCOOTensor
+from repro.formats.mode_encoding import mode_roles
+from repro.tensor.sparse import SparseTensor, _lexsort_rows
 
 
 def make_simple():
@@ -199,3 +205,107 @@ class TestComparison:
     def test_allclose_type_error(self):
         with pytest.raises(TypeError):
             make_simple().allclose("not a tensor")
+
+
+# ---------------------------------------------------------------------- #
+# The packed-key sort against np.lexsort over the raw columns
+# ---------------------------------------------------------------------- #
+#: Three modes of 2**31: the first two pack into one key of span 2**62 and
+#: the third starts a second key.
+HUGE_SHAPE = (2**31, 2**31, 2**31)
+
+
+def raw_lexsort(indices, order):
+    """``np.lexsort`` over the raw columns, ``order[0]`` primary."""
+    return np.lexsort(tuple(indices[:, m] for m in reversed(order)))
+
+
+def few_distinct_indices(rng, shape, nnz):
+    """``nnz`` rows drawn from a few values per mode (0, the largest index
+    and some in between), so duplicate rows and ties are common."""
+    columns = []
+    for size in shape:
+        pool = np.unique(np.r_[0, size - 1, rng.integers(0, size, size=2)])
+        columns.append(rng.choice(pool, size=nnz))
+    return np.stack(columns, axis=1).astype(np.int64)
+
+
+@st.composite
+def index_matrices(draw):
+    """(indices, shape, mode order): small shapes, or modes of up to 2**40
+    whose product passes 2**62."""
+    order = draw(st.integers(min_value=1, max_value=4))
+    max_size = draw(st.sampled_from([3, 2**40]))
+    shape = tuple(draw(st.integers(1, max_size)) for _ in range(order))
+    nnz = draw(st.integers(min_value=0, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    mode_order = draw(st.permutations(range(order)))
+    return few_distinct_indices(rng, shape, nnz), shape, mode_order
+
+
+def encode_with_raw_lexsort(tensor, operation, mode):
+    """F-COO's five arrays, from a plain ``np.lexsort`` permutation and a
+    sorted copy of the tensor."""
+    roles = mode_roles(operation, mode, tensor.order)
+    idx = np.asarray(tensor.indices)
+    perm = raw_lexsort(idx, roles.index_modes + roles.product_modes)
+    idx = idx[perm]
+    values = np.asarray(tensor.values)[perm].astype(np.float32)
+    index_coords = idx[:, list(roles.index_modes)]
+    bf = np.concatenate(([True], np.any(index_coords[1:] != index_coords[:-1], axis=1)))
+    return {
+        "product_indices": idx[:, list(roles.product_modes)].astype(np.uint32),
+        "values": values,
+        "bf": bf,
+        "segment_ids": np.cumsum(bf, dtype=np.int64) - 1,
+        "segment_index_coords": index_coords[bf].astype(np.int64),
+    }
+
+
+class TestPackedSort:
+    @given(index_matrices())
+    def test_permutation_equals_raw_lexsort(self, case):
+        indices, shape, mode_order = case
+        np.testing.assert_array_equal(
+            _lexsort_rows(indices, shape, mode_order), raw_lexsort(indices, mode_order)
+        )
+
+    def test_shape_beyond_2_62_packs_two_keys(self):
+        indices = few_distinct_indices(np.random.default_rng(0), HUGE_SHAPE, 200)
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as spy:
+            perm = _lexsort_rows(indices, HUGE_SHAPE, (2, 0, 1))
+        (keys,), _ = spy.call_args
+        assert spy.call_count == 1 and len(keys) == 2
+        np.testing.assert_array_equal(perm, raw_lexsort(indices, (2, 0, 1)))
+
+    def test_no_columns_is_the_identity(self):
+        np.testing.assert_array_equal(
+            _lexsort_rows(np.empty((3, 0), dtype=np.int64), ()), np.arange(3)
+        )
+
+    @pytest.mark.parametrize("operation", ["spttm", "spmttkrp", "spttmc"])
+    def test_fcoo_encoding_of_a_huge_shape(self, operation):
+        rng = np.random.default_rng(1)
+        indices = few_distinct_indices(rng, HUGE_SHAPE, 300)
+        tensor = SparseTensor(indices, rng.standard_normal(300), HUGE_SHAPE)
+        for mode in range(tensor.order):
+            encoded = FCOOTensor.from_sparse(tensor, operation, mode)
+            expected = encode_with_raw_lexsort(tensor, operation, mode)
+            for name, array in expected.items():
+                actual = getattr(encoded, name)
+                assert actual.dtype == array.dtype, name
+                assert actual.flags.c_contiguous, name
+                np.testing.assert_array_equal(actual, array, err_msg=name)
+
+    def test_sum_duplicates_keeps_sums_and_order(self):
+        rng = np.random.default_rng(2)
+        indices = few_distinct_indices(rng, HUGE_SHAPE, 500)
+        values = rng.standard_normal(500)
+        tensor = SparseTensor(indices, values, HUGE_SHAPE)
+        unique, inverse = np.unique(indices, axis=0, return_inverse=True)
+        perm = raw_lexsort(indices, (0, 1, 2))
+        sums = np.zeros(len(unique))
+        np.add.at(sums, inverse.ravel()[perm], values[perm])
+        np.testing.assert_array_equal(np.asarray(tensor.indices), unique)
+        np.testing.assert_array_equal(np.asarray(tensor.values), sums)
+
