@@ -24,9 +24,9 @@ ALS loop: the numbers, with no timeline.  :func:`cp_modeled_pass` then books
 the same sweeps on a
 :class:`~repro.algorithms.decomposition.DecompositionTimeline` from each
 mode's profile, node-loss recovery included; this module keeps CP's own
-modeled parts: the dense update (and its overlap with the all-reduce) and
-the deferred shard staging.  The serving layer runs the two passes apart,
-so a job's numbers are computed once however often it is priced.
+modeled part: the dense update and its overlap with the all-reduce.  The
+serving layer runs the two passes apart, so a job's numbers are computed
+once however often it is priced.
 """
 
 from __future__ import annotations
@@ -52,12 +52,11 @@ from repro.formats.mode_encoding import OperationKind
 from repro.gpusim.cluster import ClusterSpec, resolve_cluster
 from repro.gpusim.counters import KernelProfile
 from repro.gpusim.device import DeviceSpec, TITAN_X
-from repro.gpusim.timeline import Timeline, device_copy_key
+from repro.gpusim.timeline import Timeline
 from repro.kernels.baselines.splatt import splatt_csf_mode_order, splatt_profile
 from repro.kernels.common import Profile
 from repro.kernels.reference.coo_reference import reference_mttkrp
 from repro.kernels.unified.driver import compute, model
-from repro.kernels.unified.sharded import partition_for_cluster
 from repro.kernels.unified.spmttkrp import (
     spmttkrp_footprint,
     spmttkrp_operands,
@@ -118,10 +117,8 @@ class UnifiedGPUEngine:
     device:
         Simulated GPU.
     block_size / threadlen:
-        Default launch parameters; ``per_mode_params`` overrides them per
-        mode (the auto-tuner of Figure 5 / Table V produces these).
-    per_mode_params:
-        Optional ``{mode: (block_size, threadlen)}`` mapping.
+        Launch parameters of every mode's MTTKRP (the auto-tuner of
+        Figure 5 / Table V produces these).
     ctx:
         The :class:`~repro.context.ExecContext` whose execution fields
         every MTTKRP uses:
@@ -147,16 +144,11 @@ class UnifiedGPUEngine:
           same tensor — the multi-tenant serving pattern — skip the host
           preprocessing; the host seconds of cache *misses* are charged
           into the setup time (they are exactly what a later hit saves).
-        * ``overlap_staging`` — defers resident shard staging out of
-          :meth:`prepare` into per-mode per-device ledgers that
-          :func:`cp_als` books on the copy engines (overlapped with the
-          previous mode's reduction).
     """
 
     device: DeviceSpec = TITAN_X
     block_size: int = 128
     threadlen: int = 8
-    per_mode_params: Optional[Dict[int, Tuple[int, int]]] = None
     name: str = "unified-gpu"
     ctx: ExecContext = DEFAULT_CONTEXT
 
@@ -165,10 +157,6 @@ class UnifiedGPUEngine:
         self.device, self._cluster = resolve_cluster(
             self.device, self.ctx.cluster, self.ctx.devices
         )
-        #: mode -> {device slot: staging seconds}: the resident shard
-        #: staging ``ctx.overlap_staging`` moves out of :meth:`prepare`'s
-        #: serial charge, for :func:`cp_als` to book on the copy engines.
-        self.deferred_staging: Dict[int, Dict[int, float]] = {}
 
     def prepare(self, tensor: SparseTensor, rank: int) -> float:
         """Encode F-COO for every mode on the host and transfer once to the GPU.
@@ -199,31 +187,10 @@ class UnifiedGPUEngine:
         # largest shard (~1/N of the stream); the factor matrices go to
         # every device in parallel and are charged once.
         shard_divisor = self._cluster.num_devices if self._cluster is not None else 1
-        self.deferred_staging = {}
-        bandwidth = self.device.pcie_bandwidth_bytes_per_s
-        for mode, enc in self._encodings.items():
-            if self._will_stream(enc, rank):
-                continue
-            if self.ctx.overlap_staging:
-                # Defer resident shard staging onto the per-device copy
-                # engines: cp_als books each device's shard transfer during
-                # the first sweep, overlapped with the previous mode's
-                # reduction, instead of this serial up-front charge.
-                if self._cluster is not None:
-                    threadlen = self._params_for(mode)[1]
-                    shards = partition_for_cluster(enc, self._cluster, threadlen=threadlen)
-                    self.deferred_staging[mode] = {
-                        slot: float(shard.tensor.storage_bytes(threadlen)) / bandwidth
-                        for slot, shard in enumerate(shards)
-                        if shard.nnz
-                    }
-                else:
-                    self.deferred_staging[mode] = {
-                        0: enc.storage_bytes(self._params_for(mode)[1]) / bandwidth
-                    }
-            else:
-                transfer_bytes += enc.storage_bytes(self._params_for(mode)[1]) / shard_divisor
-        return transfer_bytes / bandwidth + encode_s
+        for enc in self._encodings.values():
+            if not self._will_stream(enc, rank):
+                transfer_bytes += enc.storage_bytes(self.threadlen) / shard_divisor
+        return transfer_bytes / self.device.pcie_bandwidth_bytes_per_s + encode_s
 
     def _will_stream(self, encoding: FCOOTensor, rank: int) -> bool:
         """The kernel's streamed/one-shot decision, evaluated for one mode.
@@ -232,20 +199,14 @@ class UnifiedGPUEngine:
         ``prepare()``'s transfer charging cannot drift from the branch the
         MTTKRP actually takes.
         """
-        block_size, threadlen = self._params_for(encoding.mode)
         footprint, resident = spmttkrp_footprint(
-            encoding, rank, block_size=block_size, threadlen=threadlen
+            encoding, rank, block_size=self.block_size, threadlen=self.threadlen
         )
         if self._cluster is not None:
             # Each device holds only its shard (~1/N of the stream) next to
             # the full dense operands.
             footprint = resident + (footprint - resident) / self._cluster.num_devices
         return should_stream(encoding, footprint, self.device, self.ctx.streamed)
-
-    def _params_for(self, mode: int) -> Tuple[int, int]:
-        if self.per_mode_params and mode in self.per_mode_params:
-            return self.per_mode_params[mode]
-        return self.block_size, self.threadlen
 
     def _encoding(self, mode: int) -> FCOOTensor:
         if not self._encodings:
@@ -264,20 +225,19 @@ class UnifiedGPUEngine:
         """The unified SpMTTKRP's cost model for ``mode`` (one-shot,
         streamed or sharded across ``cluster`` or the engine's own)."""
         encoding = self._encoding(mode)
-        block_size, threadlen = self._params_for(mode)
         return model(
             encoding,
             spmttkrp_spec(encoding, rank),
             device=self.device,
-            block_size=block_size,
-            threadlen=threadlen,
+            block_size=self.block_size,
+            threadlen=self.threadlen,
             ctx=kernel_context(self.ctx, cluster if cluster is not None else self._cluster),
         )
 
     def resident(self) -> List[Tuple[FCOOTensor, int]]:
         """Each prepared mode's encoding with its threadlen, in mode order:
         the device-resident streams a node loss re-stages."""
-        return [(enc, self._params_for(mode)[1]) for mode, enc in sorted(self._encodings.items())]
+        return [(enc, self.threadlen) for _mode, enc in sorted(self._encodings.items())]
 
     @property
     def resolved_cluster(self) -> Optional[ClusterSpec]:
@@ -529,11 +489,6 @@ def cp_als(
           all of it.  :func:`~repro.algorithms.tucker.tucker_hooi` recovers
           through the same
           :class:`~repro.algorithms.decomposition.DecompositionTimeline`.
-        * ``overlap_staging`` — book each mode's resident shard staging on
-          the per-device copy engines during the first sweep, overlapped
-          with the previous mode's reduction, instead of charging it
-          serially in engine setup (the factors are bit-identical; only
-          modeled time moves, and only downward).
         * ``backend`` and ``metrics`` — the dense updates' backend and the
           registry the run's decomposition metrics land in.
 
@@ -655,26 +610,11 @@ def cp_modeled_pass(
     mttkrp_time_by_mode: Dict[int, float] = {m: 0.0 for m in range(order)}
     other_time = 0.0
     run = DecompositionTimeline(getattr(engine, "resolved_cluster", None), ctx.chaos)
-    # Shard staging the engine deferred out of prepare() (ctx.overlap_staging):
-    # each mode's per-device transfers book the copy engines during the first
-    # sweep, so mode k+1's staging rides the copy lanes while mode k computes
-    # and reduces.  Only the first mode's staging stays on the critical path.
-    deferred_staging = dict(getattr(engine, "deferred_staging", None) or {})
-    copy_lanes = (
-        [
-            run.timeline.resource(device_copy_key(slot), category="copy")
-            for slot in range(run.num_devices)
-        ]
-        if deferred_staging
-        else []
-    )
     # Each mode's profile on the current topology; a node loss clears it.
     profiles: Dict[int, Profile] = {}
     iteration = 0
     while iteration < numbers.iterations:
         for mode in range(order):
-            for slot, stage_s in sorted(deferred_staging.pop(mode, {}).items()):
-                copy_lanes[slot].book(stage_s, label=f"stage:mode{mode}")
             if mode not in profiles:
                 profiles[mode] = engine.profile(mode, rank, run.cluster)
             profile = profiles[mode]

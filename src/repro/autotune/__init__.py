@@ -4,16 +4,12 @@ The unified kernels have two classic tunables: ``BLOCK_SIZE`` (threads per
 block) and ``threadlen`` (non-zeros per thread).  Their best values depend
 on the sparsity pattern of the tensor, so the paper sweeps both per dataset
 and per operation; this subpackage reproduces that sweep on the simulated
-device.  The out-of-core streamed execution path adds two further axes —
-``num_streams`` and the chunk size — and the multi-GPU sharded path adds a
-device-count axis; the sweep covers all of them.
+device.  Each cell is priced as the kernel would run by default, so a
+tensor that does not fit the device one-shot is priced streamed.
 """
 
 from repro.autotune.tuner import (
     DEFAULT_BLOCK_SIZES,
-    DEFAULT_CHUNK_SIZES,
-    DEFAULT_DEVICE_COUNTS,
-    DEFAULT_NUM_STREAMS,
     DEFAULT_THREADLENS,
     TuningResult,
     tune_unified,
@@ -24,7 +20,4 @@ __all__ = [
     "tune_unified",
     "DEFAULT_BLOCK_SIZES",
     "DEFAULT_THREADLENS",
-    "DEFAULT_NUM_STREAMS",
-    "DEFAULT_CHUNK_SIZES",
-    "DEFAULT_DEVICE_COUNTS",
 ]

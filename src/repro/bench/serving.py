@@ -59,8 +59,9 @@ def run_serving(
     ----------
     num_jobs / seed:
         Workload size and seed (the default 100-job workload exercises
-        every path: one-shot, streamed, capability-weighted sharded,
-        decompositions, batching, cache hits and admission rejects).
+        one-shot and capability-weighted sharded kernels, decompositions,
+        batching, cache hits and admission rejects; none of its jobs runs
+        streamed).
     policy:
         ``"priority"``, ``"fifo"`` or ``"deadline"`` (earliest deadline
         first with chunk-boundary preemption of batch jobs).

@@ -21,10 +21,9 @@ Usage::
                                               # exposition of the run
     python -m repro serve --events out.jsonl  # structured scheduler event
                                               # log, one JSON line per event
-    python -m repro serve --adaptive --nic-policy fair  # closed-loop
-                                              # scheduling: observed times
-                                              # feed the placer/tuner, NIC
-                                              # collectives queue fairly
+    python -m repro serve --adaptive          # closed-loop scheduling:
+                                              # observed times feed the
+                                              # placer and the tuner
 
 Each experiment prints the same rows/series the paper reports, rendered as a
 plain-text table (see :mod:`repro.bench`).

@@ -144,11 +144,6 @@ class ExecContext:
         A :class:`~repro.serve.PreprocCache` shared across calls.
     overlap_modes:
         CP-ALS: overlap each mode's all-reduce with its dense update.
-    overlap_staging:
-        CP-ALS on a sharded cluster: stage each mode's shards on the
-        per-device copy engines during the first sweep, overlapped with
-        the previous mode's reduction, instead of charging all staging
-        serially in engine setup (off by default).
     backend:
         The numeric-execution backend (:mod:`repro.backends`): a registry
         name (``"reference"`` / ``"vectorized"``), a
@@ -173,7 +168,6 @@ class ExecContext:
     chaos: Optional[Tuple["NodeFailure", ...]] = None
     preproc_cache: Optional[Any] = None
     overlap_modes: bool = False
-    overlap_staging: bool = False
     backend: Optional[Any] = None
     metrics: Optional["MetricsRegistry"] = None
 

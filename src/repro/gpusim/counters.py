@@ -15,7 +15,7 @@ benchmark harness consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 __all__ = ["KernelCounters", "KernelProfile"]
 
@@ -81,31 +81,24 @@ class KernelCounters:
         """Total effective global traffic (reads + writes)."""
         return self.gmem_read_bytes + self.gmem_write_bytes
 
-    def merge(self, other: "KernelCounters") -> "KernelCounters":
-        """Combine two ledgers (e.g. the stages of a fused kernel).
+    @classmethod
+    def merged(cls, parts: Sequence["KernelCounters"]) -> "KernelCounters":
+        """One ledger for ``parts`` (the chunks of a streamed kernel, the
+        shards of a sharded one).
 
-        Traffic, FLOPs and atomics add; ``active_threads`` takes the maximum
-        (phases share the same grid); ``imbalance_factor`` takes the
-        work-weighted maximum as a conservative bound.
+        Traffic, FLOPs, atomics and launches add, in ``parts`` order;
+        ``active_threads`` takes the maximum (phases share the same grid);
+        ``imbalance_factor`` takes the maximum as a conservative bound.
+        Each field folds from its default, so no parts give the empty
+        ledger.
         """
-        if not isinstance(other, KernelCounters):
-            raise TypeError("merge expects another KernelCounters")
-        return KernelCounters(
-            flops=self.flops + other.flops,
-            gmem_read_bytes=self.gmem_read_bytes + other.gmem_read_bytes,
-            gmem_write_bytes=self.gmem_write_bytes + other.gmem_write_bytes,
-            smem_bytes=self.smem_bytes + other.smem_bytes,
-            atomic_ops=self.atomic_ops + other.atomic_ops,
-            atomic_serialized_ops=self.atomic_serialized_ops + other.atomic_serialized_ops,
-            active_threads=max(self.active_threads, other.active_threads),
-            imbalance_factor=max(self.imbalance_factor, other.imbalance_factor),
-            kernel_launches=self.kernel_launches + other.kernel_launches,
-            host_to_device_bytes=self.host_to_device_bytes + other.host_to_device_bytes,
-            device_to_host_bytes=self.device_to_host_bytes + other.device_to_host_bytes,
-        )
-
-    def __add__(self, other: "KernelCounters") -> "KernelCounters":
-        return self.merge(other)
+        totals = dict(_FIELD_DEFAULTS)
+        for part in parts:
+            for name in _SUMMED_FIELDS:
+                totals[name] += getattr(part, name)
+            totals["active_threads"] = max(totals["active_threads"], part.active_threads)
+            totals["imbalance_factor"] = max(totals["imbalance_factor"], part.imbalance_factor)
+        return cls(**totals)
 
     def as_dict(self) -> Dict[str, float]:
         """Plain-dict view (used by the benchmark harness for reporting)."""
@@ -115,6 +108,11 @@ class KernelCounters:
 #: The ledger's field names, in declaration order: looked up once, since a
 #: serving run builds thousands of ledgers.
 _COUNTER_FIELDS = tuple(f.name for f in fields(KernelCounters))
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(KernelCounters)}
+#: The fields :meth:`KernelCounters.merged` adds (the other two take maxima).
+_SUMMED_FIELDS = tuple(
+    name for name in _COUNTER_FIELDS if name not in ("active_threads", "imbalance_factor")
+)
 
 
 @dataclass
@@ -162,16 +160,3 @@ class KernelProfile:
             raise ValueError(
                 f"device_memory_bytes must be non-negative, got {self.device_memory_bytes}"
             )
-
-    def combined(self, other: "KernelProfile", *, name: Optional[str] = None) -> "KernelProfile":
-        """Sequentially compose two profiles (times add, footprints max)."""
-        merged_breakdown = dict(self.breakdown)
-        for key, value in other.breakdown.items():
-            merged_breakdown[key] = merged_breakdown.get(key, 0.0) + value
-        return KernelProfile(
-            name=name or f"{self.name}+{other.name}",
-            counters=self.counters.merge(other.counters),
-            estimated_time_s=self.estimated_time_s + other.estimated_time_s,
-            device_memory_bytes=max(self.device_memory_bytes, other.device_memory_bytes),
-            breakdown=merged_breakdown,
-        )

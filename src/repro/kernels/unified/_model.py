@@ -21,20 +21,20 @@ from repro.gpusim.memory import AccessPattern, coalesced_traffic_bytes, readonly
 from repro.gpusim.scan import segmented_scan_counters
 
 __all__ = [
-    "tensor_stream_counters",
-    "factor_access_counters",
-    "output_scatter_counters",
+    "tensor_stream_bytes",
+    "factor_access_bytes",
+    "output_scatter_bytes",
     "unified_kernel_counters",
     "unified_device_footprint",
 ]
 
 
-def tensor_stream_counters(
+def tensor_stream_bytes(
     fcoo: FCOOTensor,
     launch: LaunchConfig,
     device: DeviceSpec,
-) -> KernelCounters:
-    """Traffic for streaming the F-COO arrays (indices, values, flags).
+) -> float:
+    """Global reads for streaming the F-COO arrays (indices, values, flags).
 
     Consecutive threads read consecutive array elements, so every stream is
     perfectly coalesced; the whole tensor is read exactly once per kernel
@@ -50,18 +50,18 @@ def tensor_stream_counters(
         nnz, index_bytes + value_bytes, AccessPattern.COALESCED, device
     )
     read += bf_bytes + sf_bytes
-    return KernelCounters(gmem_read_bytes=read)
+    return read
 
 
-def factor_access_counters(
+def factor_access_bytes(
     row_indices: np.ndarray,
     rank: int,
     device: DeviceSpec,
     *,
     use_readonly_cache: bool = True,
     value_bytes: int = 4,
-) -> KernelCounters:
-    """Traffic for gathering factor-matrix rows selected by a product mode.
+) -> float:
+    """Global reads for gathering factor-matrix rows selected by a product mode.
 
     Each non-zero reads one row (``rank`` values) of the factor matrix whose
     row index comes from the product-mode index stream.  The unified kernels
@@ -75,27 +75,26 @@ def factor_access_counters(
         else float(device.l2_bytes)
     )
     traffic = readonly_cache_traffic(row_indices, row_bytes, device, cache_bytes=cache_bytes)
-    return KernelCounters(gmem_read_bytes=traffic.dram_bytes)
+    return traffic.dram_bytes
 
 
-def output_scatter_counters(
+def output_scatter_bytes(
     num_rows: int,
     row_width: int,
     device: DeviceSpec,
     *,
     value_bytes: int = 4,
     coalesced: bool = True,
-) -> KernelCounters:
-    """Traffic for writing the reduced per-segment results to global memory."""
+) -> float:
+    """Global writes of the reduced per-segment results."""
     pattern = AccessPattern.COALESCED if coalesced else AccessPattern.RANDOM
-    written = coalesced_traffic_bytes(
+    return coalesced_traffic_bytes(
         num_rows * row_width,
         value_bytes,
         pattern,
         device,
         contiguous_run_bytes=row_width * value_bytes,
     )
-    return KernelCounters(gmem_write_bytes=written)
 
 
 def unified_kernel_counters(
@@ -135,15 +134,14 @@ def unified_kernel_counters(
         (the unified default).  ``False`` is used by the fusion ablation.
     """
     nnz = fcoo.nnz
-    counters = tensor_stream_counters(fcoo, launch, device)
+    read = tensor_stream_bytes(fcoo, launch, device)
     for stream in factor_row_streams:
-        counters = counters.merge(
-            factor_access_counters(stream, rank, device, use_readonly_cache=True)
-        )
-    counters = counters.merge(
-        output_scatter_counters(output_rows, output_width, device)
-    )
-    scan = segmented_scan_counters(
+        read += factor_access_bytes(stream, rank, device, use_readonly_cache=True)
+    written = output_scatter_bytes(output_rows, output_width, device)
+    # The scan stage's ledger becomes the kernel's: the other stages'
+    # traffic is added to it in stage order, so a priced kernel builds one
+    # ledger.
+    counters = segmented_scan_counters(
         num_elements=nnz,
         num_segments=fcoo.num_segments,
         rank=output_width,
@@ -151,7 +149,8 @@ def unified_kernel_counters(
         device=device,
         fused=fused,
     )
-    counters = counters.merge(scan)
+    counters.gmem_read_bytes = read + counters.gmem_read_bytes
+    counters.gmem_write_bytes = written + counters.gmem_write_bytes
     counters.flops += flops_per_nnz_per_column * nnz * output_width
     counters.active_threads = float(
         min(launch.total_threads, max(1, -(-nnz // launch.threadlen)) * launch.grid_y)

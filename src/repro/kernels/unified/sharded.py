@@ -539,7 +539,6 @@ def execute_sharded(
     shards = partition_for_cluster(fcoo, cluster, threadlen=threadlen)
 
     ledgers: List[ShardLedger] = []
-    merged = KernelCounters()
     peak_device_bytes = 0.0
 
     for i, shard in enumerate(shards):
@@ -569,7 +568,6 @@ def execute_sharded(
                 streaming=profile.streaming,
             )
         )
-        merged = merged.merge(profile.counters)
         peak_device_bytes = max(peak_device_bytes, profile.device_memory_bytes)
 
     if len(ledgers) <= 1:
@@ -605,7 +603,7 @@ def execute_sharded(
     )
     return KernelProfile(
         name=f"{name}-sharded",
-        counters=merged,
+        counters=KernelCounters.merged([ledger.counters for ledger in ledgers]),
         estimated_time_s=execution.total_time_s,
         device_memory_bytes=peak_device_bytes,
         breakdown={

@@ -265,7 +265,6 @@ def execute_streamed(
 
     ledgers: List[ChunkLedger] = []
     timings: List[ChunkTiming] = []
-    merged = KernelCounters()
 
     for i, chunk in enumerate(chunks):
         counters, launch = chunk_model(chunk.tensor)
@@ -290,7 +289,6 @@ def execute_streamed(
             )
         )
         timings.append(ChunkTiming(transfer_s=transfer_s, compute_s=compute_s))
-        merged = merged.merge(counters)
 
     schedule = schedule_chunks(timings, num_streams)
     execution = StreamedExecution(
@@ -302,7 +300,7 @@ def execute_streamed(
     )
     return KernelProfile(
         name=f"{name}-streamed",
-        counters=merged,
+        counters=KernelCounters.merged([ledger.counters for ledger in ledgers]),
         estimated_time_s=schedule.total_time_s,
         device_memory_bytes=footprint,
         breakdown={

@@ -76,12 +76,9 @@ class EventLog:
 
     Emission is append-only, but the scheduler commits work *ahead* of
     simulated time — a ``dispatch``/``complete`` pair carries future
-    timestamps — so a commitment that is later revoked (a trial booking
-    rolled back, a preempted victim, a chaos teardown) must also revoke
-    its provisional events: :meth:`rollback` discards everything past a
-    :meth:`mark`, and :meth:`retract` removes one stale event.  Both
-    keep ``seq`` contiguous, so the exported log always reads as the
-    final schedule's true history.
+    timestamps — so a commitment that is later revoked (a preempted
+    victim, a chaos teardown) must also revoke its provisional events
+    with :meth:`retract`.
     """
 
     events: List[Event] = field(default_factory=list)
@@ -109,24 +106,6 @@ class EventLog:
         )
         self.events.append(event)
         return event
-
-    def mark(self) -> int:
-        """A checkpoint for :meth:`rollback` (the current event count)."""
-        return len(self.events)
-
-    def rollback(self, mark: int) -> int:
-        """Discard every event emitted since ``mark``; returns the count.
-
-        Used around trial commitments: take a :meth:`mark`, commit, and
-        roll the events back if the booking itself is rolled back.
-        """
-        if not 0 <= mark <= len(self.events):
-            raise ValueError(
-                f"mark {mark} outside the log (0..{len(self.events)})"
-            )
-        dropped = len(self.events) - mark
-        del self.events[mark:]
-        return dropped
 
     def retract(self, event: Event) -> None:
         """Remove one previously emitted event (matched by identity).

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -53,6 +53,11 @@ SERVING_THREADLENS: Tuple[int, ...] = (8, 16, 32)
 #: sweep measured real kernels once, offline) — so a miss costs a model
 #: evaluation per configuration, not a kernel run per configuration.
 TUNER_SECONDS_PER_CONFIG = 2e-6
+
+#: Relative drift between an observed execution time and the tuner's
+#: prediction for the cached config beyond which the feedback loop re-ranks
+#: it (see :meth:`PreprocCache.rerank_tuner_config`).
+RERANK_TOLERANCE = 0.25
 
 
 @dataclass
@@ -111,10 +116,7 @@ class PreprocCache:
         # Predicted (block, threadlen) time surface of each tuner miss,
         # kept so the feedback loop can re-rank a cached config against
         # observed execution times (see rerank_tuner_config).
-        self._surfaces: Dict[
-            Tuple[str, str, int, int, str],
-            Tuple[Tuple[int, ...], Tuple[int, ...], "np.ndarray"],
-        ] = {}
+        self._surfaces: Dict[Tuple[str, str, int, int, str], np.ndarray] = {}
         self._current_bytes = 0
 
     def clone(self) -> "PreprocCache":
@@ -202,19 +204,19 @@ class PreprocCache:
         *,
         encoding: FCOOTensor,
         device: DeviceSpec = TITAN_X,
-        block_sizes: Sequence[int] = SERVING_BLOCK_SIZES,
-        threadlens: Sequence[int] = SERVING_THREADLENS,
     ) -> Tuple[Tuple[int, int], bool, float]:
         """The tuned ``(BLOCK_SIZE, threadlen)`` for one job shape.
 
-        Returns ``(config, hit, host_seconds)``.  A miss sweeps the reduced
-        serving axes with :func:`repro.autotune.tune_unified` and charges
-        :data:`TUNER_SECONDS_PER_CONFIG` per configuration evaluated (the
-        serving tuner ranks candidates with the cost model rather than
-        executing them); a hit is free — this is the "repeat tenants skip
-        preprocessing" half of the cache that covers the tuner.  A miss
-        sweeps ``encoding``, the caller's F-COO encoding of ``tensor`` for
-        ``(operation, mode)``, so the tuner never encodes again.
+        Returns ``(config, hit, host_seconds)``.  A miss sweeps
+        :data:`SERVING_BLOCK_SIZES` x :data:`SERVING_THREADLENS` with
+        :func:`repro.autotune.tune_unified` and charges
+        :data:`TUNER_SECONDS_PER_CONFIG` per configuration that fits the
+        device (the serving tuner ranks candidates with the cost model
+        rather than executing them); a hit is free — this is the "repeat
+        tenants skip preprocessing" half of the cache that covers the
+        tuner.  A miss sweeps ``encoding``, the caller's F-COO encoding of
+        ``tensor`` for ``(operation, mode)``, so the tuner never encodes
+        again.
         """
         from repro.autotune import tune_unified
 
@@ -232,18 +234,13 @@ class PreprocCache:
             mode,
             rank=rank,
             device=device,
-            block_sizes=tuple(block_sizes),
-            threadlens=tuple(threadlens),
+            block_sizes=SERVING_BLOCK_SIZES,
+            threadlens=SERVING_THREADLENS,
         )
         config = result.best
-        grid = np.asarray(result.times_grid, dtype=np.float64)
-        cost_s = float(np.isfinite(grid).sum()) * TUNER_SECONDS_PER_CONFIG
+        cost_s = float(np.isfinite(result.times).sum()) * TUNER_SECONDS_PER_CONFIG
         self._tuned[key] = config
-        self._surfaces[key] = (
-            tuple(int(b) for b in block_sizes),
-            tuple(int(t) for t in threadlens),
-            np.asarray(result.times, dtype=np.float64).copy(),
-        )
+        self._surfaces[key] = result.times
         return config, False, cost_s
 
     # ------------------------------------------------------------------ #
@@ -256,43 +253,39 @@ class PreprocCache:
         *,
         device: DeviceSpec = TITAN_X,
         observed_s: float,
-        tolerance: float = 0.25,
     ) -> Tuple[Tuple[int, int], bool]:
         """Re-rank a cached launch config against an observed exec time.
 
         The feedback half of the tuner: when the observed (simulated)
         execution time of this job shape has drifted more than
-        ``tolerance`` (relative) away from what the tuner's model
-        predicted for the cached config, the observed value *replaces*
-        that config's entry on the stored prediction surface and the
-        argmin is retaken — a uniform model error scales every cell alike
-        and can never change the winner, so only the substitution can.
-        Returns ``(config, changed)``; a miss entry, an in-tolerance
-        observation, or a surface swept before this feature simply keeps
-        the cached config.
+        :data:`RERANK_TOLERANCE` (relative) away from what the tuner's
+        model predicted for the cached config, the observed value
+        *replaces* that config's entry on the stored prediction surface
+        and the argmin is retaken — a uniform model error scales every
+        cell alike and can never change the winner, so only the
+        substitution can.  Returns ``(config, changed)``; a shape the
+        tuner never swept, or an in-tolerance observation, keeps the
+        cached config.
         """
         operation = OperationKind.coerce(operation)
         key = (tensor.content_key, operation.value, int(mode), int(rank), device.name)
         cached = self._tuned.get(key)
-        surface = self._surfaces.get(key)
-        if cached is None or surface is None:
-            return (cached if cached is not None else (0, 0)), False
-        block_sizes, threadlens, times = surface
-        if cached[0] not in block_sizes or cached[1] not in threadlens:
-            return cached, False
-        i = block_sizes.index(cached[0])
-        j = threadlens.index(cached[1])
+        if cached is None:
+            return (0, 0), False
+        times = self._surfaces[key]
+        i = SERVING_BLOCK_SIZES.index(cached[0])
+        j = SERVING_THREADLENS.index(cached[1])
         predicted = float(times[i, j])
         if not np.isfinite(predicted) or predicted <= 0.0:
             return cached, False
-        if abs(observed_s - predicted) <= tolerance * predicted:
+        if abs(observed_s - predicted) <= RERANK_TOLERANCE * predicted:
             return cached, False
         adjusted = times.copy()
         adjusted[i, j] = observed_s
         flat = int(np.argmin(np.where(np.isfinite(adjusted), adjusted, np.inf)))
         bi, tj = np.unravel_index(flat, adjusted.shape)
-        config = (block_sizes[int(bi)], threadlens[int(tj)])
-        self._surfaces[key] = (block_sizes, threadlens, adjusted)
+        config = (SERVING_BLOCK_SIZES[int(bi)], SERVING_THREADLENS[int(tj)])
+        self._surfaces[key] = adjusted
         if config == cached:
             return cached, False
         self._tuned[key] = config

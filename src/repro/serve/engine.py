@@ -25,7 +25,7 @@ from repro.serve.autoscale import AutoscalerSpec, ScaleEvent
 from repro.serve.cache import CacheStats, PreprocCache
 from repro.serve.feedback import ObservationStore
 from repro.serve.job import Job, JobResult
-from repro.serve.scheduler import PreemptionRecord, ScheduleOutcome, Scheduler
+from repro.serve.scheduler import PreemptionRecord, Scheduler
 from repro.serve.workload import WorkloadSpec, default_serving_cluster, generate_workload
 from repro.util.formatting import format_seconds, format_table
 
@@ -485,11 +485,6 @@ class ServingEngine:
         return report
 
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _trial_makespan(outcome: ScheduleOutcome) -> float:
-        """Completion time of a trial schedule's last completed job."""
-        return max((r.finish_s for r in outcome.results if r.completed), default=0.0)
-
     def _hedge(
         self,
         jobs: Sequence[Job],
@@ -522,9 +517,7 @@ class ServingEngine:
             observations=self.observations.clone(),
             **self._scheduler_kwargs,
         ).run(jobs, chaos=chaos, numerics=numerics)
-        won = bool(
-            self._trial_makespan(adaptive_trial) < self._trial_makespan(static_trial)
-        )
+        won = bool(adaptive_trial.makespan_s < static_trial.makespan_s)
         self.last_adaptive_won = won
         if won:
             return Scheduler(

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Tuple
 
-__all__ = ["ObservationStore", "DEFAULT_DECAY"]
+__all__ = ["ObservationStore", "DECAY"]
 
-#: Default EMA weight of the newest observation.  0.25 keeps roughly the
-#: last handful of observations relevant — fast enough to follow workload
+#: EMA weight of the newest observation.  0.25 keeps roughly the last
+#: handful of observations relevant — fast enough to follow workload
 #: drift, slow enough that one outlier cannot flip a placement.
-DEFAULT_DECAY = 0.25
+DECAY = 0.25
 
 ExecKey = Tuple[str, str, str]
 
@@ -45,10 +45,7 @@ class ObservationStore:
     run of a drifted workload places with the first run's observations.
     """
 
-    def __init__(self, *, decay: float = DEFAULT_DECAY) -> None:
-        if not 0.0 < decay <= 1.0:
-            raise ValueError(f"decay must be in (0, 1], got {decay}")
-        self.decay = decay
+    def __init__(self) -> None:
         # (kernel, content_key, device name) -> EMA of observed exec seconds
         self._exec: Dict[ExecKey, float] = {}
         # cluster slot -> EMA of compute-lane queueing seconds
@@ -65,7 +62,7 @@ class ObservationStore:
         if old is None:
             table[key] = float(value)
         else:
-            table[key] = (1.0 - self.decay) * old + self.decay * float(value)
+            table[key] = (1.0 - DECAY) * old + DECAY * float(value)
 
     def record(
         self,
@@ -130,7 +127,7 @@ class ObservationStore:
     def clone(self) -> "ObservationStore":
         """An independent copy (the engine's hedged trial runs record
         into a clone, so a discarded trial leaves no trace)."""
-        other = ObservationStore(decay=self.decay)
+        other = ObservationStore()
         other._exec = dict(self._exec)
         other._slot_congestion = dict(self._slot_congestion)
         other._node_congestion = dict(self._node_congestion)

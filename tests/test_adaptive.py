@@ -22,10 +22,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.autotune import tune_unified
 from repro.obs.events import EventLog
-from repro.serve.cache import PreprocCache
+from repro.serve.cache import (
+    RERANK_TOLERANCE,
+    SERVING_BLOCK_SIZES,
+    SERVING_THREADLENS,
+    PreprocCache,
+)
 from repro.serve.engine import ServingEngine
-from repro.serve.feedback import ObservationStore
+from repro.serve.feedback import DECAY, ObservationStore
 from repro.serve.workload import (
     WorkloadSpec,
     default_multinode_serving_cluster,
@@ -167,6 +173,22 @@ class TestObservationStore:
         assert 2.0 < expected < 4.0
         assert store.expected_exec_any("spttm", "other") is None
 
+    def test_ema_weights_the_newest_observation_by_decay(self):
+        store = ObservationStore()
+        for exec_s in (2.0, 4.0):
+            store.record(
+                kind="spttm",
+                content_key="k1",
+                device_names=["Titan X"],
+                slots=[0],
+                nodes=[0],
+                exec_s=exec_s,
+                device_wait_s=0.0,
+                nic_wait_s=0.0,
+            )
+        assert DECAY == 0.25
+        assert store.expected_exec_any("spttm", "k1") == (1.0 - DECAY) * 2.0 + DECAY * 4.0
+
     def test_clone_is_independent(self):
         store = ObservationStore()
         store.record(
@@ -247,9 +269,20 @@ class TestTunerRerank:
         encoding = cache.encoding(tensor, "spttm", 0)[0]
         config, hit, _ = cache.tuner_config(tensor, "spttm", 0, 8, encoding=encoding)
         assert not hit
-        # An in-tolerance observation keeps the cached config untouched.
+        surface = tune_unified(
+            encoding,
+            "spttm",
+            0,
+            rank=8,
+            block_sizes=SERVING_BLOCK_SIZES,
+            threadlens=SERVING_THREADLENS,
+        )
+        runner_up = np.sort(surface.times, axis=None)[1]
+        assert runner_up < 1.2 * surface.best_time
+        # An observation 20% off the prediction is within the tolerance: the
+        # cached config stays, though it would lose to the runner-up.
         kept, changed = cache.rerank_tuner_config(
-            tensor, "spttm", 0, 8, observed_s=123.0, tolerance=1e12
+            tensor, "spttm", 0, 8, observed_s=1.2 * surface.best_time
         )
         assert kept == config and not changed
         # A wildly slow observation dethrones the cached winner.
@@ -263,3 +296,31 @@ class TestTunerRerank:
             other, "spttm", 0, 8, observed_s=1.0
         )
         assert not changed
+
+    def test_observation_past_tolerance_moves_to_the_runner_up(self):
+        from repro.tensor.random import random_sparse_tensor
+
+        cache = PreprocCache()
+        tensor = random_sparse_tensor((20, 20, 20), 300, seed=5)
+        encoding = cache.encoding(tensor, "spttm", 0)[0]
+        config, _, _ = cache.tuner_config(tensor, "spttm", 0, 8, encoding=encoding)
+        surface = tune_unified(
+            encoding,
+            "spttm",
+            0,
+            rank=8,
+            block_sizes=SERVING_BLOCK_SIZES,
+            threadlens=SERVING_THREADLENS,
+        )
+        assert config == surface.best
+        i, j = np.unravel_index(np.argsort(surface.times, axis=None)[1], surface.times.shape)
+        runner_up = (SERVING_BLOCK_SIZES[i], SERVING_THREADLENS[j])
+        observed_s = (1.0 + RERANK_TOLERANCE) * 1.01 * surface.best_time
+        assert surface.times[i, j] < observed_s
+        # Just past the tolerance, the observation replaces the winner's
+        # cell and the runner-up takes over.
+        moved, changed = cache.rerank_tuner_config(tensor, "spttm", 0, 8, observed_s=observed_s)
+        assert changed and moved == runner_up
+        # A later tuner lookup serves the re-ranked config as a hit.
+        served, hit, cost_s = cache.tuner_config(tensor, "spttm", 0, 8, encoding=encoding)
+        assert (served, hit, cost_s) == (runner_up, True, 0.0)

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.cp import CPResult, SplattCPUEngine, UnifiedGPUEngine, cp_als
+from repro.algorithms.cp import SplattCPUEngine, UnifiedGPUEngine, cp_als
+from repro.context import ExecContext
+from repro.gpusim.device import TITAN_X
+from repro.kernels.unified.driver import model
+from repro.kernels.unified.spmttkrp import spmttkrp_spec
 from repro.tensor.ops import cp_reconstruct
 from repro.tensor.random import random_factors
 from repro.tensor.sparse import SparseTensor
@@ -106,10 +110,42 @@ class TestCPTimings:
         result = cp_als(skewed_tensor, 3, max_iterations=1, compute_fit=False)
         assert result.setup_time_s > 0
 
-    def test_per_mode_launch_parameters(self, skewed_tensor):
-        engine = UnifiedGPUEngine(per_mode_params={0: (64, 16), 1: (128, 8), 2: (256, 32)})
-        result = cp_als(skewed_tensor, 3, engine=engine, max_iterations=1, compute_fit=False)
-        assert isinstance(result, CPResult)
+    def test_launch_parameters_apply_to_every_mode(self, skewed_tensor):
+        engine = UnifiedGPUEngine(block_size=64, threadlen=16)
+        engine.prepare(skewed_tensor, 3)
+        for mode, (encoding, threadlen) in enumerate(engine.resident()):
+            assert encoding.mode == mode and threadlen == 16
+            expected = model(
+                encoding,
+                spmttkrp_spec(encoding, 3),
+                device=TITAN_X,
+                block_size=64,
+                threadlen=16,
+            )
+            assert engine.profile(mode, 3).estimated_time_s == expected.estimated_time_s
+
+    def test_resident_staging_is_charged_in_setup_per_shard(self, skewed_tensor):
+        rank = 3
+        single = UnifiedGPUEngine()
+        single_s = single.prepare(skewed_tensor, rank)
+        sharded_s = UnifiedGPUEngine(ctx=ExecContext(devices=4)).prepare(skewed_tensor, rank)
+        factor_bytes = sum(n * rank * 4.0 for n in skewed_tensor.shape)
+        stream_bytes = sum(enc.storage_bytes(8) for enc, _ in single.resident())
+        bandwidth = TITAN_X.pcie_bandwidth_bytes_per_s
+        # Every device stages its own quarter of each stream at once, and
+        # the factor matrices go to all of them in parallel.
+        assert single_s == pytest.approx((factor_bytes + stream_bytes) / bandwidth)
+        assert sharded_s == pytest.approx((factor_bytes + stream_bytes / 4) / bandwidth)
+        # Staging is all in setup: the timeline books no transfer of its own.
+        result = cp_als(
+            skewed_tensor,
+            rank,
+            ctx=ExecContext(devices=4),
+            max_iterations=1,
+            compute_fit=False,
+        )
+        assert result.setup_time_s == pytest.approx(sharded_s)
+        assert not any(e.label.startswith("stage") for e in result.timeline.events)
 
 
 class TestEngineGuards:

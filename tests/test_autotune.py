@@ -1,16 +1,17 @@
 """Tests for the (BLOCK_SIZE, threadlen) auto-tuner."""
 
+import inspect
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import repro.kernels.unified.driver as driver
-from repro.autotune import tune_unified
+from repro.autotune import DEFAULT_BLOCK_SIZES, DEFAULT_THREADLENS, tune_unified
 from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
-from repro.gpusim.cluster import PCIE3_P2P, ClusterSpec
 from repro.gpusim.device import TITAN_X, scaled_device
 from repro.gpusim.timing import OutOfDeviceMemory
 from repro.kernels.unified import unified_spmttkrp, unified_spttm, unified_spttmc
@@ -69,11 +70,81 @@ class TestTuner:
         with pytest.raises(ValueError):
             tune_unified(tensor, "spfoo", 0, rank=4)
 
-    def test_empty_streaming_axes_rejected(self, tensor):
-        with pytest.raises(ValueError):
-            tune_unified(tensor, "spttm", 2, rank=4, num_streams=())
-        with pytest.raises(ValueError):
-            tune_unified(tensor, "spttm", 2, rank=4, chunk_sizes=())
+    def test_default_axes_are_the_figure5_sweep(self, tensor):
+        result = tune_unified(tensor, "spttm", 2, rank=4)
+        assert result.block_sizes == DEFAULT_BLOCK_SIZES
+        assert result.threadlens == DEFAULT_THREADLENS
+        assert result.times.shape == (6, 5)
+        assert np.isfinite(result.times).all()
+
+    def test_signature_sweeps_only_the_two_launch_axes(self):
+        assert list(inspect.signature(tune_unified).parameters) == [
+            "tensor",
+            "operation",
+            "mode",
+            "rank",
+            "device",
+            "block_sizes",
+            "threadlens",
+        ]
+
+
+class TestDefaultContextCells:
+    """Each cell is what the kernel's default context runs: one-shot when
+    the tensor fits, the streamed fallback when it does not, ``inf`` when
+    not even that fits."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return random_sparse_tensor((20, 20, 20), 300, seed=5)
+
+    def sweep(self, small, fraction):
+        return tune_unified(
+            small,
+            "spmttkrp",
+            0,
+            rank=8,
+            device=scaled_device(TITAN_X, fraction, name_suffix="tiny"),
+            block_sizes=(64, 128, 256),
+            threadlens=(8, 16, 32),
+        )
+
+    def kernel(self, small, fraction, ctx, threadlen):
+        factors = random_factors(small.shape, 8, seed=0)
+        device = scaled_device(TITAN_X, fraction, name_suffix="tiny")
+        return unified_spmttkrp(
+            small, factors, 0, device=device, ctx=ctx, block_size=128, threadlen=threadlen
+        ).estimated_time_s
+
+    def test_tensor_that_fits_is_priced_one_shot(self, small):
+        result = self.sweep(small, 5e-7)
+        for j, threadlen in enumerate(result.threadlens):
+            one_shot = self.kernel(small, 5e-7, ExecContext(streamed=False), threadlen)
+            assert result.times[1, j] == one_shot
+            assert one_shot < self.kernel(small, 5e-7, ExecContext(streamed=True), threadlen)
+
+    def test_tensor_over_device_memory_is_priced_streamed(self, small):
+        result = self.sweep(small, 3e-7)
+        assert np.isfinite(result.times).all()
+        for j, threadlen in enumerate(result.threadlens):
+            with pytest.raises(OutOfDeviceMemory):
+                self.kernel(small, 3e-7, ExecContext(streamed=False), threadlen)
+            streamed = self.kernel(small, 3e-7, ExecContext(streamed=True), threadlen)
+            assert result.times[1, j] == streamed
+
+    def test_infeasible_cells_are_inf_and_best_skips_them(self, small):
+        result = self.sweep(small, 2e-7)
+        # threadlen 32 does not fit even streamed; 8 and 16 stream.
+        assert np.isinf(result.times[:, 2]).all()
+        assert np.isfinite(result.times[:, :2]).all()
+        assert result.best[1] != 32
+        assert np.isfinite(result.best_time)
+        assert "inf" in result.render()
+
+    def test_sweep_with_no_feasible_cell_is_all_inf(self, small):
+        result = self.sweep(small, 1e-7)
+        assert np.isinf(result.times).all()
+        assert result.best_time == np.inf
 
 
 class TestSpTTMcTuning:
@@ -88,108 +159,28 @@ class TestSpTTMcTuning:
         )
         assert result.operation is OperationKind.SPTTMC
         assert result.times.shape == (2, 3)
-        assert result.times_full.shape == (2, 3, 1, 1)
         assert (result.times > 0).all()
 
     def test_spttmc_best_is_minimum(self, tensor):
         result = tune_unified(
             tensor, "spttmc", 0, rank=3, block_sizes=(64, 256), threadlens=(8, 64)
         )
-        assert result.best_time == result.times_full.min()
+        assert result.best_time == result.times.min()
         best_bs, best_tl = result.best
         assert best_bs in result.block_sizes
         assert best_tl in result.threadlens
 
 
-class TestStreamingAxes:
-    def test_full_surface_shape(self, tensor):
-        result = tune_unified(
-            tensor,
-            "spmttkrp",
-            0,
-            rank=4,
-            block_sizes=(64, 128),
-            threadlens=(8, 16),
-            num_streams=(1, 2, 4),
-            chunk_sizes=(None, 2048),
-            streamed=True,
-        )
-        assert result.times_full.shape == (2, 2, 3, 2)
-        assert result.times.shape == (2, 2)
-        assert (result.times_full > 0).all()
-
-    def test_best_config_covers_streaming_axes(self, tensor):
-        result = tune_unified(
-            tensor,
-            "spmttkrp",
-            0,
-            rank=4,
-            block_sizes=(128,),
-            threadlens=(8,),
-            num_streams=(1, 2),
-            chunk_sizes=(2048,),
-            streamed=True,
-        )
-        bs, tl, ns, cn = result.best_config
-        assert (bs, tl, cn) == (128, 8, 2048)
-        # Overlapping transfers with compute can only help.
-        assert ns == 2
-        assert result.times_full[0, 0, 1, 0] <= result.times_full[0, 0, 0, 0]
-
-    def test_infeasible_streaming_cell_recorded_as_inf(self, tensor):
-        from repro.gpusim.device import TITAN_X, scaled_device
-
-        tiny = scaled_device(TITAN_X, 5e-7, name_suffix="tiny")
-        result = tune_unified(
-            tensor,
-            "spmttkrp",
-            0,
-            rank=4,
-            device=tiny,
-            block_sizes=(128,),
-            threadlens=(8,),
-            num_streams=(2, 10_000),
-            chunk_sizes=(None,),
-        )
-        # The feasible configuration survives; the absurd one is inf, and
-        # best picks the feasible cell instead of the sweep aborting.
-        assert np.isfinite(result.times_full[0, 0, 0, 0])
-        assert np.isinf(result.times_full[0, 0, 1, 0])
-        assert result.best_config[2] == 2
-
-    def test_streamed_surface_reported_in_render(self, tensor):
-        result = tune_unified(
-            tensor,
-            "spttm",
-            2,
-            rank=4,
-            block_sizes=(128,),
-            threadlens=(8,),
-            num_streams=(1, 2),
-            chunk_sizes=(None,),
-            streamed=True,
-        )
-        assert "num_streams" in result.render()
-
-
-def kernel_seconds(
-    tensor, operation, mode, factors, device, *, num_streams, chunk_nnz, n_devices, **launch
-):
-    """One streamed sweep cell priced through the kernel entry point: ``inf``
-    when the configuration does not fit the device."""
-    cluster = (
-        ClusterSpec.homogeneous(device, n_devices, interconnect=PCIE3_P2P)
-        if n_devices > 1
-        else None
-    )
-    ctx = ExecContext(streamed=True, num_streams=num_streams, chunk_nnz=chunk_nnz, cluster=cluster)
+def kernel_seconds(tensor, operation, mode, factors, device, **launch):
+    """One sweep cell priced through the kernel entry point with its default
+    context: ``inf`` when the configuration does not fit the device."""
     try:
         if operation is OperationKind.SPTTM:
-            result = unified_spttm(tensor, factors[mode], mode, device=device, ctx=ctx, **launch)
+            result = unified_spttm(tensor, factors[mode], mode, device=device, **launch)
         elif operation is OperationKind.SPMTTKRP:
-            result = unified_spmttkrp(tensor, factors, mode, device=device, ctx=ctx, **launch)
+            result = unified_spmttkrp(tensor, factors, mode, device=device, **launch)
         else:
-            result = unified_spttmc(tensor, factors, mode, device=device, ctx=ctx, **launch)
+            result = unified_spttmc(tensor, factors, mode, device=device, **launch)
     except OutOfDeviceMemory:
         return np.inf
     return result.estimated_time_s
@@ -201,7 +192,9 @@ def forbid_numerics(*args, **kwargs):
 
 class TestModelOnlySweep:
     """The sweep prices every cell with the cost model alone, and each cell
-    equals what the kernel itself reports for that configuration."""
+    equals what the kernel itself reports for that configuration.  The tiny
+    devices make cells run one-shot, fall back to the streamed path, or not
+    fit at all; the pinned example has streamed cells next to ``inf`` ones."""
 
     @given(
         dims=st.lists(st.integers(min_value=2, max_value=10), min_size=3, max_size=4),
@@ -211,9 +204,17 @@ class TestModelOnlySweep:
         mode_pick=st.integers(min_value=0, max_value=3),
         block_sizes=st.lists(st.sampled_from([32, 64, 128]), min_size=1, max_size=2, unique=True),
         threadlens=st.lists(st.sampled_from([2, 4, 8]), min_size=1, max_size=2, unique=True),
-        num_streams=st.lists(st.sampled_from([1, 2, 64]), min_size=1, max_size=2, unique=True),
-        chunk_sizes=st.lists(st.sampled_from([None, 8, 24]), min_size=1, max_size=2, unique=True),
-        memory_fraction=st.sampled_from([2e-7, 5e-7, 1e-6]),
+        memory_fraction=st.sampled_from([5e-8, 1e-7, 2e-7, 1e-6]),
+    )
+    @example(
+        dims=[5, 5, 7],
+        nnz=94,
+        seed=73,
+        operation=OperationKind.SPTTM,
+        mode_pick=0,
+        block_sizes=[32, 128],
+        threadlens=[2, 8],
+        memory_fraction=5e-8,
     )
     def test_cells_equal_kernel_times(
         self,
@@ -224,8 +225,6 @@ class TestModelOnlySweep:
         mode_pick,
         block_sizes,
         threadlens,
-        num_streams,
-        chunk_sizes,
         memory_fraction,
     ):
         tensor = random_sparse_tensor(tuple(dims), nnz, seed=seed)
@@ -242,39 +241,31 @@ class TestModelOnlySweep:
                 device=device,
                 block_sizes=block_sizes,
                 threadlens=threadlens,
-                num_streams=num_streams,
-                chunk_sizes=chunk_sizes,
-                device_counts=(1, 2),
-                streamed=True,
             )
 
         factors = random_factors(tensor.shape, rank, seed=0)
-        expected = np.empty_like(result.times_grid)
-        for index in np.ndindex(*expected.shape):
-            i, j, s, c, d = index
-            expected[index] = kernel_seconds(
+        expected = np.empty_like(result.times)
+        for i, j in np.ndindex(*expected.shape):
+            expected[i, j] = kernel_seconds(
                 tensor,
                 operation,
                 mode,
                 factors,
                 device,
-                num_streams=num_streams[s],
-                chunk_nnz=chunk_sizes[c],
-                n_devices=(1, 2)[d],
                 block_size=block_sizes[i],
                 threadlen=threadlens[j],
             )
-        assert np.array_equal(result.times_grid, expected)
+        assert np.array_equal(result.times, expected)
 
 
 class TestEncodingInput:
     @pytest.mark.parametrize("operation", list(OperationKind))
     def test_encoding_matches_tensor(self, tensor, operation):
-        kwargs = dict(rank=3, block_sizes=(64, 128), threadlens=(8, 16), device_counts=(1, 2))
+        kwargs = dict(rank=3, block_sizes=(64, 128), threadlens=(8, 16))
         encoding = FCOOTensor.from_sparse(tensor, operation, 1)
         from_tensor = tune_unified(tensor, operation, 1, **kwargs)
         from_encoding = tune_unified(encoding, operation, 1, **kwargs)
-        assert from_encoding.times_grid.tobytes() == from_tensor.times_grid.tobytes()
+        assert from_encoding.times.tobytes() == from_tensor.times.tobytes()
         assert (from_encoding.operation, from_encoding.mode) == (operation, 1)
 
     def test_mismatched_encoding_rejected(self, tensor):

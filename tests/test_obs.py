@@ -202,20 +202,6 @@ class TestEventLog:
         log.write(str(path))
         assert path.read_text() == log.to_jsonl()
 
-    def test_mark_and_rollback_discard_trial_events(self):
-        log = EventLog()
-        log.emit("admit", time_s=0.0, job_id="job0")
-        mark = log.mark()
-        log.emit("dispatch", time_s=1.0, job_id="job0")
-        log.emit("complete", time_s=2.0, job_id="job0")
-        assert log.rollback(mark) == 2
-        assert len(log) == 1 and log.counts() == {"admit": 1}
-        # Re-emission after rollback keeps seq contiguous.
-        event = log.emit("dispatch", time_s=1.5, job_id="job0")
-        assert event.seq == 1
-        with pytest.raises(ValueError, match="outside"):
-            log.rollback(5)
-
     def test_retract_removes_one_and_export_renumbers(self):
         log = EventLog()
         log.emit("admit", time_s=0.0, job_id="job0")

@@ -50,6 +50,7 @@ from repro.serve import (
     job_geometry,
     price_job,
 )
+from repro.serve.cache import SERVING_BLOCK_SIZES, SERVING_THREADLENS, TUNER_SECONDS_PER_CONFIG
 from repro.serve.workload import default_serving_cluster
 from repro.tensor.random import random_sparse_tensor
 from repro.tensor.sparse import SparseTensor
@@ -337,6 +338,21 @@ class TestPreprocCache:
         assert cfg1 == cfg2
         block_size, threadlen = cfg1
         assert block_size > 0 and threadlen > 0
+
+    def test_tuner_miss_charges_each_configuration_that_fits(self):
+        tensor = random_sparse_tensor((20, 20, 20), 300, seed=5)
+        encoding = FCOOTensor.from_sparse(tensor, "spmttkrp", 0)
+        assert len(SERVING_BLOCK_SIZES) * len(SERVING_THREADLENS) == 9
+        _, _, cost = PreprocCache().tuner_config(tensor, "spmttkrp", 0, 8, encoding=encoding)
+        assert cost == 9 * TUNER_SECONDS_PER_CONFIG
+        # On this device the threadlen-32 cells do not fit even streamed:
+        # only the six that do are charged, and the config is one of them.
+        tiny = scaled_device(TITAN_X, 2e-7, name_suffix="tiny")
+        config, _, cost = PreprocCache().tuner_config(
+            tensor, "spmttkrp", 0, 8, encoding=encoding, device=tiny
+        )
+        assert cost == 6 * TUNER_SECONDS_PER_CONFIG
+        assert config[1] != 32
 
 
 # ---------------------------------------------------------------------- #

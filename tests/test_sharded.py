@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.algorithms.cp import UnifiedGPUEngine, cp_als
 from repro.algorithms.tucker import tucker_hooi
-from repro.autotune import tune_unified
 from repro.bench.scaling import analog_interconnect, run_scaling, run_weak_scaling
 from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
@@ -37,7 +36,7 @@ from repro.kernels.unified.spmttkrp import unified_spmttkrp
 from repro.kernels.unified.spttm import unified_spttm
 from repro.kernels.unified.spttmc import unified_spttmc
 from repro.tensor.random import random_factors, random_sparse_tensor
-from test_streaming import CASE_PARAMS, CASES, run_kernel, run_reference
+from test_streaming import CASE_PARAMS, CASES, assert_folds, run_kernel, run_reference
 
 THREADLEN = 4
 BLOCK_SIZE = 32
@@ -183,6 +182,13 @@ class TestShardedEqualsOneShot:
         assert 0.0 < execution.parallel_efficiency <= 1.0
         assert sharded.estimated_time_s == pytest.approx(execution.total_time_s)
 
+    def test_profile_counters_fold_the_shard_ledgers(self):
+        tensor = CASES["boundary-straddle"]()
+        factors = [np.asarray(f) for f in random_factors(tensor.shape, RANK, seed=5)]
+        sharded = run_kernel(unified_spmttkrp, tensor, factors, 0, ctx=ExecContext(devices=4))
+        shards = [s.counters for s in sharded.profile.sharded.shards]
+        assert_folds(sharded.profile.counters, shards)
+
     def test_single_device_count_is_exactly_single_gpu(self):
         tensor = CASES["order3-power"]()
         factors = [np.asarray(f) for f in random_factors(tensor.shape, RANK, seed=5)]
@@ -238,6 +244,24 @@ class TestStreamedFallbackShard:
         np.testing.assert_allclose(
             sharded.output, one_shot.output, rtol=1e-10, atol=1e-12
         )
+
+    def test_streamed_shard_ledger_folds_its_chunks(self, tensor):
+        factors = [np.asarray(f) for f in random_factors(tensor.shape, RANK, seed=7)]
+        tiny = scaled_device(TITAN_X, 3.2e-7, name_suffix="tiny")
+        sharded = unified_spmttkrp(
+            tensor,
+            factors,
+            0,
+            block_size=BLOCK_SIZE,
+            threadlen=THREADLEN,
+            ctx=ExecContext(cluster=ClusterSpec.homogeneous(tiny, 2)),
+        )
+        shards = sharded.profile.sharded.shards
+        streamed = [s for s in shards if s.streaming is not None]
+        assert streamed
+        for shard in streamed:
+            assert_folds(shard.counters, [c.counters for c in shard.streaming.chunks])
+        assert_folds(sharded.profile.counters, [s.counters for s in shards])
 
     def test_forced_streaming_applies_per_shard(self, tensor):
         factors = [np.asarray(f) for f in random_factors(tensor.shape, RANK, seed=7)]
@@ -316,42 +340,6 @@ class TestDecompositionsOnClusters:
         assert 0.0 < multi.parallel_efficiency <= 1.0
         assert set(multi.device_time_by_device) == {0, 1, 2, 3}
         assert single.parallel_efficiency is None
-
-
-class TestTunerDeviceAxis:
-    @pytest.fixture(scope="class")
-    def tensor(self):
-        return random_sparse_tensor((40, 300, 30), 15_000, seed=0, distribution="power")
-
-    def test_device_axis_shape_and_compat(self, tensor):
-        result = tune_unified(
-            tensor,
-            "spmttkrp",
-            0,
-            rank=4,
-            block_sizes=(64, 128),
-            threadlens=(8, 16),
-            device_counts=(1, 2, 4),
-        )
-        assert result.times_grid.shape == (2, 2, 1, 1, 3)
-        # The 4-D and 2-D views stay exactly as before for existing callers.
-        assert result.times_full.shape == (2, 2, 1, 1)
-        assert result.times.shape == (2, 2)
-        assert np.isfinite(result.times_grid).all()
-        bs, tl, ns, cn, dc = result.best_full_config
-        assert dc in (1, 2, 4)
-        assert "device count" in result.render()
-
-    def test_default_axis_is_singleton(self, tensor):
-        result = tune_unified(
-            tensor, "spttm", 2, rank=4, block_sizes=(128,), threadlens=(8,)
-        )
-        assert result.device_counts == (1,)
-        assert result.times_grid.shape == (1, 1, 1, 1, 1)
-
-    def test_empty_device_axis_rejected(self, tensor):
-        with pytest.raises(ValueError):
-            tune_unified(tensor, "spttm", 2, rank=4, device_counts=())
 
 
 class TestScalingHarness:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms.cp import CPResult, UnifiedGPUEngine, cp_als
+from repro.algorithms.cp import CPResult, cp_als
 from repro.algorithms.tucker import TuckerResult, tucker_hooi
 from repro.context import (
     DEFAULT_CONTEXT,
@@ -31,7 +31,7 @@ from repro.context import (
     ExecContext,
     TimedResult,
 )
-from repro.gpusim.cluster import ETHERNET_10G, ClusterSpec, NodeFailure
+from repro.gpusim.cluster import NodeFailure
 from repro.gpusim.timeline import Timeline, device_copy_key
 from repro.serve import (
     Autoscaler,
@@ -388,50 +388,6 @@ class TestAutoscaler:
         for result in scaled.results:
             if result.completed and result.job.job_id in others:
                 assert outputs_equal(result.output, others[result.job.job_id].output)
-
-
-# ---------------------------------------------------------------------- #
-# (c) Shard-staging overlap (carried ROADMAP item)
-# ---------------------------------------------------------------------- #
-class TestOverlapStaging:
-    def test_sharded_staging_overlap_saves_wall_time_bit_identically(self):
-        cluster = ClusterSpec.homogeneous(num_nodes=2, devices_per_node=2, nic=ETHERNET_10G)
-        tensor = random_sparse_tensor((60_000, 60, 50), 12_000, seed=3)
-        serial = cp_als(
-            tensor, 16,
-            engine=UnifiedGPUEngine(ctx=ExecContext(cluster=cluster)),
-            max_iterations=2, compute_fit=False,
-        )
-        overlapped = cp_als(
-            tensor, 16,
-            engine=UnifiedGPUEngine(
-                ctx=ExecContext(cluster=cluster, overlap_staging=True)
-            ),
-            max_iterations=2, compute_fit=False,
-        )
-        # Staging moves from the serial setup charge onto the copy lanes,
-        # so the comparable quantity is setup + timeline makespan.
-        serial_wall = serial.setup_time_s + serial.makespan_s
-        overlap_wall = overlapped.setup_time_s + overlapped.makespan_s
-        assert overlap_wall <= serial_wall
-        assert any("stage:mode" in e.label for e in overlapped.timeline.events)
-        for a, b in zip(serial.factors, overlapped.factors):
-            assert np.array_equal(a, b)
-        assert np.array_equal(serial.weights, overlapped.weights)
-
-    def test_single_device_overlap_staging(self):
-        tensor = random_sparse_tensor((2_000, 40, 30), 3_000, seed=9)
-        serial = cp_als(tensor, 8, max_iterations=1, compute_fit=False)
-        overlapped = cp_als(
-            tensor, 8, ctx=ExecContext(overlap_staging=True),
-            max_iterations=1, compute_fit=False,
-        )
-        assert (
-            overlapped.setup_time_s + overlapped.makespan_s
-            <= serial.setup_time_s + serial.makespan_s
-        )
-        for a, b in zip(serial.factors, overlapped.factors):
-            assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------- #

@@ -12,6 +12,9 @@ streamed vs one-shot vs the reference oracles.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -95,6 +98,19 @@ def run_kernel(kernel, tensor, factors, mode, **kwargs):
         tensor, factors, mode,
         block_size=BLOCK_SIZE, threadlen=THREADLEN, **kwargs,
     )
+
+
+def assert_folds(total, parts):
+    """``total`` is ``parts`` folded in order: every additive field the
+    parts' values added left to right from zero (plain additions: the
+    builtin ``sum`` compensates float rounding on Python 3.12), and
+    ``active_threads`` and ``imbalance_factor`` the maxima."""
+    for name, value in total.as_dict().items():
+        values = [getattr(part, name) for part in parts]
+        if name in ("active_threads", "imbalance_factor"):
+            assert value == max(values), name
+        else:
+            assert value == functools.reduce(operator.add, values, 0), name
 
 
 def run_reference(kernel, tensor, factors, mode):
@@ -261,6 +277,18 @@ class TestChunkedEqualsOneShot:
         assert execution.schedule.compute_time_s == pytest.approx(
             sum(c.compute_s for c in execution.chunks)
         )
+
+    @pytest.mark.parametrize("kernel", [unified_spttm, unified_spmttkrp, unified_spttmc])
+    def test_profile_counters_fold_the_chunk_ledgers(self, kernel):
+        tensor = CASES["boundary-straddle"]()
+        factors = [np.asarray(f) for f in random_factors(tensor.shape, RANK, seed=5)]
+        mode = tensor.order - 1 if kernel is unified_spttm else 0
+        streamed = run_kernel(
+            kernel, tensor, factors, mode, ctx=ExecContext(streamed=True, chunk_nnz=CHUNK_NNZ)
+        )
+        chunks = streamed.profile.streaming.chunks
+        assert len(chunks) >= 2
+        assert_folds(streamed.profile.counters, [c.counters for c in chunks])
 
     def test_execute_streamed_prices_each_chunk_once(self):
         # The streamed driver is model-only: it prices every chunk exactly
