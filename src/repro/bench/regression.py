@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro._version import __version__
 from repro.bench.multinode import run_multinode_scaling
 from repro.bench.scaling import run_scaling, run_weak_scaling
-from repro.bench.serving import DEFAULT_CROSS_NODE_EVERY, run_serving
+from repro.bench.serving import run_serving
 from repro.bench.streaming import run_streaming
 from repro.gpusim.timeline import Timeline
 from repro.serve.autoscale import AutoscalerSpec
@@ -75,7 +75,6 @@ ARTIFACT_FILES = {
     "faults": "BENCH_faults.json",
     "slo": "BENCH_slo.json",
     "obs": "BENCH_obs.json",
-    "adaptive": "BENCH_adaptive.json",
     "wallclock": "BENCH_wallclock.json",
 }
 
@@ -361,9 +360,9 @@ def _faults_metrics() -> Dict[str, float]:
 def _comparable_arrays(output) -> List[object]:
     """The comparable ndarrays of any job output type.
 
-    Shared by the SLO and adaptive suites' bit-identity gates: a dense
-    kernel output is one array, a semi-sparse output its coordinate and
-    value arrays, and a decomposition its factors plus weights/core.
+    The SLO suite's bit-identity gate compares these: a dense kernel
+    output is one array, a semi-sparse output its coordinate and value
+    arrays, and a decomposition its factors plus weights/core.
     """
     import numpy as np
 
@@ -488,97 +487,6 @@ def _obs_metrics() -> Dict[str, float]:
     }
 
 
-def _adaptive_metrics() -> Dict[str, float]:
-    """Closed-loop scheduling suite: adaptive must never lose to static.
-
-    Two scenarios, the heterogeneous single node and two nodes with
-    cross-node tenants, each serve a 40-job workload twice through one
-    engine: the first run warms the preprocessing cache *and* the
-    observation store, the second run is measured with the feedback loop
-    closed.  Each is run once static (feedback never consumed) and once
-    adaptive (hedged run).  Three zero-tolerance counts pin the
-    properties:
-
-    * ``adaptive/regression_count`` — a measured adaptive makespan
-      exceeded its static twin's.  The hedged engine trial-schedules both
-      ways and keeps adaptive only on a strict win, so this must never
-      happen by construction.
-    * ``adaptive/identity_violation_count`` — a job completed by both
-      twins whose outputs are not ``np.array_equal``.  Feedback moves
-      work in *time*, never in *value*.
-    * ``adaptive/gang_feasibility_violation_count`` — resources of the
-      adaptive runs' timelines that are busy for longer than the run
-      (:meth:`~repro.gpusim.timeline.Timeline.violations`: double-counted
-      busy time).  Preemption and chaos re-booking release and re-book
-      committed work, and this check guards them; it must stay empty.
-
-    The per-scenario improvement ratios (adaptive over static makespan,
-    at most 1.0 when the hedge holds) ride along as ungated ``_info``
-    trend metrics, and the measured adaptive makespans are gated with the
-    ordinary ratio tolerance.
-    """
-    import numpy as np
-
-    from repro.serve.engine import ServingEngine
-    from repro.serve.workload import (
-        WorkloadSpec,
-        default_multinode_serving_cluster,
-        generate_workload,
-    )
-
-    def measure(make_cluster, jobs, *, adaptive: bool):
-        engine = ServingEngine(make_cluster(), autotune=True, adaptive=adaptive)
-        engine.run(jobs)  # warm-up: fills the cache and observation store
-        return engine.run(jobs)
-
-    single_jobs = generate_workload(WorkloadSpec(num_jobs=40, seed=0))
-    multi_jobs = generate_workload(
-        WorkloadSpec(
-            num_jobs=40, seed=0, cross_node_every=DEFAULT_CROSS_NODE_EVERY
-        )
-    )
-    single = lambda: None  # noqa: E731 - default serving node
-    multi = lambda: default_multinode_serving_cluster(2)  # noqa: E731
-
-    scenarios = {
-        "serving": (
-            measure(single, single_jobs, adaptive=False),
-            measure(single, single_jobs, adaptive=True),
-        ),
-        "multinode": (
-            measure(multi, multi_jobs, adaptive=False),
-            measure(multi, multi_jobs, adaptive=True),
-        ),
-    }
-
-    metrics: Dict[str, float] = {}
-    regressions = 0
-    identity_violations = 0
-    infeasible = 0
-    for name, (static, adaptive) in scenarios.items():
-        regressions += adaptive.makespan_s > static.makespan_s + 1e-12
-        twin = {r.job.job_id: r for r in static.results if r.completed}
-        for result in adaptive.results:
-            other = twin.get(result.job.job_id)
-            if not result.completed or other is None:
-                continue
-            ours = _comparable_arrays(result.output)
-            theirs = _comparable_arrays(other.output)
-            identity_violations += len(ours) != len(theirs) or any(
-                not np.array_equal(a, b) for a, b in zip(ours, theirs)
-            )
-        if adaptive.timeline is not None:
-            infeasible += len(adaptive.timeline.violations())
-        metrics[f"adaptive/{name}_makespan"] = adaptive.makespan_s
-        metrics[f"adaptive/{name}_improvement_ratio_info"] = (
-            adaptive.makespan_s / static.makespan_s if static.makespan_s else 1.0
-        )
-    metrics["adaptive/regression_count"] = float(regressions)
-    metrics["adaptive/identity_violation_count"] = float(identity_violations)
-    metrics["adaptive/gang_feasibility_violation_count"] = float(infeasible)
-    return metrics
-
-
 def _wallclock_metrics() -> Dict[str, float]:
     """Wall-clock suite (quick mode): see :mod:`repro.bench.wallclock`.
 
@@ -601,7 +509,6 @@ _SUITE_COLLECTORS = {
     "faults": _faults_metrics,
     "slo": _slo_metrics,
     "obs": _obs_metrics,
-    "adaptive": _adaptive_metrics,
     "wallclock": _wallclock_metrics,
 }
 

@@ -51,7 +51,6 @@ def run_serving(
     slo_fraction: float = 0.0,
     deadline_slack: Optional[float] = None,
     autoscale: Optional[AutoscalerSpec] = None,
-    adaptive: bool = False,
 ) -> ServingReport:
     """Serve a seeded synthetic workload and return the full report.
 
@@ -98,11 +97,6 @@ def run_serving(
     autoscale:
         Optional :class:`~repro.serve.autoscale.AutoscalerSpec` enabling
         the device-pool autoscaler.
-    adaptive:
-        Closed-loop feedback scheduling: the hedged adaptive run (observed
-        times feed the placer and tuner; static wins ties, so adaptive
-        never loses the makespan).  Off by default, keeping earlier
-        baselines byte-identical.
     """
     cross_node_every = 0
     if nodes is not None and nodes >= 2:
@@ -117,7 +111,6 @@ def run_serving(
         max_queue_depth=max_queue_depth,
         autotune=autotune,
         autoscale=autoscale,
-        adaptive=adaptive,
     )
     spec_kwargs = dict(
         num_jobs=num_jobs,

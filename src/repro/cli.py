@@ -21,9 +21,6 @@ Usage::
                                               # exposition of the run
     python -m repro serve --events out.jsonl  # structured scheduler event
                                               # log, one JSON line per event
-    python -m repro serve --adaptive          # closed-loop scheduling:
-                                              # observed times feed the
-                                              # placer and the tuner
 
 Each experiment prints the same rows/series the paper reports, rendered as a
 plain-text table (see :mod:`repro.bench`).
@@ -138,7 +135,6 @@ def _render_serve(args: argparse.Namespace) -> str:
         slo_fraction=args.slo,
         deadline_slack=args.slo_slack,
         autoscale=autoscale,
-        adaptive=args.adaptive,
     )
     parts = [report.render()]
     if args.trace:
@@ -256,17 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "for the serve experiment: enable the device-pool autoscaler, "
             "starting from this many active devices (default 0 = off)"
-        ),
-    )
-    parser.add_argument(
-        "--adaptive",
-        action="store_true",
-        help=(
-            "for the serve experiment: hedged closed-loop scheduling — "
-            "observed execution times feed the placer and tuner, and the "
-            "adaptive schedule is kept only when its trial makespan "
-            "strictly beats the static one (adaptive never loses; outputs "
-            "are bit-identical either way)"
         ),
     )
     parser.add_argument(
@@ -418,8 +403,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"--autoscale must be non-negative, got {args.autoscale}")
     if args.autoscale and "serve" not in requested:
         parser.error("--autoscale only applies to the 'serve' experiment")
-    if args.adaptive and "serve" not in requested:
-        parser.error("--adaptive only applies to the 'serve' experiment")
 
     if args.trace:
         # --trace belongs to exactly one timeline-producing experiment per

@@ -28,6 +28,9 @@ __all__ = [
     "unified_device_footprint",
 ]
 
+#: Bytes per factor and output value (the kernels' single precision).
+_VALUE_BYTES = 4
+
 
 def tensor_stream_bytes(
     fcoo: FCOOTensor,
@@ -53,47 +56,28 @@ def tensor_stream_bytes(
     return read
 
 
-def factor_access_bytes(
-    row_indices: np.ndarray,
-    rank: int,
-    device: DeviceSpec,
-    *,
-    use_readonly_cache: bool = True,
-    value_bytes: int = 4,
-) -> float:
+def factor_access_bytes(row_indices: np.ndarray, rank: int, device: DeviceSpec) -> float:
     """Global reads for gathering factor-matrix rows selected by a product mode.
 
-    Each non-zero reads one row (``rank`` values) of the factor matrix whose
-    row index comes from the product-mode index stream.  The unified kernels
-    route these reads through the read-only data cache; a baseline that does
-    not (``use_readonly_cache=False``) only benefits from the L2.
+    Each non-zero reads one row (``rank`` float32 values) of the factor
+    matrix whose row index comes from the product-mode index stream.  The
+    unified kernels route these reads through the read-only data cache,
+    backed by the L2.
     """
-    row_bytes = float(rank * value_bytes)
-    cache_bytes = (
-        float(device.readonly_cache_bytes_total + device.l2_bytes)
-        if use_readonly_cache
-        else float(device.l2_bytes)
-    )
+    row_bytes = float(rank * _VALUE_BYTES)
+    cache_bytes = float(device.readonly_cache_bytes_total + device.l2_bytes)
     traffic = readonly_cache_traffic(row_indices, row_bytes, device, cache_bytes=cache_bytes)
     return traffic.dram_bytes
 
 
-def output_scatter_bytes(
-    num_rows: int,
-    row_width: int,
-    device: DeviceSpec,
-    *,
-    value_bytes: int = 4,
-    coalesced: bool = True,
-) -> float:
-    """Global writes of the reduced per-segment results."""
-    pattern = AccessPattern.COALESCED if coalesced else AccessPattern.RANDOM
+def output_scatter_bytes(num_rows: int, row_width: int, device: DeviceSpec) -> float:
+    """Global writes of the reduced per-segment (float32) results."""
     return coalesced_traffic_bytes(
         num_rows * row_width,
-        value_bytes,
-        pattern,
+        _VALUE_BYTES,
+        AccessPattern.COALESCED,
         device,
-        contiguous_run_bytes=row_width * value_bytes,
+        contiguous_run_bytes=row_width * _VALUE_BYTES,
     )
 
 
@@ -136,7 +120,7 @@ def unified_kernel_counters(
     nnz = fcoo.nnz
     read = tensor_stream_bytes(fcoo, launch, device)
     for stream in factor_row_streams:
-        read += factor_access_bytes(stream, rank, device, use_readonly_cache=True)
+        read += factor_access_bytes(stream, rank, device)
     written = output_scatter_bytes(output_rows, output_width, device)
     # The scan stage's ledger becomes the kernel's: the other stages'
     # traffic is added to it in stage order, so a priced kernel builds one

@@ -426,11 +426,6 @@ class ShardedExecution:
             return 1.0
         return min(1.0, self.busy_time_s / (self.num_devices * total))
 
-    @property
-    def has_streaming_shards(self) -> bool:
-        """Whether any shard fell back to the per-device streamed path."""
-        return any(s.streaming is not None for s in self.shards)
-
     # ------------------------------------------------------------------ #
     def book(
         self,

@@ -3,7 +3,7 @@
 The Timeline records *what happened* — every booking, with its resource,
 window, and (since the observability layer) an optional :class:`Span`
 naming the job, kernel, and phase that incurred it.  This module answers
-the two attribution questions ROADMAP item 5's adaptive policies need:
+the two attribution questions an operator asks of a run:
 
 * **per job**: how many resource-seconds did job X spend staging,
   computing, in collectives, resuming after preemption, or recovering

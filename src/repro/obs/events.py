@@ -7,7 +7,7 @@ appended as one :class:`Event` and exported one-JSON-object-per-line
 (``python -m repro serve --events out.jsonl``).
 
 The schema is stable and versioned so downstream consumers (trace
-replay, ROADMAP item 5's adaptive policies) can parse old logs:
+replay, post-run analysis) can parse old logs:
 
 * every line carries ``v`` (schema version), ``seq`` (0-based emission
   index), ``t`` (simulated seconds), ``kind``, ``job_id`` (empty for

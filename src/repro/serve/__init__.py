@@ -23,11 +23,6 @@ existing kernels, cluster model and decomposition drivers:
 * :mod:`~repro.serve.execute` — the pure job -> numbers and
   (job, placement) -> modeled seconds mappings, shared by the scheduler and
   the bit-identity property harness;
-* :mod:`~repro.serve.feedback` — the closed-loop observation store:
-  completed jobs' attributed costs fold into decayed per-(kernel, tensor,
-  device) execution estimates and per-node congestion scores, consumed by
-  the adaptive placer, the tuner re-ranking and the hedged
-  :class:`ServingEngine` run (adaptive never loses to static);
 * :mod:`~repro.serve.workload` — seeded synthetic multi-tenant workloads,
   the seeded chaos layer (timeline-scheduled node-loss events drawn from
   their own RNG stream) and the default heterogeneous serving node;
@@ -57,7 +52,6 @@ from repro.serve.engine import (
     publish_serving_metrics,
 )
 from repro.serve.execute import ExecutionOutcome, execute_job, price_job
-from repro.serve.feedback import ObservationStore
 from repro.serve.job import Job, JobKind, JobResult, JobStatus
 from repro.serve.placement import JobGeometry, Placement, Placer, job_geometry
 from repro.serve.scheduler import PreemptionRecord, ScheduleOutcome, Scheduler
@@ -92,7 +86,6 @@ __all__ = [
     "ExecutionOutcome",
     "execute_job",
     "price_job",
-    "ObservationStore",
     "WorkloadSpec",
     "generate_workload",
     "ChaosSpec",

@@ -54,11 +54,6 @@ SERVING_THREADLENS: Tuple[int, ...] = (8, 16, 32)
 #: evaluation per configuration, not a kernel run per configuration.
 TUNER_SECONDS_PER_CONFIG = 2e-6
 
-#: Relative drift between an observed execution time and the tuner's
-#: prediction for the cached config beyond which the feedback loop re-ranks
-#: it (see :meth:`PreprocCache.rerank_tuner_config`).
-RERANK_TOLERANCE = 0.25
-
 
 @dataclass
 class CacheStats:
@@ -113,33 +108,7 @@ class PreprocCache:
         self.stats = CacheStats()
         self._encodings: "OrderedDict[Tuple[str, str, int], _EncodingEntry]" = OrderedDict()
         self._tuned: Dict[Tuple[str, str, int, int, str], Tuple[int, int]] = {}
-        # Predicted (block, threadlen) time surface of each tuner miss,
-        # kept so the feedback loop can re-rank a cached config against
-        # observed execution times (see rerank_tuner_config).
-        self._surfaces: Dict[Tuple[str, str, int, int, str], np.ndarray] = {}
         self._current_bytes = 0
-
-    def clone(self) -> "PreprocCache":
-        """An independent shallow copy, for hedged trial runs.
-
-        The clone shares the cached encodings/configs *by reference*
-        (they are immutable values) but owns its dicts, stats and byte
-        accounting — a trial scheduler warming or re-ranking its clone
-        leaves this cache byte-for-byte untouched.
-        """
-        other = PreprocCache(capacity_bytes=self.capacity_bytes)
-        other.stats = CacheStats(
-            encode_hits=self.stats.encode_hits,
-            encode_misses=self.stats.encode_misses,
-            tuner_hits=self.stats.tuner_hits,
-            tuner_misses=self.stats.tuner_misses,
-            evictions=self.stats.evictions,
-        )
-        other._encodings = OrderedDict(self._encodings)
-        other._tuned = dict(self._tuned)
-        other._surfaces = dict(self._surfaces)
-        other._current_bytes = self._current_bytes
-        return other
 
     # ------------------------------------------------------------------ #
     @property
@@ -240,53 +209,4 @@ class PreprocCache:
         config = result.best
         cost_s = float(np.isfinite(result.times).sum()) * TUNER_SECONDS_PER_CONFIG
         self._tuned[key] = config
-        self._surfaces[key] = result.times
         return config, False, cost_s
-
-    # ------------------------------------------------------------------ #
-    def rerank_tuner_config(
-        self,
-        tensor: SparseTensor,
-        operation: Union[OperationKind, str],
-        mode: int,
-        rank: int,
-        *,
-        device: DeviceSpec = TITAN_X,
-        observed_s: float,
-    ) -> Tuple[Tuple[int, int], bool]:
-        """Re-rank a cached launch config against an observed exec time.
-
-        The feedback half of the tuner: when the observed (simulated)
-        execution time of this job shape has drifted more than
-        :data:`RERANK_TOLERANCE` (relative) away from what the tuner's
-        model predicted for the cached config, the observed value
-        *replaces* that config's entry on the stored prediction surface
-        and the argmin is retaken — a uniform model error scales every
-        cell alike and can never change the winner, so only the
-        substitution can.  Returns ``(config, changed)``; a shape the
-        tuner never swept, or an in-tolerance observation, keeps the
-        cached config.
-        """
-        operation = OperationKind.coerce(operation)
-        key = (tensor.content_key, operation.value, int(mode), int(rank), device.name)
-        cached = self._tuned.get(key)
-        if cached is None:
-            return (0, 0), False
-        times = self._surfaces[key]
-        i = SERVING_BLOCK_SIZES.index(cached[0])
-        j = SERVING_THREADLENS.index(cached[1])
-        predicted = float(times[i, j])
-        if not np.isfinite(predicted) or predicted <= 0.0:
-            return cached, False
-        if abs(observed_s - predicted) <= RERANK_TOLERANCE * predicted:
-            return cached, False
-        adjusted = times.copy()
-        adjusted[i, j] = observed_s
-        flat = int(np.argmin(np.where(np.isfinite(adjusted), adjusted, np.inf)))
-        bi, tj = np.unravel_index(flat, adjusted.shape)
-        config = (SERVING_BLOCK_SIZES[int(bi)], SERVING_THREADLENS[int(tj)])
-        self._surfaces[key] = adjusted
-        if config == cached:
-            return cached, False
-        self._tuned[key] = config
-        return config, True

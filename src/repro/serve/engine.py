@@ -12,7 +12,7 @@ the same plain-text tables the rest of the benchmark harness emits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.autoscale import AutoscalerSpec, ScaleEvent
 from repro.serve.cache import CacheStats, PreprocCache
-from repro.serve.feedback import ObservationStore
 from repro.serve.job import Job, JobResult
 from repro.serve.scheduler import PreemptionRecord, Scheduler
 from repro.serve.workload import WorkloadSpec, default_serving_cluster, generate_workload
@@ -349,20 +348,14 @@ class ServingEngine:
     autoscale:
         Optional :class:`~repro.serve.autoscale.AutoscalerSpec` enabling
         the device-pool autoscaler; ``None`` keeps the fixed pool.
-    adaptive:
-        Enables the closed-loop feedback consumers with a *hedged* run
-        (see :meth:`run`): each job list is trial-scheduled both ways on
-        throwaway cache clones and the adaptive schedule is kept only
-        when its makespan is strictly better, so adaptive can never lose
-        to static.  Off by default — the engine still *records*
-        observations into :attr:`observations` either way, it just never
-        consumes them.
-    nic_policy:
-        Ignored: every cross-node collective is served in arrival order.
-        ``"fifo"``, ``"fair"`` and ``"priority"`` are accepted (anything
-        else raises ``ValueError``) only because perfbench's
-        ``serve-hedged`` workload still passes ``"fair"``; once a
-        benchmark change drops that argument, this parameter goes.
+    adaptive / nic_policy:
+        Ignored: every run is one static scheduler run, and every
+        cross-node collective is served in arrival order.  ``adaptive``
+        takes any value; ``nic_policy`` accepts ``"fifo"``, ``"fair"`` and
+        ``"priority"`` (anything else raises ``ValueError``).  Both are
+        accepted only because perfbench's ``serve-hedged`` workload still
+        passes ``adaptive=True`` and ``nic_policy="fair"``; once a
+        benchmark change drops those arguments, both parameters go.
     """
 
     def __init__(
@@ -388,16 +381,9 @@ class ServingEngine:
         self.cluster = cluster if cluster is not None else default_serving_cluster()
         self.cache = cache if cache is not None else PreprocCache()
         self.policy = policy
-        self.adaptive = adaptive
-        #: Cross-run execution/congestion observations; every run records
-        #: into this store (the closed loop warms across runs), adaptive
-        #: runs additionally consume it.
-        self.observations = ObservationStore()
-        #: ``True``/``False`` after an adaptive :meth:`run` depending on
-        #: which trial schedule won; ``None`` before any, or when
-        #: ``adaptive`` is off.
-        self.last_adaptive_won: Optional[bool] = None
-        self._scheduler_kwargs = dict(
+        self.scheduler = Scheduler(
+            self.cluster,
+            self.cache,
             policy=policy,
             max_batch=max_batch,
             max_queue_depth=max_queue_depth,
@@ -406,12 +392,6 @@ class ServingEngine:
             autotune=autotune,
             num_streams=num_streams,
             autoscale=autoscale,
-        )
-        self.scheduler = Scheduler(
-            self.cluster,
-            self.cache,
-            observations=self.observations,
-            **self._scheduler_kwargs,
         )
 
     # ------------------------------------------------------------------ #
@@ -440,32 +420,11 @@ class ServingEngine:
         on the report (``report.metrics`` / ``report.events``) alongside
         the span-folded cost attribution.  Telemetry is observation-only:
         results and bookings are bit-identical with or without consumers.
-
-        With ``adaptive`` on, the run is *hedged*: the jobs are first
-        trial-scheduled twice on throwaway cache clones — once static
-        (no observations consumed) and once adaptive (blended placement,
-        tuner re-ranking, a clone of the observation store) — with no
-        telemetry sinks.  The adaptive configuration is kept only if its
-        trial makespan is *strictly* shorter; ties and regressions fall
-        back to the static schedule, so a cold store (which makes the
-        adaptive trial collapse to the static one) reproduces the static
-        run event for event.  The winner is then re-run on the real cache
-        with the real sinks; observations are recorded into
-        :attr:`observations` either way, closing the loop for the next
-        run.  The trials only price: the three scheduler runs share one
-        memo of the jobs' numbers, so each job's numbers are computed once
-        per :meth:`run`.
         """
         before = replace(self.cache.stats)
         registry = metrics if metrics is not None else MetricsRegistry()
         log = events if events is not None else EventLog()
-        numerics: Dict[int, Any] = {}
-        scheduler = (
-            self._hedge(jobs, chaos, numerics) if self.adaptive else self.scheduler
-        )
-        outcome = scheduler.run(
-            jobs, chaos=chaos, metrics=registry, events=log, numerics=numerics
-        )
+        outcome = self.scheduler.run(jobs, chaos=chaos, metrics=registry, events=log)
         report = ServingReport(
             cluster=self.cluster,
             policy=self.policy,
@@ -483,56 +442,6 @@ class ServingEngine:
         )
         publish_serving_metrics(registry, report)
         return report
-
-    # ------------------------------------------------------------------ #
-    def _hedge(
-        self,
-        jobs: Sequence[Job],
-        chaos: Optional[Sequence[NodeFailure]],
-        numerics: Dict[int, Any],
-    ) -> Scheduler:
-        """Trial-run ``jobs`` static and adaptive; return the winner.
-
-        Both trials run on :meth:`~repro.serve.cache.PreprocCache.clone`
-        copies of the shared cache (and a clone of the observation store)
-        with no telemetry sinks, so they leave the engine's real state
-        byte-for-byte untouched.  The adaptive configuration wins only on
-        a strictly shorter makespan — with no observations the two trials
-        are identical, so the tie-break keeps the static schedule and the
-        cold-start run is indistinguishable from a non-adaptive engine.
-        The returned scheduler targets the *real* cache and observation
-        store, ready for the final instrumented run.  Both trials fill and
-        reuse ``numerics``, the run's memo of the jobs' numbers.
-        """
-        static_trial = Scheduler(
-            self.cluster,
-            self.cache.clone(),
-            observations=None,
-            **self._scheduler_kwargs,
-        ).run(jobs, chaos=chaos, numerics=numerics)
-        adaptive_trial = Scheduler(
-            self.cluster,
-            self.cache.clone(),
-            adaptive=True,
-            observations=self.observations.clone(),
-            **self._scheduler_kwargs,
-        ).run(jobs, chaos=chaos, numerics=numerics)
-        won = bool(adaptive_trial.makespan_s < static_trial.makespan_s)
-        self.last_adaptive_won = won
-        if won:
-            return Scheduler(
-                self.cluster,
-                self.cache,
-                adaptive=True,
-                observations=self.observations,
-                **self._scheduler_kwargs,
-            )
-        return Scheduler(
-            self.cluster,
-            self.cache,
-            observations=self.observations,
-            **self._scheduler_kwargs,
-        )
 
     def run_workload(
         self,

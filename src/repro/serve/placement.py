@@ -33,29 +33,22 @@ NIC.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import AbstractSet, FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.formats.fcoo import FCOOTensor
 from repro.gpusim.cluster import ClusterSpec
 from repro.gpusim.device import DeviceSpec
-from repro.serve.feedback import ObservationStore
 from repro.serve.job import Job, JobKind
 
-__all__ = ["JobGeometry", "job_geometry", "Placement", "Placer", "ADAPTIVE_BLEND"]
+__all__ = ["JobGeometry", "job_geometry", "Placement", "Placer"]
 
 #: Bytes per stored factor/output element (the kernels' single precision).
 _VALUE_BYTES = 4.0
 
 #: Largest tensor value magnitude F-COO's float32 values can hold.
 FLOAT32_MAX = float(np.finfo(np.float32).max)
-
-#: Weight of the *observed* execution estimate when the adaptive placer
-#: blends it with the static roofline cost (0 = pure static, 1 = pure
-#: observed).  A constant half keeps the static model as an anchor — one
-#: anomalous observation can shift a ranking, never own it.
-ADAPTIVE_BLEND = 0.5
 
 
 @dataclass(frozen=True)
@@ -217,17 +210,7 @@ class Placement:
 
 
 class Placer:
-    """Capability-aware (and, over two tiers, node-aware) placement policy.
-
-    With ``adaptive=True`` and an :class:`ObservationStore`, the static
-    roofline ranking blends in what the feedback loop has actually
-    observed: per-(kernel, tensor, device) execution estimates replace
-    half of the roofline transfer term (:data:`ADAPTIVE_BLEND`), and
-    per-slot / per-node congestion estimates penalise busy sites.  Every
-    adaptive term is exactly zero (or absent) while the store is empty,
-    so a cold-start adaptive placer ranks *bit-identically* to the static
-    one — the fallback the regression gate relies on.
-    """
+    """Capability-aware (and, over two tiers, node-aware) placement policy."""
 
     def __init__(
         self,
@@ -236,31 +219,15 @@ class Placer:
         block_size: int = 128,
         threadlen: int = 8,
         num_streams: int = 2,
-        adaptive: bool = False,
-        observations: Optional[ObservationStore] = None,
     ) -> None:
         self.cluster = cluster
         self.block_size = block_size
         self.threadlen = threadlen
         self.num_streams = max(1, int(num_streams))
-        self.adaptive = bool(adaptive)
-        self.observations = observations
-        #: Rationale of the most recent single-device :meth:`place` call
-        #: (chosen slot, its blended and static completion estimates, the
-        #: congestion penalty applied) — the scheduler copies it into the
-        #: dispatch event so adaptive decisions are auditable.  ``None``
-        #: until a single-device placement is made, and for sharded ones.
-        self.last_rationale: Optional[Dict[str, float]] = None
         #: Roofline throughput score per device slot (bytes/s) — the same
         #: scores whose normalisation weights the shard partitioner, so
         #: placement preference and shard sizing cannot diverge.
         self.scores: Tuple[float, ...] = cluster.capability_scores()
-
-    def _feedback(self) -> Optional[ObservationStore]:
-        """The store to consult, or ``None`` when placing statically."""
-        if self.adaptive and self.observations is not None:
-            return self.observations
-        return None
 
     @property
     def multinode(self) -> bool:
@@ -271,20 +238,29 @@ class Placer:
     def admit(self, job: Job, geometry: Optional[JobGeometry] = None) -> Optional[str]:
         """Admission control: a rejection reason, or ``None`` to admit.
 
-        A job is admitted when at least one device can hold its resident
-        dense operands next to the configured number of minimal streamed
-        chunk buffers — the weakest execution mode the kernels support.
-        (Sharding does not relax this bound: every shard stages the full
-        factor matrices.)  Callers that already sized the job pass its
-        ``geometry`` to avoid recomputing it.
+        The tensor must have at least two modes: every F-COO operation
+        needs a product mode and an index mode.  A job is admitted
+        when at least one device can hold its resident dense operands next
+        to the configured number of minimal streamed chunk buffers — the
+        weakest execution mode the kernels support.  (Sharding does not
+        relax this bound: every shard stages the full factor matrices.)
+        Callers that already sized the job pass its ``geometry`` to avoid
+        recomputing it.
 
         Every tensor value must also be finite and within the float32
         range F-COO stores values in: a value outside it would become
         ``inf`` in the encoding and poison the job's output (or hang the
-        SVD of a Tucker job).  A decomposition's tensor must have a
-        non-zero norm: the fit of an all-zero tensor is undefined (Tucker
-        divides by the norm, and CP would report all-zero factors).
+        SVD of a Tucker job).  A decomposition's tensor must keep a
+        non-zero value after that float32 cast, which flushes values below
+        float32's smallest subnormal to zero: the fit of an all-zero
+        tensor is undefined (Tucker divides by the norm, and CP would
+        report all-zero factors).
         """
+        if job.tensor.order < 2:
+            return (
+                f"tensor order {job.tensor.order} is below 2; every F-COO "
+                f"operation needs a product mode and an index mode"
+            )
         if geometry is None:
             geometry = job_geometry(job, threadlen=self.threadlen)
         needed = geometry.resident_bytes + self._min_chunk_bytes(geometry)
@@ -300,8 +276,11 @@ class Placer:
                 f"{bad} tensor value(s) are not finite or exceed the float32 "
                 f"range of F-COO values"
             )
-        if not job.kind.is_kernel and job.tensor.norm() == 0.0:
-            return "every tensor value is zero; a decomposition's fit is undefined"
+        if not job.kind.is_kernel and not np.any(job.tensor.values.astype(np.float32)):
+            return (
+                "every tensor value is zero as a float32 F-COO value; a "
+                "decomposition's fit is undefined"
+            )
         return None
 
     def _min_chunk_bytes(self, geometry: JobGeometry) -> float:
@@ -341,13 +320,9 @@ class Placer:
         the dense operands.  Among qualifying nodes the placer minimises
         the estimated completion time ``max(now, node's busiest compute
         slot) + traffic / node aggregate throughput`` — data locality
-        first, load balance among the local options.  An adaptive placer
-        additionally penalises each node by its observed collective NIC
-        wait, steering node-local shards away from congested nodes (zero
-        penalty while unobserved, so cold-start ranking is unchanged).
+        first, load balance among the local options.
         """
         cluster = self.cluster
-        feedback = self._feedback()
         needed = geometry.resident_bytes + self._min_chunk_bytes(geometry)
         best: Optional[Tuple[float, int]] = None
         traffic = geometry.footprint_bytes + geometry.output_bytes
@@ -369,8 +344,6 @@ class Placer:
                 max([now_s] + [compute_free_s[s] for s in slots])
                 + traffic / throughput
             )
-            if feedback is not None:
-                finish += feedback.node_congestion_s(index)
             if best is None or (finish, index) < best:
                 best = (finish, index)
         if best is None:
@@ -386,7 +359,6 @@ class Placer:
 
     def place(
         self,
-        job: Job,
         geometry: JobGeometry,
         compute_free_s: Sequence[float],
         now_s: float,
@@ -408,7 +380,6 @@ class Placer:
         topology, and single-device placements never pick a dead slot.
         """
         cluster = self.cluster
-        self.last_rationale = None
         # Sharding stages the full dense operands on *every* member (only
         # the non-zero stream is split), so it is feasible only when the
         # resident bytes fit the smallest device.
@@ -448,28 +419,6 @@ class Placer:
                 s for s in range(cluster.num_devices) if s not in excluded_slots
             ) or tuple(range(cluster.num_devices))
         traffic = geometry.footprint_bytes + geometry.output_bytes
-        feedback = self._feedback()
-
-        def static_cost(s: int) -> float:
-            return max(now_s, compute_free_s[s]) + traffic / self.scores[s]
-
-        def blended_cost(s: int) -> float:
-            # Static completion estimate, with the roofline transfer term
-            # half-replaced by the observed exec time for this exact
-            # (kernel, tensor, device) triple when one exists, plus the
-            # slot's observed queueing penalty.  Both fall back to the
-            # static term / zero while unobserved.
-            if feedback is None:
-                return static_cost(s)
-            work = traffic / self.scores[s]
-            observed = feedback.expected_exec_s(
-                job.kind.value, job.tensor.content_key, cluster.devices[s].name
-            )
-            if observed is not None:
-                work = (1.0 - ADAPTIVE_BLEND) * work + ADAPTIVE_BLEND * observed
-            return (
-                max(now_s, compute_free_s[s]) + work + feedback.congestion_s(s)
-            )
 
         # Prefer devices the job fits on one-shot (a streamed fallback
         # re-ships the encoding every execution); among those, minimise the
@@ -478,18 +427,10 @@ class Placer:
             slots,
             key=lambda s: (
                 geometry.footprint_bytes > cluster.devices[s].global_mem_bytes,
-                blended_cost(s),
+                max(now_s, compute_free_s[s]) + traffic / self.scores[s],
                 s,
             ),
         )
-        self.last_rationale = {
-            "slot": float(best),
-            "blended_score_s": blended_cost(best),
-            "static_score_s": static_cost(best),
-            "observed_congestion_s": (
-                feedback.congestion_s(best) if feedback is not None else 0.0
-            ),
-        }
         return Placement(
             device_slots=(best,),
             cluster=None,

@@ -58,7 +58,14 @@ deterministic simulated-time schedule:
   (:func:`~repro.serve.execute.price_job`).  A job's numbers do not depend
   on its placement, so :func:`~repro.serve.execute.execute_job` computes
   them at most once per run: re-dispatches after a preemption or a node
-  loss, and the hedged engine's trial runs, reuse them.
+  loss reuse them.
+
+* **feasibility** — every run ends by checking that no resource of its
+  timeline is busy for longer than the run
+  (:meth:`~repro.gpusim.timeline.Timeline.violations`).  Preemption and
+  chaos re-booking release and re-book committed work; an over-booked
+  resource means one of them double-counted time, and the run raises
+  ``RuntimeError`` instead of reporting that schedule.
 
 All time bookkeeping lives on one shared
 :class:`~repro.gpusim.timeline.Timeline`: every device contributes a copy
@@ -105,7 +112,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve.autoscale import Autoscaler, AutoscalerSpec, ScaleEvent
 from repro.serve.cache import PreprocCache
 from repro.serve.execute import ExecutionOutcome, execute_job, price_job
-from repro.serve.feedback import ObservationStore
 from repro.serve.job import Job, JobKind, JobResult, JobStatus
 from repro.serve.placement import JobGeometry, Placement, Placer, job_geometry
 
@@ -298,16 +304,6 @@ class Scheduler:
     autoscale:
         Optional :class:`~repro.serve.autoscale.AutoscalerSpec`; ``None``
         (the default) keeps the legacy fixed pool byte-identical.
-    adaptive:
-        Feed the :class:`~repro.serve.feedback.ObservationStore` back into
-        placement (congestion-aware blended scores) and the tuner cache
-        (observed-time re-ranking).  With no observations recorded yet the
-        adaptive paths fall back *exactly* to the static ones, so a cold
-        adaptive run is event-for-event identical to a static run.
-    observations:
-        The cross-run :class:`~repro.serve.feedback.ObservationStore`.
-        When set, every run folds its completed jobs' attributed costs in
-        (recording is independent of ``adaptive``, which only *consumes*).
     """
 
     def __init__(
@@ -323,8 +319,6 @@ class Scheduler:
         autotune: bool = False,
         num_streams: int = 2,
         autoscale: Optional[AutoscalerSpec] = None,
-        adaptive: bool = False,
-        observations: Optional[ObservationStore] = None,
     ) -> None:
         if policy not in ("priority", "fifo", "deadline"):
             raise ValueError(
@@ -344,15 +338,11 @@ class Scheduler:
         self.autotune = autotune
         self.num_streams = num_streams
         self.autoscale = autoscale
-        self.adaptive = adaptive
-        self.observations = observations
         self.placer = Placer(
             cluster,
             block_size=block_size,
             threadlen=threadlen,
             num_streams=num_streams,
-            adaptive=adaptive,
-            observations=observations,
         )
         weights = cluster.capability_weights()
         #: Where tuner sweeps run: the most capable member (ties: lowest slot).
@@ -422,24 +412,6 @@ class Scheduler:
                     # The sweep runs after this job's encode lands.
                     ready_s += tune_s
                     availability[tuner_key] = ready_s
-                if tuner_hit and self.adaptive and self.observations is not None:
-                    # Feedback half of the tuner: a cached config whose
-                    # observed execution time drifted past the tolerance
-                    # is re-ranked against the stored prediction surface.
-                    # Pure cache bookkeeping — no extra host seconds, no
-                    # readiness change.
-                    observed = self.observations.expected_exec_any(
-                        job.kind.value, job.tensor.content_key
-                    )
-                    if observed is not None:
-                        launch, _ = self.cache.rerank_tuner_config(
-                            job.tensor,
-                            job.operation,
-                            job.mode,
-                            job.rank,
-                            device=self._tuner_device,
-                            observed_s=observed,
-                        )
         else:
             # Every mode the decomposition will sweep; the misses are this
             # job's preprocessing bill.
@@ -592,7 +564,6 @@ class Scheduler:
         *,
         metrics: Optional[MetricsRegistry] = None,
         events: Optional[EventLog] = None,
-        numerics: Optional[Dict[int, Any]] = None,
     ) -> ScheduleOutcome:
         """Schedule and execute ``jobs``; returns the full ledger.
 
@@ -618,12 +589,9 @@ class Scheduler:
         Both are observation-only: bookings and results are bit-identical
         with or without them.
 
-        ``numerics`` maps job ids to their numbers
-        (:func:`~repro.serve.execute.execute_job`), filled on first use:
-        every dispatch of a job, a re-queued or preempted one's included,
-        reuses them.  Pass one dict to several runs of the same jobs to
-        compute each job's numbers once across them; a fresh one is used
-        when it is ``None``.
+        Raises ``RuntimeError`` naming every over-booked resource and its
+        excess busy seconds when the finished run's timeline has any
+        (:meth:`~repro.gpusim.timeline.Timeline.violations`).
         """
         ids = [job.job_id for job in jobs]
         if len(set(ids)) != len(ids):
@@ -642,7 +610,6 @@ class Scheduler:
             dispatches=[0] * self.cluster.num_devices,
             metrics=metrics,
             events=events,
-            numerics=numerics if numerics is not None else {},
         )
         pending = deque(sorted(jobs, key=lambda j: (j.arrival_s, j.job_id)))
         ready: List[Tuple[Tuple, _ReadyEntry]] = []
@@ -800,6 +767,15 @@ class Scheduler:
             clock.advance_to(t)
             batch_seq = self._dispatch(entry, t, ready, results, state, batch_seq)
 
+        overbooked = timeline.violations()
+        if overbooked:
+            raise RuntimeError(
+                "scheduler run over-booked its timeline: "
+                + ", ".join(
+                    f"{key} busy {excess!r} s longer than the run"
+                    for key, excess in sorted(overbooked.items())
+                )
+            )
         ordered = [
             replace(results[job_id], requeues=requeue_counts[job_id])
             if job_id in requeue_counts
@@ -817,30 +793,6 @@ class Scheduler:
                 result.nic_wait_s = cost.nic_wait_s
                 result.compute_s = cost.compute_s
                 result.preemption_overhead_s = cost.preemption_overhead_s
-        if self.observations is not None:
-            # Close the loop: fold every completed job's attributed cost
-            # and per-resource waits into the cross-run observation store.
-            # Recording happens regardless of ``adaptive`` (which only
-            # gates consumption), so a static run still warms the store.
-            device_node = self.cluster.device_node
-            for result in ordered:
-                if not result.completed:
-                    continue
-                slots = result.device_slots
-                self.observations.record(
-                    kind=result.job.kind.value,
-                    content_key=result.job.tensor.content_key,
-                    device_names=[self.cluster.devices[s].name for s in slots],
-                    slots=slots,
-                    nodes=sorted({device_node[s] for s in slots}),
-                    exec_s=result.exec_s,
-                    device_wait_s=max(
-                        0.0,
-                        result.exec_start_s
-                        - (result.stage_start_s + result.stage_s),
-                    ),
-                    nic_wait_s=result.nic_wait_s,
-                )
         if metrics is not None:
             attribution.publish(metrics)
             queue_wait = metrics.histogram(
@@ -879,7 +831,6 @@ class Scheduler:
         ):
             return batch_seq
         placement = self.placer.place(
-            job,
             geometry,
             [lane.free_s for lane in state.compute],
             t0,
@@ -1204,26 +1155,14 @@ class Scheduler:
 
         start_event = complete_event = None
         if state.events is not None:
-            detail: Dict[str, object] = dict(
+            start_event = state.events.emit(
+                "dispatch",
                 time_s=stage_start,
                 job_id=tag,
                 slots=list(slots),
                 execution=outcome.execution,
                 batch_id=batch_id,
             )
-            rationale = self.placer.last_rationale
-            if self.adaptive and rationale is not None:
-                # Placement rationale (record-only): the chosen slot's
-                # blended score, the static roofline score it would have
-                # had, and the observed congestion folded in.  Emitted only
-                # on adaptive runs, so static event logs are byte-identical
-                # to earlier releases.
-                detail["blended_score_s"] = rationale["blended_score_s"]
-                detail["static_score_s"] = rationale["static_score_s"]
-                detail["observed_congestion_s"] = rationale[
-                    "observed_congestion_s"
-                ]
-            start_event = state.events.emit("dispatch", **detail)
             complete_event = state.events.emit(
                 "complete",
                 time_s=finish,

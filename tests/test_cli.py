@@ -60,15 +60,9 @@ class TestCli:
         ) == 0
         assert "node losses" in capsys.readouterr().out
 
-    def test_serve_adaptive_multinode_smoke(self, capsys):
-        assert main(["serve", "--jobs", "10", "--nodes", "2", "--adaptive"]) == 0
+    def test_serve_multinode_smoke(self, capsys):
+        assert main(["serve", "--jobs", "10", "--nodes", "2"]) == 0
         assert "Serving report" in capsys.readouterr().out
-
-    def test_adaptive_requires_serve(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["table2", "--adaptive"])
-        assert exc.value.code != 0
-        assert "serve" in capsys.readouterr().err
 
     def test_chaos_seed_requires_multinode(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -483,7 +483,8 @@ class TestMultiNodeEqualsOneShot:
             ctx=ExecContext(cluster=cluster),
         )
         execution = multi.profile.sharded
-        assert execution is not None and execution.has_streaming_shards
+        assert execution is not None
+        assert any(s.streaming is not None for s in execution.shards)
         np.testing.assert_allclose(
             multi.output, one_shot.output, rtol=1e-10, atol=1e-12
         )
@@ -572,7 +573,7 @@ class TestNodeAwarePlacement:
         geometry = job_geometry(job, threadlen=placer.threadlen)
         assert placer.admit(job, geometry) is None
         free = [0.0] * placer.cluster.num_devices
-        return placer.place(job, geometry, free, 0.0)
+        return placer.place(geometry, free, 0.0)
 
     def test_small_job_stays_single_device(self, placer):
         tensor = random_sparse_tensor((10, 12, 14), 300, seed=2)
@@ -605,9 +606,9 @@ class TestNodeAwarePlacement:
 
         job = _kernel_job(_whale_tensor(rng))
         geometry = job_geometry(job, threadlen=placer.threadlen)
-        busy_node0 = placer.place(job, geometry, [5.0, 5.0, 0.0, 0.0], 0.0)
+        busy_node0 = placer.place(geometry, [5.0, 5.0, 0.0, 0.0], 0.0)
         assert busy_node0.node_index == 1
-        busy_node1 = placer.place(job, geometry, [0.0, 0.0, 5.0, 5.0], 0.0)
+        busy_node1 = placer.place(geometry, [0.0, 0.0, 5.0, 5.0], 0.0)
         assert busy_node1.node_index == 0
 
     def test_cross_node_job_spills_over_nic(self, placer, cluster):

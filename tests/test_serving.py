@@ -34,6 +34,7 @@ from repro.formats.fcoo import FCOOTensor
 from repro.formats.semisparse import SemiSparseTensor
 from repro.gpusim.cluster import ClusterSpec, InterconnectSpec, NodeSpec, PCIE3_P2P
 from repro.gpusim.device import TITAN_X, scaled_device
+from repro.gpusim.timeline import Timeline
 from repro.kernels.unified import partition_shards
 from repro.kernels.unified.spmttkrp import spmttkrp_footprint, unified_spmttkrp
 from repro.kernels.unified.spttm import unified_spttm
@@ -51,7 +52,10 @@ from repro.serve import (
     price_job,
 )
 from repro.serve.cache import SERVING_BLOCK_SIZES, SERVING_THREADLENS, TUNER_SECONDS_PER_CONFIG
-from repro.serve.workload import default_serving_cluster
+from repro.serve.workload import (
+    default_multinode_serving_cluster,
+    default_serving_cluster,
+)
 from repro.tensor.random import random_sparse_tensor
 from repro.tensor.sparse import SparseTensor
 from test_streaming import (
@@ -392,10 +396,10 @@ class TestPlacement:
             rank=RANK,
         )
         geometry = job_geometry(job, threadlen=THREADLEN)
-        placement = engine.scheduler.placer.place(job, geometry, [0.0, 0.0, 0.0], 0.0)
+        placement = engine.scheduler.placer.place(geometry, [0.0, 0.0, 0.0], 0.0)
         assert placement.device_slots == (0,)
         # With slot 0 busy far into the future, slot 1 wins.
-        placement = engine.scheduler.placer.place(job, geometry, [1.0, 0.0, 0.0], 0.0)
+        placement = engine.scheduler.placer.place(geometry, [1.0, 0.0, 0.0], 0.0)
         assert placement.device_slots == (1,)
 
     def test_oversized_job_sharded_across_cluster(self):
@@ -646,6 +650,23 @@ class TestScheduler:
         with pytest.raises(ValueError, match="unique"):
             ServingEngine(one_device_cluster(1 << 30)).run(clash)
 
+    def test_overbooked_timeline_fails_the_run(self, monkeypatch):
+        checked = []
+
+        def overbooked(timeline, **kwargs):
+            checked.append(timeline)
+            return {"dev1.compute": 0.25, "dev0.copy": 1.5e-06}
+
+        monkeypatch.setattr(Timeline, "violations", overbooked)
+        jobs = self._identical_jobs(2, CASES["order3-uniform"]())
+        with pytest.raises(
+            RuntimeError,
+            match=r"over-booked its timeline: dev0\.copy busy 1\.5e-06 s longer "
+            r"than the run, dev1\.compute busy 0\.25 s longer than the run$",
+        ):
+            ServingEngine(one_device_cluster(1 << 30)).run(jobs)
+        assert len(checked) == 1
+
     def test_report_invariants(self):
         report = run_serving(num_jobs=40, seed=0)
         assert len(report.results) == 40
@@ -757,7 +778,7 @@ class TestServingBitIdentity:
         (result,) = engine.run([job]).results
         assert result.execution == "sharded"
         profile = price_job(job, result.placement).profile
-        assert profile.sharded.has_streaming_shards
+        assert any(s.streaming is not None for s in profile.sharded.shards)
         assert_replays(result)
         assert_close_to_reference(result.output, job)
 
@@ -900,7 +921,7 @@ class TestDecompositionJobs:
 # Numerics once per job, however often it is priced
 # ---------------------------------------------------------------------- #
 class TestNumericsOncePerJob:
-    def test_hedged_chaos_run_computes_each_job_once(self, monkeypatch):
+    def test_deadline_chaos_run_computes_each_job_once(self, monkeypatch):
         # Spy on every module attribute bound to execute_job, the way a
         # tracer wraps it.
         import sys
@@ -918,15 +939,14 @@ class TestNumericsOncePerJob:
             for attr, value in list(getattr(module, "__dict__", {}).items()):
                 if value is real:
                     monkeypatch.setattr(module, attr, spy)
-        # Two hedge trials plus the real run, deadline re-commits and a
-        # node loss that re-queues jobs: each job is still computed once.
+        # Deadline re-commits and a node loss that re-queues jobs: each
+        # job is still computed once.
         report = run_serving(
             num_jobs=36,
             nodes=2,
             policy="deadline",
             slo_fraction=0.3,
             deadline_slack=200.0,
-            adaptive=True,
             chaos_seed=0,
             fail_node=0,
         )
@@ -940,38 +960,107 @@ class TestNumericsOncePerJob:
 
 
 # ---------------------------------------------------------------------- #
-# Admission: one bad tensor value cannot take the server down
+# Engine arguments accepted and ignored
 # ---------------------------------------------------------------------- #
+class TestInertEngineArguments:
+    def test_unknown_nic_policy_rejected(self):
+        with pytest.raises(ValueError, match="nic_policy"):
+            ServingEngine(default_serving_cluster(), nic_policy="weighted")
+
+    @pytest.mark.parametrize(
+        "inert",
+        [
+            {"nic_policy": "fifo"},
+            {"nic_policy": "fair"},
+            {"nic_policy": "priority"},
+            {"adaptive": True},
+        ],
+        ids=["fifo", "fair", "priority", "adaptive"],
+    )
+    def test_accepted_value_changes_nothing(self, inert):
+        """Every run is one static scheduler run and every collective queues
+        in arrival order, whatever the value: a two-node engine given an
+        accepted value logs and publishes exactly what one given none
+        does, cold and warm."""
+        jobs = generate_workload(
+            WorkloadSpec(num_jobs=6, seed=3, cross_node_every=2, latency_slo_fraction=0.5)
+        )
+        plain = ServingEngine(default_multinode_serving_cluster(2), autotune=True)
+        given = ServingEngine(default_multinode_serving_cluster(2), autotune=True, **inert)
+        for _ in range(2):
+            a, b = plain.run(jobs), given.run(jobs)
+            assert b.events.to_jsonl() == a.events.to_jsonl()
+            assert b.metrics.to_prometheus() == a.metrics.to_prometheus()
+
+
+# ---------------------------------------------------------------------- #
+# Admission: one bad tensor cannot take the server down
+# ---------------------------------------------------------------------- #
+def _poisoned(poison):
+    """A 30x20x10 tensor whose values pass through ``poison``."""
+
+    def make():
+        tensor = random_sparse_tensor((30, 20, 10), 500, seed=1)
+        values = poison(np.array(tensor.values))
+        return SparseTensor(tensor.indices, values, tensor.shape)
+
+    return make
+
+
 def _one_value(value):
-    """A poison that sets one tensor value to ``value``."""
+    """A poisoned tensor with one value set to ``value``."""
 
     def poison(values):
         values[7] = value
         return values
 
-    return poison
+    return _poisoned(poison)
+
+
+def _order_one():
+    """A tensor of shape ``(5,)``: one mode, so no F-COO operation."""
+    return SparseTensor(np.array([[0], [2], [4]]), np.array([1.0, 2.0, 3.0]), (5,))
 
 
 NOT_FINITE = "1 tensor value(s) are not finite"
 ALL_ZERO = "every tensor value is zero"
+ORDER_ONE = "tensor order 1 is below 2"
+#: Below float32's smallest subnormal: non-zero as float64, zero in F-COO.
+FLUSHED = _poisoned(lambda values: np.full_like(values, 1e-46))
 
 
 class TestPoisonAdmission:
     @pytest.mark.parametrize(
-        "kind, poison, reason",
+        "kind, bad_tensor, reason",
         [
             (JobKind.CP_ALS, _one_value(np.nan), NOT_FINITE),
             (JobKind.SPMTTKRP, _one_value(1e308), NOT_FINITE),
             (JobKind.TUCKER, _one_value(np.inf), NOT_FINITE),
-            (JobKind.CP_ALS, np.zeros_like, ALL_ZERO),
-            (JobKind.TUCKER, np.zeros_like, ALL_ZERO),
+            (JobKind.CP_ALS, _poisoned(np.zeros_like), ALL_ZERO),
+            (JobKind.TUCKER, _poisoned(np.zeros_like), ALL_ZERO),
+            (JobKind.CP_ALS, FLUSHED, ALL_ZERO),
+            (JobKind.TUCKER, FLUSHED, ALL_ZERO),
+            (JobKind.SPTTM, _order_one, ORDER_ONE),
+            (JobKind.SPMTTKRP, _order_one, ORDER_ONE),
+            (JobKind.CP_ALS, _order_one, ORDER_ONE),
+            (JobKind.TUCKER, _order_one, ORDER_ONE),
         ],
-        ids=["nan-cp", "overflow-spmttkrp", "inf-tucker", "zero-cp", "zero-tucker"],
+        ids=[
+            "nan-cp",
+            "overflow-spmttkrp",
+            "inf-tucker",
+            "zero-cp",
+            "zero-tucker",
+            "flushed-cp",
+            "flushed-tucker",
+            "order1-spttm",
+            "order1-spmttkrp",
+            "order1-cp",
+            "order1-tucker",
+        ],
     )
-    def test_bad_value_rejected_and_good_job_completes(self, kind, poison, reason):
-        tensor = random_sparse_tensor((30, 20, 10), 500, seed=1)
-        values = poison(np.array(tensor.values))
-        poisoned = SparseTensor(tensor.indices, values, tensor.shape)
+    def test_bad_value_rejected_and_good_job_completes(self, kind, bad_tensor, reason):
+        poisoned = bad_tensor()
         good = Job(
             job_id=0,
             tenant="good",

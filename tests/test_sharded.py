@@ -236,7 +236,6 @@ class TestStreamedFallbackShard:
         )
         execution = sharded.profile.sharded
         assert execution is not None
-        assert execution.has_streaming_shards
         streaming_shards = [s for s in execution.shards if s.streaming is not None]
         assert streaming_shards and streaming_shards[0].streaming.num_chunks >= 2
         # Streamed shards re-ship their chunks; nothing is pre-staged.
