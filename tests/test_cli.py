@@ -64,6 +64,12 @@ class TestCli:
         assert main(["serve", "--jobs", "10", "--nodes", "2"]) == 0
         assert "Serving report" in capsys.readouterr().out
 
+    def test_adaptive_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--adaptive"])
+        assert exc.value.code != 0
+        assert "unrecognized arguments: --adaptive" in capsys.readouterr().err
+
     def test_chaos_seed_requires_multinode(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["serve", "--chaos-seed", "1"])

@@ -1227,3 +1227,53 @@ class TestServingHypothesis:
                 assert_same_output(a.output, b.output)
             if a.completed:
                 assert_replays(a)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        num_jobs=st.integers(min_value=2, max_value=8),
+    )
+    def test_warm_run_changes_no_value(self, seed, num_jobs):
+        """A second run on the same engine serves from the encodings and
+        tuner configurations the first run cached: it moves work in time,
+        never in value, so every job completed by both runs has the same
+        output, and every warm result replays."""
+        jobs = generate_workload(WorkloadSpec(num_jobs=num_jobs, seed=seed))
+        engine = ServingEngine(default_serving_cluster(), autotune=True)
+        cold, warm = engine.run(jobs), engine.run(jobs)
+        served = {r.job.job_id: r for r in cold.completed}
+        for result in warm.completed:
+            if result.job.job_id in served and result.job.kind.is_kernel:
+                assert_same_output(result.output, served[result.job.job_id].output)
+            assert_replays(result)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        num_jobs=st.integers(min_value=2, max_value=6),
+        cross_node_every=st.sampled_from([2, 3]),
+        latency_slo_fraction=st.sampled_from([0.0, 0.5]),
+        policy=st.sampled_from(["priority", "deadline"]),
+    )
+    def test_multinode_runs_over_book_nothing(
+        self, seed, num_jobs, cross_node_every, latency_slo_fraction, policy
+    ):
+        """On two nodes, where cross-node collectives queue on the NICs in
+        arrival order and, under the deadline policy, latency-SLO tenants
+        preempt batch jobs, neither a cold nor a warm run books any
+        resource for longer than the run, and every completed job
+        replays."""
+        jobs = generate_workload(
+            WorkloadSpec(
+                num_jobs=num_jobs,
+                seed=seed,
+                cross_node_every=cross_node_every,
+                latency_slo_fraction=latency_slo_fraction,
+            )
+        )
+        engine = ServingEngine(
+            default_multinode_serving_cluster(2), policy=policy, autotune=True
+        )
+        for _ in range(2):  # cold run, then warm
+            report = engine.run(jobs)
+            assert report.timeline.violations() == {}
+            for result in report.completed:
+                assert_replays(result)
