@@ -17,7 +17,7 @@ from repro.formats.mode_encoding import OperationKind
 from repro.gpusim.device import DeviceSpec, TITAN_X
 from repro.gpusim.timing import OutOfDeviceMemory
 from repro.kernels.unified import operation_spec
-from repro.kernels.unified.driver import model, resolve_encoding
+from repro.kernels.unified.driver import Pricing, resolve_encoding
 from repro.tensor.sparse import SparseTensor
 from repro.util.formatting import format_table
 from repro.util.validation import check_rank
@@ -91,11 +91,14 @@ def tune_unified(
     """Sweep ``(BLOCK_SIZE, threadlen)`` for one unified kernel on one tensor.
 
     Covers all three unified kernels (SpTTM, SpMTTKRP, SpTTMc).  Each cell
-    is priced once by the kernel's cost model
-    (:func:`repro.kernels.unified.driver.model`) with the kernel's default
-    context, so the sweep runs no numerics and a tensor that does not fit
-    the device one-shot is priced on the streamed path, as the kernel
-    would run it.  A cell that does not fit the device even streamed is
+    is one launch of a single :class:`~repro.kernels.unified.driver.Pricing`
+    of the encoding under the kernel's default context, so it equals what
+    :func:`repro.kernels.unified.driver.model` reports for that
+    configuration while the terms that do not depend on the launch are
+    derived once per sweep (a streamed chunking's once per ``threadlen``).
+    The sweep runs no numerics, and a tensor that does not fit the device
+    one-shot is priced on the streamed path, as the kernel would run it.
+    A cell that does not fit the device even streamed is
     recorded as ``inf`` rather than aborting the sweep.  ``tensor`` may be
     an :class:`FCOOTensor` already encoded for ``operation`` on ``mode``
     (checked as the kernels check it); otherwise it is encoded once, since
@@ -104,17 +107,13 @@ def tune_unified(
     operation = OperationKind.coerce(operation)
     rank = check_rank(rank)
     fcoo = resolve_encoding(tensor, operation, mode)
-    op = operation_spec(fcoo, operation, rank)
+    pricing = Pricing(fcoo, operation_spec(fcoo, operation, rank), device=device)
     times = np.zeros((len(block_sizes), len(threadlens)), dtype=np.float64)
     for i, block_size in enumerate(block_sizes):
         for j, threadlen in enumerate(threadlens):
             try:
-                times[i, j] = model(
-                    fcoo,
-                    op,
-                    device=device,
-                    block_size=int(block_size),
-                    threadlen=int(threadlen),
+                times[i, j] = pricing.launch(
+                    block_size=int(block_size), threadlen=int(threadlen)
                 ).estimated_time_s
             except OutOfDeviceMemory:
                 times[i, j] = np.inf

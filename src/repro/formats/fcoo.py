@@ -35,8 +35,9 @@ the tensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -47,56 +48,217 @@ from repro.util.validation import check_positive_int
 __all__ = ["FCOOTensor", "FCOOChunk"]
 
 
+class _NonZeroStream:
+    """A run of an F-COO non-zero stream: a whole :class:`FCOOTensor`, or
+    one :class:`FCOOChunk` of it.
+
+    Both are sized and split the same way.  A span cut from either is O(1)
+    to make: its statistics come from the encoding's segment ids at the
+    span's two ends, and no array is copied until a chunk's ``tensor`` is
+    read.  Subclasses provide ``nnz`` and :meth:`_position`.
+    """
+
+    def _position(self) -> Tuple["FCOOTensor", int]:
+        """The encoding this stream's arrays lie in, and the stream's first
+        non-zero in it."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------ #
+    # Partitioning
+    # ------------------------------------------------------------------ #
+    def num_partitions(self, threadlen: int) -> int:
+        """Number of per-thread partitions when each thread takes ``threadlen`` non-zeros."""
+        threadlen = check_positive_int(threadlen, "threadlen")
+        return int(-(-self.nnz // threadlen)) if self.nnz else 0
+
+    def chunk(self, chunk_nnz: int, *, threadlen: int = 1) -> List["FCOOChunk"]:
+        """Split the non-zero stream into :class:`FCOOChunk` slices.
+
+        Parameters
+        ----------
+        chunk_nnz:
+            Maximum non-zeros per chunk; must be a multiple of
+            ``threadlen`` so chunk boundaries coincide with per-thread
+            partition boundaries (a partition never straddles two device
+            buffers).
+        threadlen:
+            The per-thread work size the chunks will be executed with.
+
+        Returns
+        -------
+        list of FCOOChunk
+            Contiguous, non-overlapping chunks covering all non-zeros (an
+            empty list for an empty stream), positioned relative to this
+            stream.  A segment that straddles a chunk boundary appears as
+            the last local segment of one chunk and the first
+            (``carries_in``) local segment of the next; both map to the
+            same segment of this stream, so summing per-chunk partial
+            results per segment reproduces the one-shot reduction.
+        """
+        chunk_nnz = check_positive_int(chunk_nnz, "chunk_nnz")
+        threadlen = check_positive_int(threadlen, "threadlen")
+        if chunk_nnz % threadlen != 0:
+            raise ValueError(
+                f"chunk_nnz ({chunk_nnz}) must be a multiple of threadlen ({threadlen})"
+            )
+        return [
+            self.chunk_span(start, start + chunk_nnz, threadlen=threadlen)
+            for start in range(0, self.nnz, chunk_nnz)
+        ]
+
+    def chunk_span(self, start: int, stop: int, *, threadlen: int = 1) -> "FCOOChunk":
+        """One :class:`FCOOChunk` covering the non-zero range ``[start, stop)``.
+
+        The building block :meth:`chunk` and the capability-weighted shard
+        partitioner share: ``start`` must be a ``threadlen`` multiple (chunk
+        boundaries must coincide with per-thread partition boundaries) and
+        ``stop`` is clamped to the stream length.  ``start == stop`` yields
+        an *empty* chunk — the weighted partitioner uses these as
+        placeholders so shard position keeps matching device slot even when
+        a very slow device is allocated no work.
+        """
+        threadlen = check_positive_int(threadlen, "threadlen")
+        nnz = self.nnz
+        if not 0 <= start <= nnz:
+            raise ValueError(f"start must be in [0, {nnz}], got {start}")
+        if start % threadlen != 0 and start != nnz:
+            # start == nnz is always legal: it denotes an empty tail span
+            # (the stream length itself need not be threadlen-aligned).
+            raise ValueError(
+                f"start ({start}) must be a multiple of threadlen ({threadlen})"
+            )
+        stop = min(int(stop), nnz)
+        if stop < start:
+            raise ValueError(f"stop ({stop}) must be at least start ({start})")
+        source, origin = self._position()
+        lo, hi = origin + start, origin + stop
+        if hi == lo:
+            # An empty span owns no segments at all.
+            return FCOOChunk(
+                source=source,
+                source_start=lo,
+                start=start,
+                stop=stop,
+                segment_offset=0,
+                carries_in=False,
+                num_segments=0,
+            )
+        # The chunk's first non-zero belongs to this segment, whether it
+        # opens it (bf set) or continues it (carried in); the stream's own
+        # segments are numbered from its first non-zero's.
+        first = int(source.segment_ids[lo])
+        return FCOOChunk(
+            source=source,
+            source_start=lo,
+            start=start,
+            stop=stop,
+            segment_offset=first - int(source.segment_ids[origin]),
+            carries_in=bool(start > 0 and not source.bf[lo]),
+            num_segments=int(source.segment_ids[hi - 1]) - first + 1,
+        )
+
+    # ------------------------------------------------------------------ #
+    # Storage accounting
+    # ------------------------------------------------------------------ #
+    def storage_bytes(self, threadlen: Optional[int] = None) -> int:
+        """Bytes of per-non-zero storage, matching the Table II accounting.
+
+        See :meth:`FCOOTensor.estimate_storage_bytes`; the per-segment
+        output coordinates are *not* included, mirroring Table II which
+        charges only the tensor's own storage.
+        """
+        source, _ = self._position()
+        return FCOOTensor.estimate_storage_bytes(
+            self.nnz,
+            int(source.product_indices.shape[1]),
+            threadlen=threadlen,
+            index_dtype=source.index_dtype,
+            value_dtype=source.value_dtype,
+        )
+
+
 @dataclass(frozen=True)
-class FCOOChunk:
-    """One threadlen-aligned slice of an F-COO non-zero stream.
+class FCOOChunk(_NonZeroStream):
+    """One threadlen-aligned span of an F-COO non-zero stream.
 
     Produced by :meth:`FCOOTensor.chunk` for the out-of-core streamed
-    execution path: each chunk is itself a complete :class:`FCOOTensor`
-    (its bit-flag's first entry is forced on, opening a *local* segment)
-    plus the bookkeeping needed to merge per-chunk partial results back
-    into the global per-segment output.
+    execution path and by the shard partitioners; a chunk can be chunked
+    again (a streamed shard).  Its statistics are O(1) reads of the
+    encoding it lies in, and the cost model prices it from them and from
+    the encoding's index columns over the span; its own
+    :class:`FCOOTensor` is built only when :attr:`tensor` is read.
 
     Attributes
     ----------
-    tensor:
-        The chunk's own F-COO encoding.  Its ``segment_index_coords`` are
-        the *global* scatter coordinates of its local segments, so a chunk
-        can be executed by the unchanged one-shot kernels.
+    source / source_start:
+        The encoding the chunk's arrays lie in, and the position of the
+        chunk's first non-zero in it.
     start / stop:
-        Non-zero range ``[start, stop)`` of the chunk in the parent's
-        stream; ``start`` is always a multiple of the chunking
+        Non-zero range ``[start, stop)`` of the chunk in the stream it was
+        cut from; ``start`` is always a multiple of the chunking
         ``threadlen`` so per-thread partitions never straddle chunks.
     segment_offset:
-        Global segment id of the chunk's first local segment.  Local
-        segment ``j`` contributes to global segment ``segment_offset + j``.
+        Segment id, in the stream it was cut from, of the chunk's first
+        local segment.  Local segment ``j`` contributes to that stream's
+        segment ``segment_offset + j``.
     carries_in:
         ``True`` when the chunk's first non-zero continues a segment begun
-        in the previous chunk (the parent's ``bf[start]`` is unset — the
-        same condition the ``sf`` start-flag array records per thread
+        in the previous chunk (its ``bf`` entry is unset — the same
+        condition the ``sf`` start-flag array records per thread
         partition).  The carried segment's partial sums from both chunks
         must be merged, which the segment-offset mapping does implicitly.
+    num_segments:
+        Local segments (the carried-in segment counts as local segment 0).
     """
 
-    tensor: "FCOOTensor"
+    source: "FCOOTensor" = field(repr=False, compare=False)
+    source_start: int
     start: int
     stop: int
     segment_offset: int
     carries_in: bool
+    num_segments: int
 
     @property
     def nnz(self) -> int:
         """Non-zeros in this chunk."""
         return self.stop - self.start
 
-    @property
-    def num_segments(self) -> int:
-        """Local segments (the carried-in segment counts as local segment 0)."""
-        return self.tensor.num_segments
+    def _position(self) -> Tuple["FCOOTensor", int]:
+        return self.source, self.source_start
+
+    @cached_property
+    def tensor(self) -> "FCOOTensor":
+        """The chunk's own F-COO encoding, built on first read.
+
+        Its bit-flag's first entry is forced on, opening a *local* segment,
+        and its ``segment_index_coords`` are the source's scatter
+        coordinates of its local segments, so a chunk can be executed by
+        the unchanged one-shot kernels.
+        """
+        source, lo = self.source, self.source_start
+        hi = lo + self.nnz
+        bf = source.bf[lo:hi].copy()
+        if hi > lo:
+            bf[0] = True
+        first = int(source.segment_ids[lo]) if hi > lo else 0
+        return FCOOTensor(
+            roles=source.roles,
+            shape=source.shape,
+            product_indices=source.product_indices[lo:hi],
+            values=source.values[lo:hi],
+            bf=bf,
+            segment_ids=np.cumsum(bf, dtype=np.int64) - 1,
+            segment_index_coords=source.segment_index_coords[
+                first : first + self.num_segments
+            ],
+            index_dtype=source.index_dtype,
+            value_dtype=source.value_dtype,
+        )
 
 
 @dataclass(frozen=True)
-class FCOOTensor:
+class FCOOTensor(_NonZeroStream):
     """A sparse tensor encoded in F-COO for one operation / target mode.
 
     Instances are produced by :meth:`from_sparse` and are immutable; encoding
@@ -241,6 +403,9 @@ class FCOOTensor:
         """Number of reduction segments (non-empty fibers or slices)."""
         return int(self.segment_index_coords.shape[0])
 
+    def _position(self) -> Tuple["FCOOTensor", int]:
+        return self, 0
+
     def product_mode_indices(self, position: int) -> np.ndarray:
         """Index column for the ``position``-th product mode."""
         if not 0 <= position < len(self.roles.product_modes):
@@ -258,11 +423,6 @@ class FCOOTensor:
     # ------------------------------------------------------------------ #
     # Partitioning / start flags
     # ------------------------------------------------------------------ #
-    def num_partitions(self, threadlen: int) -> int:
-        """Number of per-thread partitions when each thread takes ``threadlen`` non-zeros."""
-        threadlen = check_positive_int(threadlen, "threadlen")
-        return int(-(-self.nnz // threadlen)) if self.nnz else 0
-
     def start_flags(self, threadlen: int) -> np.ndarray:
         """The ``sf`` (start-flag) array for a given ``threadlen``.
 
@@ -301,101 +461,6 @@ class FCOOTensor:
         return out
 
     # ------------------------------------------------------------------ #
-    # Out-of-core chunking
-    # ------------------------------------------------------------------ #
-    def chunk(self, chunk_nnz: int, *, threadlen: int = 1) -> list:
-        """Split the non-zero stream into :class:`FCOOChunk` slices.
-
-        Parameters
-        ----------
-        chunk_nnz:
-            Maximum non-zeros per chunk; must be a multiple of
-            ``threadlen`` so chunk boundaries coincide with per-thread
-            partition boundaries (a partition never straddles two device
-            buffers).
-        threadlen:
-            The per-thread work size the chunks will be executed with.
-
-        Returns
-        -------
-        list of FCOOChunk
-            Contiguous, non-overlapping chunks covering all non-zeros (an
-            empty list for an empty tensor).  A segment that straddles a
-            chunk boundary appears as the last local segment of one chunk
-            and the first (``carries_in``) local segment of the next; both
-            map to the same global segment id, so summing per-chunk
-            partial results per global segment reproduces the one-shot
-            reduction.
-        """
-        chunk_nnz = check_positive_int(chunk_nnz, "chunk_nnz")
-        threadlen = check_positive_int(threadlen, "threadlen")
-        if chunk_nnz % threadlen != 0:
-            raise ValueError(
-                f"chunk_nnz ({chunk_nnz}) must be a multiple of threadlen ({threadlen})"
-            )
-        chunks: list = []
-        if self.nnz == 0:
-            return chunks
-        for start in range(0, self.nnz, chunk_nnz):
-            stop = min(start + chunk_nnz, self.nnz)
-            chunks.append(self.chunk_span(start, stop, threadlen=threadlen))
-        return chunks
-
-    def chunk_span(self, start: int, stop: int, *, threadlen: int = 1) -> FCOOChunk:
-        """One :class:`FCOOChunk` covering the non-zero range ``[start, stop)``.
-
-        The building block :meth:`chunk` and the capability-weighted shard
-        partitioner share: ``start`` must be a ``threadlen`` multiple (chunk
-        boundaries must coincide with per-thread partition boundaries) and
-        ``stop`` is clamped to the stream length.  ``start == stop`` yields
-        an *empty* chunk — the weighted partitioner uses these as
-        placeholders so shard position keeps matching device slot even when
-        a very slow device is allocated no work.
-        """
-        threadlen = check_positive_int(threadlen, "threadlen")
-        if not 0 <= start <= self.nnz:
-            raise ValueError(f"start must be in [0, {self.nnz}], got {start}")
-        if start % threadlen != 0 and start != self.nnz:
-            # start == nnz is always legal: it denotes an empty tail span
-            # (the stream length itself need not be threadlen-aligned).
-            raise ValueError(
-                f"start ({start}) must be a multiple of threadlen ({threadlen})"
-            )
-        stop = min(int(stop), self.nnz)
-        if stop < start:
-            raise ValueError(f"stop ({stop}) must be at least start ({start})")
-        local_bf = self.bf[start:stop].copy()
-        carries_in = bool(start > 0 and stop > start and not local_bf[0])
-        if stop > start:
-            local_bf[0] = True
-        local_segment_ids = np.cumsum(local_bf, dtype=np.int64) - 1
-        # The chunk's first non-zero belongs to this global segment, whether
-        # it opens it (bf set) or continues it (carried in).  An empty span
-        # owns no segments at all.
-        segment_offset = int(self.segment_ids[start]) if stop > start else 0
-        num_local_segments = int(local_segment_ids[-1]) + 1 if stop > start else 0
-        chunk_tensor = FCOOTensor(
-            roles=self.roles,
-            shape=self.shape,
-            product_indices=self.product_indices[start:stop],
-            values=self.values[start:stop],
-            bf=local_bf,
-            segment_ids=local_segment_ids,
-            segment_index_coords=self.segment_index_coords[
-                segment_offset : segment_offset + num_local_segments
-            ],
-            index_dtype=self.index_dtype,
-            value_dtype=self.value_dtype,
-        )
-        return FCOOChunk(
-            tensor=chunk_tensor,
-            start=start,
-            stop=stop,
-            segment_offset=segment_offset,
-            carries_in=carries_in,
-        )
-
-    # ------------------------------------------------------------------ #
     # Storage accounting
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -425,21 +490,6 @@ class FCOOTensor:
             n_parts = -(-nnz // check_positive_int(threadlen, "threadlen"))
             bytes_total += -(-n_parts // 8)
         return int(bytes_total)
-
-    def storage_bytes(self, threadlen: Optional[int] = None) -> int:
-        """Bytes of per-non-zero storage, matching the Table II accounting.
-
-        See :meth:`estimate_storage_bytes`; the per-segment output
-        coordinates are *not* included, mirroring Table II which charges
-        only the tensor's own storage.
-        """
-        return FCOOTensor.estimate_storage_bytes(
-            self.nnz,
-            int(self.product_indices.shape[1]),
-            threadlen=threadlen,
-            index_dtype=self.index_dtype,
-            value_dtype=self.value_dtype,
-        )
 
     def packed_bit_flags(self) -> np.ndarray:
         """The bit-flag array packed 8 flags per byte (as stored on the GPU)."""

@@ -31,12 +31,14 @@ from repro.gpusim.device import DeviceSpec
 __all__ = [
     "AccessPattern",
     "coalesced_traffic_bytes",
+    "count_distinct_rows",
     "readonly_cache_traffic",
+    "readonly_cache_traffic_from_counts",
     "CacheTraffic",
 ]
 
 
-#: Row range per access up to which :func:`readonly_cache_traffic` counts
+#: Row range per access up to which :func:`count_distinct_rows` counts
 #: distinct rows with a mark per row instead of a sort.  On modes of 10^5 to
 #: 10^6 rows the two cost the same between 512 and 1,024 rows per access
 #: (NumPy 2.4, one Xeon core).
@@ -148,6 +150,27 @@ class CacheTraffic:
         return self.hits / self.accesses if self.accesses else 0.0
 
 
+def count_distinct_rows(row_indices: np.ndarray) -> int:
+    """Distinct entries of a non-empty stream of non-negative row numbers.
+
+    Counted exactly, on one native-integer copy of the stream.  Over at
+    most half as many rows as accesses, one ``bincount`` pass is cheapest;
+    up to :data:`_MARKED_ROWS_PER_ACCESS` rows per access, a one-byte mark
+    per row (no larger than the factor matrix the kernel gathers from)
+    costs O(accesses + rows); a sort is cheaper only on a short stream over
+    a wide mode, such as a small streamed chunk of a hyper-sparse tensor.
+    """
+    row_indices = np.asarray(row_indices).astype(np.intp, copy=False)
+    rows = int(row_indices.max()) + 1
+    if 2 * rows <= row_indices.size:
+        return int(np.count_nonzero(np.bincount(row_indices)))
+    if rows <= _MARKED_ROWS_PER_ACCESS * row_indices.size:
+        touched = np.zeros(rows, dtype=bool)
+        touched[row_indices] = True
+        return int(np.count_nonzero(touched))
+    return int(np.unique(row_indices).size)
+
+
 def readonly_cache_traffic(
     row_indices: np.ndarray,
     row_bytes: float,
@@ -158,7 +181,28 @@ def readonly_cache_traffic(
     """Model factor-matrix reads through the read-only data cache.
 
     The kernel issues one row read per entry of ``row_indices`` (the
-    product-mode index stream).  The model charges:
+    product-mode index stream, non-negative row numbers): count its
+    distinct rows, then price with :func:`readonly_cache_traffic_from_counts`.
+    """
+    row_indices = np.asarray(row_indices)
+    distinct = count_distinct_rows(row_indices) if row_indices.size else 0
+    return readonly_cache_traffic_from_counts(
+        row_indices.size, distinct, row_bytes, device, cache_bytes=cache_bytes
+    )
+
+
+def readonly_cache_traffic_from_counts(
+    accesses: int,
+    distinct_rows: int,
+    row_bytes: float,
+    device: DeviceSpec,
+    *,
+    cache_bytes: Optional[float] = None,
+) -> CacheTraffic:
+    """Price ``accesses`` row reads of ``distinct_rows`` rows through the
+    read-only data cache.
+
+    The model charges:
 
     * one compulsory miss per *distinct* row (its first touch), and
     * capacity misses for the remaining accesses with probability
@@ -170,25 +214,13 @@ def readonly_cache_traffic(
       to DRAM).
 
     Misses transfer whole rows, rounded up to the transaction size.
-    ``row_indices`` are non-negative row numbers.
     """
     if row_bytes <= 0:
         raise ValueError(f"row_bytes must be positive, got {row_bytes}")
-    row_indices = np.asarray(row_indices)
-    accesses = float(row_indices.size)
+    accesses = float(accesses)
     if accesses == 0:
         return CacheTraffic(accesses=0.0, hits=0.0, misses=0.0, dram_bytes=0.0)
-    # Distinct rows, counted exactly.  A one-byte mark per row (no larger
-    # than the factor matrix the kernel gathers from) costs O(accesses +
-    # rows); a sort is cheaper only on a short stream over a wide mode, such
-    # as a small streamed chunk of a hyper-sparse tensor.
-    rows = int(row_indices.max()) + 1
-    if rows <= _MARKED_ROWS_PER_ACCESS * row_indices.size:
-        touched = np.zeros(rows, dtype=bool)
-        touched[row_indices] = True
-        distinct = float(np.count_nonzero(touched))
-    else:
-        distinct = float(np.unique(row_indices).size)
+    distinct = float(distinct_rows)
     capacity = float(cache_bytes) if cache_bytes is not None else float(
         device.readonly_cache_bytes_total
     )

@@ -34,7 +34,10 @@ With ``ctx=ExecContext(cluster=...)`` (or ``devices=N``) the same stream
 shards across a simulated multi-GPU node
 (:mod:`repro.kernels.unified.sharded`): each shard is priced on its own
 device — streaming per-device when it still does not fit — and the partial
-outputs merge through a modeled collective.
+outputs merge through a modeled collective.  Chunks and shards are spans of
+the encoding (:class:`~repro.formats.fcoo.FCOOChunk`), priced from O(1)
+statistics and the encoding's own index columns, with no tensor of their
+own.
 """
 
 from repro.formats.fcoo import FCOOTensor

@@ -5,23 +5,34 @@ The unified kernels differ only in the width of their per-non-zero product
 and in how many product-mode index streams they read; everything else —
 tensor streaming, factor access through the read-only cache, segmented scan,
 output scatter — is common and modelled here.
+
+A priced span's terms split in two.  :func:`span_terms` derives the ones
+that do not depend on the launch (index/value stream bytes, factor-row
+gathers, output scatter) once per span and device;
+:func:`unified_kernel_counters` adds the launch-dependent ones (start flags,
+segmented scan, active threads) for one launch.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Sequence, Tuple, Union
 
-import numpy as np
-
-from repro.formats.fcoo import FCOOTensor
+from repro.formats.fcoo import FCOOChunk, FCOOTensor
 from repro.gpusim.counters import KernelCounters
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.launch import LaunchConfig
-from repro.gpusim.memory import AccessPattern, coalesced_traffic_bytes, readonly_cache_traffic
+from repro.gpusim.memory import (
+    AccessPattern,
+    coalesced_traffic_bytes,
+    readonly_cache_traffic_from_counts,
+)
 from repro.gpusim.scan import segmented_scan_counters
 
 __all__ = [
-    "tensor_stream_bytes",
+    "SpanTerms",
+    "span_terms",
+    "index_value_stream_bytes",
     "factor_access_bytes",
     "output_scatter_bytes",
     "unified_kernel_counters",
@@ -32,41 +43,61 @@ __all__ = [
 _VALUE_BYTES = 4
 
 
-def tensor_stream_bytes(
-    fcoo: FCOOTensor,
-    launch: LaunchConfig,
-    device: DeviceSpec,
-) -> float:
-    """Global reads for streaming the F-COO arrays (indices, values, flags).
+@dataclass(frozen=True)
+class SpanTerms:
+    """The launch-invariant terms of one priced span on one device.
+
+    Attributes
+    ----------
+    nnz / num_segments:
+        The span's non-zeros and local reduction segments.
+    stream_bytes:
+        Coalesced reads of the span's index and value arrays.
+    factor_bytes:
+        DRAM bytes of each product mode's factor-row gathers.
+    scatter_bytes:
+        Global writes of the reduced per-segment results.
+    """
+
+    nnz: int
+    num_segments: int
+    stream_bytes: float
+    factor_bytes: Tuple[float, ...]
+    scatter_bytes: float
+
+
+def index_value_stream_bytes(span: FCOOChunk, device: DeviceSpec) -> float:
+    """Global reads for streaming the span's index and value arrays.
 
     Consecutive threads read consecutive array elements, so every stream is
     perfectly coalesced; the whole tensor is read exactly once per kernel
     thanks to kernel fusion (the product, scan and accumulate stages share
-    the data in registers / shared memory).
+    the data in registers / shared memory).  The flag arrays, whose ``sf``
+    part depends on ``threadlen``, are added per launch.
     """
-    nnz = fcoo.nnz
-    index_bytes = fcoo.index_dtype.itemsize * fcoo.product_indices.shape[1]
-    value_bytes = fcoo.value_dtype.itemsize
-    bf_bytes = nnz / 8.0
-    sf_bytes = fcoo.num_partitions(launch.threadlen) / 8.0
-    read = coalesced_traffic_bytes(
-        nnz, index_bytes + value_bytes, AccessPattern.COALESCED, device
+    source = span.source
+    index_bytes = source.index_dtype.itemsize * source.product_indices.shape[1]
+    value_bytes = source.value_dtype.itemsize
+    return coalesced_traffic_bytes(
+        span.nnz, index_bytes + value_bytes, AccessPattern.COALESCED, device
     )
-    read += bf_bytes + sf_bytes
-    return read
 
 
-def factor_access_bytes(row_indices: np.ndarray, rank: int, device: DeviceSpec) -> float:
+def factor_access_bytes(
+    accesses: int, distinct_rows: int, rank: int, device: DeviceSpec
+) -> float:
     """Global reads for gathering factor-matrix rows selected by a product mode.
 
-    Each non-zero reads one row (``rank`` float32 values) of the factor
-    matrix whose row index comes from the product-mode index stream.  The
-    unified kernels route these reads through the read-only data cache,
-    backed by the L2.
+    Each of ``accesses`` non-zeros reads one row (``rank`` float32 values)
+    of the factor matrix, ``distinct_rows`` rows in all.  The unified
+    kernels route these reads through the read-only data cache, backed by
+    the L2.
     """
     row_bytes = float(rank * _VALUE_BYTES)
     cache_bytes = float(device.readonly_cache_bytes_total + device.l2_bytes)
-    traffic = readonly_cache_traffic(row_indices, row_bytes, device, cache_bytes=cache_bytes)
+    traffic = readonly_cache_traffic_from_counts(
+        accesses, distinct_rows, row_bytes, device, cache_bytes=cache_bytes
+    )
     return traffic.dram_bytes
 
 
@@ -81,15 +112,39 @@ def output_scatter_bytes(num_rows: int, row_width: int, device: DeviceSpec) -> f
     )
 
 
-def unified_kernel_counters(
-    fcoo: FCOOTensor,
-    factor_row_streams: Sequence[np.ndarray],
+def span_terms(
+    span: FCOOChunk,
+    distinct_rows: Sequence[int],
+    *,
     rank: int,
-    output_rows: int,
     output_width: int,
+    device: DeviceSpec,
+) -> SpanTerms:
+    """The launch-invariant terms of ``span`` on ``device``.
+
+    ``distinct_rows`` holds each product mode's distinct factor rows over
+    the span (one entry per dense factor matrix that is gathered);
+    ``rank`` is the columns of each gathered row and ``output_width`` the
+    columns of each reduced segment.
+    """
+    return SpanTerms(
+        nnz=span.nnz,
+        num_segments=span.num_segments,
+        stream_bytes=index_value_stream_bytes(span, device),
+        factor_bytes=tuple(
+            factor_access_bytes(span.nnz, distinct, rank, device)
+            for distinct in distinct_rows
+        ),
+        scatter_bytes=output_scatter_bytes(span.num_segments, output_width, device),
+    )
+
+
+def unified_kernel_counters(
+    terms: SpanTerms,
     launch: LaunchConfig,
     device: DeviceSpec,
     *,
+    output_width: int,
     flops_per_nnz_per_column: float = 2.0,
     fused: bool = True,
 ) -> KernelCounters:
@@ -97,19 +152,14 @@ def unified_kernel_counters(
 
     Parameters
     ----------
-    fcoo:
-        The encoded tensor.
-    factor_row_streams:
-        One row-index stream per dense factor matrix that is gathered (for
-        SpTTM a single stream, for SpMTTKRP/SpTTMc one per product mode).
-    rank:
-        Number of columns of each gathered factor matrix.
-    output_rows / output_width:
-        Shape of the reduced result written to global memory.
+    terms:
+        The priced span's launch-invariant terms (:func:`span_terms`).
     launch:
         Launch configuration (block size, threadlen, grid).
     device:
         Target device.
+    output_width:
+        Columns of each reduced segment.
     flops_per_nnz_per_column:
         Arithmetic per non-zero per output column (2 for a multiply-add,
         higher when several factor rows are combined).
@@ -117,17 +167,19 @@ def unified_kernel_counters(
         Whether the product/scan/accumulate stages run as one kernel
         (the unified default).  ``False`` is used by the fusion ablation.
     """
-    nnz = fcoo.nnz
-    read = tensor_stream_bytes(fcoo, launch, device)
-    for stream in factor_row_streams:
-        read += factor_access_bytes(stream, rank, device)
-    written = output_scatter_bytes(output_rows, output_width, device)
+    nnz = terms.nnz
+    # The flag arrays: one bf bit per non-zero, one sf bit per partition.
+    read = terms.stream_bytes
+    read += nnz / 8.0 + -(-nnz // launch.threadlen) / 8.0
+    for factor_bytes in terms.factor_bytes:
+        read += factor_bytes
+    written = terms.scatter_bytes
     # The scan stage's ledger becomes the kernel's: the other stages'
     # traffic is added to it in stage order, so a priced kernel builds one
     # ledger.
     counters = segmented_scan_counters(
         num_elements=nnz,
-        num_segments=fcoo.num_segments,
+        num_segments=terms.num_segments,
         rank=output_width,
         launch=launch,
         device=device,
@@ -145,7 +197,7 @@ def unified_kernel_counters(
 
 
 def unified_device_footprint(
-    fcoo: FCOOTensor,
+    span: Union[FCOOTensor, FCOOChunk],
     launch: LaunchConfig,
     factor_bytes: float,
     output_bytes: float,
@@ -155,4 +207,4 @@ def unified_device_footprint(
     The one-shot strategy keeps no intermediate tensors; only the F-COO
     arrays, the dense factor matrices and the output are resident.
     """
-    return float(fcoo.storage_bytes(launch.threadlen) + factor_bytes + output_bytes)
+    return float(span.storage_bytes(launch.threadlen) + factor_bytes + output_bytes)

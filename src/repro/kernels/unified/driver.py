@@ -11,6 +11,9 @@ executes any spec in two independent halves:
   device-fit checks) from the encoding's index streams alone.  It runs
   first, so a configuration that raises
   :class:`~repro.gpusim.timing.OutOfDeviceMemory` does no numeric work.
+  It is one :class:`Pricing` (the terms that do not depend on the launch,
+  derived once) and one :meth:`Pricing.launch`; the launch tuner prices a
+  whole sweep from one :class:`Pricing`.
 * :func:`compute` runs the backend's product stage once over the whole
   encoding, in the canonical in-order reduction, and assembles the output.
   The numbers therefore do not depend on the execution path: streamed,
@@ -23,20 +26,26 @@ and numeric passes, serving) call the two halves themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.backends import Backend, get_backend
 from repro.context import DEFAULT_CONTEXT, ExecContext
-from repro.formats.fcoo import FCOOTensor
+from repro.formats.fcoo import FCOOChunk, FCOOTensor
 from repro.formats.mode_encoding import OperationKind
 from repro.gpusim.cluster import resolve_cluster
 from repro.gpusim.counters import KernelCounters, KernelProfile
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.launch import LaunchConfig
+from repro.gpusim.memory import count_distinct_rows
 from repro.gpusim.timing import profile_from_counters
-from repro.kernels.unified._model import unified_device_footprint, unified_kernel_counters
+from repro.kernels.unified._model import (
+    SpanTerms,
+    span_terms,
+    unified_device_footprint,
+    unified_kernel_counters,
+)
 from repro.kernels.unified.sharded import execute_sharded
 from repro.kernels.unified.streaming import execute_streamed, should_stream
 from repro.obs.metrics import observe_kernel_profile
@@ -45,6 +54,7 @@ from repro.util.validation import check_mode
 
 __all__ = [
     "OperationSpec",
+    "Pricing",
     "compute",
     "model",
     "resolve_encoding",
@@ -105,8 +115,11 @@ class OperationSpec:
             max(nnz, 1), self.rank, block_size=block_size, threadlen=threadlen
         )
 
-    def footprint(self, encoding: FCOOTensor, launch: LaunchConfig) -> float:
-        """One-shot device footprint of ``encoding`` plus the dense operands."""
+    def footprint(
+        self, encoding: Union[FCOOTensor, FCOOChunk], launch: LaunchConfig
+    ) -> float:
+        """One-shot device footprint of ``encoding`` (or a span of one) plus
+        the dense operands."""
         return unified_device_footprint(
             encoding, launch, self.factor_bytes, self.output_bytes
         )
@@ -151,6 +164,126 @@ def scatter_rows(fcoo: FCOOTensor, sums: np.ndarray) -> np.ndarray:
     return output
 
 
+class Pricing:
+    """The launch-invariant pricing of one kernel call, derived once.
+
+    For one ``(encoding, op, device, ctx)`` it resolves the cluster and the
+    profile name, and on first use prices each span it runs (the whole
+    encoding, a shard or a streamed chunk) on its device: the coalesced
+    index/value stream bytes, the output-scatter bytes and the factor-row
+    gathers, which follow from each product mode's distinct rows over the
+    span.  :meth:`launch` adds the launch-dependent terms (flags, scan,
+    footprint, time) for one ``(BLOCK_SIZE, threadlen)``, in the order a
+    fresh :func:`model` call adds them, so every modeled second is the
+    same.  The memoised terms live as long as the pricing: one
+    :func:`model` call, or one tuner sweep.
+    """
+
+    def __init__(
+        self,
+        fcoo: FCOOTensor,
+        op: OperationSpec,
+        *,
+        device: DeviceSpec,
+        ctx: ExecContext = DEFAULT_CONTEXT,
+    ) -> None:
+        self.fcoo = fcoo
+        self.op = op
+        self.ctx = ctx
+        self.name = f"unified-{op.kernel}-mode{fcoo.mode}"
+        self.device, self.cluster = resolve_cluster(device, ctx.cluster, ctx.devices)
+        self._whole = fcoo.chunk_span(0, fcoo.nnz)
+        self._terms: Dict[Tuple[int, int], Tuple[DeviceSpec, SpanTerms]] = {}
+
+    def distinct_rows(self, span: FCOOChunk) -> Tuple[int, ...]:
+        """Each product mode's distinct factor rows over ``span``, a span of
+        the priced encoding, counted from the encoding's own index columns."""
+        columns = self.fcoo.product_indices[span.source_start : span.source_start + span.nnz]
+        if not span.nnz:
+            return (0,) * columns.shape[1]
+        return tuple(count_distinct_rows(columns[:, pos]) for pos in range(columns.shape[1]))
+
+    def _span_terms(self, span: FCOOChunk, device: DeviceSpec) -> SpanTerms:
+        """``span``'s terms on ``device``, derived once per span.  A span
+        runs on one device per pricing (its shard's), so the device is
+        matched by identity and never hashed."""
+        key = (span.source_start, span.nnz)
+        priced = self._terms.get(key)
+        if priced is not None and priced[0] is device:
+            return priced[1]
+        terms = span_terms(
+            span,
+            self.distinct_rows(span),
+            rank=self.op.rank,
+            output_width=self.op.output_width,
+            device=device,
+        )
+        self._terms[key] = (device, terms)
+        return terms
+
+    def launch(
+        self, *, block_size: int = 128, threadlen: int = 8, fused: bool = True
+    ) -> KernelProfile:
+        """Counters and modeled seconds of the call at one launch.
+
+        A non-empty encoding shards across the context's cluster when there
+        is one.  The whole encoding, or each shard on its own device, runs
+        one-shot, or streamed when ``ctx.streamed`` forces it or the
+        one-shot footprint does not fit the device.
+        """
+        op, ctx = self.op, self.ctx
+
+        def counters(span: FCOOChunk, config: LaunchConfig, dev: DeviceSpec) -> KernelCounters:
+            return unified_kernel_counters(
+                self._span_terms(span, dev),
+                config,
+                dev,
+                output_width=op.output_width,
+                flops_per_nnz_per_column=op.flops_per_nnz_per_column,
+                fused=fused,
+            )
+
+        def on_device(span: FCOOChunk, dev: DeviceSpec) -> KernelProfile:
+            config = op.launch(span.nnz, block_size=block_size, threadlen=threadlen)
+            footprint = op.footprint(span, config)
+            if not should_stream(span, footprint, dev, ctx.streamed):
+                return profile_from_counters(
+                    self.name,
+                    counters(span, config, dev),
+                    config,
+                    dev,
+                    device_memory_bytes=footprint,
+                )
+
+            def chunk_model(chunk: FCOOChunk) -> Tuple[KernelCounters, LaunchConfig]:
+                chunk_config = op.launch(chunk.nnz, block_size=block_size, threadlen=threadlen)
+                return counters(chunk, chunk_config, dev), chunk_config
+
+            return execute_streamed(
+                span,
+                chunk_model,
+                device=dev,
+                threadlen=threadlen,
+                num_streams=ctx.num_streams,
+                chunk_nnz=ctx.chunk_nnz,
+                resident_bytes=op.resident_bytes,
+                name=self.name,
+            )
+
+        if self.cluster is not None and self.fcoo.nnz:
+            return execute_sharded(
+                self.fcoo,
+                on_device,
+                cluster=self.cluster,
+                threadlen=threadlen,
+                output_bytes=op.output_bytes,
+                output_width=op.output_width,
+                reduction=op.reduction,
+                name=self.name,
+            )
+        return on_device(self._whole, self.device)
+
+
 def model(
     fcoo: FCOOTensor,
     op: OperationSpec,
@@ -163,66 +296,14 @@ def model(
 ) -> KernelProfile:
     """Counters and modeled seconds of one kernel call; no numeric work.
 
-    A non-empty encoding shards across the context's cluster when there is
-    one.  The whole encoding, or each shard on its own device, runs one-shot,
-    or streamed when ``ctx.streamed`` forces it or the one-shot footprint
-    does not fit the device.
+    One :class:`Pricing` and one :meth:`Pricing.launch`: a non-empty
+    encoding shards across the context's cluster when there is one, and
+    the whole encoding, or each shard on its own device, runs one-shot or
+    streamed.
     """
-    name = f"unified-{op.kernel}-mode{fcoo.mode}"
-    device, cluster = resolve_cluster(device, ctx.cluster, ctx.devices)
-
-    def counters(encoding: FCOOTensor, launch: LaunchConfig, dev: DeviceSpec) -> KernelCounters:
-        return unified_kernel_counters(
-            encoding,
-            _row_streams(encoding),
-            op.rank,
-            output_rows=encoding.num_segments,
-            output_width=op.output_width,
-            launch=launch,
-            device=dev,
-            flops_per_nnz_per_column=op.flops_per_nnz_per_column,
-            fused=fused,
-        )
-
-    def on_device(encoding: FCOOTensor, dev: DeviceSpec) -> KernelProfile:
-        launch = op.launch(encoding.nnz, block_size=block_size, threadlen=threadlen)
-        footprint = op.footprint(encoding, launch)
-        if not should_stream(encoding, footprint, dev, ctx.streamed):
-            return profile_from_counters(
-                name,
-                counters(encoding, launch, dev),
-                launch,
-                dev,
-                device_memory_bytes=footprint,
-            )
-
-        def chunk_model(chunk: FCOOTensor) -> Tuple[KernelCounters, LaunchConfig]:
-            chunk_launch = op.launch(chunk.nnz, block_size=block_size, threadlen=threadlen)
-            return counters(chunk, chunk_launch, dev), chunk_launch
-
-        return execute_streamed(
-            encoding,
-            chunk_model,
-            device=dev,
-            threadlen=threadlen,
-            num_streams=ctx.num_streams,
-            chunk_nnz=ctx.chunk_nnz,
-            resident_bytes=op.resident_bytes,
-            name=name,
-        )
-
-    if cluster is not None and fcoo.nnz:
-        return execute_sharded(
-            fcoo,
-            on_device,
-            cluster=cluster,
-            threadlen=threadlen,
-            output_bytes=op.output_bytes,
-            output_width=op.output_width,
-            reduction=op.reduction,
-            name=name,
-        )
-    return on_device(fcoo, device)
+    return Pricing(fcoo, op, device=device, ctx=ctx).launch(
+        block_size=block_size, threadlen=threadlen, fused=fused
+    )
 
 
 def compute(

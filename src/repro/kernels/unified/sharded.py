@@ -6,9 +6,10 @@ stream is partitioned across the devices of a
 :class:`~repro.gpusim.cluster.ClusterSpec` (one node, or several nodes
 over a NIC) on the same segment-safe, ``threadlen``-aligned boundaries the
 out-of-core path uses (:meth:`~repro.formats.fcoo.FCOOTensor.chunk`), each
-shard is priced as the unchanged one-shot kernel on its own device —
+shard — a span of the encoding, priced from O(1) statistics and its index
+columns — is priced as the unchanged one-shot kernel on its own device,
 falling back to the per-device streamed model when the shard still exceeds
-that device's memory — and the per-device partial outputs merge through a
+that device's memory, and the per-device partial outputs merge through a
 modeled collective:
 
 * an **all-reduce** of the dense output for SpMTTKRP / SpTTMc (every
@@ -64,9 +65,9 @@ __all__ = [
     "execute_sharded",
 ]
 
-#: Prices one shard: maps the shard's F-COO encoding and its device to the
-#: profile of executing it on that device (one-shot or streamed).
-ShardModel = Callable[[FCOOTensor, DeviceSpec], KernelProfile]
+#: Prices one shard: maps the shard (a span of the encoding) and its device
+#: to the profile of executing it on that device (one-shot or streamed).
+ShardModel = Callable[[FCOOChunk, DeviceSpec], KernelProfile]
 
 
 def partition_shards(
@@ -542,11 +543,11 @@ def execute_sharded(
             # (or a stream shorter than the device count): the slot idles.
             continue
         device = cluster.devices[i]
-        profile = shard_model(shard.tensor, device)
+        profile = shard_model(shard, device)
         staged = (
             0.0
             if profile.streaming is not None  # streamed shards re-ship chunks
-            else float(shard.tensor.storage_bytes(threadlen))
+            else float(shard.storage_bytes(threadlen))
         )
         ledgers.append(
             ShardLedger(

@@ -11,7 +11,8 @@ overlaps each partition's copy with the previous partition's kernel
   the output) fit in device memory;
 * :func:`execute_streamed` models a kernel over the
   :meth:`~repro.formats.fcoo.FCOOTensor.chunk` partitioning: it prices each
-  chunk with a kernel-specific callable, resolves the transfer/compute
+  chunk (a span of the encoding, with no tensor of its own) with a
+  kernel-specific callable, resolves the transfer/compute
   pipeline by booking the chunks onto the device's copy/compute resources
   with :func:`repro.gpusim.timeline.schedule_chunks`, and assembles a
   :class:`~repro.gpusim.counters.KernelProfile` whose estimated time charges
@@ -27,9 +28,9 @@ property harness proving it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
-from repro.formats.fcoo import FCOOTensor
+from repro.formats.fcoo import FCOOChunk, FCOOTensor
 from repro.gpusim.counters import KernelCounters, KernelProfile
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.launch import LaunchConfig
@@ -46,13 +47,17 @@ __all__ = [
 ]
 
 
-#: Prices one chunk: maps the chunk's own F-COO encoding to the work ledger
-#: of executing it and the launch it would be issued with.
-ChunkModel = Callable[[FCOOTensor], Tuple[KernelCounters, LaunchConfig]]
+#: Prices one chunk: maps the chunk (a span of the streamed encoding) to the
+#: work ledger of executing it and the launch it would be issued with.
+ChunkModel = Callable[[FCOOChunk], Tuple[KernelCounters, LaunchConfig]]
+
+#: What the streamed path runs over: a whole encoding, or a span of one (a
+#: shard that does not fit its device).
+Stream = Union[FCOOTensor, FCOOChunk]
 
 
 def should_stream(
-    fcoo: FCOOTensor,
+    fcoo: Stream,
     footprint: float,
     device: DeviceSpec,
     streamed: Optional[bool],
@@ -162,7 +167,7 @@ class StreamedExecution:
 
 
 def choose_chunk_nnz(
-    fcoo: FCOOTensor,
+    fcoo: Stream,
     *,
     device: DeviceSpec,
     threadlen: int,
@@ -200,7 +205,7 @@ def choose_chunk_nnz(
 
 
 def execute_streamed(
-    fcoo: FCOOTensor,
+    fcoo: Stream,
     chunk_model: ChunkModel,
     *,
     device: DeviceSpec,
@@ -215,7 +220,7 @@ def execute_streamed(
     Parameters
     ----------
     fcoo:
-        The full (host-resident) F-COO encoding.
+        The full (host-resident) F-COO encoding, or a span of one.
     chunk_model:
         Kernel-specific callable; see :data:`ChunkModel`.
     device / threadlen / num_streams / chunk_nnz:
@@ -257,7 +262,7 @@ def execute_streamed(
     # Validate the device budget up front (the chunk byte sizes are pure
     # arithmetic) so an explicit over-sized chunk_nnz fails before any chunk
     # is priced.
-    chunk_bytes = [float(c.tensor.storage_bytes(threadlen)) for c in chunks]
+    chunk_bytes = [float(c.storage_bytes(threadlen)) for c in chunks]
     peak_chunk_bytes = max(chunk_bytes, default=0.0)
     footprint = resident_bytes + num_streams * peak_chunk_bytes
     if footprint > device.global_mem_bytes:
@@ -267,7 +272,7 @@ def execute_streamed(
     timings: List[ChunkTiming] = []
 
     for i, chunk in enumerate(chunks):
-        counters, launch = chunk_model(chunk.tensor)
+        counters, launch = chunk_model(chunk)
         transfer_bytes = chunk_bytes[i]
         counters.host_to_device_bytes += transfer_bytes
         compute_s, _ = estimate_kernel_time(

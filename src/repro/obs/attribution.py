@@ -23,7 +23,7 @@ seconds on a resource reproduces that resource's ``busy_s``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.gpusim.timeline import Timeline

@@ -63,13 +63,16 @@ class JobKind(enum.Enum):
     def operation(self) -> OperationKind:
         """The F-COO encoding this kind preprocesses (decompositions use
         the encoding of their bottleneck kernel)."""
-        return {
-            JobKind.SPTTM: OperationKind.SPTTM,
-            JobKind.SPMTTKRP: OperationKind.SPMTTKRP,
-            JobKind.SPTTMC: OperationKind.SPTTMC,
-            JobKind.CP_ALS: OperationKind.SPMTTKRP,
-            JobKind.TUCKER: OperationKind.SPTTMC,
-        }[self]
+        return _ENCODED_OPERATION[self]
+
+
+_ENCODED_OPERATION = {
+    JobKind.SPTTM: OperationKind.SPTTM,
+    JobKind.SPMTTKRP: OperationKind.SPMTTKRP,
+    JobKind.SPTTMC: OperationKind.SPTTMC,
+    JobKind.CP_ALS: OperationKind.SPMTTKRP,
+    JobKind.TUCKER: OperationKind.SPTTMC,
+}
 
 
 @dataclass(frozen=True)

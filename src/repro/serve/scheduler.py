@@ -519,6 +519,7 @@ class Scheduler:
         ``leader``."""
         if self.max_batch <= 1 or not leader.kind.is_kernel:
             return []
+        leader_key = leader.batch_key
         matching = sorted(
             (
                 entry
@@ -528,7 +529,7 @@ class Scheduler:
                 # preprocesses the SpMTTKRP encoding) but is not one kernel
                 # invocation and must keep its own placement.
                 if entry[1].job.kind.is_kernel
-                and entry[1].job.batch_key == leader.batch_key
+                and entry[1].job.batch_key == leader_key
                 and entry[1].ready_s <= t
             ),
             key=lambda entry: entry[0],

@@ -27,9 +27,10 @@ def check_positive_int(value: int, name: str) -> int:
 
     Accepts NumPy integer scalars as well as Python ints; rejects bools.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-    value = int(value)
+    if type(value) is not int:  # a plain int, the hot case, needs no conversion
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+        value = int(value)
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
     return value

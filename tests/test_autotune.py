@@ -14,7 +14,13 @@ from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
 from repro.gpusim.device import TITAN_X, scaled_device
 from repro.gpusim.timing import OutOfDeviceMemory
-from repro.kernels.unified import unified_spmttkrp, unified_spttm, unified_spttmc
+from repro.kernels.unified import (
+    operation_spec,
+    unified_spmttkrp,
+    unified_spttm,
+    unified_spttmc,
+)
+from repro.serve.cache import SERVING_BLOCK_SIZES, SERVING_THREADLENS
 from repro.tensor.random import random_factors, random_sparse_tensor
 
 
@@ -274,3 +280,155 @@ class TestEncodingInput:
             tune_unified(spttm, "spmttkrp", 2, rank=4)
         with pytest.raises(ValueError, match="encoded for"):
             tune_unified(spttm, "spttm", 1, rank=4)
+
+
+def fresh_model_times(fcoo, rank, device, block_sizes, threadlens):
+    """Each cell priced by its own :func:`driver.model` call, under the
+    kernel's default context: ``inf`` when it does not fit the device."""
+    op = operation_spec(fcoo, fcoo.operation, rank)
+    times = np.empty((len(block_sizes), len(threadlens)), dtype=np.float64)
+    for i, block_size in enumerate(block_sizes):
+        for j, threadlen in enumerate(threadlens):
+            try:
+                profile = driver.model(
+                    fcoo, op, device=device, block_size=block_size, threadlen=threadlen
+                )
+            except OutOfDeviceMemory:
+                times[i, j] = np.inf
+            else:
+                times[i, j] = profile.estimated_time_s
+    return times
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+KERNEL_MODES = [
+    (OperationKind.SPTTM, 2),
+    (OperationKind.SPMTTKRP, 0),
+    (OperationKind.SPTTMC, 0),
+]
+
+
+class TestOnePricingPerSweep:
+    """A sweep is one :class:`driver.Pricing` and one launch per cell: every
+    cell equals a fresh :func:`driver.model` call bit for bit, and the
+    launch-invariant terms are derived once per sweep."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return random_sparse_tensor((20, 20, 20), 300, seed=5)
+
+    @staticmethod
+    def device_for(fcoo, path):
+        """TITAN_X, or a device that holds the dense operands plus room for
+        every sweep cell's chunk buffers (``streamed``) or only the smaller
+        threadlens' (``inf``)."""
+        if path == "one-shot":
+            return TITAN_X
+        op = operation_spec(fcoo, fcoo.operation, 8)
+        stream_bytes = fcoo.storage_bytes(max(DEFAULT_THREADLENS))
+        spare = 0.6 * stream_bytes if path == "streamed" else 40 * stream_bytes / fcoo.nnz
+        fraction = (op.resident_bytes + spare) / TITAN_X.global_mem_bytes
+        return scaled_device(TITAN_X, fraction, name_suffix=path)
+
+    @pytest.mark.parametrize("operation, mode", KERNEL_MODES)
+    @pytest.mark.parametrize("path", ["one-shot", "streamed", "inf"])
+    def test_cells_equal_fresh_model_calls(self, small, operation, mode, path):
+        fcoo = FCOOTensor.from_sparse(small, operation, mode)
+        device = self.device_for(fcoo, path)
+        result = tune_unified(fcoo, operation, mode, rank=8, device=device)
+        expected = fresh_model_times(
+            fcoo, 8, device, DEFAULT_BLOCK_SIZES, DEFAULT_THREADLENS
+        )
+        assert same_bits(result.times, expected)
+        streamed = driver.model(
+            fcoo, operation_spec(fcoo, operation, 8), device=device, threadlen=8
+        ).streaming
+        assert (streamed is None) == (path == "one-shot")
+        assert np.isinf(result.times).any() == (path == "inf")
+        assert np.isfinite(result.times).any()
+
+    @given(
+        dims=st.lists(st.integers(min_value=2, max_value=12), min_size=3, max_size=4),
+        nnz=st.integers(min_value=1, max_value=200),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        operation=st.sampled_from(list(OperationKind)),
+        mode_pick=st.integers(min_value=0, max_value=3),
+        rank=st.integers(min_value=1, max_value=4),
+        threadlens=st.lists(st.sampled_from([1, 2, 4, 8]), min_size=1, max_size=3, unique=True),
+        memory_fraction=st.sampled_from([5e-8, 1e-7, 2e-7, 1e-6, 1.0]),
+    )
+    def test_random_cells_equal_fresh_model_calls(
+        self, dims, nnz, seed, operation, mode_pick, rank, threadlens, memory_fraction
+    ):
+        tensor = random_sparse_tensor(tuple(dims), nnz, seed=seed)
+        fcoo = FCOOTensor.from_sparse(tensor, operation, mode_pick % tensor.order)
+        device = scaled_device(TITAN_X, memory_fraction, name_suffix="prop")
+        block_sizes = (32, 128)
+        result = tune_unified(
+            fcoo,
+            operation,
+            fcoo.mode,
+            rank=rank,
+            device=device,
+            block_sizes=block_sizes,
+            threadlens=threadlens,
+        )
+        expected = fresh_model_times(fcoo, rank, device, block_sizes, threadlens)
+        assert same_bits(result.times, expected)
+
+    @staticmethod
+    def spy_on_counts(monkeypatch):
+        """Record the length of every stream whose distinct rows the
+        pricing counts."""
+        counted = []
+        count = driver.count_distinct_rows
+
+        def spy(rows):
+            counted.append(rows.size)
+            return count(rows)
+
+        monkeypatch.setattr(driver, "count_distinct_rows", spy)
+        return counted
+
+    @pytest.mark.parametrize("operation, mode", KERNEL_MODES)
+    def test_serving_sweep_counts_each_product_mode_once(
+        self, small, operation, mode, monkeypatch
+    ):
+        fcoo = FCOOTensor.from_sparse(small, operation, mode)
+        counted = self.spy_on_counts(monkeypatch)
+        result = tune_unified(
+            fcoo,
+            operation,
+            mode,
+            rank=8,
+            block_sizes=SERVING_BLOCK_SIZES,
+            threadlens=SERVING_THREADLENS,
+        )
+        assert result.times.size == 9 and np.isfinite(result.times).all()
+        assert counted == [fcoo.nnz] * len(fcoo.roles.product_modes)
+
+    @pytest.mark.parametrize("operation, mode", KERNEL_MODES)
+    def test_streamed_sweep_counts_once_per_distinct_chunk_span(
+        self, small, operation, mode, monkeypatch
+    ):
+        fcoo = FCOOTensor.from_sparse(small, operation, mode)
+        device = self.device_for(fcoo, "streamed")
+        spans = set()
+        op = operation_spec(fcoo, operation, 8)
+        for block_size in DEFAULT_BLOCK_SIZES:
+            for threadlen in DEFAULT_THREADLENS:
+                profile = driver.model(
+                    fcoo, op, device=device, block_size=block_size, threadlen=threadlen
+                )
+                spans.update((c.start, c.stop) for c in profile.streaming.chunks)
+        assert len(spans) > len(DEFAULT_THREADLENS)
+
+        counted = self.spy_on_counts(monkeypatch)
+        tune_unified(fcoo, operation, mode, rank=8, device=device)
+        per_span = len(fcoo.roles.product_modes)
+        assert sorted(counted) == sorted(
+            stop - start for start, stop in spans for _ in range(per_span)
+        )

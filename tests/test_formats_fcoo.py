@@ -2,10 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
 from repro.formats.storage_cost import fcoo_storage_bytes
+from repro.gpusim.cluster import ClusterSpec, NodeSpec
+from repro.gpusim.device import TITAN_X, scaled_device
+from repro.kernels.unified import (
+    operation_spec,
+    partition_shards,
+    partition_shards_hierarchical,
+)
+from repro.kernels.unified.driver import Pricing
 from repro.tensor.random import random_sparse_tensor
 from repro.tensor.sparse import SparseTensor
 
@@ -200,3 +210,138 @@ class TestValidation:
         fcoo = FCOOTensor.from_sparse(small_tensor, "spttm", 2)
         with pytest.raises(ValueError, match="encoded for"):
             unified_spttm(fcoo, np.ones((small_tensor.shape[0], 4)), 0)
+
+
+# ---------------------------------------------------------------------- #
+# Spans: chunks and shards are priced from O(1) statistics of the encoding
+# ---------------------------------------------------------------------- #
+
+
+def reencoded(parent, lo, hi):
+    """Non-zeros ``[lo, hi)`` of ``parent``'s stream, encoded from scratch."""
+    tensor = SparseTensor.empty(parent.shape)
+    if hi > lo:
+        indices = np.zeros((hi - lo, parent.order), dtype=np.int64)
+        for col, m in enumerate(parent.roles.product_modes):
+            indices[:, m] = parent.product_indices[lo:hi, col]
+        index_coords = parent.segment_index_coords[parent.segment_ids[lo:hi]]
+        for col, m in enumerate(parent.roles.index_modes):
+            indices[:, m] = index_coords[:, col]
+        values = parent.values[lo:hi].astype(np.float64)
+        tensor = SparseTensor(indices, values, parent.shape)
+    return FCOOTensor.from_sparse(tensor, parent.operation, parent.mode)
+
+
+@st.composite
+def encodings(draw):
+    """Small encodings whose fibers and slices span several partitions."""
+    order = draw(st.integers(min_value=3, max_value=4))
+    dims = tuple(draw(st.lists(st.integers(1, 6), min_size=order, max_size=order)))
+    operation = draw(st.sampled_from(list(OperationKind)))
+    mode = draw(st.integers(min_value=0, max_value=order - 1))
+    nnz = draw(st.integers(min_value=0, max_value=150))
+    if nnz == 0:
+        return FCOOTensor.from_sparse(SparseTensor.empty(dims), operation, mode)
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    tensor = random_sparse_tensor(dims, nnz, seed=seed)
+    return FCOOTensor.from_sparse(tensor, operation, mode)
+
+
+#: Two nodes of unequal devices: capability-weighted node spans, then
+#: device spans within each node.
+TWO_NODES = ClusterSpec(
+    nodes=(
+        NodeSpec(devices=(TITAN_X, TITAN_X), name="full"),
+        NodeSpec(
+            devices=(
+                scaled_device(TITAN_X, 1.0, bandwidth_scale=0.5, name_suffix="half"),
+                scaled_device(TITAN_X, 1.0, bandwidth_scale=0.1, name_suffix="tenth"),
+            ),
+            name="slow",
+        ),
+    )
+)
+
+#: Four fibers of 30 non-zeros (SpTTM on mode 2): every boundary of a
+#: chunking or sharding finer than a fiber cuts through a segment.
+LONG_FIBERS = FCOOTensor.from_sparse(random_sparse_tensor((2, 2, 30), 2000, seed=3), "spttm", 2)
+
+
+class TestSpanStatistics:
+    """A chunk or shard is a span of its encoding: its statistics are O(1)
+    reads of the encoding, and its priced terms read the encoding's index
+    columns over the span.  They equal those of the span's non-zeros
+    encoded on their own (and of the lazily built chunk tensor)."""
+
+    THREADLENS = (1, 3, 8)
+
+    def check(self, pricing, span, stream_start):
+        parent = pricing.fcoo
+        lo = span.source_start
+        hi = lo + span.nnz
+        assert span.source is parent and lo == stream_start + span.start
+        expected = reencoded(parent, lo, hi)
+        assert span.nnz == expected.nnz
+        assert span.num_segments == expected.num_segments
+        assert span.carries_in == bool(span.start > 0 and hi > lo and not parent.bf[lo])
+        if hi > lo:
+            own = parent.segment_ids[lo] - parent.segment_ids[stream_start]
+            assert span.segment_offset == own
+        else:
+            assert span.segment_offset == 0
+        for threadlen in self.THREADLENS:
+            assert span.storage_bytes(threadlen) == expected.storage_bytes(threadlen)
+            assert span.num_partitions(threadlen) == expected.num_partitions(threadlen)
+        assert pricing.distinct_rows(span) == tuple(
+            np.unique(expected.product_mode_indices(p)).size
+            for p in range(len(parent.roles.product_modes))
+        )
+        for name in ("product_indices", "values", "bf", "segment_ids", "segment_index_coords"):
+            built, own_array = getattr(span.tensor, name), getattr(expected, name)
+            assert built.dtype == own_array.dtype
+            np.testing.assert_array_equal(built, own_array)
+
+    @given(
+        fcoo=encodings(),
+        threadlen=st.sampled_from([1, 2, 4, 8]),
+        chunk_parts=st.integers(min_value=1, max_value=5),
+        num_shards=st.integers(min_value=1, max_value=4),
+        weights=st.lists(st.sampled_from([0.01, 1.0, 2.5]), min_size=1, max_size=4),
+    )
+    @example(fcoo=LONG_FIBERS, threadlen=4, chunk_parts=2, num_shards=3, weights=[0.01, 1.0])
+    def test_spans_equal_their_materialised_encodings(
+        self, fcoo, threadlen, chunk_parts, num_shards, weights
+    ):
+        pricing = Pricing(fcoo, operation_spec(fcoo, fcoo.operation, 2), device=TITAN_X)
+        chunk_nnz = chunk_parts * threadlen
+        for chunk in fcoo.chunk(chunk_nnz, threadlen=threadlen):
+            self.check(pricing, chunk, 0)
+        shardings = [
+            partition_shards(fcoo, num_shards, threadlen=threadlen),
+            partition_shards(fcoo, len(weights), threadlen=threadlen, weights=weights),
+            partition_shards_hierarchical(fcoo, TWO_NODES, threadlen=threadlen),
+        ]
+        for shards in shardings:
+            assert sum(shard.nnz for shard in shards) == fcoo.nnz
+            for shard in shards:
+                self.check(pricing, shard, 0)
+                # A shard that does not fit its device streams in chunks of
+                # its own span.
+                sub = shard.chunk(chunk_nnz, threadlen=threadlen)
+                assert sum(chunk.nnz for chunk in sub) == shard.nnz
+                for chunk in sub:
+                    self.check(pricing, chunk, shard.source_start)
+
+    def test_long_fibers_straddle_every_boundary(self):
+        chunks = LONG_FIBERS.chunk(8, threadlen=4)
+        assert all(chunk.carries_in for chunk in chunks[1:] if chunk.start % 30)
+        shards = partition_shards(LONG_FIBERS, 3, threadlen=4)
+        assert any(shard.carries_in for shard in shards)
+        assert sum(c.carries_in for c in shards[1].chunk(8, threadlen=4)) >= 2
+        empty = partition_shards(LONG_FIBERS, 2, threadlen=4, weights=[0.01, 1.0])
+        assert empty[0].nnz == 0 and empty[1].nnz == LONG_FIBERS.nnz
+
+    def test_chunk_tensor_is_built_on_first_read(self):
+        chunk = LONG_FIBERS.chunk(8, threadlen=4)[1]
+        assert "tensor" not in vars(chunk)
+        assert chunk.tensor is chunk.tensor

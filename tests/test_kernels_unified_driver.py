@@ -12,13 +12,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.kernels.unified.driver as driver
 from repro.backends import available_backends, get_backend
 from repro.context import ExecContext
-from repro.formats.fcoo import FCOOTensor
+from repro.formats.fcoo import FCOOChunk, FCOOTensor
 from repro.gpusim.cluster import ETHERNET_10G, ClusterSpec
 from repro.gpusim.device import TITAN_X, scaled_device
 from repro.gpusim.timing import OutOfDeviceMemory
-from repro.kernels.unified import unified_spmttkrp, unified_spttm, unified_spttmc
+from repro.kernels.unified import (
+    operation_spec,
+    unified_spmttkrp,
+    unified_spttm,
+    unified_spttmc,
+)
 from repro.kernels.unified.driver import model
 from repro.kernels.unified.spmttkrp import spmttkrp_spec
 from repro.tensor.random import random_factors
@@ -127,3 +133,27 @@ def test_model_alone_prices_the_kernel_call():
         )
         assert profile.name == kernel.profile.name
         assert profile.estimated_time_s == kernel.profile.estimated_time_s
+
+
+@pytest.mark.parametrize("operation, mode", [("spttm", 2), ("spmttkrp", 0), ("spttmc", 0)])
+def test_model_reads_index_columns_in_place(operation, mode, monkeypatch):
+    """Pricing copies no index stream and builds no chunk or shard tensor,
+    on every path: spans are priced from the encoding's own arrays."""
+    fcoo = FCOOTensor.from_sparse(CASES["order3-power"](), operation, mode)
+    op = operation_spec(fcoo, fcoo.operation, RANK)
+
+    def forbidden(*args):
+        raise AssertionError("the cost model materialised a copy")
+
+    monkeypatch.setattr(driver, "_row_streams", forbidden)
+    monkeypatch.setattr(FCOOChunk, "tensor", property(forbidden))
+    for path, (fields, took_path) in PATHS.items():
+        profile = model(
+            fcoo,
+            op,
+            device=TITAN_X,
+            block_size=BLOCK_SIZE,
+            threadlen=THREADLEN,
+            ctx=ExecContext(**fields),
+        )
+        assert took_path(profile), path
