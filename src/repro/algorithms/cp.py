@@ -32,7 +32,7 @@ once however often it is priced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Protocol, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -136,14 +136,6 @@ class UnifiedGPUEngine:
           sharding each MTTKRP across the cluster and all-reducing the
           partial factor updates.  :func:`cp_als` reports the per-device
           busy seconds and the scaling efficiency.
-        * ``preproc_cache`` — an optional
-          :class:`~repro.serve.cache.PreprocCache` (any object with its
-          ``encoding(tensor, operation, mode)`` protocol).  :meth:`prepare`
-          then obtains the per-mode F-COO encodings through the cache
-          instead of rebuilding them, so repeated decompositions of the
-          same tensor — the multi-tenant serving pattern — skip the host
-          preprocessing; the host seconds of cache *misses* are charged
-          into the setup time (they are exactly what a later hit saves).
     """
 
     device: DeviceSpec = TITAN_X
@@ -158,7 +150,12 @@ class UnifiedGPUEngine:
             self.device, self.ctx.cluster, self.ctx.devices
         )
 
-    def prepare(self, tensor: SparseTensor, rank: int) -> float:
+    def prepare(
+        self,
+        tensor: SparseTensor,
+        rank: int,
+        encodings: Optional[Mapping[int, FCOOTensor]] = None,
+    ) -> float:
         """Encode F-COO for every mode on the host and transfer once to the GPU.
 
         The paper performs exactly this preprocessing so that no format
@@ -166,21 +163,16 @@ class UnifiedGPUEngine:
         encoding that will execute out-of-core cannot stay resident, so its
         bytes are *not* charged here — the streamed kernel re-ships them
         chunk-by-chunk inside every MTTKRP and charges the PCIe time there.
+        ``encodings`` maps every mode to ``tensor``'s SpMTTKRP encoding when
+        the caller already holds them (a served job's, from the
+        preprocessing cache); they are built here otherwise.
         """
-        encode_s = 0.0
-        if self.ctx.preproc_cache is not None:
-            self._encodings = {}
-            for mode in range(tensor.order):
-                encoding, _hit, cost_s = self.ctx.preproc_cache.encoding(
-                    tensor, OperationKind.SPMTTKRP, mode
-                )
-                self._encodings[mode] = encoding
-                encode_s += cost_s
-        else:
-            self._encodings = {
+        if encodings is None:
+            encodings = {
                 mode: FCOOTensor.from_sparse(tensor, OperationKind.SPMTTKRP, mode)
                 for mode in range(tensor.order)
             }
+        self._encodings = dict(encodings)
         transfer_bytes = sum(tensor.shape[m] * rank * 4.0 for m in range(tensor.order))
         # In cluster mode every device stages its own shard over its own
         # PCIe link simultaneously, so an encoding's staging cost is the
@@ -190,7 +182,7 @@ class UnifiedGPUEngine:
         for enc in self._encodings.values():
             if not self._will_stream(enc, rank):
                 transfer_bytes += enc.storage_bytes(self.threadlen) / shard_divisor
-        return transfer_bytes / self.device.pcie_bandwidth_bytes_per_s + encode_s
+        return transfer_bytes / self.device.pcie_bandwidth_bytes_per_s
 
     def _will_stream(self, encoding: FCOOTensor, rank: int) -> bool:
         """The kernel's streamed/one-shot decision, evaluated for one mode.

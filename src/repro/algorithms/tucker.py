@@ -71,11 +71,6 @@ class TuckerResult:
         Iterations executed.
     ttmc_time_by_mode:
         Total simulated SpTTMc seconds per mode.
-    preproc_time_s:
-        Host seconds of preprocessing-cache *misses* (F-COO encodes) when
-        the decomposition ran with a ``preproc_cache``; 0 otherwise.  Kept
-        separate from the kernel times, mirroring how the CP engine
-        charges encode misses into its setup rather than its iterations.
     device_time_by_device:
         Per-device busy seconds of the whole decomposition when the TTMcs
         ran in multi-GPU mode (``None`` otherwise).
@@ -112,7 +107,6 @@ class TuckerResult:
     ttmc_time_by_mode: Dict[int, float]
     device_time_by_device: Optional[Dict[int, float]] = None
     parallel_efficiency: Optional[float] = None
-    preproc_time_s: float = 0.0
     makespan_s: Optional[float] = None
     timeline: Optional[Timeline] = None
     recoveries: List[RecoveryRecord] = field(default_factory=list)
@@ -167,12 +161,6 @@ def tucker_hooi(
         * ``streamed`` / ``num_streams`` / ``chunk_nnz`` and ``backend`` —
           forwarded to every SpTTMc, as :class:`~repro.algorithms.cp.UnifiedGPUEngine`
           forwards them to every MTTKRP.
-        * ``preproc_cache`` — an optional
-          :class:`~repro.serve.cache.PreprocCache` (any object with its
-          ``encoding(tensor, operation, mode)`` protocol).  Each mode is
-          F-COO encoded once per run, before the first sweep; with a cache
-          the encodings are one lookup per mode, so repeat tenants share
-          the entries across serving jobs.
         * ``chaos`` — optional :class:`~repro.gpusim.cluster.NodeFailure`
           events to survive in the modeled pass, with the same semantics
           as :func:`~repro.algorithms.cp.cp_als`: a failure fires at the
@@ -201,16 +189,9 @@ def tucker_hooi(
             )
     max_iterations = check_positive_int(max_iterations, "max_iterations")
 
-    cache = ctx.preproc_cache
-    encodings: List[FCOOTensor] = []
-    preproc_time = 0.0
-    for mode in range(order):
-        if cache is None:
-            encodings.append(FCOOTensor.from_sparse(tensor, OperationKind.SPTTMC, mode))
-            continue
-        encoding, _hit, cost_s = cache.encoding(tensor, OperationKind.SPTTMC, mode)
-        encodings.append(encoding)
-        preproc_time += cost_s
+    encodings = [
+        FCOOTensor.from_sparse(tensor, OperationKind.SPTTMC, mode) for mode in range(order)
+    ]
     numbers = hooi_numeric_pass(
         tensor,
         ranks,
@@ -227,7 +208,6 @@ def tucker_hooi(
         device=device,
         block_size=block_size,
         threadlen=threadlen,
-        preproc_time_s=preproc_time,
         ctx=ctx,
     )
 
@@ -315,7 +295,6 @@ def hooi_modeled_pass(
     device: DeviceSpec = TITAN_X,
     block_size: int = 128,
     threadlen: int = 8,
-    preproc_time_s: float = 0.0,
     ctx: ExecContext = DEFAULT_CONTEXT,
 ) -> TuckerResult:
     """Book ``numbers.iterations`` HOOI sweeps on a fresh timeline.
@@ -366,7 +345,6 @@ def hooi_modeled_pass(
         fits=numbers.fits,
         iterations=numbers.iterations,
         ttmc_time_by_mode=ttmc_time_by_mode,
-        preproc_time_s=preproc_time_s,
         **run.finish(ctx.metrics, "tucker_hooi", numbers.iterations),
     )
 

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.gpusim.cluster import ClusterSpec
 from repro.serve.autoscale import AutoscalerSpec
-from repro.serve.cache import PreprocCache
 from repro.serve.engine import ServingEngine, ServingReport
 from repro.serve.workload import (
     ChaosSpec,
@@ -39,20 +37,17 @@ def run_serving(
     num_jobs: int = 100,
     seed: int = 0,
     policy: str = "priority",
-    cluster: Optional[ClusterSpec] = None,
     nodes: Optional[int] = None,
-    autotune: bool = True,
-    max_batch: int = 4,
-    max_queue_depth: Optional[int] = None,
-    cache_capacity_bytes: Optional[int] = None,
     chaos_seed: Optional[int] = None,
     fail_node: Optional[int] = None,
-    recover_after_s: Optional[float] = None,
     slo_fraction: float = 0.0,
     deadline_slack: Optional[float] = None,
     autoscale: Optional[AutoscalerSpec] = None,
 ) -> ServingReport:
     """Serve a seeded synthetic workload and return the full report.
+
+    The engine autotunes every kernel job's launch through its
+    preprocessing cache.
 
     Parameters
     ----------
@@ -64,29 +59,22 @@ def run_serving(
     policy:
         ``"priority"``, ``"fifo"`` or ``"deadline"`` (earliest deadline
         first with chunk-boundary preemption of batch jobs).
-    cluster:
-        Serving node; defaults to the heterogeneous
-        :func:`~repro.serve.workload.default_serving_cluster`.
     nodes:
-        Multi-node serving mode: with ``nodes >= 2`` (and no explicit
-        ``cluster``) the engine runs on
+        Multi-node serving mode: with ``nodes >= 2`` the engine runs on
         :func:`~repro.serve.workload.default_multinode_serving_cluster`
-        and the workload adds cross-node tenants every
+        instead of the heterogeneous
+        :func:`~repro.serve.workload.default_serving_cluster`, and the
+        workload adds cross-node tenants every
         :data:`DEFAULT_CROSS_NODE_EVERY` jobs, so the report exercises
         node-local sharding (off the NIC) *and* NIC-spanning jobs.
-    autotune:
-        Reuse tuned launch parameters through the preprocessing cache.
-    max_batch / max_queue_depth / cache_capacity_bytes:
-        Scheduler batching bound, admission queue bound, and cache budget.
-    chaos_seed / fail_node / recover_after_s:
+    chaos_seed / fail_node:
         Seeded chaos layer: with ``chaos_seed`` set, one node-loss event is
         drawn (:func:`~repro.serve.workload.generate_chaos`) inside the
         workload's arrival window and injected into the run — the
         scheduler tears down jobs in flight on the dead node and re-admits
         them on survivors.  ``fail_node`` pins the victim node instead of
-        drawing it; ``recover_after_s`` returns the node to the placement
-        pool that long after the failure.  Chaos draws from its own RNG
-        stream, so the job list is identical to the failure-free run.
+        drawing it; the node does not recover.  Chaos draws from its own
+        RNG stream, so the job list is identical to the failure-free run.
     slo_fraction / deadline_slack:
         SLO-driven serving: ``slo_fraction`` of the jobs become latency
         tenants with a deadline (see
@@ -98,20 +86,12 @@ def run_serving(
         Optional :class:`~repro.serve.autoscale.AutoscalerSpec` enabling
         the device-pool autoscaler.
     """
+    cluster = None
     cross_node_every = 0
     if nodes is not None and nodes >= 2:
-        if cluster is None:
-            cluster = default_multinode_serving_cluster(nodes)
+        cluster = default_multinode_serving_cluster(nodes)
         cross_node_every = DEFAULT_CROSS_NODE_EVERY
-    engine = ServingEngine(
-        cluster,
-        cache=PreprocCache(capacity_bytes=cache_capacity_bytes),
-        policy=policy,
-        max_batch=max_batch,
-        max_queue_depth=max_queue_depth,
-        autotune=autotune,
-        autoscale=autoscale,
-    )
+    engine = ServingEngine(cluster, policy=policy, autotune=True, autoscale=autoscale)
     spec_kwargs = dict(
         num_jobs=num_jobs,
         seed=seed,
@@ -136,7 +116,6 @@ def run_serving(
                 num_failures=1,
                 window_s=window_s,
                 fail_node=fail_node,
-                recover_after_s=recover_after_s,
             ),
             num_nodes=num_targets,
         )

@@ -2,7 +2,7 @@
 
 Six PRs of growth threaded the same execution knobs — ``streamed=``,
 ``num_streams=``, ``chunk_nnz=``, ``cluster=``, ``devices=``, ``chaos=``,
-``preproc_cache=``, ``overlap_modes=`` — through every unified kernel and
+``overlap_modes=`` — through every unified kernel and
 both decomposition drivers as loose keyword arguments.  This module bundles
 them into one frozen :class:`ExecContext` that every entry point accepts as
 ``ctx=``:
@@ -140,8 +140,6 @@ class ExecContext:
         decomposition drivers.  After the numeric pass, the modeled pass
         re-stages the lost shards and re-books the lost sweep on the
         survivors; the numbers do not change.
-    preproc_cache:
-        A :class:`~repro.serve.PreprocCache` shared across calls.
     overlap_modes:
         CP-ALS: overlap each mode's all-reduce with its dense update.
     backend:
@@ -166,7 +164,6 @@ class ExecContext:
     cluster: Optional["ClusterSpec"] = None
     devices: Optional[int] = None
     chaos: Optional[Tuple["NodeFailure", ...]] = None
-    preproc_cache: Optional[Any] = None
     overlap_modes: bool = False
     backend: Optional[Any] = None
     metrics: Optional["MetricsRegistry"] = None

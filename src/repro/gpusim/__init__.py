@@ -29,8 +29,8 @@ effects is modelled explicitly:
   engine: serial resources (copy/compute engines, intra-node links,
   per-node NICs) with busy-until bookkeeping, dependency-ordered task
   booking, per-resource utilisation and a Chrome-trace-exportable event
-  trace.  The stream pipeline, the cluster collectives and the serving
-  scheduler all book time on it.
+  trace.  The cluster collectives and the serving scheduler book time on
+  it; the stream pipeline resolves the same arithmetic as a recurrence.
 * :mod:`~repro.gpusim.timing` — conversion of a counter ledger into
   estimated kernel time on a device.
 """
@@ -65,7 +65,6 @@ from repro.gpusim.timeline import (
     Timeline,
     device_compute_key,
     device_copy_key,
-    pipeline_time,
     schedule_chunks,
 )
 from repro.gpusim.timing import estimate_kernel_time, OutOfDeviceMemory, check_device_fit
@@ -94,7 +93,6 @@ __all__ = [
     "segmented_scan_counters",
     "ChunkTiming",
     "StreamSchedule",
-    "pipeline_time",
     "schedule_chunks",
     "Booking",
     "GangBooking",

@@ -25,10 +25,12 @@ the serving scheduler.  This module is the one timeline they all book now:
 
 The out-of-core stream pipeline of Section IV-D lives here too
 (:class:`ChunkTiming` / :class:`StreamSchedule` / :func:`schedule_chunks`):
-it *is* two resources of one timeline — the copy engine and the compute
-engine of one device — with the ``num_streams`` buffer bound expressed as a
-dependency on the kernel completion of the chunk ``num_streams`` positions
-earlier.
+the same ``start = max(ready, free)`` arithmetic over two serial engines of
+one device — copy and compute — with the ``num_streams`` buffer bound
+expressed as a dependency on the kernel completion of the chunk
+``num_streams`` positions earlier.  It is resolved as a recurrence, not
+booked: its makespan is priced into the streamed kernel's time, which the
+caller books.
 
 Booking arithmetic is deliberately bit-stable: ``start = max(ready, free)``
 and ``end = start + duration`` are exactly the operations the pre-refactor
@@ -60,7 +62,6 @@ __all__ = [
     "ChunkTiming",
     "StreamSchedule",
     "schedule_chunks",
-    "pipeline_time",
 ]
 
 
@@ -636,7 +637,7 @@ class Timeline:
 
 
 # ---------------------------------------------------------------------- #
-# The out-of-core stream pipeline, expressed as timeline bookings
+# The out-of-core stream pipeline
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class ChunkTiming:
@@ -670,17 +671,12 @@ class StreamSchedule:
         The per-chunk :class:`ChunkTiming` inputs, in execution order.
     transfer_ends / compute_ends:
         Absolute completion times of each chunk's copy and kernel.
-    timeline:
-        The :class:`Timeline` the pipeline was booked on — the copy and
-        compute engines of the executing device, with one booking per
-        chunk transfer/kernel (queryable, Chrome-trace exportable).
     """
 
     num_streams: int
     timings: Tuple[ChunkTiming, ...]
     transfer_ends: Tuple[float, ...]
     compute_ends: Tuple[float, ...]
-    timeline: Optional[Timeline] = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -733,85 +729,42 @@ class StreamSchedule:
         return max(0.0, self.overlap_saved_s / attainable)
 
 
-def schedule_chunks(
-    timings: Sequence[ChunkTiming],
-    num_streams: int,
-    *,
-    timeline: Optional[Timeline] = None,
-    device_slot: int = 0,
-    span: Optional[Span] = None,
-) -> StreamSchedule:
+def schedule_chunks(timings: Sequence[ChunkTiming], num_streams: int) -> StreamSchedule:
     """Resolve the pipelined schedule of ``timings`` with ``num_streams`` buffers.
 
-    The pipeline is booked on a device's two serial resources:
+    The pipeline runs on a device's two serial engines:
 
-    * chunk ``i``'s **transfer** books the copy engine, dependency-gated on
-      the kernel completion of chunk ``i - num_streams`` (its buffer must
-      have been released);
-    * chunk ``i``'s **kernel** books the compute engine, dependency-gated
-      on its own transfer landing.
+    * chunk ``i``'s **transfer** holds the copy engine, no earlier than the
+      kernel completion of chunk ``i - num_streams`` (its buffer must have
+      been released);
+    * chunk ``i``'s **kernel** holds the compute engine, no earlier than
+      its own transfer landing.
 
-    This is exactly the pre-refactor two-resource recurrence — ``start =
-    max(ready, engine free)`` per task — so the resolved times are
-    bit-identical to it.  Pass ``timeline`` to book onto a shared timeline
-    (default: a fresh one, returned on the schedule); ``device_slot``
-    selects which device's copy/compute resources are booked.
+    Each task starts at ``max(ready, engine free)`` and ends its duration
+    later, the arithmetic of :meth:`Resource.book`, so the resolved times
+    are bit-identical to booking the chunks on a timeline.  Every duration
+    must be finite and non-negative.
 
     Returns a :class:`StreamSchedule`; an empty ``timings`` yields a
-    schedule with ``total_time_s == 0``.  A ``span`` attributes the
-    bookings: transfers carry its ``stage`` phase, kernels ``compute``.
+    schedule with ``total_time_s == 0``.
     """
     num_streams = check_positive_int(num_streams, "num_streams")
-    timeline = timeline if timeline is not None else Timeline()
-    copy_engine = timeline.resource(device_copy_key(device_slot), category="copy")
-    compute_engine = timeline.resource(
-        device_compute_key(device_slot), category="compute"
-    )
-    stage_span = replace(span, phase="stage") if span is not None else None
-    compute_span = replace(span, phase="compute") if span is not None else None
     transfer_ends: List[float] = []
     compute_ends: List[float] = []
+    copy_free = compute_free = 0.0
     for i, timing in enumerate(timings):
         if not isinstance(timing, ChunkTiming):
             raise TypeError(f"timings[{i}] must be a ChunkTiming, got {type(timing).__name__}")
+        if not (math.isfinite(timing.transfer_s) and math.isfinite(timing.compute_s)):
+            raise ValueError(f"timings[{i}] must be finite, got {timing}")
         buffer_free = compute_ends[i - num_streams] if i >= num_streams else 0.0
-        transfer = copy_engine.book(
-            timing.transfer_s,
-            ready_s=buffer_free,
-            label=f"transfer:chunk{i}",
-            span=stage_span,
-        )
-        kernel = compute_engine.book(
-            timing.compute_s,
-            ready_s=transfer.end_s,
-            label=f"kernel:chunk{i}",
-            span=compute_span,
-        )
-        transfer_ends.append(transfer.end_s)
-        compute_ends.append(kernel.end_s)
+        copy_free = max(buffer_free, copy_free) + timing.transfer_s
+        compute_free = max(copy_free, compute_free) + timing.compute_s
+        transfer_ends.append(copy_free)
+        compute_ends.append(compute_free)
     return StreamSchedule(
         num_streams=num_streams,
         timings=tuple(timings),
         transfer_ends=tuple(transfer_ends),
         compute_ends=tuple(compute_ends),
-        timeline=timeline,
     )
-
-
-def pipeline_time(
-    transfer_times: Sequence[float],
-    compute_times: Sequence[float],
-    num_streams: int,
-) -> float:
-    """Makespan of a chunk pipeline given parallel per-chunk time lists.
-
-    Convenience wrapper over :func:`schedule_chunks` for callers that keep
-    transfers and computes in separate arrays.
-    """
-    if len(transfer_times) != len(compute_times):
-        raise ValueError(
-            f"transfer_times and compute_times must have equal length, "
-            f"got {len(transfer_times)} and {len(compute_times)}"
-        )
-    timings = [ChunkTiming(float(t), float(c)) for t, c in zip(transfer_times, compute_times)]
-    return schedule_chunks(timings, num_streams).total_time_s

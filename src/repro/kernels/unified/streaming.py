@@ -12,9 +12,9 @@ overlaps each partition's copy with the previous partition's kernel
 * :func:`execute_streamed` models a kernel over the
   :meth:`~repro.formats.fcoo.FCOOTensor.chunk` partitioning: it prices each
   chunk (a span of the encoding, with no tensor of its own) with a
-  kernel-specific callable, resolves the transfer/compute
-  pipeline by booking the chunks onto the device's copy/compute resources
-  with :func:`repro.gpusim.timeline.schedule_chunks`, and assembles a
+  kernel-specific callable, resolves the transfer/compute pipeline over
+  the device's copy and compute engines with
+  :func:`repro.gpusim.timeline.schedule_chunks`, and assembles a
   :class:`~repro.gpusim.counters.KernelProfile` whose estimated time charges
   ``max(transfer, compute)`` per pipelined chunk instead of their sum.
 
@@ -34,7 +34,7 @@ from repro.formats.fcoo import FCOOChunk, FCOOTensor
 from repro.gpusim.counters import KernelCounters, KernelProfile
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.launch import LaunchConfig
-from repro.gpusim.timeline import ChunkTiming, StreamSchedule, Timeline, schedule_chunks
+from repro.gpusim.timeline import ChunkTiming, StreamSchedule, schedule_chunks
 from repro.gpusim.timing import OutOfDeviceMemory, estimate_kernel_time
 from repro.util.validation import check_positive_int
 
@@ -157,13 +157,6 @@ class StreamedExecution:
     def overlap_efficiency(self) -> float:
         """Fraction of the ideal overlap saving achieved (0..1)."""
         return self.schedule.overlap_efficiency
-
-    @property
-    def timeline(self) -> Optional[Timeline]:
-        """The :class:`~repro.gpusim.timeline.Timeline` the pipeline was
-        booked on: the device's copy and compute engines, one booking per
-        chunk transfer/kernel — queryable and Chrome-trace exportable."""
-        return self.schedule.timeline
 
 
 def choose_chunk_nnz(

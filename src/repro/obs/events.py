@@ -34,7 +34,7 @@ EVENT_SCHEMA_VERSION = 1
 #: The closed vocabulary of event kinds the scheduler emits.
 EVENT_KINDS = (
     "admit",  # job accepted into the ready queue
-    "reject",  # job shed at admission (queue full)
+    "reject",  # job refused by admission control or out of memory at execution
     "dispatch",  # job placed and committed onto device resources
     "complete",  # job's committed work finished
     "preempt",  # victim released/truncated for a latency job

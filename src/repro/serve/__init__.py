@@ -13,8 +13,8 @@ existing kernels, cluster model and decomposition drivers:
   memory and capability-aware placement (fast devices preferred, oversize
   jobs sharded across the cluster proportional to modeled throughput);
 * :mod:`~repro.serve.scheduler` — the event-driven simulated-time
-  scheduler: priority/FIFO queueing, load shedding, batching of compatible
-  jobs, all booked onto the shared
+  scheduler: priority/FIFO queueing and batching of compatible jobs, all
+  booked onto the shared
   :class:`~repro.gpusim.timeline.Timeline` — per-device copy/compute
   engine resources overlap one job's staging with another's execution
   (the PR 1 stream model, lifted to whole jobs), and sharded jobs'

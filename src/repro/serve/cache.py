@@ -10,9 +10,8 @@ upload), so the preprocessing is worth memoising *across* jobs.
 mode)`` — the content key hashes coordinates and values, so two tenants
 submitting the same data share an entry regardless of naming — and tuned
 ``(BLOCK_SIZE, threadlen)`` configurations by ``(tensor content, operation,
-mode, rank, device)``.  Encoding entries are LRU-evicted against an
-optional host-memory budget; tuner entries are a few integers each and are
-kept unconditionally.
+mode, rank, device)``.  Both are kept for the cache's lifetime: one
+serving engine's cache holds every encoding its runs built.
 
 Cache *misses* are charged simulated host seconds (the encode is a sort
 plus flag construction over the non-zeros; a tuner miss charges
@@ -23,9 +22,8 @@ attributes to preprocessing.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -57,13 +55,12 @@ TUNER_SECONDS_PER_CONFIG = 2e-6
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction counters of one :class:`PreprocCache`."""
+    """Hit/miss counters of one :class:`PreprocCache`."""
 
     encode_hits: int = 0
     encode_misses: int = 0
     tuner_hits: int = 0
     tuner_misses: int = 0
-    evictions: int = 0
 
     @property
     def encode_hit_rate(self) -> float:
@@ -80,44 +77,16 @@ class CacheStats:
             encode_misses=self.encode_misses - earlier.encode_misses,
             tuner_hits=self.tuner_hits - earlier.tuner_hits,
             tuner_misses=self.tuner_misses - earlier.tuner_misses,
-            evictions=self.evictions - earlier.evictions,
         )
 
 
-@dataclass
-class _EncodingEntry:
-    encoding: FCOOTensor
-    bytes: int
-
-
 class PreprocCache:
-    """LRU cache of F-COO encodings and tuned launch parameters.
+    """Cache of F-COO encodings and tuned launch parameters."""
 
-    Parameters
-    ----------
-    capacity_bytes:
-        Host-memory budget for cached encodings (Table II storage bytes);
-        ``None`` means unbounded.  The least recently used entries are
-        evicted when an insert exceeds the budget.
-    """
-
-    def __init__(self, capacity_bytes: Optional[int] = None) -> None:
-        if capacity_bytes is not None and capacity_bytes <= 0:
-            raise ValueError(f"capacity_bytes must be positive, got {capacity_bytes}")
-        self.capacity_bytes = capacity_bytes
+    def __init__(self) -> None:
         self.stats = CacheStats()
-        self._encodings: "OrderedDict[Tuple[str, str, int], _EncodingEntry]" = OrderedDict()
+        self._encodings: Dict[Tuple[str, str, int], FCOOTensor] = {}
         self._tuned: Dict[Tuple[str, str, int, int, str], Tuple[int, int]] = {}
-        self._current_bytes = 0
-
-    # ------------------------------------------------------------------ #
-    @property
-    def current_bytes(self) -> int:
-        """Bytes of encodings currently resident in the cache."""
-        return self._current_bytes
-
-    def __len__(self) -> int:
-        return len(self._encodings)
 
     # ------------------------------------------------------------------ #
     def encoding(
@@ -130,38 +99,19 @@ class PreprocCache:
 
         Returns ``(encoding, hit, host_seconds)``: on a hit the encoding
         comes from the cache and costs nothing; on a miss it is built,
-        charged ``nnz * ENCODE_SECONDS_PER_NNZ`` host seconds, inserted,
-        and the LRU tail evicted until the budget holds.  An encoding
-        larger than ``capacity_bytes`` outright is returned uncached (the
-        miss is counted but nothing is inserted or evicted).
+        charged ``nnz * ENCODE_SECONDS_PER_NNZ`` host seconds and inserted.
         """
         operation = OperationKind.coerce(operation)
         key = (tensor.content_key, operation.value, int(mode))
-        entry = self._encodings.get(key)
-        if entry is not None:
-            self._encodings.move_to_end(key)
+        cached = self._encodings.get(key)
+        if cached is not None:
             self.stats.encode_hits += 1
-            return entry.encoding, True, 0.0
+            return cached, True, 0.0
 
         self.stats.encode_misses += 1
         encoding = FCOOTensor.from_sparse(tensor, operation, mode)
-        cost_s = tensor.nnz * ENCODE_SECONDS_PER_NNZ
-        nbytes = int(encoding.storage_bytes())
-        if self.capacity_bytes is not None and nbytes > self.capacity_bytes:
-            # An encoding larger than the whole budget can never be held
-            # within it: caching it would pin the cache permanently above
-            # budget and evict every other entry for nothing.  Hand it back
-            # uncached — the miss is already counted, nothing is inserted,
-            # nothing is evicted.
-            return encoding, False, cost_s
-        self._encodings[key] = _EncodingEntry(encoding=encoding, bytes=nbytes)
-        self._current_bytes += nbytes
-        if self.capacity_bytes is not None:
-            while self._current_bytes > self.capacity_bytes and len(self._encodings) > 1:
-                _, evicted = self._encodings.popitem(last=False)
-                self._current_bytes -= evicted.bytes
-                self.stats.evictions += 1
-        return encoding, False, cost_s
+        self._encodings[key] = encoding
+        return encoding, False, tensor.nnz * ENCODE_SECONDS_PER_NNZ
 
     # ------------------------------------------------------------------ #
     def tuner_config(

@@ -1,8 +1,8 @@
 """The serving façade: engine + report.
 
-:class:`ServingEngine` wires the subsystem together — one cluster, one
-shared :class:`~repro.serve.cache.PreprocCache`, one
-:class:`~repro.serve.scheduler.Scheduler` — and turns a job list (or a
+:class:`ServingEngine` wires the subsystem together — one cluster and one
+:class:`~repro.serve.scheduler.Scheduler` with its
+:class:`~repro.serve.cache.PreprocCache` — and turns a job list (or a
 :class:`~repro.serve.workload.WorkloadSpec`) into a
 :class:`ServingReport`: throughput, latency percentiles, per-device
 utilisation, cache effectiveness and the full per-job ledger, rendered as
@@ -22,7 +22,7 @@ from repro.obs.attribution import Attribution
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.autoscale import AutoscalerSpec, ScaleEvent
-from repro.serve.cache import CacheStats, PreprocCache
+from repro.serve.cache import CacheStats
 from repro.serve.job import Job, JobResult
 from repro.serve.scheduler import PreemptionRecord, Scheduler
 from repro.serve.workload import WorkloadSpec, default_serving_cluster, generate_workload
@@ -69,7 +69,7 @@ class ServingReport:
 
     @property
     def rejected(self) -> List[JobResult]:
-        """Jobs refused by admission control or load shedding."""
+        """Jobs refused by admission control or out of memory at execution."""
         return [r for r in self.results if not r.completed]
 
     @property
@@ -278,8 +278,7 @@ class ServingReport:
         lines.append(
             f"preproc cache: {stats.encode_hits}/{stats.encode_hits + stats.encode_misses} "
             f"encoding hits ({stats.encode_hit_rate * 100.0:.0f}%), "
-            f"{stats.tuner_hits}/{stats.tuner_hits + stats.tuner_misses} tuner hits, "
-            f"{stats.evictions} evictions"
+            f"{stats.tuner_hits}/{stats.tuner_hits + stats.tuner_misses} tuner hits"
         )
         if self.attribution is not None:
             totals = self.attribution.phase_totals()
@@ -338,13 +337,9 @@ class ServingEngine:
     cluster:
         The serving node; defaults to the heterogeneous analog node of
         :func:`~repro.serve.workload.default_serving_cluster`.
-    cache:
-        Shared preprocessing cache; a fresh unbounded one by default.
-    policy / max_batch / max_queue_depth / autotune / num_streams:
-        Forwarded to the :class:`~repro.serve.scheduler.Scheduler`.
-    block_size / threadlen:
-        Default launch parameters (the tuner cache overrides them per job
-        shape when ``autotune`` is on).
+    policy / autotune:
+        Forwarded to the :class:`~repro.serve.scheduler.Scheduler`, whose
+        preprocessing cache every run of this engine shares.
     autoscale:
         Optional :class:`~repro.serve.autoscale.AutoscalerSpec` enabling
         the device-pool autoscaler; ``None`` keeps the fixed pool.
@@ -362,14 +357,8 @@ class ServingEngine:
         self,
         cluster: Optional[ClusterSpec] = None,
         *,
-        cache: Optional[PreprocCache] = None,
         policy: str = "priority",
-        max_batch: int = 4,
-        max_queue_depth: Optional[int] = None,
-        block_size: int = 128,
-        threadlen: int = 8,
         autotune: bool = False,
-        num_streams: int = 2,
         autoscale: Optional[AutoscalerSpec] = None,
         adaptive: bool = False,
         nic_policy: str = "fifo",
@@ -379,19 +368,9 @@ class ServingEngine:
                 f"nic_policy must be 'fifo', 'fair' or 'priority', got {nic_policy!r}"
             )
         self.cluster = cluster if cluster is not None else default_serving_cluster()
-        self.cache = cache if cache is not None else PreprocCache()
         self.policy = policy
         self.scheduler = Scheduler(
-            self.cluster,
-            self.cache,
-            policy=policy,
-            max_batch=max_batch,
-            max_queue_depth=max_queue_depth,
-            block_size=block_size,
-            threadlen=threadlen,
-            autotune=autotune,
-            num_streams=num_streams,
-            autoscale=autoscale,
+            self.cluster, policy=policy, autotune=autotune, autoscale=autoscale
         )
 
     # ------------------------------------------------------------------ #
@@ -405,10 +384,10 @@ class ServingEngine:
     ) -> ServingReport:
         """Schedule and execute ``jobs``; returns the full report.
 
-        The report carries *this run's* cache counters (the shared cache's
-        deltas over the run), so a warm second run reports its own — near
-        perfect — hit rate, and a later run cannot retroactively change an
-        earlier report.  ``chaos`` injects seeded node-loss events (see
+        The report carries *this run's* cache counters (the deltas of the
+        scheduler's cache over the run), so a warm second run reports its
+        own — near perfect — hit rate, and a later run cannot retroactively
+        change an earlier report.  ``chaos`` injects seeded node-loss events (see
         :meth:`~repro.serve.scheduler.Scheduler.run`); the report records
         the fired events and the job re-queues they caused.
 
@@ -421,7 +400,8 @@ class ServingEngine:
         the span-folded cost attribution.  Telemetry is observation-only:
         results and bookings are bit-identical with or without consumers.
         """
-        before = replace(self.cache.stats)
+        cache = self.scheduler.cache
+        before = replace(cache.stats)
         registry = metrics if metrics is not None else MetricsRegistry()
         log = events if events is not None else EventLog()
         outcome = self.scheduler.run(jobs, chaos=chaos, metrics=registry, events=log)
@@ -430,7 +410,7 @@ class ServingEngine:
             policy=self.policy,
             results=outcome.results,
             dispatches=outcome.dispatches,
-            cache_stats=self.cache.stats.since(before),
+            cache_stats=cache.stats.since(before),
             timeline=outcome.timeline,
             failures=outcome.failures,
             requeued_jobs=outcome.requeued_jobs,

@@ -30,14 +30,13 @@ CP-ALS / Tucker-HOOI modeled passes with the placement's device or cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.algorithms.cp import UnifiedGPUEngine, cp_modeled_pass, cp_numeric_pass
 from repro.algorithms.tucker import hooi_modeled_pass, hooi_numeric_pass
 from repro.backends import get_backend
 from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
-from repro.formats.mode_encoding import OperationKind
 from repro.kernels.unified import operation_spec
 from repro.kernels.unified.driver import compute, model
 from repro.kernels.unified.spmttkrp import spmttkrp_operands
@@ -45,8 +44,7 @@ from repro.kernels.unified.spttm import spttm_operands
 from repro.kernels.unified.spttmc import spttmc_operands
 from repro.obs.metrics import observe_kernel_profile
 from repro.serve.job import Job, JobKind
-from repro.serve.placement import Placement
-from repro.tensor.sparse import SparseTensor
+from repro.serve.placement import NUM_STREAMS, Placement
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only
     from repro.obs.metrics import MetricsRegistry
@@ -80,20 +78,6 @@ class ExecutionOutcome:
     exec_s: float
     execution: str
     profile: Any = None
-
-
-class _Held:
-    """The preprocessing-cache protocol over the encodings a job already
-    holds: every lookup hits and costs nothing, and no shared cache is
-    fetched a second time."""
-
-    def __init__(self, encodings: Mapping[int, FCOOTensor]) -> None:
-        self._encodings = encodings
-
-    def encoding(
-        self, tensor: SparseTensor, operation: OperationKind, mode: int
-    ) -> Tuple[FCOOTensor, bool, float]:
-        return self._encodings[mode], True, 0.0
 
 
 def _job_encodings(
@@ -137,8 +121,8 @@ def execute_job(
         operands = _OPERANDS[job.kind](encodings[job.mode], job.factors(), job.mode)
         return compute(*operands, get_backend(None))
     if job.kind is JobKind.CP_ALS:
-        engine = UnifiedGPUEngine(ctx=ExecContext(preproc_cache=_Held(encodings)))
-        engine.prepare(job.tensor, job.rank)
+        engine = UnifiedGPUEngine()
+        engine.prepare(job.tensor, job.rank, encodings)
         return cp_numeric_pass(
             job.tensor,
             engine,
@@ -161,7 +145,6 @@ def price_job(
     numbers: Any = None,
     *,
     encodings: Optional[Mapping[int, FCOOTensor]] = None,
-    num_streams: int = 2,
     metrics: Optional["MetricsRegistry"] = None,
 ) -> ExecutionOutcome:
     """Price one placed job with the cost model alone.
@@ -174,18 +157,13 @@ def price_job(
     work.  A decomposition needs it: its modeled pass books as many sweeps
     as the numeric pass ran, and its output is the full result.
 
-    ``encodings`` is as in :func:`execute_job`; ``num_streams`` is the
-    stream count of the kernels' out-of-core fallback.  ``metrics`` is an
-    optional :class:`~repro.obs.metrics.MetricsRegistry` the kernel or
-    decomposition telemetry lands in; it is observation only.
+    ``encodings`` is as in :func:`execute_job`.  The kernels' out-of-core
+    fallback runs :data:`~repro.serve.placement.NUM_STREAMS` streams.
+    ``metrics`` is an optional :class:`~repro.obs.metrics.MetricsRegistry`
+    the kernel or decomposition telemetry lands in; it is observation only.
     """
     encodings = _job_encodings(job, encodings)
-    ctx = ExecContext(
-        num_streams=num_streams,
-        cluster=placement.cluster,
-        preproc_cache=_Held(encodings),
-        metrics=metrics,
-    )
+    ctx = ExecContext(num_streams=NUM_STREAMS, cluster=placement.cluster, metrics=metrics)
     if job.kind.is_kernel:
         encoding = encodings[job.mode]
         op = operation_spec(encoding, job.operation, job.rank)
@@ -219,7 +197,7 @@ def price_job(
             threadlen=placement.threadlen,
             ctx=ctx,
         )
-        setup_s = engine.prepare(job.tensor, job.rank)
+        setup_s = engine.prepare(job.tensor, job.rank, encodings)
         result = cp_modeled_pass(
             engine, job.tensor.shape, numbers, setup_time_s=setup_s, ctx=ctx
         )

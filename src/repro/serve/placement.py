@@ -42,7 +42,23 @@ from repro.gpusim.cluster import ClusterSpec
 from repro.gpusim.device import DeviceSpec
 from repro.serve.job import Job, JobKind
 
-__all__ = ["JobGeometry", "job_geometry", "Placement", "Placer"]
+__all__ = [
+    "BLOCK_SIZE",
+    "THREADLEN",
+    "NUM_STREAMS",
+    "JobGeometry",
+    "job_geometry",
+    "Placement",
+    "Placer",
+]
+
+#: The launch every placement starts from; the tuner cache replaces it per
+#: job shape when the scheduler autotunes.
+BLOCK_SIZE = 128
+THREADLEN = 8
+
+#: Streams (and in-flight chunk buffers) of the kernels' out-of-core path.
+NUM_STREAMS = 2
 
 #: Bytes per stored factor/output element (the kernels' single precision).
 _VALUE_BYTES = 4.0
@@ -96,13 +112,12 @@ def _kernel_geometry(
     job: Job,
     kind: JobKind,
     mode: int,
-    threadlen: int,
     ranks: Optional[Sequence[int]] = None,
 ) -> JobGeometry:
-    """Geometry of one kernel invocation (shared with the decomposition
-    estimates, which take the worst mode).  ``ranks`` gives the per-mode
-    factor widths (``job.rank`` everywhere by default; Tucker passes its
-    shape-clamped multilinear rank)."""
+    """Geometry of one kernel invocation at :data:`THREADLEN` (shared with
+    the decomposition estimates, which take the worst mode).  ``ranks``
+    gives the per-mode factor widths (``job.rank`` everywhere by default;
+    Tucker passes its shape-clamped multilinear rank)."""
     tensor = job.tensor
     shape = tensor.shape
     order = tensor.order
@@ -113,7 +128,7 @@ def _kernel_geometry(
     )
     nnz = tensor.nnz
     fcoo_bytes = FCOOTensor.estimate_storage_bytes(
-        nnz, len(product_modes), threadlen=threadlen
+        nnz, len(product_modes), threadlen=THREADLEN
     )
 
     factor_bytes = sum(shape[m] * ranks[m] * _VALUE_BYTES for m in product_modes)
@@ -136,7 +151,7 @@ def _kernel_geometry(
     )
 
 
-def job_geometry(job: Job, *, threadlen: int = 8) -> JobGeometry:
+def job_geometry(job: Job) -> JobGeometry:
     """Device-memory geometry of a job, from host-side statistics alone.
 
     Kernel jobs size their one invocation; decomposition jobs take the
@@ -147,13 +162,13 @@ def job_geometry(job: Job, *, threadlen: int = 8) -> JobGeometry:
     decomposition.
     """
     if job.kind.is_kernel:
-        return _kernel_geometry(job, job.kind, job.mode, threadlen)
+        return _kernel_geometry(job, job.kind, job.mode)
     if job.kind is JobKind.CP_ALS:
         inner, ranks = JobKind.SPMTTKRP, None
     else:
         inner, ranks = JobKind.SPTTMC, job.tucker_ranks
     per_mode = [
-        _kernel_geometry(job, inner, mode, threadlen, ranks)
+        _kernel_geometry(job, inner, mode, ranks)
         for mode in range(job.tensor.order)
     ]
     worst = max(per_mode, key=lambda g: g.footprint_bytes)
@@ -212,18 +227,8 @@ class Placement:
 class Placer:
     """Capability-aware (and, over two tiers, node-aware) placement policy."""
 
-    def __init__(
-        self,
-        cluster: ClusterSpec,
-        *,
-        block_size: int = 128,
-        threadlen: int = 8,
-        num_streams: int = 2,
-    ) -> None:
+    def __init__(self, cluster: ClusterSpec) -> None:
         self.cluster = cluster
-        self.block_size = block_size
-        self.threadlen = threadlen
-        self.num_streams = max(1, int(num_streams))
         #: Roofline throughput score per device slot (bytes/s) — the same
         #: scores whose normalisation weights the shard partitioner, so
         #: placement preference and shard sizing cannot diverge.
@@ -241,7 +246,7 @@ class Placer:
         The tensor must have at least two modes: every F-COO operation
         needs a product mode and an index mode.  A job is admitted
         when at least one device can hold its resident dense operands next
-        to the configured number of minimal streamed chunk buffers — the
+        to :data:`NUM_STREAMS` minimal streamed chunk buffers — the
         weakest execution mode the kernels support.  (Sharding does not
         relax this bound: every shard stages the full factor matrices.)
         Callers that already sized the job pass its ``geometry`` to avoid
@@ -262,7 +267,7 @@ class Placer:
                 f"operation needs a product mode and an index mode"
             )
         if geometry is None:
-            geometry = job_geometry(job, threadlen=self.threadlen)
+            geometry = job_geometry(job)
         needed = geometry.resident_bytes + self._min_chunk_bytes(geometry)
         if needed > self.cluster.max_device_memory_bytes:
             return (
@@ -286,7 +291,7 @@ class Placer:
     def _min_chunk_bytes(self, geometry: JobGeometry) -> float:
         """Bytes of the smallest viable streamed chunk buffers: one
         ``threadlen`` partition per in-flight stream."""
-        return self.num_streams * self.threadlen * geometry.bytes_per_nnz
+        return NUM_STREAMS * THREADLEN * geometry.bytes_per_nnz
 
     def feasible_slots(
         self, geometry: JobGeometry, excluded: AbstractSet[int] = frozenset()
@@ -352,8 +357,8 @@ class Placer:
         return Placement(
             device_slots=cluster.node_slots(index),
             cluster=cluster.nodes[index].as_cluster(),
-            block_size=self.block_size,
-            threadlen=self.threadlen,
+            block_size=BLOCK_SIZE,
+            threadlen=THREADLEN,
             node_index=index,
         )
 
@@ -410,8 +415,8 @@ class Placer:
                 return Placement(
                     device_slots=tuple(flat),
                     cluster=exec_cluster,
-                    block_size=self.block_size,
-                    threadlen=self.threadlen,
+                    block_size=BLOCK_SIZE,
+                    threadlen=THREADLEN,
                 )
         slots = self.feasible_slots(geometry, excluded=excluded_slots)
         if not slots:  # admit() keeps this unreachable; defensive
@@ -434,7 +439,7 @@ class Placer:
         return Placement(
             device_slots=(best,),
             cluster=None,
-            block_size=self.block_size,
-            threadlen=self.threadlen,
+            block_size=BLOCK_SIZE,
+            threadlen=THREADLEN,
             device=cluster.devices[best],
         )

@@ -3,16 +3,16 @@
 The scheduler turns a stream of :class:`~repro.serve.job.Job` s into a
 deterministic simulated-time schedule:
 
-* **admission** — on arrival a job is either shed (optional queue-depth
-  bound: a full queue rejects newcomers instead of growing without bound),
-  rejected by memory admission control *before* any preprocessing is spent
-  (a job whose resident dense operands cannot fit next to two minimal
-  streamed chunk buffers on any device — see
-  :meth:`~repro.serve.placement.Placer.admit`), or preprocessed: its F-COO
-  encoding (and, with ``autotune``, its tuned launch parameters) come from
-  the shared :class:`~repro.serve.cache.PreprocCache`.  Preprocessing is
-  host work done tenant-side and overlaps freely across jobs; a cache miss
-  delays only that job's stage-readiness, never the cluster.
+* **admission** — on arrival a job is either rejected by admission
+  control *before* any preprocessing is spent (a tensor no F-COO
+  operation or float32 value can hold, or resident dense operands that
+  cannot fit next to two minimal streamed chunk buffers on any device —
+  see :meth:`~repro.serve.placement.Placer.admit`), or preprocessed: its
+  F-COO encoding (and, with ``autotune``, its tuned launch parameters)
+  come from the scheduler's :class:`~repro.serve.cache.PreprocCache`.
+  Preprocessing is host work done tenant-side and overlaps freely across
+  jobs; a cache miss delays only that job's stage-readiness, never the
+  cluster.
 
 * **queueing** — admitted jobs wait in a priority queue
   (``policy="priority"``: lower priority class first, FIFO within a class;
@@ -47,10 +47,11 @@ deterministic simulated-time schedule:
   so a late high-priority job overtakes queued batch work; a job still
   preprocessing never blocks stage-ready ones.
 
-* **batching** — compatible stage-ready jobs (same tensor content,
-  operation, mode and rank — i.e. the same F-COO encoding and launch
-  geometry) ride one dispatch: the encoding is staged once for the whole
-  batch and the members execute back to back on the batch's device.
+* **batching** — up to :data:`MAX_BATCH` compatible stage-ready jobs
+  (same tensor content, operation, mode and rank — i.e. the same F-COO
+  encoding and launch geometry) ride one dispatch: the encoding is staged
+  once for the whole batch and the members execute back to back on the
+  batch's device.
   Batching changes *when* work runs, never *what* it computes.
 
 * **pricing and numerics** — every dispatch prices the job on its
@@ -62,9 +63,13 @@ deterministic simulated-time schedule:
 
 * **feasibility** — every run ends by checking that no resource of its
   timeline is busy for longer than the run
-  (:meth:`~repro.gpusim.timeline.Timeline.violations`).  Preemption and
-  chaos re-booking release and re-book committed work; an over-booked
-  resource means one of them double-counted time, and the run raises
+  (:meth:`~repro.gpusim.timeline.Timeline.violations`), and that every
+  resource's busy seconds reconcile with the seconds its bookings'
+  spans attribute (:attr:`~repro.obs.attribution.ResourceCost.reconciles`).
+  Preemption and chaos re-booking release and re-book committed work; an
+  over-booked resource means one of them double-counted time, and an
+  unreconciled one that its busy-seconds total and its bookings disagree
+  (release and truncate edit both).  Either way the run raises
   ``RuntimeError`` instead of reporting that schedule.
 
 All time bookkeeping lives on one shared
@@ -116,10 +121,14 @@ from repro.serve.job import Job, JobKind, JobResult, JobStatus
 from repro.serve.placement import JobGeometry, Placement, Placer, job_geometry
 
 __all__ = [
+    "MAX_BATCH",
     "PreemptionRecord",
     "ScheduleOutcome",
     "Scheduler",
 ]
+
+#: Largest batch of compatible jobs one dispatch carries.
+MAX_BATCH = 4
 
 
 @dataclass(frozen=True)
@@ -278,29 +287,24 @@ class ScheduleOutcome:
 class Scheduler:
     """Deterministic simulated-time scheduler for one serving cluster.
 
+    The scheduler owns its :class:`~repro.serve.cache.PreprocCache`
+    (``cache``): encodings and tuned launch configs outlive a run, so a
+    later run on the same scheduler starts warm.  Jobs launch with
+    :data:`~repro.serve.placement.BLOCK_SIZE` and
+    :data:`~repro.serve.placement.THREADLEN` unless tuned.
+
     Parameters
     ----------
     cluster:
         The serving cluster.
-    cache:
-        Shared preprocessing cache (encodings + tuned launch configs).
     policy:
         ``"priority"`` (default), ``"fifo"`` or ``"deadline"``
         (earliest-deadline-first with chunk-boundary preemption; see the
         module docstring).
-    max_batch:
-        Largest batch of compatible jobs per dispatch (1 disables batching).
-    max_queue_depth:
-        Queue bound for admission-time load shedding (``None``: unbounded).
-    block_size / threadlen:
-        Default launch parameters (overridden per job by the tuner cache
-        when ``autotune`` is on).
     autotune:
         Look up tuned ``(BLOCK_SIZE, threadlen)`` per kernel-job shape in
         the cache (sweeping on a miss, reusing on a hit); tuning runs on
         the cluster's most capable device.
-    num_streams:
-        Stream count for the kernels' out-of-core fallback.
     autoscale:
         Optional :class:`~repro.serve.autoscale.AutoscalerSpec`; ``None``
         (the default) keeps the legacy fixed pool byte-identical.
@@ -309,41 +313,21 @@ class Scheduler:
     def __init__(
         self,
         cluster: ClusterSpec,
-        cache: Optional[PreprocCache] = None,
         *,
         policy: str = "priority",
-        max_batch: int = 4,
-        max_queue_depth: Optional[int] = None,
-        block_size: int = 128,
-        threadlen: int = 8,
         autotune: bool = False,
-        num_streams: int = 2,
         autoscale: Optional[AutoscalerSpec] = None,
     ) -> None:
         if policy not in ("priority", "fifo", "deadline"):
             raise ValueError(
                 f"policy must be 'priority', 'fifo' or 'deadline', got {policy!r}"
             )
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be at least 1, got {max_batch}")
-        if max_queue_depth is not None and max_queue_depth < 1:
-            raise ValueError(
-                f"max_queue_depth must be at least 1, got {max_queue_depth}"
-            )
         self.cluster = cluster
-        self.cache = cache if cache is not None else PreprocCache()
+        self.cache = PreprocCache()
         self.policy = policy
-        self.max_batch = max_batch
-        self.max_queue_depth = max_queue_depth
         self.autotune = autotune
-        self.num_streams = num_streams
         self.autoscale = autoscale
-        self.placer = Placer(
-            cluster,
-            block_size=block_size,
-            threadlen=threadlen,
-            num_streams=num_streams,
-        )
+        self.placer = Placer(cluster)
         weights = cluster.capability_weights()
         #: Where tuner sweeps run: the most capable member (ties: lowest slot).
         self._tuner_device = cluster.devices[
@@ -448,23 +432,10 @@ class Scheduler:
         availability: Dict[Tuple, float],
         events: Optional[EventLog] = None,
     ) -> None:
-        """Process arrivals up to ``clock``: shed, reject or preprocess."""
+        """Process arrivals up to ``clock``: reject or preprocess."""
         while pending and pending[0].arrival_s <= clock:
             job = pending.popleft()
-            if self.max_queue_depth is not None and len(ready) >= self.max_queue_depth:
-                results[job.job_id] = self._rejected(
-                    job,
-                    f"queue full ({self.max_queue_depth} jobs waiting) at arrival",
-                )
-                if events is not None:
-                    events.emit(
-                        "reject",
-                        time_s=job.arrival_s,
-                        job_id=f"job{job.job_id}",
-                        reason="queue_full",
-                    )
-                continue
-            geometry = job_geometry(job, threadlen=self.placer.threadlen)
+            geometry = job_geometry(job)
             reason = self.placer.admit(job, geometry)
             if reason is not None:
                 results[job.job_id] = self._rejected(job, reason)
@@ -515,9 +486,9 @@ class Scheduler:
     def _pop_batch_mates(
         self, ready: List[Tuple[Tuple, _ReadyEntry]], leader: Job, t: float
     ) -> List[_ReadyEntry]:
-        """Extract up to ``max_batch - 1`` stage-ready jobs batchable with
+        """Extract up to ``MAX_BATCH - 1`` stage-ready jobs batchable with
         ``leader``."""
-        if self.max_batch <= 1 or not leader.kind.is_kernel:
+        if not leader.kind.is_kernel:
             return []
         leader_key = leader.batch_key
         matching = sorted(
@@ -534,7 +505,7 @@ class Scheduler:
             ),
             key=lambda entry: entry[0],
         )
-        take = matching[: self.max_batch - 1]
+        take = matching[: MAX_BATCH - 1]
         if take:
             taken = {entry[1].job.job_id for entry in take}
             ready[:] = [entry for entry in ready if entry[1].job.job_id not in taken]
@@ -592,7 +563,9 @@ class Scheduler:
 
         Raises ``RuntimeError`` naming every over-booked resource and its
         excess busy seconds when the finished run's timeline has any
-        (:meth:`~repro.gpusim.timeline.Timeline.violations`).
+        (:meth:`~repro.gpusim.timeline.Timeline.violations`), and naming
+        every resource whose busy seconds do not reconcile with its
+        attributed and untagged seconds, with the gap.
         """
         ids = [job.job_id for job in jobs]
         if len(set(ids)) != len(ids):
@@ -687,7 +660,7 @@ class Scheduler:
                             ledger,
                             work_started=victim.stage_start_s < event.time_s,
                         )
-                    geometry = job_geometry(job, threadlen=self.placer.threadlen)
+                    geometry = job_geometry(job)
                     entry = self._preprocess(job, geometry, availability)
                     # Re-admission cannot predate the failure that caused it.
                     entry.ready_s = max(entry.ready_s, event.time_s)
@@ -777,17 +750,27 @@ class Scheduler:
                     for key, excess in sorted(overbooked.items())
                 )
             )
+        # Fold the span-tagged trace into the per-job cost breakdown.  The
+        # fold reads the timeline; it never writes, so the schedule is
+        # bit-identical with or without telemetry consumers.
+        attribution = attribute(timeline)
+        unreconciled = sorted(
+            (cost.key, float(cost.gap_s))
+            for cost in attribution.resources.values()
+            if not cost.reconciles
+        )
+        if unreconciled:
+            raise RuntimeError(
+                "scheduler run's attribution does not reconcile: "
+                + ", ".join(f"{key} gap {gap!r} s" for key, gap in unreconciled)
+            )
         ordered = [
             replace(results[job_id], requeues=requeue_counts[job_id])
             if job_id in requeue_counts
             else results[job_id]
             for job_id in sorted(results)
         ]
-        # Fold the span-tagged trace into the per-job cost breakdown and
-        # backfill the attributed fields on every completed result.  The
-        # fold reads the timeline; it never writes, so the schedule is
-        # bit-identical with or without telemetry consumers.
-        attribution = attribute(timeline)
+        # Backfill the attributed fields on every completed result.
         for result in ordered:
             cost = attribution.jobs.get(f"job{result.job.job_id}")
             if result.completed and cost is not None:
@@ -936,11 +919,7 @@ class Scheduler:
                 state.numerics[job.job_id] = execute_job(job, encodings=entry.encodings)
             return state.numerics[job.job_id]
 
-        kwargs = dict(
-            encodings=entry.encodings,
-            num_streams=self.num_streams,
-            metrics=state.metrics,
-        )
+        kwargs = dict(encodings=entry.encodings, metrics=state.metrics)
         if job.kind.is_kernel:
             outcome = price_job(job, placement, **kwargs)
             outcome.output = numbers()

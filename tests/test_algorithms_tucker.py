@@ -8,7 +8,6 @@ from repro.algorithms.tucker import tucker_hooi
 from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.gpusim.cluster import ClusterSpec, NodeFailure
-from repro.serve.cache import PreprocCache
 from repro.tensor.random import random_sparse_tensor
 from repro.tensor.sparse import SparseTensor
 from repro.tensor.ops import ttm_dense
@@ -121,13 +120,6 @@ class TestTuckerKernelContext:
         assert len(result.recoveries) == int(lose_node)
         assert len(calls) == order
         assert sorted(mode for _op, mode in calls) == list(range(order))
-
-    def test_cached_run_looks_up_each_mode_once(self, skewed_tensor):
-        cache = PreprocCache()
-        ctx = ExecContext(preproc_cache=cache)
-        tucker_hooi(skewed_tensor, (5, 5, 5), max_iterations=2, tolerance=0.0, ctx=ctx)
-        # One lookup (a miss) per mode; both passes reuse the encodings.
-        assert (cache.stats.encode_misses, cache.stats.encode_hits) == (3, 0)
 
     def test_value_beyond_float32_raises(self):
         # The float32 cast would make it inf, on which the SVD never returns.

@@ -222,33 +222,6 @@ class TestTuckerRecovery:
         assert len(faulty.recoveries) == 1
         assert faulty.recovery_overhead_s > 0.0
 
-    def test_preproc_cache_ledger_not_perturbed(self):
-        from repro.serve.cache import PreprocCache
-
-        def run(chaos, cache):
-            return tucker_hooi(
-                TENSOR,
-                (5, 5, 5),
-                ctx=ExecContext(cluster=two_nodes(), preproc_cache=cache, chaos=chaos),
-                max_iterations=2,
-            )
-
-        clean_cache = PreprocCache()
-        run(None, clean_cache)
-        clean = tucker_hooi(
-            TENSOR, (5, 5, 5), ctx=ExecContext(cluster=two_nodes()), max_iterations=2
-        )
-        chaos_cache = PreprocCache()
-        run(
-            [NodeFailure(time_s=clean.makespan_s * 0.4, node_index=0)],
-            chaos_cache,
-        )
-        # Recovery plans read the encodings the run holds and re-booking a
-        # sweep computes nothing, so a node loss makes no cache lookup.
-        assert clean_cache.stats.encode_misses == chaos_cache.stats.encode_misses
-        assert chaos_cache.stats.encode_hits == clean_cache.stats.encode_hits
-        assert chaos_cache.stats.evictions == clean_cache.stats.evictions
-
     @settings(deadline=None, max_examples=8)
     @given(
         frac=st.floats(min_value=0.05, max_value=0.95),
@@ -352,9 +325,8 @@ class TestServingChaos:
     def _jobs(self, n=14, seed=7):
         return generate_workload(WorkloadSpec(num_jobs=n, seed=seed))
 
-    def _run(self, chaos=None, **kwargs):
-        engine = ServingEngine(two_nodes(), **kwargs)
-        return engine.run(self._jobs(), chaos=chaos)
+    def _run(self, chaos=None):
+        return ServingEngine(two_nodes()).run(self._jobs(), chaos=chaos)
 
     def _mid_run_failure(self, node=0):
         clean = self._run()
@@ -488,23 +460,6 @@ class TestEmptyAndOversizeEdges:
         text = report.render()
         assert "0 completed" in text
         assert "3 rejected" in text
-
-    def test_oversized_encoding_not_cached(self):
-        from repro.formats.mode_encoding import OperationKind
-        from repro.serve.cache import PreprocCache
-
-        cache = PreprocCache(capacity_bytes=1)
-        tensor = random_sparse_tensor((30, 20, 10), 500, seed=0)
-        encoding, hit, cost = cache.encoding(tensor, OperationKind.SPMTTKRP, 0)
-        assert encoding is not None
-        assert not hit
-        assert cost > 0.0
-        # The oversized entry must not be admitted (it would evict the
-        # whole cache), but the caller still gets the encoding.
-        assert cache.current_bytes == 0
-        again, hit2, cost2 = cache.encoding(tensor, OperationKind.SPMTTKRP, 0)
-        assert not hit2  # genuinely uncached, so a recompute
-        assert again is not None
 
 
 class TestFaultsBenchSuite:

@@ -570,7 +570,7 @@ class TestNodeAwarePlacement:
         return Placer(cluster)
 
     def _place(self, placer, job):
-        geometry = job_geometry(job, threadlen=placer.threadlen)
+        geometry = job_geometry(job)
         assert placer.admit(job, geometry) is None
         free = [0.0] * placer.cluster.num_devices
         return placer.place(geometry, free, 0.0)
@@ -587,7 +587,7 @@ class TestNodeAwarePlacement:
         from repro.serve.workload import _whale_tensor
 
         whale = _whale_tensor(rng)
-        geometry = job_geometry(_kernel_job(whale), threadlen=placer.threadlen)
+        geometry = job_geometry(_kernel_job(whale))
         assert geometry.footprint_bytes > cluster.max_device_memory_bytes
         placement = self._place(placer, _kernel_job(whale))
         assert placement.sharded
@@ -605,7 +605,7 @@ class TestNodeAwarePlacement:
         from repro.serve.workload import _whale_tensor
 
         job = _kernel_job(_whale_tensor(rng))
-        geometry = job_geometry(job, threadlen=placer.threadlen)
+        geometry = job_geometry(job)
         busy_node0 = placer.place(geometry, [5.0, 5.0, 0.0, 0.0], 0.0)
         assert busy_node0.node_index == 1
         busy_node1 = placer.place(geometry, [0.0, 0.0, 5.0, 5.0], 0.0)
@@ -616,7 +616,7 @@ class TestNodeAwarePlacement:
         from repro.serve.workload import _cross_node_tensor
 
         cross = _cross_node_tensor(rng)
-        geometry = job_geometry(_kernel_job(cross), threadlen=placer.threadlen)
+        geometry = job_geometry(_kernel_job(cross))
         # Too big for any single node's aggregate...
         for index, node in enumerate(cluster.nodes):
             aggregate = geometry.fcoo_bytes + node.num_devices * geometry.resident_bytes

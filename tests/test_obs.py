@@ -553,8 +553,11 @@ class TestServingReportRender:
     def test_render_reports_rejections(self):
         from repro.serve.engine import ServingEngine
 
-        engine = ServingEngine(max_queue_depth=1)
-        report = engine.run_workload(WorkloadSpec(num_jobs=25, seed=7))
-        if report.rejected:  # queue bound makes shedding likely, not certain
-            text = report.render()
-            assert "rejected x" in text
+        # The seed-7 workload holds one job whose resident operands fit no
+        # device; admission control refuses it.
+        report = ServingEngine().run_workload(WorkloadSpec(num_jobs=25, seed=7))
+        (rejected,) = report.rejected
+        assert "resident operands" in rejected.reject_reason
+        assert f"rejected x1: {rejected.reject_reason}" in report.render().splitlines()
+        (event,) = [e for e in report.events.events if e.kind == "reject"]
+        assert dict(event.fields)["reason"] == "admission_control"

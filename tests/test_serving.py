@@ -52,6 +52,8 @@ from repro.serve import (
     price_job,
 )
 from repro.serve.cache import SERVING_BLOCK_SIZES, SERVING_THREADLENS, TUNER_SECONDS_PER_CONFIG
+from repro.serve.placement import BLOCK_SIZE as SERVE_BLOCK_SIZE
+from repro.serve.placement import THREADLEN as SERVE_THREADLEN
 from repro.serve.workload import (
     default_multinode_serving_cluster,
     default_serving_cluster,
@@ -59,7 +61,6 @@ from repro.serve.workload import (
 from repro.tensor.random import random_sparse_tensor
 from repro.tensor.sparse import SparseTensor
 from test_streaming import (
-    BLOCK_SIZE,
     CASES,
     RANK,
     THREADLEN,
@@ -96,6 +97,13 @@ def one_device_cluster(mem_bytes: float) -> ClusterSpec:
         TITAN_X, mem_bytes / TITAN_X.global_mem_bytes, name_suffix="t-solo"
     )
     return NodeSpec(devices=(device,), name="test-solo").as_cluster()
+
+
+def _unbatchable(jobs):
+    """``jobs`` with pairwise distinct batch keys: job ``i`` gets rank
+    ``RANK + i``, so no two ride one dispatch but all share the tensor's
+    encoding."""
+    return [replace(job, rank=RANK + job.job_id) for job in jobs]
 
 
 def assert_same_output(actual, expected) -> None:
@@ -318,19 +326,6 @@ class TestPreprocCache:
         _, hit, _ = cache.encoding(b, "spmttkrp", 0)
         assert hit  # two tenants, same upload, one entry
 
-    def test_lru_eviction_under_capacity(self):
-        tensors = [random_sparse_tensor((8, 9, 10), 120, seed=s) for s in range(4)]
-        one_entry = FCOOTensor.from_sparse(tensors[0], "spmttkrp", 0).storage_bytes()
-        cache = PreprocCache(capacity_bytes=int(2.5 * one_entry))
-        for t in tensors:
-            cache.encoding(t, "spmttkrp", 0)
-        assert cache.stats.evictions > 0
-        assert cache.current_bytes <= int(2.5 * one_entry)
-        # The most recent entry survived; the oldest was evicted.
-        _, hit_new, _ = cache.encoding(tensors[-1], "spmttkrp", 0)
-        _, hit_old, _ = cache.encoding(tensors[0], "spmttkrp", 0)
-        assert hit_new and not hit_old
-
     def test_tuner_config_reuse(self):
         cache = PreprocCache()
         tensor = CASES["order3-uniform"]()
@@ -366,10 +361,10 @@ class TestPlacement:
     def test_geometry_matches_kernel_footprint(self):
         tensor = CASES[BIG_CASE]()
         job = Job(job_id=0, tenant="t", kind=JobKind.SPMTTKRP, tensor=tensor, rank=RANK)
-        geometry = job_geometry(job, threadlen=THREADLEN)
+        geometry = job_geometry(job)
         fcoo = FCOOTensor.from_sparse(tensor, "spmttkrp", 0)
         footprint, resident = spmttkrp_footprint(
-            fcoo, RANK, block_size=BLOCK_SIZE, threadlen=THREADLEN
+            fcoo, RANK, block_size=SERVE_BLOCK_SIZE, threadlen=SERVE_THREADLEN
         )
         assert geometry.footprint_bytes == pytest.approx(footprint, rel=0.01)
         assert geometry.resident_bytes == pytest.approx(resident, rel=0.01)
@@ -380,14 +375,14 @@ class TestPlacement:
         )
         giant = SparseTensor(indices, np.ones(100), (100_000, 5, 7))
         job = Job(job_id=0, tenant="t", kind=JobKind.SPMTTKRP, tensor=giant, rank=16)
-        engine = ServingEngine(hetero_cluster(16_000, 8_000), threadlen=THREADLEN)
+        engine = ServingEngine(hetero_cluster(16_000, 8_000))
         report = engine.run([job])
         (result,) = report.results
         assert result.status is JobStatus.REJECTED
         assert "resident operands" in result.reject_reason
 
     def test_fast_device_preferred_when_idle(self):
-        engine = ServingEngine(hetero_cluster(1 << 30, 1 << 29), threadlen=THREADLEN)
+        engine = ServingEngine(hetero_cluster(1 << 30, 1 << 29))
         job = Job(
             job_id=0,
             tenant="t",
@@ -395,7 +390,7 @@ class TestPlacement:
             tensor=CASES["order3-uniform"](),
             rank=RANK,
         )
-        geometry = job_geometry(job, threadlen=THREADLEN)
+        geometry = job_geometry(job)
         placement = engine.scheduler.placer.place(geometry, [0.0, 0.0, 0.0], 0.0)
         assert placement.device_slots == (0,)
         # With slot 0 busy far into the future, slot 1 wins.
@@ -404,7 +399,7 @@ class TestPlacement:
 
     def test_oversized_job_sharded_across_cluster(self):
         cluster = hetero_cluster(6_000, 3_500)
-        engine = ServingEngine(cluster, threadlen=THREADLEN, block_size=BLOCK_SIZE)
+        engine = ServingEngine(cluster)
         job = Job(
             job_id=0,
             tenant="t",
@@ -454,9 +449,9 @@ class TestScheduler:
     def test_priority_overtakes_fifo_order(self):
         tensor = CASES["order3-uniform"]()
         cluster = one_device_cluster(1 << 30)
-        jobs = self._identical_jobs(5, tensor, priorities=[1, 1, 1, 1, 0])
-        by_priority = ServingEngine(cluster, policy="priority", max_batch=1).run(jobs)
-        by_fifo = ServingEngine(cluster, policy="fifo", max_batch=1).run(jobs)
+        jobs = _unbatchable(self._identical_jobs(5, tensor, priorities=[1, 1, 1, 1, 0]))
+        by_priority = ServingEngine(cluster, policy="priority").run(jobs)
+        by_fifo = ServingEngine(cluster, policy="fifo").run(jobs)
         pri = {r.job.job_id: r for r in by_priority.results}
         fifo = {r.job.job_id: r for r in by_fifo.results}
         # Under priority, the urgent job (id 4) runs before the batch-class
@@ -468,7 +463,7 @@ class TestScheduler:
         tensor = CASES["order3-uniform"]()
         cluster = one_device_cluster(1 << 30)
         jobs = self._identical_jobs(4, tensor)
-        report = ServingEngine(cluster, max_batch=4).run(jobs)
+        report = ServingEngine(cluster).run(jobs)
         batched = [r for r in report.results if r.batch_id is not None]
         # All four become stage-ready together when the shared encoding's
         # build completes (the hits wait for the miss's build), so they
@@ -499,9 +494,7 @@ class TestScheduler:
             rank=RANK,
             iterations=1,
         )
-        report = ServingEngine(one_device_cluster(1 << 30), max_batch=4).run(
-            kernel_jobs + [cp_job]
-        )
+        report = ServingEngine(one_device_cluster(1 << 30)).run(kernel_jobs + [cp_job])
         by_id = {r.job.job_id: r for r in report.results}
         assert by_id[10].batch_id is None
         assert by_id[10].execution == "decomposition"
@@ -544,7 +537,7 @@ class TestScheduler:
                 arrival_s=build_s / 10.0,
             ),
         ]
-        report = ServingEngine(one_device_cluster(1 << 30), max_batch=1).run(jobs)
+        report = ServingEngine(one_device_cluster(1 << 30)).run(jobs)
         by_id = {r.job.job_id: r for r in report.results}
         assert by_id[1].encode_cache_hit
         assert by_id[1].stage_start_s >= build_s - 1e-12
@@ -564,9 +557,7 @@ class TestScheduler:
                 arrival_s=1e-9,
             ),
         ]
-        report = ServingEngine(
-            one_device_cluster(1 << 30), max_batch=1, autotune=True
-        ).run(jobs)
+        report = ServingEngine(one_device_cluster(1 << 30), autotune=True).run(jobs)
         by_id = {r.job.job_id: r for r in report.results}
         assert by_id[1].tuner_cache_hit
         # Job 0's preproc is the encode + sweep; job 1 cannot stage earlier
@@ -586,6 +577,9 @@ class TestScheduler:
         monkeypatch.setattr(FCOOTensor, "from_sparse", classmethod(counting))
         names = ["order3-uniform", "order3-power", "order4-uniform", "order4-power"]
         cases = [(name, kind) for name in names for kind in KERNEL_KINDS]
+        # A CP and a Tucker job hand their cached encodings to the engine
+        # and the HOOI passes: serving them encodes nothing more either.
+        cases += [("order3-power", JobKind.CP_ALS), ("order4-uniform", JobKind.TUCKER)]
         jobs = [
             Job(
                 job_id=i,
@@ -600,25 +594,9 @@ class TestScheduler:
         ]
         report = ServingEngine(one_device_cluster(1 << 30), autotune=True).run(jobs)
         assert all(r.completed for r in report.results)
-        assert report.cache_stats.tuner_misses == len(jobs)
+        assert {r.execution for r in report.results} >= {"one-shot", "decomposition"}
+        assert report.cache_stats.tuner_misses == len(names) * len(KERNEL_KINDS)
         assert len(encoded) == report.cache_stats.encode_misses
-
-    def test_batching_disabled_with_max_batch_one(self):
-        tensor = CASES["order3-uniform"]()
-        jobs = self._identical_jobs(4, tensor)
-        report = ServingEngine(one_device_cluster(1 << 30), max_batch=1).run(jobs)
-        assert all(r.batch_id is None for r in report.results)
-
-    def test_queue_depth_sheds_load(self):
-        tensor = CASES["order3-uniform"]()
-        jobs = self._identical_jobs(6, tensor)
-        report = ServingEngine(
-            one_device_cluster(1 << 30), max_queue_depth=2, max_batch=1
-        ).run(jobs)
-        shed = [r for r in report.results if not r.completed]
-        assert len(shed) == 4
-        assert all("queue full" in r.reject_reason for r in shed)
-        assert sum(r.completed for r in report.results) == 2
 
     def test_execution_capacity_failure_rejects_job_not_run(self, monkeypatch):
         # The admission estimate is first-order; if the kernel itself runs
@@ -628,7 +606,7 @@ class TestScheduler:
         from repro.gpusim.timing import OutOfDeviceMemory
 
         tensor = CASES["order3-uniform"]()
-        jobs = self._identical_jobs(3, tensor)
+        jobs = _unbatchable(self._identical_jobs(3, tensor))
         real_price = scheduler_module.price_job
 
         def flaky_price(job, placement, *args, **kwargs):
@@ -637,7 +615,7 @@ class TestScheduler:
             return real_price(job, placement, *args, **kwargs)
 
         monkeypatch.setattr(scheduler_module, "price_job", flaky_price)
-        report = ServingEngine(one_device_cluster(1 << 30), max_batch=1).run(jobs)
+        report = ServingEngine(one_device_cluster(1 << 30)).run(jobs)
         by_id = {r.job.job_id: r for r in report.results}
         assert not by_id[1].completed
         assert "rejected at execution" in by_id[1].reject_reason
@@ -666,6 +644,25 @@ class TestScheduler:
         ):
             ServingEngine(one_device_cluster(1 << 30)).run(jobs)
         assert len(checked) == 1
+
+    def test_unreconciled_attribution_fails_the_run(self, monkeypatch):
+        import repro.serve.scheduler as scheduler_module
+
+        real_attribute = scheduler_module.attribute
+
+        def unreconciled(timeline):
+            attribution = real_attribute(timeline)
+            attribution.resources["dev0.compute"].busy_s += 0.5
+            return attribution
+
+        monkeypatch.setattr(scheduler_module, "attribute", unreconciled)
+        jobs = self._identical_jobs(2, CASES["order3-uniform"]())
+        with pytest.raises(
+            RuntimeError, match=r"attribution does not reconcile: dev0\.compute gap (\S+) s$"
+        ) as failure:
+            ServingEngine(one_device_cluster(1 << 30)).run(jobs)
+        gap = failure.value.args[0].rsplit(" gap ", 1)[1].removesuffix(" s")
+        assert float(gap) == pytest.approx(0.5)
 
     def test_report_invariants(self):
         report = run_serving(num_jobs=40, seed=0)
@@ -714,12 +711,7 @@ class TestServingBitIdentity:
 
     def test_scheduled_equals_sequential_for_all_kernels(self):
         jobs = self._corpus_jobs()
-        engine = ServingEngine(
-            default_serving_cluster(),
-            threadlen=THREADLEN,
-            block_size=BLOCK_SIZE,
-            max_batch=4,
-        )
+        engine = ServingEngine(default_serving_cluster())
         report = engine.run(jobs)
         assert all(r.completed for r in report.results)
         assert report.cache_stats.encode_hits > 0  # duplicates hit
@@ -753,7 +745,7 @@ class TestServingBitIdentity:
     def test_sharded_job_bit_identity(self):
         tensor = CASES[BIG_CASE]()
         cluster = hetero_cluster(6_000, 3_500)
-        engine = ServingEngine(cluster, threadlen=THREADLEN, block_size=BLOCK_SIZE)
+        engine = ServingEngine(cluster)
         job = Job(
             job_id=0, tenant="t", kind=JobKind.SPMTTKRP, tensor=tensor, rank=RANK
         )
@@ -771,7 +763,7 @@ class TestServingBitIdentity:
     def test_shard_streamed_fallback_bit_identity(self):
         tensor = CASES[BIG_CASE]()
         cluster = hetero_cluster(3_000, 2_200)
-        engine = ServingEngine(cluster, threadlen=THREADLEN, block_size=BLOCK_SIZE)
+        engine = ServingEngine(cluster)
         job = Job(
             job_id=0, tenant="t", kind=JobKind.SPMTTKRP, tensor=tensor, rank=RANK
         )
@@ -785,7 +777,7 @@ class TestServingBitIdentity:
     def test_streamed_single_device_bit_identity(self):
         tensor = CASES[BIG_CASE]()
         cluster = one_device_cluster(5_000)
-        engine = ServingEngine(cluster, threadlen=THREADLEN, block_size=BLOCK_SIZE)
+        engine = ServingEngine(cluster)
         job = Job(
             job_id=0, tenant="t", kind=JobKind.SPMTTKRP, tensor=tensor, rank=RANK
         )
@@ -819,19 +811,13 @@ class TestDecompositionJobs:
             iterations=2,
             factor_seed=5,
         )
-        engine = ServingEngine(
-            default_serving_cluster(), threadlen=THREADLEN, block_size=BLOCK_SIZE
-        )
+        engine = ServingEngine(default_serving_cluster())
         (result,) = engine.run([job]).results
         assert result.completed and result.execution == "decomposition"
         direct = cp_als(
             tensor,
             RANK,
-            engine=UnifiedGPUEngine(
-                device=result.placement.device,
-                block_size=BLOCK_SIZE,
-                threadlen=THREADLEN,
-            ),
+            engine=UnifiedGPUEngine(device=result.placement.device),
             max_iterations=2,
             seed=5,
             compute_fit=False,
@@ -851,9 +837,7 @@ class TestDecompositionJobs:
             iterations=2,
             factor_seed=9,
         )
-        engine = ServingEngine(
-            default_serving_cluster(), threadlen=THREADLEN, block_size=BLOCK_SIZE
-        )
+        engine = ServingEngine(default_serving_cluster())
         (result,) = engine.run([job]).results
         assert result.completed
         direct = tucker_hooi(
@@ -862,59 +846,10 @@ class TestDecompositionJobs:
             device=result.placement.device,
             max_iterations=2,
             seed=9,
-            block_size=BLOCK_SIZE,
-            threadlen=THREADLEN,
         )
         np.testing.assert_array_equal(result.output.core, direct.core)
         for served, reference in zip(result.output.factors, direct.factors):
             np.testing.assert_array_equal(served, reference)
-
-    def test_unified_engine_reuses_cache_across_runs(self):
-        tensor = CASES["order3-uniform"]()
-        cache = PreprocCache()
-        cached_engine = UnifiedGPUEngine(
-            block_size=BLOCK_SIZE, threadlen=THREADLEN, ctx=ExecContext(preproc_cache=cache)
-        )
-        first = cp_als(tensor, RANK, engine=cached_engine, max_iterations=2, seed=1)
-        assert cache.stats.encode_misses == tensor.order
-        second = cp_als(tensor, RANK, engine=cached_engine, max_iterations=2, seed=1)
-        assert cache.stats.encode_hits >= tensor.order
-        # The cached run charges no host encode the second time around...
-        assert second.setup_time_s < first.setup_time_s
-        # ...and the numerics are untouched by the cache.
-        plain = cp_als(
-            tensor,
-            RANK,
-            engine=UnifiedGPUEngine(block_size=BLOCK_SIZE, threadlen=THREADLEN),
-            max_iterations=2,
-            seed=1,
-        )
-        for cached_f, plain_f in zip(second.factors, plain.factors):
-            np.testing.assert_array_equal(cached_f, plain_f)
-
-    def test_tucker_cache_looked_up_once_per_mode(self):
-        tensor = CASES["order3-uniform"]()
-        cache = PreprocCache()
-        cached = tucker_hooi(
-            tensor,
-            (3, 3, 3),
-            max_iterations=2,
-            seed=2,
-            block_size=BLOCK_SIZE,
-            threadlen=THREADLEN,
-            ctx=ExecContext(preproc_cache=cache),
-        )
-        # One lookup (a miss) per mode; no sweep looks an encoding up again.
-        assert (cache.stats.encode_misses, cache.stats.encode_hits) == (tensor.order, 0)
-        plain = tucker_hooi(
-            tensor,
-            (3, 3, 3),
-            max_iterations=2,
-            seed=2,
-            block_size=BLOCK_SIZE,
-            threadlen=THREADLEN,
-        )
-        np.testing.assert_array_equal(cached.core, plain.core)
 
 
 # ---------------------------------------------------------------------- #
@@ -1175,7 +1110,7 @@ class TestWorkloadAndSurfaces:
 
     def test_cache_stats_are_per_run(self):
         tensor = CASES["order3-uniform"]()
-        engine = ServingEngine(one_device_cluster(1 << 30), max_batch=1)
+        engine = ServingEngine(one_device_cluster(1 << 30))
         job = Job(job_id=0, tenant="t", kind=JobKind.SPMTTKRP, tensor=tensor, rank=RANK)
         cold = engine.run([job])
         warm = engine.run([replace(job, job_id=1)])

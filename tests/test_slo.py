@@ -45,7 +45,7 @@ from repro.serve import (
 from repro.serve.workload import WorkloadSpec, generate_workload
 from repro.tensor.random import random_sparse_tensor
 from test_serving import assert_same_output, one_device_cluster
-from test_streaming import BLOCK_SIZE, CASES, RANK, THREADLEN
+from test_streaming import CASES, RANK
 
 BIG_CASE = "order3-power"
 
@@ -161,17 +161,12 @@ class TestPreemption:
         batch = Job(
             job_id=0, tenant="batch", kind=JobKind.SPMTTKRP, tensor=tensor, rank=RANK
         )
-        engine = ServingEngine(
-            cluster, threadlen=THREADLEN, block_size=BLOCK_SIZE, policy="deadline"
-        )
-        (alone,) = engine.run([batch]).results
+        (alone,) = self._engine(cluster).run([batch]).results
         assert alone.execution == "streamed"
         return cluster, batch, alone
 
     def _engine(self, cluster, policy="deadline"):
-        return ServingEngine(
-            cluster, threadlen=THREADLEN, block_size=BLOCK_SIZE, policy=policy
-        )
+        return ServingEngine(cluster, policy=policy)
 
     def test_chunk_boundary_preemption_meets_deadline_bit_identically(self):
         cluster, batch, alone = self._streamed_batch_scenario()
@@ -302,13 +297,12 @@ class TestDeadlineDegeneracy:
             job_id=0, tenant="a", kind=JobKind.SPMTTKRP, tensor=tensor,
             rank=4, slo=SLO.latency(5.0),
         )
+        # A different rank: the two share the encoding but never a batch.
         tight = Job(
             job_id=1, tenant="b", kind=JobKind.SPMTTKRP, tensor=tensor,
-            rank=4, slo=SLO.latency(1.0),
+            rank=5, slo=SLO.latency(1.0),
         )
-        report = ServingEngine(cluster, policy="deadline", max_batch=1).run(
-            [relaxed, tight]
-        )
+        report = ServingEngine(cluster, policy="deadline").run([relaxed, tight])
         by_id = {r.job.job_id: r for r in report.results}
         assert by_id[1].stage_start_s <= by_id[0].stage_start_s
         assert by_id[1].finish_s <= by_id[0].finish_s

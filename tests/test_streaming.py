@@ -13,6 +13,7 @@ streamed vs one-shot vs the reference oracles.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
 from repro.gpusim.device import TITAN_X, scaled_device
-from repro.gpusim.timeline import ChunkTiming, pipeline_time, schedule_chunks
+from repro.gpusim.timeline import ChunkTiming, schedule_chunks
 from repro.gpusim.timing import OutOfDeviceMemory
 from repro.kernels.reference import reference_mttkrp, reference_spttm, reference_ttmc
 from repro.kernels.unified import (
@@ -196,18 +197,17 @@ class TestStreamSchedule:
     def test_empty_schedule(self):
         assert schedule_chunks([], 2).total_time_s == 0.0
 
-    def test_pipeline_time_matches_schedule(self):
-        transfers, computes = [2.0, 2.0, 2.0], [3.0, 3.0, 3.0]
-        assert pipeline_time(transfers, computes, 2) == pytest.approx(11.0)
-        assert pipeline_time(transfers, computes, 1) == pytest.approx(15.0)
-
-    def test_pipeline_time_validates_lengths(self):
-        with pytest.raises(ValueError):
-            pipeline_time([1.0], [1.0, 2.0], 2)
-
     def test_negative_times_rejected(self):
         with pytest.raises(ValueError):
             ChunkTiming(-1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_times_rejected(self, bad):
+        # ChunkTiming lets NaN and inf through its sign check; the schedule
+        # refuses them, as booking them on a timeline resource would.
+        for timing in (ChunkTiming(bad, 1.0), ChunkTiming(1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                schedule_chunks([ChunkTiming(1.0, 1.0), timing], 2)
 
 
 class TestChunkedEqualsOneShot:

@@ -40,11 +40,9 @@ from repro.gpusim.timeline import (
     GangBooking,
     Resource,
     SimClock,
-    StreamSchedule,
     Timeline,
     device_compute_key,
     device_copy_key,
-    pipeline_time,
     schedule_chunks,
 )
 from repro.kernels.unified.spmttkrp import unified_spmttkrp
@@ -246,28 +244,23 @@ class TestStreamingClosedForm:
         assert list(schedule.compute_ends) == compute_ends
 
     @given(timings=_chunk_timings, num_streams=st.integers(1, 5))
-    def test_schedule_books_copy_and_compute_resources(self, timings, num_streams):
+    def test_schedule_matches_booking_on_a_timeline(self, timings, num_streams):
+        # The recurrence is the arithmetic of a device's copy and compute
+        # resources: booking the chunks on them resolves the same times.
+        timeline = Timeline()
+        copy = timeline.resource(device_copy_key(0), category="copy")
+        compute = timeline.resource(device_compute_key(0), category="compute")
+        compute_ends = []
+        for i, timing in enumerate(timings):
+            buffer_free = compute_ends[i - num_streams] if i >= num_streams else 0.0
+            transfer = copy.book(timing.transfer_s, ready_s=buffer_free)
+            compute_ends.append(compute.book(timing.compute_s, ready_s=transfer.end_s).end_s)
         schedule = schedule_chunks(timings, num_streams)
-        timeline = schedule.timeline
-        assert timeline is not None
-        assert timeline.busy_s(device_copy_key(0)) == pytest.approx(
-            schedule.transfer_time_s
-        )
-        assert timeline.busy_s(device_compute_key(0)) == pytest.approx(
-            schedule.compute_time_s
-        )
-        assert timeline.makespan_s == schedule.total_time_s
+        assert list(schedule.transfer_ends) == [b.end_s for b in copy.bookings]
+        assert list(schedule.compute_ends) == compute_ends
+        assert schedule.total_time_s == timeline.makespan_s
 
-    def test_pipeline_time_and_shared_timeline(self):
-        assert pipeline_time([1.0, 1.0], [2.0, 2.0], 2) == 5.0
-        shared = Timeline()
-        schedule_chunks([ChunkTiming(1.0, 2.0)], 2, timeline=shared, device_slot=1)
-        assert shared.busy_s(device_compute_key(1)) == 2.0
-        assert isinstance(
-            schedule_chunks([], 1), StreamSchedule
-        )  # empty stream is fine
-
-    def test_streamed_kernel_profile_carries_timeline(self):
+    def test_streamed_kernel_time_is_its_pipeline_makespan(self):
         tensor = random_sparse_tensor((24, 20, 16), 3_000, seed=5)
         factors = [np.asarray(f) for f in random_factors(tensor.shape, 4, seed=1)]
         fcoo = FCOOTensor.from_sparse(tensor, OperationKind.SPMTTKRP, 0)
@@ -275,9 +268,10 @@ class TestStreamingClosedForm:
             fcoo, factors, 0, ctx=ExecContext(streamed=True, num_streams=2, chunk_nnz=512)
         )
         streaming = result.profile.streaming
-        assert streaming is not None
-        assert streaming.timeline is not None
-        assert streaming.timeline.makespan_s == result.estimated_time_s
+        assert streaming is not None and streaming.num_chunks > 1
+        timings = [ChunkTiming(c.transfer_s, c.compute_s) for c in streaming.chunks]
+        _, compute_ends = _reference_recurrence(timings, 2)
+        assert result.estimated_time_s == compute_ends[-1]
 
 
 # ---------------------------------------------------------------------- #
