@@ -5,11 +5,14 @@ import pytest
 
 from repro.algorithms.cp import SplattCPUEngine, UnifiedGPUEngine, cp_als
 from repro.context import ExecContext
+from repro.formats.fcoo import FCOOTensor
+from repro.formats.mode_encoding import OperationKind
+from repro.gpusim.cluster import ClusterSpec, NodeFailure
 from repro.gpusim.device import TITAN_X
 from repro.kernels.unified.driver import model
 from repro.kernels.unified.spmttkrp import spmttkrp_spec
 from repro.tensor.ops import cp_reconstruct
-from repro.tensor.random import random_factors
+from repro.tensor.random import random_factors, random_sparse_tensor
 from repro.tensor.sparse import SparseTensor
 
 
@@ -146,6 +149,58 @@ class TestCPTimings:
         )
         assert result.setup_time_s == pytest.approx(sharded_s)
         assert not any(e.label.startswith("stage") for e in result.timeline.events)
+
+
+class TestEncodings:
+    """Each mode is encoded once per run, or not at all when held."""
+
+    @staticmethod
+    def _count_encodes(monkeypatch):
+        calls = []
+        encode = FCOOTensor.from_sparse.__func__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(args[1:])
+            return encode(cls, *args, **kwargs)
+
+        monkeypatch.setattr(FCOOTensor, "from_sparse", classmethod(counted))
+        return calls
+
+    @pytest.mark.parametrize("lose_node", [False, True])
+    def test_each_mode_encoded_once(self, monkeypatch, lose_node):
+        tensor = random_sparse_tensor((30, 40, 20), 800, seed=5)
+        cluster = ClusterSpec.homogeneous(num_nodes=2, devices_per_node=2)
+
+        def run(chaos=None):
+            engine = UnifiedGPUEngine(ctx=ExecContext(cluster=cluster))
+            return cp_als(
+                tensor, 4, engine=engine, max_iterations=3, ctx=ExecContext(chaos=chaos)
+            )
+
+        clean = run()
+        chaos = [NodeFailure(time_s=clean.makespan_s * 0.4, node_index=0)] if lose_node else None
+        calls = self._count_encodes(monkeypatch)
+        result = run(chaos)
+        # A node loss re-stages the encodings the engine holds.
+        assert len(result.recoveries) == int(lose_node)
+        assert calls == [(OperationKind.SPMTTKRP, mode) for mode in range(tensor.order)]
+
+    def test_prepare_takes_held_encodings(self, monkeypatch, skewed_tensor):
+        rank = 3
+        built = UnifiedGPUEngine()
+        built_s = built.prepare(skewed_tensor, rank)
+        held = {mode: enc for mode, (enc, _threadlen) in enumerate(built.resident())}
+        calls = self._count_encodes(monkeypatch)
+        engine = UnifiedGPUEngine()
+        # The held encodings are staged as they are, at the same cost.
+        assert engine.prepare(skewed_tensor, rank, held) == built_s
+        assert calls == []
+        assert all(enc is held[mode] for mode, (enc, _) in enumerate(engine.resident()))
+        factors = [np.asarray(f) for f in random_factors(skewed_tensor.shape, rank, seed=1)]
+        for mode in range(skewed_tensor.order):
+            np.testing.assert_array_equal(
+                engine.mttkrp(factors, mode), built.mttkrp(factors, mode)
+            )
 
 
 class TestEngineGuards:

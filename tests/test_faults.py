@@ -23,6 +23,7 @@ from repro.algorithms.cp import UnifiedGPUEngine, cp_als
 from repro.algorithms.decomposition import RecoveryRecord
 from repro.algorithms.tucker import tucker_hooi
 from repro.context import ExecContext
+from repro.formats.fcoo import FCOOTensor
 from repro.gpusim.cluster import (
     ETHERNET_10G,
     ClusterSpec,
@@ -391,6 +392,23 @@ class TestServingChaos:
         assert len(report.completed) == len(clean.completed)
         for r, twin in zip(report.results, clean.results):
             assert r.finish_s == twin.finish_s
+
+    def test_node_loss_encodes_nothing_more(self, monkeypatch):
+        clean, failure = self._mid_run_failure(node=0)
+        encoded = []
+        encode = FCOOTensor.from_sparse.__func__
+
+        def counting(cls, *args, **kwargs):
+            encoded.append(args)
+            return encode(cls, *args, **kwargs)
+
+        monkeypatch.setattr(FCOOTensor, "from_sparse", classmethod(counting))
+        report = self._run(chaos=[failure])
+        assert report.requeued_jobs > 0
+        # A re-queued job runs again from the encodings the run holds: the
+        # cache misses are the clean run's, and each miss is the only encode.
+        assert report.cache_stats.encode_misses == clean.cache_stats.encode_misses
+        assert len(encoded) == report.cache_stats.encode_misses
 
     def test_timeline_violations_empty_under_chaos(self):
         clean, failure = self._mid_run_failure(node=1)

@@ -17,6 +17,8 @@ cluster validation and the capability-weighted shard partitioner.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -43,6 +45,7 @@ from repro.serve import (
     Job,
     JobKind,
     JobStatus,
+    Placer,
     PreprocCache,
     ServingEngine,
     WorkloadSpec,
@@ -53,7 +56,9 @@ from repro.serve import (
 )
 from repro.serve.cache import SERVING_BLOCK_SIZES, SERVING_THREADLENS, TUNER_SECONDS_PER_CONFIG
 from repro.serve.placement import BLOCK_SIZE as SERVE_BLOCK_SIZE
+from repro.serve.placement import NUM_STREAMS as SERVE_NUM_STREAMS
 from repro.serve.placement import THREADLEN as SERVE_THREADLEN
+from repro.serve.scheduler import MAX_BATCH
 from repro.serve.workload import (
     default_multinode_serving_cluster,
     default_serving_cluster,
@@ -326,6 +331,17 @@ class TestPreprocCache:
         _, hit, _ = cache.encoding(b, "spmttkrp", 0)
         assert hit  # two tenants, same upload, one entry
 
+    def test_every_encoding_stays_cached(self):
+        # The cache has no budget and evicts nothing: after one miss each,
+        # every tensor's encoding hits again, the oldest included.
+        tensors = [random_sparse_tensor((8, 9, 10), 120, seed=s) for s in range(4)]
+        cache = PreprocCache()
+        built = [cache.encoding(t, "spmttkrp", 0)[0] for t in tensors]
+        again = [cache.encoding(t, "spmttkrp", 0) for t in tensors]
+        assert all(hit and cost == 0.0 for _, hit, cost in again)
+        assert all(first is encoding for first, (encoding, _, _) in zip(built, again))
+        assert (cache.stats.encode_misses, cache.stats.encode_hits) == (4, 4)
+
     def test_tuner_config_reuse(self):
         cache = PreprocCache()
         tensor = CASES["order3-uniform"]()
@@ -380,6 +396,23 @@ class TestPlacement:
         (result,) = report.results
         assert result.status is JobStatus.REJECTED
         assert "resident operands" in result.reject_reason
+
+    def test_admission_leaves_room_for_the_stream_buffers(self):
+        # The bound is the resident operands plus NUM_STREAMS chunk buffers
+        # of THREADLEN non-zeros each: a device holding the operands alone
+        # is refused, one byte-rounded up to the bound is admitted.
+        tensor = CASES[BIG_CASE]()
+        job = Job(job_id=0, tenant="t", kind=JobKind.SPMTTKRP, tensor=tensor, rank=RANK)
+        geometry = job_geometry(job)
+        buffers = SERVE_NUM_STREAMS * SERVE_THREADLEN * geometry.bytes_per_nnz
+        needed = geometry.resident_bytes + buffers
+        short = math.ceil(needed) - 1
+        assert geometry.resident_bytes < short
+        assert Placer(one_device_cluster(math.ceil(needed))).admit(job, geometry) is None
+        reason = Placer(one_device_cluster(short)).admit(job, geometry)
+        assert reason == (
+            f"resident operands need {needed:.0f} B but the largest device holds {short} B"
+        )
 
     def test_fast_device_preferred_when_idle(self):
         engine = ServingEngine(hetero_cluster(1 << 30, 1 << 29))
@@ -479,6 +512,25 @@ class TestScheduler:
         # Batch members execute back to back on the one device.
         starts = sorted(r.exec_start_s for r in batched)
         assert all(b >= a for a, b in zip(starts, starts[1:]))
+
+    def test_batches_hold_at_most_max_batch_jobs(self):
+        tensor = CASES["order3-uniform"]()
+        jobs = self._identical_jobs(MAX_BATCH + 2, tensor)
+        report = ServingEngine(one_device_cluster(1 << 30)).run(jobs)
+        assert all(r.completed for r in report.results)
+        sizes = Counter(r.batch_id for r in report.results if r.batch_id is not None)
+        # All six are stage-ready together: a full batch, then the rest.
+        assert sorted(sizes.values()) == [2, MAX_BATCH]
+
+    def test_unbatchable_jobs_share_the_encoding_not_a_batch(self):
+        # ``_unbatchable`` gives each job its own batch key but keeps the
+        # tensor, operation and mode the encoding is keyed by.
+        tensor = CASES["order3-uniform"]()
+        jobs = _unbatchable(self._identical_jobs(MAX_BATCH, tensor))
+        report = ServingEngine(one_device_cluster(1 << 30)).run(jobs)
+        assert all(r.completed and r.batch_id is None for r in report.results)
+        stats = report.cache_stats
+        assert (stats.encode_misses, stats.encode_hits) == (1, MAX_BATCH - 1)
 
     def test_decomposition_never_rides_a_kernel_batch(self):
         # A CP job shares the kernel's batch_key (its preprocessing is the
@@ -663,6 +715,27 @@ class TestScheduler:
             ServingEngine(one_device_cluster(1 << 30)).run(jobs)
         gap = failure.value.args[0].rsplit(" gap ", 1)[1].removesuffix(" s")
         assert float(gap) == pytest.approx(0.5)
+
+    def test_unreconciled_attribution_names_every_resource(self, monkeypatch):
+        import repro.serve.scheduler as scheduler_module
+
+        real_attribute = scheduler_module.attribute
+
+        def unreconciled(timeline):
+            attribution = real_attribute(timeline)
+            attribution.resources["dev0.compute"].busy_s += 0.5
+            attribution.resources["dev0.copy"].busy_s -= 0.25
+            return attribution
+
+        monkeypatch.setattr(scheduler_module, "attribute", unreconciled)
+        jobs = self._identical_jobs(2, CASES["order3-uniform"]())
+        with pytest.raises(RuntimeError) as failure:
+            ServingEngine(one_device_cluster(1 << 30)).run(jobs)
+        _, named = failure.value.args[0].split("does not reconcile: ")
+        entries = [entry.split(" gap ") for entry in named.split(", ")]
+        assert [key for key, _ in entries] == ["dev0.compute", "dev0.copy"]
+        gaps = [float(gap.removesuffix(" s")) for _, gap in entries]
+        assert gaps == [pytest.approx(0.5), pytest.approx(-0.25)]
 
     def test_report_invariants(self):
         report = run_serving(num_jobs=40, seed=0)
