@@ -22,8 +22,7 @@ The package implements:
   batching, capability-aware placement, and a preprocessing cache keyed by
   tensor content — surfaced as :class:`~repro.serve.ServingEngine` and
   ``python -m repro serve``.  SLO-driven serving adds per-job deadlines
-  (:class:`~repro.context.SLO`), a deadline-aware preempting scheduler and
-  a device-pool autoscaler;
+  (:class:`~repro.context.SLO`) and a deadline-aware preempting scheduler;
 * an observability layer (:mod:`repro.obs`): a deterministic
   simulated-time :class:`~repro.obs.MetricsRegistry` (Prometheus text +
   JSON export), span-attributed timelines folded into per-job/per-resource
@@ -32,9 +31,8 @@ The package implements:
   perturbing modeled time;
 * the unified execution-context API (:mod:`repro.context`):
   :class:`~repro.context.ExecContext` bundles the execution knobs every
-  kernel and driver shares (streaming, cluster, chaos, caches) behind one
-  frozen ``ctx=`` parameter, with the legacy per-function keyword
-  arguments kept as deprecated aliases.
+  kernel and driver shares (streaming, cluster, chaos) behind one frozen
+  ``ctx=`` parameter.
 
 Quick start
 -----------
@@ -49,7 +47,7 @@ Quick start
 
 from repro._version import __version__
 from repro.backends import Backend, ReferenceBackend, VectorizedBackend, get_backend
-from repro.context import SLO, ExecContext, TimedResult
+from repro.context import SLO, ExecContext
 from repro.tensor import (
     SparseTensor,
     khatri_rao,
@@ -115,13 +113,11 @@ from repro.obs import (
     attribute,
 )
 from repro.serve import (
-    AutoscalerSpec,
     Job,
     JobKind,
     JobResult,
     PreemptionRecord,
     PreprocCache,
-    ScaleEvent,
     ServingEngine,
     ServingReport,
     WorkloadSpec,
@@ -132,7 +128,6 @@ __all__ = [
     # execution context & SLOs
     "ExecContext",
     "SLO",
-    "TimedResult",
     # numeric-execution backends
     "Backend",
     "ReferenceBackend",
@@ -202,8 +197,6 @@ __all__ = [
     "ServingReport",
     "WorkloadSpec",
     "PreemptionRecord",
-    "AutoscalerSpec",
-    "ScaleEvent",
     # observability
     "MetricsRegistry",
     "EventLog",

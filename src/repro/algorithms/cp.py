@@ -365,12 +365,6 @@ class CPResult:
         of the sweeps booked again on the survivors is *not* in here — it
         lands in the ordinary per-mode ledgers and :attr:`makespan_s` like
         any other executed work.
-    preemptions:
-        Scheduler-level preemptions this run suffered.  A standalone
-        decomposition is never preempted (the list stays empty); the
-        field exists so :class:`CPResult` satisfies the
-        :class:`~repro.context.TimedResult` protocol alongside
-        ``ScheduleOutcome``, whose preemptions are real.
     """
 
     factors: List[np.ndarray]
@@ -388,7 +382,6 @@ class CPResult:
     timeline: Optional[Timeline] = None
     recoveries: List[RecoveryRecord] = field(default_factory=list)
     recovery_overhead_s: float = 0.0
-    preemptions: List[object] = field(default_factory=list)
 
     @property
     def total_time_s(self) -> float:

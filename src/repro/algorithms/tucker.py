@@ -94,10 +94,6 @@ class TuckerResult:
     recovery_overhead_s:
         Total modeled re-staging seconds across all recoveries; the kernel
         cost of the sweeps booked again lands in the ordinary ledgers.
-    preemptions:
-        Always empty for a standalone decomposition; present so
-        :class:`TuckerResult` satisfies the
-        :class:`~repro.context.TimedResult` protocol.
     """
 
     core: np.ndarray
@@ -111,7 +107,6 @@ class TuckerResult:
     timeline: Optional[Timeline] = None
     recoveries: List[RecoveryRecord] = field(default_factory=list)
     recovery_overhead_s: float = 0.0
-    preemptions: List[object] = field(default_factory=list)
 
     @property
     def total_time_s(self) -> float:

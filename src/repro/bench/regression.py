@@ -14,9 +14,10 @@ regression fails the gate too).  The committed baselines live in
 ``benchmarks/baselines/`` as ``BENCH_scaling.json`` /
 ``BENCH_streaming.json`` / ``BENCH_serving.json``; the CI ``bench`` job
 re-collects the metrics, uploads them as artifacts, and fails when any
-metric regresses by more than the tolerance (default 20 %).  Improvements
-never fail; refresh the baseline with ``--update`` when a change is an
-intentional model shift.
+metric regresses by more than the tolerance (default 20 %), or when a
+metric is in the run but not the baseline or the other way round.
+Improvements never fail; refresh the baseline with ``--update`` when a
+change is an intentional model shift or adds or drops a metric.
 
 Usage::
 
@@ -47,7 +48,6 @@ from repro.bench.scaling import run_scaling, run_weak_scaling
 from repro.bench.serving import run_serving
 from repro.bench.streaming import run_streaming
 from repro.gpusim.timeline import Timeline
-from repro.serve.autoscale import AutoscalerSpec
 
 __all__ = [
     "DEFAULT_BASELINE_DIR",
@@ -399,8 +399,7 @@ def _slo_metrics() -> Dict[str, float]:
     The remaining metrics track the economics with the ordinary ratio
     tolerance: miss rates per policy, the SLO-grade p99.9 latency, the
     modeled preemption overhead (victims' resume latency + factor
-    re-stages), and the autoscaled run's makespan and scale-up volume
-    (the pool starts at one device, so a loaded run must scale up).
+    re-stages), and the deadline run's makespan.
     """
     import numpy as np
 
@@ -422,13 +421,6 @@ def _slo_metrics() -> Dict[str, float]:
             not np.array_equal(a, b) for a, b in zip(ours, theirs)
         )
 
-    autoscaled = run_serving(
-        policy="deadline",
-        autoscale=AutoscalerSpec(min_devices=1),
-        **slo_kwargs,
-    )
-    scale_ups = sum(1 for e in autoscaled.scale_events if e.action == "up")
-
     return {
         "slo/deadline_miss_rate": edf.deadline_miss_rate,
         "slo/fifo_miss_rate": fifo.deadline_miss_rate,
@@ -440,9 +432,6 @@ def _slo_metrics() -> Dict[str, float]:
         "slo/preemption_overhead": edf.preemption_overhead_s,
         "slo/p999_latency": edf.p999_latency_s,
         "slo/makespan": edf.makespan_s,
-        "slo/autoscale_makespan": autoscaled.makespan_s,
-        "slo/autoscale_scale_ups": float(scale_ups),
-        "slo/autoscale_never_scaled_count": float(scale_ups == 0),
     }
 
 
@@ -532,32 +521,38 @@ def compare_metrics(
     current: Dict[str, float],
     *,
     tolerance: float = DEFAULT_TOLERANCE,
-) -> Tuple[List[str], List[str]]:
-    """Compare one suite against its baseline.
+) -> List[str]:
+    """Compare one suite against its baseline; returns the failures.
 
-    Returns ``(regressions, notes)``: a metric regresses when it is more
-    than ``tolerance`` slower than the baseline; metrics added or removed
-    relative to the baseline are reported as notes (they fail nothing —
-    they mean the baseline needs an ``--update``).  Metrics whose name
-    ends in ``_count`` are integer counts, not seconds: *any* increase
-    over the baseline fails, with no ratio tolerance (a ratio of a small
-    count is meaningless), while decreases pass as improvements.  Metrics
-    ending in ``_info`` are recorded for trend artifacts but never gated
-    (the wall-clock suite uses this for absolute medians, which are
-    machine-dependent).
+    A metric fails when it is more than ``tolerance`` slower than the
+    baseline, or when only one side has it: a gated metric the run no
+    longer reports, or one the baseline does not hold, fails until the
+    baseline is refreshed with ``--update`` (otherwise a change could drop
+    a zero-tolerance count, or add an ungated one, without a trace).
+    Metrics whose name ends in ``_count`` are integer counts, not seconds:
+    *any* increase over the baseline fails, with no ratio tolerance (a
+    ratio of a small count is meaningless), while decreases pass as
+    improvements.  Metrics ending in ``_info`` are recorded for trend
+    artifacts but never gated (the wall-clock suite uses this for absolute
+    medians, which are machine-dependent).
     """
     if tolerance < 0:
         raise ValueError(f"tolerance must be non-negative, got {tolerance}")
     regressions: List[str] = []
-    notes: List[str] = []
     for name in sorted(set(baseline) | set(current)):
         if name.endswith("_info"):
             continue
         if name not in current:
-            notes.append(f"metric disappeared (baseline has it): {name}")
+            regressions.append(
+                f"{name}: in the baseline but not in this run "
+                "(refresh the baseline with --update)"
+            )
             continue
         if name not in baseline:
-            notes.append(f"new metric (not in baseline): {name}")
+            regressions.append(
+                f"{name}: in this run but not in the baseline "
+                "(refresh the baseline with --update)"
+            )
             continue
         base, now = baseline[name], current[name]
         if name.endswith("_count"):
@@ -577,7 +572,7 @@ def compare_metrics(
             regressions.append(
                 f"{name}: {base:.3e} s -> {now:.3e} s (+{(ratio - 1.0) * 100.0:.1f}%)"
             )
-    return regressions, notes
+    return regressions
 
 
 def _payload(suite: str, metrics: Dict[str, float]) -> Dict[str, object]:
@@ -696,11 +691,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             total_violations += 1
             continue
         baseline = json.loads(path.read_text())["metrics"]
-        regressions, notes = compare_metrics(
-            baseline, metrics, tolerance=suite_tolerance
-        )
-        for note in notes:
-            print(f"note [{suite}] {note}")
+        regressions = compare_metrics(baseline, metrics, tolerance=suite_tolerance)
         if regressions:
             failed_suites.append(suite)
             total_violations += len(regressions)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.serve.autoscale import AutoscalerSpec
 from repro.serve.engine import ServingEngine, ServingReport
 from repro.serve.workload import (
     ChaosSpec,
@@ -42,7 +41,6 @@ def run_serving(
     fail_node: Optional[int] = None,
     slo_fraction: float = 0.0,
     deadline_slack: Optional[float] = None,
-    autoscale: Optional[AutoscalerSpec] = None,
 ) -> ServingReport:
     """Serve a seeded synthetic workload and return the full report.
 
@@ -82,16 +80,13 @@ def run_serving(
         ``deadline_slack`` overrides the workload's deadline tightness.
         The SLO draws are gated on the fraction, so ``slo_fraction=0``
         (the default) keeps the workload byte-identical to earlier PRs.
-    autoscale:
-        Optional :class:`~repro.serve.autoscale.AutoscalerSpec` enabling
-        the device-pool autoscaler.
     """
     cluster = None
     cross_node_every = 0
     if nodes is not None and nodes >= 2:
         cluster = default_multinode_serving_cluster(nodes)
         cross_node_every = DEFAULT_CROSS_NODE_EVERY
-    engine = ServingEngine(cluster, policy=policy, autotune=True, autoscale=autoscale)
+    engine = ServingEngine(cluster, policy=policy, autotune=True)
     spec_kwargs = dict(
         num_jobs=num_jobs,
         seed=seed,

@@ -53,8 +53,7 @@ from repro.bench import (
     run_table5,
     run_weak_scaling,
 )
-from repro.context import TimedResult
-from repro.serve.autoscale import AutoscalerSpec
+from repro.gpusim.timeline import Timeline
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -67,32 +66,17 @@ def _render_fig7(args: argparse.Namespace) -> str:
     return "\n\n".join(parts)
 
 
-def _write_trace(source, path: str) -> str:
+def _write_trace(timeline: Timeline, path: str, *, preemptions: int = 0) -> str:
     """Write a run's timeline to ``path`` as a Chrome trace.
 
-    ``source`` is a bare :class:`~repro.gpusim.timeline.Timeline` or any
-    :class:`~repro.context.TimedResult` (serving report, decomposition
-    result, schedule outcome) — the protocol carries the timeline plus the
-    recovery/preemption ledgers, so there is no per-type unpacking here.
+    ``preemptions`` is the run's preemption count; the message names it
+    when it is not zero.
     """
-    extras = []
-    timeline = source
-    if isinstance(source, TimedResult):
-        timeline = source.timeline
-        if source.recoveries:
-            extras.append(f"{len(source.recoveries)} recoveries")
-        if source.preemptions:
-            extras.append(f"{len(source.preemptions)} preemptions")
     timeline.write_chrome_trace(path)
-    if extras:
-        return (
-            f"timeline trace written to {path} "
-            f"({len(timeline.events)} events, {', '.join(extras)}; "
-            f"open in chrome://tracing)"
-        )
+    extras = f", {preemptions} preemptions" if preemptions else ""
     return (
         f"timeline trace written to {path} "
-        f"({len(timeline.events)} events; open in chrome://tracing)"
+        f"({len(timeline.events)} events{extras}; open in chrome://tracing)"
     )
 
 
@@ -124,7 +108,6 @@ def _render_scaling(args: argparse.Namespace) -> str:
 
 
 def _render_serve(args: argparse.Namespace) -> str:
-    autoscale = AutoscalerSpec(min_devices=args.autoscale) if args.autoscale else None
     report = run_serving(
         num_jobs=args.jobs,
         seed=args.seed,
@@ -134,11 +117,14 @@ def _render_serve(args: argparse.Namespace) -> str:
         fail_node=args.fail_node,
         slo_fraction=args.slo,
         deadline_slack=args.slo_slack,
-        autoscale=autoscale,
     )
     parts = [report.render()]
     if args.trace:
-        parts.append(_write_trace(report, args.trace))
+        parts.append(
+            _write_trace(
+                report.timeline, args.trace, preemptions=len(report.preemptions)
+            )
+        )
     if args.metrics:
         report.metrics.write_prometheus(args.metrics)
         parts.append(
@@ -245,16 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--autoscale",
-        type=int,
-        default=0,
-        metavar="MIN_DEVICES",
-        help=(
-            "for the serve experiment: enable the device-pool autoscaler, "
-            "starting from this many active devices (default 0 = off)"
-        ),
-    )
-    parser.add_argument(
         "--nodes",
         type=int,
         default=0,
@@ -313,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "for the serve experiment: write the scheduler's structured "
             "event log to PATH as JSON Lines (one admission/dispatch/"
-            "preemption/failure/scale record per line)"
+            "preemption/failure record per line)"
         ),
     )
     parser.add_argument(
@@ -399,10 +375,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error(f"--slo-slack must be positive, got {args.slo_slack}")
         if not args.slo:
             parser.error("--slo-slack requires --slo (it scales the SLO deadlines)")
-    if args.autoscale < 0:
-        parser.error(f"--autoscale must be non-negative, got {args.autoscale}")
-    if args.autoscale and "serve" not in requested:
-        parser.error("--autoscale only applies to the 'serve' experiment")
 
     if args.trace:
         # --trace belongs to exactly one timeline-producing experiment per

@@ -13,42 +13,25 @@ them into one frozen :class:`ExecContext` that every entry point accepts as
 
 ``ctx=`` is the only spelling of these controls.
 
-The module also defines:
-
-* :class:`SLO` — a per-job service-level objective (latency deadline,
-  priority class, preemptibility) consumed by the serving scheduler's
-  deadline-aware policy;
-* :class:`TimedResult` — the common protocol (``makespan_s`` /
-  ``timeline`` / ``recoveries`` / ``preemptions``) implemented by
-  ``CPResult``, ``TuckerResult`` and ``ScheduleOutcome``, so generic
-  tooling (``--trace``, bench regression) stops special-casing each
-  result type.
+The module also defines :class:`SLO`, a per-job service-level objective
+(latency deadline, priority class, preemptibility) consumed by the serving
+scheduler's deadline-aware policy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only
     from repro.gpusim.cluster import ClusterSpec, NodeFailure
-    from repro.gpusim.timeline import Timeline
     from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "SLO",
     "ExecContext",
     "DEFAULT_CONTEXT",
-    "TimedResult",
 ]
 
 
@@ -194,33 +177,3 @@ class ExecContext:
 #: The all-defaults context; what a call without ``ctx=`` resolves to.
 DEFAULT_CONTEXT = ExecContext()
 
-
-# ---------------------------------------------------------------------- #
-# The common result surface
-# ---------------------------------------------------------------------- #
-@runtime_checkable
-class TimedResult(Protocol):
-    """What every timed result exposes, whatever layer produced it.
-
-    Implemented by :class:`~repro.algorithms.cp.CPResult`,
-    :class:`~repro.algorithms.tucker.TuckerResult` and
-    :class:`~repro.serve.ScheduleOutcome` (and, by delegation,
-    :class:`~repro.serve.ServingReport`): a makespan in simulated seconds,
-    the :class:`~repro.gpusim.timeline.Timeline` the run booked (``None``
-    when untimed), the fault recoveries that fired, and the preemptions
-    the run suffered.  Generic consumers — ``--trace`` export, the bench
-    regression harness — program against this protocol instead of
-    special-casing each concrete type.
-    """
-
-    @property
-    def makespan_s(self) -> float: ...
-
-    @property
-    def timeline(self) -> Optional["Timeline"]: ...
-
-    @property
-    def recoveries(self) -> Sequence[Any]: ...
-
-    @property
-    def preemptions(self) -> Sequence[Any]: ...

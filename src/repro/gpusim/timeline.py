@@ -558,14 +558,15 @@ class Timeline:
         A serial resource accumulates busy seconds only through bookings
         that fit inside the makespan, so ``busy_s > makespan`` is an
         over-booking bug (double-counted busy time), never a legitimate
-        state.  Returns ``{key: busy_s - span}`` for every offender — an
-        empty dict on a healthy timeline.  A tiny relative epsilon absorbs
-        float summation noise across many bookings.
+        state.  Returns ``{key: busy_s - span}`` for every offender, as a
+        plain ``float`` (bookings may accumulate NumPy scalars) — an empty
+        dict on a healthy timeline.  A tiny relative epsilon absorbs float
+        summation noise across many bookings.
         """
         span = self.makespan_s if makespan_s is None else makespan_s
         tolerance = 1e-9 * max(span, 1.0)
         return {
-            r.key: r.busy_s - span
+            r.key: float(r.busy_s - span)
             for r in self._resources.values()
             if r.busy_s > span + tolerance
         }

@@ -8,11 +8,11 @@ export is byte-deterministic for a fixed seed:
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` (counters, gauges,
   fixed-bucket histograms) with Prometheus text and JSON export; carried
   on :class:`~repro.context.ExecContext` so kernels, drivers, the
-  decomposition algorithms, the scheduler, and the autoscaler all
-  publish into the one registry of the run.
+  decomposition algorithms and the scheduler all publish into the one
+  registry of the run.
 * :mod:`repro.obs.events` — :class:`EventLog`, the scheduler's JSONL
   structured event stream (admission, dispatch, preemption, failure,
-  recovery, scale) with a stable versioned schema.
+  recovery) with a stable versioned schema.
 * :mod:`repro.obs.attribution` — fold span-tagged bookings into per-job
   and per-resource cost breakdowns (:func:`attribute`), reconciled
   exactly against each resource's busy seconds.

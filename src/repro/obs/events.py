@@ -2,9 +2,9 @@
 
 Where the metrics registry answers "how much", the event log answers
 "what happened, in order": every admission, dispatch, preemption,
-failure, recovery, and scale decision the serving scheduler takes is
-appended as one :class:`Event` and exported one-JSON-object-per-line
-(``python -m repro serve --events out.jsonl``).
+failure and recovery decision the serving scheduler takes is appended
+as one :class:`Event` and exported one-JSON-object-per-line (``python -m
+repro serve --events out.jsonl``).
 
 The schema is stable and versioned so downstream consumers (trace
 replay, post-run analysis) can parse old logs:
@@ -42,7 +42,6 @@ EVENT_KINDS = (
     "node_failure",  # chaos: a node was lost
     "node_recovery",  # cluster re-formed on the survivors
     "requeue",  # in-flight victim of a failure re-admitted
-    "scale",  # autoscaler parked or unparked devices
 )
 
 

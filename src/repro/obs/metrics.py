@@ -1,9 +1,8 @@
 """Deterministic metrics: counters, gauges, fixed-bucket histograms.
 
-The measurement substrate for ROADMAP item 5 (closed-loop scheduling):
-every layer that models time — kernels, streamed/sharded drivers, the
-decomposition algorithms, the serving scheduler, the autoscaler — can
-publish what it observed into one :class:`MetricsRegistry`, carried on
+Every layer that models time — kernels, streamed/sharded drivers, the
+decomposition algorithms, the serving scheduler — can publish what it
+observed into one :class:`MetricsRegistry`, carried on
 :class:`~repro.context.ExecContext` and surfaced by ``python -m repro
 serve --metrics out.prom``.
 

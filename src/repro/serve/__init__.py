@@ -26,8 +26,6 @@ existing kernels, cluster model and decomposition drivers:
 * :mod:`~repro.serve.workload` — seeded synthetic multi-tenant workloads,
   the seeded chaos layer (timeline-scheduled node-loss events drawn from
   their own RNG stream) and the default heterogeneous serving node;
-* :mod:`~repro.serve.autoscale` — the deterministic device-pool
-  autoscaler growing/shrinking the active slot set against offered load;
 * :mod:`~repro.serve.engine` — :class:`ServingEngine` tying it together
   and the throughput/latency/utilisation :class:`ServingReport`.
 
@@ -43,8 +41,7 @@ Scheduling, batching, caching and placement only ever move work in
 bit-identical to executing it alone.
 """
 
-from repro.context import SLO, ExecContext, TimedResult
-from repro.serve.autoscale import Autoscaler, AutoscalerSpec, ScaleEvent
+from repro.context import SLO, ExecContext
 from repro.serve.cache import CacheStats, PreprocCache
 from repro.serve.engine import (
     ServingEngine,
@@ -79,10 +76,6 @@ __all__ = [
     "PreemptionRecord",
     "SLO",
     "ExecContext",
-    "TimedResult",
-    "Autoscaler",
-    "AutoscalerSpec",
-    "ScaleEvent",
     "ExecutionOutcome",
     "execute_job",
     "price_job",

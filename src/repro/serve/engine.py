@@ -21,7 +21,6 @@ from repro.gpusim.timeline import Timeline, device_compute_key
 from repro.obs.attribution import Attribution
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.autoscale import AutoscalerSpec, ScaleEvent
 from repro.serve.cache import CacheStats
 from repro.serve.job import Job, JobResult
 from repro.serve.scheduler import PreemptionRecord, Scheduler
@@ -51,8 +50,6 @@ class ServingReport:
     requeued_jobs: int = 0
     #: Preemptions the deadline policy performed, in firing order.
     preemptions: List[PreemptionRecord] = field(default_factory=list)
-    #: Autoscaler actions, in firing order (empty without an autoscaler).
-    scale_events: List[ScaleEvent] = field(default_factory=list)
     #: The run's telemetry: the metrics registry every layer published
     #: into, the structured scheduler event log, and the span-folded cost
     #: attribution of the shared timeline (see :mod:`repro.obs`).  All
@@ -107,12 +104,6 @@ class ServingReport:
     def p999_latency_s(self) -> float:
         """99.9th-percentile latency — the SLO-grade tail."""
         return self.latency_percentile(99.9)
-
-    @property
-    def recoveries(self) -> List[NodeFailure]:
-        """Fired chaos events whose node later recovered (the report is a
-        :class:`~repro.context.TimedResult` like every other run result)."""
-        return [e for e in self.failures if e.recover_s is not None]
 
     # ------------------------------------------------------------------ #
     @property
@@ -261,13 +252,6 @@ class ServingReport:
                 f"{len(self.preemptions)} preemptions "
                 f"(overhead {format_seconds(self.preemption_overhead_s)})"
             )
-        if self.scale_events:
-            ups = sum(1 for e in self.scale_events if e.action == "up")
-            downs = len(self.scale_events) - ups
-            lines.append(
-                f"autoscaler: {ups} scale-ups, {downs} scale-downs, "
-                f"final pool {self.scale_events[-1].active_devices} devices"
-            )
         if self.failures:
             recovering = sum(1 for e in self.failures if e.recover_s is not None)
             lines.append(
@@ -340,9 +324,6 @@ class ServingEngine:
     policy / autotune:
         Forwarded to the :class:`~repro.serve.scheduler.Scheduler`, whose
         preprocessing cache every run of this engine shares.
-    autoscale:
-        Optional :class:`~repro.serve.autoscale.AutoscalerSpec` enabling
-        the device-pool autoscaler; ``None`` keeps the fixed pool.
     adaptive / nic_policy:
         Ignored: every run is one static scheduler run, and every
         cross-node collective is served in arrival order.  ``adaptive``
@@ -359,7 +340,6 @@ class ServingEngine:
         *,
         policy: str = "priority",
         autotune: bool = False,
-        autoscale: Optional[AutoscalerSpec] = None,
         adaptive: bool = False,
         nic_policy: str = "fifo",
     ) -> None:
@@ -369,9 +349,7 @@ class ServingEngine:
             )
         self.cluster = cluster if cluster is not None else default_serving_cluster()
         self.policy = policy
-        self.scheduler = Scheduler(
-            self.cluster, policy=policy, autotune=autotune, autoscale=autoscale
-        )
+        self.scheduler = Scheduler(self.cluster, policy=policy, autotune=autotune)
 
     # ------------------------------------------------------------------ #
     def run(
@@ -415,7 +393,6 @@ class ServingEngine:
             failures=outcome.failures,
             requeued_jobs=outcome.requeued_jobs,
             preemptions=outcome.preemptions,
-            scale_events=outcome.scale_events,
             metrics=registry,
             events=log,
             attribution=outcome.attribution,
@@ -496,11 +473,6 @@ def publish_serving_metrics(registry: MetricsRegistry, report: ServingReport) ->
     registry.counter(
         "repro_serve_node_failures_total", "Chaos node-loss events that fired."
     ).inc(len(report.failures))
-    scale = registry.counter(
-        "repro_serve_scale_events_total", "Autoscaler actions by direction.", ("action",)
-    )
-    for event in report.scale_events:
-        scale.inc(action=event.action)
     cache = registry.counter(
         "repro_serve_cache_requests_total",
         "Preprocessing cache lookups by kind and outcome.",

@@ -36,11 +36,6 @@ deterministic simulated-time schedule:
   bit-identical with or without preemption — the numeric result was
   computed once and only *time* is replayed.
 
-* **autoscaling** — an optional :class:`~repro.serve.autoscale.Autoscaler`
-  grows and shrinks the active slot pool against queue depth and engine
-  idleness; parked slots are excluded from placement exactly like failed
-  nodes.
-
 * **dispatch** — a job is dispatched when a copy engine frees *and* the job
   is stage-ready, so its staging overlaps the predecessor's compute.
   Arrivals earlier than the dispatch instant always enter the queue first,
@@ -114,7 +109,6 @@ from repro.gpusim.timing import OutOfDeviceMemory
 from repro.obs.attribution import Attribution, attribute
 from repro.obs.events import Event, EventLog
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.autoscale import Autoscaler, AutoscalerSpec, ScaleEvent
 from repro.serve.cache import PreprocCache
 from repro.serve.execute import ExecutionOutcome, execute_job, price_job
 from repro.serve.job import Job, JobKind, JobResult, JobStatus
@@ -232,8 +226,6 @@ class _RunState:
     #: exclude them until the node's recovery event (if any) fires.
     failed_slots: set = field(default_factory=set)
     failed_nodes: set = field(default_factory=set)
-    #: Slots parked by the autoscaler (empty without one).
-    parked_slots: set = field(default_factory=set)
     #: Per-job booking ledgers of committed runs (keyed by job id) — what
     #: the deadline policy preempts from.
     committed: Dict[int, _CommittedJob] = field(default_factory=dict)
@@ -266,8 +258,6 @@ class ScheduleOutcome:
     requeued_jobs: int = 0
     #: Preemptions the deadline policy performed, in firing order.
     preemptions: List[PreemptionRecord] = field(default_factory=list)
-    #: Autoscaler actions, in firing order (empty without an autoscaler).
-    scale_events: List[ScaleEvent] = field(default_factory=list)
     #: The span-folded cost breakdown of the run's timeline (per-job and
     #: per-resource attributed seconds; see :mod:`repro.obs.attribution`).
     attribution: Optional[Attribution] = field(default=None, repr=False)
@@ -276,12 +266,6 @@ class ScheduleOutcome:
     def makespan_s(self) -> float:
         """Completion time of the last job (0 for an all-rejected run)."""
         return max((r.finish_s for r in self.results if r.completed), default=0.0)
-
-    @property
-    def recoveries(self) -> List[NodeFailure]:
-        """Fired chaos events whose node came back (the
-        :class:`~repro.context.TimedResult` recovery ledger)."""
-        return [e for e in self.failures if e.recover_s is not None]
 
 
 class Scheduler:
@@ -305,9 +289,6 @@ class Scheduler:
         Look up tuned ``(BLOCK_SIZE, threadlen)`` per kernel-job shape in
         the cache (sweeping on a miss, reusing on a hit); tuning runs on
         the cluster's most capable device.
-    autoscale:
-        Optional :class:`~repro.serve.autoscale.AutoscalerSpec`; ``None``
-        (the default) keeps the legacy fixed pool byte-identical.
     """
 
     def __init__(
@@ -316,7 +297,6 @@ class Scheduler:
         *,
         policy: str = "priority",
         autotune: bool = False,
-        autoscale: Optional[AutoscalerSpec] = None,
     ) -> None:
         if policy not in ("priority", "fifo", "deadline"):
             raise ValueError(
@@ -326,7 +306,6 @@ class Scheduler:
         self.cache = PreprocCache()
         self.policy = policy
         self.autotune = autotune
-        self.autoscale = autoscale
         self.placer = Placer(cluster)
         weights = cluster.capability_weights()
         #: Where tuner sweeps run: the most capable member (ties: lowest slot).
@@ -362,56 +341,45 @@ class Scheduler:
         launch = None
         tuner_hit: Optional[bool] = None
         ready_s = job.arrival_s
-        if job.kind.is_kernel:
-            key = (job.tensor.content_key, job.operation.value, job.mode)
-            encoding, encode_hit, preproc_s = self.cache.encoding(
-                job.tensor, job.operation, job.mode
+        # The kernel job's mode, or every mode the decomposition will sweep;
+        # the misses are this job's preprocessing bill.
+        modes = (job.mode,) if job.kind.is_kernel else range(job.tensor.order)
+        encode_hit, preproc_s = True, 0.0
+        for mode in modes:
+            key = (job.tensor.content_key, job.operation.value, mode)
+            encodings[mode], hit, cost_s = self.cache.encoding(
+                job.tensor, job.operation, mode
             )
-            encodings[job.mode] = encoding
-            if encode_hit:
+            encode_hit = encode_hit and hit
+            preproc_s += cost_s
+            if hit:
                 ready_s = max(ready_s, availability.get(key, job.arrival_s))
             else:
                 availability[key] = job.arrival_s + preproc_s
-                ready_s = availability[key]
-            if self.autotune:
-                launch, tuner_hit, tune_s = self.cache.tuner_config(
-                    job.tensor,
-                    job.operation,
-                    job.mode,
-                    job.rank,
-                    device=self._tuner_device,
-                    encoding=encoding,
-                )
-                preproc_s += tune_s
-                tuner_key = (
-                    "tuner",
-                    job.tensor.content_key,
-                    job.operation.value,
-                    job.mode,
-                    job.rank,
-                )
-                if tuner_hit:
-                    ready_s = max(ready_s, availability.get(tuner_key, job.arrival_s))
-                else:
-                    # The sweep runs after this job's encode lands.
-                    ready_s += tune_s
-                    availability[tuner_key] = ready_s
-        else:
-            # Every mode the decomposition will sweep; the misses are this
-            # job's preprocessing bill.
-            encode_hit, preproc_s = True, 0.0
-            for mode in range(job.tensor.order):
-                key = (job.tensor.content_key, job.operation.value, mode)
-                encodings[mode], hit, cost_s = self.cache.encoding(
-                    job.tensor, job.operation, mode
-                )
-                encode_hit = encode_hit and hit
-                preproc_s += cost_s
-                if hit:
-                    ready_s = max(ready_s, availability.get(key, job.arrival_s))
-                else:
-                    availability[key] = job.arrival_s + preproc_s
-                    ready_s = max(ready_s, availability[key])
+                ready_s = max(ready_s, availability[key])
+        if job.kind.is_kernel and self.autotune:
+            launch, tuner_hit, tune_s = self.cache.tuner_config(
+                job.tensor,
+                job.operation,
+                job.mode,
+                job.rank,
+                device=self._tuner_device,
+                encoding=encodings[job.mode],
+            )
+            preproc_s += tune_s
+            tuner_key = (
+                "tuner",
+                job.tensor.content_key,
+                job.operation.value,
+                job.mode,
+                job.rank,
+            )
+            if tuner_hit:
+                ready_s = max(ready_s, availability.get(tuner_key, job.arrival_s))
+            else:
+                # The sweep runs after this job's encode lands.
+                ready_s += tune_s
+                availability[tuner_key] = ready_s
         return _ReadyEntry(
             job=job,
             geometry=geometry,
@@ -674,36 +642,9 @@ class Scheduler:
                             node=event.node_index,
                         )
 
-        scaler = (
-            Autoscaler(self.autoscale, self.placer.scores)
-            if self.autoscale is not None
-            else None
-        )
-        if scaler is not None:
-            state.parked_slots = set(scaler.parked)
-
-        scale_seen = 0
         while pending or ready or chaos_events:
             fire_due(clock.now_s)
             self._admit(pending, ready, clock.now_s, results, availability, events)
-            if scaler is not None:
-                scaler.step(
-                    clock.now_s,
-                    len(ready),
-                    [lane.free_s for lane in state.copy],
-                    [lane.free_s for lane in state.compute],
-                )
-                state.parked_slots = set(scaler.parked)
-                if events is not None:
-                    for scale in scaler.events[scale_seen:]:
-                        events.emit(
-                            "scale",
-                            time_s=scale.time_s,
-                            action=scale.action,
-                            slot=scale.slot,
-                            active_devices=scale.active_devices,
-                        )
-                scale_seen = len(scaler.events)
             upcoming = [
                 t
                 for t in (
@@ -718,13 +659,8 @@ class Scheduler:
                     break
                 clock.advance_to(max(clock.now_s, min(upcoming)))
                 continue
-            # The next staging can begin when some active copy engine frees...
-            active_copy = [
-                lane
-                for slot, lane in enumerate(state.copy)
-                if slot not in state.parked_slots
-            ] or state.copy
-            t = max(clock.now_s, min(lane.free_s for lane in active_copy))
+            # The next staging can begin when some copy engine frees...
+            t = max(clock.now_s, min(lane.free_s for lane in state.copy))
             # ...but arrivals and chaos/recovery events before that instant
             # reshape the queue (or the placement pool) first.
             blocker = min(upcoming, default=math.inf)
@@ -794,7 +730,6 @@ class Scheduler:
             failures=fired,
             requeued_jobs=sum(requeue_counts.values()),
             preemptions=list(state.preemption_records),
-            scale_events=list(scaler.events) if scaler is not None else [],
             attribution=attribution,
         )
 
@@ -819,7 +754,7 @@ class Scheduler:
             [lane.free_s for lane in state.compute],
             t0,
             excluded_nodes=frozenset(state.failed_nodes),
-            excluded_slots=frozenset(state.failed_slots | state.parked_slots),
+            excluded_slots=frozenset(state.failed_slots),
         )
         if entry.launch is not None:
             placement = replace(
@@ -1434,17 +1369,14 @@ class Scheduler:
         books only time — a factor re-stage on the placement's copy lane,
         then the remaining chunks' pipeline on its compute lane.  Returns
         ``False`` (clearing the ledger, so the caller re-dispatches from
-        scratch) when the placement's slots have meanwhile failed or been
-        parked.
+        scratch) when the placement's slots have meanwhile failed.
         """
         rs = entry.resume
         assert rs is not None
         job = entry.job
         placement = rs.placement
         slots = placement.device_slots
-        if any(
-            s in state.failed_slots or s in state.parked_slots for s in slots
-        ):
+        if any(s in state.failed_slots for s in slots):
             entry.resume = None
             return False
         tag = f"job{job.job_id}"

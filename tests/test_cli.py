@@ -64,11 +64,14 @@ class TestCli:
         assert main(["serve", "--jobs", "10", "--nodes", "2"]) == 0
         assert "Serving report" in capsys.readouterr().out
 
-    def test_adaptive_flag_is_gone(self, capsys):
+    @pytest.mark.parametrize(
+        "flag", [["--adaptive"], ["--autoscale", "1"]], ids=["adaptive", "autoscale"]
+    )
+    def test_deleted_serve_flag_is_gone(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
-            main(["serve", "--adaptive"])
+            main(["serve", *flag])
         assert exc.value.code != 0
-        assert "unrecognized arguments: --adaptive" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_chaos_seed_requires_multinode(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -151,7 +151,7 @@ class TestEventLog:
     def test_emit_and_jsonl_schema(self):
         log = EventLog()
         log.emit("admit", time_s=1.5, job_id="job0", tenant="t", priority=1)
-        log.emit("scale", time_s=2.0, action="up", slot=3)
+        log.emit("node_failure", time_s=2.0, node=1, slots=[2, 3])
         lines = log.to_jsonl().splitlines()
         assert len(lines) == len(log) == 2
         first = json.loads(lines[0])
@@ -440,12 +440,9 @@ class TestServingTelemetry:
     def test_preempted_victims_complete_once(self):
         from collections import Counter
 
-        from repro.serve import AutoscalerSpec, ServingEngine
+        from repro.serve import ServingEngine
 
-        engine = ServingEngine(
-            policy="deadline", autoscale=AutoscalerSpec(min_devices=1)
-        )
-        report = engine.run_workload(
+        report = ServingEngine(policy="deadline").run_workload(
             WorkloadSpec(num_jobs=60, seed=0, latency_slo_fraction=0.3)
         )
         counts = report.events.counts()

@@ -1155,14 +1155,28 @@ class TestWorkloadAndSurfaces:
     def test_count_metrics_fail_on_any_increase(self):
         from repro.bench.regression import compare_metrics
 
-        regressions, _ = compare_metrics(
+        regressions = compare_metrics(
             {"serve/rejected_jobs_count": 5.0}, {"serve/rejected_jobs_count": 6.0}
         )
         assert regressions  # +1 rejection fails even though 6/5 < 1.2
-        regressions, _ = compare_metrics(
+        regressions = compare_metrics(
             {"serve/rejected_jobs_count": 5.0}, {"serve/rejected_jobs_count": 4.0}
         )
         assert not regressions  # fewer rejections is an improvement
+
+    def test_metric_on_one_side_only_fails(self):
+        from repro.bench.regression import compare_metrics
+
+        shared = {"serve/makespan": 1.0}
+        # A gated key the run no longer reports fails, naming the key...
+        (failure,) = compare_metrics({**shared, "slo/dropped_count": 0.0}, shared)
+        assert failure.startswith("slo/dropped_count: ") and "--update" in failure
+        # ...and so does a key no baseline holds.
+        (failure,) = compare_metrics(shared, {**shared, "slo/added_makespan": 2.0})
+        assert failure.startswith("slo/added_makespan: ") and "--update" in failure
+        # Ungated _info metrics may come and go.
+        assert compare_metrics({**shared, "a_info": 1.0}, shared) == []
+        assert compare_metrics(shared, {**shared, "b_info": 1.0}) == []
 
     def test_tucker_admission_uses_clamped_ranks(self):
         # The real SpTTMc inside tucker_hooi runs with per-mode ranks

@@ -14,8 +14,7 @@ Four pillars:
     degenerates bit-identically to the ``"priority"`` policy (zero extra
     RNG draws, zero preemptions);
 (d) **one context API** — every kernel/driver takes its execution
-    controls as ``ctx=ExecContext(...)``, and every run result speaks the
-    :class:`~repro.context.TimedResult` protocol.
+    controls as a validated ``ctx=ExecContext(...)``.
 """
 
 from __future__ import annotations
@@ -23,25 +22,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms.cp import CPResult, cp_als
-from repro.algorithms.tucker import TuckerResult, tucker_hooi
-from repro.context import (
-    DEFAULT_CONTEXT,
-    SLO,
-    ExecContext,
-    TimedResult,
-)
+from repro.context import DEFAULT_CONTEXT, SLO, ExecContext
 from repro.gpusim.cluster import NodeFailure
 from repro.gpusim.timeline import Timeline, device_copy_key
-from repro.serve import (
-    Autoscaler,
-    AutoscalerSpec,
-    Job,
-    JobKind,
-    ScheduleOutcome,
-    ServingEngine,
-    execute_job,
-)
+from repro.serve import Job, JobKind, ServingEngine, execute_job
 from repro.serve.workload import WorkloadSpec, generate_workload
 from repro.tensor.random import random_sparse_tensor
 from test_serving import assert_same_output, one_device_cluster
@@ -309,83 +293,7 @@ class TestDeadlineDegeneracy:
 
 
 # ---------------------------------------------------------------------- #
-# Autoscaler
-# ---------------------------------------------------------------------- #
-class TestAutoscaler:
-    def test_pool_bounds_and_preference_order(self):
-        scaler = Autoscaler(AutoscalerSpec(min_devices=1), scores=(2.0, 4.0, 1.0))
-        # Starts at min_devices keeping the most capable slot (slot 1).
-        assert scaler.active == 1 and scaler.parked == {0, 2}
-        events = scaler.step(0.0, queue_depth=5, copy_free_s=[0.0] * 3,
-                             compute_free_s=[0.0] * 3)
-        assert [e.action for e in events] == ["up"]
-        assert events[0].slot == 0  # next most capable unparks first
-        # Busy lanes never park, idle least-capable parks first.
-        scaler.step(1.0, queue_depth=5, copy_free_s=[0.0] * 3,
-                    compute_free_s=[0.0] * 3)
-        assert scaler.active == 3
-        # Drained queue: the least-capable idle slot parks first, one per
-        # step, but never below min_devices.
-        events = scaler.step(
-            2.0, queue_depth=0,
-            copy_free_s=[0.0, 0.0, 0.0], compute_free_s=[0.0, 0.0, 0.0],
-        )
-        assert [e.action for e in events] == ["down"] and events[0].slot == 2
-        scaler.step(3.0, queue_depth=0, copy_free_s=[0.0] * 3,
-                    compute_free_s=[0.0] * 3)
-        events = scaler.step(4.0, queue_depth=0, copy_free_s=[0.0] * 3,
-                             compute_free_s=[0.0] * 3)
-        assert not events and scaler.active == 1
-
-    def test_scale_down_parks_idle_least_capable(self):
-        scaler = Autoscaler(AutoscalerSpec(min_devices=1), scores=(2.0, 4.0, 1.0))
-        scaler.parked.clear()  # all active
-        events = scaler.step(
-            1.0, queue_depth=0, copy_free_s=[0.0, 1.0, 0.0],
-            compute_free_s=[0.0, 1.0, 0.0],
-        )
-        assert [e.action for e in events] == ["down"]
-        assert events[0].slot == 2  # least capable idle slot
-        # A slot with committed future work (free_s beyond now) never parks.
-        events = scaler.step(
-            1.5, queue_depth=0, copy_free_s=[0.0, 2.0, 0.0],
-            compute_free_s=[0.0, 2.0, 0.0],
-        )
-        assert events and events[0].slot == 0
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            AutoscalerSpec(min_devices=0)
-        with pytest.raises(ValueError):
-            AutoscalerSpec(min_devices=4, max_devices=2)
-        with pytest.raises(ValueError):
-            AutoscalerSpec(scale_down_idle_s=0.0)
-        with pytest.raises(ValueError):
-            AutoscalerSpec(cooldown_s=-1.0)
-
-    def test_autoscaled_serving_identity_and_bounds(self):
-        jobs = generate_workload(
-            WorkloadSpec(num_jobs=60, seed=11, latency_slo_fraction=0.3)
-        )
-        fixed = ServingEngine(policy="deadline").run(jobs)
-        scaled = ServingEngine(
-            policy="deadline", autoscale=AutoscalerSpec(min_devices=1)
-        ).run(jobs)
-        assert scaled.scale_events
-        assert any(e.action == "up" for e in scaled.scale_events)
-        num_devices = scaled.cluster.num_devices
-        for event in scaled.scale_events:
-            assert 1 <= event.active_devices <= num_devices
-        assert not scaled.timeline.violations()
-        # Autoscaling moves work in time, never in value.
-        others = {r.job.job_id: r for r in fixed.results if r.completed}
-        for result in scaled.results:
-            if result.completed and result.job.job_id in others:
-                assert outputs_equal(result.output, others[result.job.job_id].output)
-
-
-# ---------------------------------------------------------------------- #
-# (d) ExecContext validation and the TimedResult protocol
+# (d) ExecContext validation
 # ---------------------------------------------------------------------- #
 class TestExecContextValidation:
     def test_context_validation_and_evolve(self):
@@ -413,24 +321,3 @@ class TestExecContextValidation:
         batch = SLO.batch()
         assert not batch.has_deadline and batch.preemptible
         assert batch.deadline_for(1.0) == float("inf")
-
-
-class TestTimedResultProtocol:
-    def test_all_result_types_conform(self):
-        tensor = random_sparse_tensor((20, 15, 10), nnz=300, seed=0)
-        cp = cp_als(tensor, 4, max_iterations=1, compute_fit=False)
-        tucker = tucker_hooi(tensor, (3, 3, 3), max_iterations=1)
-        engine = ServingEngine()
-        outcome = engine.scheduler.run(generate_workload(WorkloadSpec(num_jobs=5)))
-        report = engine.run(generate_workload(WorkloadSpec(num_jobs=5)))
-        for result in (cp, tucker, outcome, report):
-            assert isinstance(result, TimedResult)
-            assert result.makespan_s >= 0.0
-            assert result.timeline is not None
-            assert result.recoveries == []
-            assert result.preemptions == []
-        assert isinstance(cp, CPResult) and isinstance(tucker, TuckerResult)
-        assert isinstance(outcome, ScheduleOutcome)
-
-    def test_bare_timeline_is_not_a_timed_result(self):
-        assert not isinstance(Timeline(), TimedResult)

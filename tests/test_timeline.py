@@ -153,6 +153,17 @@ class TestEngine:
         # explicit span override works the same way
         assert timeline.violations(makespan_s=10.0) == {}
 
+    def test_violations_are_plain_floats(self):
+        # NumPy-priced durations accumulate NumPy scalars in busy_s; the
+        # excess must still print as a plain number in the run's error.
+        timeline = Timeline()
+        lane = timeline.resource("r")
+        lane.book(np.float64(0.5))
+        lane.book(np.float64(0.25))
+        violations = timeline.violations(makespan_s=0.5)
+        assert type(violations["r"]) is float
+        assert repr(violations["r"]) == "0.25"
+
     def test_real_runs_book_without_violations(self):
         from repro.bench.serving import run_serving
 
