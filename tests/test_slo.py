@@ -14,7 +14,8 @@ Four pillars:
     degenerates bit-identically to the ``"priority"`` policy (zero extra
     RNG draws, zero preemptions);
 (d) **one context API** — every kernel/driver takes its execution
-    controls as a validated ``ctx=ExecContext(...)``.
+    controls as a validated ``ctx=ExecContext(...)``, and every run result
+    carries the timeline its makespan is read from.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms.cp import cp_als
+from repro.algorithms.tucker import tucker_hooi
 from repro.context import DEFAULT_CONTEXT, SLO, ExecContext
 from repro.gpusim.cluster import NodeFailure
 from repro.gpusim.timeline import Timeline, device_copy_key
@@ -293,7 +296,7 @@ class TestDeadlineDegeneracy:
 
 
 # ---------------------------------------------------------------------- #
-# (d) ExecContext validation
+# (d) ExecContext validation and run results
 # ---------------------------------------------------------------------- #
 class TestExecContextValidation:
     def test_context_validation_and_evolve(self):
@@ -321,3 +324,30 @@ class TestExecContextValidation:
         batch = SLO.batch()
         assert not batch.has_deadline and batch.preemptible
         assert batch.deadline_for(1.0) == float("inf")
+
+
+class TestRunResults:
+    """CP-ALS, Tucker-HOOI, a scheduler run and a serving run each return
+    the timeline they booked on; ``--trace`` exports it."""
+
+    @staticmethod
+    def _run(kind):
+        tensor = random_sparse_tensor((20, 15, 10), nnz=300, seed=0)
+        jobs = generate_workload(WorkloadSpec(num_jobs=5))
+        if kind == "cp_als":
+            return cp_als(tensor, 4, max_iterations=1, compute_fit=False)
+        if kind == "tucker_hooi":
+            return tucker_hooi(tensor, (3, 3, 3), max_iterations=1)
+        if kind == "scheduler":
+            return ServingEngine().scheduler.run(jobs)
+        return ServingEngine().run(jobs)
+
+    @pytest.mark.parametrize(
+        "kind", ["cp_als", "tucker_hooi", "scheduler", "serving"]
+    )
+    def test_makespan_is_the_span_of_its_timeline(self, kind):
+        result = self._run(kind)
+        assert result.timeline.events
+        assert result.makespan_s > 0.0
+        assert result.makespan_s == result.timeline.makespan_s
+        assert not result.timeline.violations()

@@ -549,6 +549,39 @@ class TestTraceSurfaces:
         names = {e["args"]["name"] for e in trace["traceEvents"] if e["ph"] == "M"}
         assert device_copy_key(0) in names and device_compute_key(0) in names
 
+    def test_serve_trace_message_counts_preemptions(self, tmp_path, capsys):
+        from repro.bench.serving import run_serving
+        from repro.cli import main
+
+        report = run_serving(
+            num_jobs=40, policy="deadline", slo_fraction=0.3, deadline_slack=30.0
+        )
+        assert report.preemptions  # the workload actually preempts
+        path = tmp_path / "slo-trace.json"
+        argv = ["serve", "--jobs", "40", "--policy", "deadline"]
+        argv += ["--slo", "0.3", "--slo-slack", "30", "--trace", str(path)]
+        assert main(argv) == 0
+        assert (
+            f"timeline trace written to {path} "
+            f"({len(report.timeline.events)} events, "
+            f"{len(report.preemptions)} preemptions; open in chrome://tracing)"
+        ) in capsys.readouterr().out
+        assert json.loads(path.read_text())["traceEvents"]
+
+    def test_bare_timeline_trace_message_names_no_preemptions(self, tmp_path):
+        from repro.cli import _write_trace
+
+        timeline = Timeline()
+        timeline.book("dev0.compute", 1.5, label="kernel")
+        path = tmp_path / "bare-trace.json"
+        assert _write_trace(timeline, str(path)) == (
+            f"timeline trace written to {path} "
+            "(1 events; open in chrome://tracing)"
+        )
+        assert json.loads(path.read_text()) == json.loads(
+            json.dumps(timeline.chrome_trace())
+        )
+
     def test_scaling_trace_export(self, tmp_path, capsys):
         from repro.cli import main
 
