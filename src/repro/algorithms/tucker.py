@@ -238,7 +238,9 @@ def hooi_numeric_pass(
     ``encodings`` holds ``tensor``'s SpTTMc encoding of every mode.  The
     loop stops after ``max_iterations`` sweeps, or earlier when the fit
     improves by less than ``tolerance``.  ``backend`` runs the SpTTMcs and
-    the core projection.
+    the core projection.  A sweep's core-step SpTTMc is also the next
+    sweep's first, so ``k`` sweeps of an order-``N`` tensor run ``N·k + 1``
+    SpTTMcs (the modeled pass still books ``N + 1`` a sweep).
     """
     backend_impl = get_backend(backend)
     order = tensor.order
@@ -253,10 +255,16 @@ def hooi_numeric_pass(
     fits: List[float] = []
     previous_fit = -np.inf
     core_unfolded = np.zeros((ranks[0], int(np.prod(ranks[1:]))), dtype=np.float64)
+    # The core step's SpTTMc is the next sweep's first: the same mode-0
+    # encoding, and factors 1..N-1 do not change in between.
+    core_y: Optional[np.ndarray] = None
     iterations = 0
     while iterations < max_iterations:
         for step, mode in enumerate(_sweep(order)):
-            y = compute(*spttmc_operands(encodings[mode], factors, mode), backend_impl)
+            if step == 0 and core_y is not None:
+                y = core_y
+            else:
+                y = compute(*spttmc_operands(encodings[mode], factors, mode), backend_impl)
             if step < order:
                 # New factor: leading left singular vectors of
                 # Y = (I_mode, prod_{m != mode} R_m).
@@ -265,6 +273,7 @@ def hooi_numeric_pass(
             else:
                 # Core in mode-0 unfolded form.
                 core_unfolded = backend_impl.matmul(factors[0].T, y)
+                core_y = y
         core_norm = float(np.linalg.norm(core_unfolded))
         # For orthonormal factors ||X - X̂||² = ||X||² - ||G||².
         residual_sq = max(x_norm**2 - core_norm**2, 0.0)

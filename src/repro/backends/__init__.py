@@ -8,11 +8,13 @@ products, dense CP/Tucker updates).  Two implementations ship:
   (``np.add.at`` + per-mode product loops).  This *defines* the
   repository's canonical numeric order.
 * ``"vectorized"`` — the reference's products, summed by a SciPy CSR
-  product in blocks of whole segments.  SciPy adds each row's entries in
-  column order starting from ``0.0``, which is ``np.add.at``'s order, so
-  it is bit-identical to the reference by construction (signed zeros
-  included), and ≥2× faster on uniform and power-law SpMTTKRP (see
-  ``repro.bench.wallclock``).
+  product in fixed cache-sized blocks; a segment that crosses a block
+  boundary carries its running sum into the next block.  SciPy adds each
+  row's entries in column order starting from ``0.0``, which is
+  ``np.add.at``'s order, and a carried sum re-enters as ``0.0 + carry ==
+  carry``, so it is bit-identical to the reference by construction
+  (signed zeros included), and ≥2× faster on uniform and power-law
+  SpMTTKRP (see ``repro.bench.wallclock``).
 
 Selection, in precedence order:
 

@@ -8,9 +8,12 @@ sizes and seeds, once per numeric-execution backend
 sweep**: the vectorized backend re-runs the repository's topology harnesses
 (one-shot, chunked, sharded, multi-node, decompositions, the serving
 scheduler) and every output is compared byte for byte (shape, dtype and
-bits, so signed zeros count) against the reference backend's.  The tensors
-are uniform, except for SpMTTKRP's power-law twin (``spmttkrp_power``),
-whose skewed slices are those of the paper's datasets.
+bits, so signed zeros count) against the reference backend's.  The timed
+tensors are uniform, except for SpMTTKRP's power-law twin
+(``spmttkrp_power``), whose skewed slices are those of the paper's
+datasets.  The sweep's kernel and decomposition harnesses also run on a
+power-law tensor whose heaviest slice outgrows the vectorized backend's
+blocks, so a sum carried across blocks is compared too.
 
 Wall time is noisy where simulated time is not, so the regression gate
 (:mod:`repro.bench.regression`, suite ``wallclock``) treats the two metric
@@ -169,13 +172,24 @@ def _timed_runner(case: _KernelCase, backend: str) -> Callable[[], object]:
 # ---------------------------------------------------------------------- #
 # Identity sweep
 # ---------------------------------------------------------------------- #
-def _outputs_under(backend: str, tensor: SparseTensor) -> List[np.ndarray]:
+def _carry_tensor() -> SparseTensor:
+    """The identity sweep's power-law tensor.
+
+    Its heaviest mode-0 slice spans whole blocks of the vectorized
+    backend's sums (:data:`repro.backends.vectorized.BLOCK_BYTES`), with a
+    carry in and a carry out, for both the rank-8 SpMTTKRP and the 8 x 8
+    column SpTTMc of :func:`_outputs_under`.
+    """
+    return random_sparse_tensor((8, 5_000, 5_000), 40_000, seed=21, distribution="power")
+
+
+def _outputs_under(backend: str, tensors: Sequence[SparseTensor]) -> List[np.ndarray]:
     """Every harness output under one backend, as a flat array list.
 
-    Covers the repository's existing topology harnesses: one-shot, chunked
-    (streamed), sharded (2 GPUs), multi-node (2×2), both decompositions,
-    and the serving scheduler (which exercises batching, preemption and
-    the preprocessing cache on top of the kernels).
+    Covers the repository's existing topology harnesses on each of
+    ``tensors``: one-shot, chunked (streamed), sharded (2 GPUs) and both
+    decompositions; then the serving scheduler (which exercises batching,
+    preemption and the preprocessing cache on top of the kernels) once.
     """
     from repro.algorithms.cp import cp_als
     from repro.algorithms.tucker import tucker_hooi
@@ -184,30 +198,30 @@ def _outputs_under(backend: str, tensor: SparseTensor) -> List[np.ndarray]:
     from repro.kernels.unified.spttm import unified_spttm
     from repro.kernels.unified.spttmc import unified_spttmc
 
-    factors = [np.array(f) for f in random_factors(tensor.shape, 8, seed=2)]
     arrays: List[np.ndarray] = []
+    for tensor in tensors:
+        factors = [np.array(f) for f in random_factors(tensor.shape, 8, seed=2)]
+        for ctx in (
+            ExecContext(backend=backend),
+            ExecContext(backend=backend, streamed=True, chunk_nnz=512),
+            ExecContext(backend=backend, devices=2),
+        ):
+            arrays.append(unified_spmttkrp(tensor, factors, 0, ctx=ctx).output)
+            arrays.append(unified_spttm(tensor, factors[1], 1, ctx=ctx).output.fiber_values)
+            arrays.append(unified_spttmc(tensor, factors, 0, ctx=ctx).output)
 
-    for ctx in (
-        ExecContext(backend=backend),
-        ExecContext(backend=backend, streamed=True, chunk_nnz=512),
-        ExecContext(backend=backend, devices=2),
-    ):
-        arrays.append(unified_spmttkrp(tensor, factors, 0, ctx=ctx).output)
-        arrays.append(unified_spttm(tensor, factors[1], 1, ctx=ctx).output.fiber_values)
-        arrays.append(unified_spttmc(tensor, factors, 0, ctx=ctx).output)
-
-    cp = cp_als(
-        tensor, 8, max_iterations=2, compute_fit=False, seed=5,
-        ctx=ExecContext(backend=backend, devices=2),
-    )
-    arrays.extend(cp.factors)
-    arrays.append(cp.weights)
-    tk = tucker_hooi(
-        tensor, (4, 4, 4), max_iterations=1, seed=5,
-        ctx=ExecContext(backend=backend, devices=2),
-    )
-    arrays.extend(tk.factors)
-    arrays.append(tk.core)
+        cp = cp_als(
+            tensor, 8, max_iterations=2, compute_fit=False, seed=5,
+            ctx=ExecContext(backend=backend, devices=2),
+        )
+        arrays.extend(cp.factors)
+        arrays.append(cp.weights)
+        tk = tucker_hooi(
+            tensor, (4, 4, 4), max_iterations=1, seed=5,
+            ctx=ExecContext(backend=backend, devices=2),
+        )
+        arrays.extend(tk.factors)
+        arrays.append(tk.core)
 
     # Scheduled path: the serving engine builds its own contexts, so the
     # backend rides the REPRO_BACKEND default the way the CI matrix sets it.
@@ -246,9 +260,9 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
 def _identity_violations() -> int:
     """Arrays on which the vectorized backend's bytes differ from the
     reference's."""
-    tensor = random_sparse_tensor((400, 60, 50), 8_000, seed=21)
-    reference = _outputs_under("reference", tensor)
-    vectorized = _outputs_under("vectorized", tensor)
+    tensors = (random_sparse_tensor((400, 60, 50), 8_000, seed=21), _carry_tensor())
+    reference = _outputs_under("reference", tensors)
+    vectorized = _outputs_under("vectorized", tensors)
     # Structural divergence (different job/array counts) is itself a
     # violation per missing/extra array.
     return abs(len(reference) - len(vectorized)) + sum(

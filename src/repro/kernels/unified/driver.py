@@ -47,7 +47,12 @@ from repro.kernels.unified._model import (
     unified_kernel_counters,
 )
 from repro.kernels.unified.sharded import execute_sharded
-from repro.kernels.unified.streaming import execute_streamed, should_stream
+from repro.kernels.unified.streaming import (
+    StreamChunking,
+    chunk_stream,
+    price_chunks,
+    should_stream,
+)
 from repro.obs.metrics import observe_kernel_profile
 from repro.tensor.sparse import SparseTensor
 from repro.util.validation import check_mode
@@ -175,8 +180,10 @@ class Pricing:
     span.  :meth:`launch` adds the launch-dependent terms (flags, scan,
     footprint, time) for one ``(BLOCK_SIZE, threadlen)``, in the order a
     fresh :func:`model` call adds them, so every modeled second is the
-    same.  The memoised terms live as long as the pricing: one
-    :func:`model` call, or one tuner sweep.
+    same.  A streamed span's chunking, which depends on the ``threadlen``
+    but not on the ``BLOCK_SIZE``, is derived once per ``threadlen``.  The
+    memoised terms live as long as the pricing: one :func:`model` call, or
+    one tuner sweep.
     """
 
     def __init__(
@@ -194,6 +201,7 @@ class Pricing:
         self.device, self.cluster = resolve_cluster(device, ctx.cluster, ctx.devices)
         self._whole = fcoo.chunk_span(0, fcoo.nnz)
         self._terms: Dict[Tuple[int, int], Tuple[DeviceSpec, SpanTerms]] = {}
+        self._chunkings: Dict[Tuple[int, int, int], Tuple[DeviceSpec, StreamChunking]] = {}
 
     def distinct_rows(self, span: FCOOChunk) -> Tuple[int, ...]:
         """Each product mode's distinct factor rows over ``span``, a span of
@@ -220,6 +228,26 @@ class Pricing:
         )
         self._terms[key] = (device, terms)
         return terms
+
+    def _chunking(self, span: FCOOChunk, device: DeviceSpec, threadlen: int) -> StreamChunking:
+        """``span``'s streamed chunking on ``device``, derived once per
+        ``threadlen`` and matched to the device by identity, as
+        :meth:`_span_terms` matches it."""
+        key = (span.source_start, span.nnz, threadlen)
+        chunked = self._chunkings.get(key)
+        if chunked is not None and chunked[0] is device:
+            return chunked[1]
+        chunking = chunk_stream(
+            span,
+            device=device,
+            threadlen=threadlen,
+            num_streams=self.ctx.num_streams,
+            chunk_nnz=self.ctx.chunk_nnz,
+            resident_bytes=self.op.resident_bytes,
+            name=self.name,
+        )
+        self._chunkings[key] = (device, chunking)
+        return chunking
 
     def launch(
         self, *, block_size: int = 128, threadlen: int = 8, fused: bool = True
@@ -259,15 +287,8 @@ class Pricing:
                 chunk_config = op.launch(chunk.nnz, block_size=block_size, threadlen=threadlen)
                 return counters(chunk, chunk_config, dev), chunk_config
 
-            return execute_streamed(
-                span,
-                chunk_model,
-                device=dev,
-                threadlen=threadlen,
-                num_streams=ctx.num_streams,
-                chunk_nnz=ctx.chunk_nnz,
-                resident_bytes=op.resident_bytes,
-                name=self.name,
+            return price_chunks(
+                self._chunking(span, dev, threadlen), chunk_model, device=dev, name=self.name
             )
 
         if self.cluster is not None and self.fcoo.nnz:

@@ -16,7 +16,10 @@ overlaps each partition's copy with the previous partition's kernel
   the device's copy and compute engines with
   :func:`repro.gpusim.timeline.schedule_chunks`, and assembles a
   :class:`~repro.gpusim.counters.KernelProfile` whose estimated time charges
-  ``max(transfer, compute)`` per pipelined chunk instead of their sum.
+  ``max(transfer, compute)`` per pipelined chunk instead of their sum.  It
+  is :func:`chunk_stream`, which depends on the ``threadlen`` but not on
+  the ``BLOCK_SIZE``, then :func:`price_chunks`, so a launch sweep can
+  chunk each stream once per ``threadlen``.
 
 The driver models time and memory only.  The numbers come from one
 canonical pass over the whole encoding
@@ -28,7 +31,7 @@ property harness proving it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.formats.fcoo import FCOOChunk, FCOOTensor
 from repro.gpusim.counters import KernelCounters, KernelProfile
@@ -40,9 +43,12 @@ from repro.util.validation import check_positive_int
 
 __all__ = [
     "ChunkLedger",
+    "StreamChunking",
     "StreamedExecution",
     "choose_chunk_nnz",
+    "chunk_stream",
     "execute_streamed",
+    "price_chunks",
     "should_stream",
 ]
 
@@ -197,6 +203,62 @@ def choose_chunk_nnz(
     return max(threadlen, min(chunk_nnz, aligned_nnz))
 
 
+class StreamChunking(NamedTuple):
+    """A stream's chunks for one device and ``threadlen``, each chunk's
+    host-to-device bytes, and the device footprint: the resident operands
+    plus ``num_streams`` buffers of the largest chunk."""
+
+    num_streams: int
+    chunk_nnz: int
+    threadlen: int
+    chunks: List[FCOOChunk]
+    chunk_bytes: List[float]
+    footprint: float
+
+
+def chunk_stream(
+    fcoo: Stream,
+    *,
+    device: DeviceSpec,
+    threadlen: int,
+    num_streams: int = 2,
+    chunk_nnz: Optional[int] = None,
+    resident_bytes: float = 0.0,
+    name: str = "unified-streamed",
+) -> StreamChunking:
+    """The chunks :func:`execute_streamed` prices, from its arguments;
+    raises :class:`OutOfDeviceMemory` when they do not fit the device."""
+    num_streams = check_positive_int(num_streams, "num_streams")
+    if chunk_nnz is None:
+        chunk_nnz = choose_chunk_nnz(
+            fcoo,
+            device=device,
+            threadlen=threadlen,
+            num_streams=num_streams,
+            resident_bytes=resident_bytes,
+        )
+    else:
+        chunk_nnz = check_positive_int(chunk_nnz, "chunk_nnz")
+        if chunk_nnz < threadlen:
+            raise ValueError(
+                f"chunk_nnz ({chunk_nnz}) must be at least threadlen ({threadlen}): "
+                "a chunk cannot be smaller than one thread partition"
+            )
+        chunk_nnz = (chunk_nnz // threadlen) * threadlen
+
+    chunks = fcoo.chunk(chunk_nnz, threadlen=threadlen)
+
+    # Validate the device budget up front (the chunk byte sizes are pure
+    # arithmetic) so an explicit over-sized chunk_nnz fails before any chunk
+    # is priced.
+    chunk_bytes = [float(c.storage_bytes(threadlen)) for c in chunks]
+    peak_chunk_bytes = max(chunk_bytes, default=0.0)
+    footprint = resident_bytes + num_streams * peak_chunk_bytes
+    if footprint > device.global_mem_bytes:
+        raise OutOfDeviceMemory(footprint, device.global_mem_bytes, what=name)
+    return StreamChunking(num_streams, chunk_nnz, threadlen, chunks, chunk_bytes, footprint)
+
+
 def execute_streamed(
     fcoo: Stream,
     chunk_model: ChunkModel,
@@ -232,41 +294,33 @@ def execute_streamed(
         The pipelined profile; ``profile.streaming`` carries the
         :class:`StreamedExecution` ledger.
     """
-    num_streams = check_positive_int(num_streams, "num_streams")
-    if chunk_nnz is None:
-        chunk_nnz = choose_chunk_nnz(
-            fcoo,
-            device=device,
-            threadlen=threadlen,
-            num_streams=num_streams,
-            resident_bytes=resident_bytes,
-        )
-    else:
-        chunk_nnz = check_positive_int(chunk_nnz, "chunk_nnz")
-        if chunk_nnz < threadlen:
-            raise ValueError(
-                f"chunk_nnz ({chunk_nnz}) must be at least threadlen ({threadlen}): "
-                "a chunk cannot be smaller than one thread partition"
-            )
-        chunk_nnz = (chunk_nnz // threadlen) * threadlen
+    chunking = chunk_stream(
+        fcoo,
+        device=device,
+        threadlen=threadlen,
+        num_streams=num_streams,
+        chunk_nnz=chunk_nnz,
+        resident_bytes=resident_bytes,
+        name=name,
+    )
+    return price_chunks(chunking, chunk_model, device=device, name=name)
 
-    chunks = fcoo.chunk(chunk_nnz, threadlen=threadlen)
 
-    # Validate the device budget up front (the chunk byte sizes are pure
-    # arithmetic) so an explicit over-sized chunk_nnz fails before any chunk
-    # is priced.
-    chunk_bytes = [float(c.storage_bytes(threadlen)) for c in chunks]
-    peak_chunk_bytes = max(chunk_bytes, default=0.0)
-    footprint = resident_bytes + num_streams * peak_chunk_bytes
-    if footprint > device.global_mem_bytes:
-        raise OutOfDeviceMemory(footprint, device.global_mem_bytes, what=name)
-
+def price_chunks(
+    chunking: StreamChunking,
+    chunk_model: ChunkModel,
+    *,
+    device: DeviceSpec,
+    name: str = "unified-streamed",
+) -> KernelProfile:
+    """The pipelined profile of ``chunking``'s chunks, each priced with
+    ``chunk_model``; see :func:`execute_streamed`."""
     ledgers: List[ChunkLedger] = []
     timings: List[ChunkTiming] = []
 
-    for i, chunk in enumerate(chunks):
+    for i, chunk in enumerate(chunking.chunks):
         counters, launch = chunk_model(chunk)
-        transfer_bytes = chunk_bytes[i]
+        transfer_bytes = chunking.chunk_bytes[i]
         counters.host_to_device_bytes += transfer_bytes
         compute_s, _ = estimate_kernel_time(
             counters, launch, device, include_transfers=False
@@ -288,11 +342,11 @@ def execute_streamed(
         )
         timings.append(ChunkTiming(transfer_s=transfer_s, compute_s=compute_s))
 
-    schedule = schedule_chunks(timings, num_streams)
+    schedule = schedule_chunks(timings, chunking.num_streams)
     execution = StreamedExecution(
-        num_streams=num_streams,
-        chunk_nnz=chunk_nnz,
-        threadlen=threadlen,
+        num_streams=chunking.num_streams,
+        chunk_nnz=chunking.chunk_nnz,
+        threadlen=chunking.threadlen,
         chunks=ledgers,
         schedule=schedule,
     )
@@ -300,7 +354,7 @@ def execute_streamed(
         name=f"{name}-streamed",
         counters=KernelCounters.merged([ledger.counters for ledger in ledgers]),
         estimated_time_s=schedule.total_time_s,
-        device_memory_bytes=footprint,
+        device_memory_bytes=chunking.footprint,
         breakdown={
             "compute": schedule.compute_time_s,
             "transfer": schedule.transfer_time_s,

@@ -767,23 +767,8 @@ class Scheduler:
             batch_id = batch_seq
             batch_seq += 1
 
-        try:
-            outcome = self._execute(entry, placement, state)
-        except OutOfDeviceMemory as exc:
-            # The admission estimate is first-order (autotune can raise the
-            # threadlen after sizing, and geometry is host arithmetic); a
-            # kernel-level capacity failure rejects this one job instead of
-            # aborting the whole serving run.
-            results[job.job_id] = self._rejected(
-                job, f"rejected at execution: {exc}"
-            )
-            if state.events is not None:
-                state.events.emit(
-                    "reject",
-                    time_s=t0,
-                    job_id=f"job{job.job_id}",
-                    reason="out_of_device_memory",
-                )
+        outcome = self._execute_or_reject(entry, placement, t0, results, state)
+        if outcome is None:
             for mate in mates:
                 ready.append((self._queue_key(mate.job), mate))
             return batch_seq
@@ -823,18 +808,51 @@ class Scheduler:
         for mate in mates:
             # The batch shares the leader's encoding (already staged) and
             # device; only the mate's dense operands still move.
+            mate_outcome = self._execute_or_reject(mate, placement, t0, results, state)
+            if mate_outcome is None:
+                continue
             results[mate.job.job_id] = self._commit(
                 mate,
                 t0,
                 placement,
                 geometry,
-                self._execute(mate, placement, state),
+                mate_outcome,
                 state,
                 batch_id=batch_id,
                 batch_leader=False,
                 encoding_staged=False,
             )
         return batch_seq
+
+    def _execute_or_reject(
+        self,
+        entry: _ReadyEntry,
+        placement: Placement,
+        t0: float,
+        results: Dict[int, JobResult],
+        state: _RunState,
+    ) -> Optional[ExecutionOutcome]:
+        """:meth:`_execute`, or ``None`` once a capacity failure has
+        rejected ``entry``'s job.
+
+        The admission estimate is first-order (autotune can raise the
+        threadlen after sizing, and geometry is host arithmetic); a
+        kernel-level capacity failure rejects this one job, a batch leader
+        or a mate, instead of aborting the whole serving run.
+        """
+        job = entry.job
+        try:
+            return self._execute(entry, placement, state)
+        except OutOfDeviceMemory as exc:
+            results[job.job_id] = self._rejected(job, f"rejected at execution: {exc}")
+            if state.events is not None:
+                state.events.emit(
+                    "reject",
+                    time_s=t0,
+                    job_id=f"job{job.job_id}",
+                    reason="out_of_device_memory",
+                )
+            return None
 
     def _execute(
         self, entry: _ReadyEntry, placement: Placement, state: _RunState

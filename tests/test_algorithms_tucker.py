@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
+import repro.algorithms.tucker as tucker_module
 from repro.algorithms.cp import cp_als
 from repro.algorithms.tucker import tucker_hooi
+from repro.backends import get_backend
 from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
+from repro.formats.mode_encoding import OperationKind
 from repro.gpusim.cluster import ClusterSpec, NodeFailure
+from repro.kernels.unified.driver import compute
+from repro.kernels.unified.spttmc import spttmc_operands
 from repro.tensor.random import random_sparse_tensor
 from repro.tensor.sparse import SparseTensor
 from repro.tensor.ops import ttm_dense
@@ -79,6 +84,51 @@ class TestTuckerHOOI:
 
 
 STREAMED = ExecContext(streamed=True, num_streams=4, chunk_nnz=512)
+
+
+class TestCoreSpTTMcReuse:
+    """A sweep's core-step SpTTMc is the next sweep's first: the same
+    mode-0 encoding, with factors 1..N-1 unchanged in between."""
+
+    @pytest.mark.parametrize("order", [3, 4])
+    @pytest.mark.parametrize("sweeps", [1, 2, 3])
+    def test_sweeps_share_the_core_spttmc(self, monkeypatch, order, sweeps):
+        tensor = random_sparse_tensor((30, 40, 20, 10)[:order], 800, seed=5)
+        modes = []
+
+        def counted(fcoo, *args):
+            modes.append(fcoo.mode)
+            return compute(fcoo, *args)
+
+        monkeypatch.setattr(tucker_module, "compute", counted)
+        result = tucker_hooi(tensor, (3,) * order, max_iterations=sweeps, tolerance=-1.0)
+        assert result.iterations == sweeps
+        assert len(modes) == order * sweeps + 1
+        assert modes == [*range(order), 0] + [*range(1, order), 0] * (sweeps - 1)
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_reused_spttmc_has_the_bits_of_a_recomputation(self, monkeypatch, order):
+        tensor = random_sparse_tensor((30, 40, 20, 10)[:order], 800, seed=5)
+        ranks = (3,) * order
+        inputs, lefts = [], []
+        svd = np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            u, s, vt = svd(a, *args, **kwargs)
+            inputs.append(a)
+            lefts.append(u)
+            return u, s, vt
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        tucker_hooi(tensor, ranks, max_iterations=2, tolerance=-1.0)
+        assert len(inputs) == 2 * order
+        # Sweep 2's first SVD takes the mode-0 SpTTMc over sweep 1's factors.
+        factors = [u[:, :rank] for u, rank in zip(lefts[:order], ranks)]
+        fcoo = FCOOTensor.from_sparse(tensor, OperationKind.SPTTMC, 0)
+        recomputed = compute(*spttmc_operands(fcoo, factors, 0), get_backend())
+        reused = inputs[order]
+        assert reused.shape == recomputed.shape and reused.dtype == recomputed.dtype
+        np.testing.assert_array_equal(reused.view(np.uint64), recomputed.view(np.uint64))
 
 
 class TestTuckerKernelContext:

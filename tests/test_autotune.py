@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import repro.kernels.unified.driver as driver
 from repro.autotune import DEFAULT_BLOCK_SIZES, DEFAULT_THREADLENS, tune_unified
 from repro.context import ExecContext
-from repro.formats.fcoo import FCOOTensor
+from repro.formats.fcoo import FCOOChunk, FCOOTensor
 from repro.formats.mode_encoding import OperationKind
 from repro.gpusim.device import TITAN_X, scaled_device
 from repro.gpusim.timing import OutOfDeviceMemory
@@ -432,3 +432,47 @@ class TestOnePricingPerSweep:
         assert sorted(counted) == sorted(
             stop - start for start, stop in spans for _ in range(per_span)
         )
+
+    @staticmethod
+    def spy_on_chunkings(monkeypatch):
+        """Record ``(source_start, nnz, threadlen)`` of every span the
+        streamed path chunks."""
+        chunked = []
+        chunk = FCOOChunk.chunk
+
+        def spy(span, chunk_nnz, *, threadlen=1):
+            chunked.append((span.source_start, span.nnz, threadlen))
+            return chunk(span, chunk_nnz, threadlen=threadlen)
+
+        monkeypatch.setattr(FCOOChunk, "chunk", spy)
+        return chunked
+
+    @pytest.mark.parametrize("operation, mode", KERNEL_MODES)
+    def test_streamed_sweep_chunks_once_per_threadlen(self, small, operation, mode, monkeypatch):
+        fcoo = FCOOTensor.from_sparse(small, operation, mode)
+        device = self.device_for(fcoo, "streamed")
+        chunked = self.spy_on_chunkings(monkeypatch)
+        result = tune_unified(fcoo, operation, mode, rank=8, device=device)
+        assert np.isfinite(result.times).all()
+        assert sorted(chunked) == [(0, fcoo.nnz, t) for t in sorted(DEFAULT_THREADLENS)]
+
+    def test_sharded_streamed_cells_chunk_each_shard_once_per_threadlen(self, small, monkeypatch):
+        fcoo = FCOOTensor.from_sparse(small, OperationKind.SPMTTKRP, 0)
+        op = operation_spec(fcoo, fcoo.operation, 8)
+        ctx = ExecContext(devices=2, streamed=True, chunk_nnz=48)
+        expected = {
+            (block_size, threadlen): driver.model(
+                fcoo, op, device=TITAN_X, block_size=block_size, threadlen=threadlen, ctx=ctx
+            )
+            for block_size in SERVING_BLOCK_SIZES
+            for threadlen in SERVING_THREADLENS
+        }
+        chunked = self.spy_on_chunkings(monkeypatch)
+        pricing = driver.Pricing(fcoo, op, device=TITAN_X, ctx=ctx)
+        for (block_size, threadlen), fresh in expected.items():
+            profile = pricing.launch(block_size=block_size, threadlen=threadlen)
+            assert same_bits(
+                np.array([profile.estimated_time_s]), np.array([fresh.estimated_time_s])
+            )
+        assert len(chunked) == len(set(chunked)) >= 2 * len(SERVING_THREADLENS)
+        assert {threadlen for *_span, threadlen in chunked} == set(SERVING_THREADLENS)

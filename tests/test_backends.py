@@ -6,9 +6,10 @@ reference backend on every input.  The Hypothesis sweeps here drive the
 three unified kernels through the one-shot, chunked (streamed) and sharded
 topologies under both backends and compare outputs, plus the
 primitive-level reductions (1-D/2-D, signed zeros, empty segments, single
-non-zero, unsorted ids, streams that span several blocks), a scalar-loop
-oracle that pins the canonical product association, and the
-``ExecContext(backend=...)`` / ``REPRO_BACKEND`` selection plumbing.
+non-zero, unsorted ids, streams that span several blocks, segments carried
+across fixed blocks), a scalar-loop oracle that pins the canonical product
+association, and the ``ExecContext(backend=...)`` / ``REPRO_BACKEND``
+selection plumbing.
 """
 
 import contextlib
@@ -32,6 +33,8 @@ from repro.backends import (
     vectorized,
 )
 from repro.context import ExecContext
+from repro.formats.fcoo import FCOOTensor
+from repro.formats.mode_encoding import OperationKind
 from repro.gpusim.scan import segment_reduce
 from repro.kernels.unified import unified_spmttkrp, unified_spttm, unified_spttmc
 from repro.tensor.sparse import SparseTensor
@@ -212,11 +215,11 @@ class TestSegmentReduceIdentity:
         assert_same_bits(actual, segment_reduce(values, segment_ids, 40))
 
     def test_stream_over_several_blocks(self):
-        # 60k non-zeros at rank 32 span several blocks of the module's own
-        # budget, and the 20k-element segment is longer than a block.
+        # 60k non-zeros at rank 32 span many blocks of the module's own
+        # budget, and the 20k-element segment covers several whole blocks.
         rng = np.random.default_rng(2)
         segment_ids = np.sort(np.r_[np.full(20_000, 700), rng.integers(0, 1_500, size=40_000)])
-        assert 20_000 > vectorized.BLOCK_BYTES // (8 * 32)
+        assert 20_000 > 3 * (vectorized.BLOCK_BYTES // (8 * 32))
         values = rng.standard_normal(segment_ids.size)
         values[segment_ids == 3] = -0.0
         mats = [rng.standard_normal((50, 32)) for _ in range(2)]
@@ -271,6 +274,121 @@ class TestSegmentReduceIdentity:
         grams = [rng.standard_normal((6, 6)) for _ in range(4)]
         assert_same_bits(VEC.dense_hadamard(grams, 6), REF.dense_hadamard(grams, 6))
         assert_same_bits(VEC.dense_hadamard([], 6), REF.dense_hadamard([], 6))
+
+
+class TestCarriedSegments:
+    """Fixed blocks: a segment that crosses a block boundary carries its
+    running sum into the next block, with the unsplit sum's bits."""
+
+    # Segment 1 sums to 1.0 in stream order and to 11.0 exactly; segment 2
+    # is empty; segment 3 is all -0.0, which sums to +0.0.
+    SEGMENT_IDS = np.repeat([0, 1, 3, 4], [2, 31, 7, 3])
+    SEGMENT_VALUES = {
+        0: [0.5, -2.0],
+        1: np.resize([1.0, 1e16, -1e16], 31),
+        3: [-0.0] * 7,
+        4: [3.0, 1e16, -3.0],
+    }
+    #: Powers of two, so every partial is exact and keeps its value's sign.
+    FACTOR_ENTRIES = (0.25, 0.5, 1.0, 2.0, 4.0)
+
+    def _inputs(self, ranks):
+        values = np.concatenate([self.SEGMENT_VALUES[s] for s in (0, 1, 3, 4)])
+        rng = np.random.default_rng(4)
+        mats = [rng.choice(self.FACTOR_ENTRIES, size=(6, rank)) for rank in ranks]
+        rows = [rng.integers(0, 6, size=values.size) for _ in ranks]
+        return values, mats, rows, self.SEGMENT_IDS, 5
+
+    def test_the_case_depends_on_the_association(self):
+        values = self.SEGMENT_VALUES[1]
+        sequential = 0.0
+        for value in values:
+            sequential += value
+        assert sequential != math.fsum(values)
+
+    @pytest.mark.parametrize("rows_per_block", [2, 5, 7])
+    @pytest.mark.parametrize("ranks", [[], [3], [2, 3], [2, 1, 2]], ids=str)
+    def test_carried_sums_match_the_reference_and_the_oracle(self, rows_per_block, ranks):
+        values, mats, rows, segment_ids, num_segments = self._inputs(ranks)
+        starts = np.flatnonzero(np.diff(segment_ids, prepend=-1))
+        boundaries = np.arange(rows_per_block, segment_ids.size, rows_per_block)
+        # Segment 1 spans at least three blocks, and the -0.0 segment
+        # crosses a block boundary.
+        assert np.count_nonzero((starts[1] < boundaries) & (boundaries < starts[2])) >= 2
+        assert np.any((starts[2] < boundaries) & (boundaries < starts[3]))
+
+        hadamard = (values, mats[:1] * len(ranks), rows)
+        kron = (values, mats, rows)
+        hadamard_width = ranks[0] if ranks else 1
+        for primitive, products, inputs, kron_order, width in (
+            (VEC.hadamard_segment_sums, REF.slice_products, hadamard, False, hadamard_width),
+            (VEC.kron_segment_sums, REF.kron_products, kron, True, math.prod(ranks)),
+        ):
+            expected = segment_reduce(products(*inputs), segment_ids, num_segments)
+            oracle = oracle_segment_sums(*inputs, segment_ids, num_segments, kron=kron_order)
+            assert_same_bits(expected, oracle)
+            with block_budget(8 * width * rows_per_block):
+                assert_same_bits(primitive(*inputs, segment_ids, num_segments), expected)
+
+        oracle = oracle_segment_sums(values, [], [], segment_ids, num_segments, kron=False)
+        with block_budget(8 * rows_per_block):
+            sums = VEC.segment_reduce(values, segment_ids, num_segments)
+            matrix_sums = VEC.segment_reduce(values[:, None], segment_ids, num_segments)
+        assert_same_bits(sums, segment_reduce(values, segment_ids, num_segments))
+        assert_same_bits(sums, oracle[:, 0])
+        assert_same_bits(matrix_sums, oracle)
+        assert not np.signbit(sums[3])
+
+    def test_no_block_outgrows_the_budget(self, monkeypatch):
+        """A segment longer than a block is cut, not given a longer block."""
+        blocks = []
+        blocked_sums = VectorizedBackend._blocked_sums
+
+        def spy(self, products, width, *args):
+            def counted(*stage_args):
+                # The block's value stream precedes `mats` and `rows`.
+                blocks.append((len(stage_args[-3]), width))
+                return products(*stage_args)
+
+            return blocked_sums(self, counted, width, *args)
+
+        monkeypatch.setattr(VectorizedBackend, "_blocked_sums", spy)
+        rng = np.random.default_rng(6)
+        # Segment 3 is three blocks long at the widest block (the Hadamard
+        # sums' eight columns).
+        long_segment = 3 * (vectorized.BLOCK_BYTES // (8 * 8))
+        segment_ids = np.sort(np.r_[np.full(long_segment, 3), rng.integers(0, 40, size=6_000)])
+        values = rng.standard_normal(segment_ids.size)
+        mats = [rng.standard_normal((30, 8)) for _ in range(2)]
+        rows = [rng.integers(0, 30, size=segment_ids.size) for _ in mats]
+        args = (values, mats, rows, segment_ids, 40)
+        for actual, expected, width in (
+            (VEC.hadamard_segment_sums, REF.hadamard_segment_sums, 8),
+            (VEC.kron_segment_sums, REF.kron_segment_sums, 64),
+            (VEC.segment_reduce, segment_reduce, 1),
+        ):
+            inputs = args if width > 1 else (values, segment_ids, 40)
+            blocks.clear()
+            assert_same_bits(actual(*inputs), expected(*inputs))
+            assert {block_width for _rows, block_width in blocks} == {width}
+            assert max(block_rows for block_rows, _width in blocks) <= (
+                vectorized.BLOCK_BYTES // (8 * width)
+            )
+
+    def test_identity_sweep_tensor_carries_across_whole_blocks(self):
+        """The wall-clock identity sweep's power-law tensor has a rank-8
+        SpMTTKRP segment and an 8 x 8 column SpTTMc segment that each cover
+        a whole block of the module budget, with a carry in and out."""
+        from repro.bench.wallclock import _carry_tensor
+
+        tensor = _carry_tensor()
+        for operation, width in ((OperationKind.SPMTTKRP, 8), (OperationKind.SPTTMC, 64)):
+            segment_ids = FCOOTensor.from_sparse(tensor, operation, 0).segment_ids
+            per_block = vectorized.BLOCK_BYTES // (8 * width)
+            block_starts = range(per_block, segment_ids.size - per_block, per_block)
+            # Sorted ids: equal ids either side of a block mean one segment
+            # runs through it.
+            assert any(segment_ids[lo - 1] == segment_ids[lo + per_block] for lo in block_starts)
 
 
 # ---------------------------------------------------------------------- #

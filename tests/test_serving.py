@@ -673,6 +673,39 @@ class TestScheduler:
         assert "rejected at execution" in by_id[1].reject_reason
         assert by_id[0].completed and by_id[2].completed
 
+    def test_batch_mate_capacity_failure_rejects_the_mate_not_run(self, monkeypatch):
+        # Job 1 rides job 0's batch; its pricing failure rejects job 1 alone,
+        # and the leader and the other mate keep a clean run's outputs.
+        import repro.serve.scheduler as scheduler_module
+        from repro.gpusim.timing import OutOfDeviceMemory
+        from repro.obs import EventLog
+
+        tensor = CASES["order3-uniform"]()
+        jobs = self._identical_jobs(3, tensor)
+        clean_run = ServingEngine(one_device_cluster(1 << 30)).run(jobs)
+        clean = {r.job.job_id: r for r in clean_run.results}
+        assert clean[0].batch_leader and clean[1].batch_id == clean[0].batch_id
+        real_price = scheduler_module.price_job
+
+        def flaky_price(job, placement, *args, **kwargs):
+            if job.job_id == 1:
+                raise OutOfDeviceMemory(1e9, 1e6, what="test kernel")
+            return real_price(job, placement, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "price_job", flaky_price)
+        events = EventLog()
+        report = ServingEngine(one_device_cluster(1 << 30)).run(jobs, events=events)
+        by_id = {r.job.job_id: r for r in report.results}
+        assert not by_id[1].completed
+        assert by_id[1].reject_reason.startswith("rejected at execution: ")
+        rejects = [e for e in events.events if e.kind == "reject"]
+        assert [(e.job_id, dict(e.fields)["reason"]) for e in rejects] == [
+            ("job1", "out_of_device_memory")
+        ]
+        for job_id in (0, 2):
+            assert by_id[job_id].completed
+            assert_same_output(by_id[job_id].output, clean[job_id].output)
+
     def test_unique_job_ids_required(self):
         tensor = CASES["order3-uniform"]()
         jobs = self._identical_jobs(2, tensor)
