@@ -13,7 +13,7 @@ from repro.bench import run_fig7
 
 @pytest.mark.benchmark(group="fig7")
 def test_fig7a_spttm_mode_behavior(benchmark):
-    result = run_once(benchmark, run_fig7, "spttm", dataset="brainq", rank=16)
+    result = run_once(benchmark, run_fig7, "spttm", rank=16)
     print()
     print(result.render())
     assert len(result.rows) == 3
@@ -24,7 +24,7 @@ def test_fig7a_spttm_mode_behavior(benchmark):
 
 @pytest.mark.benchmark(group="fig7")
 def test_fig7b_spmttkrp_mode_behavior(benchmark):
-    result = run_once(benchmark, run_fig7, "spmttkrp", dataset="brainq", rank=16)
+    result = run_once(benchmark, run_fig7, "spmttkrp", rank=16)
     print()
     print(result.render())
     # The unified kernel is the least mode-sensitive implementation.

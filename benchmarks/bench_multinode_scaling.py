@@ -2,17 +2,18 @@
 
 The multi-GPU benchmark stops at one node; this extension benchmark grows
 the *node count* of a two-tier cluster (intra-node P2P vs inter-node NIC,
-:mod:`repro.bench.multinode`) and checks the structural invariants: the
-one-node baseline is exact (speedup 1), node-level efficiency stays a true
-fraction and decays with the node count, and — the tentpole property — the
-modeled hierarchical collective is never costlier than the topology-
-oblivious flat ring when the NIC is the slower tier.
+:func:`repro.bench.scaling.run_multinode_scaling`) and checks the
+structural invariants: the one-node baseline is exact (speedup 1),
+node-level efficiency stays a true fraction and decays with the node
+count, and — the tentpole property — the modeled hierarchical collective
+is never costlier than the topology-oblivious flat ring when the NIC is
+the slower tier.
 """
 
 import pytest
 
 from bench_common import run_once
-from repro.bench.multinode import run_multinode_scaling
+from repro.bench.scaling import run_multinode_scaling
 
 
 @pytest.mark.benchmark(group="multinode")

@@ -13,7 +13,7 @@ from repro.bench import run_table2
 
 @pytest.mark.benchmark(group="table2")
 def test_table2_storage_cost(benchmark):
-    result = run_once(benchmark, run_table2, threadlen=8)
+    result = run_once(benchmark, run_table2)
     print()
     print(result.render())
     for row in result.rows:

@@ -129,13 +129,12 @@ class UnifiedGPUEngine:
           in device memory, so CP-ALS completes on over-capacity tensors
           instead of raising
           :class:`~repro.gpusim.timing.OutOfDeviceMemory`.
-        * ``cluster`` / ``devices`` — a
-          :class:`~repro.gpusim.cluster.ClusterSpec` of one or several
-          nodes (or a bare device count building a homogeneous cluster of
-          ``device``): every run starts on it (:attr:`resolved_cluster`),
-          sharding each MTTKRP across the cluster and all-reducing the
-          partial factor updates.  :func:`cp_als` reports the per-device
-          busy seconds and the scaling efficiency.
+        * ``cluster`` — a :class:`~repro.gpusim.cluster.ClusterSpec` of
+          one or several nodes: every run starts on it
+          (:attr:`resolved_cluster`), sharding each MTTKRP across the
+          cluster and all-reducing the partial factor updates.
+          :func:`cp_als` reports the per-device busy seconds and the
+          scaling efficiency.
     """
 
     device: DeviceSpec = TITAN_X
@@ -146,9 +145,7 @@ class UnifiedGPUEngine:
 
     def __post_init__(self) -> None:
         self._encodings: Dict[int, FCOOTensor] = {}
-        self.device, self._cluster = resolve_cluster(
-            self.device, self.ctx.cluster, self.ctx.devices
-        )
+        self.device, self._cluster = resolve_cluster(self.device, self.ctx.cluster)
 
     def prepare(
         self,
@@ -235,7 +232,7 @@ class UnifiedGPUEngine:
     def resolved_cluster(self) -> Optional[ClusterSpec]:
         """The cluster every run starts on (``None`` in single-GPU mode).
 
-        This is the normalised form of ``ctx.cluster`` / ``ctx.devices``
+        This is the normalised form of ``ctx.cluster``
         (see :func:`~repro.gpusim.cluster.resolve_cluster`).  A node loss
         moves only that run onto the survivors; the engine keeps its
         configuration.
@@ -440,8 +437,8 @@ def cp_als(
     ctx:
         A :class:`~repro.context.ExecContext`.  When no ``engine`` is
         given, the default :class:`UnifiedGPUEngine` is built from it, so
-        ``cp_als(x, r, ctx=ExecContext(devices=4))`` is the multi-GPU
-        spelling.  The run itself reads:
+        ``cp_als(x, r, ctx=ExecContext(cluster=ClusterSpec.homogeneous()))``
+        is the multi-GPU spelling.  The run itself reads:
 
         * ``overlap_modes`` — intra-kernel pipelining on the unified
           timeline: mode ``k``'s partial-output all-reduce books the

@@ -311,7 +311,7 @@ def hooi_modeled_pass(
     ``numbers`` plus the modeled fields.
     """
     order = len(encodings)
-    device, cluster = resolve_cluster(device, ctx.cluster, ctx.devices)
+    device, cluster = resolve_cluster(device, ctx.cluster)
     run = DecompositionTimeline(cluster, ctx.chaos)
     ttmc_time_by_mode: Dict[int, float] = {m: 0.0 for m in range(order)}
     # Each mode's profile on the current topology; a node loss clears it.

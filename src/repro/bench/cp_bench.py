@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.algorithms.cp import SplattCPUEngine, UnifiedGPUEngine, cp_als
-from repro.cpusim.cpu import CPU_I7_5820K, CpuSpec
 from repro.data.registry import load_dataset
-from repro.gpusim.device import DeviceSpec, TITAN_X
 from repro.util.formatting import format_table
 
 __all__ = ["Fig10Row", "Fig10Result", "run_fig10"]
@@ -106,22 +104,19 @@ def run_fig10(
     rank: int = 8,
     iterations: int = 5,
     datasets: Sequence[str] = ("brainq", "nell2"),
-    device: DeviceSpec = TITAN_X,
-    cpu: CpuSpec = CPU_I7_5820K,
-    seed: int = 0,
 ) -> Fig10Result:
     """Figure 10: CP-ALS breakdown with the unified GPU and SPLATT CPU engines."""
     rows: List[Fig10Row] = []
     for name in datasets:
         tensor = load_dataset(name)
-        for engine in (UnifiedGPUEngine(device=device), SplattCPUEngine(cpu=cpu)):
+        for engine in (UnifiedGPUEngine(), SplattCPUEngine()):
             result = cp_als(
                 tensor,
                 rank,
                 engine=engine,
                 max_iterations=iterations,
                 tolerance=0.0,  # run a fixed number of iterations for timing
-                seed=seed,
+                seed=0,
                 compute_fit=True,
             )
             rows.append(

@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from typing import List, Optional, Sequence
+from typing import List
 
+from repro.bench.storage import THREADLEN
 from repro.data.registry import DATASETS, DatasetSpec, load_dataset
 from repro.formats.coo import COOTensor
 from repro.formats.fcoo import FCOOTensor
@@ -98,10 +99,8 @@ class Fig9Result:
         )
 
 
-def spmttkrp_footprints(
-    tensor: SparseTensor, rank: int, *, mode: int = 0, threadlen: int = 8
-) -> tuple:
-    """Device-memory footprints (unified_bytes, parti_bytes) for one tensor.
+def spmttkrp_footprints(tensor: SparseTensor, rank: int) -> tuple:
+    """Mode-1 device-memory footprints (unified_bytes, parti_bytes) for one tensor.
 
     Unified: F-COO arrays + product-mode factor matrices + output.
     ParTI:   COO arrays (64-bit indices, as in ParTI's GPU code) + factor
@@ -110,14 +109,14 @@ def spmttkrp_footprints(
     output.
     """
     order = tensor.order
-    product_modes = [m for m in range(order) if m != mode]
+    product_modes = range(1, order)
     factor_bytes = sum(tensor.shape[m] * rank * 4.0 for m in product_modes)
-    output_bytes = tensor.shape[mode] * rank * 4.0
+    output_bytes = tensor.shape[0] * rank * 4.0
 
-    fcoo = FCOOTensor.from_sparse(tensor, OperationKind.SPMTTKRP, mode)
-    unified_bytes = fcoo.storage_bytes(threadlen) + factor_bytes + output_bytes
+    fcoo = FCOOTensor.from_sparse(tensor, OperationKind.SPMTTKRP, 0)
+    unified_bytes = fcoo.storage_bytes(THREADLEN) + factor_bytes + output_bytes
 
-    coo = COOTensor.from_sparse(tensor, sort_mode=mode, index_dtype=np.uint64)
+    coo = COOTensor.from_sparse(tensor, sort_mode=0, index_dtype=np.uint64)
     last_product = product_modes[-1]
     intermediate_fibers = tensor.num_fibers(last_product)
     intermediate_bytes = intermediate_fibers * (rank * 4.0 + (order - 1) * 8.0)
@@ -137,10 +136,8 @@ def _expected_distinct_cells(cells: float, nnz: int) -> float:
     return float(cells) * (1.0 - float(np.exp(-float(nnz) / float(cells))))
 
 
-def paper_scale_spmttkrp_footprints(
-    spec: DatasetSpec, rank: int, *, mode: int = 0, threadlen: int = 8
-) -> tuple:
-    """(unified_bytes, parti_bytes) for the *paper-scale* tensor, analytically.
+def paper_scale_spmttkrp_footprints(spec: DatasetSpec, rank: int) -> tuple:
+    """Mode-1 (unified_bytes, parti_bytes) for the *paper-scale* tensor, analytically.
 
     Uses the same data-structure inventory as :func:`spmttkrp_footprints`
     but with the original tensor's shape and non-zero count (Table IV): the
@@ -153,14 +150,12 @@ def paper_scale_spmttkrp_footprints(
     shape = spec.paper_shape
     nnz = spec.paper_nnz
     order = len(shape)
-    product_modes = [m for m in range(order) if m != mode]
+    product_modes = range(1, order)
     factor_bytes = sum(shape[m] * rank * 4.0 for m in product_modes)
-    output_bytes = shape[mode] * rank * 4.0
+    output_bytes = shape[0] * rank * 4.0
 
     unified = (
-        fcoo_storage_bytes(
-            nnz, order, OperationKind.SPMTTKRP, mode, threadlen=threadlen
-        )
+        fcoo_storage_bytes(nnz, order, OperationKind.SPMTTKRP, 0, threadlen=THREADLEN)
         + factor_bytes
         + output_bytes
     )
@@ -177,39 +172,23 @@ def paper_scale_spmttkrp_footprints(
     return unified, parti
 
 
-def parti_paper_scale_footprint(
-    dataset: str, rank: int, *, mode: int = 0, threadlen: int = 8
-) -> float:
-    """ParTI-GPU's SpMTTKRP footprint at paper scale (bytes).
+def parti_paper_scale_footprint(dataset: str, rank: int) -> float:
+    """ParTI-GPU's mode-1 SpMTTKRP footprint at paper scale (bytes).
 
     Shared by the Figure 6b runner (to decide which bars are "OOM") and the
     Figure 9 runner so the two experiments agree on the computation.
     """
-    _, parti = paper_scale_spmttkrp_footprints(
-        DATASETS[dataset], rank, mode=mode, threadlen=threadlen
-    )
+    _, parti = paper_scale_spmttkrp_footprints(DATASETS[dataset], rank)
     return parti
 
 
-def run_fig9(
-    *,
-    rank: int = 16,
-    datasets: Optional[Sequence[str]] = None,
-    device: DeviceSpec = TITAN_X,
-    threadlen: int = 8,
-) -> Fig9Result:
+def run_fig9(*, rank: int = 16) -> Fig9Result:
     """Figure 9: memory consumption of SpMTTKRP mode-1, Unified vs ParTI-GPU."""
-    names = list(datasets) if datasets is not None else list(DATASETS)
     rows: List[Fig9Row] = []
-    for name in names:
-        spec = DATASETS[name]
+    for name, spec in DATASETS.items():
         tensor = load_dataset(name)
-        unified_bytes, parti_bytes = spmttkrp_footprints(
-            tensor, rank, mode=0, threadlen=threadlen
-        )
-        unified_paper, parti_paper = paper_scale_spmttkrp_footprints(
-            spec, rank, mode=0, threadlen=threadlen
-        )
+        unified_bytes, parti_bytes = spmttkrp_footprints(tensor, rank)
+        unified_paper, parti_paper = paper_scale_spmttkrp_footprints(spec, rank)
 
         rows.append(
             Fig9Row(
@@ -219,7 +198,7 @@ def run_fig9(
                 parti_bytes=parti_bytes,
                 unified_paper_scale_bytes=unified_paper,
                 parti_paper_scale_bytes=parti_paper,
-                parti_oom_at_paper_scale=parti_paper > device.global_mem_bytes,
+                parti_oom_at_paper_scale=parti_paper > TITAN_X.global_mem_bytes,
             )
         )
-    return Fig9Result(rank=rank, device=device, rows=rows)
+    return Fig9Result(rank=rank, device=TITAN_X, rows=rows)

@@ -12,9 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.cpusim.cpu import CPU_I7_5820K, CpuSpec
 from repro.data.registry import load_dataset
-from repro.gpusim.device import DeviceSpec, TITAN_X
 from repro.kernels.baselines.parti_gpu import parti_gpu_spmttkrp, parti_gpu_spttm
 from repro.kernels.baselines.splatt import splatt_mttkrp
 from repro.kernels.unified.spmttkrp import unified_spmttkrp
@@ -91,37 +89,27 @@ class Fig7Result:
         return table + footer
 
 
-def run_fig7(
-    operation: str = "spmttkrp",
-    *,
-    dataset: str = "brainq",
-    rank: int = 16,
-    device: DeviceSpec = TITAN_X,
-    cpu: CpuSpec = CPU_I7_5820K,
-    seed: int = 0,
-) -> Fig7Result:
-    """Figure 7: per-mode times on ``dataset`` for SpTTM (7a) or SpMTTKRP (7b)."""
+def run_fig7(operation: str = "spmttkrp", *, rank: int = 16) -> Fig7Result:
+    """Figure 7: per-mode times on brainq for SpTTM (7a) or SpMTTKRP (7b)."""
     operation = operation.lower()
     if operation not in ("spttm", "spmttkrp"):
         raise ValueError(f"operation must be 'spttm' or 'spmttkrp', got {operation!r}")
-    tensor = load_dataset(dataset)
-    factors = random_factors(tensor.shape, rank, seed=seed)
+    tensor = load_dataset("brainq")
+    factors = random_factors(tensor.shape, rank, seed=0)
 
     rows: List[Fig7Row] = []
     for mode in range(tensor.order):
         if operation == "spttm":
-            gpu = parti_gpu_spttm(tensor, factors[mode], mode, device=device)
-            uni = unified_spttm(tensor, factors[mode], mode, device=device)
+            gpu = parti_gpu_spttm(tensor, factors[mode], mode)
+            uni = unified_spttm(tensor, factors[mode], mode)
             splatt_time = None
         else:
-            gpu = parti_gpu_spmttkrp(tensor, factors, mode, device=device)
-            uni = unified_spmttkrp(tensor, factors, mode, device=device)
+            gpu = parti_gpu_spmttkrp(tensor, factors, mode)
+            uni = unified_spmttkrp(tensor, factors, mode)
             # SPLATT reuses one CSF tree (rooted at the shortest mode) for
             # every per-mode MTTKRP, exactly as inside its CP-ALS.
             root = int(np.argmin(tensor.shape))
-            splatt_time = splatt_mttkrp(
-                tensor, factors, mode, cpu=cpu, csf_root_mode=root
-            ).estimated_time_s
+            splatt_time = splatt_mttkrp(tensor, factors, mode, csf_root_mode=root).estimated_time_s
         rows.append(
             Fig7Row(
                 mode=mode,
@@ -132,7 +120,7 @@ def run_fig7(
         )
     return Fig7Result(
         operation="SpTTM" if operation == "spttm" else "SpMTTKRP",
-        dataset=dataset,
+        dataset="brainq",
         rank=rank,
         rows=rows,
     )

@@ -2,22 +2,21 @@
 
 from __future__ import annotations
 
-from repro.cpusim.cpu import CPU_I7_5820K, CpuSpec
-from repro.gpusim.device import DeviceSpec, TITAN_X
+from repro.cpusim.cpu import CPU_I7_5820K
+from repro.gpusim.device import TITAN_X
 from repro.util.formatting import format_bytes, format_table
 
 __all__ = ["platform_report"]
 
 
-def platform_report(
-    *, cpu: CpuSpec = CPU_I7_5820K, gpu: DeviceSpec = TITAN_X
-) -> str:
+def platform_report() -> str:
     """Render the platform-configuration table (paper Table III).
 
     The values are the *model parameters* of the simulated devices; they
     deliberately mirror the paper's hardware so the cost models operate in
     the same regime (compute/bandwidth ratios, cache sizes, memory capacity).
     """
+    cpu, gpu = CPU_I7_5820K, TITAN_X
     rows = [
         ["Microarchitecture", "Haswell (model)", "Maxwell (model)"],
         ["Frequency", f"{cpu.clock_ghz:.1f} GHz", f"{gpu.clock_ghz:.1f} GHz"],

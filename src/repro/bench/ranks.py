@@ -9,10 +9,9 @@ degrading coalescing and causing divergence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.data.registry import load_dataset
-from repro.gpusim.device import DeviceSpec, TITAN_X
 from repro.kernels.baselines.parti_gpu import parti_gpu_spttm
 from repro.kernels.unified.spttm import unified_spttm
 from repro.tensor.random import random_factors
@@ -73,27 +72,20 @@ def run_fig8(
     *,
     datasets: Sequence[str] = ("brainq", "nell2"),
     ranks: Sequence[int] = DEFAULT_RANKS,
-    mode: Optional[int] = None,
-    device: DeviceSpec = TITAN_X,
-    seed: int = 0,
 ) -> Fig8Result:
-    """Figure 8: SpTTM time versus rank for Unified and ParTI-GPU."""
+    """Figure 8: SpTTM on the last mode, time versus rank for Unified and ParTI-GPU."""
     series: List[Fig8Series] = []
     resolved_mode = -1
     for name in datasets:
         tensor = load_dataset(name)
-        target_mode = (tensor.order - 1) if mode is None else mode
+        target_mode = tensor.order - 1
         resolved_mode = target_mode
         unified_times = []
         parti_times = []
         for rank in ranks:
-            matrix = random_factors(tensor.shape, rank, seed=seed)[target_mode]
-            unified_times.append(
-                unified_spttm(tensor, matrix, target_mode, device=device).estimated_time_s
-            )
-            parti_times.append(
-                parti_gpu_spttm(tensor, matrix, target_mode, device=device).estimated_time_s
-            )
+            matrix = random_factors(tensor.shape, rank, seed=0)[target_mode]
+            unified_times.append(unified_spttm(tensor, matrix, target_mode).estimated_time_s)
+            parti_times.append(parti_gpu_spttm(tensor, matrix, target_mode).estimated_time_s)
         series.append(
             Fig8Series(
                 dataset=name,

@@ -43,8 +43,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro._version import __version__
-from repro.bench.multinode import run_multinode_scaling
-from repro.bench.scaling import run_scaling, run_weak_scaling
+from repro.bench.scaling import run_multinode_scaling, run_scaling, run_weak_scaling
 from repro.bench.serving import run_serving
 from repro.bench.streaming import run_streaming
 from repro.gpusim.timeline import Timeline
@@ -94,13 +93,11 @@ SUITE_TOLERANCES = {"wallclock": 0.50}
 def _scaling_metrics() -> Dict[str, float]:
     """Quick-mode multi-GPU scaling subset: one dataset, three kernels."""
     metrics: Dict[str, float] = {}
-    strong = run_scaling(
-        rank=8, datasets=["brainq"], device_counts=(1, 2, 4), seed=0
-    )
+    strong = run_scaling(rank=8, datasets=["brainq"], device_counts=(1, 2, 4))
     for row in strong.rows:
         key = f"strong/{row.operation}/{row.workload}/gpus={row.num_devices}"
         metrics[key] = row.time_s
-    weak = run_weak_scaling(rank=8, device_counts=(1, 2, 4), seed=0)
+    weak = run_weak_scaling(rank=8, device_counts=(1, 2, 4))
     for row in weak.rows:
         key = f"weak/{row.operation}/gpus={row.num_devices}"
         metrics[key] = row.time_s
@@ -118,9 +115,7 @@ def _multinode_metrics() -> Dict[str, float]:
     increase, so the gate pins the tentpole property).
     """
     metrics: Dict[str, float] = {}
-    result = run_multinode_scaling(
-        rank=8, datasets=["brainq"], node_counts=(1, 2, 4), devices_per_node=2, seed=0
-    )
+    result = run_multinode_scaling(rank=8, node_counts=(1, 2, 4))
     violations = 0
     for row in result.rows:
         key = f"multinode/{row.operation}/{row.workload}/nodes={row.num_nodes}"

@@ -1,21 +1,35 @@
-"""Multi-GPU scaling of the sharded unified kernels (extension experiment).
+"""Multi-GPU and multi-node scaling of the sharded unified kernels (extension).
 
-The paper evaluates on one Titan X; this runner measures how the sharded
+The paper evaluates on one Titan X; these runners measure how the sharded
 execution path scales when the F-COO non-zero stream is partitioned across
-a simulated multi-GPU node:
+a simulated cluster of Titan X GPUs.  Every point of every curve builds one
+``nodes x GPUs`` :class:`~repro.gpusim.cluster.ClusterSpec`, runs one
+unified kernel on it and reads its sharded ledger (:func:`_curve`); a
+one-GPU cluster runs the exact single-device path, and a one-node cluster
+never books its NIC.  The experiments differ only in the clusters and
+tensors they walk:
 
-* **strong scaling** (:func:`run_scaling`) — a fixed dataset analog on 1-8
-  GPUs; the speedup column is ``T(1 GPU) / T(N GPUs)`` and the parallel
-  efficiency is ``speedup / N``.
+* **strong scaling** (:func:`run_scaling`) — a fixed dataset analog on one
+  node of 1-8 GPUs; the speedup column is ``T(1 GPU) / T(N GPUs)`` and the
+  parallel efficiency is ``speedup / N``.
 * **weak scaling** (:func:`run_weak_scaling`) — the problem grows with the
   device count (``N`` times the base non-zeros on ``N`` GPUs); the
   efficiency column is ``T(1 GPU) / T(N GPUs)``, which would be 1 under
   perfect scaling.
+* **multi-node scaling** (:func:`run_multinode_scaling`) — brainq on 1/2/4
+  nodes of :data:`DEVICES_PER_NODE` GPUs; next to the modeled reduction
+  under hierarchical collectives, the table prices what the
+  topology-oblivious **flat ring** would have charged and names the
+  algorithm the cost model selected, making the claim "hierarchical is
+  never costlier than the flat ring when the NIC is the slower tier"
+  visible and checkable by the CI regression gate.
+* **the trace** (:func:`collect_scaling_trace`) — one run of each kernel,
+  booked back to back onto one unified timeline.
 
 Like the capacity experiments (which shrink the simulated device memory by
-the dataset's shrink factor), the interconnect must be projected to analog
-scale: the analogs carry 100-1000x fewer non-zeros than the paper's
-tensors, so kernel times shrink by that factor while a real NIC latency
+the dataset's shrink factor), both interconnect tiers must be projected to
+analog scale: the analogs carry 100-1000x fewer non-zeros than the paper's
+tensors, so kernel times shrink by that factor while a real link latency
 would not — charging 5 us of latency against a 10 us kernel would say
 nothing about paper-scale behaviour.  :func:`analog_interconnect` shrinks
 the latency by the dataset's *time* scale (analog nnz / paper nnz) and
@@ -27,7 +41,7 @@ scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +50,7 @@ from repro.data.registry import DATASETS, load_dataset
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
 from repro.gpusim.cluster import ETHERNET_10G, ClusterSpec, InterconnectSpec, PCIE3_P2P
-from repro.gpusim.device import DeviceSpec, TITAN_X
+from repro.gpusim.device import TITAN_X
 from repro.gpusim.timeline import Timeline, device_compute_key
 from repro.kernels.unified.spmttkrp import unified_spmttkrp
 from repro.kernels.unified.spttm import unified_spttm
@@ -48,16 +62,26 @@ from repro.util.formatting import format_seconds, format_table
 __all__ = [
     "ScalingRow",
     "ScalingResult",
+    "MultiNodeScalingResult",
     "analog_interconnect",
     "collect_scaling_trace",
     "run_scaling",
     "run_weak_scaling",
+    "run_multinode_scaling",
     "DEFAULT_DEVICE_COUNTS",
+    "DEFAULT_NODE_COUNTS",
+    "DEVICES_PER_NODE",
     "SCALING_OPERATIONS",
 ]
 
-#: The device counts of the scaling curves (a typical 8-GPU node).
+#: The device counts of the one-node scaling curves (a typical 8-GPU node).
 DEFAULT_DEVICE_COUNTS: Tuple[int, ...] = (1, 2, 4, 8)
+
+#: The node counts of the default multi-node scaling curve.
+DEFAULT_NODE_COUNTS: Tuple[int, ...] = (1, 2, 4)
+
+#: GPUs on each node of the multi-node curve.
+DEVICES_PER_NODE = 2
 
 #: All three unified kernels, in the order the tables report them.
 SCALING_OPERATIONS: Tuple[str, ...] = ("spttm", "spmttkrp", "spttmc")
@@ -65,6 +89,11 @@ SCALING_OPERATIONS: Tuple[str, ...] = ("spttm", "spmttkrp", "spttmc")
 #: Paper-scale non-zero count the weak-scaling synthetic workloads model
 #: (the magnitude of the paper's large tensors: nell1/delicious, ~1.4e8).
 NOMINAL_PAPER_NNZ = 1.0e8
+
+#: The 1-GPU weak-scaling workload; ``N`` GPUs get an ``N``-times-longer
+#: mode 0 and ``N`` times the non-zeros.
+WEAK_BASE_SHAPE: Tuple[int, ...] = (128, 160, 120)
+WEAK_BASE_NNZ = 24_000
 
 
 def analog_interconnect(
@@ -101,16 +130,28 @@ def analog_interconnect(
 
 @dataclass(frozen=True)
 class ScalingRow:
-    """One (operation, workload, device count) point of a scaling curve."""
+    """One point of a scaling curve: one kernel on one ``nodes x GPUs`` cluster.
+
+    ``baseline_s`` and ``baseline_devices`` are the curve's first point.
+    Above one node, ``flat_reduction_s`` prices the same all-reduce payload
+    over the topology-oblivious flat ring and ``reduction_algorithm`` names
+    the collective the cost model selected; otherwise the flat ring is the
+    reduction itself, named ``"boundary"`` for SpTTM's boundary exchange
+    and ``"single-node"`` for the others.
+    """
 
     operation: str
     workload: str
+    num_nodes: int
     num_devices: int
     nnz: int
     time_s: float
     baseline_s: float
+    baseline_devices: int
     max_shard_s: float
     reduction_s: float
+    flat_reduction_s: float
+    reduction_algorithm: str
 
     @property
     def speedup(self) -> float:
@@ -119,17 +160,14 @@ class ScalingRow:
 
     @property
     def efficiency(self) -> float:
-        """Parallel efficiency: strong scaling divides the speedup by N."""
-        return self.speedup / self.num_devices
+        """Parallel efficiency: the speedup over the growth in GPUs since
+        the baseline (``N`` GPUs from one, or ``N`` nodes from one)."""
+        return self.speedup * self.baseline_devices / self.num_devices
 
 
-@dataclass
-class ScalingResult:
-    """All rows of a scaling experiment (one kind: strong or weak)."""
+class _Curves:
+    """The rows of one experiment, looked up one curve at a time."""
 
-    rank: int
-    kind: str
-    device_counts: Tuple[int, ...]
     rows: List[ScalingRow]
 
     def rows_for(self, operation: str, workload: Optional[str] = None) -> List[ScalingRow]:
@@ -139,6 +177,16 @@ class ScalingResult:
             for r in self.rows
             if r.operation == operation and (workload is None or r.workload == workload)
         ]
+
+
+@dataclass
+class ScalingResult(_Curves):
+    """All rows of a one-node scaling experiment (one kind: strong or weak)."""
+
+    rank: int
+    kind: str
+    device_counts: Tuple[int, ...]
+    rows: List[ScalingRow]
 
     def render(self) -> str:
         headers = [
@@ -179,6 +227,56 @@ class ScalingResult:
         )
 
 
+@dataclass
+class MultiNodeScalingResult(_Curves):
+    """All rows of one multi-node scaling experiment."""
+
+    rank: int
+    node_counts: Tuple[int, ...]
+    rows: List[ScalingRow]
+
+    def render(self) -> str:
+        headers = [
+            "kernel",
+            "workload",
+            "nodes",
+            "GPUs",
+            "time",
+            "speedup",
+            "efficiency",
+            "slowest shard",
+            "reduction",
+            "flat ring",
+            "algorithm",
+        ]
+        body = [
+            [
+                r.operation,
+                r.workload,
+                r.num_nodes,
+                r.num_devices,
+                format_seconds(r.time_s),
+                f"{r.speedup:.2f}x",
+                f"{r.efficiency * 100.0:.0f}%",
+                format_seconds(r.max_shard_s),
+                format_seconds(r.reduction_s),
+                format_seconds(r.flat_reduction_s),
+                r.reduction_algorithm,
+            ]
+            for r in self.rows
+        ]
+        return format_table(
+            headers,
+            body,
+            title=(
+                f"Multi-node scaling of the unified kernels "
+                f"(rank={self.rank}, "
+                f"{'/'.join(str(m) for m in self.node_counts)} nodes x "
+                f"{DEVICES_PER_NODE} GPUs, two-tier analog interconnects)"
+            ),
+        )
+
+
 _OPERATION_KINDS = {
     "spttm": OperationKind.SPTTM,
     "spmttkrp": OperationKind.SPMTTKRP,
@@ -186,351 +284,260 @@ _OPERATION_KINDS = {
 }
 
 
-def _op_payload_scale(operation: str, dense_payload_scale: float) -> Optional[float]:
-    """The analog payload-scale rule, single-sourced for every runner.
+@dataclass(frozen=True)
+class _Workload:
+    """One kernel on one tensor, with both interconnect tiers (intra-node
+    ``link`` and inter-node ``nic``) projected to the tensor's scale."""
 
-    SpTTM only exchanges boundary fibers (payload ~ nnz-shaped, shrinking
-    like the time scale, so the bandwidth stays untouched); the dense
-    factor/unfolding outputs of the other two shrink with the mode size.
+    operation: str
+    name: str
+    fcoo: FCOOTensor
+    factors: List[np.ndarray]
+    link: InterconnectSpec
+    nic: InterconnectSpec
+
+
+def _workload(
+    operation: str,
+    name: str,
+    tensor: SparseTensor,
+    mode: int,
+    rank: int,
+    *,
+    time_scale: float,
+    payload_scale: Optional[float],
+    suffix: str,
+) -> _Workload:
+    """``operation`` on ``tensor``'s mode ``mode``, labelled ``name``;
+    the projected tiers' names end in ``[suffix]``.
+
+    SpTTMc's output width is the rank *squared*, so its factor rank is
+    capped at 8.
     """
-    return None if operation == "spttm" else dense_payload_scale
-
-
-def _run_operation(
-    operation: str,
-    fcoo: FCOOTensor,
-    factors: Sequence[np.ndarray],
-    mode: int,
-    *,
-    cluster: Optional[ClusterSpec],
-    device: DeviceSpec,
-    block_size: int,
-    threadlen: int,
-):
-    kwargs = dict(
-        device=device,
-        block_size=block_size,
-        threadlen=threadlen,
-        ctx=ExecContext(cluster=cluster),
-    )
-    if operation == "spttm":
-        return unified_spttm(fcoo, factors[mode], mode, **kwargs)
-    if operation == "spmttkrp":
-        return unified_spmttkrp(fcoo, factors, mode, **kwargs)
-    return unified_spttmc(fcoo, factors, mode, **kwargs)
-
-
-def _scaling_point(
-    operation: str,
-    workload: str,
-    fcoo: FCOOTensor,
-    factors: Sequence[np.ndarray],
-    mode: int,
-    num_devices: int,
-    baseline_s: Optional[float],
-    *,
-    device: DeviceSpec,
-    interconnect: InterconnectSpec,
-    block_size: int,
-    threadlen: int,
-) -> ScalingRow:
-    """One (operation, workload, device count) measurement.
-
-    ``baseline_s=None`` marks the curve's first point, which becomes its
-    own baseline.  Shared by the strong- and weak-scaling runners so the
-    row construction cannot diverge between the two tables.
-    """
-    cluster = (
-        None
-        if num_devices == 1
-        else ClusterSpec.homogeneous(device, num_devices, interconnect=interconnect)
-    )
-    result = _run_operation(
-        operation,
-        fcoo,
-        factors,
-        mode,
-        cluster=cluster,
-        device=device,
-        block_size=block_size,
-        threadlen=threadlen,
-    )
-    execution = getattr(result.profile, "sharded", None)
-    return ScalingRow(
-        operation=operation,
-        workload=workload,
-        num_devices=num_devices,
-        nnz=fcoo.nnz,
-        time_s=result.estimated_time_s,
-        baseline_s=result.estimated_time_s if baseline_s is None else baseline_s,
-        max_shard_s=(
-            execution.max_shard_time_s
-            if execution is not None
-            else result.estimated_time_s
-        ),
-        reduction_s=execution.reduction_time_s if execution is not None else 0.0,
-    )
-
-
-def _scaling_rows(
-    operation: str,
-    workload: str,
-    fcoo: FCOOTensor,
-    factors: Sequence[np.ndarray],
-    mode: int,
-    *,
-    device: DeviceSpec,
-    interconnect: InterconnectSpec,
-    device_counts: Sequence[int],
-    block_size: int,
-    threadlen: int,
-) -> List[ScalingRow]:
-    """The strong-scaling curve of one operation on one fixed workload."""
-    rows: List[ScalingRow] = []
-    baseline_s: Optional[float] = None
-    for n in device_counts:
-        row = _scaling_point(
-            operation,
-            workload,
-            fcoo,
-            factors,
-            mode,
-            int(n),
-            baseline_s,
-            device=device,
-            interconnect=interconnect,
-            block_size=block_size,
-            threadlen=threadlen,
+    op_rank = min(rank, 8) if operation == "spttmc" else rank
+    link, nic = (
+        analog_interconnect(
+            base, time_scale=time_scale, payload_scale=payload_scale, name_suffix=suffix
         )
-        baseline_s = row.baseline_s
-        rows.append(row)
+        for base in (PCIE3_P2P, ETHERNET_10G)
+    )
+    return _Workload(
+        operation=operation,
+        name=name,
+        fcoo=FCOOTensor.from_sparse(tensor, _OPERATION_KINDS[operation], mode),
+        factors=[np.asarray(f) for f in random_factors(tensor.shape, op_rank, seed=0)],
+        link=link,
+        nic=nic,
+    )
+
+
+def _dataset_workloads(name: str, rank: int) -> Iterator[_Workload]:
+    """Every kernel's mode-0 workload on one dataset analog.
+
+    The tiers shrink their latency by the analog's non-zero scale.  SpTTM
+    only exchanges boundary fibers (payloads shrinking like the time, so
+    the bandwidth stays untouched); the dense factor/unfolding outputs of
+    the other two shrink with mode 0's size.
+    """
+    spec = DATASETS[name]
+    tensor = load_dataset(name)
+    time_scale = tensor.nnz / spec.paper_nnz
+    dense_payload_scale = tensor.shape[0] / spec.paper_shape[0]
+    for op in SCALING_OPERATIONS:
+        yield _workload(
+            op,
+            name,
+            tensor,
+            0,
+            rank,
+            time_scale=time_scale,
+            payload_scale=None if op == "spttm" else dense_payload_scale,
+            suffix=f"analog {name}",
+        )
+
+
+def _run(workload: _Workload, devices_per_node: int, num_nodes: int):
+    """Run ``workload``'s kernel on ``num_nodes`` nodes of
+    ``devices_per_node`` Titan X GPUs; returns ``(cluster, result)``."""
+    cluster = ClusterSpec.homogeneous(
+        TITAN_X,
+        devices_per_node,
+        num_nodes=num_nodes,
+        interconnect=workload.link,
+        nic=workload.nic,
+    )
+    ctx = ExecContext(cluster=cluster)
+    fcoo, factors, mode = workload.fcoo, workload.factors, workload.fcoo.mode
+    if workload.operation == "spttm":
+        return cluster, unified_spttm(fcoo, factors[mode], mode, ctx=ctx)
+    if workload.operation == "spmttkrp":
+        return cluster, unified_spmttkrp(fcoo, factors, mode, ctx=ctx)
+    return cluster, unified_spttmc(fcoo, factors, mode, ctx=ctx)
+
+
+def _curve(points: Iterable[Tuple[_Workload, int, int]]) -> List[ScalingRow]:
+    """The rows of one curve, one per ``(workload, GPUs per node, nodes)``
+    point; the first point is the baseline of every point."""
+    rows: List[ScalingRow] = []
+    for workload, devices_per_node, num_nodes in points:
+        cluster, result = _run(workload, devices_per_node, num_nodes)
+        execution = result.profile.sharded
+        time_s = result.estimated_time_s
+        reduction_s = execution.reduction_time_s if execution is not None else 0.0
+        if workload.operation == "spttm" or num_nodes == 1:
+            flat_s = reduction_s
+            algorithm = "boundary" if workload.operation == "spttm" else "single-node"
+        else:
+            flat_s = cluster.flat_allreduce_time(execution.reduction_bytes)
+            algorithm = cluster.allreduce_algorithm(execution.reduction_bytes)
+        baseline = rows[0] if rows else None
+        rows.append(
+            ScalingRow(
+                operation=workload.operation,
+                workload=workload.name,
+                num_nodes=num_nodes,
+                num_devices=cluster.num_devices,
+                nnz=workload.fcoo.nnz,
+                time_s=time_s,
+                baseline_s=baseline.time_s if baseline else time_s,
+                baseline_devices=baseline.num_devices if baseline else cluster.num_devices,
+                max_shard_s=execution.max_shard_time_s if execution is not None else time_s,
+                reduction_s=reduction_s,
+                flat_reduction_s=flat_s,
+                reduction_algorithm=algorithm,
+            )
+        )
     return rows
-
-
-def _effective_rank(operation: str, rank: int, spttmc_rank: Optional[int]) -> int:
-    """SpTTMc's output width is the rank *squared*; cap it by default."""
-    if operation != "spttmc":
-        return rank
-    return spttmc_rank if spttmc_rank is not None else min(rank, 8)
 
 
 def run_scaling(
     *,
     rank: int = 16,
     datasets: Optional[Sequence[str]] = None,
-    operations: Sequence[str] = SCALING_OPERATIONS,
     device_counts: Sequence[int] = DEFAULT_DEVICE_COUNTS,
-    device: DeviceSpec = TITAN_X,
-    interconnect: InterconnectSpec = PCIE3_P2P,
-    block_size: int = 128,
-    threadlen: int = 8,
-    spttmc_rank: Optional[int] = None,
-    seed: int = 0,
 ) -> ScalingResult:
-    """Strong scaling: fixed dataset analogs on growing device counts.
+    """Strong scaling: fixed dataset analogs on one node of growing size.
 
-    Every (operation, dataset) pair runs the mode-0 kernel on 1 GPU (the
-    exact single-device path — the baseline) and on each larger count
-    through the sharded path; the interconnect is projected to analog
-    scale per dataset (see :func:`analog_interconnect`).  ``spttmc_rank``
-    caps the SpTTMc factor rank (default ``min(rank, 8)``) because its
-    output width is the product of the product-mode ranks.
+    Every (operation, dataset) pair runs the mode-0 kernel on each device
+    count; the curve's first point is its baseline (1 GPU, the exact
+    single-device path, for the default ``device_counts``).
     """
-    names = list(datasets) if datasets is not None else ["brainq", "nell2"]
-    for op in operations:
-        if op not in _OPERATION_KINDS:
-            raise ValueError(f"unknown operation {op!r}; choose from {sorted(_OPERATION_KINDS)}")
-    mode = 0
+    counts = tuple(int(n) for n in device_counts)
     rows: List[ScalingRow] = []
-    for name in names:
-        spec = DATASETS[name]
-        tensor = load_dataset(name)
-        time_scale = tensor.nnz / spec.paper_nnz
-        dense_payload_scale = tensor.shape[mode] / spec.paper_shape[mode]
-        for op in operations:
-            op_rank = _effective_rank(op, rank, spttmc_rank)
-            factors = [np.asarray(f) for f in random_factors(tensor.shape, op_rank, seed=seed)]
-            fcoo = FCOOTensor.from_sparse(tensor, _OPERATION_KINDS[op], mode)
-            scaled_link = analog_interconnect(
-                interconnect,
-                time_scale=time_scale,
-                payload_scale=_op_payload_scale(op, dense_payload_scale),
-                name_suffix=f"analog {name}",
-            )
-            rows.extend(
-                _scaling_rows(
-                    op,
-                    name,
-                    fcoo,
-                    factors,
-                    mode,
-                    device=device,
-                    interconnect=scaled_link,
-                    device_counts=device_counts,
-                    block_size=block_size,
-                    threadlen=threadlen,
-                )
-            )
-    return ScalingResult(
-        rank=rank, kind="strong", device_counts=tuple(int(d) for d in device_counts), rows=rows
-    )
-
-
-def collect_scaling_trace(
-    *,
-    rank: int = 8,
-    dataset: str = "brainq",
-    num_devices: int = 4,
-    num_nodes: int = 1,
-    device: DeviceSpec = TITAN_X,
-    interconnect: InterconnectSpec = PCIE3_P2P,
-    nic: InterconnectSpec = ETHERNET_10G,
-    block_size: int = 128,
-    threadlen: int = 8,
-    spttmc_rank: Optional[int] = None,
-    seed: int = 0,
-) -> Timeline:
-    """Book one sharded run of each kernel onto a shared unified timeline.
-
-    The three unified kernels execute back to back on a sharded cluster
-    (the interconnect projected to analog scale with the same
-    :func:`_op_payload_scale` rule the scaling tables use) and each
-    execution's ledger books its shard computes and partial-output
-    collective onto one :class:`~repro.gpusim.timeline.Timeline` through
-    :meth:`~repro.kernels.unified.sharded.ShardedExecution.book`.  With
-    ``num_nodes > 1`` the cluster is a two-tier
-    :class:`~repro.gpusim.cluster.ClusterSpec` of
-    ``num_nodes x num_devices`` GPUs (matching the topology of ``scaling
-    --nodes``), so the trace additionally shows the per-node ``nic:*``
-    lanes.  Backs ``python -m repro scaling --trace out.json``:
-    per-device compute lanes plus the link/NIC lanes of the reductions,
-    viewable in ``chrome://tracing``.
-    """
-    spec = DATASETS[dataset]
-    tensor = load_dataset(dataset)
-    mode = 0
-    time_scale = tensor.nnz / spec.paper_nnz
-    dense_payload_scale = tensor.shape[mode] / spec.paper_shape[mode]
-    timeline = Timeline()
-    clock = 0.0
-    for op in SCALING_OPERATIONS:
-        op_rank = _effective_rank(op, rank, spttmc_rank)
-        factors = [np.asarray(f) for f in random_factors(tensor.shape, op_rank, seed=seed)]
-        fcoo = FCOOTensor.from_sparse(tensor, _OPERATION_KINDS[op], mode)
-        payload_scale = _op_payload_scale(op, dense_payload_scale)
-        scaled_link = analog_interconnect(
-            interconnect,
-            time_scale=time_scale,
-            payload_scale=payload_scale,
-            name_suffix=f"analog {dataset}",
-        )
-        if num_nodes * num_devices > 1:
-            cluster = ClusterSpec.homogeneous(
-                device,
-                num_devices,
-                num_nodes=num_nodes,
-                interconnect=scaled_link,
-                nic=analog_interconnect(
-                    nic,
-                    time_scale=time_scale,
-                    payload_scale=payload_scale,
-                    name_suffix=f"analog {dataset}",
-                ),
-            )
-        else:
-            cluster = None
-        result = _run_operation(
-            op,
-            fcoo,
-            factors,
-            mode,
-            cluster=cluster,
-            device=device,
-            block_size=block_size,
-            threadlen=threadlen,
-        )
-        execution = getattr(result.profile, "sharded", None)
-        if execution is not None:
-            _, clock = execution.book(timeline, ready_s=clock, label=op)
-        else:
-            clock = timeline.book(
-                timeline.resource(device_compute_key(0), category="compute"),
-                result.estimated_time_s,
-                ready_s=clock,
-                label=op,
-            ).end_s
-    return timeline
+    for name in datasets if datasets is not None else ("brainq", "nell2"):
+        for workload in _dataset_workloads(name, rank):
+            rows.extend(_curve((workload, n, 1) for n in counts))
+    return ScalingResult(rank=rank, kind="strong", device_counts=counts, rows=rows)
 
 
 def run_weak_scaling(
     *,
     rank: int = 16,
-    base_shape: Sequence[int] = (128, 160, 120),
-    base_nnz: int = 24_000,
-    operations: Sequence[str] = SCALING_OPERATIONS,
     device_counts: Sequence[int] = DEFAULT_DEVICE_COUNTS,
-    device: DeviceSpec = TITAN_X,
-    interconnect: InterconnectSpec = PCIE3_P2P,
-    block_size: int = 128,
-    threadlen: int = 8,
-    spttmc_rank: Optional[int] = None,
-    seed: int = 0,
 ) -> ScalingResult:
     """Weak scaling: the problem grows with the device count.
 
-    The ``N``-GPU workload is a synthetic tensor with ``N`` times the base
-    non-zeros and an ``N``-times-longer mode 0 (constant work per device);
-    under perfect scaling ``T(N) == T(1)``, so the efficiency column is
-    simply ``T(1) / T(N)``.  The interconnect latency is projected by the
-    base workload's time scale against :data:`NOMINAL_PAPER_NNZ`.
+    The ``N``-GPU workload is a synthetic tensor with ``N`` times the
+    :data:`WEAK_BASE_NNZ` non-zeros and an ``N``-times-longer mode 0
+    (constant work per device); under perfect scaling ``T(N) == T(1)``, so
+    the efficiency column is simply ``T(1) / T(N)``.  The interconnect
+    latency is projected by the base workload's time scale against
+    :data:`NOMINAL_PAPER_NNZ`.
     """
-    for op in operations:
-        if op not in _OPERATION_KINDS:
-            raise ValueError(f"unknown operation {op!r}; choose from {sorted(_OPERATION_KINDS)}")
-    base_shape = tuple(int(s) for s in base_shape)
-    scaled_link = analog_interconnect(
-        interconnect,
-        time_scale=base_nnz / NOMINAL_PAPER_NNZ,
-        name_suffix="analog weak",
-    )
-    tensors: Dict[int, SparseTensor] = {}
-    for n in device_counts:
-        shape = (base_shape[0] * int(n),) + base_shape[1:]
-        tensors[int(n)] = random_sparse_tensor(
-            shape, base_nnz * int(n), seed=seed, distribution="power", concentration=0.9
+    counts = tuple(int(n) for n in device_counts)
+    tensors = {
+        n: random_sparse_tensor(
+            (WEAK_BASE_SHAPE[0] * n,) + WEAK_BASE_SHAPE[1:],
+            WEAK_BASE_NNZ * n,
+            seed=0,
+            distribution="power",
+            concentration=0.9,
         )
-
+        for n in counts
+    }
     rows: List[ScalingRow] = []
-    for op in operations:
-        op_rank = _effective_rank(op, rank, spttmc_rank)
+    for op in SCALING_OPERATIONS:
         # The workload grows along mode 0, so the target mode must keep
         # mode 0 among the *index* modes for the work per device to stay
         # constant: growing a product mode would densify the reduction
         # segments instead of adding them.  SpTTM's target mode is its
         # product mode, so it targets the last mode; the other two index
         # their target mode and can keep mode 0.
-        mode = tensors[int(device_counts[0])].order - 1 if op == "spttm" else 0
-        baseline_s: Optional[float] = None
-        for n in device_counts:
-            n = int(n)
-            tensor = tensors[n]
-            factors = [np.asarray(f) for f in random_factors(tensor.shape, op_rank, seed=seed)]
-            fcoo = FCOOTensor.from_sparse(tensor, _OPERATION_KINDS[op], mode)
-            row = _scaling_point(
-                op,
-                f"weak x{n}",
-                fcoo,
-                factors,
-                mode,
+        mode = len(WEAK_BASE_SHAPE) - 1 if op == "spttm" else 0
+        points = (
+            (
+                _workload(
+                    op,
+                    f"weak x{n}",
+                    tensors[n],
+                    mode,
+                    rank,
+                    time_scale=WEAK_BASE_NNZ / NOMINAL_PAPER_NNZ,
+                    payload_scale=None,
+                    suffix="analog weak",
+                ),
                 n,
-                baseline_s,
-                device=device,
-                interconnect=scaled_link,
-                block_size=block_size,
-                threadlen=threadlen,
+                1,
             )
-            baseline_s = row.baseline_s
-            rows.append(row)
-    return ScalingResult(
-        rank=rank, kind="weak", device_counts=tuple(int(d) for d in device_counts), rows=rows
-    )
+            for n in counts
+        )
+        rows.extend(_curve(points))
+    return ScalingResult(rank=rank, kind="weak", device_counts=counts, rows=rows)
+
+
+def run_multinode_scaling(
+    *,
+    rank: int = 16,
+    node_counts: Sequence[int] = DEFAULT_NODE_COUNTS,
+) -> MultiNodeScalingResult:
+    """Strong scaling of brainq across nodes with hierarchical collectives.
+
+    Every operation runs the mode-0 kernel on a growing number of
+    :data:`DEVICES_PER_NODE`-GPU nodes; the curve's *first* point is its
+    baseline (the one-node point for the default ascending
+    ``node_counts``).  Both tiers are projected to the analog's scale,
+    preserving the NIC-vs-P2P bandwidth and latency ratios; the ``flat
+    ring`` column prices the same all-reduce payload over the
+    topology-oblivious single-tier ring for comparison.
+    """
+    counts = tuple(int(m) for m in node_counts)
+    rows: List[ScalingRow] = []
+    for workload in _dataset_workloads("brainq", rank):
+        rows.extend(_curve((workload, DEVICES_PER_NODE, m) for m in counts))
+    return MultiNodeScalingResult(rank=rank, node_counts=counts, rows=rows)
+
+
+def collect_scaling_trace(
+    *,
+    rank: int = 8,
+    num_devices: int = 4,
+    num_nodes: int = 1,
+) -> Timeline:
+    """Book one sharded run of each kernel onto a shared unified timeline.
+
+    The three unified kernels run back to back on brainq over
+    ``num_nodes`` nodes of ``num_devices`` GPUs (the tiers projected to
+    analog scale like the scaling tables'), and each execution's ledger
+    books its shard computes and partial-output collective onto one
+    :class:`~repro.gpusim.timeline.Timeline` through
+    :meth:`~repro.kernels.unified.sharded.ShardedExecution.book`; above one
+    node the trace also shows the per-node ``nic:*`` lanes.  Backs
+    ``python -m repro scaling --trace out.json``: per-device compute lanes
+    plus the link/NIC lanes of the reductions, viewable in
+    ``chrome://tracing``.
+    """
+    timeline = Timeline()
+    clock = 0.0
+    for workload in _dataset_workloads("brainq", rank):
+        _, result = _run(workload, num_devices, num_nodes)
+        execution = result.profile.sharded
+        if execution is not None:
+            _, clock = execution.book(timeline, ready_s=clock, label=workload.operation)
+        else:
+            clock = timeline.book(
+                timeline.resource(device_compute_key(0), category="compute"),
+                result.estimated_time_s,
+                ready_s=clock,
+                label=workload.operation,
+            ).end_s
+    return timeline

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.bench.memory import parti_paper_scale_footprint
-from repro.cpusim.cpu import CPU_I7_5820K, CpuSpec
 from repro.data.registry import DATASETS, load_dataset
-from repro.gpusim.device import DeviceSpec, TITAN_X
+from repro.gpusim.device import TITAN_X
 from repro.gpusim.timing import OutOfDeviceMemory
 from repro.kernels.baselines.parti_gpu import parti_gpu_spmttkrp, parti_gpu_spttm
 from repro.kernels.baselines.parti_omp import parti_omp_spmttkrp, parti_omp_spttm
@@ -111,9 +110,6 @@ def run_fig6a(
     *,
     rank: int = 16,
     datasets: Optional[Sequence[str]] = None,
-    device: DeviceSpec = TITAN_X,
-    cpu: CpuSpec = CPU_I7_5820K,
-    seed: int = 0,
 ) -> Fig6Result:
     """Figure 6a: SpTTM on the last mode, speedups over ParTI-omp."""
     names = list(datasets) if datasets is not None else list(DATASETS)
@@ -121,11 +117,11 @@ def run_fig6a(
     for name in names:
         tensor = load_dataset(name)
         mode = tensor.order - 1
-        matrix = random_factors(tensor.shape, rank, seed=seed)[mode]
+        matrix = random_factors(tensor.shape, rank, seed=0)[mode]
 
-        omp = parti_omp_spttm(tensor, matrix, mode, cpu=cpu)
-        gpu = parti_gpu_spttm(tensor, matrix, mode, device=device)
-        uni = unified_spttm(tensor, matrix, mode, device=device)
+        omp = parti_omp_spttm(tensor, matrix, mode)
+        gpu = parti_gpu_spttm(tensor, matrix, mode)
+        uni = unified_spttm(tensor, matrix, mode)
 
         # SpTTM keeps no intermediate tensor, so ParTI-GPU fits in device
         # memory for every dataset (the paper notes the two methods consume
@@ -146,9 +142,6 @@ def run_fig6b(
     *,
     rank: int = 16,
     datasets: Optional[Sequence[str]] = None,
-    device: DeviceSpec = TITAN_X,
-    cpu: CpuSpec = CPU_I7_5820K,
-    seed: int = 0,
 ) -> Fig6Result:
     """Figure 6b: SpMTTKRP on mode-1, speedups over ParTI-omp."""
     names = list(datasets) if datasets is not None else list(DATASETS)
@@ -156,22 +149,22 @@ def run_fig6b(
     for name in names:
         tensor = load_dataset(name)
         mode = 0
-        factors = random_factors(tensor.shape, rank, seed=seed)
+        factors = random_factors(tensor.shape, rank, seed=0)
 
-        omp = parti_omp_spmttkrp(tensor, factors, mode, cpu=cpu)
-        splatt = splatt_mttkrp(tensor, factors, mode, cpu=cpu)
-        uni = unified_spmttkrp(tensor, factors, mode, device=device)
+        omp = parti_omp_spmttkrp(tensor, factors, mode)
+        splatt = splatt_mttkrp(tensor, factors, mode)
+        uni = unified_spmttkrp(tensor, factors, mode)
 
         gpu_time: Optional[float]
         try:
-            gpu = parti_gpu_spmttkrp(tensor, factors, mode, device=device)
+            gpu = parti_gpu_spmttkrp(tensor, factors, mode)
         except OutOfDeviceMemory:
             gpu_time = None
         else:
             gpu_time = gpu.estimated_time_s
             # Determine out-of-memory behaviour against the *paper-scale*
             # tensor (the analog is small enough to fit by construction).
-            if parti_paper_scale_footprint(name, rank, mode=mode) > device.global_mem_bytes:
+            if parti_paper_scale_footprint(name, rank) > TITAN_X.global_mem_bytes:
                 gpu_time = None
 
         rows.append(

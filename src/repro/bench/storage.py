@@ -14,6 +14,9 @@ from repro.util.formatting import format_table
 
 __all__ = ["Table2Row", "Table2Result", "run_table2"]
 
+#: The F-COO partition length the bench runners charge (the kernels' default).
+THREADLEN = 8
+
 
 @dataclass(frozen=True)
 class Table2Row:
@@ -73,11 +76,7 @@ class Table2Result:
         return format_table(headers, body, title="Table II: storage cost of COO vs F-COO")
 
 
-def run_table2(
-    *,
-    datasets: Optional[Sequence[str]] = None,
-    threadlen: int = 8,
-) -> Table2Result:
+def run_table2(*, datasets: Optional[Sequence[str]] = None) -> Table2Result:
     """Reproduce Table II on the registered datasets.
 
     For each dataset two rows are produced: SpTTM on the last mode (the
@@ -100,14 +99,14 @@ def run_table2(
                     dataset=name,
                     operation=label,
                     nnz=tensor.nnz,
-                    threadlen=threadlen,
+                    threadlen=THREADLEN,
                     coo_bytes_per_nnz_model=coo_storage_bytes(tensor.nnz, order) / tensor.nnz,
                     fcoo_bytes_per_nnz_model=fcoo_storage_bytes(
-                        tensor.nnz, order, op, mode, threadlen=threadlen
+                        tensor.nnz, order, op, mode, threadlen=THREADLEN
                     )
                     / tensor.nnz,
                     coo_bytes_per_nnz_measured=coo.storage_bytes() / tensor.nnz,
-                    fcoo_bytes_per_nnz_measured=fcoo.storage_bytes(threadlen) / tensor.nnz,
+                    fcoo_bytes_per_nnz_measured=fcoo.storage_bytes(THREADLEN) / tensor.nnz,
                 )
             )
     return Table2Result(rows=rows)

@@ -18,11 +18,12 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.bench.storage import THREADLEN
 from repro.context import ExecContext
 from repro.data.registry import DATASETS, load_dataset
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
-from repro.gpusim.device import DeviceSpec, TITAN_X, scaled_device
+from repro.gpusim.device import TITAN_X, scaled_device
 from repro.kernels.unified.spmttkrp import spmttkrp_footprint, unified_spmttkrp
 from repro.tensor.random import random_factors
 from repro.util.formatting import format_seconds, format_table
@@ -31,7 +32,10 @@ __all__ = ["StreamingRow", "StreamingResult", "run_streaming"]
 
 #: Fraction of the F-COO stream the shrunken device can hold next to the
 #: resident operands; < 1 forces the streamed path with several chunks.
-DEFAULT_MEMORY_FRACTION = 0.3
+MEMORY_FRACTION = 0.3
+
+#: The stream counts each dataset runs; one stream is the no-overlap baseline.
+NUM_STREAMS_OPTIONS = (1, 2, 4)
 
 
 @dataclass(frozen=True)
@@ -104,21 +108,14 @@ def run_streaming(
     *,
     rank: int = 16,
     datasets: Optional[Sequence[str]] = None,
-    device: DeviceSpec = TITAN_X,
-    num_streams_options: Sequence[int] = (1, 2, 4),
-    memory_fraction: float = DEFAULT_MEMORY_FRACTION,
-    threadlen: int = 8,
-    block_size: int = 128,
 ) -> StreamingResult:
     """Measure transfer/compute overlap of the streamed unified SpMTTKRP.
 
-    Each dataset runs on a device shrunk until only ``memory_fraction`` of
-    its F-COO stream fits next to the dense operands, so the kernel must
-    stream; ``num_streams=1`` is the no-overlap baseline the speedup column
-    compares against.
+    Each dataset runs on a Titan X shrunk until only
+    :data:`MEMORY_FRACTION` of its F-COO stream fits next to the dense
+    operands, so the kernel must stream; ``num_streams=1`` is the
+    no-overlap baseline the speedup column compares against.
     """
-    if not 0 < memory_fraction < 1:
-        raise ValueError(f"memory_fraction must be in (0, 1), got {memory_fraction}")
     names = list(datasets) if datasets is not None else list(DATASETS)
     rows: List[StreamingRow] = []
     for name in names:
@@ -131,24 +128,21 @@ def run_streaming(
         # capacity trick the Figure 6b/9 runners use, aimed at the streamed
         # regime instead of at an OOM failure.  The resident portion comes
         # from the kernel's own accounting so the sizing cannot drift.
-        _, resident_bytes = spmttkrp_footprint(
-            fcoo, rank, block_size=block_size, threadlen=threadlen
-        )
-        shrunk_bytes = resident_bytes + memory_fraction * fcoo.storage_bytes(threadlen)
+        _, resident_bytes = spmttkrp_footprint(fcoo, rank, threadlen=THREADLEN)
+        shrunk_bytes = resident_bytes + MEMORY_FRACTION * fcoo.storage_bytes(THREADLEN)
         small = scaled_device(
-            device,
-            shrunk_bytes / device.global_mem_bytes,
+            TITAN_X,
+            shrunk_bytes / TITAN_X.global_mem_bytes,
             name_suffix=f"streamed {name}",
         )
-        for n_streams in num_streams_options:
+        for n_streams in NUM_STREAMS_OPTIONS:
             result = unified_spmttkrp(
                 fcoo,
                 factors,
                 0,
                 device=small,
-                block_size=block_size,
-                threadlen=threadlen,
-                ctx=ExecContext(num_streams=int(n_streams)),
+                threadlen=THREADLEN,
+                ctx=ExecContext(num_streams=n_streams),
             )
             execution = result.profile.streaming
             if execution is None:  # pragma: no cover - fraction < 1 forces streaming
@@ -157,7 +151,7 @@ def run_streaming(
             rows.append(
                 StreamingRow(
                     dataset=name,
-                    num_streams=int(n_streams),
+                    num_streams=n_streams,
                     num_chunks=execution.num_chunks,
                     chunk_nnz=execution.chunk_nnz,
                     transfer_s=schedule.transfer_time_s,
@@ -168,4 +162,4 @@ def run_streaming(
                     overlap_efficiency=schedule.overlap_efficiency,
                 )
             )
-    return StreamingResult(rank=rank, memory_fraction=memory_fraction, rows=rows)
+    return StreamingResult(rank=rank, memory_fraction=MEMORY_FRACTION, rows=rows)

@@ -13,7 +13,6 @@ from repro.autotune.tuner import (
 )
 from repro.data.registry import DATASETS, load_dataset
 from repro.formats.mode_encoding import OperationKind
-from repro.gpusim.device import DeviceSpec, TITAN_X
 from repro.util.formatting import format_table
 
 __all__ = ["Fig5Result", "Table5Result", "run_fig5", "run_table5"]
@@ -84,7 +83,6 @@ def run_fig5(
     *,
     datasets: Sequence[str] = ("brainq", "nell1"),
     rank: int = 16,
-    device: DeviceSpec = TITAN_X,
     block_sizes: Sequence[int] = DEFAULT_BLOCK_SIZES,
     threadlens: Sequence[int] = DEFAULT_THREADLENS,
 ) -> Fig5Result:
@@ -97,7 +95,6 @@ def run_fig5(
             OperationKind.SPMTTKRP,
             0,
             rank=rank,
-            device=device,
             block_sizes=block_sizes,
             threadlens=threadlens,
         )
@@ -108,7 +105,6 @@ def run_table5(
     *,
     datasets: Optional[Sequence[str]] = None,
     rank: int = 16,
-    device: DeviceSpec = TITAN_X,
     block_sizes: Sequence[int] = DEFAULT_BLOCK_SIZES,
     threadlens: Sequence[int] = DEFAULT_THREADLENS,
 ) -> Table5Result:
@@ -122,7 +118,6 @@ def run_table5(
             OperationKind.SPTTM,
             tensor.order - 1,
             rank=rank,
-            device=device,
             block_sizes=block_sizes,
             threadlens=threadlens,
         )
@@ -131,7 +126,6 @@ def run_table5(
             OperationKind.SPMTTKRP,
             0,
             rank=rank,
-            device=device,
             block_sizes=block_sizes,
             threadlens=threadlens,
         )

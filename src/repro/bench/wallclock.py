@@ -58,6 +58,8 @@ from repro.backends import BACKEND_ENV_VAR, get_backend
 from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
+from repro.gpusim.cluster import ClusterSpec
+from repro.gpusim.device import TITAN_X
 from repro.tensor.random import random_factors, random_sparse_tensor
 from repro.tensor.sparse import SparseTensor
 
@@ -198,13 +200,14 @@ def _outputs_under(backend: str, tensors: Sequence[SparseTensor]) -> List[np.nda
     from repro.kernels.unified.spttm import unified_spttm
     from repro.kernels.unified.spttmc import unified_spttmc
 
+    two_gpus = ClusterSpec.homogeneous(TITAN_X, 2)
     arrays: List[np.ndarray] = []
     for tensor in tensors:
         factors = [np.array(f) for f in random_factors(tensor.shape, 8, seed=2)]
         for ctx in (
             ExecContext(backend=backend),
             ExecContext(backend=backend, streamed=True, chunk_nnz=512),
-            ExecContext(backend=backend, devices=2),
+            ExecContext(backend=backend, cluster=two_gpus),
         ):
             arrays.append(unified_spmttkrp(tensor, factors, 0, ctx=ctx).output)
             arrays.append(unified_spttm(tensor, factors[1], 1, ctx=ctx).output.fiber_values)
@@ -212,13 +215,13 @@ def _outputs_under(backend: str, tensors: Sequence[SparseTensor]) -> List[np.nda
 
         cp = cp_als(
             tensor, 8, max_iterations=2, compute_fit=False, seed=5,
-            ctx=ExecContext(backend=backend, devices=2),
+            ctx=ExecContext(backend=backend, cluster=two_gpus),
         )
         arrays.extend(cp.factors)
         arrays.append(cp.weights)
         tk = tucker_hooi(
             tensor, (4, 4, 4), max_iterations=1, seed=5,
-            ctx=ExecContext(backend=backend, devices=2),
+            ctx=ExecContext(backend=backend, cluster=two_gpus),
         )
         arrays.extend(tk.factors)
         arrays.append(tk.core)

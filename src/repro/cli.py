@@ -53,6 +53,7 @@ from repro.bench import (
     run_table5,
     run_weak_scaling,
 )
+from repro.bench.scaling import DEVICES_PER_NODE
 from repro.gpusim.timeline import Timeline
 
 __all__ = ["main", "EXPERIMENTS"]
@@ -94,14 +95,13 @@ def _render_scaling(args: argparse.Namespace) -> str:
             run_weak_scaling(rank=args.rank).render(),
         ]
     if args.trace:
-        # Trace the same topology the tables above ran: a two-tier
-        # multi-node cluster under --nodes, the single-node default
-        # otherwise (2 GPUs per node mirrors `scaling --nodes`).
+        # Trace the topology the tables above ran: the multi-node curve's
+        # nodes under --nodes, one node of 4 GPUs otherwise.
         num_nodes = args.nodes if args.nodes and args.nodes > 1 else 1
         timeline = collect_scaling_trace(
             rank=min(args.rank, 8),
             num_nodes=num_nodes,
-            num_devices=2 if num_nodes > 1 else 4,
+            num_devices=DEVICES_PER_NODE if num_nodes > 1 else 4,
         )
         parts.append(_write_trace(timeline, args.trace))
     return "\n\n".join(parts)

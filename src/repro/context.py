@@ -1,11 +1,10 @@
 """The unified execution-context API (`ExecContext`) and SLO classes.
 
-Six PRs of growth threaded the same execution knobs — ``streamed=``,
-``num_streams=``, ``chunk_nnz=``, ``cluster=``, ``devices=``, ``chaos=``,
-``overlap_modes=`` — through every unified kernel and
-both decomposition drivers as loose keyword arguments.  This module bundles
-them into one frozen :class:`ExecContext` that every entry point accepts as
-``ctx=``:
+Every unified kernel and both decomposition drivers share one set of
+execution knobs — ``streamed=``, ``num_streams=``, ``chunk_nnz=``,
+``cluster=``, ``chaos=``, ``overlap_modes=`` and the rest.  This module
+bundles them into one frozen :class:`ExecContext` that every entry point
+accepts as ``ctx=``:
 
 >>> from repro import ExecContext, unified_spmttkrp
 >>> ctx = ExecContext(streamed=True, num_streams=4)
@@ -116,8 +115,6 @@ class ExecContext:
         Multi-GPU topology: a :class:`~repro.gpusim.cluster.ClusterSpec`
         of one node (GPUs joined by one link) or of several nodes over a
         NIC.
-    devices:
-        Shorthand for a homogeneous one-node cluster of this many devices.
     chaos:
         Scripted :class:`~repro.gpusim.cluster.NodeFailure` events for the
         decomposition drivers.  After the numeric pass, the modeled pass
@@ -145,7 +142,6 @@ class ExecContext:
     num_streams: int = 2
     chunk_nnz: Optional[int] = None
     cluster: Optional["ClusterSpec"] = None
-    devices: Optional[int] = None
     chaos: Optional[Tuple["NodeFailure", ...]] = None
     overlap_modes: bool = False
     backend: Optional[Any] = None
@@ -162,8 +158,6 @@ class ExecContext:
             raise ValueError(f"num_streams must be >= 1, got {self.num_streams}")
         if self.chunk_nnz is not None and self.chunk_nnz < 1:
             raise ValueError(f"chunk_nnz must be >= 1 or None, got {self.chunk_nnz}")
-        if self.devices is not None and self.devices < 1:
-            raise ValueError(f"devices must be >= 1 or None, got {self.devices}")
         if self.chaos is not None and not isinstance(self.chaos, tuple):
             # Normalise any sequence of failures to a tuple so the context
             # stays hashable/frozen-safe.

@@ -677,34 +677,17 @@ class ClusterSpec:
 
 
 def resolve_cluster(
-    device: DeviceSpec,
-    cluster: Optional[ClusterSpec],
-    devices: Optional[int],
+    device: DeviceSpec, cluster: Optional[ClusterSpec]
 ) -> Tuple[DeviceSpec, Optional[ClusterSpec]]:
-    """Normalise the ``cluster`` / ``devices`` fields of an execution context.
+    """Normalise the ``cluster`` field of an execution context.
 
-    The kernels accept a full :class:`ClusterSpec` or a bare device count
-    (which builds a homogeneous one-node cluster of the kernel's
-    ``device``).  Returns ``(single_device, multi_cluster)`` where exactly
-    one execution mode is active: the cluster is ``None`` when execution is
-    effectively single-device — no cluster requested, or a cluster/count
-    of one — so callers keep the exact single-GPU code path (and its
-    numerics and profile shape) in that case, running on the cluster's
-    sole member when one was given.
+    Returns ``(single_device, multi_cluster)`` where exactly one execution
+    mode is active: the cluster is ``None`` when execution is effectively
+    single-device — no cluster requested, or a cluster of one device — so
+    callers keep the exact single-GPU code path (and its numerics and
+    profile shape) in that case, running on the cluster's sole member when
+    one was given.
     """
-    if cluster is not None and devices is not None and devices != cluster.num_devices:
-        raise ValueError(
-            f"devices={devices} contradicts the provided cluster of "
-            f"{cluster.num_devices} devices; pass one or the other"
-        )
-    if cluster is None:
-        if devices is None:
-            return device, None
-        if devices <= 0:
-            raise ValueError(f"devices must be positive, got {devices}")
-        if devices == 1:
-            return device, None
-        cluster = ClusterSpec.homogeneous(device, devices)
-    if cluster.num_devices == 1:
+    if cluster is not None and cluster.num_devices == 1:
         return cluster.devices[0], None
     return device, cluster

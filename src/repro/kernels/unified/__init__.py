@@ -30,14 +30,13 @@ non-zero stream is chunked on ``threadlen``-aligned boundaries and
 pipelined through PCIe on multiple CUDA streams, overlapping each chunk's
 copy with the previous chunk's kernel.
 
-With ``ctx=ExecContext(cluster=...)`` (or ``devices=N``) the same stream
-shards across a simulated multi-GPU node
-(:mod:`repro.kernels.unified.sharded`): each shard is priced on its own
-device — streaming per-device when it still does not fit — and the partial
-outputs merge through a modeled collective.  Chunks and shards are spans of
-the encoding (:class:`~repro.formats.fcoo.FCOOChunk`), priced from O(1)
-statistics and the encoding's own index columns, with no tensor of their
-own.
+With ``ctx=ExecContext(cluster=...)`` the same stream shards across a
+simulated multi-GPU node (:mod:`repro.kernels.unified.sharded`): each shard
+is priced on its own device — streaming per-device when it still does not
+fit — and the partial outputs merge through a modeled collective.  Chunks
+and shards are spans of the encoding
+(:class:`~repro.formats.fcoo.FCOOChunk`), priced from O(1) statistics and
+the encoding's own index columns, with no tensor of their own.
 """
 
 from repro.formats.fcoo import FCOOTensor

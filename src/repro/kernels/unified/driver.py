@@ -198,7 +198,7 @@ class Pricing:
         self.op = op
         self.ctx = ctx
         self.name = f"unified-{op.kernel}-mode{fcoo.mode}"
-        self.device, self.cluster = resolve_cluster(device, ctx.cluster, ctx.devices)
+        self.device, self.cluster = resolve_cluster(device, ctx.cluster)
         self._whole = fcoo.chunk_span(0, fcoo.nnz)
         self._terms: Dict[Tuple[int, int], Tuple[DeviceSpec, SpanTerms]] = {}
         self._chunkings: Dict[Tuple[int, int, int], Tuple[DeviceSpec, StreamChunking]] = {}

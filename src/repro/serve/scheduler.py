@@ -659,8 +659,11 @@ class Scheduler:
                     break
                 clock.advance_to(max(clock.now_s, min(upcoming)))
                 continue
-            # The next staging can begin when some copy engine frees...
-            t = max(clock.now_s, min(lane.free_s for lane in state.copy))
+            # The next staging can begin when some live copy engine frees
+            # (a lost node's idle engine stages nothing; with every node
+            # down, any engine will do)...
+            live = [lane for slot, lane in enumerate(state.copy) if slot not in state.failed_slots]
+            t = max(clock.now_s, min(lane.free_s for lane in live or state.copy))
             # ...but arrivals and chaos/recovery events before that instant
             # reshape the queue (or the placement pool) first.
             blocker = min(upcoming, default=math.inf)

@@ -131,7 +131,8 @@ class TestCPTimings:
         rank = 3
         single = UnifiedGPUEngine()
         single_s = single.prepare(skewed_tensor, rank)
-        sharded_s = UnifiedGPUEngine(ctx=ExecContext(devices=4)).prepare(skewed_tensor, rank)
+        four_gpus = ExecContext(cluster=ClusterSpec.homogeneous(TITAN_X, 4))
+        sharded_s = UnifiedGPUEngine(ctx=four_gpus).prepare(skewed_tensor, rank)
         factor_bytes = sum(n * rank * 4.0 for n in skewed_tensor.shape)
         stream_bytes = sum(enc.storage_bytes(8) for enc, _ in single.resident())
         bandwidth = TITAN_X.pcie_bandwidth_bytes_per_s
@@ -143,7 +144,7 @@ class TestCPTimings:
         result = cp_als(
             skewed_tensor,
             rank,
-            ctx=ExecContext(devices=4),
+            ctx=four_gpus,
             max_iterations=1,
             compute_fit=False,
         )

@@ -12,6 +12,7 @@ from repro.autotune import DEFAULT_BLOCK_SIZES, DEFAULT_THREADLENS, tune_unified
 from repro.context import ExecContext
 from repro.formats.fcoo import FCOOChunk, FCOOTensor
 from repro.formats.mode_encoding import OperationKind
+from repro.gpusim.cluster import ClusterSpec
 from repro.gpusim.device import TITAN_X, scaled_device
 from repro.gpusim.timing import OutOfDeviceMemory
 from repro.kernels.unified import (
@@ -459,7 +460,9 @@ class TestOnePricingPerSweep:
     def test_sharded_streamed_cells_chunk_each_shard_once_per_threadlen(self, small, monkeypatch):
         fcoo = FCOOTensor.from_sparse(small, OperationKind.SPMTTKRP, 0)
         op = operation_spec(fcoo, fcoo.operation, 8)
-        ctx = ExecContext(devices=2, streamed=True, chunk_nnz=48)
+        ctx = ExecContext(
+            cluster=ClusterSpec.homogeneous(TITAN_X, 2), streamed=True, chunk_nnz=48
+        )
         expected = {
             (block_size, threadlen): driver.model(
                 fcoo, op, device=TITAN_X, block_size=block_size, threadlen=threadlen, ctx=ctx

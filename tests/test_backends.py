@@ -35,6 +35,8 @@ from repro.backends import (
 from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
+from repro.gpusim.cluster import ClusterSpec
+from repro.gpusim.device import TITAN_X
 from repro.gpusim.scan import segment_reduce
 from repro.kernels.unified import unified_spmttkrp, unified_spttm, unified_spttmc
 from repro.tensor.sparse import SparseTensor
@@ -402,7 +404,7 @@ class TestCarriedSegments:
 TOPOLOGIES = (
     {},
     {"streamed": True, "chunk_nnz": 16},
-    {"devices": 2},
+    {"cluster": ClusterSpec.homogeneous(TITAN_X, 2)},
 )
 
 

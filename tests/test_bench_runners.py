@@ -94,14 +94,14 @@ class TestFig6:
 
 class TestFig7:
     def test_unified_less_mode_sensitive_for_mttkrp(self):
-        result = run_fig7("spmttkrp", dataset="brainq", rank=8)
+        result = run_fig7("spmttkrp", rank=8)
         assert len(result.rows) == 3
         assert result.variation("unified") < result.variation("parti_gpu")
         assert result.variation("unified") < 1.5
         assert "mode behaviour" in result.render()
 
     def test_spttm_runs_all_modes(self):
-        result = run_fig7("spttm", dataset="brainq", rank=8)
+        result = run_fig7("spttm", rank=8)
         assert len(result.rows) == 3
         assert all(r.splatt_time_s is None for r in result.rows)
 

@@ -7,6 +7,7 @@ import pytest
 from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
+from repro.gpusim.cluster import ClusterSpec
 from repro.gpusim.counters import KernelCounters, KernelProfile
 from repro.gpusim.device import TITAN_X
 from repro.kernels.unified import operation_spec
@@ -97,7 +98,10 @@ class TestOneLedgerPerPricedKernel:
                 ExecContext(streamed=True, chunk_nnz=128),
                 lambda profile: profile.streaming.num_chunks,
             ),
-            (ExecContext(devices=4), lambda profile: profile.sharded.num_shards),
+            (
+                ExecContext(cluster=ClusterSpec.homogeneous(TITAN_X, 4)),
+                lambda profile: profile.sharded.num_shards,
+            ),
         ],
         ids=["one-shot", "streamed", "sharded"],
     )

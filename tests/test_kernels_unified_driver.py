@@ -43,7 +43,7 @@ PATHS = {
         lambda p: p.streaming is not None and p.streaming.num_chunks > 1,
     ),
     "flat-sharded": (
-        dict(devices=3),
+        dict(cluster=ClusterSpec.homogeneous(TITAN_X, 3)),
         lambda p: p.sharded is not None and p.sharded.num_shards == 3,
     ),
     "multi-node": (
@@ -51,7 +51,7 @@ PATHS = {
         lambda p: p.sharded is not None and p.sharded.cluster.num_nodes == 2,
     ),
     "sharded-streamed-shards": (
-        dict(devices=2, streamed=True, chunk_nnz=CHUNK_NNZ),
+        dict(cluster=ClusterSpec.homogeneous(TITAN_X, 2), streamed=True, chunk_nnz=CHUNK_NNZ),
         lambda p: p.sharded is not None
         and all(s.streaming is not None for s in p.sharded.shards),
     ),
@@ -105,7 +105,8 @@ def test_out_of_memory_fails_before_any_numeric_work():
     tensor = CASES["order3-power"]()
     factors = [np.asarray(f) for f in random_factors(tensor.shape, RANK, seed=5)]
     nano = scaled_device(TITAN_X, 1e-8, name_suffix="nano")
-    for fields in (dict(streamed=False), dict(streamed=None), dict(devices=2)):
+    two_nanos = dict(cluster=ClusterSpec.homogeneous(nano, 2))
+    for fields in (dict(streamed=False), dict(streamed=None), two_nanos):
         spy = spy_backend("reference")
         with pytest.raises(OutOfDeviceMemory):
             unified_spmttkrp(
@@ -118,7 +119,8 @@ def test_model_alone_prices_the_kernel_call():
     tensor = CASES["boundary-straddle"]()
     factors = [np.asarray(f) for f in random_factors(tensor.shape, RANK, seed=5)]
     fcoo = FCOOTensor.from_sparse(tensor, "spmttkrp", 0)
-    for fields in (dict(), dict(streamed=True, chunk_nnz=CHUNK_NNZ), dict(devices=4)):
+    four_gpus = dict(cluster=ClusterSpec.homogeneous(TITAN_X, 4))
+    for fields in (dict(), dict(streamed=True, chunk_nnz=CHUNK_NNZ), four_gpus):
         ctx = ExecContext(**fields)
         kernel = unified_spmttkrp(
             fcoo, factors, 0, block_size=BLOCK_SIZE, threadlen=THREADLEN, ctx=ctx

@@ -83,7 +83,7 @@ class TestProfile:
         rank = 8
         factors = random_factors(skewed_tensor.shape, rank, seed=0)
         result = unified_spmttkrp(skewed_tensor, factors, 0)
-        unified_bytes, parti_bytes = spmttkrp_footprints(skewed_tensor, rank, mode=0)
+        unified_bytes, parti_bytes = spmttkrp_footprints(skewed_tensor, rank)
         assert result.profile.device_memory_bytes == pytest.approx(unified_bytes, rel=0.2)
         assert result.profile.device_memory_bytes < parti_bytes
 

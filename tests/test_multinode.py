@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms.cp import UnifiedGPUEngine, cp_als
 from repro.algorithms.tucker import tucker_hooi
-from repro.bench.multinode import run_multinode_scaling
+from repro.bench.scaling import run_multinode_scaling, run_scaling
 from repro.bench.regression import _multinode_metrics
 from repro.cli import main as cli_main
 from repro.context import ExecContext
@@ -142,20 +142,18 @@ class TestMultiNodeModel:
 
     def test_resolve_cluster_keeps_one_node_cluster(self):
         # One node stays a one-node cluster, and its collectives book no NIC.
-        device, multi = resolve_cluster(TITAN_X, two_tier(1, 4), None)
+        device, multi = resolve_cluster(TITAN_X, two_tier(1, 4))
         assert multi.num_nodes == 1
         assert multi.num_devices == 4
         timeline = Timeline()
         multi.book_allreduce(timeline, 1 << 20)
         assert not any(e.category == "nic" for e in timeline.events)
         # One node of one device -> plain single-device execution.
-        device, multi = resolve_cluster(TITAN_X, two_tier(1, 1), None)
+        device, multi = resolve_cluster(TITAN_X, two_tier(1, 1))
         assert multi is None and device == TITAN_X
         # Several nodes stay multi-node.
-        device, multi = resolve_cluster(TITAN_X, two_tier(2, 2), None)
+        device, multi = resolve_cluster(TITAN_X, two_tier(2, 2))
         assert multi.num_nodes == 2
-        with pytest.raises(ValueError):
-            resolve_cluster(TITAN_X, two_tier(2, 2), 3)
 
     def test_capability_weights_sum_and_node_grouping(self):
         big = scaled_device(TITAN_X, 1.0, name_suffix="mn-big")
@@ -727,10 +725,7 @@ class TestMultiNodeServing:
 
 class TestMultiNodeBench:
     def test_multinode_scaling_structure(self):
-        result = run_multinode_scaling(
-            rank=4, datasets=["brainq"], node_counts=(1, 2, 4), devices_per_node=2,
-            seed=0,
-        )
+        result = run_multinode_scaling(rank=4, node_counts=(1, 2, 4))
         for op in ("spttm", "spmttkrp", "spttmc"):
             curve = result.rows_for(op, "brainq")
             assert [r.num_nodes for r in curve] == [1, 2, 4]
@@ -742,11 +737,21 @@ class TestMultiNodeBench:
         assert "Multi-node scaling" in result.render()
         assert "hierarchical" in result.render()
 
-    def test_unknown_operation_rejected(self):
-        with pytest.raises(ValueError):
-            run_multinode_scaling(rank=4, operations=("spmv",), datasets=["brainq"])
-        with pytest.raises(ValueError):
-            run_multinode_scaling(rank=4, devices_per_node=0)
+    def test_one_node_point_is_the_two_gpu_strong_point(self):
+        # Every scaling point runs one kernel on one cluster, so the
+        # multi-node curve's one-node point and the strong curve's 2-GPU
+        # point are the same measurement, bit for bit.
+        multinode = run_multinode_scaling(rank=4, node_counts=(1,))
+        strong = run_scaling(rank=4, datasets=["brainq"], device_counts=(2,))
+        for op in ("spttm", "spmttkrp", "spttmc"):
+            (node,) = multinode.rows_for(op, "brainq")
+            (gpus,) = strong.rows_for(op, "brainq")
+            assert (node.num_nodes, node.num_devices) == (1, 2)
+            assert (node.time_s, node.max_shard_s, node.reduction_s) == (
+                gpus.time_s,
+                gpus.max_shard_s,
+                gpus.reduction_s,
+            )
 
     def test_regression_metrics_include_multinode(self):
         metrics = _multinode_metrics()

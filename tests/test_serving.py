@@ -34,7 +34,7 @@ from repro.cli import main as cli_main
 from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.semisparse import SemiSparseTensor
-from repro.gpusim.cluster import ClusterSpec, InterconnectSpec, NodeSpec, PCIE3_P2P
+from repro.gpusim.cluster import ClusterSpec, InterconnectSpec, NodeFailure, NodeSpec, PCIE3_P2P
 from repro.gpusim.device import TITAN_X, scaled_device
 from repro.gpusim.timeline import Timeline
 from repro.kernels.unified import partition_shards
@@ -491,6 +491,30 @@ class TestScheduler:
         # job 1; under FIFO it runs last.
         assert pri[4].exec_start_s < pri[1].exec_start_s
         assert fifo[4].exec_start_s > fifo[1].exec_start_s
+
+    def test_lost_node_copy_engine_sets_no_dispatch_instant(self):
+        # Jobs 1 and 2 arrive while job 0 stages, so the urgent job 2
+        # stages next.  A two-node cluster that loses node 0 at once keeps
+        # one device and must schedule exactly like a one-device cluster:
+        # the dead node's idle copy engine never makes "now" the instant
+        # of the next staging.
+        tensor = CASES["order3-uniform"]()
+        jobs = _unbatchable(self._identical_jobs(3, tensor, priorities=[1, 1, 0]))
+        solo = ClusterSpec.homogeneous(TITAN_X, 1)
+        (first,) = ServingEngine(solo).run(jobs[:1]).results
+        arrivals = [0.0] + [first.stage_start_s + k * first.stage_s / 3.0 for k in (1, 2)]
+        jobs = [replace(job, arrival_s=a) for job, a in zip(jobs, arrivals)]
+
+        def staged(report):
+            ordered = sorted(report.results, key=lambda r: r.stage_start_s)
+            return [(r.job.job_id, r.stage_start_s) for r in ordered]
+
+        alone = staged(ServingEngine(solo).run(jobs))
+        lost = ServingEngine(ClusterSpec.homogeneous(TITAN_X, 1, num_nodes=2)).run(
+            jobs, chaos=[NodeFailure(time_s=1e-9, node_index=0)]
+        )
+        assert [job_id for job_id, _ in alone] == [0, 2, 1]
+        assert staged(lost) == alone
 
     def test_batching_shares_one_staging(self):
         tensor = CASES["order3-uniform"]()

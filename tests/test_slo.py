@@ -304,8 +304,6 @@ class TestExecContextValidation:
             ExecContext(num_streams=0)
         with pytest.raises(ValueError):
             ExecContext(chunk_nnz=0)
-        with pytest.raises(ValueError):
-            ExecContext(devices=0)
         evolved = DEFAULT_CONTEXT.evolve(num_streams=5)
         assert evolved.num_streams == 5 and DEFAULT_CONTEXT.num_streams == 2
         failures = [NodeFailure(time_s=1.0, node_index=0)]
