@@ -21,6 +21,10 @@ families differently:
 
 * ``.../vec_over_ref_ratio`` — vectorized median over reference median per
   kernel; gated with a *wide* ratio band (the suite tolerance is 50 %).
+  A ratio is refreshed when a kernel gets faster, to the largest of three
+  quick runs, so the band guards the gain: SpTTMc's (0.17 on a 2-core
+  host, set after its last Kronecker stage was folded into the CSR sum)
+  fails a return to the unfolded ratio of about 0.33.
 * ``.../speedup_below_2x_count`` and ``backend_identity_violation_count``
   — zero-tolerance counts: the quick-mode SpMTTKRP speedup must stay ≥ 2×
   on both the uniform and the power-law tensor, and the backends must stay
@@ -180,7 +184,8 @@ def _carry_tensor() -> SparseTensor:
     Its heaviest mode-0 slice spans whole blocks of the vectorized
     backend's sums (:data:`repro.backends.vectorized.BLOCK_BYTES`), with a
     carry in and a carry out, for both the rank-8 SpMTTKRP and the 8 x 8
-    column SpTTMc of :func:`_outputs_under`.
+    column SpTTMc of :func:`_outputs_under`, whose blocks form 8 columns
+    (the first product mode's factor entries are the CSR data).
     """
     return random_sparse_tensor((8, 5_000, 5_000), 40_000, seed=21, distribution="power")
 

@@ -353,6 +353,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"choose from {', '.join(EXPERIMENTS)} or 'all'"
         )
 
+    for flag, value, least in (
+        ("--rank", args.rank, 1),
+        ("--iterations", args.iterations, 1),
+        ("--jobs", args.jobs, 0),
+        ("--seed", args.seed, 0),
+        ("--chaos-seed", args.chaos_seed, 0),
+        ("--nodes", args.nodes, 0),
+    ):
+        if value is not None and value < least:
+            parser.error(f"{flag} must be >= {least}, got {value}")
+
     if args.fail_node is not None and args.chaos_seed is None:
         parser.error("--fail-node requires --chaos-seed (it pins the drawn failure)")
     if args.chaos_seed is not None:
@@ -365,6 +376,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "--chaos-seed requires --nodes >= 2 (a node loss needs "
                 "surviving nodes to re-queue onto)"
             )
+    if args.fail_node is not None and not 0 <= args.fail_node < args.nodes:
+        parser.error(
+            f"--fail-node must be a node index in [0, {args.nodes}), got {args.fail_node}"
+        )
 
     if not 0.0 <= args.slo <= 1.0:
         parser.error(f"--slo must be a fraction in [0, 1], got {args.slo}")

@@ -202,9 +202,14 @@ class TestSegmentReduceIdentity:
         values = rng.standard_normal((50, 4))
         values[::7] = -0.0
         segment_ids = rng.integers(0, 7, size=50)  # deliberately unsorted
+        mats = [rng.standard_normal((9, rank)) for rank in (3, 2, 4)]
+        rows = [rng.integers(0, 9, size=50) for _ in mats]
+        kron = (values[:, 0], mats, rows, segment_ids, 7)
         with block_budget(block_bytes):
             actual = VEC.segment_reduce(values, segment_ids, 7)
+            kron_sums = VEC.kron_segment_sums(*kron)
         assert_same_bits(actual, segment_reduce(values, segment_ids, 7))
+        assert_same_bits(kron_sums, REF.kron_segment_sums(*kron))
 
     @BLOCK_BUDGETS
     def test_one_long_segment_among_singletons(self, block_bytes):
@@ -254,6 +259,24 @@ class TestSegmentReduceIdentity:
         with block_budget(block_bytes):
             actual = VEC.kron_segment_sums(*args)
         assert_same_bits(actual, REF.kron_segment_sums(*args))
+
+    def test_folded_stage_rounds_before_it_adds(self):
+        """The folded Kronecker stage is summed as ``y + a * x`` with ``a * x``
+        rounded first, as the reference rounds its products: here the
+        rounded sum is 2**-29 and a fused multiply-add's 2**-29 + 2**-60."""
+        eps = 2.0**-30
+        values = np.array([-1.0, 1.0 + eps])
+        mats = [np.array([[1.0], [1.0 + eps]]), np.ones((2, 1))]
+        rows = [np.array([0, 1]), np.array([0, 1])]
+        segment_ids = np.array([0, 0])
+        expected = REF.kron_segment_sums(values, mats, rows, segment_ids, 1)
+        assert expected[0, 0] == 2.0**-29
+        actual = VEC.kron_segment_sums(values, mats, rows, segment_ids, 1)
+        assert actual.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), (
+            f"got {float(actual[0, 0]).hex()}, want 2**-29: SciPy's CSR kernel (csr_matvecs) "
+            "fused a * x into its sum (a fused multiply-add), so the vectorized "
+            "backend's Kronecker fold no longer has the reference's bits"
+        )
 
     @pytest.mark.parametrize("backend", [REF, VEC], ids=["reference", "vectorized"])
     @BLOCK_BUDGETS
@@ -309,8 +332,12 @@ class TestCarriedSegments:
         assert sequential != math.fsum(values)
 
     @pytest.mark.parametrize("rows_per_block", [2, 5, 7])
-    @pytest.mark.parametrize("ranks", [[], [3], [2, 3], [2, 1, 2]], ids=str)
+    @pytest.mark.parametrize("ranks", [[], [3], [2, 3], [1, 3], [2, 1, 2], [3, 2, 1]], ids=str)
     def test_carried_sums_match_the_reference_and_the_oracle(self, rows_per_block, ranks):
+        """Blocks of ``rows_per_block`` non-zeros: the Kronecker sums form
+        the columns of every product mode but the first (whose factor
+        entries are the CSR data, one group of rows per column), so their
+        budget is ``rows_per_block`` rows of those."""
         values, mats, rows, segment_ids, num_segments = self._inputs(ranks)
         starts = np.flatnonzero(np.diff(segment_ids, prepend=-1))
         boundaries = np.arange(rows_per_block, segment_ids.size, rows_per_block)
@@ -324,7 +351,7 @@ class TestCarriedSegments:
         hadamard_width = ranks[0] if ranks else 1
         for primitive, products, inputs, kron_order, width in (
             (VEC.hadamard_segment_sums, REF.slice_products, hadamard, False, hadamard_width),
-            (VEC.kron_segment_sums, REF.kron_products, kron, True, math.prod(ranks)),
+            (VEC.kron_segment_sums, REF.kron_products, kron, True, math.prod(ranks[1:])),
         ):
             expected = segment_reduce(products(*inputs), segment_ids, num_segments)
             oracle = oracle_segment_sums(*inputs, segment_ids, num_segments, kron=kron_order)
@@ -342,22 +369,23 @@ class TestCarriedSegments:
         assert not np.signbit(sums[3])
 
     def test_no_block_outgrows_the_budget(self, monkeypatch):
-        """A segment longer than a block is cut, not given a longer block."""
+        """A segment longer than a block is cut, not given a longer block,
+        and the Kronecker sums of ranks (8, 8) form eight columns a block:
+        the first product mode's factor entries are the CSR data."""
         blocks = []
         blocked_sums = VectorizedBackend._blocked_sums
 
-        def spy(self, products, width, *args):
-            def counted(*stage_args):
-                # The block's value stream precedes `mats` and `rows`.
-                blocks.append((len(stage_args[-3]), width))
-                return products(*stage_args)
+        def spy(self, products, width, *args, **kwargs):
+            def counted(out, *stage_args):
+                # The block's partials are `out`; its value stream comes next.
+                blocks.append((len(stage_args[0]), out.shape[1]))
+                return products(out, *stage_args)
 
-            return blocked_sums(self, counted, width, *args)
+            return blocked_sums(self, counted, width, *args, **kwargs)
 
         monkeypatch.setattr(VectorizedBackend, "_blocked_sums", spy)
         rng = np.random.default_rng(6)
-        # Segment 3 is three blocks long at the widest block (the Hadamard
-        # sums' eight columns).
+        # Segment 3 is three blocks long at the widest block (eight columns).
         long_segment = 3 * (vectorized.BLOCK_BYTES // (8 * 8))
         segment_ids = np.sort(np.r_[np.full(long_segment, 3), rng.integers(0, 40, size=6_000)])
         values = rng.standard_normal(segment_ids.size)
@@ -366,7 +394,7 @@ class TestCarriedSegments:
         args = (values, mats, rows, segment_ids, 40)
         for actual, expected, width in (
             (VEC.hadamard_segment_sums, REF.hadamard_segment_sums, 8),
-            (VEC.kron_segment_sums, REF.kron_segment_sums, 64),
+            (VEC.kron_segment_sums, REF.kron_segment_sums, 8),
             (VEC.segment_reduce, segment_reduce, 1),
         ):
             inputs = args if width > 1 else (values, segment_ids, 40)
@@ -379,12 +407,13 @@ class TestCarriedSegments:
 
     def test_identity_sweep_tensor_carries_across_whole_blocks(self):
         """The wall-clock identity sweep's power-law tensor has a rank-8
-        SpMTTKRP segment and an 8 x 8 column SpTTMc segment that each cover
-        a whole block of the module budget, with a carry in and out."""
+        SpMTTKRP segment and an 8 x 8 column SpTTMc segment (whose blocks
+        form 8 columns) that each cover a whole block of the module budget,
+        with a carry in and out."""
         from repro.bench.wallclock import _carry_tensor
 
         tensor = _carry_tensor()
-        for operation, width in ((OperationKind.SPMTTKRP, 8), (OperationKind.SPTTMC, 64)):
+        for operation, width in ((OperationKind.SPMTTKRP, 8), (OperationKind.SPTTMC, 8)):
             segment_ids = FCOOTensor.from_sparse(tensor, operation, 0).segment_ids
             per_block = vectorized.BLOCK_BYTES // (8 * width)
             block_starts = range(per_block, segment_ids.size - per_block, per_block)

@@ -85,6 +85,30 @@ class TestCli:
         assert exc.value.code != 0
         assert "serve" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig6b", "--rank", "0"],
+            ["fig8", "--rank", "-1"],
+            ["fig10", "--iterations", "0"],
+            ["serve", "--jobs", "-5"],
+            ["serve", "--seed", "-1"],
+            ["serve", "--nodes", "2", "--chaos-seed", "-4"],
+            ["serve", "--nodes", "-1"],
+            ["scaling", "--nodes", "-2"],
+            ["serve", "--nodes", "2", "--chaos-seed", "0", "--fail-node", "5"],
+            ["serve", "--nodes", "2", "--chaos-seed", "0", "--fail-node", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_numeric_flag_is_a_usage_error(self, capsys, argv):
+        # The last flag of `argv` has the bad value.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "error:" in message and argv[-2] in message
+
     def test_fail_node_requires_chaos_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["serve", "--nodes", "2", "--fail-node", "0"])
