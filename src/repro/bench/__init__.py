@@ -4,10 +4,10 @@ Every runner builds the relevant workloads from :mod:`repro.data`, executes
 the unified kernels and the baselines on the simulated devices, and returns
 a result object with the same rows/series the paper reports plus a
 ``render()`` method producing a plain-text table.  ``python -m repro``
-renders them (:mod:`repro.cli`), and the ``benchmarks/`` directory wraps
-each runner in a pytest-benchmark entry whose docstring quotes the paper's
-claim and whose assertions check it
-(``PYTHONPATH=src python -m pytest benchmarks/bench_*.py``).
+renders them (:mod:`repro.cli`), and the ``paper`` regression suite
+(:mod:`repro.bench.paper`) makes the same runs and gates the paper's claims
+on them as zero-tolerance counts
+(``python -m repro.bench.regression --check --suite paper``).
 
 Runner ↔ paper mapping
 ----------------------
@@ -45,12 +45,15 @@ module                    runner                          paper artefact
                                                           (``scaling --trace``)
 ``serving``               :func:`run_serving`             multi-tenant serving over the
                                                           simulated cluster (extension)
+``paper``                 :func:`run_fusion_ablation`     Section IV-D kernel fusion
+                                                          ablation (extension)
 ========================  ==============================  ===============================
 
-Two more modules gate changes rather than reproduce a figure:
+Three more modules gate changes rather than reproduce a figure:
 :mod:`repro.bench.regression` (the CI gate over the simulated-time
-``BENCH_*.json`` suites) and :mod:`repro.bench.wallclock` (its wall-clock
-suite).
+``BENCH_*.json`` suites), :mod:`repro.bench.paper` (its ``paper`` suite:
+the runs above and the paper's claims about them) and
+:mod:`repro.bench.wallclock` (its wall-clock suite).
 """
 
 from repro.bench.platform import platform_report

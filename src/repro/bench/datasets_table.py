@@ -7,6 +7,6 @@ from repro.data.registry import dataset_table
 __all__ = ["run_table4"]
 
 
-def run_table4(*, include_analog: bool = True) -> str:
+def run_table4() -> str:
     """Render the Table IV reproduction (paper statistics plus analog statistics)."""
-    return dataset_table(include_analog=include_analog)
+    return dataset_table()

@@ -9,7 +9,7 @@ degrading coalescing and causing divergence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.data.registry import load_dataset
 from repro.kernels.baselines.parti_gpu import parti_gpu_spttm
@@ -19,7 +19,8 @@ from repro.util.formatting import format_table
 
 __all__ = ["Fig8Series", "Fig8Result", "run_fig8"]
 
-DEFAULT_RANKS: Tuple[int, ...] = (8, 16, 32, 64)
+#: The ranks of the Figure 8 sweep.
+RANKS: Tuple[int, ...] = (8, 16, 32, 64)
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,6 @@ class Fig8Result:
         raise KeyError(f"no series for ({dataset}, {implementation})")
 
     def render(self) -> str:
-        if not self.series:
-            return "Figure 8: no series"
         ranks = self.series[0].ranks
         headers = ["series"] + [f"rank {r} (s)" for r in ranks] + ["growth"]
         body = []
@@ -68,21 +67,18 @@ class Fig8Result:
         )
 
 
-def run_fig8(
-    *,
-    datasets: Sequence[str] = ("brainq", "nell2"),
-    ranks: Sequence[int] = DEFAULT_RANKS,
-) -> Fig8Result:
-    """Figure 8: SpTTM on the last mode, time versus rank for Unified and ParTI-GPU."""
+def run_fig8() -> Fig8Result:
+    """Figure 8: SpTTM on the last mode of brainq and nell2, time versus rank
+    (:data:`RANKS`) for Unified and ParTI-GPU."""
     series: List[Fig8Series] = []
     resolved_mode = -1
-    for name in datasets:
+    for name in ("brainq", "nell2"):
         tensor = load_dataset(name)
         target_mode = tensor.order - 1
         resolved_mode = target_mode
         unified_times = []
         parti_times = []
-        for rank in ranks:
+        for rank in RANKS:
             matrix = random_factors(tensor.shape, rank, seed=0)[target_mode]
             unified_times.append(unified_spttm(tensor, matrix, target_mode).estimated_time_s)
             parti_times.append(parti_gpu_spttm(tensor, matrix, target_mode).estimated_time_s)
@@ -90,7 +86,7 @@ def run_fig8(
             Fig8Series(
                 dataset=name,
                 implementation="Unified",
-                ranks=tuple(int(r) for r in ranks),
+                ranks=RANKS,
                 times_s=tuple(unified_times),
             )
         )
@@ -98,7 +94,7 @@ def run_fig8(
             Fig8Series(
                 dataset=name,
                 implementation="ParTI-GPU",
-                ranks=tuple(int(r) for r in ranks),
+                ranks=RANKS,
                 times_s=tuple(parti_times),
             )
         )

@@ -6,23 +6,25 @@ regression signal: if a code change makes a modeled hot path slower (more
 traffic, a lost overlap, a worse reduction), the simulated seconds move and
 CI can fail on it without flaky-timer tolerance games.
 
-``collect_metrics()`` runs a quick-mode subset of the scaling, streaming
-and serving experiments and flattens them into named scalar metrics
-(seconds; lower is better — the serving suite reports latency percentiles,
-the makespan and seconds-per-job, i.e. inverse throughput, so a throughput
-regression fails the gate too).  The committed baselines live in
-``benchmarks/baselines/`` as ``BENCH_scaling.json`` /
-``BENCH_streaming.json`` / ``BENCH_serving.json``; the CI ``bench`` job
+``collect_metrics()`` runs the suites and flattens each into named scalar
+metrics (seconds or bytes; lower is better — the serving suite reports
+latency percentiles, the makespan and seconds-per-job, i.e. inverse
+throughput, so a throughput regression fails the gate too).  The ``paper``
+suite (:mod:`repro.bench.paper`) runs the paper's tables and figures in
+full and counts the failed claims; the others run quick-mode subsets of
+the extension experiments.  The committed baselines live in
+``benchmarks/baselines/`` as ``BENCH_<suite>.json``; the CI ``bench`` job
 re-collects the metrics, uploads them as artifacts, and fails when any
-metric regresses by more than the tolerance (default 20 %), or when a
-metric is in the run but not the baseline or the other way round.
-Improvements never fail; refresh the baseline with ``--update`` when a
-change is an intentional model shift or adds or drops a metric.
+metric regresses by more than its suite's band (20 % unless
+``SUITE_TOLERANCES`` says otherwise), is not finite, or is in the run but
+not the baseline or the other way round.  Improvements never fail; refresh
+a suite with ``--update --suite NAME`` when a change is an intentional
+model shift or adds or drops a metric.
 
 Usage::
 
     python -m repro.bench.regression --check             # compare vs baseline
-    python -m repro.bench.regression --update            # rewrite the baseline
+    python -m repro.bench.regression --update --suite paper   # rewrite one
     python -m repro.bench.regression --check --out-dir bench-artifacts
     python -m repro.bench.regression --check --suite wallclock   # wall time
 
@@ -38,11 +40,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro._version import __version__
+from repro.bench.paper import paper_metrics, paper_runs
 from repro.bench.scaling import run_multinode_scaling, run_scaling, run_weak_scaling
 from repro.bench.serving import run_serving
 from repro.bench.streaming import run_streaming
@@ -66,6 +70,7 @@ DEFAULT_TOLERANCE = 0.20
 
 #: The artifact files, keyed by suite name.
 ARTIFACT_FILES = {
+    "paper": "BENCH_paper.json",
     "scaling": "BENCH_scaling.json",
     "multinode": "BENCH_multinode.json",
     "streaming": "BENCH_streaming.json",
@@ -83,11 +88,17 @@ ARTIFACT_FILES = {
 #: ``wallclock`` job passes ``--suite wallclock``.
 DEFAULT_SUITES = tuple(s for s in ARTIFACT_FILES if s != "wallclock")
 
-#: Per-suite tolerance floors.  Wall-clock ratios on shared runners need a
-#: far wider band than the noise-free simulated seconds; the effective
-#: tolerance for a suite is ``max(--tolerance, SUITE_TOLERANCES[suite])``.
-#: (Counts stay zero-tolerance everywhere — the band never applies to them.)
+#: Per-suite bands, where they differ from :data:`DEFAULT_TOLERANCE`.
+#: Wall-clock ratios on shared runners need a far wider band than the
+#: noise-free simulated seconds.  (Counts stay zero-tolerance everywhere —
+#: the band never applies to them.)
 SUITE_TOLERANCES = {"wallclock": 0.50}
+
+
+def _paper_metrics() -> Dict[str, float]:
+    """The paper's tables and figures and the extension experiments, in
+    full: see :mod:`repro.bench.paper`."""
+    return paper_metrics(paper_runs())
 
 
 def _scaling_metrics() -> Dict[str, float]:
@@ -485,6 +496,7 @@ def _wallclock_metrics() -> Dict[str, float]:
 
 
 _SUITE_COLLECTORS = {
+    "paper": _paper_metrics,
     "scaling": _scaling_metrics,
     "multinode": _multinode_metrics,
     "streaming": _streaming_metrics,
@@ -520,10 +532,12 @@ def compare_metrics(
     """Compare one suite against its baseline; returns the failures.
 
     A metric fails when it is more than ``tolerance`` slower than the
-    baseline, or when only one side has it: a gated metric the run no
-    longer reports, or one the baseline does not hold, fails until the
-    baseline is refreshed with ``--update`` (otherwise a change could drop
-    a zero-tolerance count, or add an ungated one, without a trace).
+    baseline, when it is not finite on either side (NaN fails every
+    comparison, so a NaN would otherwise pass as "no slower"), or when
+    only one side has it: a gated metric the run no longer reports, or one
+    the baseline does not hold, fails until the baseline is refreshed with
+    ``--update`` (otherwise a change could drop a zero-tolerance count, or
+    add an ungated one, without a trace).
     Metrics whose name ends in ``_count`` are integer counts, not seconds:
     *any* increase over the baseline fails, with no ratio tolerance (a
     ratio of a small count is meaningless), while decreases pass as
@@ -531,25 +545,28 @@ def compare_metrics(
     artifacts but never gated (the wall-clock suite uses this for absolute
     medians, which are machine-dependent).
     """
-    if tolerance < 0:
+    if not tolerance >= 0.0:
         raise ValueError(f"tolerance must be non-negative, got {tolerance}")
     regressions: List[str] = []
     for name in sorted(set(baseline) | set(current)):
+        base, now = baseline.get(name), current.get(name)
+        if any(v is not None and not math.isfinite(v) for v in (base, now)):
+            regressions.append(f"{name}: {base} -> {now} (not finite)")
+            continue
         if name.endswith("_info"):
             continue
-        if name not in current:
+        if now is None:
             regressions.append(
                 f"{name}: in the baseline but not in this run "
                 "(refresh the baseline with --update)"
             )
             continue
-        if name not in baseline:
+        if base is None:
             regressions.append(
                 f"{name}: in this run but not in the baseline "
                 "(refresh the baseline with --update)"
             )
             continue
-        base, now = baseline[name], current[name]
         if name.endswith("_count"):
             if now > base:
                 regressions.append(
@@ -570,21 +587,24 @@ def compare_metrics(
     return regressions
 
 
+#: What each suite's metrics measure, recorded in its artifact.
+_UNITS = {
+    "paper": (
+        "simulated seconds and modeled bytes (deterministic; lower is better; "
+        "_count zero-tolerance, _info ungated)"
+    ),
+    "wallclock": (
+        "wall-clock seconds (noisy; ratios banded, _count zero-"
+        "tolerance, _info ungated)"
+    ),
+}
+
+
 def _payload(suite: str, metrics: Dict[str, float]) -> Dict[str, object]:
-    if suite == "wallclock":
-        return {
-            "version": __version__,
-            "tolerance": SUITE_TOLERANCES["wallclock"],
-            "unit": (
-                "wall-clock seconds (noisy; ratios banded, _count zero-"
-                "tolerance, _info ungated)"
-            ),
-            "metrics": metrics,
-        }
     return {
         "version": __version__,
-        "tolerance": DEFAULT_TOLERANCE,
-        "unit": "simulated seconds (deterministic; lower is better)",
+        "tolerance": SUITE_TOLERANCES.get(suite, DEFAULT_TOLERANCE),
+        "unit": _UNITS.get(suite, "simulated seconds (deterministic; lower is better)"),
         "metrics": metrics,
     }
 
@@ -620,12 +640,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=Path,
         default=None,
         help="also write the freshly collected metrics here (the CI artifacts)",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help=f"maximum tolerated slowdown ratio (default {DEFAULT_TOLERANCE})",
     )
     parser.add_argument(
         "--suite",
@@ -678,7 +692,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     total_violations = 0
     failed_suites: List[str] = []
     for suite, metrics in suites.items():
-        suite_tolerance = max(args.tolerance, SUITE_TOLERANCES.get(suite, 0.0))
+        suite_tolerance = SUITE_TOLERANCES.get(suite, DEFAULT_TOLERANCE)
         path = args.baseline_dir / ARTIFACT_FILES[suite]
         if not path.exists():
             print(f"FAIL [{suite}] missing baseline {path}; run with --update")

@@ -11,7 +11,7 @@ comparing against the real Titan X memory capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.bench.memory import parti_paper_scale_footprint
 from repro.data.registry import DATASETS, load_dataset
@@ -106,15 +106,10 @@ class Fig6Result:
         )
 
 
-def run_fig6a(
-    *,
-    rank: int = 16,
-    datasets: Optional[Sequence[str]] = None,
-) -> Fig6Result:
+def run_fig6a(*, rank: int = 16) -> Fig6Result:
     """Figure 6a: SpTTM on the last mode, speedups over ParTI-omp."""
-    names = list(datasets) if datasets is not None else list(DATASETS)
     rows: List[Fig6Row] = []
-    for name in names:
+    for name in DATASETS:
         tensor = load_dataset(name)
         mode = tensor.order - 1
         matrix = random_factors(tensor.shape, rank, seed=0)[mode]
@@ -138,15 +133,10 @@ def run_fig6a(
     return Fig6Result(operation="SpTTM mode-3", rank=rank, rows=rows)
 
 
-def run_fig6b(
-    *,
-    rank: int = 16,
-    datasets: Optional[Sequence[str]] = None,
-) -> Fig6Result:
+def run_fig6b(*, rank: int = 16) -> Fig6Result:
     """Figure 6b: SpMTTKRP on mode-1, speedups over ParTI-omp."""
-    names = list(datasets) if datasets is not None else list(DATASETS)
     rows: List[Fig6Row] = []
-    for name in names:
+    for name in DATASETS:
         tensor = load_dataset(name)
         mode = 0
         factors = random_factors(tensor.shape, rank, seed=0)

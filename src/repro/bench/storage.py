@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.data.registry import DATASETS, load_dataset
 from repro.formats.coo import COOTensor
@@ -76,15 +76,14 @@ class Table2Result:
         return format_table(headers, body, title="Table II: storage cost of COO vs F-COO")
 
 
-def run_table2(*, datasets: Optional[Sequence[str]] = None) -> Table2Result:
+def run_table2() -> Table2Result:
     """Reproduce Table II on the registered datasets.
 
     For each dataset two rows are produced: SpTTM on the last mode (the
     paper's "SpTTM on mode-3") and SpMTTKRP on the first mode ("on mode-1").
     """
-    names = list(datasets) if datasets is not None else list(DATASETS)
     rows: List[Table2Row] = []
-    for name in names:
+    for name in DATASETS:
         tensor = load_dataset(name)
         order = tensor.order
         cases: List[Tuple[str, OperationKind, int]] = [

@@ -3,14 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
-from repro.autotune.tuner import (
-    DEFAULT_BLOCK_SIZES,
-    DEFAULT_THREADLENS,
-    TuningResult,
-    tune_unified,
-)
+from repro.autotune.tuner import TuningResult, tune_unified
 from repro.data.registry import DATASETS, load_dataset
 from repro.formats.mode_encoding import OperationKind
 from repro.util.formatting import format_table
@@ -79,56 +74,24 @@ class Table5Result:
         return format_table(headers, rows, title="Table V: best launch parameters")
 
 
-def run_fig5(
-    *,
-    datasets: Sequence[str] = ("brainq", "nell1"),
-    rank: int = 16,
-    block_sizes: Sequence[int] = DEFAULT_BLOCK_SIZES,
-    threadlens: Sequence[int] = DEFAULT_THREADLENS,
-) -> Fig5Result:
-    """Figure 5: (BLOCK_SIZE, threadlen) surface for SpMTTKRP on mode-1."""
-    surfaces = {}
-    for name in datasets:
-        tensor = load_dataset(name)
-        surfaces[name] = tune_unified(
-            tensor,
-            OperationKind.SPMTTKRP,
-            0,
-            rank=rank,
-            block_sizes=block_sizes,
-            threadlens=threadlens,
-        )
+def run_fig5(*, rank: int = 16) -> Fig5Result:
+    """Figure 5: (BLOCK_SIZE, threadlen) surface for SpMTTKRP on mode-1 of
+    brainq and nell1, over the tuner's default sweep."""
+    surfaces = {
+        name: tune_unified(load_dataset(name), OperationKind.SPMTTKRP, 0, rank=rank)
+        for name in ("brainq", "nell1")
+    }
     return Fig5Result(surfaces=surfaces)
 
 
-def run_table5(
-    *,
-    datasets: Optional[Sequence[str]] = None,
-    rank: int = 16,
-    block_sizes: Sequence[int] = DEFAULT_BLOCK_SIZES,
-    threadlens: Sequence[int] = DEFAULT_THREADLENS,
-) -> Table5Result:
-    """Table V: tuned launch parameters for SpTTM (last mode) and SpMTTKRP (mode-1)."""
-    names = list(datasets) if datasets is not None else list(DATASETS)
+def run_table5(*, rank: int = 16) -> Table5Result:
+    """Table V: tuned launch parameters for SpTTM (last mode) and SpMTTKRP
+    (mode-1) on every dataset, over the tuner's default sweep."""
     best: Dict[str, Dict[str, Tuple[int, int]]] = {"spttm": {}, "spmttkrp": {}}
-    for name in names:
+    for name in DATASETS:
         tensor = load_dataset(name)
-        spttm = tune_unified(
-            tensor,
-            OperationKind.SPTTM,
-            tensor.order - 1,
-            rank=rank,
-            block_sizes=block_sizes,
-            threadlens=threadlens,
-        )
-        spmttkrp = tune_unified(
-            tensor,
-            OperationKind.SPMTTKRP,
-            0,
-            rank=rank,
-            block_sizes=block_sizes,
-            threadlens=threadlens,
-        )
+        spttm = tune_unified(tensor, OperationKind.SPTTM, tensor.order - 1, rank=rank)
+        spmttkrp = tune_unified(tensor, OperationKind.SPMTTKRP, 0, rank=rank)
         best["spttm"][name] = spttm.best
         best["spmttkrp"][name] = spmttkrp.best
     return Table5Result(best=best)

@@ -108,26 +108,23 @@ def load_dataset(name: str) -> SparseTensor:
     return DATASETS[key].generator()
 
 
-def dataset_table(*, include_analog: bool = True) -> str:
+def dataset_table() -> str:
     """Render the Table IV reproduction (paper statistics, plus the analogs)."""
     headers = ["dataset", "order", "paper mode sizes", "paper nnz", "paper density"]
-    if include_analog:
-        headers += ["analog mode sizes", "analog nnz", "analog density"]
+    headers += ["analog mode sizes", "analog nnz", "analog density"]
     rows = []
     for spec in DATASETS.values():
-        row = [
-            spec.name,
-            spec.order,
-            "x".join(str(s) for s in spec.paper_shape),
-            spec.paper_nnz,
-            f"{spec.paper_density:.1e}",
-        ]
-        if include_analog:
-            analog = load_dataset(spec.name)
-            row += [
+        analog = load_dataset(spec.name)
+        rows.append(
+            [
+                spec.name,
+                spec.order,
+                "x".join(str(s) for s in spec.paper_shape),
+                spec.paper_nnz,
+                f"{spec.paper_density:.1e}",
                 "x".join(str(s) for s in analog.shape),
                 analog.nnz,
                 f"{analog.density:.1e}",
             ]
-        rows.append(row)
+        )
     return format_table(headers, rows, title="Table IV: sparse tensor datasets")

@@ -1,11 +1,11 @@
-"""Small wall-clock timing helper used by the benchmark harness.
+"""Small wall-clock timing helper.
 
 The performance *results* reported by this reproduction come from the
 simulated device models in :mod:`repro.gpusim` and :mod:`repro.cpusim`
 (deterministic cost accounting), not from host wall-clock time.  ``Timer``
-exists for the pytest-benchmark harness and for users profiling the Python
-implementation itself, following the "no optimisation without measuring"
-workflow of the scientific-python optimisation guide.
+exists for users profiling the Python implementation itself, following the
+"no optimisation without measuring" workflow of the scientific-python
+optimisation guide.
 """
 
 from __future__ import annotations

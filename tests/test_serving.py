@@ -1235,6 +1235,31 @@ class TestWorkloadAndSurfaces:
         assert compare_metrics({**shared, "a_info": 1.0}, shared) == []
         assert compare_metrics(shared, {**shared, "b_info": 1.0}) == []
 
+    @pytest.mark.parametrize(
+        "baseline, current",
+        [
+            ({"a": 1.0}, {"a": math.nan}),
+            ({"a_count": 0.0}, {"a_count": math.nan}),
+            ({"a": math.nan}, {"a": 1.0}),
+        ],
+        ids=["nan-run", "nan-count", "nan-baseline"],
+    )
+    def test_non_finite_metric_fails(self, baseline, current):
+        from repro.bench.regression import compare_metrics
+
+        # NaN fails every comparison, so it must not pass as "no slower".
+        (failure,) = compare_metrics(baseline, current)
+        assert failure.startswith(f"{next(iter(baseline))}: ") and "not finite" in failure
+
+    def test_tolerance_flag_is_gone(self, capsys):
+        from repro.bench.regression import main
+
+        # Each suite's band is a constant; the flag let `nan` pass anything.
+        with pytest.raises(SystemExit) as exc:
+            main(["--check", "--tolerance", "nan"])
+        assert exc.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
+
     def test_tucker_admission_uses_clamped_ranks(self):
         # The real SpTTMc inside tucker_hooi runs with per-mode ranks
         # clamped to the shape; admission must size it the same way, not
