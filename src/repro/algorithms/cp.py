@@ -41,7 +41,7 @@ from repro.algorithms.decomposition import (
     RecoveryRecord,
     kernel_context,
 )
-from repro.algorithms.fit import cp_fit
+from repro.algorithms.fit import cp_sweep_fit
 from repro.algorithms.normalization import normalize_columns
 from repro.backends import Backend, get_backend
 from repro.context import DEFAULT_CONTEXT, ExecContext
@@ -91,6 +91,10 @@ class CPEngine(Protocol):
 
     def mttkrp(self, factors: Sequence[np.ndarray], mode: int) -> np.ndarray:
         """The MTTKRP for ``mode`` on the prepared tensor: numbers only."""
+        ...
+
+    def value_norm(self) -> float:
+        """The Frobenius norm of the values :meth:`mttkrp` reads, in float64."""
         ...
 
     def profile(
@@ -208,6 +212,11 @@ class UnifiedGPUEngine:
         operands = spmttkrp_operands(self._encoding(mode), factors, mode)
         return compute(*operands, get_backend(self.ctx.backend))
 
+    def value_norm(self) -> float:
+        """The norm of the last mode's F-COO values: float32, as the
+        MTTKRPs read them, summed in float64."""
+        return self._encoding(len(self._encodings) - 1).norm()
+
     def profile(
         self, mode: int, rank: int, cluster: Optional[ClusterSpec] = None
     ) -> KernelProfile:
@@ -292,6 +301,11 @@ class SplattCPUEngine:
         """SPLATT's MTTKRP numbers (the tree walk never changes them)."""
         tensor, _csf = self._prepared()
         return reference_mttkrp(tensor, factors, mode)
+
+    def value_norm(self) -> float:
+        """The tensor's norm: SPLATT's MTTKRP reads its float64 values."""
+        tensor, _csf = self._prepared()
+        return tensor.norm()
 
     def profile(
         self, mode: int, rank: int, cluster: Optional[ClusterSpec] = None
@@ -430,8 +444,9 @@ def cp_als(
     seed:
         Seed for the random initial factors.
     compute_fit:
-        Track the decomposition fit each iteration (costs one sparse model
-        evaluation per iteration; disable for pure benchmarking).
+        Track the decomposition fit each iteration.  It is read off each
+        sweep's last MTTKRP and the Gram matrices the dense update already
+        holds, so it adds no pass over the non-zeros.
     initial_factors:
         Optional explicit initial factors (overrides ``seed``).
     ctx:
@@ -540,8 +555,15 @@ def cp_numeric_pass(
     factors and is updated in place, one normalised factor per mode.  The
     loop stops after ``max_iterations`` sweeps, or earlier when
     ``compute_fit`` is on and the fit improves by less than ``tolerance``.
-    ``backend`` runs the dense updates.
+    ``backend`` runs the dense updates.  Each fit is read off the sweep's
+    last MTTKRP (:func:`~repro.algorithms.fit.cp_sweep_fit`) against the
+    norm of the values the engine's MTTKRPs read.  Values whose norm is
+    zero raise :class:`ValueError` before any MTTKRP, with or without
+    ``compute_fit``: they have no fit, and their factors would be zero.
     """
+    x_norm = engine.value_norm()
+    if x_norm == 0.0:
+        raise ValueError("cannot compute the fit of an all-zero tensor")
     backend_impl = get_backend(backend)
     order = tensor.order
     rank = factors[0].shape[1]
@@ -562,7 +584,7 @@ def cp_numeric_pass(
             grams[mode] = backend_impl.gram(normalized)
         iterations += 1
         if compute_fit:
-            fit = cp_fit(tensor, factors, weights)
+            fit = cp_sweep_fit(x_norm, output, factors[-1], weights, grams)
             fits.append(fit)
             if abs(fit - previous_fit) < tolerance:
                 break

@@ -12,6 +12,11 @@ evaluated at the non-zero coordinates:
   that coordinate (a Khatri-Rao style product over the factor rows);
 * ``||X̂||²`` has the closed form ``λᵀ (Π_m A_mᵀA_m) λ`` using only the
   ``R × R`` Gram matrices.
+
+:func:`cp_fit` is the standalone evaluation, and the tests' oracle.  CP-ALS
+itself makes no pass over the non-zeros for its fit: :func:`cp_sweep_fit`
+reads ``<X, X̂>`` off the sweep's last MTTKRP, which already summed the
+values against every other mode's factor.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from repro.tensor.sparse import SparseTensor
 
-__all__ = ["cp_inner_product", "cp_norm", "cp_fit"]
+__all__ = ["cp_inner_product", "cp_norm", "cp_fit", "cp_sweep_fit"]
 
 
 def _check_factors(tensor: SparseTensor, factors: Sequence[np.ndarray]) -> list:
@@ -70,17 +75,27 @@ def cp_norm(factors: Sequence[np.ndarray], weights: Optional[np.ndarray] = None)
     if not mats:
         raise ValueError("at least one factor is required")
     rank = mats[0].shape[1]
+    if any(mat.shape[1] != rank for mat in mats):
+        raise ValueError("all factors must share one rank")
     if weights is None:
         weights = np.ones(rank, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
+    return _gram_norm([mat.T @ mat for mat in mats], np.asarray(weights, dtype=np.float64))
+
+
+def _gram_norm(grams: Sequence[np.ndarray], weights: np.ndarray) -> float:
+    """``||X̂||`` from every mode's Gram matrix ``A_mᵀA_m``, in mode order."""
+    rank = weights.shape[0]
     gram = np.ones((rank, rank), dtype=np.float64)
-    for mat in mats:
-        if mat.shape[1] != rank:
-            raise ValueError("all factors must share one rank")
-        gram *= mat.T @ mat
+    for mode_gram in grams:
+        gram *= mode_gram
     value = float(weights @ gram @ weights)
     # Guard against tiny negative values from floating-point cancellation.
     return float(np.sqrt(max(value, 0.0)))
+
+
+def _fit(x_norm: float, inner: float, model_norm: float) -> float:
+    residual_sq = max(x_norm**2 - 2.0 * inner + model_norm**2, 0.0)
+    return 1.0 - float(np.sqrt(residual_sq)) / x_norm
 
 
 def cp_fit(
@@ -93,6 +108,26 @@ def cp_fit(
     if x_norm == 0.0:
         raise ValueError("cannot compute the fit of an all-zero tensor")
     inner = cp_inner_product(tensor, factors, weights)
-    model_norm = cp_norm(factors, weights)
-    residual_sq = max(x_norm**2 - 2.0 * inner + model_norm**2, 0.0)
-    return 1.0 - float(np.sqrt(residual_sq)) / x_norm
+    return _fit(x_norm, inner, cp_norm(factors, weights))
+
+
+def cp_sweep_fit(
+    x_norm: float,
+    last_mttkrp: np.ndarray,
+    last_factor: np.ndarray,
+    weights: np.ndarray,
+    grams: Sequence[np.ndarray],
+) -> float:
+    """The fit at the end of a CP-ALS sweep, with no pass over the non-zeros.
+
+    ``last_mttkrp`` is the sweep's last MTTKRP output ``M``, over every
+    other mode's updated factor, and ``last_factor`` / ``weights`` are the
+    normalised factor and weights its update produced, so
+    ``<X, X̂> = Σ_r λ_r Σ_i A[i, r] · M[i, r]``.  ``grams`` holds every
+    mode's ``AᵀA`` in mode order: the products :func:`cp_norm` forms.
+    ``x_norm`` must be the norm of the values the MTTKRP read; the model
+    fits those values, so a norm of other values (float64 where the
+    MTTKRP read float32) would put even an exact model's fit short of 1.
+    """
+    inner = float(weights @ np.einsum("ir,ir->r", last_factor, last_mttkrp))
+    return _fit(x_norm, inner, _gram_norm(grams, weights))

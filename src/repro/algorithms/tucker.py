@@ -169,10 +169,6 @@ def tucker_hooi(
     ctx = ctx if ctx is not None else DEFAULT_CONTEXT
     if tensor.nnz == 0:
         raise ValueError("cannot decompose an all-zero tensor")
-    # A norm that overflows is left to the F-COO encoding, which rejects it.
-    with np.errstate(over="ignore"):
-        if tensor.norm() == 0.0:
-            raise ValueError("cannot compute the fit of an all-zero tensor")
     order = tensor.order
     ranks = [check_positive_int(r, f"ranks[{i}]") for i, r in enumerate(ranks)]
     if len(ranks) != order:
@@ -241,7 +237,14 @@ def hooi_numeric_pass(
     the core projection.  A sweep's core-step SpTTMc is also the next
     sweep's first, so ``k`` sweeps of an order-``N`` tensor run ``N·k + 1``
     SpTTMcs (the modeled pass still books ``N + 1`` a sweep).
+
+    The fit measures the core against the norm of the values the core
+    step's SpTTMc reads, the mode-0 encoding's; values whose norm is zero
+    raise :class:`ValueError` before any SpTTMc.
     """
+    x_norm = encodings[0].norm()
+    if x_norm == 0.0:
+        raise ValueError("cannot compute the fit of an all-zero tensor")
     backend_impl = get_backend(backend)
     order = tensor.order
     rng = as_rng(seed)
@@ -251,7 +254,6 @@ def hooi_numeric_pass(
         q, _ = np.linalg.qr(gaussian)
         factors.append(q[:, : ranks[m]])
 
-    x_norm = tensor.norm()
     fits: List[float] = []
     previous_fit = -np.inf
     core_unfolded = np.zeros((ranks[0], int(np.prod(ranks[1:]))), dtype=np.float64)

@@ -403,6 +403,11 @@ class FCOOTensor(_NonZeroStream):
         """Number of reduction segments (non-empty fibers or slices)."""
         return int(self.segment_index_coords.shape[0])
 
+    def norm(self) -> float:
+        """Frobenius norm of the stored values, summed in float64: the norm
+        of what a kernel reads, after the ``value_dtype`` cast."""
+        return float(np.linalg.norm(self.values.astype(np.float64)))
+
     def _position(self) -> Tuple["FCOOTensor", int]:
         return self, 0
 

@@ -258,8 +258,7 @@ class Placer:
         SVD of a Tucker job).  A decomposition's tensor must keep a
         non-zero value after that float32 cast, which flushes values below
         float32's smallest subnormal to zero: the fit of an all-zero
-        tensor is undefined (Tucker divides by the norm, and CP would
-        report all-zero factors).
+        tensor is undefined, and both decompositions raise on it.
         """
         if job.tensor.order < 2:
             return (

@@ -1,4 +1,4 @@
-"""Shared utilities: validation, RNG handling, timing and text formatting.
+"""Shared utilities: validation, RNG handling and text formatting.
 
 These helpers are deliberately dependency-light so every other subpackage
 (``tensor``, ``formats``, ``gpusim``, ``kernels``, ...) can rely on them
@@ -14,7 +14,6 @@ from repro.util.validation import (
     normalize_modes,
 )
 from repro.util.rng import as_rng, spawn_rngs
-from repro.util.timing import Timer
 from repro.util.formatting import (
     format_bytes,
     format_seconds,
@@ -31,7 +30,6 @@ __all__ = [
     "normalize_modes",
     "as_rng",
     "spawn_rngs",
-    "Timer",
     "format_bytes",
     "format_seconds",
     "format_table",

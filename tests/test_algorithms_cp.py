@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.cp import SplattCPUEngine, UnifiedGPUEngine, cp_als
+import repro.algorithms.cp as cp_module
+from repro.algorithms.cp import SplattCPUEngine, UnifiedGPUEngine, cp_als, cp_numeric_pass
+from repro.algorithms.fit import cp_fit
 from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
 from repro.gpusim.cluster import ClusterSpec, NodeFailure
 from repro.gpusim.device import TITAN_X
-from repro.kernels.unified.driver import model
+from repro.kernels.unified.driver import compute, model
 from repro.kernels.unified.spmttkrp import spmttkrp_spec
 from repro.tensor.ops import cp_reconstruct
 from repro.tensor.random import random_factors, random_sparse_tensor
@@ -21,6 +23,14 @@ def low_rank_tensor():
     """A tensor that is exactly rank 3, stored sparsely (fully recoverable)."""
     rng = np.random.default_rng(0)
     factors = [rng.random((12, 3)), rng.random((14, 3)), rng.random((10, 3))]
+    return SparseTensor.from_dense(cp_reconstruct(factors))
+
+
+@pytest.fixture
+def rank2_tensor():
+    """An exactly rank-2 tensor on which CP-ALS reaches a fit of 1 - 2e-8."""
+    rng = np.random.default_rng(1)
+    factors = [rng.standard_normal((s, 2)) for s in (12, 14, 10)]
     return SparseTensor.from_dense(cp_reconstruct(factors))
 
 
@@ -74,10 +84,70 @@ class TestCPAlgorithm:
         with pytest.raises(ValueError):
             cp_als(SparseTensor.empty((3, 4, 5)), 2)
 
+    @pytest.mark.parametrize("compute_fit", [True, False])
+    @pytest.mark.parametrize("value", [0.0, 1e-46])
+    def test_zero_norm_values_raise_before_any_mttkrp(self, monkeypatch, value, compute_fit):
+        # nnz > 0, but every value the MTTKRPs read is zero (1e-46 flushes to
+        # zero as an F-COO float32 value): there is no fit, and the factors
+        # would be zero.
+        tensor = random_sparse_tensor((30, 20, 10), 500, seed=1)
+        zero = SparseTensor(tensor.indices, np.full(tensor.nnz, value), tensor.shape)
+        assert zero.nnz > 0
+        modes = []
+        mttkrp = UnifiedGPUEngine.mttkrp
+
+        def counted(self, factors, mode):
+            modes.append(mode)
+            return mttkrp(self, factors, mode)
+
+        monkeypatch.setattr(UnifiedGPUEngine, "mttkrp", counted)
+        with pytest.raises(ValueError, match="fit of an all-zero tensor"):
+            cp_als(zero, 3, max_iterations=2, compute_fit=compute_fit)
+        assert modes == []
+
     def test_compute_fit_disabled(self, skewed_tensor):
         result = cp_als(skewed_tensor, 3, max_iterations=2, compute_fit=False)
         assert result.fits == []
         assert result.final_fit is None
+
+
+class TestSweepFit:
+    """CP-ALS reads its fit off each sweep's last MTTKRP."""
+
+    @pytest.mark.parametrize("engine", [UnifiedGPUEngine, SplattCPUEngine])
+    @pytest.mark.parametrize("fixture", ["rank2_tensor", "skewed_tensor"])
+    def test_fit_matches_the_standalone_evaluation(self, request, engine, fixture):
+        tensor = request.getfixturevalue(fixture)
+        result = cp_als(tensor, 2, engine=engine(), max_iterations=20, tolerance=0.0, seed=0)
+        # Against the float64 norm, the unified engine's float32-valued
+        # MTTKRP would put the exact model's fit 2e-5 short.
+        expected = cp_fit(tensor, result.factors, result.weights)
+        assert result.final_fit == pytest.approx(expected, abs=1e-7)
+
+    def test_fit_reads_the_nonzeros_only_through_the_mttkrps(self, monkeypatch, skewed_tensor):
+        iterations, rank = 3, 4
+        engine = UnifiedGPUEngine()
+        engine.prepare(skewed_tensor, rank)
+        factors = [np.asarray(f) for f in random_factors(skewed_tensor.shape, rank, seed=0)]
+        modes, reads = [], []
+
+        def counted(fcoo, *args):
+            modes.append(fcoo.mode)
+            return compute(fcoo, *args)
+
+        monkeypatch.setattr(cp_module, "compute", counted)
+        for name in ("indices", "values"):
+            read = getattr(SparseTensor, name).fget
+            monkeypatch.setattr(
+                SparseTensor, name, property(lambda t, read=read: reads.append(t) or read(t))
+            )
+        numbers = cp_numeric_pass(
+            skewed_tensor, engine, factors, max_iterations=iterations, tolerance=-1.0
+        )
+        assert len(numbers.fits) == iterations
+        # One backend pass over the non-zeros per MTTKRP, and none for a fit.
+        assert modes == list(range(skewed_tensor.order)) * iterations
+        assert reads == []
 
 
 class TestCPTimings:

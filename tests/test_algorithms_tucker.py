@@ -31,6 +31,15 @@ def low_multilinear_rank_tensor():
     return SparseTensor.from_dense(dense, tol=1e-12)
 
 
+def _reconstruction_fit(tensor, result):
+    """The fit of the densely reconstructed Tucker model."""
+    dense = tensor.to_dense()
+    approx = result.core
+    for m, f in enumerate(result.factors):
+        approx = ttm_dense(approx, f.T, m)
+    return 1.0 - np.linalg.norm(dense - approx) / np.linalg.norm(dense)
+
+
 class TestTuckerHOOI:
     def test_fit_improves(self, skewed_tensor):
         result = tucker_hooi(skewed_tensor, (5, 5, 5), max_iterations=4, tolerance=0.0)
@@ -50,22 +59,15 @@ class TestTuckerHOOI:
             np.testing.assert_allclose(f.T @ f, np.eye(f.shape[1]), atol=1e-8)
 
     def test_recovers_exact_low_rank(self, low_multilinear_rank_tensor):
-        result = tucker_hooi(
-            low_multilinear_rank_tensor, (2, 2, 2), max_iterations=6, tolerance=1e-10
-        )
-        # The kernels store values in device single precision, so the recovered
-        # fit is exact only to float32 accuracy.
-        assert result.final_fit == pytest.approx(1.0, abs=1e-3)
+        tensor = low_multilinear_rank_tensor
+        result = tucker_hooi(tensor, (2, 2, 2), max_iterations=6, tolerance=1e-10)
+        assert result.final_fit == pytest.approx(_reconstruction_fit(tensor, result), abs=1e-6)
 
     def test_reconstruction_matches_fit(self, skewed_tensor):
-        ranks = (6, 6, 6)
-        result = tucker_hooi(skewed_tensor, ranks, max_iterations=3, tolerance=0.0)
-        dense = skewed_tensor.to_dense()
-        approx = result.core
-        for m, f in enumerate(result.factors):
-            approx = ttm_dense(approx, f.T, m)
-        fit = 1.0 - np.linalg.norm(dense - approx) / np.linalg.norm(dense)
-        assert fit == pytest.approx(result.final_fit, abs=1e-6)
+        result = tucker_hooi(skewed_tensor, (6, 6, 6), max_iterations=3, tolerance=0.0)
+        assert result.final_fit == pytest.approx(
+            _reconstruction_fit(skewed_tensor, result), abs=1e-6
+        )
 
     def test_timings_recorded(self, skewed_tensor):
         result = tucker_hooi(skewed_tensor, (3, 3, 3), max_iterations=2)
@@ -180,10 +182,20 @@ class TestTuckerKernelContext:
         with pytest.raises(ValueError, match="not finite as float32"):
             tucker_hooi(bad, (3, 3, 3), max_iterations=2)
 
-    def test_all_zero_values_raise(self):
-        # Explicit zeros keep nnz > 0, but the fit divides by the norm.
+    @pytest.mark.parametrize("value", [0.0, 1e-46])
+    def test_all_zero_values_raise(self, monkeypatch, value):
+        # nnz > 0, but the fit divides by the norm of the values the SpTTMcs
+        # read, and 1e-46 flushes to zero as an F-COO float32 value.
         tensor = random_sparse_tensor((30, 20, 10), 500, seed=1)
-        zero = SparseTensor(tensor.indices, np.zeros_like(tensor.values), tensor.shape)
+        zero = SparseTensor(tensor.indices, np.full(tensor.nnz, value), tensor.shape)
         assert zero.nnz > 0
+        modes = []
+
+        def counted(fcoo, *args):
+            modes.append(fcoo.mode)
+            return compute(fcoo, *args)
+
+        monkeypatch.setattr(tucker_module, "compute", counted)
         with pytest.raises(ValueError, match="fit of an all-zero tensor"):
             tucker_hooi(zero, (3, 3, 3), max_iterations=2)
+        assert modes == []

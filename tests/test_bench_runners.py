@@ -165,6 +165,17 @@ class TestFig10:
             runs["fig10_cp_decomposition"].row("nell1", "unified-gpu")
 
 
+class TestServingDefaultWorkload:
+    def test_completed_rejected_split(self, runs):
+        report = runs["serving_default_workload"]
+        # Pin the deterministic completed/rejected split of the seed-0
+        # workload: a placement or admission regression that silently
+        # refuses traffic would *improve* every latency metric, so the
+        # counts themselves are the guard (update deliberately alongside
+        # intentional scheduler changes, like the bench baselines).
+        assert (len(report.completed), len(report.rejected)) == (95, 5)
+
+
 # ---------------------------------------------------------------------- #
 # The paper suite: every count can fire
 # ---------------------------------------------------------------------- #
