@@ -149,7 +149,7 @@ def tucker_hooi(
     ctx:
         A :class:`~repro.context.ExecContext` supplying:
 
-        * ``cluster`` / ``devices`` — multi-GPU controls: every SpTTMc
+        * ``cluster`` — multi-GPU controls: every SpTTMc
           shards across the cluster (see
           :func:`repro.kernels.unified.spttmc.unified_spttmc`), and the
           result reports per-device busy seconds and scaling efficiency.

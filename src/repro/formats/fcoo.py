@@ -27,10 +27,13 @@ to the per-non-zero storage cost of Table II.
 
 The encoding requires the non-zeros to be sorted with the index modes as the
 primary sort keys, so that every fiber/slice occupies one contiguous run.
-:meth:`FCOOTensor.from_sparse` computes that order as one permutation (a
-single ``np.lexsort`` over the modes packed into as few int64 keys as fit)
-and gathers the stored arrays straight from it, without a sorted copy of
-the tensor.
+:meth:`FCOOTensor.from_sparse` computes that order as one permutation and
+gathers the stored columns straight from it, without a sorted copy of the
+tensor.  With one index mode (SpMTTKRP, SpTTMc) the permutation is
+:meth:`SparseTensor.slice_order`, on a sorted tensor one stable sort of the
+index mode's column (a radix sort when it has at most ``2**16`` rows, the
+counting sort SPLATT builds CSF with); otherwise it is one ``np.lexsort``
+over the modes packed into as few int64 keys as fit.
 """
 
 from __future__ import annotations
@@ -321,11 +324,14 @@ class FCOOTensor(_NonZeroStream):
         The non-zeros are ordered so index modes are the primary keys (in
         increasing mode order) and product modes the secondary keys; this
         makes each fiber/slice a contiguous segment, which is what the
-        bit-flag encoding requires.  The order is one packed-key sort
-        permutation, and the values (cast to ``value_dtype``), the
-        product-mode columns (cast to ``index_dtype``) and the index-mode
-        columns (for the flags) are gathered through it, with no sorted
-        copy of the tensor.
+        bit-flag encoding requires.  The order is one permutation:
+        :meth:`SparseTensor.slice_order` when there is one index mode, a
+        packed-key ``np.lexsort`` when there are several.  The values (cast
+        to ``value_dtype``), the product-mode columns (cast to
+        ``index_dtype``) and the index-mode columns are gathered through
+        it one column at a time, and the flags, segment ids and segment
+        table are read off the sorted index columns, so no step holds more
+        than O(nnz) memory or a sorted copy of the tensor.
         """
         roles = mode_roles(operation, mode, tensor.order)
         index_dtype = np.dtype(index_dtype)
@@ -337,9 +343,12 @@ class FCOOTensor(_NonZeroStream):
                 )
 
         idx = np.asarray(tensor.indices)
-        perm = _lexsort_rows(idx, tensor.shape, roles.index_modes + roles.product_modes)
+        if len(roles.index_modes) == 1:
+            perm = tensor.slice_order(roles.index_modes[0])
+        else:
+            perm = _lexsort_rows(idx, tensor.shape, roles.index_modes + roles.product_modes)
         with np.errstate(over="ignore"):
-            values = np.asarray(tensor.values)[perm].astype(value_dtype)
+            values = np.asarray(tensor.values).astype(value_dtype)[perm]
         if not np.isfinite(values).all():
             raise ValueError(
                 f"{int(np.count_nonzero(~np.isfinite(values)))} value(s) are not "
@@ -347,21 +356,18 @@ class FCOOTensor(_NonZeroStream):
             )
         nnz = tensor.nnz
 
-        if nnz == 0:
-            product_indices = np.empty((0, len(roles.product_modes)), dtype=index_dtype)
-            bf = np.empty(0, dtype=bool)
-            segment_ids = np.empty(0, dtype=np.int64)
-            segment_index_coords = np.empty((0, len(roles.index_modes)), dtype=np.int64)
-        else:
-            idx = np.take(idx, perm, axis=0)
-            product_indices = np.ascontiguousarray(
-                idx[:, list(roles.product_modes)].astype(index_dtype)
-            )
-            index_coords = idx[:, list(roles.index_modes)]
-            changed = np.any(index_coords[1:] != index_coords[:-1], axis=1)
-            bf = np.concatenate(([True], changed))
-            segment_ids = np.cumsum(bf, dtype=np.int64) - 1
-            segment_index_coords = index_coords[bf]
+        product_indices = np.empty((nnz, len(roles.product_modes)), dtype=index_dtype)
+        for position, m in enumerate(roles.product_modes):
+            product_indices[:, position] = np.take(idx[:, m], perm)
+        index_columns = [np.take(idx[:, m], perm) for m in roles.index_modes]
+        # A non-zero opens a segment when an index mode differs from the
+        # previous non-zero's; the first always does.
+        bf = np.zeros(nnz, dtype=bool)
+        bf[:1] = True
+        for column in index_columns:
+            bf[1:] |= column[1:] != column[:-1]
+        segment_ids = np.cumsum(bf, dtype=np.int64) - 1
+        segment_index_coords = np.stack([column[bf] for column in index_columns], axis=1)
 
         return cls(
             roles=roles,

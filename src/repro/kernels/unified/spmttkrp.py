@@ -126,7 +126,7 @@ def unified_spmttkrp(
     ctx:
         The :class:`~repro.context.ExecContext` carrying the out-of-core
         (``streamed`` / ``num_streams`` / ``chunk_nnz``) and multi-GPU
-        (``cluster`` / ``devices``) controls; sharded partial outputs merge
+        (``cluster``) controls; sharded partial outputs merge
         through a modeled ring all-reduce.
 
     Returns

@@ -137,8 +137,6 @@ def unified_spttm(
           across the devices and only the fibers straddling a shard
           boundary exchange with a neighbour (``profile.sharded`` carries
           the per-device ledger).
-        * ``devices`` — shorthand for ``cluster``: a device count > 1 builds
-          a homogeneous cluster of ``device``.
 
     Returns
     -------

@@ -96,7 +96,7 @@ def unified_spttmc(
     ctx:
         The :class:`~repro.context.ExecContext` carrying the out-of-core
         (``streamed`` / ``num_streams`` / ``chunk_nnz``) and multi-GPU
-        (``cluster`` / ``devices``) controls, as in
+        (``cluster``) controls, as in
         :func:`repro.kernels.unified.spttm.unified_spttm` (the partial
         unfoldings merge through a modeled ring all-reduce).
 

@@ -52,10 +52,11 @@ class SparseTensor:
     sort:
         When ``True`` (default) non-zeros are sorted lexicographically by
         mode index ``(mode 0, mode 1, ...)``.  Sorted order is what the COO
-        kernels in the paper (and ParTI) assume.
+        kernels in the paper (and ParTI) assume.  A tensor built with both
+        flags off keeps the given order and is not taken to be sorted.
     """
 
-    __slots__ = ("_indices", "_values", "_shape", "_content_key")
+    __slots__ = ("_indices", "_values", "_shape", "_content_key", "_is_sorted")
 
     def __init__(
         self,
@@ -112,6 +113,8 @@ class SparseTensor:
         self._values = np.ascontiguousarray(values, dtype=np.float64)
         self._shape = shape
         self._content_key: Union[str, None] = None
+        # Known to be in canonical order only when sorted here (or trivially).
+        self._is_sorted = bool(sum_duplicates or sort or indices.shape[0] < 2)
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -206,6 +209,28 @@ class SparseTensor:
             digest.update(self._values.tobytes())
             self._content_key = digest.hexdigest()
         return self._content_key
+
+    def slice_order(self, mode: int) -> np.ndarray:
+        """The stable permutation sorting the non-zeros by ``mode`` first and
+        then by the other modes in increasing order.
+
+        This is the order of the F-COO encodings with ``mode`` as their one
+        index mode (SpMTTKRP and SpTTMc): each mode-``mode`` slice is one
+        contiguous run.  Canonical order already ranks the other modes that
+        way, so on a sorted tensor a stable sort of the one ``mode`` column
+        gives the same permutation as the full lexicographic sort, in
+        O(nnz) when the mode has at most ``2**16`` rows (NumPy radix-sorts
+        16-bit keys).  A tensor the constructor did not sort takes
+        :func:`_lexsort_rows`.
+        """
+        mode = check_mode(mode, self.order)
+        if not self._is_sorted:
+            others = tuple(m for m in range(self.order) if m != mode)
+            return _lexsort_rows(self._indices, self._shape, (mode,) + others)
+        column = self._indices[:, mode]
+        if self._shape[mode] <= _RADIX_ROWS:
+            column = column.astype(np.uint16)
+        return np.argsort(column, kind="stable")
 
     def mode_indices(self, mode: int) -> np.ndarray:
         """The index column of one mode, as a read-only ``(nnz,)`` view."""
@@ -407,6 +432,10 @@ class SparseTensor:
 #: Largest span one packed sort key covers, so every key fits in int64.
 _KEY_SPAN = 1 << 62
 
+#: Most rows a mode may have for :meth:`SparseTensor.slice_order` to sort
+#: it on 16-bit keys.
+_RADIX_ROWS = 1 << 16
+
 
 def _lexsort_rows(
     indices: np.ndarray, sizes: Sequence[int], order: Optional[Sequence[int]] = None
@@ -420,6 +449,12 @@ def _lexsort_rows(
     packed keys.  Packing keeps every comparison, so the permutation is the
     one ``np.lexsort`` gives over the raw columns, for any sizes: a span
     beyond 2**62 just starts another key.
+
+    It sorts whatever no cheaper order applies to: the constructor's
+    ``sort`` and ``sum_duplicates``, :meth:`SparseTensor.sort_by_modes`,
+    :func:`_canonical`, the semi-sparse canonicalisation, and the F-COO
+    encodings :meth:`SparseTensor.slice_order` does not cover (SpTTM's
+    several index modes, or a tensor its constructor did not sort).
     """
     if order is None:
         order = range(indices.shape[1])

@@ -1,15 +1,19 @@
 """Tests for repro.tensor.sparse.SparseTensor."""
 
+import copy
+import pickle
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import mode_roles
-from repro.tensor.sparse import SparseTensor, _lexsort_rows
+from repro.tensor.random import random_sparse_tensor
+from repro.tensor.sparse import SparseTensor, _drop_zeros, _lexsort_rows
 
 
 def make_simple():
@@ -252,7 +256,8 @@ def encode_with_raw_lexsort(tensor, operation, mode):
     idx = idx[perm]
     values = np.asarray(tensor.values)[perm].astype(np.float32)
     index_coords = idx[:, list(roles.index_modes)]
-    bf = np.concatenate(([True], np.any(index_coords[1:] != index_coords[:-1], axis=1)))
+    first = np.ones(min(tensor.nnz, 1), dtype=bool)  # none when empty
+    bf = np.concatenate((first, np.any(index_coords[1:] != index_coords[:-1], axis=1)))
     return {
         "product_indices": idx[:, list(roles.product_modes)].astype(np.uint32),
         "values": values,
@@ -260,6 +265,18 @@ def encode_with_raw_lexsort(tensor, operation, mode):
         "segment_ids": np.cumsum(bf, dtype=np.int64) - 1,
         "segment_index_coords": index_coords[bf].astype(np.int64),
     }
+
+
+def assert_encodes_like_raw_lexsort(tensor, operation, mode):
+    """The encoding's five arrays equal the oracle's in dtype, C order and
+    bits."""
+    encoded = FCOOTensor.from_sparse(tensor, operation, mode)
+    for name, array in encode_with_raw_lexsort(tensor, operation, mode).items():
+        actual = getattr(encoded, name)
+        assert actual.dtype == array.dtype, name
+        assert actual.shape == array.shape, name
+        assert actual.flags.c_contiguous, name
+        assert actual.tobytes() == array.tobytes(), name
 
 
 class TestPackedSort:
@@ -289,13 +306,28 @@ class TestPackedSort:
         indices = few_distinct_indices(rng, HUGE_SHAPE, 300)
         tensor = SparseTensor(indices, rng.standard_normal(300), HUGE_SHAPE)
         for mode in range(tensor.order):
-            encoded = FCOOTensor.from_sparse(tensor, operation, mode)
-            expected = encode_with_raw_lexsort(tensor, operation, mode)
-            for name, array in expected.items():
-                actual = getattr(encoded, name)
-                assert actual.dtype == array.dtype, name
-                assert actual.flags.c_contiguous, name
-                np.testing.assert_array_equal(actual, array, err_msg=name)
+            assert_encodes_like_raw_lexsort(tensor, operation, mode)
+
+    @pytest.mark.parametrize("operation", ["spttm", "spmttkrp", "spttmc"])
+    def test_huge_shape_encodes_in_o_nnz_memory(self, operation):
+        # One buffer sized by a 2**31-row mode (a bincount over it, a dense
+        # lookup table) would take GiBs; 300 non-zeros need a few KiB.
+        rng = np.random.default_rng(1)
+        indices = few_distinct_indices(rng, HUGE_SHAPE, 300)
+        sorted_tensor = SparseTensor(indices, rng.standard_normal(300), HUGE_SHAPE)
+        shuffled = SparseTensor(
+            indices, rng.standard_normal(300), HUGE_SHAPE, sort=False, sum_duplicates=False
+        )
+        assert sorted_tensor._is_sorted and not shuffled._is_sorted
+        tracemalloc.start()
+        try:
+            for tensor in (sorted_tensor, shuffled):
+                for mode in range(tensor.order):
+                    FCOOTensor.from_sparse(tensor, operation, mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_sum_duplicates_keeps_sums_and_order(self):
         rng = np.random.default_rng(2)
@@ -309,3 +341,149 @@ class TestPackedSort:
         np.testing.assert_array_equal(np.asarray(tensor.indices), unique)
         np.testing.assert_array_equal(np.asarray(tensor.values), sums)
 
+
+# ---------------------------------------------------------------------- #
+# The recorded order, and the F-COO encode that reads it
+# ---------------------------------------------------------------------- #
+def raw_is_sorted(tensor):
+    """Canonical order by definition: the raw lexsort permutes nothing."""
+    perm = raw_lexsort(np.asarray(tensor.indices), range(tensor.order))
+    return np.array_equal(perm, np.arange(tensor.nnz))
+
+
+#: Mode sizes for the encode property: small ones, and the two either side
+#: of the 16-bit sort keys' limit.
+ENCODE_MODE_SIZES = [1, 2, 3, 5, 2**16, 2**16 + 1]
+LAYOUTS = ["default", "shuffled", "sort_by_modes"]
+FCOO_ARRAYS = ("product_indices", "values", "bf", "segment_ids", "segment_index_coords")
+
+
+def build_tensor(shape, nnz, seed, layout):
+    """A tensor of few distinct indices per mode in one of three orders:
+    ``default`` (the constructor sorts and sums), ``shuffled`` (duplicate
+    rows in random order, both constructor flags off) or ``sort_by_modes``
+    (the default tensor re-sorted by a random mode order)."""
+    rng = np.random.default_rng(seed)
+    indices = few_distinct_indices(rng, shape, nnz)
+    values = rng.standard_normal(nnz)
+    if layout == "shuffled":
+        perm = rng.permutation(nnz)
+        return SparseTensor(
+            indices[perm], values[perm], shape, sort=False, sum_duplicates=False
+        )
+    tensor = SparseTensor(indices, values, shape)
+    if layout == "sort_by_modes":
+        tensor = tensor.sort_by_modes(rng.permutation(len(shape)))
+    return tensor
+
+
+@st.composite
+def encode_cases(draw):
+    order = draw(st.integers(min_value=2, max_value=4))
+    shape = tuple(draw(st.sampled_from(ENCODE_MODE_SIZES)) for _ in range(order))
+    nnz = draw(st.integers(min_value=0, max_value=40))
+    return shape, nnz, draw(st.integers(0, 2**31 - 1)), draw(st.sampled_from(LAYOUTS))
+
+
+class TestFCOOEncodeOrder:
+    @given(encode_cases())
+    @example(((3, 4), 0, 0, "default"))
+    @example(((3, 4, 2), 0, 0, "shuffled"))
+    @example(((2**16 + 1, 3), 1, 0, "shuffled"))
+    @example(((2, 2**16, 3), 1, 0, "default"))
+    @example(((2**16, 3, 2**16 + 1), 40, 1, "default"))
+    @example(((2**16 + 1, 2, 2**16, 3), 40, 2, "shuffled"))
+    @example(((2**16, 2**16 + 1, 5), 40, 3, "sort_by_modes"))
+    def test_every_encode_equals_raw_lexsort(self, case):
+        tensor = build_tensor(*case)
+        for operation in ("spttm", "spmttkrp", "spttmc"):
+            for mode in range(tensor.order):
+                assert_encodes_like_raw_lexsort(tensor, operation, mode)
+
+    @pytest.mark.parametrize("operation", ["spmttkrp", "spttmc"])
+    def test_sorted_slice_encodes_never_lexsort(self, operation):
+        tensor = random_sparse_tensor((30, 20, 10, 5), 800, seed=3)
+        shuffled = build_tensor(tensor.shape, 800, 3, "shuffled")
+        for mode in range(tensor.order):
+            with mock.patch.object(np, "lexsort", wraps=np.lexsort) as spy:
+                FCOOTensor.from_sparse(tensor, operation, mode)
+            assert spy.call_count == 0
+            with mock.patch.object(np, "lexsort", wraps=np.lexsort) as spy:
+                FCOOTensor.from_sparse(shuffled, operation, mode)
+            assert spy.call_count == 1
+
+    def test_slice_order_sorts_16_bit_keys(self):
+        tensor = random_sparse_tensor((2**16, 2**16 + 1), 500, seed=4)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+            tensor.slice_order(0)
+            tensor.slice_order(1)
+        assert [c.args[0].dtype for c in spy.call_args_list] == [np.uint16, np.int64]
+        assert all(c.kwargs == {"kind": "stable"} for c in spy.call_args_list)
+
+
+class TestRecordedOrder:
+    SHAPE = (4, 3, 5)
+
+    def rows(self, seed=0):
+        rng = np.random.default_rng(seed)
+        indices = few_distinct_indices(rng, self.SHAPE, 60)
+        return indices, rng.standard_normal(60)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [{}, {"sort": True, "sum_duplicates": False}, {"sort": False, "sum_duplicates": True}],
+    )
+    def test_sorting_constructors_record_the_order(self, flags):
+        indices, values = self.rows()
+        tensor = SparseTensor(indices, values, self.SHAPE, **flags)
+        assert tensor._is_sorted
+        assert raw_is_sorted(tensor)
+
+    @pytest.mark.parametrize("presorted", [False, True])
+    def test_an_order_given_as_is_is_not_taken_as_sorted(self, presorted):
+        indices, values = self.rows()
+        if presorted:
+            perm = raw_lexsort(indices, range(3))
+            indices, values = indices[perm], values[perm]
+        tensor = SparseTensor(indices, values, self.SHAPE, sort=False, sum_duplicates=False)
+        assert raw_is_sorted(tensor) is presorted
+        assert tensor._is_sorted is False
+        for operation in ("spttm", "spmttkrp", "spttmc"):
+            for mode in range(tensor.order):
+                assert_encodes_like_raw_lexsort(tensor, operation, mode)
+
+    def test_other_construction_paths(self):
+        indices, values = self.rows()
+        tensor = SparseTensor(indices, values, self.SHAPE)
+        zeroed = SparseTensor(indices, np.where(indices[:, 0] == 0, 0.0, values), self.SHAPE)
+        recorded = {
+            "from_dense": (SparseTensor.from_dense(tensor.to_dense()), True),
+            "empty": (SparseTensor.empty(self.SHAPE), True),
+            "one non-zero": (
+                SparseTensor(indices[:1], values[:1], self.SHAPE, sort=False, sum_duplicates=False),
+                True,
+            ),
+            # Copies built with both flags off keep their order unrecorded,
+            # even when it happens to be canonical.
+            "sort_by_modes identity": (tensor.sort_by_modes((0, 1, 2)), False),
+            "sort_by_modes": (tensor.sort_by_modes((2, 0, 1)), False),
+            "_drop_zeros": (_drop_zeros(zeroed), False),
+        }
+        assert recorded["_drop_zeros"][0] is not zeroed
+        for name, (case, expected) in recorded.items():
+            assert case._is_sorted is expected, name
+            if expected:
+                assert raw_is_sorted(case), name
+
+    @pytest.mark.parametrize("layout", ["default", "shuffled"])
+    def test_copies_keep_the_order_and_encode_the_same(self, layout):
+        tensor = build_tensor(self.SHAPE, 60, 5, layout)
+        assert tensor._is_sorted is (layout == "default")
+        for clone in (copy.deepcopy(tensor), pickle.loads(pickle.dumps(tensor))):
+            assert clone._is_sorted is tensor._is_sorted
+            for operation in ("spttm", "spmttkrp", "spttmc"):
+                for mode in range(tensor.order):
+                    a = FCOOTensor.from_sparse(tensor, operation, mode)
+                    b = FCOOTensor.from_sparse(clone, operation, mode)
+                    for name in FCOO_ARRAYS:
+                        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
