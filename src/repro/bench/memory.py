@@ -26,10 +26,9 @@ from typing import List
 
 from repro.bench.storage import THREADLEN
 from repro.data.registry import DATASETS, DatasetSpec, load_dataset
-from repro.formats.coo import COOTensor
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
-from repro.formats.storage_cost import fcoo_storage_bytes
+from repro.formats.storage_cost import coo_storage_bytes, fcoo_storage_bytes
 from repro.gpusim.device import DeviceSpec, TITAN_X
 from repro.tensor.sparse import SparseTensor
 from repro.util.formatting import format_bytes, format_table
@@ -116,11 +115,11 @@ def spmttkrp_footprints(tensor: SparseTensor, rank: int) -> tuple:
     fcoo = FCOOTensor.from_sparse(tensor, OperationKind.SPMTTKRP, 0)
     unified_bytes = fcoo.storage_bytes(THREADLEN) + factor_bytes + output_bytes
 
-    coo = COOTensor.from_sparse(tensor, sort_mode=0, index_dtype=np.uint64)
+    coo_bytes = coo_storage_bytes(tensor.nnz, order, index_bytes=8)
     last_product = product_modes[-1]
     intermediate_fibers = tensor.num_fibers(last_product)
     intermediate_bytes = intermediate_fibers * (rank * 4.0 + (order - 1) * 8.0)
-    parti_bytes = coo.storage_bytes() + factor_bytes + intermediate_bytes + output_bytes
+    parti_bytes = coo_bytes + factor_bytes + intermediate_bytes + output_bytes
     return unified_bytes, parti_bytes
 
 

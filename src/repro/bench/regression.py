@@ -395,7 +395,7 @@ def _slo_metrics() -> Dict[str, float]:
     Two zero-tolerance counts pin the tentpole properties:
 
     * ``slo/preempted_identity_violation_count`` — every job the deadline
-      policy completed (preempted-and-resumed victims included) must be
+      policy completed (preempted and re-dispatched victims included) must be
       ``np.array_equal`` to its twin from the preemption-free priority
       run.  Preemption moves work in *time*, never in *value*.
     * ``slo/deadline_unsound_count`` — the deadline policy's miss rate
@@ -404,8 +404,8 @@ def _slo_metrics() -> Dict[str, float]:
 
     The remaining metrics track the economics with the ordinary ratio
     tolerance: miss rates per policy, the SLO-grade p99.9 latency, the
-    modeled preemption overhead (victims' resume latency + factor
-    re-stages), and the deadline run's makespan.
+    modeled preemption overhead (victims' delay from preemption to
+    re-dispatch), and the deadline run's makespan.
     """
     import numpy as np
 

@@ -56,7 +56,7 @@ def run_serving(
         streamed).
     policy:
         ``"priority"``, ``"fifo"`` or ``"deadline"`` (earliest deadline
-        first with chunk-boundary preemption of batch jobs).
+        first, preempting batch jobs that have not started computing).
     nodes:
         Multi-node serving mode: with ``nodes >= 2`` the engine runs on
         :func:`~repro.serve.workload.default_multinode_serving_cluster`

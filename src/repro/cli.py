@@ -204,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "queueing policy for the serve experiment (default priority); "
             "'deadline' serves earliest-deadline-first and preempts batch "
-            "jobs at streamed chunk boundaries to meet latency SLOs"
+            "jobs that have not started computing to meet latency SLOs"
         ),
     )
     parser.add_argument(

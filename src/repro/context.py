@@ -50,7 +50,8 @@ class SLO:
         Priority class, lower is more urgent (matches ``Job.priority``).
     preemptible:
         Whether the scheduler's deadline-aware policy may preempt this
-        job at a chunk boundary to make room for a latency-class job.
+        job before it starts computing to make room for a latency-class
+        job.
         Latency-class jobs default to non-preemptible.
     """
 

@@ -126,36 +126,6 @@ class CpuCounters:
         """Total DRAM traffic."""
         return self.mem_read_bytes + self.mem_write_bytes
 
-    def merge(self, other: "CpuCounters") -> "CpuCounters":
-        """Sequentially compose two ledgers (work adds, imbalance maxes)."""
-        total_self = self.flops + self.mem_total_bytes
-        total_other = other.flops + other.mem_total_bytes
-        total = total_self + total_other
-        if total > 0:
-            par = (
-                self.parallel_fraction * total_self + other.parallel_fraction * total_other
-            ) / total
-        else:
-            par = 1.0
-        used = None
-        if self.used_threads is not None or other.used_threads is not None:
-            used = min(
-                self.used_threads if self.used_threads is not None else 10**9,
-                other.used_threads if other.used_threads is not None else 10**9,
-            )
-        return CpuCounters(
-            flops=self.flops + other.flops,
-            scalar_ops=self.scalar_ops + other.scalar_ops,
-            mem_read_bytes=self.mem_read_bytes + other.mem_read_bytes,
-            mem_write_bytes=self.mem_write_bytes + other.mem_write_bytes,
-            parallel_fraction=par,
-            imbalance_factor=max(self.imbalance_factor, other.imbalance_factor),
-            used_threads=used,
-        )
-
-    def __add__(self, other: "CpuCounters") -> "CpuCounters":
-        return self.merge(other)
-
 
 def estimate_cpu_time(
     counters: CpuCounters,

@@ -55,11 +55,6 @@ class DatasetSpec:
         """Tensor order."""
         return len(self.paper_shape)
 
-    @property
-    def nnz_scale(self) -> float:
-        """Ratio of the analog's non-zero count to the paper's (lazy: builds the analog)."""
-        return load_dataset(self.name).nnz / self.paper_nnz
-
 
 #: The four tensors of Table IV in the order the paper's figures use.
 DATASETS: Dict[str, DatasetSpec] = {

@@ -14,7 +14,7 @@ discussion and evaluation:
   Li et al. for semi-sparse tensors (SpTTM outputs and the intermediate
   tensor of the two-step MTTKRP, Figure 3a).
 * :mod:`~repro.formats.storage_cost` — the analytic byte-cost model of
-  Table II plus measured sizes of the in-memory structures.
+  Table II.
 * :mod:`~repro.formats.mode_encoding` — the operation/mode classification of
   Table I (product modes, index modes, sparse/dense modes of the result).
 """
@@ -28,13 +28,7 @@ from repro.formats.coo import COOTensor
 from repro.formats.fcoo import FCOOChunk, FCOOTensor
 from repro.formats.csf import CSFTensor
 from repro.formats.semisparse import SemiSparseTensor
-from repro.formats.storage_cost import (
-    coo_storage_bytes,
-    fcoo_storage_bytes,
-    csf_storage_bytes,
-    StorageReport,
-    storage_report,
-)
+from repro.formats.storage_cost import coo_storage_bytes, fcoo_storage_bytes
 
 __all__ = [
     "OperationKind",
@@ -47,7 +41,4 @@ __all__ = [
     "SemiSparseTensor",
     "coo_storage_bytes",
     "fcoo_storage_bytes",
-    "csf_storage_bytes",
-    "StorageReport",
-    "storage_report",
 ]

@@ -68,7 +68,9 @@ class COOTensor:
 
         The non-zeros are sorted lexicographically with ``sort_mode`` as the
         primary key and the remaining modes (in increasing order) as
-        secondary keys — the ordering ParTI assumes.
+        secondary keys — the ordering ParTI assumes.  That order is
+        :meth:`SparseTensor.slice_order`; each column is gathered through it,
+        without a sorted copy of the tensor.
         """
         sort_mode = check_mode(sort_mode, tensor.order)
         index_dtype = np.dtype(index_dtype)
@@ -78,13 +80,10 @@ class COOTensor:
                 raise ValueError(
                     f"mode of size {dim} does not fit in index dtype {index_dtype}"
                 )
-        mode_order = [sort_mode] + [m for m in range(tensor.order) if m != sort_mode]
-        sorted_tensor = tensor.sort_by_modes(mode_order)
-        idx = np.asarray(sorted_tensor.indices)
-        arrays = tuple(
-            np.ascontiguousarray(idx[:, m].astype(index_dtype)) for m in range(tensor.order)
-        )
-        values = np.ascontiguousarray(np.asarray(sorted_tensor.values).astype(value_dtype))
+        perm = tensor.slice_order(sort_mode)
+        idx = np.asarray(tensor.indices)
+        arrays = tuple(np.take(idx[:, m], perm).astype(index_dtype) for m in range(tensor.order))
+        values = np.asarray(tensor.values)[perm].astype(value_dtype)
         return cls(
             shape=tensor.shape,
             mode_index_arrays=arrays,

@@ -39,7 +39,6 @@ over the modes packed into as few int64 keys as fit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -57,8 +56,8 @@ class _NonZeroStream:
 
     Both are sized and split the same way.  A span cut from either is O(1)
     to make: its statistics come from the encoding's segment ids at the
-    span's two ends, and no array is copied until a chunk's ``tensor`` is
-    read.  Subclasses provide ``nnz`` and :meth:`_position`.
+    span's two ends, and no array is copied.  Subclasses provide ``nnz``
+    and :meth:`_position`.
     """
 
     def _position(self) -> Tuple["FCOOTensor", int]:
@@ -188,8 +187,7 @@ class FCOOChunk(_NonZeroStream):
     execution path and by the shard partitioners; a chunk can be chunked
     again (a streamed shard).  Its statistics are O(1) reads of the
     encoding it lies in, and the cost model prices it from them and from
-    the encoding's index columns over the span; its own
-    :class:`FCOOTensor` is built only when :attr:`tensor` is read.
+    the encoding's index columns over the span.
 
     Attributes
     ----------
@@ -229,35 +227,6 @@ class FCOOChunk(_NonZeroStream):
 
     def _position(self) -> Tuple["FCOOTensor", int]:
         return self.source, self.source_start
-
-    @cached_property
-    def tensor(self) -> "FCOOTensor":
-        """The chunk's own F-COO encoding, built on first read.
-
-        Its bit-flag's first entry is forced on, opening a *local* segment,
-        and its ``segment_index_coords`` are the source's scatter
-        coordinates of its local segments, so a chunk can be executed by
-        the unchanged one-shot kernels.
-        """
-        source, lo = self.source, self.source_start
-        hi = lo + self.nnz
-        bf = source.bf[lo:hi].copy()
-        if hi > lo:
-            bf[0] = True
-        first = int(source.segment_ids[lo]) if hi > lo else 0
-        return FCOOTensor(
-            roles=source.roles,
-            shape=source.shape,
-            product_indices=source.product_indices[lo:hi],
-            values=source.values[lo:hi],
-            bf=bf,
-            segment_ids=np.cumsum(bf, dtype=np.int64) - 1,
-            segment_index_coords=source.segment_index_coords[
-                first : first + self.num_segments
-            ],
-            index_dtype=source.index_dtype,
-            value_dtype=source.value_dtype,
-        )
 
 
 @dataclass(frozen=True)
@@ -432,46 +401,6 @@ class FCOOTensor(_NonZeroStream):
         return np.bincount(self.segment_ids, minlength=self.num_segments).astype(np.int64)
 
     # ------------------------------------------------------------------ #
-    # Partitioning / start flags
-    # ------------------------------------------------------------------ #
-    def start_flags(self, threadlen: int) -> np.ndarray:
-        """The ``sf`` (start-flag) array for a given ``threadlen``.
-
-        ``sf[t]`` is ``True`` when partition ``t`` begins with a non-zero
-        that starts a new segment, i.e. the partition does not need to merge
-        a partial sum carried over from partition ``t - 1``.  Partition 0 is
-        always flagged (paper Figure 2 caption).
-        """
-        threadlen = check_positive_int(threadlen, "threadlen")
-        n_parts = self.num_partitions(threadlen)
-        if n_parts == 0:
-            return np.zeros(0, dtype=bool)
-        starts = np.arange(n_parts, dtype=np.int64) * threadlen
-        sf = self.bf[starts].copy()
-        sf[0] = True
-        return sf
-
-    def partition_spans_segments(self, threadlen: int) -> np.ndarray:
-        """Number of distinct segments touched by each partition.
-
-        Used by the GPU cost model: a partition touching many segments emits
-        more partial results into the segmented-scan stage.
-        """
-        threadlen = check_positive_int(threadlen, "threadlen")
-        n_parts = self.num_partitions(threadlen)
-        out = np.zeros(n_parts, dtype=np.int64)
-        if n_parts == 0:
-            return out
-        part_of_nnz = np.arange(self.nnz, dtype=np.int64) // threadlen
-        # Segment boundaries within each partition = bf flags set past the
-        # first element, plus one for the segment carried into the partition.
-        np.add.at(out, part_of_nnz[self.bf], 1)
-        first_nnz = np.arange(n_parts, dtype=np.int64) * threadlen
-        carried = ~self.bf[first_nnz]
-        out += carried.astype(np.int64)
-        return out
-
-    # ------------------------------------------------------------------ #
     # Storage accounting
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -501,10 +430,6 @@ class FCOOTensor(_NonZeroStream):
             n_parts = -(-nnz // check_positive_int(threadlen, "threadlen"))
             bytes_total += -(-n_parts // 8)
         return int(bytes_total)
-
-    def packed_bit_flags(self) -> np.ndarray:
-        """The bit-flag array packed 8 flags per byte (as stored on the GPU)."""
-        return np.packbits(self.bf.astype(np.uint8))
 
     # ------------------------------------------------------------------ #
     # Round trip (verification)

@@ -77,22 +77,6 @@ class ModeRoles:
     product_modes: Tuple[int, ...]
     index_modes: Tuple[int, ...]
 
-    @property
-    def result_dense_modes(self) -> Tuple[int, ...]:
-        """Modes of the *result* that are dense.
-
-        For SpTTM the product mode of the output becomes dense (each
-        non-empty fiber fills up with R values); for SpMTTKRP/SpTTMc the
-        product modes collapse into the dense column dimension(s) of the
-        output matrix (Table I, last column).
-        """
-        return self.product_modes
-
-    @property
-    def result_sparse_modes(self) -> Tuple[int, ...]:
-        """Modes of the result that keep the input's sparsity pattern."""
-        return self.index_modes
-
 
 def mode_roles(operation: "OperationKind | str", mode: int, order: int) -> ModeRoles:
     """Classify tensor modes for ``operation`` targeting ``mode`` (Table I).

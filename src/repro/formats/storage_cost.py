@@ -1,4 +1,4 @@
-"""Analytic storage-cost models (paper Table II) and measured sizes.
+"""Analytic storage-cost models (paper Table II).
 
 Table II of the paper reports the per-non-zero storage cost of a third-order
 tensor in COO versus F-COO, assuming 32-bit integer indices and
@@ -20,19 +20,12 @@ Table II benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.formats.mode_encoding import OperationKind, mode_roles
 from repro.util.validation import check_positive_int
 
-__all__ = [
-    "coo_storage_bytes",
-    "fcoo_storage_bytes",
-    "csf_storage_bytes",
-    "StorageReport",
-    "storage_report",
-]
+__all__ = ["coo_storage_bytes", "fcoo_storage_bytes"]
 
 #: Byte widths assumed by the paper's Table II.
 DEFAULT_INDEX_BYTES = 4
@@ -81,93 +74,3 @@ def fcoo_storage_bytes(
         threadlen = check_positive_int(threadlen, "threadlen")
         per_nnz += 1.0 / (8.0 * threadlen)
     return float(nnz) * per_nnz
-
-
-def csf_storage_bytes(
-    nnz: int,
-    level_sizes: "list[int] | tuple[int, ...]",
-    *,
-    index_bytes: int = DEFAULT_INDEX_BYTES,
-    value_bytes: int = DEFAULT_VALUE_BYTES,
-) -> float:
-    """Bytes needed by a CSF tree with the given per-level node counts.
-
-    ``level_sizes[-1]`` must equal ``nnz`` (the leaves).  Each level stores
-    its node indices; each non-leaf level additionally stores a pointer array
-    with one extra sentinel entry.
-    """
-    if not level_sizes:
-        raise ValueError("level_sizes must not be empty")
-    if level_sizes[-1] != nnz:
-        raise ValueError(
-            f"the last level must have one node per non-zero ({nnz}), got {level_sizes[-1]}"
-        )
-    total = float(nnz) * value_bytes
-    for size in level_sizes:
-        total += float(size) * index_bytes
-    for size in level_sizes[:-1]:
-        total += float(size + 1) * index_bytes
-    return total
-
-
-@dataclass(frozen=True)
-class StorageReport:
-    """Side-by-side storage comparison for one tensor and one operation.
-
-    Produced by :func:`storage_report`; rendered as one row of the Table II
-    reproduction.
-    """
-
-    operation: OperationKind
-    mode: int
-    nnz: int
-    order: int
-    threadlen: Optional[int]
-    coo_bytes: float
-    fcoo_bytes: float
-
-    @property
-    def coo_bytes_per_nnz(self) -> float:
-        """COO bytes divided by nnz (the paper reports this coefficient)."""
-        return self.coo_bytes / self.nnz if self.nnz else 0.0
-
-    @property
-    def fcoo_bytes_per_nnz(self) -> float:
-        """F-COO bytes divided by nnz."""
-        return self.fcoo_bytes / self.nnz if self.nnz else 0.0
-
-    @property
-    def reduction_factor(self) -> float:
-        """How many times smaller F-COO is than COO."""
-        return self.coo_bytes / self.fcoo_bytes if self.fcoo_bytes else float("inf")
-
-
-def storage_report(
-    nnz: int,
-    order: int,
-    operation: Union[OperationKind, str],
-    mode: int,
-    *,
-    threadlen: Optional[int] = None,
-    index_bytes: int = DEFAULT_INDEX_BYTES,
-    value_bytes: int = DEFAULT_VALUE_BYTES,
-) -> StorageReport:
-    """Build a :class:`StorageReport` comparing COO and F-COO for one case."""
-    op = OperationKind.coerce(operation)
-    return StorageReport(
-        operation=op,
-        mode=mode,
-        nnz=nnz,
-        order=order,
-        threadlen=threadlen,
-        coo_bytes=coo_storage_bytes(nnz, order, index_bytes=index_bytes, value_bytes=value_bytes),
-        fcoo_bytes=fcoo_storage_bytes(
-            nnz,
-            order,
-            op,
-            mode,
-            threadlen=threadlen,
-            index_bytes=index_bytes,
-            value_bytes=value_bytes,
-        ),
-    )

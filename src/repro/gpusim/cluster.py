@@ -373,11 +373,6 @@ class ClusterSpec:
         return max(d.global_mem_bytes for d in self.devices)
 
     @property
-    def total_memory_bytes(self) -> int:
-        """Aggregate device memory across every node."""
-        return sum(d.global_mem_bytes for d in self.devices)
-
-    @property
     def is_homogeneous(self) -> bool:
         """Whether every member device (across all nodes) is identical."""
         return all(d == self.devices[0] for d in self.devices[1:])

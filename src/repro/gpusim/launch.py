@@ -77,11 +77,6 @@ class LaunchConfig:
         """Total threads launched."""
         return self.num_blocks * self.block_size
 
-    @property
-    def nnz_capacity(self) -> int:
-        """Non-zeros covered along the x dimension (``grid_x·block_size·threadlen``)."""
-        return self.grid_x * self.block_size * self.threadlen
-
     def validate_against(self, device: DeviceSpec) -> None:
         """Raise if this launch exceeds the device's per-block limits."""
         if self.block_size > device.max_threads_per_block:

@@ -111,7 +111,7 @@ class SimClock:
 #: appears on a booking — queueing delay is derived per booking from
 #: ``start - ready`` (see :attr:`Booking.wait_s`) — but it is a phase of
 #: the attribution output, so it is part of the closed vocabulary.
-SPAN_PHASES = ("stage", "compute", "collective", "nic_wait", "resume", "recovery")
+SPAN_PHASES = ("stage", "compute", "collective", "nic_wait", "recovery")
 
 
 @dataclass(frozen=True)
@@ -282,16 +282,6 @@ class Resource:
         if len(tail) != len(bookings):
             return False
         return {id(b) for b in bookings} == {id(b) for b in tail}
-
-    @property
-    def wait_time(self) -> float:
-        """Accumulated queueing delay across this resource's bookings.
-
-        The per-resource congestion signal: seconds work spent ready but
-        blocked behind earlier bookings (``start - ready`` summed over
-        bookings).  Service time is :attr:`busy_s`; the two never mix.
-        """
-        return self.wait_s
 
     def utilization(self, makespan_s: Optional[float] = None) -> float:
         """Busy fraction of ``makespan_s`` (the timeline's by default).
@@ -482,10 +472,10 @@ class Timeline:
     def truncate(self, booking: Booking, end_s: float) -> Booking:
         """Shorten an in-flight tail booking to end at ``end_s``.
 
-        The chunk-boundary half of preemption: a streamed job's compute
-        booking that straddles the preemption instant is cut at the first
-        chunk boundary past it; the work before the cut stands, the rest
-        is given back.  ``booking`` must be the newest booking on its
+        The in-flight half of preemption: a staging booking that straddles
+        the preemption instant is cut there; the bytes shipped before the
+        cut stand, the rest is given back.  ``booking`` must be the newest
+        booking on its
         resource and ``end_s`` must fall inside it.  Returns the shortened
         replacement :class:`Booking` (the original is dropped from the
         trace).

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.formats.coo import COOTensor
+from repro.formats.storage_cost import coo_storage_bytes
 from repro.gpusim.atomics import atomic_cost_ops
 from repro.gpusim.counters import KernelCounters
 from repro.gpusim.device import DeviceSpec, TITAN_X
@@ -116,7 +116,7 @@ def parti_gpu_spttm(
     counters.imbalance_factor = float(imbalance * rank_penalty)
 
     footprint = (
-        COOTensor.from_sparse(tensor, sort_mode=mode).storage_bytes()
+        coo_storage_bytes(tensor.nnz, tensor.order)
         + matrix.shape[0] * rank * 4.0
         + output.storage_bytes()
     )
@@ -167,7 +167,7 @@ def parti_gpu_spmttkrp(
     # ParTI uses 64-bit index types on the GPU (its linearised fiber indices
     # overflow 32 bits on the large tensors), which is part of why its
     # footprint exceeds device memory on nell1/delicious (Figure 9).
-    coo = COOTensor.from_sparse(tensor, sort_mode=mode, index_dtype=np.uint64)
+    coo_bytes = coo_storage_bytes(nnz, order, index_bytes=8)
 
     # ------------------------------------------------------------------ #
     # Footprint / OOM check first: COO + factors + intermediate + output.
@@ -177,7 +177,7 @@ def parti_gpu_spmttkrp(
     intermediate_bytes = intermediate_fibers * (rank * 4.0 + (order - 1) * 8.0)
     factor_bytes = sum(tensor.shape[m] * rank * 4.0 for m in product_modes)
     output_bytes = tensor.shape[mode] * rank * 4.0
-    footprint = coo.storage_bytes() + factor_bytes + intermediate_bytes + output_bytes
+    footprint = coo_bytes + factor_bytes + intermediate_bytes + output_bytes
     check_device_fit(footprint, device, what=f"ParTI-GPU SpMTTKRP on mode {mode}")
 
     # ------------------------------------------------------------------ #

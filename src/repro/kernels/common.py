@@ -18,7 +18,6 @@ __all__ = [
     "warp_group_imbalance",
     "chunked_imbalance",
     "validate_factor",
-    "as_float32_matrix",
 ]
 
 Profile = Union[KernelProfile, CpuProfile]
@@ -129,8 +128,3 @@ def validate_factor(matrix: np.ndarray, expected_rows: int, name: str) -> np.nda
             f"got {matrix.shape[0]}"
         )
     return matrix
-
-
-def as_float32_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Device-resident copy of a factor matrix (single precision, contiguous)."""
-    return np.ascontiguousarray(np.asarray(matrix, dtype=np.float32))

@@ -49,7 +49,6 @@ from repro.kernels.unified.streaming import (
     ChunkLedger,
     StreamedExecution,
     choose_chunk_nnz,
-    execute_streamed,
 )
 from repro.kernels.unified.sharded import (
     ShardLedger,
@@ -67,7 +66,6 @@ __all__ = [
     "ChunkLedger",
     "StreamedExecution",
     "choose_chunk_nnz",
-    "execute_streamed",
     "ShardLedger",
     "ShardedExecution",
     "execute_sharded",

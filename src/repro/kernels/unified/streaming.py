@@ -9,17 +9,17 @@ overlaps each partition's copy with the previous partition's kernel
 * :func:`choose_chunk_nnz` sizes the partitions so that ``num_streams``
   in-flight chunk buffers plus the resident operands (factor matrices and
   the output) fit in device memory;
-* :func:`execute_streamed` models a kernel over the
-  :meth:`~repro.formats.fcoo.FCOOTensor.chunk` partitioning: it prices each
-  chunk (a span of the encoding, with no tensor of its own) with a
-  kernel-specific callable, resolves the transfer/compute pipeline over
-  the device's copy and compute engines with
-  :func:`repro.gpusim.timeline.schedule_chunks`, and assembles a
-  :class:`~repro.gpusim.counters.KernelProfile` whose estimated time charges
-  ``max(transfer, compute)`` per pipelined chunk instead of their sum.  It
-  is :func:`chunk_stream`, which depends on the ``threadlen`` but not on
-  the ``BLOCK_SIZE``, then :func:`price_chunks`, so a launch sweep can
-  chunk each stream once per ``threadlen``.
+* :func:`chunk_stream` splits the stream into the
+  :meth:`~repro.formats.fcoo.FCOOTensor.chunk` partitioning (spans of the
+  encoding, with no tensor of their own).  It depends on the
+  ``threadlen`` but not on the ``BLOCK_SIZE``, so a launch sweep chunks
+  each stream once per ``threadlen``;
+* :func:`price_chunks` prices each chunk with a kernel-specific callable,
+  resolves the transfer/compute pipeline over the device's copy and
+  compute engines with :func:`repro.gpusim.timeline.schedule_chunks`, and
+  assembles a :class:`~repro.gpusim.counters.KernelProfile` whose
+  estimated time charges ``max(transfer, compute)`` per pipelined chunk
+  instead of their sum.
 
 The driver models time and memory only.  The numbers come from one
 canonical pass over the whole encoding
@@ -47,7 +47,6 @@ __all__ = [
     "StreamedExecution",
     "choose_chunk_nnz",
     "chunk_stream",
-    "execute_streamed",
     "price_chunks",
     "should_stream",
 ]
@@ -140,26 +139,6 @@ class StreamedExecution:
         return len(self.chunks)
 
     @property
-    def total_time_s(self) -> float:
-        """Pipelined makespan (what the kernel profile reports)."""
-        return self.schedule.total_time_s
-
-    @property
-    def transfer_time_s(self) -> float:
-        """Total unoverlapped transfer seconds."""
-        return self.schedule.transfer_time_s
-
-    @property
-    def compute_time_s(self) -> float:
-        """Total unoverlapped compute seconds."""
-        return self.schedule.compute_time_s
-
-    @property
-    def transfer_bytes(self) -> float:
-        """Total host-to-device bytes streamed."""
-        return sum(c.transfer_bytes for c in self.chunks)
-
-    @property
     def overlap_efficiency(self) -> float:
         """Fraction of the ideal overlap saving achieved (0..1)."""
         return self.schedule.overlap_efficiency
@@ -226,8 +205,15 @@ def chunk_stream(
     resident_bytes: float = 0.0,
     name: str = "unified-streamed",
 ) -> StreamChunking:
-    """The chunks :func:`execute_streamed` prices, from its arguments;
-    raises :class:`OutOfDeviceMemory` when they do not fit the device."""
+    """Split ``fcoo`` into the chunks a streamed kernel pipelines.
+
+    ``chunk_nnz=None`` sizes chunks automatically with
+    :func:`choose_chunk_nnz` (``num_streams`` buffers next to the
+    ``resident_bytes`` of factors and output); an explicit value must be at
+    least ``threadlen`` and is rounded down to a ``threadlen`` multiple.
+    Raises :class:`OutOfDeviceMemory` when the chunks do not fit the
+    device.
+    """
     num_streams = check_positive_int(num_streams, "num_streams")
     if chunk_nnz is None:
         chunk_nnz = choose_chunk_nnz(
@@ -259,53 +245,6 @@ def chunk_stream(
     return StreamChunking(num_streams, chunk_nnz, threadlen, chunks, chunk_bytes, footprint)
 
 
-def execute_streamed(
-    fcoo: Stream,
-    chunk_model: ChunkModel,
-    *,
-    device: DeviceSpec,
-    threadlen: int,
-    num_streams: int = 2,
-    chunk_nnz: Optional[int] = None,
-    resident_bytes: float = 0.0,
-    name: str = "unified-streamed",
-) -> KernelProfile:
-    """Model a unified kernel executed chunk-by-chunk through PCIe.
-
-    Parameters
-    ----------
-    fcoo:
-        The full (host-resident) F-COO encoding, or a span of one.
-    chunk_model:
-        Kernel-specific callable; see :data:`ChunkModel`.
-    device / threadlen / num_streams / chunk_nnz:
-        Streaming configuration.  ``chunk_nnz=None`` sizes chunks
-        automatically with :func:`choose_chunk_nnz`; an explicit value must
-        be at least ``threadlen`` and is rounded down to a ``threadlen``
-        multiple.
-    resident_bytes:
-        Device bytes held for the whole execution (factors + output).
-    name:
-        Profile name; ``-streamed`` is appended.
-
-    Returns
-    -------
-    KernelProfile
-        The pipelined profile; ``profile.streaming`` carries the
-        :class:`StreamedExecution` ledger.
-    """
-    chunking = chunk_stream(
-        fcoo,
-        device=device,
-        threadlen=threadlen,
-        num_streams=num_streams,
-        chunk_nnz=chunk_nnz,
-        resident_bytes=resident_bytes,
-        name=name,
-    )
-    return price_chunks(chunking, chunk_model, device=device, name=name)
-
-
 def price_chunks(
     chunking: StreamChunking,
     chunk_model: ChunkModel,
@@ -314,7 +253,9 @@ def price_chunks(
     name: str = "unified-streamed",
 ) -> KernelProfile:
     """The pipelined profile of ``chunking``'s chunks, each priced with
-    ``chunk_model``; see :func:`execute_streamed`."""
+    ``chunk_model`` (see :data:`ChunkModel`); ``name`` gets ``-streamed``
+    appended, and ``profile.streaming`` carries the
+    :class:`StreamedExecution` ledger."""
     ledgers: List[ChunkLedger] = []
     timings: List[ChunkTiming] = []
 

@@ -6,9 +6,9 @@ naming the job, kernel, and phase that incurred it.  This module answers
 the two attribution questions an operator asks of a run:
 
 * **per job**: how many resource-seconds did job X spend staging,
-  computing, in collectives, resuming after preemption, or recovering
-  after a node loss — and how long did its collectives queue behind
-  other tenants' traffic (``nic_wait_s``)?
+  computing, in collectives, or recovering after a node loss — and how
+  long did its collectives queue behind other tenants' traffic
+  (``nic_wait_s``)?
 * **per resource**: of a resource's booked busy seconds, how many are
   attributed to some job's span?  A *gap* (busy seconds no span claims)
   means a layer forgot to tag its bookings — the benchmark regression
@@ -45,7 +45,6 @@ class JobCost:
     stage_s: float = 0.0
     compute_s: float = 0.0
     collective_s: float = 0.0
-    resume_s: float = 0.0
     recovery_s: float = 0.0
     #: Queueing delay of this job's collectives (seconds the gang spent
     #: ready but blocked behind other traffic on its links/NICs), counted
@@ -55,18 +54,7 @@ class JobCost:
     @property
     def busy_s(self) -> float:
         """Total attributed resource-seconds across all phases."""
-        return (
-            self.stage_s
-            + self.compute_s
-            + self.collective_s
-            + self.resume_s
-            + self.recovery_s
-        )
-
-    @property
-    def preemption_overhead_s(self) -> float:
-        """Resource-seconds spent re-establishing state after interruption."""
-        return self.resume_s + self.recovery_s
+        return self.stage_s + self.compute_s + self.collective_s + self.recovery_s
 
 
 @dataclass
@@ -116,7 +104,6 @@ class Attribution:
             "stage": 0.0,
             "compute": 0.0,
             "collective": 0.0,
-            "resume": 0.0,
             "recovery": 0.0,
             "nic_wait": 0.0,
         }
@@ -124,7 +111,6 @@ class Attribution:
             totals["stage"] += job.stage_s
             totals["compute"] += job.compute_s
             totals["collective"] += job.collective_s
-            totals["resume"] += job.resume_s
             totals["recovery"] += job.recovery_s
             totals["nic_wait"] += job.nic_wait_s
         return totals
@@ -187,8 +173,6 @@ def attribute(timeline: "Timeline") -> Attribution:
                 job.stage_s += booking.duration_s
             elif span.phase == "collective":
                 job.collective_s += booking.duration_s
-            elif span.phase == "resume":
-                job.resume_s += booking.duration_s
             elif span.phase == "recovery":
                 job.recovery_s += booking.duration_s
             else:  # "compute" and untagged-phase spans: the default bucket

@@ -29,7 +29,7 @@ from typing import Dict, List, Tuple
 __all__ = ["EVENT_SCHEMA_VERSION", "EVENT_KINDS", "Event", "EventLog"]
 
 #: Bump when a line's layout changes incompatibly.
-EVENT_SCHEMA_VERSION = 1
+EVENT_SCHEMA_VERSION = 2
 
 #: The closed vocabulary of event kinds the scheduler emits.
 EVENT_KINDS = (
@@ -38,7 +38,6 @@ EVENT_KINDS = (
     "dispatch",  # job placed and committed onto device resources
     "complete",  # job's committed work finished
     "preempt",  # victim released/truncated for a latency job
-    "resume",  # preempted victim re-booked from its ledger
     "node_failure",  # chaos: a node was lost
     "node_recovery",  # cluster re-formed on the survivors
     "requeue",  # in-flight victim of a failure re-admitted

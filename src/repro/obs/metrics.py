@@ -10,8 +10,8 @@ Unlike a production metrics client, nothing here reads a wall clock:
 every recorded value is either an event count or *simulated* seconds from
 the :mod:`repro.gpusim.timeline` engine.  That makes the whole registry
 deterministic — two runs with the same seed produce byte-identical
-Prometheus text and JSON exports, which is what lets the benchmark
-regression gate diff telemetry like any other modeled metric:
+Prometheus text, which is what lets the benchmark regression gate diff
+telemetry like any other modeled metric:
 
 * metric families render in registration order (the program's publish
   order, which is deterministic);
@@ -28,7 +28,6 @@ deliberately minimal — no timestamps, no exemplars.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -132,9 +131,6 @@ class Counter(_Metric):
         for key in sorted(self._values):
             yield self.name + _render_labels(key), _format_value(self._values[key])
 
-    def _json_value(self) -> object:
-        return {_render_labels(key) or "": self._values[key] for key in sorted(self._values)}
-
 
 class Gauge(_Metric):
     """A point-in-time value (active devices, queue depth, utilization)."""
@@ -156,9 +152,6 @@ class Gauge(_Metric):
     def _samples(self) -> Iterable[Tuple[str, str]]:
         for key in sorted(self._values):
             yield self.name + _render_labels(key), _format_value(self._values[key])
-
-    def _json_value(self) -> object:
-        return {_render_labels(key) or "": self._values[key] for key in sorted(self._values)}
 
 
 class Histogram(_Metric):
@@ -228,17 +221,6 @@ class Histogram(_Metric):
             )
             yield self.name + "_sum" + _render_labels(key), _format_value(self._sums[key])
             yield self.name + "_count" + _render_labels(key), str(cumulative)
-
-    def _json_value(self) -> object:
-        out: Dict[str, object] = {}
-        for key in sorted(self._counts):
-            out[_render_labels(key) or ""] = {
-                "buckets": list(self.buckets),
-                "counts": list(self._counts[key]),
-                "sum": self._sums[key],
-                "count": sum(self._counts[key]),
-            }
-        return out
 
 
 class MetricsRegistry:
@@ -319,27 +301,10 @@ class MetricsRegistry:
                 lines.append(f"{sample} {value}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def to_json(self) -> Dict[str, object]:
-        """The registry as one JSON-serialisable dict."""
-        return {
-            metric.name: {
-                "kind": metric.kind,
-                "help": metric.help,
-                "values": metric._json_value(),
-            }
-            for metric in self._metrics.values()
-        }
-
     def write_prometheus(self, path: str) -> None:
         """Write :meth:`to_prometheus` to ``path``."""
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.to_prometheus())
-
-    def write_json(self, path: str) -> None:
-        """Write :meth:`to_json` to ``path`` as JSON."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json(), handle, indent=1, sort_keys=False)
-            handle.write("\n")
 
 
 def observe_kernel(

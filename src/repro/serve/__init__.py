@@ -32,9 +32,10 @@ existing kernels, cluster model and decomposition drivers:
 The ``policy="deadline"`` scheduler adds SLO-driven serving: jobs carry an
 optional :class:`~repro.context.SLO` (deadline + priority + whether they
 may be preempted), earliest-deadline-first queueing, and preemption of
-batch jobs at a streamed chunk boundary — the victim's remaining bookings
-are released back to the :class:`~repro.gpusim.timeline.Resource` pool and
-the job later resumes from its released ledger, bit-identical.
+batch jobs that have not started computing — the victim's unstarted
+bookings are released back to the :class:`~repro.gpusim.timeline.Resource`
+pool (a staging in flight is cut at the preemption instant) and the job
+later re-dispatches from scratch, bit-identical.
 
 Scheduling, batching, caching and placement only ever move work in
 *time* — ``tests/test_serving.py`` proves every scheduled job's output is

@@ -128,11 +128,9 @@ class ServingReport:
 
     @property
     def preemption_overhead_s(self) -> float:
-        """Total modeled cost of preemption: every victim's resume latency
-        (cut point to resumed execution start) plus the factor re-stages."""
-        return sum(r.preempted_s for r in self.completed) + sum(
-            p.resume_stage_s for p in self.preemptions
-        )
+        """Total modeled cost of preemption: every completed victim's delay
+        from its (last) preemption to its re-dispatched staging start."""
+        return sum(r.preempted_s for r in self.completed)
 
     @property
     def mean_queue_wait_s(self) -> float:
@@ -461,7 +459,7 @@ def publish_serving_metrics(registry: MetricsRegistry, report: ServingReport) ->
     ).inc(report.batched_jobs)
     registry.counter(
         "repro_serve_preemptions_total",
-        "Chunk-boundary preemptions the deadline policy performed.",
+        "Preemptions of batch jobs that had not started computing.",
     ).inc(len(report.preemptions))
     registry.counter(
         "repro_serve_deadline_misses_total",

@@ -235,24 +235,26 @@ class JobResult:
         How many times the job was torn down by a node failure and
         re-admitted before this (final) run; 0 for an undisturbed job.
     preemptions:
-        How many times the deadline-aware policy preempted this job at a
-        chunk boundary and later resumed it; 0 for an undisturbed job.
+        How many times the deadline-aware policy preempted this job before
+        it started computing and later re-dispatched it; 0 for an
+        undisturbed job.
     preempted_s:
-        Modeled seconds between the (last) preemption and the resumed
-        execution start — the victim-side latency cost of preemption.
+        Modeled seconds between the (last) preemption and the
+        re-dispatched staging start — the victim-side latency cost of
+        preemption.
     compute_s:
         Busy seconds the job's ``compute``-phase bookings attributed on the
-        timeline (first-run kernel time; a resumed job's re-booked chunks
-        land in ``preemption_overhead_s`` instead).  Filled by the span
-        attribution fold after the run; 0 for rejected jobs.
+        timeline (kernel time, including any run a node loss later tore
+        down).  Filled by the span attribution fold after the run; 0 for
+        rejected jobs.
     nic_wait_s:
         Seconds the job's collectives queued behind other jobs' traffic on
         shared link/NIC resources (``start - queued_from`` of its
         collective bookings) — pure congestion, not transfer time.
     preemption_overhead_s:
-        Busy seconds of the job's ``resume`` and ``recovery`` phase
-        bookings: the re-staging and re-booked pipeline it paid because it
-        was preempted or torn off a failed node.
+        Busy seconds of the job's ``recovery`` phase bookings: the
+        re-staging it paid because it was torn off a failed node.  A
+        preempted job re-stages from scratch, which counts as ``stage``.
     """
 
     job: Job

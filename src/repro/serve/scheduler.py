@@ -24,17 +24,15 @@ deterministic simulated-time schedule:
 
 * **preemption** — under ``policy="deadline"``, a dispatched job that
   would miss its deadline may preempt one committed batch job
-  (preemptible, no deadline of its own) sharing its device slots: the
-  victim's not-yet-consumed timeline bookings are *released* back to the
-  resource pool (:meth:`~repro.gpusim.timeline.Timeline.release`), a
-  streamed victim's in-flight compute booking is *truncated* at the next
-  chunk boundary (:meth:`~repro.gpusim.timeline.Timeline.truncate` — the
-  streamed pipeline's natural checkpoint), and the victim re-queues with
-  a resume ledger: its already-computed output, its completed-chunk
-  count, and the remaining pipeline re-booked later under
-  ``resume:jobN`` labels (plus a factor re-stage).  Outputs are
-  bit-identical with or without preemption — the numeric result was
-  computed once and only *time* is replayed.
+  (preemptible, no deadline of its own) sharing its device slots, as long
+  as the victim has not started computing: its not-yet-started timeline
+  bookings are *released* back to the resource pool
+  (:meth:`~repro.gpusim.timeline.Timeline.release`), a staging booking in
+  flight is *truncated* at the preemption instant
+  (:meth:`~repro.gpusim.timeline.Timeline.truncate`), and the victim
+  re-queues to re-dispatch from scratch.  Outputs are bit-identical with
+  or without preemption — the numbers are computed once per run and only
+  *time* is replayed.
 
 * **dispatch** — a job is dispatched when a copy engine frees *and* the job
   is stage-ready, so its staging overlaps the predecessor's compute.
@@ -103,7 +101,6 @@ from repro.gpusim.timeline import (
     Timeline,
     device_compute_key,
     device_copy_key,
-    schedule_chunks,
 )
 from repro.gpusim.timing import OutOfDeviceMemory
 from repro.obs.attribution import Attribution, attribute
@@ -127,39 +124,17 @@ MAX_BATCH = 4
 
 @dataclass(frozen=True)
 class PreemptionRecord:
-    """One preemption: who was cut, by whom, where, and what it freed.
+    """One preemption: who was cut, by whom, when, and what it freed.
 
-    ``time_s`` is the *cut point* — the chunk boundary a streamed victim
-    was checkpointed at (or the preemption instant for a victim caught
-    before compute).  ``released_s`` is the busy time given back to the
-    resource pool, and ``resume_stage_s`` the factor re-staging the
-    victim pays when it resumes.
+    ``time_s`` is the preemption instant: the victim's staging (if in
+    flight) was cut there and everything later released.  ``released_s``
+    is the busy time given back to the resource pool.
     """
 
     job_id: int
     preempted_by: int
     time_s: float
-    completed_chunks: int
-    total_chunks: int
     released_s: float
-    resume_stage_s: float
-
-
-@dataclass(frozen=True)
-class _ResumeState:
-    """A preempted streamed job's resume ledger.
-
-    The output was already computed (numbers do not depend on the
-    placement), so resuming re-books only *time*: the remaining chunks'
-    pipeline on the original placement, plus a factor re-stage.
-    """
-
-    placement: Placement
-    outcome: ExecutionOutcome
-    completed_chunks: int
-    total_chunks: int
-    remaining_exec_s: float
-    resume_stage_s: float
 
 
 @dataclass(eq=False)
@@ -177,12 +152,10 @@ class _ReadyEntry:
     encode_hit: bool
     tuner_hit: Optional[bool]
     launch: Optional[Tuple[int, int]]  # tuned (BLOCK_SIZE, threadlen)
-    #: Preemption bookkeeping: times preempted so far, the last cut point,
-    #: and — for a checkpointed streamed victim — the resume ledger
-    #: (``None`` re-dispatches from scratch).
+    #: Preemption bookkeeping: times preempted so far and the last
+    #: preemption instant.
     preemptions: int = 0
     preempted_from_s: float = 0.0
-    resume: Optional[_ResumeState] = None
     #: Whether this entry is a post-failure re-admission — its re-staging
     #: is attributed to the ``recovery`` span phase rather than ``stage``.
     requeued: bool = False
@@ -193,24 +166,21 @@ class _CommittedJob:
     """The booking ledger of one committed (dispatched) job.
 
     What preemption needs: every timeline booking the commit made, in
-    booking order, plus the stage/exec bookings singled out so the
-    preemptor can tell "caught mid-staging" from "caught mid-compute".
+    booking order, plus the stage booking singled out so the preemptor
+    can tell "caught mid-staging" (preemptible) from any other booking in
+    flight (not preemptible).
     """
 
     entry: _ReadyEntry
     placement: Placement
-    outcome: ExecutionOutcome
     bookings: List[Booking]
     stage_booking: Optional[Booking]  # single-lane stage (non-sharded)
-    exec_booking: Optional[Booking]  # single-lane compute (non-sharded)
-    exec_start_s: float
     finish_s: float
     batch_id: Optional[int]
-    resumed: bool = False
     # The provisional log events this commitment emitted (timestamps lie in
     # the committed future).  Revoking the commitment — trial re-book,
     # preemption, chaos teardown — must retract the stale ones.
-    start_event: Optional[Event] = None  # "dispatch" or "resume"
+    start_event: Optional[Event] = None  # "dispatch"
     complete_event: Optional[Event] = None
 
 
@@ -283,8 +253,8 @@ class Scheduler:
         The serving cluster.
     policy:
         ``"priority"`` (default), ``"fifo"`` or ``"deadline"``
-        (earliest-deadline-first with chunk-boundary preemption; see the
-        module docstring).
+        (earliest-deadline-first, preempting batch jobs that have not
+        started computing; see the module docstring).
     autotune:
         Look up tuned ``(BLOCK_SIZE, threadlen)`` per kernel-job shape in
         the cache (sweeping on a miss, reusing on a hit); tuning runs on
@@ -715,7 +685,7 @@ class Scheduler:
             if result.completed and cost is not None:
                 result.nic_wait_s = cost.nic_wait_s
                 result.compute_s = cost.compute_s
-                result.preemption_overhead_s = cost.preemption_overhead_s
+                result.preemption_overhead_s = cost.recovery_s
         if metrics is not None:
             attribution.publish(metrics)
             queue_wait = metrics.histogram(
@@ -748,10 +718,6 @@ class Scheduler:
     ) -> int:
         job = entry.job
         geometry = entry.geometry
-        if entry.resume is not None and self._dispatch_resume(
-            entry, t0, results, state
-        ):
-            return batch_seq
         placement = self.placer.place(
             geometry,
             [lane.free_s for lane in state.compute],
@@ -983,7 +949,6 @@ class Scheduler:
         )
         stage_start, stage_end = stage.start_s, stage.end_s
         tracked: List[Booking] = list(stage.bookings)
-        exec_bookings: List[Booking] = []
 
         execution = getattr(outcome.profile, "sharded", None) if placement.sharded else None
         busy_by_slot: Dict[int, float]
@@ -1012,7 +977,7 @@ class Scheduler:
         for lane, slot in zip(compute_lanes, slots):
             busy = busy_by_slot.get(slot, 0.0)
             if busy > 0.0:
-                exec_bookings.append(
+                tracked.append(
                     lane.book(
                         busy,
                         ready_s=exec_start,
@@ -1020,7 +985,6 @@ class Scheduler:
                         span=Span(tag, kernel=job.kind.value, phase="compute"),
                     )
                 )
-        tracked.extend(exec_bookings)
 
         # The idle-resource closed form; link/NIC contention can only delay it.
         finish = exec_start + outcome.exec_s
@@ -1109,11 +1073,8 @@ class Scheduler:
         state.committed[job.job_id] = _CommittedJob(
             entry=entry,
             placement=placement,
-            outcome=outcome,
             bookings=tracked,
             stage_booking=stage.bookings[0] if len(stage.bookings) == 1 else None,
-            exec_booking=exec_bookings[0] if len(exec_bookings) == 1 else None,
-            exec_start_s=exec_start,
             finish_s=finish,
             batch_id=batch_id,
             start_event=start_event,
@@ -1154,9 +1115,10 @@ class Scheduler:
         """Retract a revoked commitment's provisional log events.
 
         The stale ``complete`` always goes (the job did not finish as
-        booked); the ``dispatch``/``resume`` start marker stays only when
-        device work genuinely began before the revocation — a real partial
-        run is history, a never-started booking is not.
+        booked); the ``dispatch`` marker stays only when device work
+        genuinely began before the revocation — a real partial run (a
+        staging cut by preemption, work torn off a failed node) is history,
+        a never-started booking is not.
         """
         if state.events is None:
             return
@@ -1201,7 +1163,6 @@ class Scheduler:
                 if jid in results
                 and c.finish_s > t0
                 and c.batch_id is None
-                and not c.resumed
                 and c.entry.job.preemptible
                 and not math.isfinite(c.entry.job.deadline_s)
                 and set(c.placement.device_slots) & set(placement.device_slots)
@@ -1242,19 +1203,17 @@ class Scheduler:
     ) -> bool:
         """Preempt one committed job at ``t``; ``False`` leaves it untouched.
 
-        Three shapes are releasable; everything else (a one-shot kernel or
-        a sharded shard mid-compute — no checkpoint boundary) is skipped:
+        Two shapes are releasable; everything else (any job caught
+        mid-compute — one-shot, streamed or sharded — and a sharded job's
+        gang staging in flight) is skipped:
 
-        * nothing started yet (all bookings at/after ``t``) — full release
-          and a from-scratch re-queue;
+        * nothing in flight — every booking from ``t`` on is released (a
+          staging that already finished stays as sunk cost);
         * caught mid-staging — the stage booking is cut at ``t`` (shipped
-          bytes are sunk cost), the rest released, from-scratch re-queue;
-        * a streamed job caught mid-compute — the compute booking is cut
-          at the first chunk boundary past ``t`` and the victim re-queues
-          with a resume ledger (completed chunks stand; the remaining
-          chunks' pipeline re-books at resume, plus a factor re-stage).
+          bytes are sunk cost) and the rest released.
 
-        Every mutation is pre-verified against
+        Either way the victim re-queues to re-dispatch from scratch.  Every
+        mutation is pre-verified against
         :meth:`~repro.gpusim.timeline.Resource.is_tail`, so a victim whose
         lanes have later bookings (e.g. behind another job's barrier) is
         simply not preemptible rather than corrupting the timeline.
@@ -1275,54 +1234,9 @@ class Scheduler:
         straddle = [b for b in cand.bookings if b.start_s < t < b.end_s]
         if len(straddle) > 1 or (not future and not straddle):
             return False
-
-        streaming = getattr(cand.outcome.profile, "streaming", None)
-        boundary = t
-        completed = 0
-        total = streaming.num_chunks if streaming is not None else 0
-        resume: Optional[_ResumeState] = None
-        cut: Optional[Booking] = None
-        if straddle:
-            cut = straddle[0]
-            if (
-                cut is cand.exec_booking
-                and streaming is not None
-                and not cand.placement.sharded
-            ):
-                sched = streaming.schedule
-                exec_start = cand.exec_start_s
-                idx = next(
-                    (
-                        i
-                        for i, end in enumerate(sched.compute_ends)
-                        if exec_start + end >= t
-                    ),
-                    None,
-                )
-                if idx is None or idx + 1 >= streaming.num_chunks:
-                    return False  # last chunk in flight: nothing to give back
-                completed = idx + 1
-                boundary = exec_start + sched.compute_ends[idx]
-                if boundary >= cut.end_s:
-                    return False
-                remaining_s = schedule_chunks(
-                    sched.timings[completed:], streaming.num_streams
-                ).total_time_s
-                resume = _ResumeState(
-                    placement=cand.placement,
-                    outcome=cand.outcome,
-                    completed_chunks=completed,
-                    total_chunks=total,
-                    remaining_exec_s=remaining_s,
-                    resume_stage_s=(
-                        cand.entry.geometry.factor_bytes
-                        / cand.placement.primary_device.pcie_bandwidth_bytes_per_s
-                    ),
-                )
-            elif cut is cand.stage_booking:
-                boundary = t  # staging interrupted: full restart later
-            else:
-                return False
+        cut = straddle[0] if straddle else None
+        if cut is not None and cut is not cand.stage_booking:
+            return False
 
         # Pre-verify releasability on every touched lane before mutating.
         by_lane: Dict[str, List[Booking]] = {}
@@ -1340,140 +1254,32 @@ class Scheduler:
 
         released = timeline.release(future) if future else 0.0
         if cut is not None:
-            if cut.busy:
-                released += cut.end_s - boundary
-            timeline.truncate(cut, boundary)
+            released += cut.end_s - t
+            timeline.truncate(cut, t)
 
         entry = cand.entry
-        entry.ready_s = max(entry.ready_s, boundary)
+        entry.ready_s = max(entry.ready_s, t)
         entry.preemptions += 1
-        entry.preempted_from_s = boundary
-        entry.resume = resume
+        entry.preempted_from_s = t
         ready.append((self._queue_key(victim), entry))
         record = PreemptionRecord(
             job_id=victim.job_id,
             preempted_by=by.job_id,
-            time_s=boundary,
-            completed_chunks=completed,
-            total_chunks=total,
+            time_s=t,
             released_s=released,
-            resume_stage_s=resume.resume_stage_s if resume is not None else 0.0,
         )
         state.preemption_records.append(record)
         if state.events is not None:
             state.events.emit(
                 "preempt",
-                time_s=boundary,
+                time_s=t,
                 job_id=f"job{victim.job_id}",
                 preempted_by=f"job{by.job_id}",
-                completed_chunks=completed,
-                total_chunks=total,
                 released_s=released,
             )
-        # ``straddle`` means staging or compute was genuinely cut mid-flight
-        # (the dispatch stands as history); a full release never started.
-        self._revoke_events(state, cand, work_started=bool(straddle))
+        # A cut staging genuinely started (the dispatch stands as history);
+        # a full release never did.
+        self._revoke_events(state, cand, work_started=cut is not None)
         del results[victim.job_id]
         del state.committed[victim.job_id]
-        return True
-
-    def _dispatch_resume(
-        self,
-        entry: _ReadyEntry,
-        t0: float,
-        results: Dict[int, JobResult],
-        state: _RunState,
-    ) -> bool:
-        """Re-book a preempted streamed job's remaining work.
-
-        The numeric output was computed at the original dispatch; resuming
-        books only time — a factor re-stage on the placement's copy lane,
-        then the remaining chunks' pipeline on its compute lane.  Returns
-        ``False`` (clearing the ledger, so the caller re-dispatches from
-        scratch) when the placement's slots have meanwhile failed.
-        """
-        rs = entry.resume
-        assert rs is not None
-        job = entry.job
-        placement = rs.placement
-        slots = placement.device_slots
-        if any(s in state.failed_slots for s in slots):
-            entry.resume = None
-            return False
-        tag = f"job{job.job_id}"
-        copy_lanes = [state.copy[s] for s in slots]
-        compute_lanes = [state.compute[s] for s in slots]
-        stage = state.timeline.book_together(
-            copy_lanes,
-            rs.resume_stage_s,
-            ready_s=max(t0, entry.ready_s),
-            label=f"resume-stage:{tag}",
-            span=Span(tag, kernel=job.kind.value, phase="resume"),
-        )
-        exec_start = stage.end_s
-        for lane in compute_lanes:
-            exec_start = max(exec_start, lane.free_s)
-        tracked: List[Booking] = list(stage.bookings)
-        exec_booking: Optional[Booking] = None
-        if rs.remaining_exec_s > 0.0:
-            exec_booking = compute_lanes[0].book(
-                rs.remaining_exec_s,
-                ready_s=exec_start,
-                label=f"resume:{tag}",
-                span=Span(tag, kernel=job.kind.value, phase="resume"),
-            )
-            tracked.append(exec_booking)
-        finish = exec_start + rs.remaining_exec_s
-        start_event = complete_event = None
-        if state.events is not None:
-            start_event = state.events.emit(
-                "resume",
-                time_s=stage.start_s,
-                job_id=tag,
-                completed_chunks=rs.completed_chunks,
-                total_chunks=rs.total_chunks,
-            )
-            complete_event = state.events.emit(
-                "complete",
-                time_s=finish,
-                job_id=tag,
-                execution=rs.outcome.execution,
-                exec_s=rs.outcome.exec_s,
-            )
-        state.committed[job.job_id] = _CommittedJob(
-            entry=entry,
-            placement=placement,
-            outcome=rs.outcome,
-            bookings=tracked,
-            stage_booking=stage.bookings[0] if len(stage.bookings) == 1 else None,
-            exec_booking=exec_booking,
-            exec_start_s=exec_start,
-            finish_s=finish,
-            batch_id=None,
-            resumed=True,
-            start_event=start_event,
-            complete_event=complete_event,
-        )
-        for slot in slots:
-            state.dispatches[slot] += 1
-        results[job.job_id] = JobResult(
-            job=job,
-            status=JobStatus.COMPLETED,
-            output=rs.outcome.output,
-            device_slots=slots,
-            execution=rs.outcome.execution,
-            encode_cache_hit=entry.encode_hit,
-            tuner_cache_hit=entry.tuner_hit,
-            preproc_s=entry.preproc_s,
-            stage_s=rs.resume_stage_s,
-            exec_s=rs.outcome.exec_s,
-            stage_start_s=stage.start_s,
-            exec_start_s=exec_start,
-            finish_s=finish,
-            block_size=placement.block_size,
-            threadlen=placement.threadlen,
-            placement=placement,
-            preemptions=entry.preemptions,
-            preempted_s=max(0.0, exec_start - entry.preempted_from_s),
-        )
         return True

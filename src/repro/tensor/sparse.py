@@ -325,25 +325,6 @@ class SparseTensor:
             sort=False,
         )
 
-    def permute_modes(self, perm: Sequence[int]) -> "SparseTensor":
-        """Return the tensor with its modes reordered (a generalised transpose)."""
-        perm = [check_mode(m, self.order) for m in perm]
-        if sorted(perm) != list(range(self.order)):
-            raise ValueError(f"perm must be a permutation of 0..{self.order - 1}, got {perm}")
-        new_shape = tuple(self._shape[m] for m in perm)
-        new_indices = self._indices[:, perm]
-        return SparseTensor(new_indices, self._values, new_shape, sum_duplicates=False, sort=True)
-
-    def astype(self, dtype: Union[str, np.dtype]) -> "SparseTensor":
-        """Return a copy with values cast to ``dtype``."""
-        return SparseTensor(
-            self._indices,
-            self._values.astype(dtype),
-            self._shape,
-            sum_duplicates=False,
-            sort=False,
-        )
-
     def scale(self, alpha: float) -> "SparseTensor":
         """Return ``alpha * self`` (same sparsity pattern)."""
         return SparseTensor(

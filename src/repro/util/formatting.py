@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Union
 
-__all__ = ["format_bytes", "format_seconds", "format_speedup", "format_table"]
+__all__ = ["format_bytes", "format_seconds", "format_table"]
 
 Cell = Union[str, int, float]
 
@@ -37,11 +37,6 @@ def format_seconds(seconds: float) -> str:
     if seconds >= 1e-3:
         return f"{seconds * 1e3:.3f} ms"
     return f"{seconds * 1e6:.1f} us"
-
-
-def format_speedup(speedup: float) -> str:
-    """Render a speedup factor in the paper's ``N.Nx`` style."""
-    return f"{speedup:.1f}x"
 
 
 def _render_cell(cell: Cell) -> str:

@@ -7,18 +7,16 @@ free of repetitive checking boilerplate.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "check_shape",
     "check_mode",
-    "check_axis",
     "check_rank",
     "check_positive_int",
     "check_non_negative_int",
-    "normalize_modes",
 ]
 
 
@@ -90,19 +88,7 @@ def check_mode(mode: int, order: int, *, name: str = "mode") -> int:
     return mode
 
 
-def check_axis(axis: int, ndim: int, *, name: str = "axis") -> int:
-    """Alias of :func:`check_mode` with matrix/array vocabulary."""
-    return check_mode(axis, ndim, name=name)
-
-
 def check_rank(rank: int, *, name: str = "rank") -> int:
     """Validate a decomposition rank (number of factor-matrix columns)."""
     return check_positive_int(rank, name)
 
-
-def normalize_modes(modes: Iterable[int], order: int) -> Tuple[int, ...]:
-    """Validate an iterable of modes and return them sorted and de-duplicated."""
-    out = sorted({check_mode(m, order) for m in modes})
-    if not out:
-        raise ValueError("at least one mode must be given")
-    return tuple(out)

@@ -15,7 +15,7 @@ import pytest
 
 from repro.autotune.tuner import DEFAULT_BLOCK_SIZES, DEFAULT_THREADLENS
 from repro.bench import run_fig7
-from repro.bench.memory import paper_scale_spmttkrp_footprints
+from repro.bench.memory import paper_scale_spmttkrp_footprints, spmttkrp_footprints
 from repro.bench.paper import CHECKS, paper_metrics, paper_runs
 from repro.data.registry import DATASETS
 
@@ -143,6 +143,19 @@ class TestFig9:
         assert by_name["delicious"].parti_oom_at_paper_scale
         assert not by_name["brainq"].parti_oom_at_paper_scale
         assert not by_name["nell2"].parti_oom_at_paper_scale
+
+    def test_footprints_match_the_kernels(self, skewed_tensor):
+        # Figure 9 sizes both bars with the kernels' own accounting.
+        from repro.kernels.baselines.parti_gpu import parti_gpu_spmttkrp
+        from repro.kernels.unified import unified_spmttkrp
+        from repro.tensor.random import random_factors
+
+        rank = 16
+        factors = random_factors(skewed_tensor.shape, rank, seed=0)
+        assert spmttkrp_footprints(skewed_tensor, rank) == (
+            unified_spmttkrp(skewed_tensor, factors, 0).profile.device_memory_bytes,
+            parti_gpu_spmttkrp(skewed_tensor, factors, 0).profile.device_memory_bytes,
+        )
 
     def test_paper_scale_footprints_projection(self):
         unified, parti = paper_scale_spmttkrp_footprints(DATASETS["brainq"], 16)

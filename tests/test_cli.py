@@ -134,7 +134,9 @@ class TestCli:
         assert lines
         import json
 
-        assert all(json.loads(line)["v"] == 1 for line in lines)
+        from repro.obs.events import EVENT_SCHEMA_VERSION
+
+        assert all(json.loads(line)["v"] == EVENT_SCHEMA_VERSION for line in lines)
 
     @pytest.mark.parametrize("flag", ["--metrics", "--events"])
     def test_telemetry_flags_require_serve(self, capsys, flag, tmp_path):

@@ -28,15 +28,6 @@ class TestCpuCounters:
         with pytest.raises(ValueError):
             CpuCounters(parallel_fraction=1.5)
 
-    def test_merge(self):
-        a = CpuCounters(flops=10, mem_read_bytes=100, used_threads=4)
-        b = CpuCounters(flops=5, mem_write_bytes=50, imbalance_factor=2.0)
-        merged = a + b
-        assert merged.flops == 15
-        assert merged.mem_total_bytes == 150
-        assert merged.imbalance_factor == 2.0
-        assert merged.used_threads == 4
-
 
 class TestEstimate:
     def _time(self, **kwargs):

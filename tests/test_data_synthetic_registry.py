@@ -74,7 +74,7 @@ class TestRegistry:
 
     def test_nnz_scale_well_below_one(self):
         for spec in DATASETS.values():
-            assert 0 < spec.nnz_scale < 0.1
+            assert 0 < load_dataset(spec.name).nnz / spec.paper_nnz < 0.1
 
     def test_dataset_table_renders(self):
         text = dataset_table()

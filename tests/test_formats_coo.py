@@ -1,5 +1,7 @@
 """Tests for repro.formats.coo.COOTensor."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,36 @@ class TestCOOTensor:
         coo = COOTensor.from_sparse(small_tensor, sort_mode=1)
         primary = coo.mode_indices(1)
         assert (np.diff(primary.astype(np.int64)) >= 0).all()
+
+    def test_order_is_sort_mode_then_remaining_modes(self, small_tensor):
+        # An unsorted input must come out in ParTI's order all the same.
+        rng = np.random.default_rng(0)
+        perm = rng.permutation(small_tensor.nnz)
+        shuffled = SparseTensor(
+            np.asarray(small_tensor.indices)[perm],
+            np.asarray(small_tensor.values)[perm],
+            small_tensor.shape,
+            sum_duplicates=False,
+            sort=False,
+        )
+        for tensor in (small_tensor, shuffled):
+            for mode in range(tensor.order):
+                coo = COOTensor.from_sparse(tensor, sort_mode=mode)
+                rest = [m for m in range(tensor.order) if m != mode]
+                expected = tensor.sort_by_modes([mode] + rest)
+                for m in range(tensor.order):
+                    np.testing.assert_array_equal(
+                        coo.mode_indices(m), np.asarray(expected.indices)[:, m]
+                    )
+                np.testing.assert_array_equal(
+                    coo.values, np.asarray(expected.values).astype(np.float32)
+                )
+
+    def test_from_sparse_makes_no_sorted_copy(self, small_tensor):
+        # Each column is gathered through the tensor's slice order.
+        with mock.patch.object(SparseTensor, "sort_by_modes") as resort:
+            COOTensor.from_sparse(small_tensor, sort_mode=1)
+        resort.assert_not_called()
 
     def test_storage_bytes_32bit(self, small_tensor):
         coo = COOTensor.from_sparse(small_tensor)

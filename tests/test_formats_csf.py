@@ -33,16 +33,20 @@ class TestCSFConstruction:
         assert csf.to_sparse().nnz == 0
 
 
+def figure2_tensor():
+    """The 12-non-zero tensor of the paper's Figure 2."""
+    coords = [
+        (0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 0, 4),
+        (1, 0, 0), (1, 0, 1), (1, 0, 2), (1, 0, 3),
+        (1, 1, 0), (1, 1, 1), (1, 1, 2),
+    ]
+    return SparseTensor(np.array(coords), np.arange(1.0, 13.0), (2, 2, 5))
+
+
 class TestCSFStructure:
     def test_level_sizes(self):
         # Figure 2 tensor: 2 slices, 3 fibers, 12 leaves under ordering (0,1,2).
-        coords = [
-            (0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 0, 4),
-            (1, 0, 0), (1, 0, 1), (1, 0, 2), (1, 0, 3),
-            (1, 1, 0), (1, 1, 1), (1, 1, 2),
-        ]
-        tensor = SparseTensor(np.array(coords), np.arange(1.0, 13.0), (2, 2, 5))
-        csf = CSFTensor.from_sparse(tensor, (0, 1, 2))
+        csf = CSFTensor.from_sparse(figure2_tensor(), (0, 1, 2))
         assert csf.level_size(0) == 2
         assert csf.level_size(1) == 3
         assert csf.level_size(2) == 12
@@ -90,3 +94,13 @@ class TestCSFStructure:
         # CSF compresses repeated upper-level indices vs COO.
         coo_bytes = small_tensor.nnz * (3 * 4 + 4)
         assert total <= coo_bytes + 3 * 4 * small_tensor.nnz
+
+    def test_storage_bytes_counts_every_level(self):
+        # Figure 2 tensor under (0, 1, 2): fids (2+3+12), fptr (3+4), 12 values.
+        csf = CSFTensor.from_sparse(figure2_tensor(), (0, 1, 2))
+        assert csf.storage_bytes() == (2 + 3 + 12) * 4 + (3 + 4) * 4 + 12 * 4
+        assert csf.storage_bytes(index_bytes=8) == (2 + 3 + 12) * 8 + (3 + 4) * 8 + 12 * 4
+        assert csf.storage_bytes(value_bytes=8) == (2 + 3 + 12) * 4 + (3 + 4) * 4 + 12 * 8
+        # An empty tree keeps one sentinel per pointer array.
+        empty = CSFTensor.from_sparse(SparseTensor.empty((3, 4, 5)), (0, 1, 2))
+        assert empty.storage_bytes() == 2 * 4

@@ -31,6 +31,14 @@ def figure2_tensor():
     return SparseTensor(np.array(coords), values, (2, 2, 5))
 
 
+def start_flags(fcoo, threadlen):
+    """The ``sf`` array: one flag per ``threadlen`` partition, set when the
+    partition opens a segment — i.e. when the partition, cut as a chunk,
+    carries no segment in from the one before."""
+    partitions = fcoo.chunk(threadlen, threadlen=threadlen)
+    return np.array([not p.carries_in for p in partitions], dtype=bool)
+
+
 class TestFigure2Encoding:
     """The worked example of the paper's Figure 2."""
 
@@ -61,16 +69,11 @@ class TestFigure2Encoding:
         np.testing.assert_array_equal(fcoo.segment_sizes(), [5, 7])
 
     def test_start_flags_partition_of_four(self):
-        """With 4 non-zeros per partition, sf = [1, 1, 0] for mode-1 SpMTTKRP.
-
-        Partition 0 starts at non-zero 0 (new slice), partition 1 at
-        non-zero 4 (still slice i=0 ... wait, the paper's example has the
-        partition-2 start inside slice i=1): the invariant tested is that
-        sf[t] equals bf at the partition's first non-zero with sf[0] forced
-        to 1 (Figure 2 caption).
-        """
+        """With 4 non-zeros per partition, mode-1 SpMTTKRP has 3 partitions:
+        sf[t] equals bf at the partition's first non-zero, with sf[0]
+        forced to 1 (Figure 2 caption)."""
         fcoo = FCOOTensor.from_sparse(figure2_tensor(), OperationKind.SPMTTKRP, 0)
-        sf = fcoo.start_flags(4)
+        sf = start_flags(fcoo, 4)
         assert sf.shape == (3,)
         assert bool(sf[0]) is True
         np.testing.assert_array_equal(sf[1:], fcoo.bf[[4, 8]])
@@ -154,7 +157,8 @@ class TestPartitions:
     def test_start_flags_first_always_set(self, small_tensor):
         fcoo = FCOOTensor.from_sparse(small_tensor, "spmttkrp", 0)
         for threadlen in (1, 4, 16, 64):
-            sf = fcoo.start_flags(threadlen)
+            sf = start_flags(fcoo, threadlen)
+            assert sf.shape == (fcoo.num_partitions(threadlen),)
             assert bool(sf[0]) is True
 
     def test_start_flags_all_set_when_threadlen_one_on_distinct_segments(self):
@@ -162,21 +166,24 @@ class TestPartitions:
         coords = np.array([[i, 0, 0] for i in range(10)])
         tensor = SparseTensor(coords, np.ones(10), (10, 2, 2))
         fcoo = FCOOTensor.from_sparse(tensor, "spmttkrp", 0)
-        assert fcoo.start_flags(1).all()
+        assert start_flags(fcoo, 1).all()
 
     def test_partition_spans_segments_totals(self, small_tensor):
         fcoo = FCOOTensor.from_sparse(small_tensor, "spmttkrp", 0)
-        spans = fcoo.partition_spans_segments(8)
+        partitions = fcoo.chunk(8, threadlen=8)
+        spans = np.array([p.num_segments for p in partitions])
         assert spans.shape == (fcoo.num_partitions(8),)
         assert (spans >= 1).all()
-        # Total distinct (partition, segment) pairs is at least the number of
-        # segments and at most segments + partitions - 1.
+        # Every segment is counted once per partition it touches: once,
+        # plus once more for each partition it is carried into.
+        carried = sum(p.carries_in for p in partitions)
+        assert spans.sum() == fcoo.num_segments + carried
         assert fcoo.num_segments <= spans.sum() <= fcoo.num_segments + len(spans)
 
     def test_invalid_threadlen(self, small_tensor):
         fcoo = FCOOTensor.from_sparse(small_tensor, "spttm", 2)
         with pytest.raises(ValueError):
-            fcoo.start_flags(0)
+            fcoo.num_partitions(0)
 
 
 class TestStorage:
@@ -196,11 +203,17 @@ class TestStorage:
         spmttkrp = FCOOTensor.from_sparse(small_tensor, "spmttkrp", 0).storage_bytes(8)
         assert spttm < spmttkrp
 
-    def test_packed_bit_flags_round_trip(self, small_tensor):
-        fcoo = FCOOTensor.from_sparse(small_tensor, "spmttkrp", 0)
-        packed = fcoo.packed_bit_flags()
-        unpacked = np.unpackbits(packed)[: fcoo.nnz].astype(bool)
-        np.testing.assert_array_equal(unpacked, fcoo.bf)
+    def test_flag_bits_charged_packed(self, small_tensor):
+        """The bf array costs its packed bytes (1 bit per non-zero) and the
+        sf array, when a threadlen is given, its packed bytes (1 bit per
+        partition), on top of the index and value columns."""
+        for op, mode in [("spttm", 2), ("spmttkrp", 0), ("spttmc", 1)]:
+            fcoo = FCOOTensor.from_sparse(small_tensor, op, mode)
+            columns = fcoo.product_indices.nbytes + fcoo.values.nbytes
+            assert fcoo.storage_bytes() == columns + np.packbits(fcoo.bf).nbytes
+            for threadlen in (1, 3, 8, 32):
+                sf = np.packbits(start_flags(fcoo, threadlen))
+                assert fcoo.storage_bytes(threadlen) == fcoo.storage_bytes() + sf.nbytes
 
 
 class TestValidation:
@@ -271,7 +284,7 @@ class TestSpanStatistics:
     """A chunk or shard is a span of its encoding: its statistics are O(1)
     reads of the encoding, and its priced terms read the encoding's index
     columns over the span.  They equal those of the span's non-zeros
-    encoded on their own (and of the lazily built chunk tensor)."""
+    encoded on their own."""
 
     THREADLENS = (1, 3, 8)
 
@@ -296,10 +309,6 @@ class TestSpanStatistics:
             np.unique(expected.product_mode_indices(p)).size
             for p in range(len(parent.roles.product_modes))
         )
-        for name in ("product_indices", "values", "bf", "segment_ids", "segment_index_coords"):
-            built, own_array = getattr(span.tensor, name), getattr(expected, name)
-            assert built.dtype == own_array.dtype
-            np.testing.assert_array_equal(built, own_array)
 
     @given(
         fcoo=encodings(),
@@ -341,7 +350,10 @@ class TestSpanStatistics:
         empty = partition_shards(LONG_FIBERS, 2, threadlen=4, weights=[0.01, 1.0])
         assert empty[0].nnz == 0 and empty[1].nnz == LONG_FIBERS.nnz
 
-    def test_chunk_tensor_is_built_on_first_read(self):
-        chunk = LONG_FIBERS.chunk(8, threadlen=4)[1]
-        assert "tensor" not in vars(chunk)
-        assert chunk.tensor is chunk.tensor
+    def test_spans_copy_no_array(self):
+        spans = LONG_FIBERS.chunk(8, threadlen=4) + partition_shards(LONG_FIBERS, 3, threadlen=4)
+        spans += spans[-1].chunk(8, threadlen=4)
+        for span in spans:
+            assert span.source is LONG_FIBERS
+            fields = vars(span).values()
+            assert not any(isinstance(value, np.ndarray) for value in fields)

@@ -25,14 +25,11 @@ class TestModeRolesTable1:
         roles = mode_roles(OperationKind.SPTTM, 2, 3)
         assert roles.product_modes == (2,)
         assert roles.index_modes == (0, 1)
-        assert roles.result_dense_modes == (2,)
-        assert roles.result_sparse_modes == (0, 1)
 
     def test_spmttkrp_mode1(self):
         roles = mode_roles(OperationKind.SPMTTKRP, 0, 3)
         assert roles.product_modes == (1, 2)
         assert roles.index_modes == (0,)
-        assert roles.result_sparse_modes == (0,)
 
     def test_spttmc_mode1(self):
         roles = mode_roles(OperationKind.SPTTMC, 0, 3)

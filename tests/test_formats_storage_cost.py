@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.formats.mode_encoding import OperationKind
-from repro.formats.storage_cost import (
-    coo_storage_bytes,
-    csf_storage_bytes,
-    fcoo_storage_bytes,
-    storage_report,
-)
+from repro.formats.fcoo import FCOOTensor
+from repro.formats.mode_encoding import OperationKind, mode_roles
+from repro.formats.storage_cost import coo_storage_bytes, fcoo_storage_bytes
 
 
 class TestCOOCost:
@@ -46,34 +42,34 @@ class TestFCOOCost:
                 fcoo_bytes = fcoo_storage_bytes(500, 3, op, mode, threadlen=threadlen)
                 assert fcoo_bytes < coo_storage_bytes(500, 3)
 
+    def test_spmttkrp_per_nnz_against_coo(self):
+        nnz = 1000
+        fcoo_bytes = fcoo_storage_bytes(nnz, 3, "spmttkrp", 0, threadlen=8)
+        assert coo_storage_bytes(nnz, 3) / nnz == pytest.approx(16.0)
+        assert fcoo_bytes / nnz == pytest.approx(12 + 1 / 8 + 1 / 64)
+
+    def test_spttm_reduction_close_to_two(self):
+        nnz = 10_000
+        ratio = coo_storage_bytes(nnz, 3) / fcoo_storage_bytes(nnz, 3, "spttm", 2, threadlen=8)
+        assert ratio == pytest.approx(16 / (8 + 1 / 8 + 1 / 64), rel=1e-6)
+
+    def test_model_equals_encoding_when_flags_pack_whole_bytes(self):
+        # With nnz a multiple of 8 * threadlen, both flag arrays fill whole
+        # bytes, so the per-non-zero model and the encoding's byte count
+        # (what admission sizes jobs with) agree exactly.
+        for order in (3, 4):
+            for op in OperationKind:
+                for mode in (0, order - 1):
+                    product_modes = len(mode_roles(op, mode, order).product_modes)
+                    for threadlen in (1, 8, 64):
+                        nnz = 8 * threadlen * 25
+                        model = fcoo_storage_bytes(nnz, order, op, mode, threadlen=threadlen)
+                        encoded = FCOOTensor.estimate_storage_bytes(
+                            nnz, product_modes, threadlen=threadlen
+                        )
+                        assert model == encoded
+
     def test_higher_order(self):
         # 4-order SpMTTKRP keeps 3 product-mode index arrays.
         got = fcoo_storage_bytes(100, 4, "spmttkrp", 0)
         assert got == pytest.approx((16 + 1 / 8) * 100)
-
-
-class TestCSFCost:
-    def test_basic(self):
-        total = csf_storage_bytes(12, [2, 3, 12])
-        # fids: (2+3+12)*4, fptr: (3+4)*4, values: 12*4
-        assert total == (2 + 3 + 12) * 4 + (3 + 4) * 4 + 12 * 4
-
-    def test_leaf_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            csf_storage_bytes(10, [2, 3, 12])
-
-    def test_empty_levels_rejected(self):
-        with pytest.raises(ValueError):
-            csf_storage_bytes(10, [])
-
-
-class TestStorageReport:
-    def test_report_fields(self):
-        report = storage_report(1000, 3, "spmttkrp", 0, threadlen=8)
-        assert report.coo_bytes_per_nnz == pytest.approx(16.0)
-        assert report.fcoo_bytes_per_nnz == pytest.approx(12 + 1 / 8 + 1 / 64)
-        assert report.reduction_factor > 1.0
-
-    def test_spttm_reduction_close_to_two(self):
-        report = storage_report(10_000, 3, "spttm", 2, threadlen=8)
-        assert report.reduction_factor == pytest.approx(16 / (8 + 1 / 8 + 1 / 64), rel=1e-6)

@@ -9,7 +9,7 @@ from repro.gpusim.launch import LaunchConfig
 class TestConstruction:
     def test_for_nnz_covers_all_nonzeros(self):
         cfg = LaunchConfig.for_nnz(10_000, 16, block_size=128, threadlen=8)
-        assert cfg.nnz_capacity >= 10_000
+        assert cfg.grid_x * cfg.block_size * cfg.threadlen >= 10_000
         assert cfg.grid_y == 16
 
     def test_for_nnz_exact_fit(self):
@@ -20,7 +20,6 @@ class TestConstruction:
         cfg = LaunchConfig(block_size=64, grid_x=10, grid_y=2, threadlen=4)
         assert cfg.num_blocks == 20
         assert cfg.total_threads == 1280
-        assert cfg.nnz_capacity == 10 * 64 * 4
 
     def test_invalid_values(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
 """Tests for the ParTI-GPU baseline kernels."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.formats.coo import COOTensor
 from repro.gpusim.device import TITAN_X, scaled_device
 from repro.gpusim.timing import OutOfDeviceMemory
 from repro.kernels.baselines.parti_gpu import parti_gpu_spmttkrp, parti_gpu_spttm
@@ -65,6 +68,16 @@ class TestSpTTMProfile:
             t64.profile.counters.imbalance_factor > t8.profile.counters.imbalance_factor
         )
 
+    def test_footprint_is_coo_matrix_and_output(self, skewed_tensor):
+        rank = 8
+        factors = random_factors(skewed_tensor.shape, rank, seed=7)
+        for mode in range(skewed_tensor.order):
+            result = parti_gpu_spttm(skewed_tensor, factors[mode], mode)
+            coo = COOTensor.from_sparse(skewed_tensor, sort_mode=mode)
+            matrix = skewed_tensor.shape[mode] * rank * 4
+            expected = coo.storage_bytes() + matrix + result.output.storage_bytes()
+            assert result.profile.device_memory_bytes == expected
+
 
 class TestSpMTTKRPCorrectness:
     def test_matches_dense_every_mode(self, small_tensor, small_factors):
@@ -109,6 +122,29 @@ class TestSpMTTKRPProfile:
         parti = parti_gpu_spmttkrp(skewed_tensor, factors, 0)
         unified = unified_spmttkrp(skewed_tensor, factors, 0)
         assert parti.profile.device_memory_bytes > unified.profile.device_memory_bytes
+
+    def test_footprint_counts_64_bit_coo(self, skewed_tensor):
+        """COO with 64-bit indices, the product-mode factors, the
+        semi-sparse intermediate (one rank-wide fiber per non-empty fiber of
+        the last product mode, with 64-bit coordinates) and the output."""
+        rank = 8
+        factors = random_factors(skewed_tensor.shape, rank, seed=4)
+        shape = skewed_tensor.shape
+        for mode, last_product in [(0, 2), (2, 1)]:
+            footprint = parti_gpu_spmttkrp(skewed_tensor, factors, mode).profile.device_memory_bytes
+            coo = COOTensor.from_sparse(skewed_tensor, sort_mode=mode, index_dtype=np.uint64)
+            dense = sum(shape) * rank * 4
+            semi = skewed_tensor.num_fibers(last_product) * (rank * 4 + 2 * 8)
+            assert footprint == coo.storage_bytes() + dense + semi
+
+    def test_footprints_build_no_coo_copy(self, skewed_tensor):
+        # The COO bytes are counted from nnz and order, not from a sorted
+        # 64-bit copy of the tensor.
+        factors = random_factors(skewed_tensor.shape, 8, seed=4)
+        with mock.patch.object(COOTensor, "from_sparse") as build:
+            parti_gpu_spttm(skewed_tensor, factors[1], 1)
+            parti_gpu_spmttkrp(skewed_tensor, factors, 0)
+        build.assert_not_called()
 
     def test_out_of_memory_on_small_device(self, skewed_tensor):
         factors = random_factors(skewed_tensor.shape, 8, seed=5)

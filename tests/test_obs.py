@@ -3,7 +3,7 @@
 Covers the PR 8 tentpole end to end:
 
 * the deterministic :class:`~repro.obs.metrics.MetricsRegistry` (counters,
-  gauges, fixed-bucket histograms, Prometheus/JSON export);
+  gauges, fixed-bucket histograms, Prometheus export);
 * the structured :class:`~repro.obs.events.EventLog` and its schema;
 * span-tagged timeline bookings, per-resource wait accounting, and the
   :func:`~repro.obs.attribution.attribute` fold's reconciliation identity;
@@ -107,14 +107,26 @@ class TestMetricsRegistry:
         registry.gauge("g").set(40.0)
         assert "g 40" in registry.to_prometheus().splitlines()
 
-    def test_json_export_round_trips(self, tmp_path):
+    def test_prometheus_export_round_trips(self):
         registry = MetricsRegistry()
-        registry.counter("a_total", "things", ("k",)).inc(2, k="v")
-        path = tmp_path / "metrics.json"
-        registry.write_json(str(path))
-        payload = json.loads(path.read_text())
-        assert payload["a_total"]["kind"] == "counter"
-        assert payload["a_total"]["values"]['{k="v"}'] == 2.0
+        counter = registry.counter("a_total", "things", ("k",))
+        counter.inc(2, k="v")
+        counter.inc(0.25, k="w")
+        registry.gauge("b", "level").set(-3.5)
+        kinds, samples = {}, {}
+        for line in registry.to_prometheus().splitlines():
+            if line.startswith("# TYPE "):
+                _, _, name, kind = line.split()
+                kinds[name] = kind
+            elif not line.startswith("#"):
+                series, value = line.rsplit(" ", 1)
+                samples[series] = float(value)
+        assert kinds == {"a_total": "counter", "b": "gauge"}
+        assert samples == {
+            'a_total{k="v"}': counter.value(k="v"),
+            'a_total{k="w"}': counter.value(k="w"),
+            "b": registry.gauge("b").value(),
+        }
 
     def test_export_order_is_registration_order(self):
         registry = MetricsRegistry()
@@ -195,6 +207,13 @@ class TestEventLog:
         assert list(log.counts().items()) == [("admit", 2), ("complete", 1)]
         assert set(log.counts()) <= set(EVENT_KINDS)
 
+    def test_schema_v2_has_no_resume_kind(self):
+        # v2 dropped the chunk-boundary resume: its kind is refused.
+        assert EVENT_SCHEMA_VERSION == 2
+        assert "preempt" in EVENT_KINDS
+        with pytest.raises(ValueError, match="unknown event kind"):
+            EventLog().emit("resume", time_s=0.0, job_id="job0")
+
     def test_write(self, tmp_path):
         log = EventLog()
         log.emit("node_failure", time_s=3.0, node=1)
@@ -228,6 +247,9 @@ class TestSpansAndWaits:
         Span("job0")  # empty phase allowed
         with pytest.raises(ValueError):
             Span("job0", phase="daydreaming")
+        # A preempted job re-stages from scratch: no phase of its own.
+        with pytest.raises(ValueError):
+            Span("job0", phase="resume")
 
     def test_booking_wait_is_queueing_delay(self):
         timeline = Timeline()
@@ -237,7 +259,7 @@ class TestSpansAndWaits:
         assert first.wait_s == 0.0
         assert second.start_s == 2.0
         assert second.wait_s == pytest.approx(1.5)
-        assert lane.wait_time == pytest.approx(1.5)
+        assert lane.wait_s == pytest.approx(1.5)
         assert timeline.wait_s("gpu0.compute") == pytest.approx(1.5)
 
     def test_queued_from_overrides_ready_for_wait(self):
@@ -255,9 +277,9 @@ class TestSpansAndWaits:
         lane = timeline.resource("gpu0.copy", category="copy")
         lane.book(2.0, ready_s=0.0)
         queued = lane.book(1.0, ready_s=0.0)
-        assert lane.wait_time == pytest.approx(2.0)
+        assert lane.wait_s == pytest.approx(2.0)
         timeline.release([queued])
-        assert lane.wait_time == 0.0
+        assert lane.wait_s == 0.0
         assert lane.free_s == 2.0
 
     def test_gang_wait_counted_per_member(self):
@@ -322,6 +344,18 @@ class TestAttribution:
         assert totals["stage"] == pytest.approx(1.25)
         assert totals["compute"] == pytest.approx(3.0)
 
+    def test_phase_totals_cover_every_span_phase(self):
+        attribution = attribute(self._tagged_timeline())
+        assert set(attribution.phase_totals()) == set(SPAN_PHASES)
+        registry = MetricsRegistry()
+        attribution.publish(registry)
+        published = [
+            line.split('"')[1]
+            for line in registry.to_prometheus().splitlines()
+            if line.startswith("repro_attributed_seconds_total{")
+        ]
+        assert sorted(published) == sorted(SPAN_PHASES)
+
     def test_untagged_busy_bookings_are_gapless_but_counted(self):
         timeline = Timeline()
         lane = timeline.resource("gpu0.compute", category="compute")
@@ -373,6 +407,17 @@ def instrumented_report():
 
     engine = ServingEngine()
     return engine.run_workload(WorkloadSpec(num_jobs=25, seed=7))
+
+
+@pytest.fixture(scope="module")
+def preempting_report():
+    from repro.serve import ServingEngine
+
+    report = ServingEngine(policy="deadline").run_workload(
+        WorkloadSpec(num_jobs=60, seed=0, latency_slo_fraction=0.3)
+    )
+    assert report.preemptions  # the workload exercises preemption
+    return report
 
 
 class TestServingTelemetry:
@@ -437,14 +482,10 @@ class TestServingTelemetry:
             range(len(lines))
         )
 
-    def test_preempted_victims_complete_once(self):
+    def test_preempted_victims_complete_once(self, preempting_report):
         from collections import Counter
 
-        from repro.serve import ServingEngine
-
-        report = ServingEngine(policy="deadline").run_workload(
-            WorkloadSpec(num_jobs=60, seed=0, latency_slo_fraction=0.3)
-        )
+        report = preempting_report
         counts = report.events.counts()
         assert counts["preempt"] > 0  # the workload exercised preemption
         completes = Counter(
@@ -453,13 +494,36 @@ class TestServingTelemetry:
         assert all(n == 1 for n in completes.values())
         assert len(completes) == len(report.completed)
         # A full-release victim's phantom dispatch is retracted and its
-        # re-dispatch re-emitted; a trial re-commit replaces its own pair;
-        # a mid-chunk victim keeps its dispatch and completes via resume —
-        # so every completed job pairs one start with one complete.
-        starts = counts["dispatch"] + counts.get("resume", 0)
-        mid_chunk = sum(1 for e in report.events.events if e.kind == "resume")
-        assert starts == counts["complete"] + mid_chunk
+        # re-dispatch re-emitted, and a trial re-commit replaces its own
+        # pair; this workload cuts no staging mid-flight (whose dispatch
+        # would stay as history), so every completed job pairs one dispatch
+        # with one complete.
+        assert counts["dispatch"] == counts["complete"]
         assert report.attribution.gap_count == 0
+
+    def test_preempt_events_mirror_preemption_records(self, preempting_report):
+        events = [e for e in preempting_report.events.events if e.kind == "preempt"]
+        logged = [
+            (e.job_id, dict(e.fields)["preempted_by"], e.time_s, dict(e.fields)["released_s"])
+            for e in events
+        ]
+        recorded = [
+            (f"job{r.job_id}", f"job{r.preempted_by}", r.time_s, r.released_s)
+            for r in preempting_report.preemptions
+        ]
+        assert logged == recorded
+        assert all(sorted(dict(e.fields)) == ["preempted_by", "released_s"] for e in events)
+
+    def test_preemption_overhead_reads_recovery_and_preempted_time(self, preempting_report):
+        report = preempting_report
+        victims = [r for r in report.completed if r.preemptions]
+        assert victims
+        assert report.preemption_overhead_s == sum(r.preempted_s for r in report.completed)
+        assert report.preemption_overhead_s > 0.0
+        for result in report.completed:
+            cost = report.attribution.jobs[f"job{result.job.job_id}"]
+            assert result.preemption_overhead_s == cost.recovery_s
+        assert 'phase="resume"' not in report.metrics.to_prometheus()
 
     def test_registry_covers_all_layers(self, instrumented_report):
         names = instrumented_report.metrics.metrics

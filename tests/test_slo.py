@@ -5,10 +5,12 @@ Four pillars:
 (a) **checkpointable bookings** — ``Timeline.release`` / ``truncate`` give
     engine time back exactly (tail-only, verified before mutation), so a
     preempted job's lanes roll back to the pre-commit horizons;
-(b) **preemption identity** — a batch job preempted at a streamed chunk
-    boundary (or torn down mid-staging) and later resumed produces output
-    bit-identical to its unpreempted run, and the deadline it made room
-    for is met *only because* of the preemption;
+(b) **preemption identity** — a batch job preempted before it starts
+    computing (its future bookings released, a staging in flight cut)
+    re-dispatches from scratch with output bit-identical to its
+    unpreempted run, and the deadline it made room for is met *only
+    because* of the preemption; a job caught mid-compute is never
+    preempted;
 (c) **deadline economics** — the ``"deadline"`` policy's miss rate never
     exceeds FIFO's on the same workload, and with no SLOs in play it
     degenerates bit-identically to the ``"priority"`` policy (zero extra
@@ -155,50 +157,99 @@ class TestPreemption:
     def _engine(self, cluster, policy="deadline"):
         return ServingEngine(cluster, policy=policy)
 
-    def test_chunk_boundary_preemption_meets_deadline_bit_identically(self):
+    @staticmethod
+    def _urgent(arrival_s, deadline_s):
+        return Job(
+            job_id=1,
+            tenant="lat",
+            kind=JobKind.SPMTTKRP,
+            tensor=random_sparse_tensor((6, 5, 4), nnz=20, seed=3),
+            rank=4,
+            arrival_s=arrival_s,
+            slo=SLO.latency(deadline_s),
+        )
+
+    def _check_not_preempted_mid_compute(self, cluster, batch, alone):
+        mid = (alone.exec_start_s + alone.finish_s) / 2
+        # An over-tight deadline: the urgent job would preempt any victim
+        # it could, but the batch job is mid-compute.
+        pair = [batch, self._urgent(mid, (alone.finish_s - mid) * 0.5)]
+        unpreempted = {
+            r.job.job_id: r for r in self._engine(cluster, "priority").run(pair).results
+        }
+        report = self._engine(cluster).run(pair)
+        assert not report.preemptions
+        assert not report.timeline.violations()
+        by_id = {r.job.job_id: r for r in report.results}
+        assert by_id[1].finish_s == unpreempted[1].finish_s
+        victim = by_id[0]
+        assert victim.completed and victim.preemptions == 0
+        assert victim.finish_s == alone.finish_s
+        assert_same_output(victim.output, alone.output)
+        assert_same_output(victim.output, execute_job(batch))
+
+    def test_streamed_job_caught_mid_compute_is_not_preempted(self):
+        self._check_not_preempted_mid_compute(*self._streamed_batch_scenario())
+
+    def test_one_shot_job_caught_mid_compute_is_not_preempted(self):
+        cluster = one_device_cluster(1 << 30)
+        batch = Job(
+            job_id=0, tenant="batch", kind=JobKind.SPMTTKRP, tensor=CASES[BIG_CASE](), rank=RANK
+        )
+        (alone,) = self._engine(cluster).run([batch]).results
+        assert alone.execution == "one-shot"
+        self._check_not_preempted_mid_compute(cluster, batch, alone)
+
+    def test_streamed_job_not_yet_computing_is_preempted_bit_identically(self):
         cluster, batch, alone = self._streamed_batch_scenario()
-        small = random_sparse_tensor((6, 5, 4), nnz=20, seed=3)
+        # A second streamed batch job (another mode, so no batch mate)
+        # stages behind the first and waits for the compute engine.
+        queued = Job(
+            job_id=2,
+            tenant="batch",
+            kind=JobKind.SPMTTKRP,
+            tensor=batch.tensor,
+            mode=1,
+            rank=RANK,
+        )
+        (queued_alone,) = self._engine(cluster).run([queued]).results
+        assert queued_alone.execution == "streamed"
         mid = (alone.exec_start_s + alone.finish_s) / 2
 
-        def urgent(deadline_s):
-            return Job(
-                job_id=1,
-                tenant="lat",
-                kind=JobKind.SPMTTKRP,
-                tensor=small,
-                rank=4,
-                arrival_s=mid,
-                slo=SLO.latency(deadline_s),
+        def run(policy, deadline_s):
+            report = self._engine(cluster, policy).run(
+                [batch, queued, self._urgent(mid, deadline_s)]
             )
+            assert not report.timeline.violations()
+            return report, {r.job.job_id: r for r in report.results}
 
         # Urgent finish without preemption (the priority policy never
         # preempts) and with it (an over-tight deadline always triggers).
-        pair = [batch, urgent((alone.finish_s - mid) * 0.5)]
-        unpreempted = {
-            r.job.job_id: r for r in self._engine(cluster, "priority").run(pair).results
-        }[1]
-        forced = {r.job.job_id: r for r in self._engine(cluster).run(pair).results}[1]
-        assert forced.finish_s < unpreempted.finish_s
+        _, unpreempted = run("priority", (alone.finish_s - mid) * 0.5)
+        _, forced = run("deadline", (alone.finish_s - mid) * 0.5)
+        assert forced[1].finish_s < unpreempted[1].finish_s
 
         # A deadline feasible ONLY via preemption.
-        deadline_s = (forced.finish_s - mid) * 1.05
-        assert mid + deadline_s < unpreempted.finish_s
-        report = self._engine(cluster).run([batch, urgent(deadline_s)])
-        assert not report.timeline.violations()
+        deadline_s = (forced[1].finish_s - mid) * 1.05
+        assert mid + deadline_s < unpreempted[1].finish_s
+        report, by_id = run("deadline", deadline_s)
         (record,) = report.preemptions
-        assert record.job_id == 0 and record.preempted_by == 1
-        assert 0 < record.completed_chunks < record.total_chunks
-        by_id = {r.job.job_id: r for r in report.results}
+        assert record.job_id == 2 and record.preempted_by == 1
+        assert mid <= record.time_s < by_id[0].finish_s
+        assert record.released_s > 0.0
         assert not by_id[1].missed_deadline
-        victim = by_id[0]
+        # The job computing at the preemption instant is untouched.
+        assert by_id[0].preemptions == 0 and by_id[0].finish_s == alone.finish_s
+        victim = by_id[2]
         assert victim.completed and victim.preemptions == 1
-        assert victim.preempted_s > 0.0
-        # The tentpole: preempted-and-resumed output is bit-identical to
-        # the unpreempted run and to a fresh pure replay.
-        assert_same_output(victim.output, alone.output)
-        assert_same_output(victim.output, execute_job(batch))
-        labels = [e.label for e in report.timeline.events]
-        assert "resume-stage:job0" in labels and "resume:job0" in labels
+        assert victim.execution == "streamed"
+        assert victim.stage_start_s >= by_id[1].stage_start_s
+        assert victim.preempted_s == victim.stage_start_s - record.time_s > 0.0
+        # The preempted-and-re-dispatched output is bit-identical to the
+        # unpreempted run and to a fresh pure replay.
+        assert_same_output(victim.output, queued_alone.output)
+        assert_same_output(victim.output, unpreempted[2].output)
+        assert_same_output(victim.output, execute_job(queued))
 
     def test_workload_preemptions_are_value_preserving(self):
         """Stage-straddle / full-release preemptions across a real workload:
@@ -216,6 +267,33 @@ class TestPreemption:
             if result.completed and result.job.job_id in others:
                 assert outputs_equal(result.output, others[result.job.job_id].output)
 
+    def test_victims_restage_after_the_preemption_instant(self):
+        """Every preemption gives busy time back, and its victim re-stages
+        from scratch no earlier than the (last) preemption instant;
+        ``preempted_s`` is exactly that delay."""
+        jobs = generate_workload(
+            WorkloadSpec(num_jobs=60, seed=11, latency_slo_fraction=0.3)
+        )
+        report = ServingEngine(policy="deadline").run(jobs)
+        assert report.preemptions
+        last_cut = {}
+        for record in report.preemptions:
+            assert record.released_s > 0.0
+            assert record.time_s >= last_cut.get(record.job_id, 0.0)
+            last_cut[record.job_id] = record.time_s
+        by_id = {r.job.job_id: r for r in report.results}
+        for job_id, time_s in last_cut.items():
+            victim = by_id[job_id]
+            assert victim.completed
+            assert victim.preemptions == sum(
+                r.job_id == job_id for r in report.preemptions
+            )
+            assert victim.stage_start_s >= time_s
+            assert victim.preempted_s == victim.stage_start_s - time_s
+        assert report.preemption_overhead_s == sum(
+            by_id[job_id].preempted_s for job_id in last_cut
+        )
+
     def test_deadline_miss_rate_never_worse_than_fifo(self):
         jobs = generate_workload(
             WorkloadSpec(num_jobs=100, seed=0, latency_slo_fraction=0.3)
@@ -227,12 +305,20 @@ class TestPreemption:
 
     def test_preempted_job_survives_chaos_node_loss(self):
         """Preemption and chaos compose: a run with both loses no jobs and
-        keeps every common output bit-identical to the chaos-free run."""
+        keeps every common output bit-identical to the chaos-free run.  It
+        also catches a victim mid-staging, whose stage booking is cut at the
+        preemption instant."""
+        from unittest import mock
+
         from repro.bench.serving import run_serving
 
         kwargs = dict(num_jobs=40, seed=0, nodes=2, policy="deadline", slo_fraction=0.3)
         clean = run_serving(**kwargs)
-        chaotic = run_serving(chaos_seed=4, fail_node=0, **kwargs)
+        with mock.patch.object(
+            Timeline, "truncate", autospec=True, side_effect=Timeline.truncate
+        ) as cut:
+            chaotic = run_serving(chaos_seed=4, fail_node=0, **kwargs)
+        assert any(call.args[1].label.startswith("stage:") for call in cut.call_args_list)
         assert chaotic.requeued_jobs > 0
         assert len(chaotic.completed) >= len(clean.completed)
         assert not chaotic.timeline.violations()

@@ -140,11 +140,11 @@ class TestChunkPartitioner:
         for chunk in fcoo.chunk(CHUNK_NNZ, threadlen=THREADLEN):
             assert chunk.segment_offset == fcoo.segment_ids[chunk.start]
             assert chunk.carries_in == (chunk.start > 0 and not fcoo.bf[chunk.start])
+            # Local segment j scatters to row segment_offset + j of the
+            # stream's segment table.
             np.testing.assert_array_equal(
-                chunk.tensor.segment_index_coords,
-                fcoo.segment_index_coords[
-                    chunk.segment_offset : chunk.segment_offset + chunk.num_segments
-                ],
+                np.unique(fcoo.segment_ids[chunk.start : chunk.stop]),
+                chunk.segment_offset + np.arange(chunk.num_segments),
             )
 
     def test_segment_counts_add_up(self):
@@ -290,12 +290,12 @@ class TestChunkedEqualsOneShot:
         assert len(chunks) >= 2
         assert_folds(streamed.profile.counters, [c.counters for c in chunks])
 
-    def test_execute_streamed_prices_each_chunk_once(self):
+    def test_streamed_pricing_prices_each_chunk_once(self):
         # The streamed driver is model-only: it prices every chunk exactly
         # once and returns just the pipelined profile.
         from repro.gpusim.counters import KernelCounters
         from repro.gpusim.launch import LaunchConfig
-        from repro.kernels.unified import execute_streamed
+        from repro.kernels.unified.streaming import chunk_stream, price_chunks
 
         fcoo = FCOOTensor.from_sparse(CASES["order3-uniform"](), OperationKind.SPMTTKRP, 0)
         priced = []
@@ -305,17 +305,15 @@ class TestChunkedEqualsOneShot:
             launch = LaunchConfig.for_nnz(chunk.nnz, 1, threadlen=THREADLEN)
             return KernelCounters(flops=float(chunk.nnz), active_threads=1.0), launch
 
-        profile = execute_streamed(
-            fcoo, chunk_model, device=TITAN_X, threadlen=THREADLEN,
-            chunk_nnz=CHUNK_NNZ, name="segment-value-sums",
-        )
+        chunking = chunk_stream(fcoo, device=TITAN_X, threadlen=THREADLEN, chunk_nnz=CHUNK_NNZ)
+        profile = price_chunks(chunking, chunk_model, device=TITAN_X, name="segment-value-sums")
         assert profile.name == "segment-value-sums-streamed"
         assert priced == [c.nnz for c in profile.streaming.chunks]
         assert sum(priced) == fcoo.nnz
         assert profile.counters.flops == fcoo.nnz
 
-    def test_execute_streamed_on_empty_stream(self):
-        from repro.kernels.unified import execute_streamed
+    def test_streamed_pricing_on_empty_stream(self):
+        from repro.kernels.unified.streaming import chunk_stream, price_chunks
 
         empty = FCOOTensor.from_sparse(
             SparseTensor.empty((5, 6, 7)), OperationKind.SPMTTKRP, 0
@@ -325,9 +323,8 @@ class TestChunkedEqualsOneShot:
             raise AssertionError("an empty stream has no chunks")
 
         # Auto chunk sizing must not choke on the empty stream.
-        profile = execute_streamed(
-            empty, chunk_model, device=TITAN_X, threadlen=THREADLEN, name="empty"
-        )
+        chunking = chunk_stream(empty, device=TITAN_X, threadlen=THREADLEN)
+        profile = price_chunks(chunking, chunk_model, device=TITAN_X, name="empty")
         assert profile.streaming.num_chunks == 0
         assert profile.estimated_time_s == 0.0
 

@@ -135,23 +135,9 @@ class TestReordering:
         with pytest.raises(ValueError):
             t.sort_by_modes([0, 0, 1])
 
-    def test_permute_modes(self):
-        t = make_simple()
-        p = t.permute_modes([2, 0, 1])
-        assert p.shape == (3, 2, 2)
-        np.testing.assert_allclose(p.to_dense(), np.moveaxis(t.to_dense(), [0, 1, 2], [1, 2, 0]))
-
-    def test_permute_invalid(self):
-        with pytest.raises(ValueError):
-            make_simple().permute_modes([0, 1])
-
     def test_scale(self):
         t = make_simple()
         np.testing.assert_allclose(t.scale(2.0).to_dense(), 2.0 * t.to_dense())
-
-    def test_astype(self):
-        t = make_simple().astype(np.float32)
-        assert t.nnz == 3
 
 
 class TestStructureQueries:
@@ -411,6 +397,21 @@ class TestFCOOEncodeOrder:
             with mock.patch.object(np, "lexsort", wraps=np.lexsort) as spy:
                 FCOOTensor.from_sparse(shuffled, operation, mode)
             assert spy.call_count == 1
+
+    @given(encode_cases())
+    @example(((2**16, 3, 2**16 + 1), 40, 1, "default"))
+    @example(((2**16 + 1, 2, 2**16, 3), 40, 2, "shuffled"))
+    def test_slice_order_equals_raw_lexsort(self, case):
+        # The order COO and the one-index-mode F-COO encodes gather through:
+        # ``mode`` first, the other modes after it in increasing order,
+        # ties kept in stored order.
+        tensor = build_tensor(*case)
+        indices = np.asarray(tensor.indices)
+        for mode in range(tensor.order):
+            rest = [m for m in range(tensor.order) if m != mode]
+            np.testing.assert_array_equal(
+                tensor.slice_order(mode), raw_lexsort(indices, [mode] + rest)
+            )
 
     def test_slice_order_sorts_16_bit_keys(self):
         tensor = random_sparse_tensor((2**16, 2**16 + 1), 500, seed=4)

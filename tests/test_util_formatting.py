@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.formatting import format_bytes, format_seconds, format_speedup, format_table
+from repro.util.formatting import format_bytes, format_seconds, format_table
 
 
 class TestFormatBytes:
@@ -36,11 +36,6 @@ class TestFormatSeconds:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             format_seconds(-0.1)
-
-
-class TestFormatSpeedup:
-    def test_format(self):
-        assert format_speedup(3.74) == "3.7x"
 
 
 class TestFormatTable:

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from repro.util.validation import (
-    check_axis,
     check_mode,
     check_positive_int,
     check_rank,
     check_shape,
-    normalize_modes,
 )
 
 
@@ -83,9 +81,6 @@ class TestCheckMode:
         with pytest.raises(TypeError):
             check_mode(1.5, 3)
 
-    def test_axis_alias(self):
-        assert check_axis(0, 2) == 0
-
 
 class TestCheckRank:
     def test_valid(self):
@@ -94,19 +89,3 @@ class TestCheckRank:
     def test_invalid(self):
         with pytest.raises(ValueError):
             check_rank(0)
-
-
-class TestNormalizeModes:
-    def test_sorted_and_deduplicated(self):
-        assert normalize_modes([2, 0, 2], 3) == (0, 2)
-
-    def test_negative_modes(self):
-        assert normalize_modes([-1, 0], 3) == (0, 2)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_modes([], 3)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_modes([5], 3)
