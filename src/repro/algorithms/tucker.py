@@ -22,6 +22,7 @@ ran.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
@@ -138,8 +139,8 @@ def tucker_hooi(
     tensor:
         Sparse input tensor.
     ranks:
-        Target multilinear rank, one entry per mode (each at most the mode
-        size).
+        Target multilinear rank, one entry per mode: each at most the mode
+        size and at most the product of the other ranks.
     device, block_size, threadlen:
         Passed to the unified SpTTMc kernel.
     max_iterations / tolerance:
@@ -177,6 +178,12 @@ def tucker_hooi(
         if r > tensor.shape[m]:
             raise ValueError(
                 f"ranks[{m}]={r} exceeds the mode size {tensor.shape[m]}"
+            )
+        others = math.prod(ranks[:m] + ranks[m + 1 :])
+        if r > others:
+            raise ValueError(
+                f"ranks[{m}]={r} exceeds {others}, the product of the other "
+                f"ranks: a multilinear rank needs R_n <= prod(R_m for m != n)"
             )
     max_iterations = check_positive_int(max_iterations, "max_iterations")
 

@@ -69,8 +69,9 @@ class COOTensor:
         The non-zeros are sorted lexicographically with ``sort_mode`` as the
         primary key and the remaining modes (in increasing order) as
         secondary keys — the ordering ParTI assumes.  That order is
-        :meth:`SparseTensor.slice_order`; each column is gathered through it,
-        without a sorted copy of the tensor.
+        :meth:`SparseTensor.segment_order` with ``sort_mode`` as the one
+        index mode; each column is gathered through it, without a sorted
+        copy of the tensor.
         """
         sort_mode = check_mode(sort_mode, tensor.order)
         index_dtype = np.dtype(index_dtype)
@@ -80,7 +81,7 @@ class COOTensor:
                 raise ValueError(
                     f"mode of size {dim} does not fit in index dtype {index_dtype}"
                 )
-        perm = tensor.slice_order(sort_mode)
+        perm = tensor.segment_order((sort_mode,))
         idx = np.asarray(tensor.indices)
         arrays = tuple(np.take(idx[:, m], perm).astype(index_dtype) for m in range(tensor.order))
         values = np.asarray(tensor.values)[perm].astype(value_dtype)

@@ -27,13 +27,12 @@ to the per-non-zero storage cost of Table II.
 
 The encoding requires the non-zeros to be sorted with the index modes as the
 primary sort keys, so that every fiber/slice occupies one contiguous run.
-:meth:`FCOOTensor.from_sparse` computes that order as one permutation and
-gathers the stored columns straight from it, without a sorted copy of the
-tensor.  With one index mode (SpMTTKRP, SpTTMc) the permutation is
-:meth:`SparseTensor.slice_order`, on a sorted tensor one stable sort of the
-index mode's column (a radix sort when it has at most ``2**16`` rows, the
-counting sort SPLATT builds CSF with); otherwise it is one ``np.lexsort``
-over the modes packed into as few int64 keys as fit.
+:meth:`FCOOTensor.from_sparse` takes that order as one permutation,
+:meth:`SparseTensor.segment_order`, and gathers the stored columns straight
+from it, without a sorted copy of the tensor.  On a tensor its constructor
+sorted, index modes that lead canonical order (mode 0 of SpMTTKRP and SpTTMc,
+SpTTM on the last mode) need no sort, and any others take one stable sort of
+their packed int64 key.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro.formats.mode_encoding import ModeRoles, OperationKind, mode_roles
-from repro.tensor.sparse import SparseTensor, _lexsort_rows
+from repro.tensor.sparse import SparseTensor
 from repro.util.validation import check_positive_int
 
 __all__ = ["FCOOTensor", "FCOOChunk"]
@@ -293,10 +292,9 @@ class FCOOTensor(_NonZeroStream):
         The non-zeros are ordered so index modes are the primary keys (in
         increasing mode order) and product modes the secondary keys; this
         makes each fiber/slice a contiguous segment, which is what the
-        bit-flag encoding requires.  The order is one permutation:
-        :meth:`SparseTensor.slice_order` when there is one index mode, a
-        packed-key ``np.lexsort`` when there are several.  The values (cast
-        to ``value_dtype``), the product-mode columns (cast to
+        bit-flag encoding requires.  The order is one permutation,
+        :meth:`SparseTensor.segment_order` of the index modes.  The values
+        (cast to ``value_dtype``), the product-mode columns (cast to
         ``index_dtype``) and the index-mode columns are gathered through
         it one column at a time, and the flags, segment ids and segment
         table are read off the sorted index columns, so no step holds more
@@ -312,10 +310,7 @@ class FCOOTensor(_NonZeroStream):
                 )
 
         idx = np.asarray(tensor.indices)
-        if len(roles.index_modes) == 1:
-            perm = tensor.slice_order(roles.index_modes[0])
-        else:
-            perm = _lexsort_rows(idx, tensor.shape, roles.index_modes + roles.product_modes)
+        perm = tensor.segment_order(roles.index_modes)
         with np.errstate(over="ignore"):
             values = np.asarray(tensor.values).astype(value_dtype)[perm]
         if not np.isfinite(values).all():

@@ -22,7 +22,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.tensor.sparse import SparseTensor, _lexsort_rows
+from repro.tensor.sparse import SparseTensor
 from repro.util.validation import check_mode, check_shape
 
 __all__ = ["SemiSparseTensor"]
@@ -165,8 +165,16 @@ class SemiSparseTensor:
         """Return a copy with fibers sorted lexicographically by coordinate."""
         if self.num_fibers == 0:
             return self
-        sparse_sizes = [self.shape[m] for m in self.sparse_modes]
-        perm = _lexsort_rows(self.fiber_coords, sparse_sizes)
+        # The fiber coordinates as a tensor of their own, in stored order:
+        # its segment order over every mode is the canonical order.
+        coords = SparseTensor(
+            self.fiber_coords,
+            np.zeros(self.num_fibers),
+            [self.shape[m] for m in self.sparse_modes],
+            sum_duplicates=False,
+            sort=False,
+        )
+        perm = coords.segment_order(range(coords.order))
         return SemiSparseTensor(
             shape=self.shape,
             dense_mode=self.dense_mode,

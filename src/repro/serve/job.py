@@ -148,8 +148,18 @@ class Job:
 
     @property
     def tucker_ranks(self) -> Tuple[int, ...]:
-        """Per-mode multilinear rank of a Tucker job (clamped to the shape)."""
-        return tuple(min(self.rank, s) for s in self.tensor.shape)
+        """Per-mode multilinear rank of a Tucker job.
+
+        ``rank`` is clamped to each mode's size, and then to what a
+        multilinear rank allows, ``R_n <= prod(R_m for m != n)``.  After the
+        shape clamp only a strictly largest rank can break that bound, and
+        clamping it to the product of the others satisfies every mode.
+        """
+        ranks = [min(self.rank, s) for s in self.tensor.shape]
+        largest = max(range(len(ranks)), key=ranks.__getitem__)
+        others = math.prod(r for m, r in enumerate(ranks) if m != largest)
+        ranks[largest] = min(ranks[largest], others)
+        return tuple(ranks)
 
     @property
     def deadline_s(self) -> float:
@@ -251,7 +261,7 @@ class JobResult:
         Seconds the job's collectives queued behind other jobs' traffic on
         shared link/NIC resources (``start - queued_from`` of its
         collective bookings) — pure congestion, not transfer time.
-    preemption_overhead_s:
+    recovery_s:
         Busy seconds of the job's ``recovery`` phase bookings: the
         re-staging it paid because it was torn off a failed node.  A
         preempted job re-stages from scratch, which counts as ``stage``.
@@ -281,7 +291,7 @@ class JobResult:
     preempted_s: float = 0.0
     compute_s: float = 0.0
     nic_wait_s: float = 0.0
-    preemption_overhead_s: float = 0.0
+    recovery_s: float = 0.0
 
     @property
     def completed(self) -> bool:

@@ -685,7 +685,7 @@ class Scheduler:
             if result.completed and cost is not None:
                 result.nic_wait_s = cost.nic_wait_s
                 result.compute_s = cost.compute_s
-                result.preemption_overhead_s = cost.recovery_s
+                result.recovery_s = cost.recovery_s
         if metrics is not None:
             attribution.publish(metrics)
             queue_wait = metrics.histogram(

@@ -23,7 +23,7 @@ Design notes
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sps
@@ -48,12 +48,16 @@ class SparseTensor:
     sum_duplicates:
         When ``True`` (default) duplicate coordinates are merged by summing
         their values, which is the semantics FROSTT files and the paper's
-        datasets assume.
+        datasets assume.  Each group's values are added in stored order into
+        a float64 zero, and the result is sorted as with ``sort``.
     sort:
         When ``True`` (default) non-zeros are sorted lexicographically by
         mode index ``(mode 0, mode 1, ...)``.  Sorted order is what the COO
-        kernels in the paper (and ParTI) assume.  A tensor built with both
-        flags off keeps the given order and is not taken to be sorted.
+        kernels in the paper (and ParTI) assume.  The rows are packed into
+        one int64 key whenever the shape's product fits in 2**62, and one
+        stable sort of it gives the order (:func:`_lexsort_rows`).  A tensor
+        built with both flags off keeps the given order and is not taken to
+        be sorted.
     """
 
     __slots__ = ("_indices", "_values", "_shape", "_content_key", "_is_sorted")
@@ -210,27 +214,29 @@ class SparseTensor:
             self._content_key = digest.hexdigest()
         return self._content_key
 
-    def slice_order(self, mode: int) -> np.ndarray:
-        """The stable permutation sorting the non-zeros by ``mode`` first and
-        then by the other modes in increasing order.
+    def segment_order(self, index_modes: Sequence[int]) -> np.ndarray:
+        """The stable permutation sorting the non-zeros by ``index_modes``
+        first (``index_modes[0]`` primary) and then by the other modes in
+        increasing order.
 
-        This is the order of the F-COO encodings with ``mode`` as their one
-        index mode (SpMTTKRP and SpTTMc): each mode-``mode`` slice is one
-        contiguous run.  Canonical order already ranks the other modes that
-        way, so on a sorted tensor a stable sort of the one ``mode`` column
-        gives the same permutation as the full lexicographic sort, in
-        O(nnz) when the mode has at most ``2**16`` rows (NumPy radix-sorts
-        16-bit keys).  A tensor the constructor did not sort takes
-        :func:`_lexsort_rows`.
+        This is the order of every F-COO encoding: each segment (a fiber for
+        SpTTM, a slice for SpMTTKRP and SpTTMc) is one contiguous run.  COO
+        stores its non-zeros in it too, with its sort mode as the one index
+        mode.  Canonical order already ranks the other modes that way, so on
+        a tensor its constructor sorted, index modes ``(0, ..., k-1)`` need
+        no sort at all and any others take one stable sort of their own
+        packed key.  A tensor the constructor did not sort takes
+        :func:`_lexsort_rows` over the index modes and then the rest.
         """
-        mode = check_mode(mode, self.order)
+        index_modes = tuple(check_mode(m, self.order) for m in index_modes)
+        if len(set(index_modes)) != len(index_modes):
+            raise ValueError(f"index_modes must be distinct, got {index_modes}")
         if not self._is_sorted:
-            others = tuple(m for m in range(self.order) if m != mode)
-            return _lexsort_rows(self._indices, self._shape, (mode,) + others)
-        column = self._indices[:, mode]
-        if self._shape[mode] <= _RADIX_ROWS:
-            column = column.astype(np.uint16)
-        return np.argsort(column, kind="stable")
+            rest = tuple(m for m in range(self.order) if m not in index_modes)
+            return _lexsort_rows(self._indices, self._shape, index_modes + rest)
+        if index_modes == tuple(range(len(index_modes))):
+            return np.arange(self.nnz)
+        return _lexsort_rows(self._indices, self._shape, index_modes)
 
     def mode_indices(self, mode: int) -> np.ndarray:
         """The index column of one mode, as a read-only ``(nnz,)`` view."""
@@ -413,33 +419,21 @@ class SparseTensor:
 #: Largest span one packed sort key covers, so every key fits in int64.
 _KEY_SPAN = 1 << 62
 
-#: Most rows a mode may have for :meth:`SparseTensor.slice_order` to sort
-#: it on 16-bit keys.
-_RADIX_ROWS = 1 << 16
 
-
-def _lexsort_rows(
+def _packed_keys(
     indices: np.ndarray, sizes: Sequence[int], order: Optional[Sequence[int]] = None
-) -> np.ndarray:
-    """The stable permutation sorting the rows of ``indices``
-    lexicographically by the columns ``order`` (default: all, first column
-    primary), column ``m`` holding values in ``[0, sizes[m])``.
+) -> List[Tuple[np.ndarray, int]]:
+    """The columns ``order`` of ``indices`` (default: all) packed into as
+    few int64 keys as fit, primary first, each with its span.
 
-    Consecutive columns of ``order`` are packed into one int64 key while
-    their span stays within 2**62, and ``np.lexsort`` runs once over the
-    packed keys.  Packing keeps every comparison, so the permutation is the
-    one ``np.lexsort`` gives over the raw columns, for any sizes: a span
-    beyond 2**62 just starts another key.
-
-    It sorts whatever no cheaper order applies to: the constructor's
-    ``sort`` and ``sum_duplicates``, :meth:`SparseTensor.sort_by_modes`,
-    :func:`_canonical`, the semi-sparse canonicalisation, and the F-COO
-    encodings :meth:`SparseTensor.slice_order` does not cover (SpTTM's
-    several index modes, or a tensor its constructor did not sort).
+    Column ``m`` holds values in ``[0, sizes[m])``.  Consecutive columns
+    share one key while the product of their sizes stays within 2**62, and
+    a column that would pass it starts the next key, so comparing the keys
+    in turn compares the rows lexicographically, for any sizes.
     """
     if order is None:
         order = range(indices.shape[1])
-    keys = []  # primary first
+    keys = []
     key, span = None, 0
     for m in order:
         size = int(sizes[m])
@@ -449,13 +443,63 @@ def _lexsort_rows(
             span *= size
         else:
             if key is not None:
-                keys.append(key)
+                keys.append((key, span))
             key, span = indices[:, m], size
-    if key is None:
-        return np.arange(indices.shape[0])
-    keys.append(key)
-    # np.lexsort sorts by the LAST key as primary, so reverse.
-    return np.lexsort(keys[::-1])
+    if key is not None:
+        keys.append((key, span))
+    return keys
+
+
+def _stable_argsort(key: np.ndarray, span: int) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` of an int64 ``key`` with values in
+    ``[0, span)``.
+
+    When ``span`` shifted past the positions' bits still fits in int64, it
+    sorts the composites ``key << bits | position`` and masks the positions
+    back out: every composite is distinct, so any sort of them yields the
+    stable permutation, and NumPy sorts int64 with its SIMD sort.  A wider
+    ``key`` takes the stable argsort itself.
+    """
+    bits = (key.shape[0] - 1).bit_length()
+    if span << bits > 1 << 63:
+        return np.argsort(key, kind="stable")
+    composite = key << bits
+    composite |= np.arange(key.shape[0])
+    composite = np.sort(composite)
+    composite &= (1 << bits) - 1
+    return composite
+
+
+def _argsort_packed(keys: List[Tuple[np.ndarray, int]], nnz: int) -> np.ndarray:
+    """The stable permutation sorting ``nnz`` rows by their :func:`_packed_keys`."""
+    if not keys:
+        return np.arange(nnz)
+    if len(keys) == 1:
+        return _stable_argsort(*keys[0])
+    # Only a span beyond 2**62 gets here.  np.lexsort sorts by the LAST key
+    # as primary, so reverse.
+    return np.lexsort([key for key, _ in reversed(keys)])
+
+
+def _lexsort_rows(
+    indices: np.ndarray, sizes: Sequence[int], order: Optional[Sequence[int]] = None
+) -> np.ndarray:
+    """The stable permutation sorting the rows of ``indices``
+    lexicographically by the columns ``order`` (default: all, first column
+    primary), column ``m`` holding values in ``[0, sizes[m])``.
+
+    The columns are packed into int64 keys (:func:`_packed_keys`).  One key
+    takes one :func:`_stable_argsort`; only columns whose sizes multiply
+    past 2**62 make several keys, which take one ``np.lexsort``.  Either
+    way the permutation is the one ``np.lexsort`` gives over the raw
+    columns.
+
+    It sorts the constructor's ``sort``, :meth:`SparseTensor.sort_by_modes`,
+    :func:`_canonical`, and :meth:`SparseTensor.segment_order` (every
+    order of a tensor its constructor did not sort, and a non-prefix one of
+    a tensor it did).
+    """
+    return _argsort_packed(_packed_keys(indices, sizes, order), indices.shape[0])
 
 
 def _composite_key(indices: np.ndarray, modes: Iterable[int], shape: Sequence[int]) -> np.ndarray:
@@ -487,20 +531,25 @@ def _sum_duplicates(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Merge duplicate coordinates by summing their values.
 
-    Returns arrays sorted lexicographically by coordinate.
+    Returns arrays sorted lexicographically by coordinate.  The rows are
+    sorted once on their packed keys, and a group of duplicates starts
+    where a sorted key differs from the one before it.  Each group's values
+    are added in stored order into a float64 zero (``np.add.at``).
     """
-    order = _lexsort_rows(indices, shape)
-    indices = indices[order]
-    values = values[order]
     if indices.shape[0] == 0:
         return indices, values
-    diff = np.any(indices[1:] != indices[:-1], axis=1)
-    group_start = np.concatenate(([True], diff))
+    keys = _packed_keys(indices, shape)
+    order = _argsort_packed(keys, indices.shape[0])
+    group_start = np.zeros(indices.shape[0], dtype=bool)
+    group_start[0] = True
+    for key, _ in keys:
+        key = key[order]
+        group_start[1:] |= key[1:] != key[:-1]
     group_ids = np.cumsum(group_start) - 1
     n_groups = int(group_ids[-1]) + 1
     summed = np.zeros(n_groups, dtype=np.float64)
-    np.add.at(summed, group_ids, values)
-    return indices[group_start], summed
+    np.add.at(summed, group_ids, values[order])
+    return indices[order[group_start]], summed
 
 
 def _canonical(t: SparseTensor) -> SparseTensor:

@@ -1,5 +1,7 @@
 """Tests for the Tucker/HOOI decomposition built on unified SpTTMc."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,17 @@ class TestTuckerHOOI:
             tucker_hooi(skewed_tensor, (100, 3, 3))
         with pytest.raises(ValueError):
             tucker_hooi(skewed_tensor, (3, 3))
+
+    def test_rank_past_the_product_of_the_others_raises_before_any_encode(self):
+        # R_n <= prod(R_m for m != n) is what a multilinear rank needs; past
+        # it, HOOI's unfolding has too few columns for R_n singular vectors.
+        tensor = random_sparse_tensor((2, 3, 500), 300, seed=2)
+        with mock.patch.object(FCOOTensor, "from_sparse") as encode:
+            with pytest.raises(ValueError, match=r"ranks\[2\]=8 exceeds 6, the product"):
+                tucker_hooi(tensor, (2, 3, 8))
+        encode.assert_not_called()
+        result = tucker_hooi(tensor, (2, 3, 6), max_iterations=2)
+        assert result.core.shape == (2, 3, 6)
 
     def test_zero_tensor_rejected(self):
         with pytest.raises(ValueError):

@@ -438,7 +438,7 @@ class TestServingTelemetry:
         for result in instrumented_report.completed:
             assert result.compute_s >= 0.0
             assert result.nic_wait_s >= 0.0
-            assert result.preemption_overhead_s == 0.0  # no chaos/preemption
+            assert result.recovery_s == 0.0  # no chaos
             cost = instrumented_report.attribution.jobs[f"job{result.job.job_id}"]
             assert result.compute_s == cost.compute_s
 
@@ -522,7 +522,7 @@ class TestServingTelemetry:
         assert report.preemption_overhead_s > 0.0
         for result in report.completed:
             cost = report.attribution.jobs[f"job{result.job.job_id}"]
-            assert result.preemption_overhead_s == cost.recovery_s
+            assert result.recovery_s == cost.recovery_s
         assert 'phase="resume"' not in report.metrics.to_prometheus()
 
     def test_registry_covers_all_layers(self, instrumented_report):

@@ -1158,6 +1158,53 @@ class TestPoisonAdmission:
         assert not np.any(result.output)
 
 
+class TestTuckerRanks:
+    @pytest.mark.parametrize(
+        "shape, rank, expected",
+        [
+            ((30, 20, 10), 3, (3, 3, 3)),
+            ((1, 1, 500), 4, (1, 1, 1)),
+            ((2, 3, 500), 8, (2, 3, 6)),
+            ((2, 500), 4, (2, 2)),
+            ((5, 5, 2, 2), 9, (5, 5, 2, 2)),
+        ],
+    )
+    def test_ranks_clamp_to_the_shape_and_the_multilinear_bound(self, shape, rank, expected):
+        job = Job(0, "t", JobKind.TUCKER, random_sparse_tensor(shape, 50, seed=0), rank=rank)
+        assert job.tucker_ranks == expected
+
+    @given(
+        st.lists(st.integers(1, 12), min_size=2, max_size=5),
+        st.integers(1, 16),
+    )
+    def test_clamped_ranks_keep_every_mode_within_the_others(self, shape, rank):
+        job = Job(0, "t", JobKind.TUCKER, random_sparse_tensor(shape, 5, seed=0), rank=rank)
+        ranks = job.tucker_ranks
+        shape_clamped = [min(rank, s) for s in shape]
+        for m, r in enumerate(ranks):
+            assert 1 <= r <= shape_clamped[m]
+            assert r <= math.prod(ranks[:m] + ranks[m + 1 :])
+        # Only the one strictly largest shape-clamped rank may move.
+        moved = [m for m, r in enumerate(ranks) if r != shape_clamped[m]]
+        assert len(moved) <= 1
+        if moved:
+            assert shape_clamped[moved[0]] > max(
+                r for m, r in enumerate(shape_clamped) if m != moved[0]
+            )
+
+    def test_a_rank_past_the_bound_completes_beside_good_jobs(self):
+        jobs = [
+            Job(0, "bad", JobKind.TUCKER, random_sparse_tensor((1, 1, 500), 200, seed=0), rank=4),
+            Job(1, "good", JobKind.TUCKER, random_sparse_tensor((30, 20, 10), 500, seed=1), rank=3),
+            Job(2, "good", JobKind.SPMTTKRP, random_sparse_tensor((30, 20, 10), 500, seed=2), rank=4),
+        ]
+        report = ServingEngine(default_serving_cluster()).run(jobs)
+        assert [r.status for r in report.results] == [JobStatus.COMPLETED] * 3
+        for result in report.results:
+            assert_replays(result)
+        assert report.results[0].output.core.shape == (1, 1, 1)
+
+
 # ---------------------------------------------------------------------- #
 # Workload generator, bench runner, regression metrics, CLI
 # ---------------------------------------------------------------------- #

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import repro.tensor.sparse as sparse_module
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import mode_roles
 from repro.tensor.random import random_sparse_tensor
-from repro.tensor.sparse import SparseTensor, _drop_zeros, _lexsort_rows
+from repro.tensor.sparse import SparseTensor, _drop_zeros, _lexsort_rows, _stable_argsort
 
 
 def make_simple():
@@ -328,6 +329,100 @@ class TestPackedSort:
         np.testing.assert_array_equal(np.asarray(tensor.values), sums)
 
 
+class TestStableArgsort:
+    @pytest.mark.parametrize("past", [False, True], ids=["fits", "one-bit-past"])
+    @pytest.mark.parametrize("nnz", [1, 2, 3, 64, 65, 1000])
+    def test_equals_numpy_stable_argsort_at_the_composite_fit(self, nnz, past):
+        # At span << bits == 2**63 the composites key << bits | position
+        # just fit int64; one bit past it the stable argsort takes over.
+        # Keys repeat, so the tie order decides the permutation.
+        bits = (nnz - 1).bit_length()
+        span = 1 << (63 - bits + past)
+        top = min(span, 2**63) - 1
+        pool = np.array([0, 1, top // 2, top - 1, top], dtype=np.int64)
+        key = np.random.default_rng(nnz).choice(pool, size=nnz)
+        with mock.patch.object(np, "sort", wraps=np.sort) as sort, mock.patch.object(
+            np, "argsort", wraps=np.argsort
+        ) as argsort:
+            perm = _stable_argsort(key, span)
+        assert (sort.call_count, argsort.call_count) == ((0, 1) if past else (1, 0))
+        np.testing.assert_array_equal(perm, np.argsort(key, kind="stable"))
+
+
+# ---------------------------------------------------------------------- #
+# The constructor's duplicate merge against its row-compare form
+# ---------------------------------------------------------------------- #
+def row_compare_sum_duplicates(indices, values):
+    """The constructor's merge as a raw lexsort, a row compare and
+    ``np.add.at``: the oracle for the bits of the packed-key merge."""
+    order = raw_lexsort(indices, range(indices.shape[1]))
+    indices = indices[order]
+    values = values[order]
+    diff = np.any(indices[1:] != indices[:-1], axis=1)
+    group_start = np.concatenate(([True], diff))
+    group_ids = np.cumsum(group_start) - 1
+    summed = np.zeros(int(group_ids[-1]) + 1, dtype=np.float64)
+    np.add.at(summed, group_ids, values)
+    return indices[group_start], summed
+
+
+#: Shapes whose packed key and composite fit int64; one whose key fits but
+#: whose composite does not once nnz > 2 (a span of 3 * 2**60); and one
+#: whose span passes 2**62, so it packs two keys.
+MERGE_SHAPES = [(4,), (3, 5, 2), (2, 3, 2, 4), (2**40, 2**20, 3), HUGE_SHAPE]
+VALUE_DTYPES = [np.float64, np.float32, np.float16, np.int64, np.int32]
+
+
+@st.composite
+def duplicate_rows(draw):
+    """(indices, values, shape): rows of a few distinct indices per mode,
+    so groups of one, two and many duplicates occur, and values that
+    include signed zeros, subnormals and the dtype's largest."""
+    shape = draw(st.sampled_from(MERGE_SHAPES))
+    nnz = draw(st.integers(min_value=1, max_value=60))
+    dtype = np.dtype(draw(st.sampled_from(VALUE_DTYPES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    indices = few_distinct_indices(rng, shape, nnz)
+    if dtype.kind == "f":
+        info = np.finfo(dtype)
+        sub = info.smallest_subnormal
+        pool = np.array(
+            [0.0, -0.0, sub, -sub, 3 * sub, info.max, -info.max, min(1e308, float(info.max)), 1.5],
+            dtype=dtype,
+        )
+        pool = np.concatenate([pool, rng.standard_normal(6).astype(dtype)])
+        values = rng.choice(pool, size=nnz)
+    else:
+        values = rng.integers(-3, 4, size=nnz).astype(dtype)
+    return indices, values, shape
+
+
+#: One group of one, of two and of five: -0.0 + -0.0 sums to +0.0 from the
+#: float64 zero, and the subnormals add in stored order.
+GROUPS_OF_ONE_TWO_FIVE = (
+    np.array([[2, 0, 1], [1, 4, 0], [1, 4, 0], [0, 3, 1], [0, 3, 1], [0, 3, 1], [0, 3, 1], [0, 3, 1]]),
+    np.array([-0.0, -0.0, -0.0, 5e-324, 1e308, 1e308, -1e308, -5e-324]),
+    (3, 5, 2),
+)
+
+
+class TestDuplicateMerge:
+    @given(duplicate_rows())
+    @example(GROUPS_OF_ONE_TWO_FIVE)
+    def test_constructor_merges_like_the_row_compare_oracle(self, case):
+        indices, values, shape = case
+        as_float = values.astype(np.float64) if values.dtype.kind in "iu" else values
+        with np.errstate(over="ignore", invalid="ignore"):
+            tensor = SparseTensor(indices, values, shape)
+            expected_indices, expected_values = row_compare_sum_duplicates(indices, as_float)
+        assert tensor.indices.dtype == np.int64 and tensor.values.dtype == np.float64
+        assert tensor.indices.tobytes() == expected_indices.tobytes()
+        assert tensor.values.shape == expected_values.shape
+        np.testing.assert_array_equal(
+            tensor.values.view(np.uint64), expected_values.view(np.uint64)
+        )
+
+
 # ---------------------------------------------------------------------- #
 # The recorded order, and the F-COO encode that reads it
 # ---------------------------------------------------------------------- #
@@ -338,7 +433,7 @@ def raw_is_sorted(tensor):
 
 
 #: Mode sizes for the encode property: small ones, and the two either side
-#: of the 16-bit sort keys' limit.
+#: of the 16-bit boundary.
 ENCODE_MODE_SIZES = [1, 2, 3, 5, 2**16, 2**16 + 1]
 LAYOUTS = ["default", "shuffled", "sort_by_modes"]
 FCOO_ARRAYS = ("product_indices", "values", "bf", "segment_ids", "segment_index_coords")
@@ -386,40 +481,79 @@ class TestFCOOEncodeOrder:
             for mode in range(tensor.order):
                 assert_encodes_like_raw_lexsort(tensor, operation, mode)
 
-    @pytest.mark.parametrize("operation", ["spmttkrp", "spttmc"])
-    def test_sorted_slice_encodes_never_lexsort(self, operation):
+    @pytest.mark.parametrize("operation", ["spttm", "spmttkrp", "spttmc"])
+    def test_encodes_sort_only_what_canonical_order_leaves(self, operation):
+        # A sorted tensor's encode sorts on its index modes alone (canonical
+        # order ranks the rest), and not at all when they lead canonical
+        # order; a shuffled tensor's sorts on the index modes and then the
+        # rest.  With keys that fit int64, neither reaches np.lexsort.
         tensor = random_sparse_tensor((30, 20, 10, 5), 800, seed=3)
         shuffled = build_tensor(tensor.shape, 800, 3, "shuffled")
         for mode in range(tensor.order):
-            with mock.patch.object(np, "lexsort", wraps=np.lexsort) as spy:
-                FCOOTensor.from_sparse(tensor, operation, mode)
-            assert spy.call_count == 0
-            with mock.patch.object(np, "lexsort", wraps=np.lexsort) as spy:
-                FCOOTensor.from_sparse(shuffled, operation, mode)
-            assert spy.call_count == 1
+            roles = mode_roles(operation, mode, tensor.order)
+            leads = roles.index_modes == tuple(range(len(roles.index_modes)))
+            expected = {
+                "sorted": [] if leads else [roles.index_modes],
+                "shuffled": [roles.index_modes + roles.product_modes],
+            }
+            for name, case in (("sorted", tensor), ("shuffled", shuffled)):
+                with mock.patch.object(
+                    sparse_module, "_lexsort_rows", wraps=sparse_module._lexsort_rows
+                ) as spy, mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+                    FCOOTensor.from_sparse(case, operation, mode)
+                assert [tuple(c.args[2]) for c in spy.call_args_list] == expected[name]
+                assert lexsort.call_count == 0
 
     @given(encode_cases())
     @example(((2**16, 3, 2**16 + 1), 40, 1, "default"))
     @example(((2**16 + 1, 2, 2**16, 3), 40, 2, "shuffled"))
-    def test_slice_order_equals_raw_lexsort(self, case):
-        # The order COO and the one-index-mode F-COO encodes gather through:
-        # ``mode`` first, the other modes after it in increasing order,
-        # ties kept in stored order.
+    @example((HUGE_SHAPE, 40, 4, "default"))
+    @example((HUGE_SHAPE, 40, 4, "shuffled"))
+    def test_segment_order_equals_raw_lexsort(self, case):
+        # The order COO and every F-COO encode gather through: the index
+        # modes first, the other modes after them in increasing order, ties
+        # kept in stored order.
         tensor = build_tensor(*case)
         indices = np.asarray(tensor.indices)
-        for mode in range(tensor.order):
-            rest = [m for m in range(tensor.order) if m != mode]
-            np.testing.assert_array_equal(
-                tensor.slice_order(mode), raw_lexsort(indices, [mode] + rest)
-            )
+        for operation in ("spttm", "spmttkrp", "spttmc"):
+            for mode in range(tensor.order):
+                roles = mode_roles(operation, mode, tensor.order)
+                np.testing.assert_array_equal(
+                    tensor.segment_order(roles.index_modes),
+                    raw_lexsort(indices, roles.index_modes + roles.product_modes),
+                )
 
-    def test_slice_order_sorts_16_bit_keys(self):
-        tensor = random_sparse_tensor((2**16, 2**16 + 1), 500, seed=4)
-        with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
-            tensor.slice_order(0)
-            tensor.slice_order(1)
-        assert [c.args[0].dtype for c in spy.call_args_list] == [np.uint16, np.int64]
-        assert all(c.kwargs == {"kind": "stable"} for c in spy.call_args_list)
+    def test_segment_order_sorts_one_composite(self):
+        # Modes of 2**16 and 2**16 + 1 rows sort alike: one np.sort of an
+        # int64 composite each, and no stable argsort.
+        tensor = random_sparse_tensor((3, 2**16, 2**16 + 1), 500, seed=4)
+        indices = np.asarray(tensor.indices)
+        for mode in (1, 2):
+            with mock.patch.object(np, "sort", wraps=np.sort) as sort, mock.patch.object(
+                np, "argsort", wraps=np.argsort
+            ) as argsort:
+                perm = tensor.segment_order((mode,))
+            assert [c.args[0].dtype for c in sort.call_args_list] == [np.int64]
+            assert argsort.call_count == 0
+            rest = [m for m in range(tensor.order) if m != mode]
+            np.testing.assert_array_equal(perm, raw_lexsort(indices, [mode] + rest))
+
+    def test_leading_index_modes_of_a_sorted_tensor_sort_nothing(self):
+        tensor = random_sparse_tensor((30, 20, 10, 5), 800, seed=3)
+        with mock.patch.object(np, "sort", wraps=np.sort) as sort, mock.patch.object(
+            np, "argsort", wraps=np.argsort
+        ) as argsort, mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            perms = [tensor.segment_order(range(k)) for k in range(tensor.order + 1)]
+        assert sort.call_count == argsort.call_count == lexsort.call_count == 0
+        for perm in perms:
+            np.testing.assert_array_equal(perm, np.arange(tensor.nnz))
+
+    def test_segment_order_rejects_repeated_and_unknown_modes(self):
+        tensor = random_sparse_tensor((30, 20, 10), 100, seed=3)
+        with pytest.raises(ValueError, match="distinct"):
+            tensor.segment_order((1, 1))
+        with pytest.raises(ValueError):
+            tensor.segment_order((3,))
 
 
 class TestRecordedOrder:
