@@ -11,20 +11,22 @@ end as ``G = X ×_0 U_0ᵀ ×_1 U_1ᵀ ···``.
 This module is the "extension" deliverable: it exercises the unified
 SpTTMc kernel (:mod:`repro.kernels.unified.spttmc`) inside a complete
 algorithm and provides the fit metric used by its tests and example.  Like
-:func:`~repro.algorithms.cp.cp_als`, :func:`tucker_hooi` runs in two passes:
-:func:`hooi_numeric_pass` is the plain HOOI loop (SpTTMc numbers, the SVD,
-the core and the fit), and :func:`hooi_modeled_pass` books the same sweeps
-on a :class:`~repro.algorithms.decomposition.DecompositionTimeline` from
-each mode's model-only profile, node-loss recovery included.  HOOI stops
-on its fit, so the modeled pass books as many sweeps as the numeric pass
-ran.
+:func:`~repro.algorithms.cp.cp_als`, :func:`tucker_hooi` runs in two passes.
+:func:`hooi_numeric_pass` is the plain HOOI loop (the ``Y`` numbers, the
+SVD, the core and the fit).  It forms every mode's ``Y`` on a two-level
+dimension tree (Kaya and Uçar, ICPP 2016), so a sweep passes over the
+non-zeros twice, whatever the order.  :func:`hooi_modeled_pass` books the
+paper's per-mode SpTTMcs for the same sweeps on a
+:class:`~repro.algorithms.decomposition.DecompositionTimeline` from each
+mode's model-only profile, node-loss recovery included.  HOOI stops on its
+fit, so the modeled pass books as many sweeps as the numeric pass ran.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,8 +43,8 @@ from repro.gpusim.cluster import resolve_cluster
 from repro.gpusim.counters import KernelProfile
 from repro.gpusim.device import DeviceSpec, TITAN_X
 from repro.gpusim.timeline import Timeline
-from repro.kernels.unified.driver import compute, model
-from repro.kernels.unified.spttmc import spttmc_operands, spttmc_spec
+from repro.kernels.unified.driver import model
+from repro.kernels.unified.spttmc import spttmc_spec
 from repro.tensor.sparse import SparseTensor
 from repro.util.rng import SeedLike, as_rng
 from repro.util.validation import check_positive_int
@@ -154,9 +156,10 @@ def tucker_hooi(
           shards across the cluster (see
           :func:`repro.kernels.unified.spttmc.unified_spttmc`), and the
           result reports per-device busy seconds and scaling efficiency.
-        * ``streamed`` / ``num_streams`` / ``chunk_nnz`` and ``backend`` —
-          forwarded to every SpTTMc, as :class:`~repro.algorithms.cp.UnifiedGPUEngine`
-          forwards them to every MTTKRP.
+        * ``streamed`` / ``num_streams`` / ``chunk_nnz`` — forwarded to
+          every modeled SpTTMc, as :class:`~repro.algorithms.cp.UnifiedGPUEngine`
+          forwards them to every MTTKRP; ``backend`` runs the numeric
+          pass (:func:`hooi_numeric_pass`).
         * ``chaos`` — optional :class:`~repro.gpusim.cluster.NodeFailure`
           events to survive in the modeled pass, with the same semantics
           as :func:`~repro.algorithms.cp.cp_als`: a failure fires at the
@@ -193,7 +196,7 @@ def tucker_hooi(
     numbers = hooi_numeric_pass(
         tensor,
         ranks,
-        encodings,
+        encodings[0],
         max_iterations=max_iterations,
         tolerance=tolerance,
         seed=seed,
@@ -221,15 +224,124 @@ class HOOINumbers(NamedTuple):
 
 
 def _sweep(order: int) -> List[int]:
-    """One HOOI sweep's SpTTMc modes: one per mode updates its factor, and
-    a final mode-0 SpTTMc projects onto the mode-0 factor for the core."""
+    """The SpTTMc modes the modeled pass books a sweep: the paper's one per
+    mode to update its factor, and a final mode-0 SpTTMc for the core."""
     return [*range(order), 0]
+
+
+class _Half(NamedTuple):
+    """One half of HOOI's dimension tree: the non-zeros in an order where
+    each fiber of ``modes`` (a distinct tuple of their indices) is one run.
+
+    ``values`` and ``rows``, the other half's index streams (32-bit), are
+    in that order, and ``fiber_ids`` numbers each non-zero's fiber.  Per
+    mode of the half, ``derivations`` holds the fiber permutation that
+    sorts the fibers by the mode (``None`` for the first mode: they are
+    already), the mode's index of each sorted fiber, and the half's other
+    modes' indices of each, in mode order.
+    """
+
+    modes: Tuple[int, ...]
+    values: np.ndarray
+    rows: List[np.ndarray]
+    fiber_ids: np.ndarray
+    num_fibers: int
+    derivations: List[Tuple[Optional[np.ndarray], np.ndarray, List[np.ndarray]]]
+
+
+def _build_half(
+    modes: Tuple[int, ...],
+    values: np.ndarray,
+    rows: List[np.ndarray],
+    columns: List[np.ndarray],
+) -> _Half:
+    """The :class:`_Half` of ``modes``, from the stream's ``values``,
+    ``rows`` and the index ``columns`` of ``modes``, each fiber one run."""
+    starts = np.zeros(values.shape[0], dtype=bool)
+    starts[:1] = True
+    for column in columns:
+        starts[1:] |= column[1:] != column[:-1]
+    fiber_ids = np.cumsum(starts, dtype=np.int64) - 1
+    coords = [column[starts] for column in columns]
+    derivations = []
+    for position in range(len(modes)):
+        perm = np.argsort(coords[position], kind="stable") if position else None
+        picked = coords if perm is None else [c[perm] for c in coords]
+        derivations.append(
+            (perm, picked[position], [c for p, c in enumerate(picked) if p != position])
+        )
+    return _Half(modes, values, rows, fiber_ids, len(coords[0]), derivations)
+
+
+def _tree(tensor: SparseTensor, encoding: FCOOTensor) -> Tuple[_Half, _Half]:
+    """The two halves of the dimension tree over ``tensor``: the front
+    modes ``0 .. ceil(N/2) - 1`` and the back modes after them.
+
+    The front half reads the mode-0 SpTTMc ``encoding`` as it is: its
+    stream is in canonical order, and its product columns are modes
+    ``1 .. N-1``.  The back half gathers its stream through one
+    :meth:`~repro.tensor.sparse.SparseTensor.segment_order` of the back
+    modes, with the encoding's value and index dtypes.
+    """
+    order = tensor.order
+    front = tuple(range((order + 1) // 2))
+    back = tuple(range(len(front), order))
+    product = encoding.product_indices
+    first = _build_half(
+        front,
+        encoding.values,
+        [product[:, m - 1] for m in back],
+        [
+            encoding.segment_index_coords[encoding.segment_ids, 0],
+            *(product[:, m - 1] for m in front[1:]),
+        ],
+    )
+    perm = tensor.segment_order(back)
+    indices = tensor.indices
+    second = _build_half(
+        back,
+        np.asarray(tensor.values).astype(encoding.value_dtype)[perm],
+        [indices[perm, m].astype(encoding.index_dtype) for m in front],
+        [indices[perm, m] for m in back],
+    )
+    return first, second
+
+
+def _derive(
+    backend: Backend,
+    half: _Half,
+    position: int,
+    fibers: np.ndarray,
+    factors: Sequence[np.ndarray],
+    size: int,
+) -> np.ndarray:
+    """The ``Y`` of ``half.modes[position]``, a ``size``-row unfolding,
+    from the half's ``fibers`` (the other half's factors summed into each
+    fiber): the Kronecker sum of each fiber row with the half's other
+    factors, one segment per index of the mode."""
+    mode = half.modes[position]
+    perm, coords, rows = half.derivations[position]
+    if perm is not None:
+        fibers = fibers[perm]
+    if rows:
+        y = backend.kron_segment_sums(
+            fibers, [factors[m] for m in half.modes if m != mode], rows, coords, size
+        )
+    else:
+        # A one-mode half: its fibers are the mode's slices.
+        y = np.zeros((size, fibers.shape[1]), dtype=np.float64)
+        y[coords] = fibers
+    if half.modes[0] > 0:
+        # The back half's fiber columns number the front modes, which vary
+        # fastest in the mode's unfolding.
+        y = y.reshape(size, fibers.shape[1], -1).transpose(0, 2, 1).reshape(size, -1)
+    return y
 
 
 def hooi_numeric_pass(
     tensor: SparseTensor,
     ranks: Sequence[int],
-    encodings: Sequence[FCOOTensor],
+    encoding: FCOOTensor,
     *,
     max_iterations: int,
     tolerance: float = 1e-5,
@@ -238,18 +350,34 @@ def hooi_numeric_pass(
 ) -> HOOINumbers:
     """The plain HOOI loop of :func:`tucker_hooi`: numbers only, no timeline.
 
-    ``encodings`` holds ``tensor``'s SpTTMc encoding of every mode.  The
-    loop stops after ``max_iterations`` sweeps, or earlier when the fit
-    improves by less than ``tolerance``.  ``backend`` runs the SpTTMcs and
-    the core projection.  A sweep's core-step SpTTMc is also the next
-    sweep's first, so ``k`` sweeps of an order-``N`` tensor run ``N·k + 1``
-    SpTTMcs (the modeled pass still books ``N + 1`` a sweep).
+    ``encoding`` is ``tensor``'s mode-0 SpTTMc encoding.  The loop stops
+    after ``max_iterations`` sweeps, or earlier when the fit improves by
+    less than ``tolerance``.  ``backend`` runs the Kronecker sums and the
+    core projection.
 
-    The fit measures the core against the norm of the values the core
-    step's SpTTMc reads, the mode-0 encoding's; values whose norm is zero
-    raise :class:`ValueError` before any SpTTMc.
+    Each sweep walks a two-level dimension tree (Kaya and Uçar, ICPP
+    2016) over a front half of the modes, ``0 .. ceil(N/2) - 1``, and the
+    back half, so it passes over the non-zeros twice, not once per mode:
+
+    1. The back half's current factors are contracted into each front
+       fiber of the canonical stream, and each front mode's ``Y`` (the
+       mode's SpTTMc) is that mode's Kronecker sum over those fiber rows
+       and the front half's other factors.  Each mode takes its new
+       factor before the next mode's ``Y``.
+    2. The same with the halves swapped: the front half's new factors are
+       contracted into each back fiber.  For ``N = 3`` the back fibers are
+       the mode-2 slices, and the contraction is the mode-2 SpTTMc itself.
+
+    A half of one mode takes its ``Y`` straight from the fiber rows, so for
+    ``N = 2`` the tree is the per-mode SpTTMcs.  The core is projected
+    from the last mode's ``Y``.  The modeled pass still books the paper's
+    ``N + 1`` per-mode SpTTMcs a sweep.
+
+    The fit measures the core against the norm of the values the
+    Kronecker sums read, ``encoding``'s; values whose norm is zero raise
+    :class:`ValueError` before any sum.
     """
-    x_norm = encodings[0].norm()
+    x_norm = encoding.norm()
     if x_norm == 0.0:
         raise ValueError("cannot compute the fit of an all-zero tensor")
     backend_impl = get_backend(backend)
@@ -261,28 +389,29 @@ def hooi_numeric_pass(
         q, _ = np.linalg.qr(gaussian)
         factors.append(q[:, : ranks[m]])
 
+    halves = _tree(tensor, encoding)
     fits: List[float] = []
     previous_fit = -np.inf
-    core_unfolded = np.zeros((ranks[0], int(np.prod(ranks[1:]))), dtype=np.float64)
-    # The core step's SpTTMc is the next sweep's first: the same mode-0
-    # encoding, and factors 1..N-1 do not change in between.
-    core_y: Optional[np.ndarray] = None
     iterations = 0
     while iterations < max_iterations:
-        for step, mode in enumerate(_sweep(order)):
-            if step == 0 and core_y is not None:
-                y = core_y
-            else:
-                y = compute(*spttmc_operands(encodings[mode], factors, mode), backend_impl)
-            if step < order:
+        for half in halves:
+            others = [m for m in range(order) if m not in half.modes]
+            fibers = backend_impl.kron_segment_sums(
+                half.values,
+                [factors[m] for m in others],
+                half.rows,
+                half.fiber_ids,
+                half.num_fibers,
+            )
+            for position, mode in enumerate(half.modes):
+                y = _derive(backend_impl, half, position, fibers, factors, tensor.shape[mode])
                 # New factor: leading left singular vectors of
                 # Y = (I_mode, prod_{m != mode} R_m).
                 u, _s, _vt = np.linalg.svd(y, full_matrices=False)
                 factors[mode] = u[:, : ranks[mode]]
-            else:
-                # Core in mode-0 unfolded form.
-                core_unfolded = backend_impl.matmul(factors[0].T, y)
-                core_y = y
+            del fibers  # before the next contraction allocates its own
+        # Core in mode-(N-1) unfolded form, from the last mode's Y.
+        core_unfolded = backend_impl.matmul(factors[-1].T, y)
         core_norm = float(np.linalg.norm(core_unfolded))
         # For orthonormal factors ||X - X̂||² = ||X||² - ||G||².
         residual_sq = max(x_norm**2 - core_norm**2, 0.0)
@@ -363,7 +492,7 @@ def hooi_modeled_pass(
 
 
 def _fold_core(core_unfolded: np.ndarray, ranks: Sequence[int]) -> np.ndarray:
-    """Fold the mode-0 unfolded core back into a dense tensor of shape ``ranks``."""
+    """Fold the last-mode unfolded core back into a dense tensor of shape ``ranks``."""
     from repro.tensor.dense import fold_dense
 
-    return fold_dense(core_unfolded, 0, tuple(ranks))
+    return fold_dense(core_unfolded, len(ranks) - 1, tuple(ranks))

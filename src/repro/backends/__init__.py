@@ -12,12 +12,13 @@ products, dense CP/Tucker updates).  Two implementations ship:
   boundary carries its running sum into the next block.  SciPy adds each
   row's ``data * x`` in column order starting from ``0.0``, which is
   ``np.add.at``'s order, and a carried sum re-enters as ``0.0 + carry ==
-  carry``.  The data is ``1.0`` except in SpTTMc's Kronecker sums, where it
-  is the factor entry of the reference's last stage, which the blocks then
-  never form; SciPy rounds each ``data * x`` before it adds it (no fused
-  multiply-add).  So it is bit-identical to the reference by construction
-  (signed zeros included), and ≥2× faster on uniform and power-law
-  SpMTTKRP (see ``repro.bench.wallclock``).
+  carry``.  The data is ``1.0`` except in the Kronecker sums (SpTTMc's,
+  and those over HOOI's fiber rows), where it is the factor entry of the
+  reference's last stage, which the blocks then never form; SciPy rounds
+  each ``data * x`` before it adds it (no fused multiply-add).  So it is
+  bit-identical to the reference by construction (signed zeros included),
+  and ≥2× faster on uniform and power-law SpMTTKRP (see
+  ``repro.bench.wallclock``).
 
 Selection, in precedence order:
 

@@ -6,7 +6,8 @@ small set of primitives:
 
 * :meth:`Backend.slice_products` — per-non-zero scaled Hadamard partials
   (SpMTTKRP / SpTTM);
-* :meth:`Backend.kron_products` — per-non-zero Kronecker partials (SpTTMc);
+* :meth:`Backend.kron_products` — per-non-zero Kronecker partials (SpTTMc,
+  and HOOI's dimension tree over fiber rows);
 * :meth:`Backend.segment_reduce` — sum the partials within each F-COO
   segment;
 * the fused compositions :meth:`Backend.hadamard_segment_sums` /
@@ -94,10 +95,14 @@ class Backend:
         mats: Sequence[np.ndarray],
         rows: Sequence[np.ndarray],
     ) -> np.ndarray:
-        """Per-non-zero scaled Kronecker partials, shape ``(nnz, Π R_p)``.
+        """Per-non-zero scaled Kronecker partials, shape ``(nnz, W · Π R_p)``.
 
-        Built from the last product mode outward so earlier modes vary
-        fastest (the Kolda unfolding convention the oracles use).
+        ``values`` is ``(nnz,)`` (``W = 1``) or ``(nnz, W)``: one row of
+        ``W`` partial sums per stream entry, as a dimension tree's fibers
+        carry them (see :func:`repro.algorithms.tucker.hooi_numeric_pass`).
+        Built from the values outward, the last product mode first, so the
+        value columns vary slowest and earlier modes fastest (the Kolda
+        unfolding convention the oracles use).
         """
         raise NotImplementedError
 
@@ -131,7 +136,8 @@ class Backend:
         segment_ids: np.ndarray,
         num_segments: int,
     ) -> np.ndarray:
-        """Per-segment sums of the scaled Kronecker partials."""
+        """Per-segment sums of the scaled Kronecker partials
+        (:meth:`kron_products`; ``values`` may be 1-D or 2-D)."""
         return self.segment_reduce(
             self.kron_products(values, mats, rows), segment_ids, num_segments
         )

@@ -50,17 +50,14 @@ class ReferenceBackend(Backend):
         mats: Sequence[np.ndarray],
         rows: Sequence[np.ndarray],
     ) -> np.ndarray:
-        nnz = np.asarray(values).shape[0]
-        if nnz == 0 and mats:
-            # reshape(0, -1) is ill-defined; build the empty result directly.
-            width = 1
-            for mat in mats:
-                width *= mat.shape[1]
-            return np.zeros((0, width), dtype=np.float64)
-        partial = np.asarray(values, dtype=np.float64)[:, None]
+        partial = np.asarray(values, dtype=np.float64)
+        if partial.ndim == 1:
+            partial = partial[:, None]
+        nnz = partial.shape[0]
         for pos in range(len(mats) - 1, -1, -1):
             picked = mats[pos][np.asarray(rows[pos]), :]
-            partial = (partial[:, :, None] * picked[:, None, :]).reshape(nnz, -1)
+            width = partial.shape[1] * picked.shape[1]
+            partial = (partial[:, :, None] * picked[:, None, :]).reshape(nnz, width)
         return partial
 
     def dense_hadamard(self, grams: Sequence[np.ndarray], rank: int) -> np.ndarray:

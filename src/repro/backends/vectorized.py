@@ -26,13 +26,14 @@ round-to-nearest, so ``0.0 + carry`` is ``carry``, and so is ``0.0 +
 included.  Unsorted ids (F-COO never produces them) take the reference's
 scatter-add.
 
-The Kronecker sums (SpTTMc) never form the reference's last stage, the
-multiply by the first product mode's factor, which is the widest.  A block
-forms the partials of the later modes only (the values alone for one
-product mode), in product-mode-major column order (see
-:func:`_mode_major_kron_products`), and the CSR matrix has one group of
-rows per column ``c`` of the first mode's factor, whose data are the
-non-zeros' entries in column ``c``.  Each entry's ``a * x`` is then the
+The Kronecker sums (SpTTMc, and the fiber rows of HOOI's dimension tree,
+whose 2-D values carry one row per stream entry) never form the
+reference's last stage, the multiply by the first product mode's factor,
+which is the widest.  A block forms the partials of the later modes only
+(the values alone for one product mode), in product-mode-major column
+order (see :func:`_mode_major_kron_products`), and the CSR matrix has one
+group of rows per column ``c`` of the first mode's factor, whose data are
+the non-zeros' entries in column ``c``.  Each entry's ``a * x`` is then the
 reference's last-stage product (IEEE multiplication commutes), added in
 the reference's order.  This needs one condition beyond the order: SciPy's
 CSR kernel rounds ``a * x`` before it adds it (no fused multiply-add),
@@ -100,11 +101,12 @@ class VectorizedBackend(ReferenceBackend):
         num_segments: int,
     ) -> np.ndarray:
         # The first product mode's factor is the CSR data, and the blocks
-        # form the later modes' partials only.
+        # form the later modes' partials only, the value columns fastest.
         formed = [mat.shape[1] for mat in mats[1:]]
+        value_width = values.shape[1] if np.ndim(values) == 2 else 1
         sums = self._blocked_sums(
             _mode_major_kron_products,
-            math.prod(formed),
+            math.prod(formed) * value_width,
             values,
             # One row per factor column, so a block's gathers are contiguous.
             [np.ascontiguousarray(np.transpose(mat)) for mat in mats],
@@ -113,11 +115,12 @@ class VectorizedBackend(ReferenceBackend):
             num_segments,
             fold=bool(mats),
         )
-        # Reorder the columns once, to the canonical earlier-modes-fastest.
+        # Reorder the columns once, to the canonical value columns slowest
+        # and earlier modes fastest.
         groups, segments, width = sums.shape
-        axes = (1, *range(len(formed) + 1, 1, -1), 0)
+        axes = (1, len(formed) + 2, *range(len(formed) + 1, 1, -1), 0)
         return (
-            sums.reshape(groups, segments, *formed)
+            sums.reshape(groups, segments, *formed, value_width)
             .transpose(axes)
             .reshape(segments, groups * width)
         )
@@ -219,7 +222,8 @@ def _mode_major_kron_products(
 ) -> None:
     """:meth:`ReferenceBackend.kron_products` of the factors whose columns
     are the rows of ``mats``, written into ``out`` with its columns in
-    product-mode-major order (later modes vary fastest).
+    product-mode-major order (later modes vary faster, and the columns of
+    2-D ``values`` fastest).
 
     The stages are the reference's, value first and then the last product
     mode to the first, and each element multiplies the same two operands
@@ -228,7 +232,8 @@ def _mode_major_kron_products(
     runs over the block's non-zeros, and the new factor's column is the
     slow axis.  One transposing copy writes the partials into ``out``.
     """
-    partial = np.asarray(values, dtype=np.float64)[None, :]
+    partial = np.asarray(values, dtype=np.float64)
+    partial = partial[None, :] if partial.ndim == 1 else partial.T
     for mat, row_idx in zip(reversed(mats), reversed(rows)):
         picked = np.take(mat, row_idx, axis=1)
         partial = (partial[None, :, :] * picked[:, None, :]).reshape(-1, partial.shape[1])

@@ -163,9 +163,13 @@ def _row_streams(encoding: FCOOTensor) -> List[np.ndarray]:
 
 def scatter_rows(fcoo: FCOOTensor, sums: np.ndarray) -> np.ndarray:
     """Dense ``(I_mode, width)`` output: each segment's sums land on the
-    index-mode row stored in the segment table (SpMTTKRP, SpTTMc)."""
+    index-mode row stored in the segment table (SpMTTKRP, SpTTMc).
+
+    A plain assignment has a scatter-add into zeros' bits: one index mode
+    makes each segment's row unique, and a ``0.0``-seeded segment sum is
+    never ``-0.0``, so ``0.0 + s`` is ``s`` (a NaN keeps its payload)."""
     output = np.zeros((fcoo.shape[fcoo.mode], sums.shape[1]), dtype=np.float64)
-    np.add.at(output, fcoo.segment_index_coords[:, 0], sums)
+    output[fcoo.segment_index_coords[:, 0]] = sums
     return output
 
 

@@ -133,7 +133,7 @@ def execute_job(
     return hooi_numeric_pass(
         job.tensor,
         job.tucker_ranks,
-        [encodings[mode] for mode in range(job.tensor.order)],
+        encodings[0],
         max_iterations=job.iterations,
         seed=job.factor_seed,
     )

@@ -133,17 +133,28 @@ def product_inputs(case, ranks, seed):
     return values, mats, rows, segment_ids, num_segments
 
 
+def fiber_row_inputs(case, ranks, seed):
+    """:func:`product_inputs` with the drawn values kept as they are: 2-D
+    values are one row of partial sums per stream entry, as a dimension
+    tree's fibers carry them."""
+    values, segment_ids, num_segments = case
+    _values, mats, rows, _ids, _segments = product_inputs(case, ranks, seed)
+    return values, mats, rows, segment_ids, num_segments
+
+
 def oracle_segment_sums(values, mats, rows, segment_ids, num_segments, kron):
     """The canonical per-segment sums, one Python float at a time.
 
     Each partial is the value times one factor entry per product mode:
     first to last for the Hadamard product; last to first for the
-    Kronecker product, whose columns number earlier modes fastest.  Each
-    segment starts at ``0.0`` and adds its partials in stream order.
+    Kronecker product, whose columns number earlier modes fastest, after
+    the columns of 2-D values, which vary slowest.  Each segment starts at
+    ``0.0`` and adds its partials in stream order.
     """
     ranks = [mat.shape[1] for mat in mats]
+    value_rows = values[:, None] if values.ndim == 1 else values
     if kron:
-        width = math.prod(ranks)
+        width = value_rows.shape[1] * math.prod(ranks)
         # Column `col` takes column `col // strides[p] % ranks[p]` of factor p.
         strides = [math.prod(ranks[:p]) for p in range(len(ranks))]
         order = range(len(mats) - 1, -1, -1)
@@ -153,7 +164,8 @@ def oracle_segment_sums(values, mats, rows, segment_ids, num_segments, kron):
     sums = [[0.0] * width for _ in range(num_segments)]
     for z, segment in enumerate(segment_ids.tolist()):
         for col in range(width):
-            partial = float(values[z])
+            value_column = col // math.prod(ranks) if kron else 0
+            partial = float(value_rows[z, value_column])
             for p in order:
                 column = col // strides[p] % ranks[p] if kron else col
                 partial = partial * float(mats[p][rows[p][z], column])
@@ -259,6 +271,19 @@ class TestSegmentReduceIdentity:
         with block_budget(block_bytes):
             actual = VEC.kron_segment_sums(*args)
         assert_same_bits(actual, REF.kron_segment_sums(*args))
+
+    @BLOCK_BUDGETS
+    @SETTINGS
+    @given(segmented_values(), PRODUCT_RANKS)
+    def test_kron_identity_over_fiber_rows(self, block_bytes, case, ranks):
+        """2-D values (a row per stream entry, width 1-6, with ``-0.0``
+        entries and segments) against the reference and a scalar loop."""
+        args = fiber_row_inputs(case, ranks, seed=13)
+        with block_budget(block_bytes):
+            actual = VEC.kron_segment_sums(*args)
+        expected = REF.kron_segment_sums(*args)
+        assert_same_bits(actual, expected)
+        assert_same_bits(expected, oracle_segment_sums(*args, kron=True))
 
     def test_folded_stage_rounds_before_it_adds(self):
         """The folded Kronecker stage is summed as ``y + a * x`` with ``a * x``

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.kernels.unified.driver as driver
 from repro.backends import available_backends, get_backend
@@ -28,6 +30,7 @@ from repro.kernels.unified import (
 from repro.kernels.unified.driver import model
 from repro.kernels.unified.spmttkrp import spmttkrp_spec
 from repro.tensor.random import random_factors
+from repro.tensor.sparse import SparseTensor
 from test_streaming import BLOCK_SIZE, CASES, CHUNK_NNZ, RANK, THREADLEN, run_kernel
 
 KERNELS = [unified_spttm, unified_spmttkrp, unified_spttmc]
@@ -158,3 +161,43 @@ def test_model_reads_index_columns_in_place(operation, mode, monkeypatch):
             ctx=ExecContext(**fields),
         )
         assert took_path(profile), path
+
+
+@st.composite
+def segment_sums_inputs(draw):
+    """An SpMTTKRP or SpTTMc encoding of an order-2..4 tensor whose index
+    mode has empty slices, and per-non-zero partials with NaN, infinities,
+    signed zeros and segments of ``-0.0`` only."""
+    order = draw(st.integers(min_value=2, max_value=4))
+    shape = tuple(draw(st.integers(min_value=1, max_value=6)) for _ in range(order))
+    nnz = draw(st.integers(min_value=1, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    indices = np.stack([rng.integers(0, s, size=nnz) for s in shape], axis=1)
+    tensor = SparseTensor(indices, rng.uniform(0.5, 2.0, size=nnz), shape)
+    operation = draw(st.sampled_from(["spmttkrp", "spttmc"]))
+    fcoo = FCOOTensor.from_sparse(tensor, operation, draw(st.integers(0, order - 1)))
+    width = draw(st.integers(min_value=1, max_value=5))
+    partials = rng.standard_normal((fcoo.nnz, width))
+    pool = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf])
+    special = rng.random(partials.shape) < draw(st.sampled_from([0.0, 0.2, 0.6]))
+    partials[special] = rng.choice(pool, size=int(special.sum()))
+    negative_zero_segments = draw(st.lists(st.integers(0, fcoo.num_segments - 1), max_size=3))
+    partials[np.isin(fcoo.segment_ids, negative_zero_segments)] = -0.0
+    return fcoo, partials
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@settings()
+@given(segment_sums_inputs())
+def test_scatter_rows_assigns_the_bits_of_a_scatter_add_into_zeros(backend, case):
+    """Each segment's row is unique and its sum never ``-0.0``, so the
+    assignment lands what ``np.add.at`` into zeros would, NaN payloads
+    included."""
+    fcoo, partials = case
+    with np.errstate(invalid="ignore"):
+        sums = get_backend(backend).segment_reduce(partials, fcoo.segment_ids, fcoo.num_segments)
+        expected = np.zeros((fcoo.shape[fcoo.mode], sums.shape[1]))
+        np.add.at(expected, fcoo.segment_index_coords[:, 0], sums)
+    actual = driver.scatter_rows(fcoo, sums)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
