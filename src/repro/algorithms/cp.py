@@ -112,6 +112,21 @@ class CPEngine(Protocol):
         ...
 
 
+def _dense_update_time(spec: Union[DeviceSpec, CpuSpec], mode_size: int, rank: int) -> float:
+    """One mode's dense update on a GPU or CPU: Gram, Hadamard,
+    pseudo-inverse, GEMM.
+
+    The matrix-matrix work is ``O(I·R²)`` and the solve ``O(R³)``; both run
+    at half the processor's peak FLOPs, unless moving the operands at its
+    achievable bandwidth takes longer.
+    """
+    flops = 4.0 * mode_size * rank**2 + 10.0 * rank**3
+    bytes_moved = (3.0 * mode_size * rank + 4.0 * rank**2) * 4.0
+    compute = flops / (spec.peak_flops * 0.5)
+    memory = bytes_moved / spec.achievable_bandwidth_bytes_per_s
+    return max(compute, memory)
+
+
 @dataclass
 class UnifiedGPUEngine:
     """CP-ALS engine backed by the unified F-COO GPU kernels.
@@ -249,19 +264,13 @@ class UnifiedGPUEngine:
         return self._cluster
 
     def dense_update_time(self, mode_size: int, rank: int, order: int) -> float:
-        """CUBLAS-style dense update: Gram, Hadamard, pseudo-inverse, GEMM.
+        """CUBLAS-style dense update (:func:`_dense_update_time`).
 
-        The matrix-matrix work is ``O(I·R²)`` and the solve ``O(R³)``; both
-        run close to the device's dense throughput.  Launch overheads are not
-        charged: the paper runs the dense linear algebra in a second CUDA
-        stream that overlaps with the MTTKRP stream, so only the data-path
-        time remains on the critical path.
+        Launch overheads are not charged: the paper runs the dense linear
+        algebra in a second CUDA stream that overlaps with the MTTKRP
+        stream, so only the data-path time remains on the critical path.
         """
-        flops = 4.0 * mode_size * rank**2 + 10.0 * rank**3
-        bytes_moved = (3.0 * mode_size * rank + 4.0 * rank**2) * 4.0
-        compute = flops / (self.device.peak_flops * 0.5)
-        memory = bytes_moved / self.device.achievable_bandwidth_bytes_per_s
-        return max(compute, memory)
+        return _dense_update_time(self.device, mode_size, rank)
 
 
 @dataclass
@@ -317,12 +326,8 @@ class SplattCPUEngine:
         )
 
     def dense_update_time(self, mode_size: int, rank: int, order: int) -> float:
-        """Dense update on the CPU (BLAS-backed, near peak FLOPs)."""
-        flops = 4.0 * mode_size * rank**2 + 10.0 * rank**3
-        bytes_moved = (3.0 * mode_size * rank + 4.0 * rank**2) * 4.0
-        compute = flops / (self.cpu.peak_flops * 0.5)
-        memory = bytes_moved / self.cpu.achievable_bandwidth_bytes_per_s
-        return max(compute, memory)
+        """Dense update on the CPU (BLAS-backed; :func:`_dense_update_time`)."""
+        return _dense_update_time(self.cpu, mode_size, rank)
 
 
 @dataclass

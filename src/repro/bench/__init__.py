@@ -52,8 +52,9 @@ module                    runner                          paper artefact
 Three more modules gate changes rather than reproduce a figure:
 :mod:`repro.bench.regression` (the CI gate over the simulated-time
 ``BENCH_*.json`` suites), :mod:`repro.bench.paper` (its ``paper`` suite:
-the runs above and the paper's claims about them) and
-:mod:`repro.bench.wallclock` (its wall-clock suite).
+the runs above, the paper's claims about them and the modeled seconds of
+the extension runs) and :mod:`repro.bench.wallclock` (its wall-clock
+suite).
 """
 
 from repro.bench.platform import platform_report

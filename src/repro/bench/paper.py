@@ -10,7 +10,10 @@ so the checks hold the *shape* of the paper's claims.
 of :func:`repro.bench.regression.compare_metrics`: one zero-tolerance
 ``paper/<check>_violation_count`` per check, the modeled seconds and bytes
 of the paper's tables and figures under the ordinary band, and their
-ratios as ungated ``_info``, which README's fidelity ledger quotes.  An
+ratios as ungated ``_info``, which README's fidelity ledger quotes.  The
+extension runs add their modeled seconds under the band: every scaling
+point, every streamed pipeline, and the 40-job serving run's latencies,
+with its rejected jobs as a zero-tolerance count.  An
 out-of-memory (``None``) entry is a claim, not a metric, and no fit is
 recorded: its last bits follow the BLAS thread count.
 """
@@ -403,8 +406,7 @@ def _seconds(row) -> Dict[str, float]:
 def paper_metrics(runs: Dict[str, object]) -> Dict[str, float]:
     """The suite's metrics from :func:`paper_runs`: the counts, then the
     modeled seconds and bytes of the paper's tables and figures, with their
-    ratios as ``_info``.  The extension experiments give counts only: the
-    quick-mode suites gate their seconds."""
+    ratios as ``_info``, then the modeled seconds of the extension runs."""
     m = {
         f"paper/{name}_violation_count": float(check(runs[name]))
         for name, check in CHECKS.items()
@@ -470,4 +472,27 @@ def paper_metrics(runs: Dict[str, object]) -> Dict[str, float]:
         m[f"{key}/other_s"] = row.other_time_s
         if row.engine == "splatt-cpu":
             m[f"paper/fig10/{row.dataset}/unified_over_splatt_info"] = fig10.speedup(row.dataset)
+
+    for row in runs["strong_scaling"].rows:
+        m[f"paper/strong/{row.operation}/{row.workload}/gpus={row.num_devices}"] = row.time_s
+    for row in runs["weak_scaling"].rows:
+        m[f"paper/weak/{row.operation}/gpus={row.num_devices}"] = row.time_s
+    for row in runs["multinode_scaling"].rows:
+        key = f"paper/multinode/{row.operation}/{row.workload}/nodes={row.num_nodes}"
+        m[key] = row.time_s
+        if row.num_nodes > 1:
+            m[f"{key}/reduction"] = row.reduction_s
+    for row in runs["streaming_overlap"].rows:
+        m[f"paper/streamed/{row.dataset}/streams={row.num_streams}"] = row.streamed_s
+
+    # Seconds per completed job is the throughput inverse.  The rejections
+    # are a count: refused jobs leave the population, so wrongly refusing
+    # traffic makes every latency look better.
+    serve = runs["serving_deterministic"][0]
+    m["paper/serve/p50_latency"] = serve.p50_latency_s
+    m["paper/serve/p99_latency"] = serve.p99_latency_s
+    m["paper/serve/makespan"] = serve.makespan_s
+    m["paper/serve/seconds_per_job"] = serve.makespan_s / max(len(serve.completed), 1)
+    m["paper/serve/mean_queue_wait"] = serve.mean_queue_wait_s
+    m["paper/serve/rejected_jobs_count"] = float(len(serve.rejected))
     return m

@@ -7,19 +7,18 @@ traffic, a lost overlap, a worse reduction), the simulated seconds move and
 CI can fail on it without flaky-timer tolerance games.
 
 ``collect_metrics()`` runs the suites and flattens each into named scalar
-metrics (seconds or bytes; lower is better — the serving suite reports
-latency percentiles, the makespan and seconds-per-job, i.e. inverse
-throughput, so a throughput regression fails the gate too).  The ``paper``
-suite (:mod:`repro.bench.paper`) runs the paper's tables and figures in
-full and counts the failed claims; the others run quick-mode subsets of
-the extension experiments.  The committed baselines live in
-``benchmarks/baselines/`` as ``BENCH_<suite>.json``; the CI ``bench`` job
-re-collects the metrics, uploads them as artifacts, and fails when any
-metric regresses by more than its suite's band (20 % unless
-``SUITE_TOLERANCES`` says otherwise), is not finite, or is in the run but
-not the baseline or the other way round.  Improvements never fail; refresh
-a suite with ``--update --suite NAME`` when a change is an intentional
-model shift or adds or drops a metric.
+metrics (seconds or bytes; lower is better).  The ``paper`` suite
+(:mod:`repro.bench.paper`) makes every run of the paper's tables and
+figures and of the extension experiments, counts the failed claims and
+records the modeled seconds; the ``timeline``, ``faults``, ``slo`` and
+``obs`` suites each pin the properties of one subsystem.  The committed
+baselines live in ``benchmarks/baselines/`` as ``BENCH_<suite>.json``;
+the CI ``bench`` job re-collects the metrics, uploads them as artifacts,
+and fails when any metric regresses by more than its suite's band (20 %
+unless ``SUITE_TOLERANCES`` says otherwise), is not finite, or is in the
+run but not the baseline or the other way round.  Improvements never
+fail; refresh a suite with ``--update --suite NAME`` when a change is an
+intentional model shift or adds or drops a metric.
 
 Usage::
 
@@ -47,9 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro._version import __version__
 from repro.bench.paper import paper_metrics, paper_runs
-from repro.bench.scaling import run_multinode_scaling, run_scaling, run_weak_scaling
-from repro.bench.serving import run_serving
-from repro.bench.streaming import run_streaming
+from repro.bench.serving import output_arrays, run_serving
 from repro.gpusim.timeline import Timeline
 
 __all__ = [
@@ -71,10 +68,6 @@ DEFAULT_TOLERANCE = 0.20
 #: The artifact files, keyed by suite name.
 ARTIFACT_FILES = {
     "paper": "BENCH_paper.json",
-    "scaling": "BENCH_scaling.json",
-    "multinode": "BENCH_multinode.json",
-    "streaming": "BENCH_streaming.json",
-    "serving": "BENCH_serving.json",
     "timeline": "BENCH_timeline.json",
     "faults": "BENCH_faults.json",
     "slo": "BENCH_slo.json",
@@ -99,80 +92,6 @@ def _paper_metrics() -> Dict[str, float]:
     """The paper's tables and figures and the extension experiments, in
     full: see :mod:`repro.bench.paper`."""
     return paper_metrics(paper_runs())
-
-
-def _scaling_metrics() -> Dict[str, float]:
-    """Quick-mode multi-GPU scaling subset: one dataset, three kernels."""
-    metrics: Dict[str, float] = {}
-    strong = run_scaling(rank=8, datasets=["brainq"], device_counts=(1, 2, 4))
-    for row in strong.rows:
-        key = f"strong/{row.operation}/{row.workload}/gpus={row.num_devices}"
-        metrics[key] = row.time_s
-    weak = run_weak_scaling(rank=8, device_counts=(1, 2, 4))
-    for row in weak.rows:
-        key = f"weak/{row.operation}/gpus={row.num_devices}"
-        metrics[key] = row.time_s
-    return metrics
-
-
-def _multinode_metrics() -> Dict[str, float]:
-    """Quick-mode multi-node subset: one dataset, 1/2/4 nodes of 2 GPUs.
-
-    Beyond the per-point kernel times, the suite tracks the modeled
-    hierarchical reduction seconds of the largest cluster per all-reduce
-    kernel, and ``.../hier_minus_flat_count`` pseudo-counts — 0 while the
-    hierarchical collective is no costlier than the flat ring on every
-    row, 1 the moment any row regresses past it (counts fail on any
-    increase, so the gate pins the tentpole property).
-    """
-    metrics: Dict[str, float] = {}
-    result = run_multinode_scaling(rank=8, node_counts=(1, 2, 4))
-    violations = 0
-    for row in result.rows:
-        key = f"multinode/{row.operation}/{row.workload}/nodes={row.num_nodes}"
-        metrics[key] = row.time_s
-        if row.num_nodes > 1:
-            metrics[f"{key}/reduction"] = row.reduction_s
-            if row.reduction_s > row.flat_reduction_s + 1e-15:
-                # Count every offending row, not just the first: a refresh
-                # after a model change should see the full damage at once.
-                violations += 1
-    metrics["multinode/hier_minus_flat_count"] = float(violations)
-    return metrics
-
-
-def _streaming_metrics() -> Dict[str, float]:
-    """Quick-mode out-of-core subset: the smaller dataset analogs."""
-    metrics: Dict[str, float] = {}
-    result = run_streaming(rank=8, datasets=["brainq", "nell2"])
-    for row in result.rows:
-        key = f"streamed/{row.dataset}/streams={row.num_streams}"
-        metrics[key] = row.streamed_s
-    return metrics
-
-
-def _serving_metrics() -> Dict[str, float]:
-    """Quick-mode serving subset: a 40-job workload on the default node.
-
-    Most metrics are simulated seconds (lower is better): the latency
-    percentiles and makespan catch latency regressions, and seconds-per-
-    completed-job is the throughput inverse, so slower serving fails the
-    gate from either direction.  ``serve/rejected_jobs_count`` is a
-    *count* (see :func:`compare_metrics`: any increase over the baseline
-    fails, no ratio tolerance): wrongly refusing traffic makes every
-    latency metric look better — the rejected jobs leave the population —
-    so the rejection count itself must not grow.
-    """
-    report = run_serving(num_jobs=40, seed=0)
-    completed = max(len(report.completed), 1)
-    return {
-        "serve/p50_latency": report.p50_latency_s,
-        "serve/p99_latency": report.p99_latency_s,
-        "serve/makespan": report.makespan_s,
-        "serve/seconds_per_job": report.makespan_s / completed,
-        "serve/mean_queue_wait": report.mean_queue_wait_s,
-        "serve/rejected_jobs_count": float(len(report.rejected)),
-    }
 
 
 def _timeline_metrics() -> Dict[str, float]:
@@ -363,30 +282,6 @@ def _faults_metrics() -> Dict[str, float]:
     return metrics
 
 
-def _comparable_arrays(output) -> List[object]:
-    """The comparable ndarrays of any job output type.
-
-    The SLO suite's bit-identity gate compares these: a dense kernel
-    output is one array, a semi-sparse output its coordinate and value
-    arrays, and a decomposition its factors plus weights/core.
-    """
-    import numpy as np
-
-    if output is None:
-        return []
-    if isinstance(output, np.ndarray):
-        return [output]
-    if hasattr(output, "fiber_values"):  # SemiSparseTensor
-        return [output.fiber_coords, output.fiber_values]
-    out: List[object] = []  # CPResult / TuckerResult
-    out.extend(getattr(output, "factors", []) or [])
-    for attr in ("weights", "core"):
-        value = getattr(output, attr, None)
-        if value is not None:
-            out.append(value)
-    return out
-
-
 def _slo_metrics() -> Dict[str, float]:
     """SLO-driven serving suite: deadline economics and preemption.
 
@@ -414,15 +309,13 @@ def _slo_metrics() -> Dict[str, float]:
     fifo = run_serving(policy="fifo", **slo_kwargs)
     priority = run_serving(policy="priority", **slo_kwargs)
 
-    arrays = _comparable_arrays
-
     twin = {r.job.job_id: r for r in priority.results if r.completed}
     identity_violations = 0
     for result in edf.results:
         other = twin.get(result.job.job_id)
         if not result.completed or other is None:
             continue
-        ours, theirs = arrays(result.output), arrays(other.output)
+        ours, theirs = output_arrays(result.output), output_arrays(other.output)
         identity_violations += len(ours) != len(theirs) or any(
             not np.array_equal(a, b) for a, b in zip(ours, theirs)
         )
@@ -497,10 +390,6 @@ def _wallclock_metrics() -> Dict[str, float]:
 
 _SUITE_COLLECTORS = {
     "paper": _paper_metrics,
-    "scaling": _scaling_metrics,
-    "multinode": _multinode_metrics,
-    "streaming": _streaming_metrics,
-    "serving": _serving_metrics,
     "timeline": _timeline_metrics,
     "faults": _faults_metrics,
     "slo": _slo_metrics,

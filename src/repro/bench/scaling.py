@@ -410,32 +410,25 @@ def _curve(points: Iterable[Tuple[_Workload, int, int]]) -> List[ScalingRow]:
     return rows
 
 
-def run_scaling(
-    *,
-    rank: int = 16,
-    datasets: Optional[Sequence[str]] = None,
-    device_counts: Sequence[int] = DEFAULT_DEVICE_COUNTS,
-) -> ScalingResult:
-    """Strong scaling: fixed dataset analogs on one node of growing size.
+def run_scaling(*, rank: int = 16) -> ScalingResult:
+    """Strong scaling: the brainq and nell2 analogs on one node of growing
+    size.
 
-    Every (operation, dataset) pair runs the mode-0 kernel on each device
-    count; the curve's first point is its baseline (1 GPU, the exact
-    single-device path, for the default ``device_counts``).
+    Every (operation, dataset) pair runs the mode-0 kernel on each of
+    :data:`DEFAULT_DEVICE_COUNTS`; the curve's first point (1 GPU, the
+    exact single-device path) is its baseline.
     """
-    counts = tuple(int(n) for n in device_counts)
+    counts = DEFAULT_DEVICE_COUNTS
     rows: List[ScalingRow] = []
-    for name in datasets if datasets is not None else ("brainq", "nell2"):
+    for name in ("brainq", "nell2"):
         for workload in _dataset_workloads(name, rank):
             rows.extend(_curve((workload, n, 1) for n in counts))
     return ScalingResult(rank=rank, kind="strong", device_counts=counts, rows=rows)
 
 
-def run_weak_scaling(
-    *,
-    rank: int = 16,
-    device_counts: Sequence[int] = DEFAULT_DEVICE_COUNTS,
-) -> ScalingResult:
-    """Weak scaling: the problem grows with the device count.
+def run_weak_scaling(*, rank: int = 16) -> ScalingResult:
+    """Weak scaling: the problem grows with the device count, over
+    :data:`DEFAULT_DEVICE_COUNTS`.
 
     The ``N``-GPU workload is a synthetic tensor with ``N`` times the
     :data:`WEAK_BASE_NNZ` non-zeros and an ``N``-times-longer mode 0
@@ -444,7 +437,7 @@ def run_weak_scaling(
     latency is projected by the base workload's time scale against
     :data:`NOMINAL_PAPER_NNZ`.
     """
-    counts = tuple(int(n) for n in device_counts)
+    counts = DEFAULT_DEVICE_COUNTS
     tensors = {
         n: random_sparse_tensor(
             (WEAK_BASE_SHAPE[0] * n,) + WEAK_BASE_SHAPE[1:],

@@ -13,8 +13,11 @@ and feed the CI regression gate (``repro.bench.regression``).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
+import numpy as np
+
+from repro.formats.semisparse import SemiSparseTensor
 from repro.serve.engine import ServingEngine, ServingReport
 from repro.serve.workload import (
     ChaosSpec,
@@ -24,7 +27,7 @@ from repro.serve.workload import (
     generate_workload,
 )
 
-__all__ = ["run_serving", "DEFAULT_CROSS_NODE_EVERY"]
+__all__ = ["output_arrays", "run_serving", "DEFAULT_CROSS_NODE_EVERY"]
 
 #: Cross-node tenant cadence of the multi-node serving mode: every n-th job
 #: submits the tensor that exceeds any single node's aggregate memory.
@@ -115,3 +118,23 @@ def run_serving(
             num_nodes=num_targets,
         )
     return engine.run(jobs, chaos=chaos)
+
+
+def output_arrays(output: object) -> List[np.ndarray]:
+    """The arrays of one job output, in a fixed order, for bit-identity
+    checks: a dense kernel output is one array, a semi-sparse output its
+    fiber coordinates and values, and a decomposition its factors, then
+    its weights (CP-ALS) or core (Tucker).  No output (a rejected job) has
+    none."""
+    if output is None:
+        return []
+    if isinstance(output, np.ndarray):
+        return [output]
+    if isinstance(output, SemiSparseTensor):
+        return [output.fiber_coords, output.fiber_values]
+    arrays = list(output.factors)
+    for attr in ("weights", "core"):
+        value = getattr(output, attr, None)
+        if value is not None:
+            arrays.append(value)
+    return arrays

@@ -14,7 +14,7 @@ report shows the transfer/compute pipeline's makespan against the serial
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
@@ -104,21 +104,16 @@ class StreamingResult:
         )
 
 
-def run_streaming(
-    *,
-    rank: int = 16,
-    datasets: Optional[Sequence[str]] = None,
-) -> StreamingResult:
+def run_streaming(*, rank: int = 16) -> StreamingResult:
     """Measure transfer/compute overlap of the streamed unified SpMTTKRP.
 
-    Each dataset runs on a Titan X shrunk until only
+    Each dataset analog runs on a Titan X shrunk until only
     :data:`MEMORY_FRACTION` of its F-COO stream fits next to the dense
     operands, so the kernel must stream; ``num_streams=1`` is the
     no-overlap baseline the speedup column compares against.
     """
-    names = list(datasets) if datasets is not None else list(DATASETS)
     rows: List[StreamingRow] = []
-    for name in names:
+    for name in DATASETS:
         tensor = load_dataset(name)
         factors = [np.asarray(f) for f in random_factors(tensor.shape, rank, seed=0)]
         fcoo = FCOOTensor.from_sparse(tensor, OperationKind.SPMTTKRP, 0)

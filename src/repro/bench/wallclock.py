@@ -191,7 +191,8 @@ def _carry_tensor() -> SparseTensor:
 
 
 def _outputs_under(backend: str, tensors: Sequence[SparseTensor]) -> List[np.ndarray]:
-    """Every harness output under one backend, as a flat array list.
+    """Every harness output under one backend, as a flat array list
+    (:func:`~repro.bench.serving.output_arrays` of each).
 
     Covers the repository's existing topology harnesses on each of
     ``tensors``: one-shot, chunked (streamed), sharded (2 GPUs) and both
@@ -200,13 +201,13 @@ def _outputs_under(backend: str, tensors: Sequence[SparseTensor]) -> List[np.nda
     """
     from repro.algorithms.cp import cp_als
     from repro.algorithms.tucker import tucker_hooi
-    from repro.bench.serving import run_serving
+    from repro.bench.serving import output_arrays, run_serving
     from repro.kernels.unified.spmttkrp import unified_spmttkrp
     from repro.kernels.unified.spttm import unified_spttm
     from repro.kernels.unified.spttmc import unified_spttmc
 
     two_gpus = ClusterSpec.homogeneous(TITAN_X, 2)
-    arrays: List[np.ndarray] = []
+    outputs: List[object] = []
     for tensor in tensors:
         factors = [np.array(f) for f in random_factors(tensor.shape, 8, seed=2)]
         for ctx in (
@@ -214,22 +215,22 @@ def _outputs_under(backend: str, tensors: Sequence[SparseTensor]) -> List[np.nda
             ExecContext(backend=backend, streamed=True, chunk_nnz=512),
             ExecContext(backend=backend, cluster=two_gpus),
         ):
-            arrays.append(unified_spmttkrp(tensor, factors, 0, ctx=ctx).output)
-            arrays.append(unified_spttm(tensor, factors[1], 1, ctx=ctx).output.fiber_values)
-            arrays.append(unified_spttmc(tensor, factors, 0, ctx=ctx).output)
+            outputs.append(unified_spmttkrp(tensor, factors, 0, ctx=ctx).output)
+            outputs.append(unified_spttm(tensor, factors[1], 1, ctx=ctx).output)
+            outputs.append(unified_spttmc(tensor, factors, 0, ctx=ctx).output)
 
-        cp = cp_als(
-            tensor, 8, max_iterations=2, compute_fit=False, seed=5,
-            ctx=ExecContext(backend=backend, cluster=two_gpus),
+        outputs.append(
+            cp_als(
+                tensor, 8, max_iterations=2, compute_fit=False, seed=5,
+                ctx=ExecContext(backend=backend, cluster=two_gpus),
+            )
         )
-        arrays.extend(cp.factors)
-        arrays.append(cp.weights)
-        tk = tucker_hooi(
-            tensor, (4, 4, 4), max_iterations=1, seed=5,
-            ctx=ExecContext(backend=backend, cluster=two_gpus),
+        outputs.append(
+            tucker_hooi(
+                tensor, (4, 4, 4), max_iterations=1, seed=5,
+                ctx=ExecContext(backend=backend, cluster=two_gpus),
+            )
         )
-        arrays.extend(tk.factors)
-        arrays.append(tk.core)
 
     # Scheduled path: the serving engine builds its own contexts, so the
     # backend rides the REPRO_BACKEND default the way the CI matrix sets it.
@@ -242,21 +243,8 @@ def _outputs_under(backend: str, tensors: Sequence[SparseTensor]) -> List[np.nda
             os.environ.pop(BACKEND_ENV_VAR, None)
         else:
             os.environ[BACKEND_ENV_VAR] = previous
-    for result in report.results:
-        output = result.output
-        if output is None:
-            continue
-        if isinstance(output, np.ndarray):
-            arrays.append(output)
-        elif hasattr(output, "fiber_values"):
-            arrays.append(output.fiber_values)
-        else:
-            arrays.extend(getattr(output, "factors", []) or [])
-            for attr in ("weights", "core"):
-                value = getattr(output, attr, None)
-                if value is not None:
-                    arrays.append(value)
-    return arrays
+    outputs.extend(result.output for result in report.results)
+    return [array for output in outputs for array in output_arrays(output)]
 
 
 def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
@@ -281,19 +269,11 @@ def _identity_violations() -> int:
 # ---------------------------------------------------------------------- #
 # Suite driver
 # ---------------------------------------------------------------------- #
-def run_wallclock(
-    *,
-    quick: bool = True,
-    repeat: Optional[int] = None,
-    warmup: Optional[int] = None,
-) -> Dict[str, float]:
+def run_wallclock(*, quick: bool = True) -> Dict[str, float]:
     """Run the wall-clock suite; returns the flat metric dict the
     regression gate consumes (see the module docstring for the gating
     semantics of each metric family)."""
-    if repeat is None:
-        repeat = QUICK_REPEAT if quick else FULL_REPEAT
-    if warmup is None:
-        warmup = QUICK_WARMUP if quick else FULL_WARMUP
+    repeat, warmup = (QUICK_REPEAT, QUICK_WARMUP) if quick else (FULL_REPEAT, FULL_WARMUP)
     get_backend("reference"), get_backend("vectorized")  # fail fast on registry
 
     metrics: Dict[str, float] = {}
@@ -322,31 +302,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.bench.wallclock",
         description="Wall-clock benchmark of the unified kernels per backend.",
     )
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--quick", action="store_true", help="CI sizes (the default)"
-    )
-    mode.add_argument(
+    parser.add_argument(
         "--full", action="store_true", help="nightly sizes (larger, slower)"
-    )
-    parser.add_argument(
-        "--repeat", type=int, default=None, help="timed iterations (median taken)"
-    )
-    parser.add_argument(
-        "--warmup", type=int, default=None, help="throwaway iterations before timing"
     )
     parser.add_argument(
         "--json", metavar="PATH", default=None, help="also write the metrics as JSON"
     )
     args = parser.parse_args(argv)
-    if args.repeat is not None and args.repeat < 1:
-        parser.error(f"--repeat must be >= 1, got {args.repeat}")
-    if args.warmup is not None and args.warmup < 0:
-        parser.error(f"--warmup must be >= 0, got {args.warmup}")
 
-    metrics = run_wallclock(
-        quick=not args.full, repeat=args.repeat, warmup=args.warmup
-    )
+    metrics = run_wallclock(quick=not args.full)
     for name in sorted(metrics):
         print(f"{name:55s} {metrics[name]:.6g}")
     if args.json:

@@ -160,3 +160,13 @@ class KernelProfile:
             raise ValueError(
                 f"device_memory_bytes must be non-negative, got {self.device_memory_bytes}"
             )
+
+    @property
+    def execution_path(self) -> str:
+        """The driver that ran: ``"sharded"`` (a multi-GPU run, whose shards
+        may stream), ``"streamed"`` (out-of-core) or ``"one-shot"``."""
+        if self.sharded is not None:
+            return "sharded"
+        if self.streaming is not None:
+            return "streamed"
+        return "one-shot"

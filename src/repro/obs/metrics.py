@@ -29,7 +29,10 @@ deliberately minimal — no timestamps, no exemplars.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - import-time only
+    from repro.gpusim.counters import KernelProfile
 
 __all__ = [
     "Counter",
@@ -342,32 +345,25 @@ def observe_kernel(
 
 
 def observe_kernel_profile(
-    registry: MetricsRegistry, *, kernel: str, nnz: int, profile: object
+    registry: MetricsRegistry, *, kernel: str, nnz: int, profile: KernelProfile
 ) -> None:
-    """Publish one launch from its :class:`~repro.gpusim.timing.KernelProfile`.
+    """Publish one launch from its :class:`~repro.gpusim.counters.KernelProfile`.
 
     The single instrumentation call the three unified kernels make: the
-    execution path is read off the profile itself (``profile.sharded`` →
-    the multi-GPU driver ran, ``profile.streaming`` → the out-of-core
-    driver, neither → one-shot), and the drivers' own ledgers supply the
-    chunk/shard fan-out counters — so driver-level telemetry needs no
-    extra plumbing through the driver signatures.
+    execution path is read off the profile itself
+    (:attr:`~repro.gpusim.counters.KernelProfile.execution_path`), and the
+    drivers' own ledgers supply the chunk/shard fan-out counters — so
+    driver-level telemetry needs no extra plumbing through the driver
+    signatures.
     """
-    sharded = getattr(profile, "sharded", None)
-    streaming = getattr(profile, "streaming", None)
-    if sharded is not None:
-        path = "sharded"
-    elif streaming is not None:
-        path = "streamed"
-    else:
-        path = "one-shot"
     observe_kernel(
         registry,
         kernel=kernel,
-        path=path,
+        path=profile.execution_path,
         nnz=nnz,
-        seconds=float(getattr(profile, "estimated_time_s", 0.0)),
+        seconds=float(profile.estimated_time_s),
     )
+    streaming, sharded = profile.streaming, profile.sharded
     if streaming is not None:
         registry.counter(
             "repro_stream_chunks_total",

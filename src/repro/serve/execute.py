@@ -177,16 +177,10 @@ def price_job(
         )
         if metrics is not None:
             observe_kernel_profile(metrics, kernel=op.kernel, nnz=encoding.nnz, profile=profile)
-        if getattr(profile, "sharded", None) is not None:
-            execution = "sharded"
-        elif getattr(profile, "streaming", None) is not None:
-            execution = "streamed"
-        else:
-            execution = "one-shot"
         return ExecutionOutcome(
             output=numbers,
             exec_s=profile.estimated_time_s,
-            execution=execution,
+            execution=profile.execution_path,
             profile=profile,
         )
 

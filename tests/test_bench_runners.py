@@ -17,6 +17,7 @@ from repro.autotune.tuner import DEFAULT_BLOCK_SIZES, DEFAULT_THREADLENS
 from repro.bench import run_fig7
 from repro.bench.memory import paper_scale_spmttkrp_footprints, spmttkrp_footprints
 from repro.bench.paper import CHECKS, paper_metrics, paper_runs
+from repro.bench.scaling import SCALING_OPERATIONS
 from repro.data.registry import DATASETS
 
 
@@ -178,6 +179,31 @@ class TestFig10:
             runs["fig10_cp_decomposition"].row("nell1", "unified-gpu")
 
 
+class TestScaling:
+    def test_strong_and_weak_curves(self, runs):
+        strong, weak = runs["strong_scaling"], runs["weak_scaling"]
+        assert (strong.kind, weak.kind) == ("strong", "weak")
+        assert "strong scaling" in strong.render()
+        assert "weak scaling" in weak.render()
+        assert _count(runs, "strong_scaling") == 0
+        assert _count(runs, "weak_scaling") == 0
+
+    def test_one_node_point_is_the_two_gpu_strong_point(self, runs):
+        # Every scaling point runs one kernel on one cluster, so the
+        # multi-node curve's one-node point and the strong curve's 2-GPU
+        # point are the same measurement, bit for bit.
+        for op in SCALING_OPERATIONS:
+            node = runs["multinode_scaling"].rows_for(op, "brainq")[0]
+            gpus = runs["strong_scaling"].rows_for(op, "brainq")[1]
+            assert gpus.num_devices == 2
+            assert (node.num_nodes, node.num_devices) == (1, 2)
+            assert (node.time_s, node.max_shard_s, node.reduction_s) == (
+                gpus.time_s,
+                gpus.max_shard_s,
+                gpus.reduction_s,
+            )
+
+
 class TestServingDefaultWorkload:
     def test_completed_rejected_split(self, runs):
         report = runs["serving_default_workload"]
@@ -284,7 +310,11 @@ class TestPaperSuite:
     def test_metrics_follow_the_gate_rules(self, runs):
         metrics = paper_metrics(runs)
         counts = {k: v for k, v in metrics.items() if k.endswith("_count")}
-        assert counts == {f"paper/{name}_violation_count": 0.0 for name in CHECKS}
+        # The 40-job serving run refuses three jobs, and may refuse no more.
+        assert counts == {
+            **{f"paper/{name}_violation_count": 0.0 for name in CHECKS},
+            "paper/serve/rejected_jobs_count": 3.0,
+        }
         assert all(math.isfinite(v) for v in metrics.values())
         # No fit: its last bits follow the BLAS thread count.
         assert not [k for k in metrics if "fit" in k]
@@ -292,3 +322,29 @@ class TestPaperSuite:
         assert metrics["paper/fig6b/brainq/unified_over_parti_gpu_info"] > 10.0
         assert "paper/fig6b/nell1/parti_gpu_s" not in metrics
         assert "paper/fig6b/nell1/unified_over_parti_gpu_info" not in metrics
+
+    def test_metrics_record_the_extension_seconds(self, runs):
+        metrics = paper_metrics(runs)
+        for op in SCALING_OPERATIONS:
+            for gpus in (1, 2, 4, 8):
+                assert f"paper/weak/{op}/gpus={gpus}" in metrics
+                for workload in ("brainq", "nell2"):
+                    assert f"paper/strong/{op}/{workload}/gpus={gpus}" in metrics
+            for nodes in (1, 2, 4):
+                assert f"paper/multinode/{op}/brainq/nodes={nodes}" in metrics
+            assert f"paper/multinode/{op}/brainq/nodes=4/reduction" in metrics
+            assert f"paper/multinode/{op}/brainq/nodes=1/reduction" not in metrics
+        for name in DATASETS:
+            for streams in (1, 2, 4):
+                assert f"paper/streamed/{name}/streams={streams}" in metrics
+        serve = {k: v for k, v in metrics.items() if k.startswith("paper/serve/")}
+        assert set(serve) == {
+            "paper/serve/p50_latency",
+            "paper/serve/p99_latency",
+            "paper/serve/makespan",
+            "paper/serve/seconds_per_job",
+            "paper/serve/mean_queue_wait",
+            "paper/serve/rejected_jobs_count",
+        }
+        assert all(v >= 0.0 for v in serve.values())
+        assert serve["paper/serve/p99_latency"] >= serve["paper/serve/p50_latency"]

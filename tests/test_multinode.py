@@ -23,8 +23,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms.cp import UnifiedGPUEngine, cp_als
 from repro.algorithms.tucker import tucker_hooi
-from repro.bench.scaling import run_multinode_scaling, run_scaling
-from repro.bench.regression import _multinode_metrics
+from repro.bench.scaling import run_multinode_scaling
 from repro.cli import main as cli_main
 from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
@@ -709,7 +708,8 @@ class TestMultiNodeServing:
 
     def test_single_node_serving_unchanged(self):
         """The default workload/cluster keep their exact pre-multi-node
-        behaviour (guards the committed BENCH_serving baseline)."""
+        behaviour (guards the ``paper/serve/*`` seconds of the committed
+        BENCH_paper baseline)."""
         jobs = generate_workload(WorkloadSpec(num_jobs=20, seed=0))
         report = ServingEngine(default_serving_cluster()).run(jobs)
         assert report.cross_node_jobs == 0
@@ -735,30 +735,6 @@ class TestMultiNodeBench:
                 assert row.reduction_s <= row.flat_reduction_s + 1e-15
         assert "Multi-node scaling" in result.render()
         assert "hierarchical" in result.render()
-
-    def test_one_node_point_is_the_two_gpu_strong_point(self):
-        # Every scaling point runs one kernel on one cluster, so the
-        # multi-node curve's one-node point and the strong curve's 2-GPU
-        # point are the same measurement, bit for bit.
-        multinode = run_multinode_scaling(rank=4, node_counts=(1,))
-        strong = run_scaling(rank=4, datasets=["brainq"], device_counts=(2,))
-        for op in ("spttm", "spmttkrp", "spttmc"):
-            (node,) = multinode.rows_for(op, "brainq")
-            (gpus,) = strong.rows_for(op, "brainq")
-            assert (node.num_nodes, node.num_devices) == (1, 2)
-            assert (node.time_s, node.max_shard_s, node.reduction_s) == (
-                gpus.time_s,
-                gpus.max_shard_s,
-                gpus.reduction_s,
-            )
-
-    def test_regression_metrics_include_multinode(self):
-        metrics = _multinode_metrics()
-        assert metrics["multinode/hier_minus_flat_count"] == 0.0
-        for op in ("spttm", "spmttkrp", "spttmc"):
-            for nodes in (1, 2, 4):
-                assert f"multinode/{op}/brainq/nodes={nodes}" in metrics
-            assert f"multinode/{op}/brainq/nodes=4/reduction" in metrics
 
     def test_cli_scaling_nodes(self, capsys):
         assert cli_main(["scaling", "--nodes", "2", "--rank", "4"]) == 0

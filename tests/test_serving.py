@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 
 from repro.algorithms.cp import UnifiedGPUEngine, cp_als
 from repro.algorithms.tucker import tucker_hooi
-from repro.bench.regression import _serving_metrics
 from repro.bench.serving import run_serving
 from repro.cli import main as cli_main
 from repro.context import ExecContext
@@ -37,8 +36,8 @@ from repro.formats.semisparse import SemiSparseTensor
 from repro.gpusim.cluster import ClusterSpec, InterconnectSpec, NodeFailure, NodeSpec, PCIE3_P2P
 from repro.gpusim.device import TITAN_X, scaled_device
 from repro.gpusim.timeline import Timeline
-from repro.kernels.unified import partition_shards
-from repro.kernels.unified.spmttkrp import spmttkrp_footprint, unified_spmttkrp
+from repro.kernels.unified import operation_spec, partition_shards
+from repro.kernels.unified.spmttkrp import unified_spmttkrp
 from repro.kernels.unified.spttm import unified_spttm
 from repro.kernels.unified.spttmc import unified_spttmc
 from repro.serve import (
@@ -55,7 +54,6 @@ from repro.serve import (
     price_job,
 )
 from repro.serve.cache import SERVING_BLOCK_SIZES, SERVING_THREADLENS, TUNER_SECONDS_PER_CONFIG
-from repro.serve.placement import BLOCK_SIZE as SERVE_BLOCK_SIZE
 from repro.serve.placement import NUM_STREAMS as SERVE_NUM_STREAMS
 from repro.serve.placement import THREADLEN as SERVE_THREADLEN
 from repro.serve.scheduler import MAX_BATCH
@@ -374,16 +372,21 @@ class TestPreprocCache:
 # Geometry + placement
 # ---------------------------------------------------------------------- #
 class TestPlacement:
-    def test_geometry_matches_kernel_footprint(self):
-        tensor = CASES[BIG_CASE]()
-        job = Job(job_id=0, tenant="t", kind=JobKind.SPMTTKRP, tensor=tensor, rank=RANK)
-        geometry = job_geometry(job)
-        fcoo = FCOOTensor.from_sparse(tensor, "spmttkrp", 0)
-        footprint, resident = spmttkrp_footprint(
-            fcoo, RANK, block_size=SERVE_BLOCK_SIZE, threadlen=SERVE_THREADLEN
-        )
-        assert geometry.footprint_bytes == pytest.approx(footprint, rel=0.01)
-        assert geometry.resident_bytes == pytest.approx(resident, rel=0.01)
+    @pytest.mark.parametrize("rank", [RANK, 16])
+    @pytest.mark.parametrize("case", ["order3-power", "order4-power"])
+    @pytest.mark.parametrize("kind", list(KERNEL_KINDS))
+    def test_geometry_matches_kernel_footprint(self, kind, case, rank):
+        # Placement sizes a job from shape statistics alone; every mode's
+        # sizes must equal the ones the kernel's own operation spec prices.
+        tensor = CASES[case]()
+        for mode in range(tensor.order):
+            job = Job(job_id=0, tenant="t", kind=kind, tensor=tensor, rank=rank, mode=mode)
+            geometry = job_geometry(job)
+            fcoo = FCOOTensor.from_sparse(tensor, kind.operation, mode)
+            spec = operation_spec(fcoo, kind.operation, rank)
+            assert geometry.fcoo_bytes == fcoo.storage_bytes(SERVE_THREADLEN)
+            assert geometry.output_bytes == spec.output_bytes
+            assert geometry.resident_bytes == float(spec.factor_bytes + spec.output_bytes)
 
     def test_admission_rejects_oversized_dense_operands(self):
         indices = np.stack(
@@ -1227,19 +1230,6 @@ class TestWorkloadAndSurfaces:
         counts = report.execution_counts()
         assert counts.get("sharded", 0) > 0  # the whale sharded
         assert len(report.rejected) > 0  # the giant was refused
-
-    def test_regression_serving_metrics(self):
-        metrics = _serving_metrics()
-        assert set(metrics) == {
-            "serve/p50_latency",
-            "serve/p99_latency",
-            "serve/makespan",
-            "serve/seconds_per_job",
-            "serve/mean_queue_wait",
-            "serve/rejected_jobs_count",
-        }
-        assert all(v >= 0.0 for v in metrics.values())
-        assert metrics["serve/p99_latency"] >= metrics["serve/p50_latency"]
 
     def test_count_metrics_fail_on_any_increase(self):
         from repro.bench.regression import compare_metrics

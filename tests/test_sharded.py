@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms.cp import UnifiedGPUEngine, cp_als
 from repro.algorithms.tucker import tucker_hooi
-from repro.bench.scaling import analog_interconnect, run_scaling, run_weak_scaling
+from repro.bench.scaling import analog_interconnect
 from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.gpusim.cluster import (
@@ -357,27 +357,6 @@ class TestScalingHarness:
         )
         with pytest.raises(ValueError):
             analog_interconnect(PCIE3_P2P, time_scale=0.0)
-
-    def test_strong_scaling_structure(self):
-        result = run_scaling(rank=4, datasets=["brainq"], device_counts=(1, 2, 4))
-        assert result.kind == "strong"
-        for op in ("spttm", "spmttkrp", "spttmc"):
-            curve = result.rows_for(op, "brainq")
-            assert [r.num_devices for r in curve] == [1, 2, 4]
-            assert curve[0].speedup == pytest.approx(1.0)
-            for row in curve:
-                assert 0.0 < row.efficiency <= 1.0
-        assert "strong scaling" in result.render()
-
-    def test_weak_scaling_structure(self):
-        result = run_weak_scaling(rank=4, device_counts=(1, 2))
-        assert result.kind == "weak"
-        for op in ("spttm", "spmttkrp", "spttmc"):
-            curve = result.rows_for(op)
-            assert [r.num_devices for r in curve] == [1, 2]
-            for row in curve:
-                assert 0.0 < row.speedup <= 1.05
-        assert "weak scaling" in result.render()
 
 
 # ---------------------------------------------------------------------- #
